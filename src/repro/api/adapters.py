@@ -44,52 +44,10 @@ from .store import (
 )
 
 
-def _tune_servers(
-    nodes,
-    service_time: float = 0.0,
-    queue_limit: int | None = None,
-    admission_rate: float | None = None,
-    admission_burst: float | None = None,
-) -> None:
-    """Apply capacity/overload knobs to a cluster's server nodes (see
-    :class:`repro.replication.common.ServerNode` for semantics)."""
-    for node in nodes:
-        if service_time > 0:
-            node.service_time = service_time
-        if queue_limit is not None:
-            node.queue_limit = queue_limit
-        if admission_rate is not None:
-            node.admission_rate = admission_rate
-        if admission_burst is not None:
-            node.admission_burst = admission_burst
-
-
-def _apply_retry(client, session_retry, store_retry) -> None:
-    """Attach the effective :class:`RetryPolicy` to a protocol client:
-    the session-level override wins over the store-wide default."""
-    policy = session_retry if session_retry is not None else store_retry
-    if policy is not None:
-        client.retry = policy
-
-
 def _norm_versioned(pair):
     """(value, int-version) -> (value, token) with 0 meaning 'nothing'."""
     value, version = pair
     return value, (version or None)
-
-
-def _spread_unplaced(placement: Placement | None, node_ids) -> None:
-    """Region-spread any server nodes no one placed yet.
-
-    The sharded router pre-places each shard's replicas with a
-    per-shard stagger before building the cluster; a standalone store
-    built directly with ``placement=`` gets the default round-robin
-    spread here instead."""
-    if placement is None:
-        return
-    unplaced = [n for n in node_ids if not placement.is_placed(n)]
-    if unplaced:
-        placement.spread(unplaced)
 
 
 def _session_region(store, read_preference, region):
@@ -135,20 +93,19 @@ def _attach_locality(placement, client, region, read_preference) -> None:
         client.locality = placement.locality(region)
 
 
-# ---------------------------------------------------------------------------
-# Dynamo-style quorums (LWW)
-# ---------------------------------------------------------------------------
+class ClusterStore(ConsistentStore):
+    """A store over one cluster object from :mod:`repro.replication`.
 
+    Subclasses name the cluster class and where it keeps its server
+    nodes; construction (cluster, region spread, capacity knobs) and
+    the fault-injection / convergence surface are the same for all.
+    """
 
-@registry.register(StoreCapabilities(
-    name="quorum",
-    description="Dynamo partial quorums, LWW, read repair, sloppy option",
-    read_modes=("quorum",),
-    failover_reads=True,
-    failover_writes=True,
-    read_preferences=READ_PREFERENCES,
-))
-class QuorumStore(ConsistentStore):
+    #: The :mod:`repro.replication` class built as ``self.cluster``.
+    cluster_class: type
+    #: Attribute of the cluster holding its server nodes, in id order.
+    servers_attr = "replicas"
+
     def __init__(
         self,
         sim: Simulator,
@@ -166,12 +123,86 @@ class QuorumStore(ConsistentStore):
         super().__init__(sim, network)
         self.retry = retry
         self.placement = placement
-        self.cluster = DynamoCluster(
-            sim, network, nodes=nodes, node_ids=node_ids, **kwargs
+        self.cluster = self._build_cluster(
+            nodes=nodes, node_ids=node_ids, **kwargs
         )
-        _spread_unplaced(placement, self.cluster.ring.nodes)
-        _tune_servers(self.cluster.nodes, service_time, queue_limit,
-                      admission_rate, admission_burst)
+        if placement is not None:
+            # Region-spread any server nodes no one placed yet: the
+            # sharded router pre-places each shard's replicas with a
+            # per-shard stagger before building the cluster; a
+            # standalone store built directly with ``placement=`` gets
+            # the default round-robin spread here instead.
+            unplaced = [
+                n for n in self.server_ids() if not placement.is_placed(n)
+            ]
+            if unplaced:
+                placement.spread(unplaced)
+        # Capacity/overload knobs (see :class:`repro.replication.common
+        # .ServerNode` for semantics).
+        for node in self._servers():
+            if service_time > 0:
+                node.service_time = service_time
+            if queue_limit is not None:
+                node.queue_limit = queue_limit
+            if admission_rate is not None:
+                node.admission_rate = admission_rate
+            if admission_burst is not None:
+                node.admission_burst = admission_burst
+
+    def _build_cluster(self, **spec: Any):
+        return self.cluster_class(self.sim, self.network, **spec)
+
+    def _servers(self) -> list:
+        return getattr(self.cluster, self.servers_attr)
+
+    def _connect(self, name, retry: RetryPolicy | None, **opts: Any):
+        """A protocol client for one session, carrying the effective
+        :class:`RetryPolicy`: the session-level override wins over the
+        store-wide default."""
+        client = self.cluster.connect(session=name, **opts)
+        policy = retry if retry is not None else self.retry
+        if policy is not None:
+            client.retry = policy
+        return client
+
+    def _versioned(self, read):
+        """A read fn over a client call resolving ``(value, version)``,
+        normalized to ``(value, token)``."""
+        return lambda k, t: mapped_future(
+            self.sim, read(k, timeout=t), _norm_versioned
+        )
+
+    def server_ids(self) -> list[Hashable]:
+        return [server.node_id for server in self._servers()]
+
+    def history(self):
+        if not self.capabilities.has_history:
+            return super().history()
+        return self.cluster.recorder.history()
+
+    def snapshots(self) -> list[dict]:
+        return [server.snapshot() for server in self._servers()]
+
+    def settle(self) -> None:
+        self.cluster.anti_entropy_sweep()
+
+
+# ---------------------------------------------------------------------------
+# Dynamo-style quorums (LWW stamps, or DVV siblings)
+# ---------------------------------------------------------------------------
+
+
+@registry.register(StoreCapabilities(
+    name="quorum",
+    description="Dynamo partial quorums, LWW, read repair, sloppy option",
+    read_modes=("quorum",),
+    failover_reads=True,
+    failover_writes=True,
+    read_preferences=READ_PREFERENCES,
+))
+class QuorumStore(ClusterStore):
+    cluster_class = DynamoCluster
+    servers_attr = "nodes"
 
     def session(
         self,
@@ -199,14 +230,14 @@ class QuorumStore(ConsistentStore):
                     "coordinator",
                     self.placement.locality(region).nearest(ring_nodes),
                 )
-        client = self.cluster.connect(session=name, **opts)
-        _apply_retry(client, retry, self.retry)
+        client = self._connect(name, retry, **opts)
         if region is not None:
             _attach_locality(self.placement, client, region, read_preference)
+        put_fn, get_fn = self._token_fns(client)
         return FnSession(
             client.session,
-            put_fn=lambda k, v, t: client.put(k, v, timeout=t),
-            read_fns={"quorum": lambda k, t: client.get(k, timeout=t)},
+            put_fn=put_fn,
+            read_fns={"quorum": get_fn},
             default_mode="quorum",
             client_id=client.node_id,
             client=client,
@@ -214,22 +245,13 @@ class QuorumStore(ConsistentStore):
             region=region,
         )
 
-    def server_ids(self) -> list[Hashable]:
-        return self.cluster.ring.nodes
-
-    def history(self):
-        return self.cluster.history()
-
-    def snapshots(self) -> list[dict]:
-        return self.cluster.snapshots()
-
-    def settle(self) -> None:
-        self.cluster.anti_entropy_sweep()
-
-
-# ---------------------------------------------------------------------------
-# Dynamo-style quorums with siblings (DVV)
-# ---------------------------------------------------------------------------
+    def _token_fns(self, client):
+        """``(put_fn, get_fn)`` resolving with version tokens: Lamport
+        stamps are totally ordered within a key as they are."""
+        return (
+            lambda k, v, t: client.put(k, v, timeout=t),
+            lambda k, t: client.get(k, timeout=t),
+        )
 
 
 def _context_token(context: dict):
@@ -253,64 +275,20 @@ def _context_token(context: dict):
     failover_reads=True,
     failover_writes=True,
 ))
-class SiblingQuorumStore(ConsistentStore):
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-        service_time: float = 0.0,
-        queue_limit: int | None = None,
-        admission_rate: float | None = None,
-        admission_burst: float | None = None,
-        retry: RetryPolicy | None = None,
-        placement: Placement | None = None,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(sim, network)
-        self.retry = retry
-        self.placement = placement
-        self.cluster = SiblingDynamoCluster(
-            sim, network, nodes=nodes, node_ids=node_ids, **kwargs
-        )
-        _spread_unplaced(placement, self.cluster.ring.nodes)
-        _tune_servers(self.cluster.nodes, service_time, queue_limit,
-                      admission_rate, admission_burst)
+class SiblingQuorumStore(QuorumStore):
+    cluster_class = SiblingDynamoCluster
 
-    def session(
-        self,
-        name: Hashable | None = None,
-        retry: RetryPolicy | None = None,
-        **opts: Any,
-    ) -> StoreSession:
-        client = self.cluster.connect(session=name, **opts)
-        _apply_retry(client, retry, self.retry)
-        return FnSession(
-            client.session,
-            put_fn=lambda k, v, t: mapped_future(
-                self.sim, client.put(k, v, timeout=t), _context_token
+    def _token_fns(self, client):
+        put_fn, get_fn = super()._token_fns(client)
+        return (
+            lambda k, v, t: mapped_future(
+                self.sim, put_fn(k, v, t), _context_token
             ),
-            read_fns={
-                "quorum": lambda k, t: mapped_future(
-                    self.sim,
-                    client.get(k, timeout=t),
-                    lambda reply: (tuple(reply[0]), _context_token(reply[1])),
-                ),
-            },
-            default_mode="quorum",
-            client_id=client.node_id,
-            client=client,
+            lambda k, t: mapped_future(
+                self.sim, get_fn(k, t),
+                lambda reply: (tuple(reply[0]), _context_token(reply[1])),
+            ),
         )
-
-    def server_ids(self) -> list[Hashable]:
-        return self.cluster.ring.nodes
-
-    def snapshots(self) -> list[dict]:
-        return self.cluster.snapshots()
-
-    def settle(self) -> None:
-        self.cluster.anti_entropy_sweep()
 
 
 # ---------------------------------------------------------------------------
@@ -326,31 +304,10 @@ class SiblingQuorumStore(ConsistentStore):
     failover_reads=True,
     failover_writes=True,
 ))
-class CausalStore(ConsistentStore):
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-        service_time: float = 0.0,
-        queue_limit: int | None = None,
-        admission_rate: float | None = None,
-        admission_burst: float | None = None,
-        retry: RetryPolicy | None = None,
-        placement: Placement | None = None,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(sim, network)
-        self.retry = retry
-        self.placement = placement
-        self.cluster = CausalCluster(
-            sim, network, nodes=nodes, node_ids=node_ids, **kwargs
-        )
-        _spread_unplaced(placement, self.cluster.node_ids)
-        _tune_servers(self.cluster.replicas, service_time, queue_limit,
-                      admission_rate, admission_burst)
-        self._next_home = 0
+class CausalStore(ClusterStore):
+    cluster_class = CausalCluster
+    #: Round-robin cursor for sessions opened without ``home=``.
+    _next_home = 0
 
     def session(
         self,
@@ -363,13 +320,11 @@ class CausalStore(ConsistentStore):
             ids = self.cluster.node_ids
             home = ids[self._next_home % len(ids)]
             self._next_home += 1
-        client = self.cluster.connect(home=home, session=name, **opts)
-        _apply_retry(client, retry, self.retry)
+        client = self._connect(name, retry, home=home, **opts)
         return FnSession(
             client.session,
             put_fn=lambda k, v, t: mapped_future(
-                self.sim, client.put(k, v, timeout=t),
-                lambda rank: tuple(rank),
+                self.sim, client.put(k, v, timeout=t), tuple,
             ),
             read_fns={
                 "local": lambda k, t: mapped_future(
@@ -385,18 +340,6 @@ class CausalStore(ConsistentStore):
             client=client,
         )
 
-    def server_ids(self) -> list[Hashable]:
-        return list(self.cluster.node_ids)
-
-    def history(self):
-        return self.cluster.history()
-
-    def snapshots(self) -> list[dict]:
-        return self.cluster.snapshots()
-
-    def settle(self) -> None:
-        self.cluster.anti_entropy_sweep()
-
 
 # ---------------------------------------------------------------------------
 # PNUTS-style record timelines
@@ -411,28 +354,17 @@ class CausalStore(ConsistentStore):
     failover_reads=True,
     read_preferences=READ_PREFERENCES,
 ))
-class TimelineStore(ConsistentStore):
+class TimelineStore(ClusterStore):
+    cluster_class = TimelineCluster
+
     def __init__(
         self,
         sim: Simulator,
         network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-        service_time: float = 0.0,
-        queue_limit: int | None = None,
-        admission_rate: float | None = None,
-        admission_burst: float | None = None,
-        retry: RetryPolicy | None = None,
         placement: Placement | None = None,
         **kwargs: Any,
     ) -> None:
-        super().__init__(sim, network)
-        self.retry = retry
-        self.placement = placement
-        self.cluster = TimelineCluster(
-            sim, network, nodes=nodes, node_ids=node_ids, **kwargs
-        )
-        _spread_unplaced(placement, self.cluster.node_ids)
+        super().__init__(sim, network, placement=placement, **kwargs)
         if placement is not None:
             # The write-forwarding proxy is an extra network node; it
             # lives with the first replica so forwarded writes pay one
@@ -441,8 +373,6 @@ class TimelineStore(ConsistentStore):
                 self.cluster._forwarder.node_id,
                 placement.region_of(self.cluster.node_ids[0]),
             )
-        _tune_servers(self.cluster.replicas, service_time, queue_limit,
-                      admission_rate, admission_burst)
 
     def session(
         self,
@@ -476,53 +406,26 @@ class TimelineStore(ConsistentStore):
                     "home",
                     self.placement.locality(region).nearest(node_ids),
                 )
-        client = self.cluster.connect(session=name, **opts)
-        _apply_retry(client, retry, self.retry)
+        client = self._connect(name, retry, **opts)
         if region is not None:
             _attach_locality(self.placement, client, region, read_preference)
+        put_fn = lambda k, v, t: client.write(k, v, timeout=t)
+        read_any = client.read_any
+        wrapped = None
         if guarantees is not None:
             wrapped = timeline_session(
                 client, guarantees=guarantees, retry_delay=retry_delay,
                 spread_replicas=spread_replicas,
             )
-            session = FnSession(
-                client.session,
-                put_fn=lambda k, v, t: wrapped.write(k, v),
-                read_fns={
-                    "any": lambda k, t: mapped_future(
-                        self.sim, wrapped.read(k), _norm_versioned
-                    ),
-                    "critical": lambda k, t: mapped_future(
-                        self.sim, client.read_critical(k, timeout=t),
-                        _norm_versioned,
-                    ),
-                    "latest": lambda k, t: mapped_future(
-                        self.sim, client.read_latest(k, timeout=t),
-                        _norm_versioned,
-                    ),
-                },
-                default_mode=default_mode,
-                client_id=client.node_id,
-                client=client,
-                read_preference=read_preference,
-                region=region,
-            )
-            session.session_client = wrapped
-            return session
-        return FnSession(
+            put_fn = lambda k, v, t: wrapped.write(k, v)
+            read_any = lambda k, timeout: wrapped.read(k)
+        session = FnSession(
             client.session,
-            put_fn=lambda k, v, t: client.write(k, v, timeout=t),
+            put_fn=put_fn,
             read_fns={
-                "any": lambda k, t: mapped_future(
-                    self.sim, client.read_any(k, timeout=t), _norm_versioned
-                ),
-                "critical": lambda k, t: mapped_future(
-                    self.sim, client.read_critical(k, timeout=t),
-                    _norm_versioned,
-                ),
-                "latest": lambda k, t: mapped_future(
-                    self.sim, client.read_latest(k, timeout=t), _norm_versioned
-                ),
+                "any": self._versioned(read_any),
+                "critical": self._versioned(client.read_critical),
+                "latest": self._versioned(client.read_latest),
             },
             default_mode=default_mode,
             client_id=client.node_id,
@@ -530,18 +433,9 @@ class TimelineStore(ConsistentStore):
             read_preference=read_preference,
             region=region,
         )
-
-    def server_ids(self) -> list[Hashable]:
-        return list(self.cluster.node_ids)
-
-    def history(self):
-        return self.cluster.recorder.history()
-
-    def snapshots(self) -> list[dict]:
-        return self.cluster.snapshots()
-
-    def settle(self) -> None:
-        self.cluster.anti_entropy_sweep()
+        if wrapped is not None:
+            session.session_client = wrapped
+        return session
 
 
 # ---------------------------------------------------------------------------
@@ -559,26 +453,21 @@ class TimelineStore(ConsistentStore):
     retry_safe_reads=False,
     retry_safe_writes=False,
 ))
-class BayouStore(ConsistentStore):
+class BayouStore(ClusterStore):
+    """Direct-attach replicas: there is no service queue and no RPC
+    path, so the capacity and ``retry`` knobs every adapter accepts
+    have nothing to act on here."""
+
+    cluster_class = BayouCluster
+    #: Round-robin cursor for sessions opened without ``replica=``.
+    _next_replica = 0
+    _sessions = 0
+
     def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 4,
-        node_ids: list[Hashable] | None = None,
-        service_time: float = 0.0,  # noqa: ARG002 - direct-attach, no queue
-        retry: RetryPolicy | None = None,  # noqa: ARG002 - no RPC path
-        placement: Placement | None = None,
+        self, sim: Simulator, network: Network, nodes: int = 4,
         **kwargs: Any,
     ) -> None:
-        super().__init__(sim, network)
-        self.placement = placement
-        self.cluster = BayouCluster(
-            sim, network, nodes=nodes, node_ids=node_ids, **kwargs
-        )
-        _spread_unplaced(placement, self.cluster.node_ids)
-        self._next_replica = 0
-        self._sessions = 0
+        super().__init__(sim, network, nodes=nodes, **kwargs)
 
     def session(
         self,
@@ -619,12 +508,6 @@ class BayouStore(ConsistentStore):
             client=node,
         )
 
-    def server_ids(self) -> list[Hashable]:
-        return list(self.cluster.node_ids)
-
-    def snapshots(self) -> list[dict]:
-        return [replica.snapshot() for replica in self.cluster.replicas]
-
     def settle(self) -> None:
         """Instantaneous pairwise anti-entropy, twice: once to flood
         writes to the primary, once to flood commit orders back."""
@@ -652,33 +535,9 @@ class BayouStore(ConsistentStore):
     linearizable_read_modes=("primary",),
     read_preferences=READ_PREFERENCES,
 ))
-class PrimaryBackupStore(ConsistentStore):
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-        service_time: float = 0.0,
-        queue_limit: int | None = None,
-        admission_rate: float | None = None,
-        admission_burst: float | None = None,
-        mode: str = "async",
-        retry: RetryPolicy | None = None,
-        placement: Placement | None = None,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(sim, network)
-        self.retry = retry
-        self.placement = placement
-        self.cluster = PrimaryBackupCluster(
-            sim, network, n=nodes, mode=mode, node_ids=node_ids, **kwargs
-        )
-        _spread_unplaced(
-            placement, [r.node_id for r in self.cluster.replicas]
-        )
-        _tune_servers(self.cluster.replicas, service_time, queue_limit,
-                      admission_rate, admission_burst)
+class PrimaryBackupStore(ClusterStore):
+    def _build_cluster(self, nodes: int, **spec: Any):
+        return PrimaryBackupCluster(self.sim, self.network, n=nodes, **spec)
 
     def session(
         self,
@@ -691,8 +550,7 @@ class PrimaryBackupStore(ConsistentStore):
         read_preference, region = _session_region(
             self, read_preference, region
         )
-        client = self.cluster.connect(session=name, **opts)
-        _apply_retry(client, retry, self.retry)
+        client = self._connect(name, retry, **opts)
         default_mode = "primary"
 
         if read_preference in ("local_follower", "nearest"):
@@ -700,7 +558,7 @@ class PrimaryBackupStore(ConsistentStore):
             placement = self.placement
             locality = placement.locality(region)
 
-            def read_backup(key, timeout):
+            def backup():
                 # Re-resolved per read so a promotion (region failover)
                 # re-routes follower reads without reopening sessions.
                 replicas = self.cluster.replicas
@@ -709,24 +567,18 @@ class PrimaryBackupStore(ConsistentStore):
                     if placement.region_of(r.node_id) == region
                 ]
                 if read_preference == "local_follower" and locals_:
-                    target = locals_[0]
-                else:
-                    target = min(
-                        replicas, key=lambda r: locality.delay_to(r.node_id)
-                    )
-                return mapped_future(
-                    self.sim,
-                    client.get(key, replica=target, timeout=timeout),
-                    _norm_versioned,
+                    return locals_[0]
+                return min(
+                    replicas, key=lambda r: locality.delay_to(r.node_id)
                 )
         else:
-            def read_backup(key, timeout):
+            def backup():
                 backups = self.cluster.backups
-                target = backups[0] if backups else self.cluster.primary
-                return mapped_future(
-                    self.sim, client.get(key, replica=target, timeout=timeout),
-                    _norm_versioned,
-                )
+                return backups[0] if backups else self.cluster.primary
+
+        read_backup = self._versioned(
+            lambda k, timeout: client.get(k, replica=backup(), timeout=timeout)
+        )
 
         if region is not None:
             _attach_locality(self.placement, client, region, read_preference)
@@ -734,9 +586,7 @@ class PrimaryBackupStore(ConsistentStore):
             client.session,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
             read_fns={
-                "primary": lambda k, t: mapped_future(
-                    self.sim, client.get(k, timeout=t), _norm_versioned
-                ),
+                "primary": self._versioned(client.get),
                 "backup": read_backup,
             },
             default_mode=default_mode,
@@ -745,18 +595,6 @@ class PrimaryBackupStore(ConsistentStore):
             read_preference=read_preference,
             region=region,
         )
-
-    def server_ids(self) -> list[Hashable]:
-        return [replica.node_id for replica in self.cluster.replicas]
-
-    def history(self):
-        return self.cluster.recorder.history()
-
-    def snapshots(self) -> list[dict]:
-        return self.cluster.snapshots()
-
-    def settle(self) -> None:
-        self.cluster.anti_entropy_sweep()
 
 
 # ---------------------------------------------------------------------------
@@ -771,32 +609,8 @@ class PrimaryBackupStore(ConsistentStore):
     survives_replica_crash=False,
     linearizable_read_modes=("tail",),
 ))
-class ChainStore(ConsistentStore):
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-        service_time: float = 0.0,
-        queue_limit: int | None = None,
-        admission_rate: float | None = None,
-        admission_burst: float | None = None,
-        retry: RetryPolicy | None = None,
-        placement: Placement | None = None,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(sim, network)
-        self.retry = retry
-        self.placement = placement
-        self.cluster = ChainCluster(
-            sim, network, nodes=nodes, node_ids=node_ids, **kwargs
-        )
-        _spread_unplaced(
-            placement, [r.node_id for r in self.cluster.replicas]
-        )
-        _tune_servers(self.cluster.replicas, service_time, queue_limit,
-                      admission_rate, admission_burst)
+class ChainStore(ClusterStore):
+    cluster_class = ChainCluster
 
     def session(
         self,
@@ -804,32 +618,15 @@ class ChainStore(ConsistentStore):
         retry: RetryPolicy | None = None,
         **opts: Any,
     ) -> StoreSession:
-        client = self.cluster.connect(session=name, **opts)
-        _apply_retry(client, retry, self.retry)
+        client = self._connect(name, retry, **opts)
         return FnSession(
             client.session,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
-            read_fns={
-                "tail": lambda k, t: mapped_future(
-                    self.sim, client.get(k, timeout=t), _norm_versioned
-                ),
-            },
+            read_fns={"tail": self._versioned(client.get)},
             default_mode="tail",
             client_id=client.node_id,
             client=client,
         )
-
-    def server_ids(self) -> list[Hashable]:
-        return [replica.node_id for replica in self.cluster.replicas]
-
-    def history(self):
-        return self.cluster.recorder.history()
-
-    def snapshots(self) -> list[dict]:
-        return self.cluster.snapshots()
-
-    def settle(self) -> None:
-        self.cluster.anti_entropy_sweep()
 
 
 # ---------------------------------------------------------------------------
@@ -843,35 +640,18 @@ class ChainStore(ConsistentStore):
     read_modes=("log", "local"),
     linearizable_read_modes=("log",),
 ))
-class MultiPaxosStore(ConsistentStore):
+class MultiPaxosStore(ClusterStore):
     """Builds the group *and runs the leader election to completion*
     (``sim.run()``) so sessions are immediately usable — build stores
     before spawning workload processes."""
 
+    cluster_class = MultiPaxosCluster
+
     def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-        service_time: float = 0.0,
-        queue_limit: int | None = None,
-        admission_rate: float | None = None,
-        admission_burst: float | None = None,
-        elect: bool = True,
-        retry: RetryPolicy | None = None,
-        placement: Placement | None = None,
+        self, sim: Simulator, network: Network, elect: bool = True,
         **kwargs: Any,
     ) -> None:
-        super().__init__(sim, network)
-        self.retry = retry
-        self.placement = placement
-        self.cluster = MultiPaxosCluster(
-            sim, network, nodes=nodes, node_ids=node_ids, **kwargs
-        )
-        _spread_unplaced(placement, self.cluster.node_ids)
-        _tune_servers(self.cluster.replicas, service_time, queue_limit,
-                      admission_rate, admission_burst)
+        super().__init__(sim, network, **kwargs)
         if elect:
             self.cluster.elect()
             sim.run()
@@ -882,32 +662,18 @@ class MultiPaxosStore(ConsistentStore):
         retry: RetryPolicy | None = None,
         **opts: Any,
     ) -> StoreSession:
-        client = self.cluster.connect(session=name, **opts)
-        _apply_retry(client, retry, self.retry)
+        client = self._connect(name, retry, **opts)
         return FnSession(
             client.session,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
             read_fns={
-                "log": lambda k, t: mapped_future(
-                    self.sim, client.get(k, timeout=t), _norm_versioned
-                ),
-                "local": lambda k, t: mapped_future(
-                    self.sim, client.local_get(k, timeout=t), _norm_versioned
-                ),
+                "log": self._versioned(client.get),
+                "local": self._versioned(client.local_get),
             },
             default_mode="log",
             client_id=client.node_id,
             client=client,
         )
-
-    def server_ids(self) -> list[Hashable]:
-        return list(self.cluster.node_ids)
-
-    def history(self):
-        return self.cluster.recorder.history()
-
-    def snapshots(self) -> list[dict]:
-        return self.cluster.snapshots()
 
     def settle(self) -> None:
         self.cluster.catch_up()
@@ -944,36 +710,7 @@ class FixedTargetSLAClient(SLAClient):
          "session backwards"),
     ),
 ))
-class PileusStore(ConsistentStore):
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-        service_time: float = 0.0,
-        queue_limit: int | None = None,
-        admission_rate: float | None = None,
-        admission_burst: float | None = None,
-        retry: RetryPolicy | None = None,
-        placement: Placement | None = None,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(sim, network)
-        self.retry = retry
-        self.placement = placement
-        self.cluster = TimelineCluster(
-            sim, network, nodes=nodes, node_ids=node_ids, **kwargs
-        )
-        _spread_unplaced(placement, self.cluster.node_ids)
-        if placement is not None:
-            placement.place(
-                self.cluster._forwarder.node_id,
-                placement.region_of(self.cluster.node_ids[0]),
-            )
-        _tune_servers(self.cluster.replicas, service_time, queue_limit,
-                      admission_rate, admission_burst)
-
+class PileusStore(TimelineStore):
     def session(
         self,
         name: Hashable | None = None,
@@ -984,8 +721,7 @@ class PileusStore(ConsistentStore):
         **opts: Any,
     ) -> StoreSession:
         _pref, region = _session_region(self, None, region)
-        client = self.cluster.connect(session=name, **opts)
-        _apply_retry(client, retry, self.retry)
+        client = self._connect(name, retry, **opts)
         if target is not None:
             sla_client = FixedTargetSLAClient(client, target)
         else:
@@ -1018,18 +754,6 @@ class PileusStore(ConsistentStore):
         )
         session.sla_client = sla_client
         return session
-
-    def server_ids(self) -> list[Hashable]:
-        return list(self.cluster.node_ids)
-
-    def history(self):
-        return self.cluster.recorder.history()
-
-    def snapshots(self) -> list[dict]:
-        return self.cluster.snapshots()
-
-    def settle(self) -> None:
-        self.cluster.anti_entropy_sweep()
 
 
 # Importing the cache tier registers the "cached" wrapper adapter —

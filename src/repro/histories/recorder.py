@@ -120,6 +120,20 @@ class _TokenOp:
     tier: Hashable = None
 
 
+def _observation(raw: _TokenOp) -> tuple | None:
+    """``(key, value)`` as a dict key for tying values to versions;
+    ``None`` when there is no value or it is unhashable (the cluster
+    clients record whatever value the application wrote, e.g. a list)
+    and so cannot be tied back."""
+    if raw.value is None:
+        return None
+    try:
+        hash(raw.value)
+    except TypeError:
+        return None
+    return raw.key, raw.value
+
+
 class TokenHistoryRecorder(HistoryRecorder):
     """A recorder for version *tokens* instead of integer versions.
 
@@ -128,10 +142,10 @@ class TokenHistoryRecorder(HistoryRecorder):
     whose only shared property is a total order *within a key*.  This
     recorder accepts those tokens directly (:meth:`complete_token`)
     and densifies them into per-key integer versions at
-    :meth:`history` time, exactly the post-hoc scheme
-    :meth:`repro.replication.DynamoCluster.history` uses.  It is what
-    lets one workload driver record a checkable history against any
-    store behind the :mod:`repro.api` interface.
+    :meth:`history` time.  It is the one densifier: the workload
+    driver records through it against any store behind the
+    :mod:`repro.api` interface, and the quorum and causal clusters
+    record their own client-side histories through it too.
 
     Falsy tokens (``None``, ``0``, empty context) mean "nothing
     observed" and map to version 0, the checkers' initial state.
@@ -199,9 +213,9 @@ class TokenHistoryRecorder(HistoryRecorder):
         ambiguous = object()
         seen_versions: dict[tuple[Hashable, Any], Any] = {}
         for raw in self._token_ops:
-            if raw.token is None or raw.value is None:
+            observed = _observation(raw)
+            if raw.token is None or observed is None:
                 continue
-            observed = (raw.key, raw.value)
             version = rank[(raw.key, raw.token)]
             if seen_versions.setdefault(observed, version) != version:
                 seen_versions[observed] = ambiguous
@@ -210,9 +224,8 @@ class TokenHistoryRecorder(HistoryRecorder):
             version = 0
             if raw.token is not None:
                 version = rank.get((raw.key, raw.token), 0)
-            elif raw.end is None and raw.kind == "write" \
-                    and raw.value is not None:
-                inferred = seen_versions.get((raw.key, raw.value))
+            elif raw.end is None and raw.kind == "write":
+                inferred = seen_versions.get(_observation(raw))
                 if isinstance(inferred, int):
                     version = inferred
             ops.append(

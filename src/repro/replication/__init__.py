@@ -3,8 +3,9 @@
 * :class:`PrimaryBackupCluster` — master/slave, async/sync/quorum acks.
 * :class:`DynamoCluster` — partial quorums, sloppy quorums, hinted
   handoff, read repair on a consistent hash ring (LWW conflicts).
-* :class:`SiblingDynamoCluster` — same quorums with multi-value
-  (sibling) conflicts and dotted-version-vector contexts.
+* :class:`SiblingDynamoCluster` — the same engine bound to the other
+  conflict strategy: multi-value (sibling) conflicts and
+  dotted-version-vector contexts.
 * :class:`GossipCluster` — anti-entropy (full-state or Merkle).
 * :class:`BayouCluster` — tentative/committed writes with rollback
   and primary commit order (Bayou).
@@ -30,11 +31,11 @@ from .multipaxos import (
 )
 from .paxos import Acceptor, Ballot, Proposer
 from .primary_backup import PBClient, PBReplica, PrimaryBackupCluster
-from .quorum import DynamoClient, DynamoCluster, DynamoNode
-from .quorum_siblings import (
-    SiblingDynamoClient,
+from .quorum import (
+    DynamoClient,
+    DynamoCluster,
+    DynamoNode,
     SiblingDynamoCluster,
-    SiblingDynamoNode,
 )
 from .ring import HashRing, stable_hash
 from .timeline import TimelineClient, TimelineCluster, TimelineReplica
@@ -53,8 +54,6 @@ __all__ = [
     "DynamoCluster",
     "DynamoClient",
     "SiblingDynamoCluster",
-    "SiblingDynamoClient",
-    "SiblingDynamoNode",
     "DynamoNode",
     "HashRing",
     "stable_hash",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..crdt.opbased import CausalBuffer, OpEnvelope
-from ..histories import History, Operation
+from ..histories import History, TokenHistoryRecorder
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 
@@ -118,18 +118,6 @@ class CausalReplica(ServerNode):
         return {key: value for key, (value, _rank) in self.data.items()}
 
 
-@dataclass
-class _RawOp:
-    kind: str
-    key: Hashable
-    session: Hashable
-    start: float
-    end: float | None
-    rank: Rank | None
-    value: Any
-    replica: Hashable
-
-
 class CausalClient(ClientNode):
     """A client pinned to one replica (its 'local datacenter')."""
 
@@ -149,21 +137,16 @@ class CausalClient(ClientNode):
 
     def _recorded(self, kind, key, inner, extract):
         outer = Future(self.sim)
-        start = self.sim.now
+        recorder = self.cluster.recorder
+        handle = recorder.begin(kind, key, self.session, self.home)
 
         def done(future: Future) -> None:
             if future.error is not None:
-                self.cluster._raw_ops.append(
-                    _RawOp(kind, key, self.session, start, None, None,
-                           None, self.home)
-                )
+                recorder.fail(handle)
                 outer.fail(future.error)
             else:
                 rank, value = extract(future.value)
-                self.cluster._raw_ops.append(
-                    _RawOp(kind, key, self.session, start, self.sim.now,
-                           rank, value, self.home)
-                )
+                recorder.complete_token(handle, rank, value)
                 outer.resolve(future.value)
 
         inner.add_callback(done)
@@ -217,7 +200,7 @@ class CausalCluster:
         self._g_pending = metrics.gauge("causal.pending")
         self.replicas = [CausalReplica(sim, network, i, self) for i in ids]
         self._clients = 0
-        self._raw_ops: list[_RawOp] = []
+        self.recorder = TokenHistoryRecorder(sim)
 
     def replica(self, node_id: Hashable) -> CausalReplica:
         for replica in self.replicas:
@@ -238,34 +221,9 @@ class CausalCluster:
                             session, home)
 
     def history(self) -> History:
-        """Densify arbitration ranks into per-key integer versions
-        (the same post-hoc scheme as :meth:`DynamoCluster.history`)."""
-        ranks_by_key: dict[Hashable, set[Rank]] = {}
-        for raw in self._raw_ops:
-            if raw.rank is not None:
-                ranks_by_key.setdefault(raw.key, set()).add(raw.rank)
-        dense: dict[tuple[Hashable, Rank], int] = {}
-        for key, ranks in ranks_by_key.items():
-            for index, rank in enumerate(sorted(ranks), start=1):
-                dense[(key, rank)] = index
-        ops = []
-        for raw in self._raw_ops:
-            version = 0
-            if raw.rank is not None:
-                version = dense.get((raw.key, raw.rank), 0)
-            ops.append(
-                Operation(
-                    kind=raw.kind,
-                    key=raw.key,
-                    version=version,
-                    session=raw.session,
-                    start=raw.start,
-                    end=raw.end,
-                    value=raw.value,
-                    replica=raw.replica,
-                )
-            )
-        return History(ops)
+        """The clients' operations, arbitration ranks densified into
+        per-key integer versions."""
+        return self.recorder.history()
 
     def snapshots(self) -> list[dict]:
         return [replica.snapshot() for replica in self.replicas]

@@ -5,17 +5,35 @@ key on a consistent hash ring, writes acknowledged after W replica
 acks, reads after R replies, with
 
 * **read repair** — a read that observes divergent replicas pushes the
-  winning version back to the stale ones,
+  merged state back to the stale ones,
 * **hinted handoff + sloppy quorum** — when a home replica is
   unreachable, the coordinator recruits the next node on the ring,
   which stores the write with a *hint* and forwards it when the home
-  replica returns,
-* LWW conflict arbitration via per-coordinator Lamport stamps (total
-  order ⇒ the history checkers get dense per-key versions).
+  replica returns.
 
 ``R + W > N`` gives regular-register-like freshness in the failure-free
 case; smaller quorums trade staleness for latency — exactly the PBS
 trade-off E2 sweeps.
+
+One engine, two conflict modes.  A key's state at a replica is a
+join-semilattice either way, so storing a write, merging R replies,
+read repair, hints and the anti-entropy sweep are all "merge what
+arrived into what is held".  What differs is how a write is minted and
+what the client sees, and that is the *conflict strategy* a cluster
+class binds:
+
+* :class:`LWWStamps` (:class:`DynamoCluster`) — one ``(value, stamp)``
+  per key, arbitrated by per-coordinator Lamport stamps (total order ⇒
+  the history checkers get dense per-key versions).  Use it when the
+  application cannot merge.
+* :class:`DottedSiblings` (:class:`SiblingDynamoCluster`) — the design
+  the Dynamo paper shipped for carts: concurrent writes are *kept* as
+  siblings, tracked by dotted version vectors, and returned together
+  with a causal **context** the client echoes on its next write —
+  which is how read-modify-write collapses siblings.
+
+The "LWW loses writes / siblings keep them" ablation is measured in
+``benchmarks/test_ablations.py``.
 """
 
 from __future__ import annotations
@@ -23,9 +41,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from ..clocks import LamportClock, LamportStamp
+from ..clocks import (
+    DottedValueSet,
+    DottedVersion,
+    Dot,
+    LamportClock,
+    LamportStamp,
+    VectorClock,
+)
 from ..errors import QuorumError
-from ..histories import History, Operation
+from ..histories import History, TokenHistoryRecorder
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 from .ring import HashRing
@@ -39,16 +64,17 @@ from .ring import HashRing
 class QPut:
     """Client → coordinator write.
 
-    ``context`` is the highest stamp the client has observed (from its
-    own writes and reads); the coordinator's Lamport clock observes it
+    ``context`` is what the client has observed: under LWW the highest
+    stamp of its session (the coordinator's Lamport clock observes it
     before stamping, so a client's successive writes are ordered even
-    when coordinated by different nodes — Dynamo's vector-clock
-    context, reduced to the LWW case.
+    when coordinated by different nodes), under siblings the key's
+    vector-clock entries from its last read or write (the new version
+    supersedes exactly the siblings that context covers).
     """
 
     key: Hashable
     value: Any
-    context: LamportStamp | None = None
+    context: Any = None
 
 
 @dataclass(slots=True)
@@ -60,12 +86,17 @@ class QGet:
 
 @dataclass(slots=True)
 class StoreMsg:
-    """Coordinator → replica: store a stamped version."""
+    """Coordinator → replica: merge this state into yours.
+
+    ``value``/``stamp`` are the strategy's wire encoding of a per-key
+    state: the value and its Lamport stamp, or the sibling versions
+    and their vector-clock entries.
+    """
 
     op_id: int
     key: Hashable
     value: Any
-    stamp: LamportStamp
+    stamp: Any
     hint_for: Hashable | None = None   # sloppy-quorum hint
 
 
@@ -85,12 +116,183 @@ class FetchReply:
     op_id: int
     key: Hashable
     value: Any
-    stamp: LamportStamp | None
+    stamp: Any
+
+
+# ---------------------------------------------------------------------------
+# Conflict strategies
+# ---------------------------------------------------------------------------
+#
+# A strategy owns four things: minting a write at the coordinator
+# (``mint``, ``witness``, ``mints_in_place``), the per-key state lattice
+# (``EMPTY``, ``merge``, ``behind``), the wire form of a state
+# (``encode``/``decode``), and what a client sees and remembers
+# (``reply`` — a read resolves with the pair, a write with its context
+# half — ``snapshot``, ``recall``/``learn``).
+# The states themselves stay what the rest of the repo already uses:
+# plain ``(value, LamportStamp)`` pairs and ``DottedValueSet``.  One
+# instance exists per participant: a node's instance mints, a client's
+# remembers what its session has seen.
+
+
+class LWWStamps:
+    """Last writer wins: one ``(value, stamp)`` pair per key."""
+
+    #: Metric-name prefix and default node / client id prefixes.
+    metrics, node_prefix, client_prefix = "quorum", "dyn", "dclient"
+    #: Stamps are totally ordered, so a client history densifies into
+    #: per-key integer versions (:meth:`DynamoCluster.history`).
+    total_order = True
+    #: A minted write is detached from the coordinator's own state and
+    #: reaches it like any other home replica: by a loop-back StoreMsg.
+    mints_in_place = False
+    EMPTY: tuple = (None, None)
+
+    def __init__(self, owner: Hashable) -> None:
+        self.clock = LamportClock(owner)
+        #: Highest stamp this session has observed, across keys.
+        self.seen: LamportStamp | None = None
+
+    def mint(
+        self, held: tuple, value: Any, context: LamportStamp | None
+    ) -> tuple:
+        if context is not None:
+            self.clock.observe(context)
+        return value, self.clock.tick()
+
+    def witness(self, state: tuple) -> None:
+        """Every state stored at this node advances its Lamport clock,
+        so the next stamp minted here beats everything it holds."""
+        self.clock.observe(state[1])
+
+    @staticmethod
+    def behind(held: tuple, other: tuple) -> bool:
+        return other[1] is not None and (held[1] is None or held[1] < other[1])
+
+    @staticmethod
+    def merge(held: tuple, incoming: tuple) -> tuple:
+        return incoming if LWWStamps.behind(held, incoming) else held
+
+    @staticmethod
+    def encode(state: tuple) -> tuple:
+        """A state is its own wire form and its own ``(value, stamp)``
+        reply."""
+        return state
+
+    reply = encode
+
+    @staticmethod
+    def decode(value: Any, stamp: LamportStamp | None) -> tuple:
+        return value, stamp
+
+    @staticmethod
+    def snapshot(data: dict) -> dict:
+        return {key: value for key, (value, _stamp) in data.items()}
+
+    def recall(self, key: Hashable) -> LamportStamp | None:
+        return self.seen
+
+    def learn(self, key: Hashable, stamp: LamportStamp | None) -> None:
+        if stamp is not None and (self.seen is None or self.seen < stamp):
+            self.seen = stamp
+
+
+class DottedSiblings:
+    """Keep concurrent writes: one :class:`DottedValueSet` per key."""
+
+    metrics, node_prefix, client_prefix = "sibling_quorum", "sib", "sclient"
+    #: Contexts are vector clocks — partially ordered, nothing to
+    #: densify; the store adapter maps them to tokens for the driver.
+    total_order = False
+    #: The coordinator applies the write against its FULL local sibling
+    #: set — not a detached delta — so the new dot is contiguous with
+    #: this node's causal history.  (Minting dots from a bare counter
+    #: would produce a clock that falsely "covers" this node's earlier
+    #: dots and silently drop never-seen siblings.)  The resulting
+    #: whole set is what replicates; sync makes that safe and
+    #: idempotent.
+    mints_in_place = True
+    EMPTY = DottedValueSet()
+
+    def __init__(self, owner: Hashable) -> None:
+        self.owner = owner
+        #: key -> clock entries of this session's last read or write.
+        self.seen: dict[Hashable, dict] = {}
+
+    def mint(
+        self, held: DottedValueSet, value: Any, context: dict
+    ) -> DottedValueSet:
+        return held.put(self.owner, value, VectorClock(context))
+
+    def witness(self, state: DottedValueSet) -> None:
+        """Dots are minted against the key's own state; there is no
+        node-wide clock to advance."""
+
+    @staticmethod
+    def behind(held: DottedValueSet, other: DottedValueSet) -> bool:
+        """For ``other`` a merge that includes ``held``: equal clocks
+        and equally many versions mean equal sets."""
+        return held.clock != other.clock or len(held.versions) != len(
+            other.versions
+        )
+
+    merge = staticmethod(DottedValueSet.sync)
+
+    @staticmethod
+    def encode(state: DottedValueSet) -> tuple[tuple, dict]:
+        versions = tuple(
+            ((v.dot.replica, v.dot.counter), v.context.entries(), v.value)
+            for v in state.versions
+        )
+        return versions, state.clock.entries()
+
+    @staticmethod
+    def decode(versions: tuple, clock: dict) -> DottedValueSet:
+        decoded = tuple(
+            DottedVersion(
+                dot=Dot(replica, counter),
+                context=VectorClock(context),
+                value=value,
+            )
+            for (replica, counter), context, value in versions
+        )
+        return DottedValueSet(decoded, VectorClock(clock))
+
+    @staticmethod
+    def reply(state: DottedValueSet) -> tuple[list, dict]:
+        """``(sibling_values, context)``."""
+        return state.values(), state.clock.entries()
+
+    @staticmethod
+    def snapshot(data: dict) -> dict:
+        return {
+            key: tuple(sorted(state.values(), key=repr))
+            for key, state in data.items()
+            if not state.is_empty()
+        }
+
+    def recall(self, key: Hashable) -> dict:
+        return dict(self.seen.get(key, {}))
+
+    def learn(self, key: Hashable, context: dict) -> None:
+        self.seen[key] = dict(context)
 
 
 # ---------------------------------------------------------------------------
 # Replica node
 # ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class _CoordinatorOp:
+    kind: str
+    key: Hashable
+    future: Future
+    needed: int
+    targets: set
+    state: Any = None                  # the minted write
+    replies: list = field(default_factory=list)   # (src, state) per read reply
+    responded: set = field(default_factory=set)
 
 
 class DynamoNode(ServerNode):
@@ -105,82 +307,75 @@ class DynamoNode(ServerNode):
     ) -> None:
         super().__init__(sim, network, node_id)
         self.cluster = cluster
-        self.clock = LamportClock(node_id)
-        self.data: dict[Hashable, tuple[Any, LamportStamp]] = {}
+        self.conflicts = cluster.conflicts(node_id)
+        self.data: dict[Hashable, Any] = {}
         # Hinted writes held for unreachable home replicas:
-        # home node id -> {key: (value, stamp)}
-        self.hints: dict[Hashable, dict[Hashable, tuple[Any, LamportStamp]]] = {}
+        # home node id -> {key: state}
+        self.hints: dict[Hashable, dict[Hashable, Any]] = {}
         self._ops: dict[int, _CoordinatorOp] = {}
         self._op_ids = 0
         if cluster.hint_interval is not None:
             self.every(cluster.hint_interval, self._push_hints, jitter=0.3)
 
     # -- local storage ----------------------------------------------------
-    def apply(self, key: Hashable, value: Any, stamp: LamportStamp) -> bool:
-        self.clock.observe(stamp)
-        current = self.data.get(key)
-        if current is None or stamp > current[1]:
-            self.data[key] = (value, stamp)
-            return True
-        return False
+    def local_read(self, key: Hashable) -> Any:
+        """What a client reading only this replica would be told."""
+        conflicts = self.conflicts
+        return conflicts.reply(self.data.get(key, conflicts.EMPTY))
 
-    def local_read(self, key: Hashable) -> tuple[Any, LamportStamp | None]:
-        value, stamp = self.data.get(key, (None, None))
-        return value, stamp
+    def merge_in(self, slot: dict, key: Hashable, state: Any) -> None:
+        """Merge ``state`` into what ``slot`` (the node's data or one
+        home's hints) holds for ``key``."""
+        conflicts = self.conflicts
+        conflicts.witness(state)
+        slot[key] = conflicts.merge(slot.get(key, conflicts.EMPTY), state)
 
     def snapshot(self) -> dict:
-        return {key: value for key, (value, _stamp) in self.data.items()}
+        return self.conflicts.snapshot(self.data)
 
     # -- client-facing coordination ----------------------------------------
-    def serve_QPut(self, src: Hashable, payload: QPut) -> Future:
-        if payload.context is not None:
-            self.clock.observe(payload.context)
-        stamp = self.clock.tick()
-        return self._coordinate_write(payload.key, payload.value, stamp)
-
-    def serve_QGet(self, src: Hashable, payload: QGet) -> Future:
-        return self._coordinate_read(payload.key)
-
     def _next_op(self) -> int:
         self._op_ids += 1
         return self._op_ids
 
-    def _coordinate_write(
-        self, key: Hashable, value: Any, stamp: LamportStamp
-    ) -> Future:
-        cluster = self.cluster
+    def serve_QPut(self, src: Hashable, payload: QPut) -> Future:
+        cluster, conflicts, key = self.cluster, self.conflicts, payload.key
+        state = conflicts.mint(
+            self.data.get(key, conflicts.EMPTY), payload.value, payload.context
+        )
         targets = cluster.ring.preference_list(key, cluster.n)
         op_id = self._next_op()
         future = Future(self.sim, label=f"qput#{op_id}")
         op = _CoordinatorOp(
-            kind="write",
-            key=key,
-            future=future,
-            needed=cluster.w,
-            targets=set(targets),
-            value=value,
-            stamp=stamp,
+            "write", key, future, cluster.w, set(targets), state
         )
         self._ops[op_id] = op
+        if conflicts.mints_in_place:
+            self.data[key] = state
+            if self.node_id in op.targets:
+                op.responded.add(self.node_id)
+                targets.remove(self.node_id)
+        message = StoreMsg(op_id, key, *conflicts.encode(state))
         for target in targets:
-            self.send(target, StoreMsg(op_id, key, value, stamp))
+            self.send(target, message)
+        if len(op.responded) >= op.needed:
+            # W=1 with the coordinator a home replica of an in-place
+            # mint: acknowledged before any replica answers.
+            del self._ops[op_id]
+            self._acknowledge(op)
+            return future
         self.set_timer(cluster.replica_timeout, self._write_fallback, op_id)
         self.set_timer(cluster.op_deadline, self._expire, op_id)
         return future
 
-    def _coordinate_read(self, key: Hashable) -> Future:
-        cluster = self.cluster
+    def serve_QGet(self, src: Hashable, payload: QGet) -> Future:
+        cluster, key = self.cluster, payload.key
         targets = cluster.ring.preference_list(key, cluster.n)
         op_id = self._next_op()
         future = Future(self.sim, label=f"qget#{op_id}")
-        op = _CoordinatorOp(
-            kind="read",
-            key=key,
-            future=future,
-            needed=cluster.r,
-            targets=set(targets),
+        self._ops[op_id] = _CoordinatorOp(
+            "read", key, future, cluster.r, set(targets)
         )
-        self._ops[op_id] = op
         for target in targets:
             self.send(target, FetchMsg(op_id, key))
         self.set_timer(cluster.op_deadline, self._expire, op_id)
@@ -190,51 +385,63 @@ class DynamoNode(ServerNode):
     def handle_StoreMsg(self, src: Hashable, msg: StoreMsg) -> None:
         if msg.hint_for is not None and msg.hint_for != self.node_id:
             # We are a stand-in: remember the hint for the home node.
-            self.hints.setdefault(msg.hint_for, {})
-            slot = self.hints[msg.hint_for]
-            current = slot.get(msg.key)
-            if current is None or msg.stamp > current[1]:
-                slot[msg.key] = (msg.value, msg.stamp)
-            self.clock.observe(msg.stamp)
+            slot = self.hints.setdefault(msg.hint_for, {})
         else:
-            self.apply(msg.key, msg.value, msg.stamp)
+            slot = self.data
+        state = self.conflicts.decode(msg.value, msg.stamp)
+        self.merge_in(slot, msg.key, state)
         self.send(src, StoreAck(msg.op_id))
 
     def handle_FetchMsg(self, src: Hashable, msg: FetchMsg) -> None:
-        value, stamp = self.local_read(msg.key)
-        self.send(src, FetchReply(msg.op_id, msg.key, value, stamp))
+        conflicts = self.conflicts
+        held = self.data.get(msg.key, conflicts.EMPTY)
+        self.send(src, FetchReply(msg.op_id, msg.key, *conflicts.encode(held)))
 
     # -- coordinator ack collection ------------------------------------------
-    def handle_StoreAck(self, src: Hashable, msg: StoreAck) -> None:
-        op = self._ops.get(msg.op_id)
-        if op is None or op.kind != "write":
-            return
-        op.acks += 1
+    def _counted(
+        self, src: Hashable, op_id: int, kind: str
+    ) -> "_CoordinatorOp | None":
+        """The pending op a replica's response counts toward.  Each
+        replica counts once: a network-duplicated ack or reply must
+        not fill a quorum that only fewer distinct replicas met."""
+        op = self._ops.get(op_id)
+        if op is None or op.kind != kind or src in op.responded:
+            return None
         op.responded.add(src)
-        if op.acks >= op.needed and not op.future.done:
-            op.future.resolve((op.value, op.stamp))
-            self.cluster._c_writes_succeeded.inc()
+        return op
+
+    def handle_StoreAck(self, src: Hashable, msg: StoreAck) -> None:
+        op = self._counted(src, msg.op_id, "write")
+        if op is None:
+            return
+        if len(op.responded) >= op.needed and not op.future.done:
+            self._acknowledge(op)
+
+    def _acknowledge(self, op: _CoordinatorOp) -> None:
+        """Resolve a write with its context, for chaining writes."""
+        op.future.resolve(self.conflicts.reply(op.state)[1])
+        self.cluster._c_writes_succeeded.inc()
 
     def handle_FetchReply(self, src: Hashable, msg: FetchReply) -> None:
-        op = self._ops.get(msg.op_id)
-        if op is None or op.kind != "read":
+        op = self._counted(src, msg.op_id, "read")
+        if op is None:
             return
-        op.replies.append((src, msg.value, msg.stamp))
-        op.responded.add(src)
+        conflicts = self.conflicts
+        op.replies.append((src, conflicts.decode(msg.value, msg.stamp)))
         if len(op.replies) >= op.needed and not op.future.done:
-            value, stamp = _freshest(op.replies)
-            op.future.resolve((value, stamp))
+            merged = conflicts.EMPTY
+            for _src, state in op.replies:
+                merged = conflicts.merge(merged, state)
+            op.future.resolve(conflicts.reply(merged))
             if self.cluster.read_repair:
-                self._read_repair(op, value, stamp)
+                self._read_repair(op, merged)
 
-    def _read_repair(
-        self, op: "_CoordinatorOp", value: Any, stamp: LamportStamp | None
-    ) -> None:
-        if stamp is None:
-            return
+    def _read_repair(self, op: _CoordinatorOp, merged: Any) -> None:
+        conflicts = self.conflicts
+        value, stamp = conflicts.encode(merged)
         repair_id = self._next_op()  # acks for repairs are ignored
-        for target, _value, replica_stamp in op.replies:
-            if replica_stamp is None or replica_stamp < stamp:
+        for target, state in op.replies:
+            if conflicts.behind(state, merged):
                 self.send(target, StoreMsg(repair_id, op.key, value, stamp))
                 self.cluster._c_read_repairs.inc()
                 self.sim.annotate("read_repair", key=op.key,
@@ -243,75 +450,49 @@ class DynamoNode(ServerNode):
     # -- sloppy quorum / hinted handoff ---------------------------------------
     def _write_fallback(self, op_id: int) -> None:
         op = self._ops.get(op_id)
-        if op is None or op.future.done or op.kind != "write":
-            return
-        if not self.cluster.sloppy:
+        if op is None or op.future.done or not self.cluster.sloppy:
             return
         missing = op.targets - op.responded
         if not missing:
             return
+        value, stamp = self.conflicts.encode(op.state)
         stand_ins = self.cluster.ring.fallbacks(op.key, exclude=op.targets)
         for home, stand_in in zip(sorted(missing, key=str), stand_ins):
             self.send(
-                stand_in,
-                StoreMsg(op_id, op.key, op.value, op.stamp, hint_for=home),
+                stand_in, StoreMsg(op_id, op.key, value, stamp, hint_for=home)
             )
             self.cluster._c_hinted_writes.inc()
             self.sim.annotate("hinted_write", key=op.key, home=home,
                               stand_in=stand_in)
 
     def _push_hints(self) -> None:
+        encode = self.conflicts.encode
         for home, entries in list(self.hints.items()):
             if not entries:
                 del self.hints[home]
                 continue
-            for key, (value, stamp) in list(entries.items()):
+            for key, state in list(entries.items()):
                 if self.network.reachable(self.node_id, home):
                     hint_id = self._next_op()
-                    self.send(home, StoreMsg(hint_id, key, value, stamp))
+                    self.send(home, StoreMsg(hint_id, key, *encode(state)))
                     del entries[key]
                     self.cluster._c_hints_delivered.inc()
 
     # -- lifecycle ---------------------------------------------------------
     def _expire(self, op_id: int) -> None:
         op = self._ops.pop(op_id, None)
-        if op is None:
+        if op is None or op.future.done:
             return
-        if not op.future.done:
-            got = op.acks if op.kind == "write" else len(op.replies)
-            op.future.fail(
-                QuorumError(
-                    f"{op.kind} quorum not met for {op.key!r} "
-                    f"({got}/{op.needed})"
-                )
+        op.future.fail(
+            QuorumError(
+                f"{op.kind} quorum not met for {op.key!r} "
+                f"({len(op.responded)}/{op.needed})"
             )
-            if op.kind == "write":
-                self.cluster._c_writes_failed.inc()
-            else:
-                self.cluster._c_reads_failed.inc()
-
-
-def _freshest(replies: list) -> tuple[Any, LamportStamp | None]:
-    """LWW arbitration over fetch replies."""
-    best_value, best_stamp = None, None
-    for _src, value, stamp in replies:
-        if stamp is not None and (best_stamp is None or stamp > best_stamp):
-            best_value, best_stamp = value, stamp
-    return best_value, best_stamp
-
-
-@dataclass(slots=True)
-class _CoordinatorOp:
-    kind: str
-    key: Hashable
-    future: Future
-    needed: int
-    targets: set
-    value: Any = None
-    stamp: LamportStamp | None = None
-    acks: int = 0
-    replies: list = field(default_factory=list)
-    responded: set = field(default_factory=set)
+        )
+        if op.kind == "write":
+            self.cluster._c_writes_failed.inc()
+        else:
+            self.cluster._c_reads_failed.inc()
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +500,9 @@ class _CoordinatorOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _RawOp:
-    """History record before stamps are densified into versions."""
-
-    kind: str
-    key: Hashable
-    session: Hashable
-    start: float
-    end: float | None
-    stamp: LamportStamp | None
-    value: Any
-    replica: Hashable
-
-
 class DynamoClient(ClientNode):
-    """Session-scoped client; records raw stamped history."""
+    """Session-scoped client; tracks the session's causal context and
+    (under a totally ordered strategy) records its history."""
 
     def __init__(
         self,
@@ -351,12 +519,7 @@ class DynamoClient(ClientNode):
         #: Pinned coordinator (e.g. the nearest node), overriding the
         #: cluster policy — how real deployments route via a local node.
         self.coordinator = coordinator
-        #: Highest stamp this session has observed (its causal context).
-        self.context: LamportStamp | None = None
-
-    def _observe(self, stamp: LamportStamp | None) -> None:
-        if stamp is not None and (self.context is None or stamp > self.context):
-            self.context = stamp
+        self.conflicts = cluster.conflicts(node_id)
 
     def _coordinator_for(self, key: Hashable) -> Hashable:
         if self.coordinator is not None:
@@ -373,78 +536,92 @@ class DynamoClient(ClientNode):
             node for node in self.cluster.ring.nodes if node != coordinator
         ]
 
+    # The completion callbacks below stay closures named ``done`` inside
+    # ``put`` and ``get``: scheduled callbacks are traced by qualified
+    # name, so those names are part of the pinned trace fingerprints.
+
     def put(
-        self, key: Hashable, value: Any, timeout: float | None = None
+        self,
+        key: Hashable,
+        value: Any,
+        timeout: float | None = None,
+        context: Any = None,
     ) -> Future:
-        """Resolves with the write's arbitration stamp."""
-        coordinator = self._coordinator_for(key)
-        start = self.sim.now
-        inner = self.call(
-            self._endpoints(coordinator),
-            QPut(key, value, context=self.context),
-            timeout or self.cluster.client_timeout,
-            idempotent=True,
+        """Write; resolves with the write's context — its arbitration
+        stamp, or the vector-clock entries that now cover it.
+        ``context`` defaults to what this session has observed."""
+        if context is None:
+            context = self.conflicts.recall(key)
+        inner, outer, finish = self._operate(
+            "write", key, value, QPut(key, value, context), timeout
         )
-        outer = Future(self.sim, label=f"dput({key!r})")
 
         def done(future: Future) -> None:
-            if future.error is not None:
-                self.cluster._raw_ops.append(
-                    _RawOp("write", key, self.session, start, None, None,
-                           value, coordinator)
-                )
-                outer.fail(future.error)
-            else:
-                _value, stamp = future.value
-                self._observe(stamp)
-                self.cluster._raw_ops.append(
-                    _RawOp("write", key, self.session, start, self.sim.now,
-                           stamp, value, coordinator)
-                )
-                self.cluster._lat_writes.record(self.sim.now - start)
-                outer.resolve(stamp)
+            finish(future)
 
         inner.add_callback(done)
         return outer
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
-        """Resolves with ``(value, stamp)``."""
-        coordinator = self._coordinator_for(key)
-        start = self.sim.now
-        inner = self.call(
-            self._endpoints(coordinator), QGet(key),
-            timeout or self.cluster.client_timeout,
+        """Read; resolves with ``(value, stamp)``, or with
+        ``(sibling_values, context)``."""
+        inner, outer, finish = self._operate(
+            "read", key, None, QGet(key), timeout
         )
-        outer = Future(self.sim, label=f"dget({key!r})")
 
         def done(future: Future) -> None:
-            if future.error is not None:
-                self.cluster._raw_ops.append(
-                    _RawOp("read", key, self.session, start, None, None,
-                           None, coordinator)
-                )
-                outer.fail(future.error)
-            else:
-                value, stamp = future.value
-                self._observe(stamp)
-                self.cluster._raw_ops.append(
-                    _RawOp("read", key, self.session, start, self.sim.now,
-                           stamp, value, coordinator)
-                )
-                self.cluster._lat_reads.record(self.sim.now - start)
-                outer.resolve((value, stamp))
+            finish(future)
 
         inner.add_callback(done)
         return outer
 
+    def _operate(
+        self, kind: str, key: Hashable, value: Any, message: Any,
+        timeout: float | None,
+    ) -> tuple[Future, Future, Any]:
+        """Send one operation; returns the RPC future, the future the
+        caller gets, and the completion step linking the two."""
+        cluster, recorder = self.cluster, self.cluster.recorder
+        write = kind == "write"
+        coordinator = self._coordinator_for(key)
+        start = self.sim.now
+        if recorder is not None:
+            handle = recorder.begin(kind, key, self.session, coordinator)
+        inner = self.call(
+            self._endpoints(coordinator), message,
+            timeout or cluster.client_timeout, idempotent=write,
+        )
+        outer = Future(self.sim, label=f"d{kind}({key!r})")
+
+        def finish(future: Future) -> None:
+            if future.error is not None:
+                if recorder is not None:
+                    recorder.fail(handle, value)
+                outer.fail(future.error)
+                return
+            reply = future.value
+            seen, context = (value, reply) if write else reply
+            self.conflicts.learn(key, context)
+            if recorder is not None:
+                recorder.complete_token(handle, context, seen)
+            latency = cluster._lat_writes if write else cluster._lat_reads
+            latency.record(self.sim.now - start)
+            outer.resolve(reply)
+
+        return inner, outer, finish
+
 
 class DynamoCluster:
-    """Configuration + node factory for a partial-quorum store.
+    """Configuration + node factory for a partial-quorum store with
+    last-writer-wins conflicts.
 
     Parameters mirror Dynamo's: ``n`` replicas per key, ``r``/``w``
     quorum sizes, ``sloppy`` quorums with hinted handoff, and
     ``read_repair``.
     """
+
+    #: The conflict strategy: how writes are minted and merged.
+    conflicts: type = LWWStamps
 
     def __init__(
         self,
@@ -470,7 +647,8 @@ class DynamoCluster:
             raise ValueError("need 1 <= r,w <= n")
         if coordinator_policy not in ("first", "random"):
             raise ValueError("coordinator_policy must be 'first' or 'random'")
-        ids = node_ids or [f"dyn{i}" for i in range(nodes)]
+        conflicts = self.conflicts
+        ids = node_ids or [f"{conflicts.node_prefix}{i}" for i in range(nodes)]
         if n > len(ids):
             raise ValueError("replication factor exceeds node count")
         self.sim = sim
@@ -486,17 +664,24 @@ class DynamoCluster:
         self.ring = HashRing(ids, vnodes=vnodes)
         # Counters the experiments read — published into the sim-wide
         # metrics registry (two clusters on one sim share them).
-        metrics = sim.metrics
-        self._c_read_repairs = metrics.counter("quorum.read_repairs")
-        self._c_hinted_writes = metrics.counter("quorum.hinted_writes")
-        self._c_hints_delivered = metrics.counter("quorum.hints_delivered")
-        self._c_writes_succeeded = metrics.counter("quorum.writes_succeeded")
-        self._c_writes_failed = metrics.counter("quorum.writes_failed")
-        self._c_reads_failed = metrics.counter("quorum.reads_failed")
-        self._lat_reads = metrics.latency("quorum.read_ms")
-        self._lat_writes = metrics.latency("quorum.write_ms")
-        self.nodes = [DynamoNode(sim, network, node_id, self) for node_id in ids]
-        self._raw_ops: list[_RawOp] = []
+        metrics, prefix = sim.metrics, conflicts.metrics
+        self._c_read_repairs = metrics.counter(f"{prefix}.read_repairs")
+        self._c_hinted_writes = metrics.counter(f"{prefix}.hinted_writes")
+        self._c_hints_delivered = metrics.counter(f"{prefix}.hints_delivered")
+        self._c_writes_succeeded = metrics.counter(
+            f"{prefix}.writes_succeeded")
+        self._c_writes_failed = metrics.counter(f"{prefix}.writes_failed")
+        self._c_reads_failed = metrics.counter(f"{prefix}.reads_failed")
+        self._lat_reads = metrics.latency(f"{prefix}.read_ms")
+        self._lat_writes = metrics.latency(f"{prefix}.write_ms")
+        self.nodes = [
+            DynamoNode(sim, network, node_id, self) for node_id in ids
+        ]
+        #: Client-side history, kept when the strategy's contexts are
+        #: totally ordered tokens (``None`` otherwise).
+        self.recorder = (
+            TokenHistoryRecorder(sim) if conflicts.total_order else None
+        )
         self._clients = 0
 
     @property
@@ -536,8 +721,10 @@ class DynamoCluster:
         coordinator: Hashable | None = None,
     ) -> DynamoClient:
         self._clients += 1
-        session = session if session is not None else f"session-{self._clients}"
-        client_id = client_id if client_id is not None else f"dclient-{self._clients}"
+        if session is None:
+            session = f"session-{self._clients}"
+        if client_id is None:
+            client_id = f"{self.conflicts.client_prefix}-{self._clients}"
         return DynamoClient(
             self.sim, self.network, client_id, self, session,
             coordinator=coordinator,
@@ -545,36 +732,14 @@ class DynamoCluster:
 
     # ------------------------------------------------------------------
     def history(self) -> History:
-        """Densify Lamport stamps into per-key integer versions."""
-        rank: dict[tuple[Hashable, LamportStamp], int] = {}
-        stamps_by_key: dict[Hashable, list[LamportStamp]] = {}
-        for raw in self._raw_ops:
-            # Reads contribute their observed stamps too, so a write
-            # that timed out client-side but landed on replicas still
-            # gets a consistent rank when reads observe it.
-            if raw.stamp is not None:
-                stamps_by_key.setdefault(raw.key, []).append(raw.stamp)
-        for key, stamps in stamps_by_key.items():
-            for index, stamp in enumerate(sorted(set(stamps)), start=1):
-                rank[(key, stamp)] = index
-        ops = []
-        for raw in self._raw_ops:
-            version = 0
-            if raw.stamp is not None:
-                version = rank.get((raw.key, raw.stamp), 0)
-            ops.append(
-                Operation(
-                    kind=raw.kind,
-                    key=raw.key,
-                    version=version,
-                    session=raw.session,
-                    start=raw.start,
-                    end=raw.end,
-                    value=raw.value,
-                    replica=raw.replica,
-                )
+        """The clients' operations, Lamport stamps densified into
+        per-key integer versions."""
+        if self.recorder is None:
+            raise NotImplementedError(
+                "sibling contexts are partially ordered: there are no "
+                "per-key versions to densify"
             )
-        return History(ops)
+        return self.recorder.history()
 
     def snapshots(self) -> list[dict]:
         return [node.snapshot() for node in self.nodes]
@@ -586,5 +751,12 @@ class DynamoCluster:
             for b in self.nodes:
                 if a is b:
                     continue
-                for key, (value, stamp) in b.data.items():
-                    a.apply(key, value, stamp)
+                for key, state in b.data.items():
+                    a.merge_in(a.data, key, state)
+
+
+class SiblingDynamoCluster(DynamoCluster):
+    """The same partial-quorum store keeping concurrent writes as
+    siblings; use it when the application can merge (carts, sets)."""
+
+    conflicts = DottedSiblings

@@ -1,19 +1,36 @@
-"""Integration tests for the Dynamo-style partial-quorum store."""
+"""Integration tests for the Dynamo-style partial-quorum engine.
+
+The engine is one coordinator with two conflict strategies; everything
+about quorums, hints, repair and convergence is checked over both,
+followed by what is specific to LWW stamps and to sibling sets.
+"""
 
 import pytest
 
 from repro.checkers import check_linearizability, stale_read_fraction
 from repro.errors import QuorumError, TimeoutError as ReproTimeoutError
-from repro.replication import DynamoCluster
-from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
+from repro.replication import DynamoCluster, SiblingDynamoCluster
+from repro.sim import (
+    ExponentialLatency,
+    FixedLatency,
+    Network,
+    Simulator,
+    Tracer,
+    spawn,
+)
+
+BOTH = pytest.mark.parametrize(
+    "cluster_cls", [DynamoCluster, SiblingDynamoCluster],
+    ids=["lww", "siblings"],
+)
 
 
-def make_cluster(seed=0, latency=2.0, **kwargs):
+def make_cluster(cluster_cls=DynamoCluster, seed=0, latency=2.0, **kwargs):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(latency))
     kwargs.setdefault("nodes", 5)
     kwargs.setdefault("n", 3)
-    cluster = DynamoCluster(sim, net, **kwargs)
+    cluster = cluster_cls(sim, net, **kwargs)
     return sim, net, cluster
 
 
@@ -24,19 +41,223 @@ def run_script(sim, client, script):
     return out
 
 
-def test_put_then_get_sees_value_with_strong_quorum():
-    sim, _net, cluster = make_cluster(r=2, w=2)
+def shown(cluster, value):
+    """What a read of a key holding just ``value`` shows a client."""
+    return [value] if isinstance(cluster, SiblingDynamoCluster) else value
+
+
+def held(cluster, node_id, key):
+    return cluster.node(node_id).local_read(key)[0]
+
+
+def try_put(out, client):
+    try:
+        yield client.put("k", "v", timeout=600.0)
+        out["result"] = "ok"
+    except (QuorumError, ReproTimeoutError) as exc:
+        out["result"] = type(exc).__name__
+        out["error"] = str(exc)
+
+
+def cut_homes_but_first(net, cluster, client, keep_fallbacks):
+    """Partition the client and the key's first home (the coordinator)
+    away from the other homes; optionally keep the non-home nodes."""
+    homes = cluster.ring.preference_list("k", cluster.n)
+    reachable = [client.node_id, homes[0]]
+    if keep_fallbacks:
+        reachable += [n for n in cluster.ring.nodes if n not in homes]
+    net.partition(reachable)
+    return homes
+
+
+# ---------------------------------------------------------------------------
+# Both strategies
+# ---------------------------------------------------------------------------
+
+
+@BOTH
+def test_put_then_get_sees_value_with_strong_quorum(cluster_cls):
+    sim, _net, cluster = make_cluster(cluster_cls, r=2, w=2)
     client = cluster.connect()
 
     def script(out, client):
         yield client.put("cart", ["milk"])
-        value, stamp = yield client.get("cart")
-        out["value"] = value
-        out["stamp"] = stamp
+        out["value"], out["context"] = yield client.get("cart")
 
     out = run_script(sim, client, script)
-    assert out["value"] == ["milk"]
-    assert out["stamp"] is not None
+    assert out["value"] == shown(cluster, ["milk"])
+    assert out["context"]  # a stamp / a non-empty causal context
+
+
+@BOTH
+def test_read_repair_heals_stale_homes(cluster_cls):
+    tracer = Tracer()
+    sim = Simulator(seed=6, tracer=tracer)
+    net = Network(sim, latency=FixedLatency(2.0))
+    cluster = cluster_cls(sim, net, nodes=5, n=3, r=3, w=1, read_repair=True)
+    client = cluster.connect()
+
+    def script(out, client):
+        yield client.put("k", "v")
+        yield 100.0  # let the W=1 write settle where it can
+        yield client.get("k")   # R=3 read triggers repair of stale homes
+        yield 100.0
+
+    run_script(sim, client, script)
+    homes = cluster.ring.preference_list("k", cluster.n)
+    assert [held(cluster, home, "k") for home in homes] == (
+        [shown(cluster, "v")] * len(homes)
+    )
+    repairs = [e for e in tracer.events if e.data.get("category") == "read_repair"]
+    assert len(repairs) == cluster.read_repairs
+
+
+@BOTH
+def test_strict_quorum_fails_when_too_few_replicas_reachable(cluster_cls):
+    sim, net, cluster = make_cluster(cluster_cls, r=2, w=2, sloppy=False, seed=5)
+    client = cluster.connect()
+    cut_homes_but_first(net, cluster, client, keep_fallbacks=False)
+    out = run_script(sim, client, try_put)
+    assert out["result"] in ("QuorumError", "TimeoutError")
+    assert cluster.writes_failed >= 1 or out["result"] == "TimeoutError"
+
+
+@BOTH
+def test_expired_operations_are_counted(cluster_cls):
+    sim, net, cluster = make_cluster(cluster_cls, r=2, w=2, seed=5)
+    client = cluster.connect()
+    cut_homes_but_first(net, cluster, client, keep_fallbacks=False)
+
+    def script(out, client):
+        for op in (client.put("k", "v"), client.get("k")):
+            try:
+                yield op
+            except QuorumError as exc:
+                out.setdefault("errors", []).append(str(exc))
+
+    out = run_script(sim, client, script)
+    assert len(out["errors"]) == 2
+    assert (cluster.writes_failed, cluster.reads_failed) == (1, 1)
+
+
+@BOTH
+def test_sloppy_quorum_succeeds_via_hinted_handoff(cluster_cls):
+    tracer = Tracer()
+    sim = Simulator(seed=5, tracer=tracer)
+    net = Network(sim, latency=FixedLatency(2.0))
+    cluster = cluster_cls(sim, net, nodes=6, n=3, r=2, w=2, sloppy=True)
+    client = cluster.connect()
+    # Two of the three homes are cut off; the coordinator is the first
+    # home (reachable), fallbacks on the ring take the hints.
+    cut_homes_but_first(net, cluster, client, keep_fallbacks=True)
+    out = run_script(sim, client, try_put)
+    assert out["result"] == "ok"
+    assert cluster.hinted_writes >= 1
+    hinted = [e for e in tracer.events if e.data.get("category") == "hinted_write"]
+    assert len(hinted) == cluster.hinted_writes
+
+
+@BOTH
+def test_hints_delivered_after_partition_heals(cluster_cls):
+    sim, net, cluster = make_cluster(
+        cluster_cls, r=2, w=2, sloppy=True, seed=5, nodes=6,
+        hint_interval=30.0,
+    )
+    client = cluster.connect()
+    homes = cut_homes_but_first(net, cluster, client, keep_fallbacks=True)
+    out = run_script(sim, client, try_put)
+    assert out["result"] == "ok"
+    net.heal()
+    sim.run(until=sim.now + 500.0)
+    assert cluster.hints_delivered >= 1
+    for home in homes:
+        assert held(cluster, home, "k") == shown(cluster, "v")
+
+
+@BOTH
+def test_anti_entropy_sweep_converges_snapshots(cluster_cls):
+    sim, _net, cluster = make_cluster(cluster_cls, r=1, w=1, seed=2)
+    client = cluster.connect()
+
+    def script(out, client):
+        for i in range(5):
+            yield client.put(f"key-{i}", i)
+
+    run_script(sim, client, script)
+    cluster.anti_entropy_sweep()
+    snapshots = cluster.snapshots()
+    reference = snapshots[0]
+    assert all(snapshot == reference for snapshot in snapshots)
+    assert len(reference) == 5
+
+
+@BOTH
+def test_concurrent_writers_converge_after_sweep(cluster_cls):
+    sim, _net, cluster = make_cluster(
+        cluster_cls, r=2, w=2, coordinator_policy="random", seed=9,
+    )
+    clients = [cluster.connect(session=f"s{i}") for i in range(3)]
+
+    def script(client):
+        for i in range(4):
+            yield client.put("shared", (client.session, i))
+            yield 7.0
+
+    for client in clients:
+        spawn(sim, script(client))
+    sim.run()
+    assert cluster.writes_succeeded == 12
+    cluster.anti_entropy_sweep()
+    snapshots = cluster.snapshots()
+    assert all(s == snapshots[0] for s in snapshots)
+
+
+@BOTH
+def test_duplicated_acks_count_once_per_replica(cluster_cls):
+    """A quorum is W (or R) *distinct* replicas: with the network
+    duplicating nearly every message and one of three homes down, W=3
+    and R=3 must fail, not be filled by a second copy of an ack."""
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=FixedLatency(2.0), duplicate_rate=0.99)
+    cluster = cluster_cls(
+        sim, net, nodes=3, n=3, r=3, w=3, hint_interval=None,
+    )
+    client = cluster.connect()
+    coordinator = cluster.ring.coordinator("k")
+    victim = next(n for n in cluster.ring.nodes if n != coordinator)
+    cluster.node(victim).crash()
+    out = run_script(sim, client, try_put)
+    assert out["result"] == "QuorumError"
+    assert "write quorum not met" in out["error"] and "(2/3)" in out["error"]
+
+    def read(out, client):
+        try:
+            yield client.get("k")
+            out["result"] = "ok"
+        except QuorumError as exc:
+            out["result"] = str(exc)
+
+    out = run_script(sim, client, read)
+    assert "read quorum not met" in out["result"] and "(2/3)" in out["result"]
+
+
+@BOTH
+def test_cluster_parameter_validation(cluster_cls):
+    sim = Simulator()
+    net = Network(sim)
+    with pytest.raises(ValueError):
+        cluster_cls(sim, net, nodes=3, n=3, r=4, w=1)
+    with pytest.raises(ValueError):
+        cluster_cls(sim, net, nodes=3, n=3, r=0)
+    with pytest.raises(ValueError):
+        cluster_cls(sim, net, nodes=2, n=3)
+    with pytest.raises(ValueError):
+        cluster_cls(sim, net, coordinator_policy="nearest")
+
+
+# ---------------------------------------------------------------------------
+# LWW stamps: a total order, so histories have dense versions
+# ---------------------------------------------------------------------------
 
 
 def test_rw_quorum_overlap_yields_linearizable_history():
@@ -102,109 +323,6 @@ def test_r1_w1_reads_can_be_stale():
     assert max(fractions) < 0.5  # mostly fresh, as PBS predicts
 
 
-def test_read_repair_propagates_freshest_version():
-    sim, _net, cluster = make_cluster(r=3, w=1, read_repair=True)
-    client = cluster.connect()
-
-    def script(out, client):
-        yield client.put("k", "v")
-        yield 100.0  # let the write settle on W=1 + repair time
-        yield client.get("k")   # R=3 read triggers repair of stale homes
-        yield 100.0
-        out["done"] = True
-
-    run_script(sim, client, script)
-    assert cluster.read_repairs >= 0  # counter exists
-    # After repair, every home replica for "k" has the value.
-    homes = cluster.ring.preference_list("k", cluster.n)
-    values = [cluster.node(h).local_read("k")[0] for h in homes]
-    assert values.count("v") == len(homes)
-
-
-def test_strict_quorum_fails_when_too_few_replicas_reachable():
-    sim, net, cluster = make_cluster(r=2, w=2, sloppy=False, seed=5)
-    client = cluster.connect()
-    # Figure out the home replicas for the key and cut off all but one.
-    homes = cluster.ring.preference_list("k", cluster.n)
-    isolated = [client.node_id, homes[0]]
-    net.partition(isolated)
-
-    def script(out, client):
-        try:
-            yield client.put("k", "v", timeout=600.0)
-            out["result"] = "ok"
-        except (QuorumError, ReproTimeoutError) as exc:
-            out["result"] = type(exc).__name__
-
-    out = run_script(sim, client, script)
-    assert out["result"] in ("QuorumError", "TimeoutError")
-    assert cluster.writes_failed >= 1 or out["result"] == "TimeoutError"
-
-
-def test_sloppy_quorum_succeeds_via_hinted_handoff():
-    sim, net, cluster = make_cluster(
-        r=2, w=2, sloppy=True, seed=5, nodes=6,
-    )
-    client = cluster.connect()
-    homes = cluster.ring.preference_list("k", cluster.n)
-    # Partition away two of the three home replicas; coordinator is the
-    # first home (reachable), fallbacks on the ring take the hints.
-    reachable = [client.node_id, homes[0]] + [
-        n for n in cluster.ring.nodes if n not in homes
-    ]
-    net.partition(reachable)
-
-    def script(out, client):
-        try:
-            yield client.put("k", "v", timeout=600.0)
-            out["result"] = "ok"
-        except (QuorumError, ReproTimeoutError) as exc:
-            out["result"] = type(exc).__name__
-
-    out = run_script(sim, client, script)
-    assert out["result"] == "ok"
-    assert cluster.hinted_writes >= 1
-
-
-def test_hints_delivered_after_partition_heals():
-    sim, net, cluster = make_cluster(
-        r=2, w=2, sloppy=True, seed=5, nodes=6, hint_interval=30.0,
-    )
-    client = cluster.connect()
-    homes = cluster.ring.preference_list("k", cluster.n)
-    reachable = [client.node_id, homes[0]] + [
-        n for n in cluster.ring.nodes if n not in homes
-    ]
-    net.partition(reachable)
-
-    def script(out, client):
-        yield client.put("k", "v", timeout=600.0)
-        out["written"] = True
-
-    run_script(sim, client, script)
-    net.heal()
-    sim.run(until=sim.now + 500.0)
-    assert cluster.hints_delivered >= 1
-    for home in homes:
-        assert cluster.node(home).local_read("k")[0] == "v"
-
-
-def test_anti_entropy_sweep_converges_snapshots():
-    sim, _net, cluster = make_cluster(r=1, w=1, seed=2)
-    client = cluster.connect()
-
-    def script(out, client):
-        for i in range(5):
-            yield client.put(f"key-{i}", i)
-
-    run_script(sim, client, script)
-    cluster.anti_entropy_sweep()
-    snapshots = cluster.snapshots()
-    reference = snapshots[0]
-    assert all(snapshot == reference for snapshot in snapshots)
-    assert len(reference) == 5
-
-
 def test_history_densifies_stamps_to_versions():
     sim, _net, cluster = make_cluster(r=2, w=2)
     client = cluster.connect()
@@ -222,15 +340,28 @@ def test_history_densifies_stamps_to_versions():
     assert reads[0].version == 3
 
 
-def test_cluster_parameter_validation():
-    sim = Simulator()
-    net = Network(sim)
-    with pytest.raises(ValueError):
-        DynamoCluster(sim, net, nodes=3, n=3, r=4, w=1)
-    with pytest.raises(ValueError):
-        DynamoCluster(sim, net, nodes=2, n=3)
-    with pytest.raises(ValueError):
-        DynamoCluster(sim, net, coordinator_policy="nearest")
+def test_history_accepts_unhashable_values_and_failed_writes():
+    # Cluster histories record whatever the application wrote; a list
+    # cannot be tied back to a maybe-applied write, and must not break
+    # the densifier either.
+    sim, net, cluster = make_cluster(r=2, w=2, seed=5)
+    client = cluster.connect()
+
+    def script(out, client):
+        yield client.put("k", ["milk"])
+        yield client.get("k")
+        cut_homes_but_first(net, cluster, client, keep_fallbacks=False)
+        try:
+            yield client.put("k", ["eggs"])
+        except QuorumError:
+            out["failed"] = True
+
+    out = run_script(sim, client, script)
+    assert out["failed"]
+    assert [(op.kind, op.version, op.end is None)
+            for op in cluster.history()] == [
+        ("write", 1, False), ("read", 1, False), ("write", 0, True),
+    ]
 
 
 def test_lamport_stamps_give_total_order_across_coordinators():
@@ -247,9 +378,110 @@ def test_lamport_stamps_give_total_order_across_coordinators():
     for client in clients:
         spawn(sim, script({}, client))
     sim.run()
-    cluster.anti_entropy_sweep()
-    snapshots = cluster.snapshots()
-    assert all(s == snapshots[0] for s in snapshots)
     history = cluster.history()
     versions = [op.version for op in history.writes()]
     assert len(versions) == len(set(versions)) == 12
+
+
+# ---------------------------------------------------------------------------
+# Sibling sets: concurrent writes are kept until a context covers them
+# ---------------------------------------------------------------------------
+
+
+def test_sibling_cluster_keeps_no_versioned_history():
+    _sim, _net, cluster = make_cluster(SiblingDynamoCluster)
+    with pytest.raises(NotImplementedError):
+        cluster.history()
+
+
+def test_chained_writes_supersede_no_siblings():
+    sim, _net, cluster = make_cluster(SiblingDynamoCluster)
+    client = cluster.connect()
+
+    def script(out, client):
+        yield client.put("k", "v1")
+        yield client.put("k", "v2")   # context chained automatically
+        yield client.put("k", "v3")
+        out["read"] = yield client.get("k")
+
+    out = run_script(sim, client, script)
+    values, _context = out["read"]
+    assert values == ["v3"]
+
+
+def test_concurrent_blind_writes_become_siblings():
+    sim, _net, cluster = make_cluster(SiblingDynamoCluster, seed=2)
+    alice = cluster.connect(session="alice")
+    bob = cluster.connect(session="bob")
+    out = {}
+
+    def alice_script():
+        yield alice.put("k", "from-alice")
+
+    def bob_script():
+        yield bob.put("k", "from-bob")
+
+    def reader_script():
+        yield 100.0
+        out["read"] = yield alice.get("k")
+
+    spawn(sim, alice_script())
+    spawn(sim, bob_script())
+    spawn(sim, reader_script())
+    sim.run()
+    values, _context = out["read"]
+    assert sorted(values) == ["from-alice", "from-bob"]
+
+
+def test_read_then_write_resolves_siblings():
+    sim, _net, cluster = make_cluster(SiblingDynamoCluster, seed=3)
+    alice = cluster.connect(session="alice")
+    bob = cluster.connect(session="bob")
+    out = {}
+
+    def script():
+        yield alice.put("k", "a")
+        yield bob.put("k", "b")      # concurrent: bob has no context
+        yield 50.0
+        values, context = yield alice.get("k")
+        out["siblings"] = sorted(values)
+        yield alice.put("k", "merged", context=context)
+        yield 50.0
+        out["resolved"] = (yield alice.get("k"))[0]
+
+    spawn(sim, script())
+    sim.run()
+    assert out["siblings"] == ["a", "b"]
+    assert out["resolved"] == ["merged"]
+
+
+def test_cart_merge_no_lost_adds():
+    """The Dynamo cart property: concurrent adds from two clients both
+    survive, unlike LWW where one write silently wins."""
+    sim, _net, cluster = make_cluster(SiblingDynamoCluster, seed=4)
+    east = cluster.connect(session="east")
+    west = cluster.connect(session="west")
+    out = {}
+
+    def east_script():
+        values, ctx = yield east.get("cart")
+        yield east.put("cart", ("milk",), context=ctx)
+
+    def west_script():
+        values, ctx = yield west.get("cart")
+        yield west.put("cart", ("laptop",), context=ctx)
+
+    def check_script():
+        yield 100.0
+        values, ctx = yield east.get("cart")
+        # Application-level merge of siblings:
+        merged = sorted(item for sibling in values for item in sibling)
+        yield east.put("cart", tuple(merged), context=ctx)
+        yield 50.0
+        out["final"] = (yield east.get("cart"))[0]
+
+    spawn(sim, east_script())
+    spawn(sim, west_script())
+    spawn(sim, check_script())
+    sim.run()
+    assert out["final"] == [("laptop", "milk")]
