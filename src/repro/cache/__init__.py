@@ -4,17 +4,15 @@
 (:class:`CachedStore`, four policies) in front of any registered
 :class:`~repro.api.ConsistentStore`, tails its write path into a
 change-data-capture stream (:mod:`repro.cache.cdc`) feeding
-invalidation buses and materialized views, and checks the whole thing
-with the existing session-guarantee / staleness checkers running on
-cache-boundary histories (:mod:`repro.cache.conformance`).
+invalidation buses and materialized views.  The conformance engine
+(:func:`repro.chaos.run_cell` with a ``policy``) grades it with the
+same checkers and the same rule as a bare adapter, on histories
+recorded at the cache boundary.
 
 Importing :mod:`repro.api` registers the ``"cached"`` adapter::
 
     store = registry.build("cached", sim, net, protocol="quorum",
                            policy="write_through", ttl=200.0)
-
-The conformance runner is imported lazily (it pulls in the chaos and
-perf machinery): ``from repro.cache import run_cache_conformance``.
 """
 
 from .cdc import ChangeEvent, ChangeLog, InvalidationFeed, MaterializedView
@@ -38,28 +36,4 @@ __all__ = [
     "ChangeLog",
     "InvalidationFeed",
     "MaterializedView",
-    # Lazy (see __getattr__): the conformance surface.
-    "run_cache_cell",
-    "run_cache_conformance",
-    "format_cache_reports",
-    "CacheCellReport",
-    "CacheCheck",
-    "MISS_MODES",
-    "default_adapters",
 ]
-
-_LAZY = {
-    "run_cache_cell", "run_cache_conformance", "format_cache_reports",
-    "CacheCellReport", "CacheCheck", "MISS_MODES", "default_adapters",
-}
-
-
-def __getattr__(name: str):
-    # The conformance module imports chaos/perf/workload, which would
-    # cycle back into repro.api while the adapters are still
-    # registering — defer until first use.
-    if name in _LAZY:
-        from . import conformance
-
-        return getattr(conformance, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

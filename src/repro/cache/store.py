@@ -56,6 +56,7 @@ from typing import Any, Hashable
 
 from ..api import registry as _registry
 from ..api.store import ConsistentStore, StoreCapabilities, StoreSession
+from ..errors import ReproError
 from ..sim import Future
 from .cdc import ChangeLog
 
@@ -561,8 +562,14 @@ class CachedStore(ConsistentStore):
             # handler chains the next one.
             return
         shard.flushing.add(key)
-        inner_future = self._flusher.put(key, pend.value,
-                                         timeout=self.flush_timeout)
+        try:
+            inner_future = self._flusher.put(key, pend.value,
+                                             timeout=self.flush_timeout)
+        except ReproError as exc:
+            # A store that refuses at issue (no leader mid-crash, say)
+            # is a failed flush like any other: same retry path.
+            inner_future = Future(self.sim, label="wb_flush")
+            inner_future.fail(exc)
 
         def done(future: Future) -> None:
             shard.flushing.discard(key)

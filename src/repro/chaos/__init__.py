@@ -1,10 +1,11 @@
 """Deterministic fault injection (nemesis) and chaos conformance.
 
-The subsystem ISSUE 5 adds: seeded fault plans
-(:class:`FaultPlan`, :data:`PLANS`, :func:`random_plan`), the
-:class:`Nemesis` that executes them as simulation events, and the
-:class:`ChaosRunner` that drives every registered store adapter
-through a plan and checks its declared guarantees.
+Seeded fault plans (:class:`FaultPlan`, :data:`PLANS`,
+:func:`random_plan`), the :class:`Nemesis` that executes them as
+simulation events, and the conformance engine (:func:`run_cell` /
+:func:`run_grid`) that drives a registered store adapter — bare or
+behind a cache policy — through a plan and grades its declared
+guarantees.
 """
 
 from .nemesis import Nemesis
@@ -15,18 +16,21 @@ from .plan import (
     FaultPlan,
     FaultStep,
     random_plan,
+    resolve_plan,
     step,
 )
 from .runner import (
     FAIL,
     PASS,
-    TUNING,
+    READ_MODES,
     UNKNOWN,
     WAIVED,
-    ChaosRunner,
+    CellReport,
     CheckResult,
-    ProtocolReport,
+    cacheable_protocols,
     format_reports,
+    run_cell,
+    run_grid,
 )
 from .storm import StormReport, StormRun, format_storm, run_storm
 
@@ -38,12 +42,15 @@ __all__ = [
     "FaultStep",
     "step",
     "random_plan",
+    "resolve_plan",
     "Nemesis",
-    "ChaosRunner",
+    "run_cell",
+    "run_grid",
+    "cacheable_protocols",
+    "CellReport",
     "CheckResult",
-    "ProtocolReport",
     "format_reports",
-    "TUNING",
+    "READ_MODES",
     "PASS",
     "FAIL",
     "UNKNOWN",

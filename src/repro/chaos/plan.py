@@ -280,3 +280,19 @@ PLANS: dict[str, FaultPlan] = {
         step("heal", at=400),
     )),
 }
+
+
+def resolve_plan(
+    plan: FaultPlan | str | None, seed: int = 0, intensity: float = 0.5,
+) -> FaultPlan | None:
+    """``plan`` as a :class:`FaultPlan`: a plan object (or None) is
+    returned as is, a :data:`PLANS` name is looked up, and ``"random"``
+    is :func:`random_plan` for ``seed``."""
+    if plan is None or isinstance(plan, FaultPlan):
+        return plan
+    if plan == "random":
+        return random_plan(seed, intensity=intensity)
+    if plan not in PLANS:
+        raise ValueError(f"unknown plan {plan!r}; available: "
+                         f"{', '.join(sorted(PLANS))}, random")
+    return PLANS[plan]

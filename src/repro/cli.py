@@ -370,14 +370,72 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reproduces(first: dict[str, str], run, unit: str | None = None) -> bool:
+    """The ``--check-determinism`` gate: ``run()`` again and compare
+    its ``{name: fingerprint}`` with ``first``, printing the verdict.
+    ``unit`` names what a grid's entries are; single-run commands pass
+    one entry named after themselves."""
+    again = run()
+    if first != again:
+        drifted = sorted(n for n in first if first[n] != again.get(n))
+        if unit is None:
+            print(f"\nFAIL: {drifted[0]} trace fingerprint drifted between "
+                  "two identical runs", file=sys.stderr)
+        else:
+            print(f"\nFAIL: nondeterministic trace fingerprint for "
+                  f"{', '.join(drifted)}", file=sys.stderr)
+        return False
+    if unit is None:
+        print("\ndeterminism: identical fingerprints on a second run")
+    else:
+        print(f"\ndeterminism: {len(first)} {unit} reproduced identical "
+              f"fingerprints on a second run")
+    return True
+
+
+def _unknown(what: str, given, allowed) -> bool:
+    """Report names in ``given`` that are not ``allowed`` (bad args)."""
+    unknown = [name for name in given if name not in allowed]
+    if unknown:
+        print(f"unknown {what}(s): {', '.join(unknown)}; available: "
+              f"{', '.join(allowed)}", file=sys.stderr)
+    return bool(unknown)
+
+
+def _conformance(args: argparse.Namespace, protocols, policies, unit: str,
+                 intensity: float = 0.5, **knobs) -> int:
+    """Run one conformance grid and print its verdict table."""
+    from .chaos import format_reports, resolve_plan, run_grid
+
+    try:
+        plan = resolve_plan(args.plan, args.seed, intensity)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+    def run():
+        return run_grid(protocols, policies, seed=args.seed, plan=plan,
+                        ops=args.ops, **knobs)
+
+    reports = run()
+    print(format_reports(reports))
+    if args.check_determinism and not _reproduces(
+        {r.name: r.fingerprint for r in reports},
+        lambda: {r.name: r.fingerprint for r in run()}, unit,
+    ):
+        return 1
+    return 0 if all(report.ok for report in reports) else 1
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos conformance suite and print the verdict table.
 
     Exit status: 0 when every protocol's declared guarantees hold (or
-    are explicitly waived), 1 on any checker FAIL, 2 on bad arguments.
+    are explicitly waived), 1 on any checker FAIL or (with
+    ``--check-determinism``) trace fingerprint drift, 2 on bad args.
     """
     from .api import registry
-    from .chaos import PLANS, ChaosRunner, format_reports, random_plan
+    from .chaos import PLANS
 
     if args.list:
         for name, plan in sorted(PLANS.items()):
@@ -387,103 +445,32 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"{name:<12} {len(plan.steps)} steps: {faults}")
         return 0
 
-    if args.plan == "random":
-        plan = random_plan(args.seed, intensity=args.intensity)
-    elif args.plan in PLANS:
-        plan = PLANS[args.plan]
-    else:
-        print(f"unknown plan {args.plan!r}; available: "
-              f"{', '.join(sorted(PLANS))}, random", file=sys.stderr)
+    if _unknown("protocol", args.protocol, registry.names()):
         return 2
-    unknown = [p for p in args.protocol if p not in registry.names()]
-    if unknown:
-        print(f"unknown protocol(s): {', '.join(unknown)}; available: "
-              f"{', '.join(registry.names())}", file=sys.stderr)
-        return 2
-
-    runner = ChaosRunner(
-        seed=args.seed,
-        plan=plan,
-        protocols=args.protocol or None,
-        nodes=args.nodes,
-        clients=args.clients,
-        ops=args.ops,
-    )
-    reports = runner.run()
-    print(format_reports(reports))
-
-    if args.check_determinism:
-        again = {r.protocol: r.fingerprint for r in runner.run()}
-        first = {r.protocol: r.fingerprint for r in reports}
-        if first != again:
-            drifted = sorted(
-                name for name in first if first[name] != again.get(name)
-            )
-            print(f"\nFAIL: nondeterministic trace fingerprint for "
-                  f"{', '.join(drifted)}", file=sys.stderr)
-            return 1
-        print(f"\ndeterminism: {len(first)} protocol(s) reproduced "
-              f"identical fingerprints on a second run")
-
-    return 0 if all(report.ok for report in reports) else 1
+    return _conformance(args, args.protocol or None, (None,), "protocol(s)",
+                        intensity=args.intensity, nodes=args.nodes,
+                        clients=args.clients)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    """Run the cache conformance grid and print the verdict table.
-
-    Each cell wraps one backing adapter in a :class:`repro.cache.\
-CachedStore` under one policy, drives a chaos workload with histories
-    recorded at the cache boundary, and applies the standard checkers.
-
-    Exit status: 0 when no cell FAILs, 1 on any checker FAIL or (with
-    ``--check-determinism``) trace fingerprint drift, 2 on bad args.
+    """Run the cache conformance grid: the engine and grading rule of
+    ``repro chaos`` one tier up — each adapter behind each cache policy
+    (``uncached``: bare), the history recorded at the cache boundary,
+    at a smaller cell size.  Exit status as for ``repro chaos``.
     """
-    from .api import registry
-    from .cache import (
-        POLICIES,
-        default_adapters,
-        format_cache_reports,
-        run_cache_conformance,
-    )
-    from .chaos import PLANS
+    from .cache import POLICIES
+    from .chaos import cacheable_protocols
 
-    if args.plan not in PLANS:
-        print(f"unknown plan {args.plan!r}; available: "
-              f"{', '.join(sorted(PLANS))}", file=sys.stderr)
-        return 2
-    adapters = args.adapter or default_adapters()
-    unknown = [a for a in adapters if a not in registry.names()]
-    if unknown:
-        print(f"unknown adapter(s): {', '.join(unknown)}; available: "
-              f"{', '.join(default_adapters())}", file=sys.stderr)
-        return 2
+    adapters = cacheable_protocols()
     policies = args.policy or list(POLICIES)
-    bad = [p for p in policies if p not in POLICIES and p != "uncached"]
-    if bad:
-        print(f"unknown policy(s): {', '.join(bad)}; available: "
-              f"{', '.join(POLICIES)}, uncached", file=sys.stderr)
+    if _unknown("adapter", args.adapter, adapters) \
+            or _unknown("policy", policies, (*POLICIES, "uncached")):
         return 2
-
-    knobs = dict(seed=args.seed, plan=args.plan, ops=args.ops)
-    reports = run_cache_conformance(adapters, policies, **knobs)
-    print(format_cache_reports(reports))
-
-    if args.check_determinism:
-        again = run_cache_conformance(adapters, policies, **knobs)
-        first = {(r.adapter, r.policy): r.fingerprint for r in reports}
-        second = {(r.adapter, r.policy): r.fingerprint for r in again}
-        if first != second:
-            drifted = sorted(
-                f"{a}/{p}" for (a, p) in first
-                if first[a, p] != second.get((a, p))
-            )
-            print(f"\nFAIL: nondeterministic trace fingerprint for "
-                  f"{', '.join(drifted)}", file=sys.stderr)
-            return 1
-        print(f"\ndeterminism: {len(first)} cell(s) reproduced identical "
-              f"fingerprints on a second run")
-
-    return 0 if all(report.ok for report in reports) else 1
+    return _conformance(
+        args, args.adapter or adapters,
+        [None if p == "uncached" else p for p in policies],
+        "cell(s)", nodes=3, clients=2, records=16,
+    )
 
 
 def cmd_load(args: argparse.Namespace) -> int:
@@ -502,14 +489,13 @@ def cmd_load(args: argparse.Namespace) -> int:
         report = run_storm(seed=args.seed, protocol=args.protocol,
                            nodes=args.nodes)
         print(format_storm(report))
-        if args.check_determinism:
-            again = run_storm(seed=args.seed, protocol=args.protocol,
-                              nodes=args.nodes)
-            if again.fingerprint() != report.fingerprint():
-                print("\nFAIL: storm trace fingerprint drifted between "
-                      "two identical runs", file=sys.stderr)
-                return 1
-            print("\ndeterminism: identical fingerprints on a second run")
+        if args.check_determinism and not _reproduces(
+            {"storm": report.fingerprint()},
+            lambda: {"storm": run_storm(
+                seed=args.seed, protocol=args.protocol, nodes=args.nodes,
+            ).fingerprint()},
+        ):
+            return 1
         return 0 if report.ok else 1
 
     from .analysis import print_table
@@ -593,13 +579,11 @@ def cmd_scale(args: argparse.Namespace) -> int:
     )
     report = run_scale_demo(**knobs)
     print(format_scale(report))
-    if args.check_determinism:
-        again = run_scale_demo(**knobs)
-        if again.fingerprint != report.fingerprint:
-            print("\nFAIL: scale trace fingerprint drifted between two "
-                  "identical runs", file=sys.stderr)
-            return 1
-        print("\ndeterminism: identical fingerprints on a second run")
+    if args.check_determinism and not _reproduces(
+        {"scale": report.fingerprint},
+        lambda: {"scale": run_scale_demo(**knobs).fingerprint},
+    ):
+        return 1
     return 0 if report.ok else 1
 
 
@@ -622,13 +606,11 @@ def cmd_multiregion(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print(format_multiregion(report))
-    if args.check_determinism:
-        again = run_multiregion(**knobs)
-        if again.fingerprint != report.fingerprint:
-            print("\nFAIL: multiregion trace fingerprint drifted between "
-                  "two identical runs", file=sys.stderr)
-            return 1
-        print("\ndeterminism: identical fingerprints on a second run")
+    if args.check_determinism and not _reproduces(
+        {"multiregion": report.fingerprint},
+        lambda: {"multiregion": run_multiregion(**knobs).fingerprint},
+    ):
+        return 1
     return 0 if report.ok else 1
 
 
@@ -787,12 +769,21 @@ def main(argv: list[str] | None = None) -> int:
     chaos_parser = sub.add_parser(
         "chaos", help="nemesis conformance suite: fault plan + checkers"
     )
-    chaos_parser.add_argument("--seed", type=int, default=42)
-    chaos_parser.add_argument(
-        "--plan", default="partitions",
-        help="fault plan name, or 'random' for a seeded random plan "
-             "(default: partitions; see --list)",
+    cache_parser = sub.add_parser(
+        "cache", help="cache conformance grid: policy x adapter + checkers"
     )
+    for grid_parser in (chaos_parser, cache_parser):    # one engine
+        grid_parser.add_argument("--seed", type=int, default=42)
+        grid_parser.add_argument(
+            "--plan", default="partitions",
+            help="fault plan name, or 'random' for a seeded random plan "
+                 "(default: partitions; see chaos --list)",
+        )
+        grid_parser.add_argument(
+            "--check-determinism", action="store_true",
+            help="run the whole grid twice and fail on any trace "
+                 "fingerprint drift",
+        )
     chaos_parser.add_argument(
         "--protocol", action="append", default=[],
         help="run only this adapter (repeatable; default: all registered)",
@@ -805,22 +796,8 @@ def main(argv: list[str] | None = None) -> int:
         "--intensity", type=float, default=0.5,
         help="fault density for --plan random (0..1, default 0.5)",
     )
-    chaos_parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="run the whole suite twice and fail on any trace "
-             "fingerprint drift",
-    )
     chaos_parser.add_argument("--list", action="store_true",
                               help="list built-in fault plans and exit")
-
-    cache_parser = sub.add_parser(
-        "cache", help="cache conformance grid: policy x adapter + checkers"
-    )
-    cache_parser.add_argument("--seed", type=int, default=42)
-    cache_parser.add_argument(
-        "--plan", default="partitions",
-        help="fault plan name (default: partitions; see chaos --list)",
-    )
     cache_parser.add_argument(
         "--adapter", action="append", default=[],
         help="backing adapter (repeatable; default: all registered)",
@@ -832,11 +809,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     cache_parser.add_argument("--ops", type=int, default=60,
                               help="workload length per cell")
-    cache_parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="run the whole grid twice and fail on any trace "
-             "fingerprint drift",
-    )
 
     load_parser = sub.add_parser(
         "load", help="open-loop load generator + hot-key storm demo"

@@ -31,6 +31,9 @@ Op semantics
   not issued.
 * ``sleep`` — advance simulated time by ``float(spec.value)`` ms
   without touching the store.
+
+This driver and the open-loop one (:mod:`.openloop`) are two
+*schedulers* over one op-execution core, :class:`OpCore`.
 """
 
 from __future__ import annotations
@@ -104,7 +107,102 @@ class _Lane:
     on_op: Callable[[OpSpec, bool], None] | None = None
 
 
-class WorkloadDriver:
+def first_call(spec: OpSpec) -> tuple[str, Any]:
+    """The store call ``spec`` starts with, as ``(kind, value)``: a
+    ``read`` (alone, or an ``rmw``'s first half) or a ``write``."""
+    if spec.op in ("read", "rmw"):
+        return "read", None
+    if spec.op in ("update", "insert", "write", "put"):
+        return "write", spec.value
+    raise ValueError(f"driver cannot run op {spec.op!r}")
+
+
+def rmw_value(rmw_fn: Callable[[Any, Any], Any] | None, read: Any,
+              spec: OpSpec) -> Any:
+    """What an ``rmw`` writes back after reading ``read``."""
+    return rmw_fn(read, spec.value) if rmw_fn is not None else spec.value
+
+
+@dataclass(slots=True)
+class _Op:
+    """One store call between :meth:`OpCore._begin_op` and
+    :meth:`OpCore._finish_op`."""
+
+    kind: str                   # "read" | "write"
+    handle: Any
+    started: float
+    value: Any                  # a write's attempted value
+    future: Any = None          # None when the call raised at issue
+    error: BaseException | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+class OpCore:
+    """The op-execution core under both drivers: issue one store call,
+    time it, stamp it with the serving tier, record it.
+
+    A driver calls :meth:`_begin_op`, waits on ``op.future`` however
+    its scheduler waits (a generator ``yield``, a completion
+    callback), then calls :meth:`_finish_op`.
+    """
+
+    def __init__(self, sim: Simulator,
+                 recorder: TokenHistoryRecorder | None = None) -> None:
+        self.sim = sim
+        #: Pass one recorder to several drivers to densify their
+        #: histories together.
+        self.recorder = recorder or TokenHistoryRecorder(sim)
+        self.read_latency = LatencyStats()
+        self.write_latency = LatencyStats()
+
+    def _begin_op(self, session: Any, kind: str, key: Any, value: Any,
+                  read_mode: str | None, timeout: float | None) -> _Op:
+        """Record the invocation and issue the call (``kind`` is
+        ``"read"`` or ``"write"``).  A call that raises synchronously
+        leaves ``op.future`` unset and the error on the op."""
+        op = _Op(kind,
+                 self.recorder.begin(kind, key, session.name,
+                                     replica=session.client_id),
+                 self.sim.now, value)
+        try:
+            # Hold the future itself: cache-fronted stores stamp it
+            # with the serving tier (cache hit vs backing read).
+            if kind == "read":
+                op.future = session.get(key, mode=read_mode, timeout=timeout)
+            else:
+                op.future = session.put(key, value, timeout=timeout)
+        except ReproError as exc:
+            op.error = exc
+        return op
+
+    def _finish_op(self, op: _Op) -> None:
+        """Record the settled op: ``op.ok`` with a read's value in
+        ``op.value``, or the cause in ``op.error``."""
+        future = op.future
+        if future is not None:
+            op.error = future.error
+        if op.error is not None:
+            # Keep a write's attempted value: a timed-out write may
+            # still have landed, and history() ties later reads of it
+            # back here.
+            self.recorder.fail(op.handle, value=op.value)
+            return
+        if op.kind == "read":
+            op.value, token = future.value
+            self.read_latency.record(self.sim.now - op.started)
+        else:
+            token = future.value
+            self.write_latency.record(self.sim.now - op.started)
+        self.recorder.complete_token(
+            op.handle, token, op.value,
+            tier=getattr(future, "served_tier", None),
+        )
+
+
+class WorkloadDriver(OpCore):
     """Closed-loop driver running op streams against store sessions."""
 
     def __init__(
@@ -112,12 +210,7 @@ class WorkloadDriver:
         sim: Simulator,
         recorder: TokenHistoryRecorder | None = None,
     ) -> None:
-        self.sim = sim
-        #: Shared by every lane; pass one recorder to several drivers to
-        #: densify their histories together.
-        self.recorder = recorder or TokenHistoryRecorder(sim)
-        self.read_latency = LatencyStats()
-        self.write_latency = LatencyStats()
+        super().__init__(sim, recorder)
         self._lanes: list[_Lane] = []
         self._started = False
         self._start_time: float | None = None
@@ -231,77 +324,46 @@ class WorkloadDriver:
     # Lane execution
     # ------------------------------------------------------------------
     def _lane_script(self, lane: _Lane):
-        session, stats = lane.session, lane.stats
+        stats = lane.stats
         for spec in lane.ops:
             if spec.op == "sleep":
                 yield float(spec.value)
                 continue
             stats.ops += 1
-            if spec.op == "read":
-                ok = yield from self._read(lane, spec.key)
-                stats.reads += 1
-            elif spec.op in ("update", "insert", "write", "put"):
-                ok = yield from self._write(lane, spec.key, spec.value)
-                stats.writes += 1
-            elif spec.op == "rmw":
+            kind, value = first_call(spec)
+            op = yield from self._run_op(lane, kind, spec.key, value)
+            if spec.op == "rmw":
                 stats.rmw += 1
-                ok, value = yield from self._read(lane, spec.key,
-                                                  want_value=True)
-                stats.reads += 1
-                if ok:
-                    new = (lane.rmw_fn(value, spec.value)
-                           if lane.rmw_fn is not None else spec.value)
-                    ok = yield from self._write(lane, spec.key, new)
-                    stats.writes += 1
-            else:
-                raise ValueError(f"driver cannot run op {spec.op!r}")
-            if ok:
+                if op.ok:       # a failed read skips the write
+                    op = yield from self._run_op(
+                        lane, "write", spec.key,
+                        rmw_value(lane.rmw_fn, op.value, spec))
+            if op.ok:
                 stats.ok += 1
             else:
                 stats.failed += 1
             if lane.on_op is not None:
-                lane.on_op(spec, ok)
+                lane.on_op(spec, op.ok)
             if lane.think_time > 0:
                 yield lane.think_time
         self._active -= 1
         self._end_time = max(self._end_time or 0.0, self.sim.now)
 
-    def _read(self, lane: _Lane, key, want_value: bool = False):
-        handle = self.recorder.begin("read", key, lane.session.name,
-                                     replica=lane.session.client_id)
-        started = self.sim.now
-        try:
-            # Hold the future itself: cache-fronted stores stamp it
-            # with the serving tier (cache hit vs backing read).
-            future = lane.session.get(key, mode=lane.read_mode,
-                                      timeout=lane.timeout)
-            value, token = yield future
-        except ReproError:
-            self.recorder.fail(handle)
-            return (False, None) if want_value else False
-        self.read_latency.record(self.sim.now - started)
-        self.recorder.complete_token(handle, token, value,
-                                     tier=getattr(future, "served_tier",
-                                                  None))
-        return (True, value) if want_value else True
-
-    def _write(self, lane: _Lane, key, value):
-        handle = self.recorder.begin("write", key, lane.session.name,
-                                     replica=lane.session.client_id)
-        started = self.sim.now
-        try:
-            future = lane.session.put(key, value, timeout=lane.timeout)
-            token = yield future
-        except ReproError:
-            # Keep the attempted value: a timed-out write may still have
-            # landed, and history() ties later reads of it back here.
-            self.recorder.fail(handle, value=value)
-            return False
-        self.write_latency.record(self.sim.now - started)
-        self.recorder.complete_token(handle, token, value,
-                                     tier=getattr(future, "served_tier",
-                                                  None))
-        return True
+    def _run_op(self, lane: _Lane, kind: str, key: Any, value: Any):
+        """One store call closed-loop: the lane resumes when it settles."""
+        if kind == "read":
+            lane.stats.reads += 1
+        else:
+            lane.stats.writes += 1
+        op = self._begin_op(lane.session, kind, key, value, lane.read_mode,
+                            lane.timeout)
+        if op.future is not None:
+            try:
+                yield op.future
+            except ReproError:
+                pass        # _finish_op reads the error off the future
+        self._finish_op(op)
+        return op
 
 
 def run_workload(

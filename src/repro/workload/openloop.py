@@ -48,8 +48,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from ..analysis import LatencyStats
-from ..errors import OverloadedError, ReproError
+from ..errors import OverloadedError
 from ..histories import History, TokenHistoryRecorder
+from .driver import OpCore, first_call, rmw_value
 from .ycsb import OpSpec
 
 __all__ = [
@@ -229,24 +230,14 @@ class OpenLoopResult:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-@dataclass
-class _InFlight:
-    """Per-issued-op context threaded through the future callbacks."""
-
-    spec: OpSpec
-    session: Any
-    handle: Any
-    started: float
-    rmw_stage: bool = False      # True while running an rmw's read half
-
-
-class OpenLoopDriver:
+class OpenLoopDriver(OpCore):
     """Issue ops at externally generated arrival times.
 
     Unlike the closed-loop driver there are no lane processes: each
     arrival picks a session from a lazily created pool (uniformly, by
-    a seeded RNG, so traces replay byte-identically), fires the op,
-    and registers a completion callback — thousands of concurrent ops
+    a seeded RNG, so traces replay byte-identically), fires the op
+    through the shared :class:`~repro.workload.driver.OpCore`, and
+    registers a completion callback — thousands of concurrent ops
     cost one outstanding future each, not one generator frame.
 
     ``until`` (on :meth:`start`/:meth:`run`) bounds the arrival window
@@ -272,18 +263,15 @@ class OpenLoopDriver:
     ) -> None:
         if sessions < 1:
             raise ValueError("need at least one session")
+        super().__init__(store.sim, recorder)
         self.store = store
-        self.sim = store.sim
         self.arrivals = arrivals
         self.ops = ops
         self.sessions = sessions
-        self.recorder = recorder or TokenHistoryRecorder(self.sim)
         self.timeout = timeout
         self.read_mode = read_mode
         self.rmw_fn = rmw_fn
         self.max_ops = max_ops
-        self.read_latency = LatencyStats()
-        self.write_latency = LatencyStats()
         self.offered = 0
         self.ok = 0
         self.failed = 0
@@ -376,7 +364,7 @@ class OpenLoopDriver:
             return
         self.offered += 1
         self._last_arrival = self.sim.now
-        self._issue(self._pick_session(), spec)
+        self._start(self._pick_session(), spec, *first_call(spec))
         self._schedule_next_arrival()
 
     def _pick_session(self) -> Any:
@@ -390,90 +378,26 @@ class OpenLoopDriver:
     # ------------------------------------------------------------------
     # Op execution (callback-chained; no generator frames)
     # ------------------------------------------------------------------
-    def _issue(self, session: Any, spec: OpSpec) -> None:
-        if spec.op == "read":
-            self._begin_read(session, spec, rmw_stage=False)
-        elif spec.op in ("update", "insert", "write", "put"):
-            self._begin_write(session, spec, spec.value)
-        elif spec.op == "rmw":
-            self._begin_read(session, spec, rmw_stage=True)
-        else:
-            raise ValueError(f"open-loop driver cannot run op {spec.op!r}")
-
-    def _begin_read(self, session: Any, spec: OpSpec, rmw_stage: bool) -> None:
-        handle = self.recorder.begin(
-            "read", spec.key, session.name, replica=session.client_id
-        )
-        ctx = _InFlight(spec, session, handle, self.sim.now, rmw_stage)
+    def _start(self, session: Any, spec: OpSpec, kind: str,
+               value: Any) -> None:
+        op = self._begin_op(session, kind, spec.key, value, self.read_mode,
+                            self.timeout)
         self.in_flight += 1
-        try:
-            future = session.get(
-                spec.key, mode=self.read_mode, timeout=self.timeout
-            )
-        except ReproError as exc:
-            self._read_failed(ctx, exc)
-            return
-        future.add_callback(lambda f, c=ctx: self._read_done(c, f))
+        if op.future is None:
+            self._settled(session, spec, op)
+        else:
+            op.future.add_callback(
+                lambda _f: self._settled(session, spec, op))
 
-    def _read_done(self, ctx: _InFlight, future: Any) -> None:
-        if future.error is not None:
-            self._read_failed(ctx, future.error)
-            return
+    def _settled(self, session: Any, spec: OpSpec, op: Any) -> None:
         self.in_flight -= 1
-        value, token = future.value
-        self.read_latency.record(self.sim.now - ctx.started)
-        self.recorder.complete_token(
-            ctx.handle, token, value,
-            tier=getattr(future, "served_tier", None),
-        )
-        if ctx.rmw_stage:
-            new = (self.rmw_fn(value, ctx.spec.value)
-                   if self.rmw_fn is not None else ctx.spec.value)
-            self._begin_write(ctx.session, ctx.spec, new)
+        self._finish_op(op)
+        if not op.ok:
+            self.failed += 1
+            if isinstance(op.error, OverloadedError):
+                self.shed += 1
+        elif spec.op == "rmw" and op.kind == "read":
+            self._start(session, spec, "write",
+                        rmw_value(self.rmw_fn, op.value, spec))
         else:
             self.ok += 1
-
-    def _read_failed(self, ctx: _InFlight, error: BaseException) -> None:
-        self.in_flight -= 1
-        self.recorder.fail(ctx.handle)
-        self._count_failure(error)
-
-    def _begin_write(self, session: Any, spec: OpSpec, value: Any) -> None:
-        handle = self.recorder.begin(
-            "write", spec.key, session.name, replica=session.client_id
-        )
-        ctx = _InFlight(spec, session, handle, self.sim.now)
-        self.in_flight += 1
-        try:
-            future = session.put(spec.key, value, timeout=self.timeout)
-        except ReproError as exc:
-            self._write_failed(ctx, value, exc)
-            return
-        future.add_callback(
-            lambda f, c=ctx, v=value: self._write_done(c, v, f)
-        )
-
-    def _write_done(self, ctx: _InFlight, value: Any, future: Any) -> None:
-        if future.error is not None:
-            self._write_failed(ctx, value, future.error)
-            return
-        self.in_flight -= 1
-        self.write_latency.record(self.sim.now - ctx.started)
-        self.recorder.complete_token(
-            ctx.handle, future.value, value,
-            tier=getattr(future, "served_tier", None),
-        )
-        self.ok += 1
-
-    def _write_failed(self, ctx: _InFlight, value: Any,
-                      error: BaseException) -> None:
-        self.in_flight -= 1
-        # Keep the attempted value: a timed-out write may still have
-        # landed, and history() ties later reads of it back here.
-        self.recorder.fail(ctx.handle, value=value)
-        self._count_failure(error)
-
-    def _count_failure(self, error: BaseException) -> None:
-        self.failed += 1
-        if isinstance(error, OverloadedError):
-            self.shed += 1

@@ -9,8 +9,13 @@ per policy and through the CLI entry point.
 import pytest
 
 from repro import cli
-from repro.cache import POLICIES, run_cache_cell
-from repro.chaos import random_plan
+from repro.cache import POLICIES
+from repro.chaos import random_plan, run_cell
+
+
+def run_cache_cell(adapter, policy, **knobs):
+    # The cache grid's cell size (what ``repro cache`` runs).
+    return run_cell(adapter, policy, nodes=3, clients=2, records=16, **knobs)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

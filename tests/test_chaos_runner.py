@@ -1,15 +1,21 @@
-"""Chaos conformance: runner verdicts, edge cases, seed sweep, txn invariants."""
+"""Chaos conformance: bare-cell verdicts, edge cases, seed sweep, txn invariants."""
+
+import dataclasses
 
 import pytest
 
+from repro.api import registry
+from repro.api.adapters import PileusStore
 from repro.chaos import (
     FAIL,
     PASS,
+    READ_MODES,
     UNKNOWN,
     WAIVED,
-    ChaosRunner,
     FaultPlan,
     format_reports,
+    run_cell,
+    run_grid,
     step,
 )
 from repro.checkers import check_convergence, check_linearizability
@@ -29,7 +35,7 @@ def statuses(report):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_seed_sweep_every_protocol_conforms(seed):
-    reports = ChaosRunner(seed=seed, plan="partitions", ops=80).run()
+    reports = run_grid(seed=seed, plan="partitions", ops=80)
     for report in reports:
         failed = [(r.guarantee, r.detail) for r in report.results
                   if r.status == FAIL]
@@ -37,10 +43,11 @@ def test_seed_sweep_every_protocol_conforms(seed):
 
 
 def test_runner_fingerprints_are_reproducible():
-    runner = ChaosRunner(seed=9, plan="mixed",
-                         protocols=["quorum", "causal"], ops=60)
-    first = {r.protocol: r.fingerprint for r in runner.run()}
-    second = {r.protocol: r.fingerprint for r in runner.run()}
+    def run():
+        return run_grid(["quorum", "causal"], seed=9, plan="mixed", ops=60)
+
+    first = {r.protocol: r.fingerprint for r in run()}
+    second = {r.protocol: r.fingerprint for r in run()}
     assert first == second
 
 
@@ -49,8 +56,7 @@ def test_runner_fingerprints_are_reproducible():
 # ----------------------------------------------------------------------
 
 def test_empty_workload_is_vacuous_not_a_failure():
-    report = ChaosRunner(seed=1, plan="partitions",
-                         protocols=["multipaxos"], ops=0).run()[0]
+    report = run_cell("multipaxos", seed=1, plan="partitions", ops=0)
     verdicts = statuses(report)
     assert verdicts["linearizable"] == UNKNOWN
     assert verdicts["convergence"] in (PASS, UNKNOWN)
@@ -58,16 +64,16 @@ def test_empty_workload_is_vacuous_not_a_failure():
 
 
 def test_single_op_history_checks_cleanly():
-    reports = ChaosRunner(seed=1, plan="partitions",
-                          protocols=["causal", "multipaxos"], ops=1).run()
+    reports = run_grid(["causal", "multipaxos"], seed=1, plan="partitions",
+                       ops=1)
     for report in reports:
         assert report.ok, statuses(report)
 
 
 def test_history_ending_mid_partition_is_unknown_not_fail():
     plan = FaultPlan("split", (step("partition", at=30.0, shape="halves"),))
-    reports = ChaosRunner(seed=2, plan=plan, protocols=["quorum", "causal"],
-                          ops=60, final_heal=False).run()
+    reports = run_grid(["quorum", "causal"], seed=2, plan=plan, ops=60,
+                       heal=False)
     for report in reports:
         verdicts = statuses(report)
         # Convergence cannot be assessed without a heal — UNKNOWN, and
@@ -84,8 +90,7 @@ def test_checkers_accept_empty_history_directly():
 
 
 def test_waivers_surface_as_waived_rows_with_reason():
-    report = ChaosRunner(seed=42, plan="partitions",
-                         protocols=["pileus"], ops=40).run()[0]
+    report = run_cell("pileus", seed=42, plan="partitions", ops=40)
     waived = {r.guarantee: r for r in report.results if r.status == WAIVED}
     assert set(waived) == {"ryw", "mr"}
     for row in waived.values():
@@ -93,13 +98,60 @@ def test_waivers_surface_as_waived_rows_with_reason():
     assert report.ok
 
 
+#: The cell on which the two parent graders disagreed about pileus.
+PILEUS_DRIFT_CELL = dict(plan="partitions", seed=1, nodes=3, clients=2,
+                         ops=60, records=16)
+
+
+def test_waiver_wins_over_a_claim_pileus_ryw_regression():
+    """pileus claims ryw and documents a waiver for it; on this cell
+    the guarantee is violated.  The old cache grader said FAIL, the
+    chaos grader WAIVED — the one rule says WAIVED, measured."""
+    report = run_cell("pileus", **PILEUS_DRIFT_CELL)
+    ryw = report.check("ryw")
+    assert ryw.status == WAIVED and ryw.claimed
+    assert registry.get("pileus").capabilities.waiver_for("ryw") in ryw.detail
+    assert ryw.detail.endswith("(violated on this run)")
+    assert report.ok
+
+
+@pytest.mark.parametrize("policy", [None, "write_through"])
+def test_unwaived_pileus_fails_ryw_bare_and_through_the_cache(
+        monkeypatch, policy):
+    """Checker-of-the-checker: without its waiver the same cell FAILs,
+    so the waiver is needed — and a claim fails through the cache tier
+    by the same rule as on the bare adapter."""
+    caps = dataclasses.replace(PileusStore.capabilities,
+                               name="pileus_unwaived", chaos_waivers=())
+
+    class UnwaivedPileus(PileusStore):
+        capabilities = caps
+
+    monkeypatch.setitem(
+        registry._REGISTRY, "pileus_unwaived",
+        registry.StoreSpec("pileus_unwaived", caps, UnwaivedPileus))
+    monkeypatch.setitem(READ_MODES, "pileus_unwaived", "sla")
+    report = run_cell("pileus_unwaived", policy, **PILEUS_DRIFT_CELL)
+    ryw = report.check("ryw")
+    assert ryw.claimed and ryw.status == FAIL, ryw
+    assert not report.ok
+    # Same run as the registered adapter: only the grading differs.
+    assert report.fingerprint == \
+        run_cell("pileus", policy, **PILEUS_DRIFT_CELL).fingerprint
+
+
 def test_format_reports_renders_verdict_table():
-    reports = ChaosRunner(seed=42, plan="partitions",
-                          protocols=["pileus"], ops=40).run()
+    reports = run_grid(["pileus"], seed=42, plan="partitions", ops=40)
     text = format_reports(reports)
     assert "pileus" in text
     assert "WAIVED" in text
-    assert text.strip().endswith("protocol(s) conform")
+    assert text.strip().endswith("cell(s) conform")
+
+
+def test_run_cell_resolves_named_and_random_plans():
+    assert run_cell("quorum", plan="random", seed=5, ops=10).plan == "random-5"
+    with pytest.raises(ValueError, match="unknown plan"):
+        run_cell("quorum", plan="nope", ops=10)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ from repro.api import registry
 from repro.sharding import ShardedStore
 from repro.sim import FixedLatency
 from repro.workload import (
+    OpenLoopDriver,
     OpSpec,
+    ReplayArrivals,
     WorkloadDriver,
     YCSBWorkload,
     run_workload,
@@ -182,3 +184,48 @@ def test_run_workload_against_sharded_store():
     routed = store.routed_ops()
     assert sum(routed.values()) == 20
     assert len(routed) == 2
+
+
+def test_closed_and_open_loop_record_identical_history_entries():
+    """Two schedulers, one op-execution core: the same script against a
+    CachedStore lands the same entries — tier stamps included, and the
+    timed-out write keeping its attempted value."""
+    write, read, rmw = (OpSpec("update", "k", "v1"), OpSpec("read", "k"),
+                        OpSpec("rmw", "k", "v2"))
+
+    def cached_store_losing_its_replicas_at_30ms():
+        sim = Simulator(seed=1)
+        net = Network(sim, latency=FixedLatency(2.0))
+        store = registry.build("cached", sim, net, protocol="quorum",
+                               policy="write_through", nodes=3, ttl=500.0)
+        servers = [net.node(i) for i in store.server_ids()]
+        sim.schedule(30.0, lambda: [node.crash() for node in servers])
+        return sim, store
+
+    def entries(history):
+        return [(op.kind, op.key, op.value, op.version, op.tier,
+                 op.completed) for op in history]
+
+    sim, store = cached_store_losing_its_replicas_at_30ms()
+    driver = WorkloadDriver(sim)
+    driver.add_session(
+        store.session("c"),
+        [write, OpSpec("sleep", "", 10.0), read, OpSpec("sleep", "", 30.0),
+         rmw],
+        timeout=20.0,
+    )
+    closed = driver.run()
+
+    _sim, store = cached_store_losing_its_replicas_at_30ms()
+    opened = OpenLoopDriver(store, ReplayArrivals([0.0, 15.0, 50.0]),
+                            [write, read, rmw], sessions=1,
+                            timeout=20.0).run()
+
+    assert entries(closed.history) == entries(opened.history) == [
+        ("write", "k", "v1", 1, "store", True),
+        ("read", "k", "v1", 1, "cache", True),
+        ("read", "k", "v1", 1, "cache", True),      # the rmw's read half
+        ("write", "k", "v2", 0, None, False),       # timed out, value kept
+    ]
+    assert (closed.ops_ok, closed.ops_failed) == (opened.ok, opened.failed) \
+        == (2, 1)
