@@ -7,15 +7,11 @@ consistency claims are machine-verified.
 """
 
 from .base import Verdict, Violation
-from .causal import check_causal, check_causal_or_raise
+from .causal import check_causal
 from .convergence import check_convergence, divergence, stale_keys
 from .elastic import MISSING, check_no_lost_writes, read_back
-from .linearizability import (
-    check_linearizability,
-    check_linearizability_key,
-    check_linearizability_or_raise,
-)
-from .sequential import check_sequential, check_sequential_or_raise
+from .linearizability import check_linearizability, check_linearizability_key
+from .sequential import check_sequential
 from .session import (
     ALL_SESSION_GUARANTEES,
     check_all_session_guarantees,
@@ -40,11 +36,8 @@ __all__ = [
     "Violation",
     "check_linearizability",
     "check_linearizability_key",
-    "check_linearizability_or_raise",
     "check_sequential",
-    "check_sequential_or_raise",
     "check_causal",
-    "check_causal_or_raise",
     "check_read_your_writes",
     "check_monotonic_reads",
     "check_monotonic_writes",

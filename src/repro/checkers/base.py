@@ -2,8 +2,8 @@
 
 Checkers never raise on a violation — they return a :class:`Verdict`
 listing every violation found, because the experiments *count*
-violations (e.g. "stale-read rate under R=W=1").  ``*_or_raise``
-wrappers exist for tests that want hard failure.
+violations (e.g. "stale-read rate under R=W=1").
+:meth:`Verdict.raise_if_violated` is for callers that want hard failure.
 """
 
 from __future__ import annotations

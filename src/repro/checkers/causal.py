@@ -8,10 +8,9 @@ it returned, causal consistency requires an order containing
 * per-key version order (v1 < v2 for the same key),
 
 under which no read returns a write that the order already supersedes:
-if write ``w'`` (same key, higher version... or rather *any* other
-version) causally precedes read ``r`` and the write ``w`` that ``r``
-returned causally precedes ``w'``, then ``r`` read an overwritten
-value — a causality violation.
+if write ``w'`` (same key, another version) causally precedes read
+``r`` and the write ``w`` that ``r`` returned causally precedes ``w'``,
+then ``r`` read an overwritten value — a causality violation.
 
 With version order given, this is the polynomial-time variant
 (transitive closure + one pass over reads); E11 contrasts its cost
@@ -20,78 +19,88 @@ with linearizability's exponential search.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..histories import History, Operation
 from .base import Verdict
 
 
-def _build_causal_order(history: History) -> tuple[list[Operation], dict[int, set[int]]]:
-    """Return (ops, predecessors) where predecessors[i] is the set of
-    op indices causally before op i (transitively closed)."""
-    ops = [op for op in history.completed]
-    index_of = {op.op_id: i for i, op in enumerate(ops)}
-    n = len(ops)
-    direct: list[set[int]] = [set() for _ in range(n)]
+def _causal_order(
+    history: History, index_of: dict[int, int]
+) -> tuple[list[int], list[int]]:
+    """Return ``(closed, cyclic)``: ``closed[i]`` is the bitset of the
+    completed ops causally before completed op ``i``, transitively
+    closed (bit ``j`` is ``history.completed[j]``); ``cyclic`` lists
+    the ops no topological order can place."""
+    n = len(history.completed)
+    successors: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n               # direct predecessors not yet closed
 
-    # Session order (consecutive edges suffice before closure).
+    def chain(linked: Sequence[Operation]) -> None:
+        for earlier, later in zip(linked, linked[1:]):
+            after = index_of[later.op_id]
+            successors[index_of[earlier.op_id]].append(after)
+            waiting[after] += 1
+
     for session in history.sessions:
-        session_ops = [op for op in history.by_session(session)]
-        for earlier, later in zip(session_ops, session_ops[1:]):
-            if earlier.op_id in index_of and later.op_id in index_of:
-                direct[index_of[later.op_id]].add(index_of[earlier.op_id])
-
-    # Reads-from: the write a read returned precedes the read.
-    writes_by_key_version: dict[tuple, int] = {}
-    for i, op in enumerate(ops):
-        if op.is_write:
-            writes_by_key_version[(op.key, op.version)] = i
-    for i, op in enumerate(ops):
-        if op.is_read and op.version > 0:
-            writer = writes_by_key_version.get((op.key, op.version))
-            if writer is not None:
-                direct[i].add(writer)
-
-    # Per-key version order between writes.
+        chain(history.by_session(session))
     for key in history.keys:
-        key_writes = sorted(
-            (op for op in ops if op.is_write and op.key == key),
-            key=lambda op: op.version,
-        )
-        for earlier, later in zip(key_writes, key_writes[1:]):
-            direct[index_of[later.op_id]].add(index_of[earlier.op_id])
+        chain(history.writes_by_version(key))
+    for op in history.reads():
+        writer = history.write_at(op.key, op.version)
+        if writer is not None and op.version > 0:
+            chain((writer, op))
 
-    # Transitive closure over a topological-ish order.  The relation
-    # may contain cycles if the history is already inconsistent; we
-    # close with a simple fixpoint which handles that too.
-    closed: list[set[int]] = [set(edges) for edges in direct]
-    changed = True
+    closed = [0] * n
+    ready = [i for i in range(n) if not waiting[i]]
+    for i in ready:                 # Kahn: grows as successors become ready
+        before_successor = closed[i] | 1 << i
+        for j in successors[i]:
+            closed[j] |= before_successor
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready.append(j)
+
+    # What Kahn leaves over sits on or behind a cycle: an inconsistent
+    # history, and the only ops that are iterated to a fixpoint.
+    cyclic = [i for i in range(n) if waiting[i]]
+    changed = bool(cyclic)
     while changed:
         changed = False
-        for i in range(n):
-            additions: set[int] = set()
-            for j in closed[i]:
-                additions |= closed[j] - closed[i]
-            if additions:
-                closed[i] |= additions
-                changed = True
-    return ops, {i: closed[i] for i in range(n)}
+        for i in cyclic:
+            before_successor = closed[i] | 1 << i
+            for j in successors[i]:
+                if closed[j] | before_successor != closed[j]:
+                    closed[j] |= before_successor
+                    changed = True
+    return closed, cyclic
 
 
 def check_causal(history: History) -> Verdict:
-    """Check causal consistency given per-key version order."""
+    """Check causal consistency given per-key version order.
+
+    Cost: O(n + e) to build the edges from the history's indexes (e < 3n:
+    consecutive ops of a session, consecutive versions of a key, one
+    reads-from edge per read), then one big-int OR per edge in
+    topological order and one mask per read: n bitsets of at most n
+    bits, n²/8 bytes of closure (0.7 MB at 2400 ops).  A violating read
+    names the superseding write with the lowest history index, so the
+    message is a function of the history alone.
+    """
     verdict = Verdict("causal-consistency")
-    ops, predecessors = _build_causal_order(history)
-    index_writes: dict[tuple, int] = {}
+    ops = history.completed
+    index_of = {op.op_id: i for i, op in enumerate(ops)}
+    closed, cyclic = _causal_order(history, index_of)
+    for i in cyclic:
+        # An op causally preceding itself means the session/reads-from/
+        # version orders contradict each other.
+        if closed[i] >> i & 1:
+            verdict.add(f"causality cycle through {ops[i]!r}", ops=(ops[i],))
+
+    writes_to: dict = {}            # key -> bitset of its completed writes
     for i, op in enumerate(ops):
         if op.is_write:
-            index_writes[(op.key, op.version)] = i
-
-    for i, op in enumerate(ops):
-        # Cycle detection: an op causally preceding itself means the
-        # session/reads-from/version orders contradict each other.
-        if i in predecessors[i]:
-            verdict.add(
-                f"causality cycle through {op!r}", ops=(op,)
-            )
+            writes_to[op.key] = writes_to.get(op.key, 0) | 1 << i
 
     for i, op in enumerate(ops):
         if not op.is_read:
@@ -101,25 +110,32 @@ def check_causal(history: History) -> Verdict:
         # some write w' to the same key causally precedes the read,
         # while the returned write is itself causally before w'
         # (i.e. the read observed a superseded value).
-        returned = index_writes.get((op.key, op.version))
-        for j in predecessors[i]:
+        returned = history.write_at(op.key, op.version)
+        if returned is None and op.version != 0:
+            continue                # an orphan version constrains nothing
+        others = closed[i] & writes_to.get(op.key, 0)
+        if returned is not None:
+            r = index_of[returned.op_id]
+            if not closed[r] >> r & 1:
+                # Off a cycle, the key's version chain puts every other
+                # write of the key before the returned one or after it,
+                # and only those after it can supersede it.
+                others &= ~closed[r]
+        while others:
+            lowest = others & -others
+            others ^= lowest
+            j = lowest.bit_length() - 1
             other = ops[j]
-            if not (other.is_write and other.key == op.key):
-                continue
             if other.version == op.version:
                 continue
             if returned is None:
-                # Read of the initial state while a causally earlier
-                # write to the key exists.
-                if op.version == 0:
-                    verdict.add(
-                        f"read of initial {op.key!r} despite causally "
-                        f"preceding write v{other.version}",
-                        ops=(op, other),
-                    )
-                    break
-                continue
-            if returned in predecessors[j]:
+                verdict.add(
+                    f"read of initial {op.key!r} despite causally "
+                    f"preceding write v{other.version}",
+                    ops=(op, other),
+                )
+                break
+            if closed[j] >> r & 1:
                 verdict.add(
                     f"read {op.key!r}=v{op.version} superseded by causally "
                     f"preceding write v{other.version}",
@@ -127,7 +143,3 @@ def check_causal(history: History) -> Verdict:
                 )
                 break
     return verdict
-
-
-def check_causal_or_raise(history: History) -> Verdict:
-    return check_causal(history).raise_if_violated()

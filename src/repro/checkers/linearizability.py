@@ -21,7 +21,7 @@ effect or not; the checker tries both.
 from __future__ import annotations
 
 import math
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from ..histories import History, Operation
 from .base import Verdict
@@ -40,8 +40,7 @@ def check_linearizability(
     verdict = Verdict("linearizability")
     verdict.checked_ops = len(history.completed)
     for key in history.keys:
-        ops = [op for op in history.by_key(key)]
-        result = _check_single_key(key, ops, max_states)
+        result = _check_single_key(key, history.by_key(key), max_states)
         if result is not None:
             verdict.add(result, ops=())
     return verdict
@@ -55,17 +54,14 @@ def check_linearizability_key(
 
 
 def _check_single_key(
-    key: Hashable, ops: list[Operation], max_states: int
+    key: Hashable, ops: Sequence[Operation], max_states: int
 ) -> str | None:
     """None if linearizable, else a violation description."""
     if not ops:
         return None
-    reads = [op for op in ops if op.is_read]
-    writes = [op for op in ops if op.is_write]
-    incomplete_reads = [op for op in reads if not op.completed]
     # A read with no response constrains nothing.
-    reads = [op for op in reads if op.completed]
-    del incomplete_reads
+    reads = [op for op in ops if op.is_read and op.completed]
+    writes = [op for op in ops if op.is_write]
 
     candidates = reads + writes
     id_to_op = {op.op_id: op for op in candidates}
@@ -119,7 +115,3 @@ def _check_single_key(
             f"({max_states} states)"
         )
     return f"key {key!r}: no linearization of {len(candidates)} ops exists"
-
-
-def check_linearizability_or_raise(history: History) -> Verdict:
-    return check_linearizability(history).raise_if_violated()

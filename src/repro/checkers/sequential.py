@@ -26,10 +26,13 @@ def check_sequential(history: History, max_states: int = 2_000_000) -> Verdict:
     if not sessions:
         return verdict
 
+    # Register state: one version per key, at the key's position in the
+    # history's key order, so a write step is one tuple splice.
+    slot = {key: index for index, key in enumerate(history.keys)}
     seen: set[tuple] = set()
     budget = [max_states]
 
-    def dfs(positions: tuple[int, ...], versions: tuple) -> bool:
+    def dfs(positions: tuple[int, ...], versions: tuple[int, ...]) -> bool:
         if all(
             position == len(session)
             for position, session in zip(positions, sessions)
@@ -40,7 +43,6 @@ def check_sequential(history: History, max_states: int = 2_000_000) -> Verdict:
             return False
         budget[0] -= 1
         seen.add(state)
-        version_map = dict(versions)
         for index, session in enumerate(sessions):
             position = positions[index]
             if position == len(session):
@@ -49,19 +51,18 @@ def check_sequential(history: History, max_states: int = 2_000_000) -> Verdict:
             next_positions = (
                 positions[:index] + (position + 1,) + positions[index + 1:]
             )
+            at = slot[op.key]
             if op.is_read:
-                if version_map.get(op.key, 0) == op.version:
+                if versions[at] == op.version:
                     if dfs(next_positions, versions):
                         return True
             else:
-                new_map = dict(version_map)
-                new_map[op.key] = op.version
-                new_versions = tuple(sorted(new_map.items(), key=lambda kv: repr(kv)))
-                if dfs(next_positions, new_versions):
+                written = versions[:at] + (op.version,) + versions[at + 1:]
+                if dfs(next_positions, written):
                     return True
         return False
 
-    ok = dfs(tuple(0 for _ in sessions), ())
+    ok = dfs((0,) * len(sessions), (0,) * len(slot))
     if not ok:
         if budget[0] <= 0:
             verdict.add(
@@ -70,7 +71,3 @@ def check_sequential(history: History, max_states: int = 2_000_000) -> Verdict:
         else:
             verdict.add("no sequentially consistent total order exists")
     return verdict
-
-
-def check_sequential_or_raise(history: History) -> Verdict:
-    return check_sequential(history).raise_if_violated()

@@ -18,7 +18,9 @@ per tier in one pass.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Hashable
 
 from ..histories import History, Operation
@@ -53,30 +55,24 @@ def measure_staleness(
     completed write counts regardless of the tier that recorded it.
     """
     out: list[ReadStaleness] = []
-    writes_by_key: dict = {}
-    for op in history.writes():
-        if op.completed:
-            writes_by_key.setdefault(op.key, []).append(op)
-    for ops in writes_by_key.values():
-        ops.sort(key=lambda op: op.version)
-
+    # Per key, over its completed writes in completion order: end times,
+    # versions, running maximum version (non-decreasing, so bisectable).
+    timelines: dict = {}
     for read in history.reads():
         if tier is not ANY_TIER and read.tier != tier:
             continue
-        completed = [
-            w for w in writes_by_key.get(read.key, ()) if w.end <= read.start
-        ]
-        if not completed:
-            out.append(ReadStaleness(read, 0, 0.0))
-            continue
-        newest = completed[-1]
-        behind = sum(1 for w in completed if w.version > read.version)
-        time_behind = 0.0
-        if behind:
-            # When was the read's version first superseded?
-            superseders = [w for w in completed if w.version > read.version]
-            time_behind = max(0.0, read.start - min(w.end for w in superseders))
-        del newest
+        if read.key not in timelines:
+            writes = history.writes_by_end(read.key)
+            versions = [w.version for w in writes]
+            timelines[read.key] = (
+                [w.end for w in writes], versions, list(accumulate(versions, max)))
+        ends, versions, newest = timelines[read.key]
+        # Only ends[:visible] completed before the read started; the first
+        # of them to supersede it is where the running maximum passes it.
+        visible = bisect_right(ends, read.start)
+        first = bisect_right(newest, read.version, 0, visible)
+        behind = sum(1 for v in versions[first:visible] if v > read.version)
+        time_behind = max(0.0, read.start - ends[first]) if behind else 0.0
         out.append(ReadStaleness(read, behind, time_behind))
     return out
 

@@ -68,8 +68,8 @@ class InvariantViolation(ReproError):
 class ConsistencyViolation(ReproError):
     """A checker found a history that violates the claimed model.
 
-    Raised only by ``check_*_or_raise`` helpers; the plain checkers
-    return structured verdicts instead of raising.
+    Raised only by ``Verdict.raise_if_violated``; the checkers
+    themselves return structured verdicts instead of raising.
     """
 
 

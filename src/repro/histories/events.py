@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator
+from functools import cached_property
+from typing import Any, Hashable, Iterable, Iterator, NamedTuple
 
 _op_ids = itertools.count(1)
 
@@ -95,13 +96,27 @@ def make_read(
                      replica=replica, tier=tier)
 
 
-# Aliases that read naturally at call sites.
-WriteOp = make_write
-ReadOp = make_read
+class _Index(NamedTuple):
+    """Every view of a :class:`History`, built by one scan of its ops."""
+
+    completed: tuple[Operation, ...]
+    reads: tuple[Operation, ...]       # completed reads
+    writes: tuple[Operation, ...]      # all writes, responded or not
+    by_session: dict[Hashable, tuple[Operation, ...]]   # completed ops
+    by_key: dict[Hashable, tuple[Operation, ...]]       # all ops
+    # Per key, completed writes only:
+    writes_by_version: dict[Hashable, tuple[Operation, ...]]
+    writes_by_end: dict[Hashable, tuple[Operation, ...]]
+    write_at: dict[tuple[Hashable, int], Operation]
 
 
 class History:
-    """An immutable collection of operations with indexed views."""
+    """An immutable collection of operations with indexed views.
+
+    The views are built once, lazily, on first use (``add``/``extend``
+    return a new ``History`` with fresh indexes), so a checker pays one
+    O(n log n) index build per history and a lookup per view after it.
+    """
 
     def __init__(self, operations: Iterable[Operation] = ()) -> None:
         self._ops: tuple[Operation, ...] = tuple(
@@ -124,55 +139,84 @@ class History:
     def extend(self, ops: Iterable[Operation]) -> "History":
         return History(self._ops + tuple(ops))
 
+    @cached_property
+    def _index(self) -> _Index:
+        """The only scan of the op tuple.  ``_ops`` is sorted by
+        ``(start, op_id)``, so every per-session and per-key list comes
+        out in program order without another sort."""
+        completed, reads, writes = [], [], []
+        by_session: dict = {}
+        by_key: dict = {}
+        done_writes: dict = {}
+        write_at = {}
+        for op in self._ops:
+            # A session that holds only incomplete ops is still a session.
+            in_session = by_session.setdefault(op.session, [])
+            by_key.setdefault(op.key, []).append(op)
+            if op.kind == "write":
+                writes.append(op)
+            if op.end is None:
+                continue
+            completed.append(op)
+            in_session.append(op)
+            if op.kind == "read":
+                reads.append(op)
+            elif op.kind == "write":
+                done_writes.setdefault(op.key, []).append(op)
+                write_at[op.key, op.version] = op   # latest duplicate wins
+
+        def frozen(groups: dict, order: Any = None) -> dict:
+            return {
+                group: tuple(sorted(ops, key=order) if order else ops)
+                for group, ops in groups.items()
+            }
+
+        return _Index(
+            tuple(completed), tuple(reads), tuple(writes),
+            frozen(by_session), frozen(by_key),
+            frozen(done_writes, lambda op: op.version),
+            frozen(done_writes, lambda op: op.end), write_at,
+        )
+
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     @property
-    def completed(self) -> list[Operation]:
-        return [op for op in self._ops if op.completed]
+    def completed(self) -> tuple[Operation, ...]:
+        return self._index.completed
 
-    def by_session(self, session: Hashable) -> list[Operation]:
+    def by_session(self, session: Hashable) -> tuple[Operation, ...]:
         """Completed ops of one session, in session (program) order."""
-        ops = [op for op in self._ops if op.session == session and op.completed]
-        ops.sort(key=lambda op: (op.start, op.op_id))
-        return ops
+        return self._index.by_session.get(session, ())
 
     @property
     def sessions(self) -> list[Hashable]:
-        seen: dict[Hashable, None] = {}
-        for op in self._ops:
-            seen.setdefault(op.session)
-        return list(seen)
+        return list(self._index.by_session)
 
-    def by_key(self, key: Hashable) -> list[Operation]:
-        return [op for op in self._ops if op.key == key]
+    def by_key(self, key: Hashable) -> tuple[Operation, ...]:
+        return self._index.by_key.get(key, ())
 
     @property
     def keys(self) -> list[Hashable]:
-        seen: dict[Hashable, None] = {}
-        for op in self._ops:
-            seen.setdefault(op.key)
-        return list(seen)
+        return list(self._index.by_key)
 
-    def reads(self) -> list[Operation]:
-        return [op for op in self._ops if op.is_read and op.completed]
+    def reads(self) -> tuple[Operation, ...]:
+        return self._index.reads
 
-    def writes(self) -> list[Operation]:
-        return [op for op in self._ops if op.is_write]
+    def writes(self) -> tuple[Operation, ...]:
+        return self._index.writes
 
-    def latest_version_before(self, key: Hashable, time: float) -> int:
-        """Highest version of ``key`` whose write completed by ``time``."""
-        best = 0
-        for op in self._ops:
-            if (
-                op.is_write
-                and op.key == key
-                and op.completed
-                and op.end <= time
-                and op.version > best
-            ):
-                best = op.version
-        return best
+    def writes_by_version(self, key: Hashable) -> tuple[Operation, ...]:
+        """Completed writes of ``key`` in version order."""
+        return self._index.writes_by_version.get(key, ())
+
+    def writes_by_end(self, key: Hashable) -> tuple[Operation, ...]:
+        """Completed writes of ``key`` in completion-time order."""
+        return self._index.writes_by_end.get(key, ())
+
+    def write_at(self, key: Hashable, version: int) -> Operation | None:
+        """The completed write that installed ``version`` of ``key``."""
+        return self._index.write_at.get((key, version))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<History ops={len(self._ops)} sessions={len(self.sessions)}>"

@@ -203,3 +203,44 @@ def test_read_of_missing_key():
     spawn(sim, script())
     sim.run()
     assert out["read"] == (None, None)
+
+
+# ----------------------------------------------------------------------
+# Seed sweeps through the store API (the benchmark's construction)
+# ----------------------------------------------------------------------
+
+def ycsb_history(seed, clients, records, ops=500, protocol="causal", **opts):
+    from repro.api import registry
+    from repro.workload import YCSBWorkload, run_workload
+
+    sim = Simulator(seed=seed)
+    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
+    store = registry.build(protocol, sim, net, nodes=5, **opts)
+    oplist = YCSBWorkload("A", records=records, seed=seed + 1).take(ops)
+    return run_workload(store, oplist, clients=clients, timeout=60_000.0).history
+
+
+def test_causal_holds_over_forty_seeds_at_the_benchmark_shape():
+    # bench/'s `causal_checked`: 4 clients x 500 keys x 500 ops.
+    failures = {
+        seed: [str(v) for v in verdict.violations]
+        for seed in range(40)
+        if not (verdict := check_causal(ycsb_history(seed, 4, 500))).ok
+    }
+    assert not failures
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "open finding, 2 of seeds 0-149 at 16 clients x 100 keys; triage "
+    "(store vs version ranking) pending.  Replay: Simulator(seed=s); "
+    "Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0)); "
+    "registry.build('causal', sim, net, nodes=5); "
+    "YCSBWorkload('A', records=100, seed=s+1).take(500); "
+    "run_workload(store, ops, clients=16, timeout=60_000.0).  "
+    "Seed 29: read 'user1'=v7 superseded by causally preceding write v8; "
+    "seed 75: read 'user2'=v8 superseded by causally preceding write v9."
+))
+@pytest.mark.parametrize("seed", [29, 75])
+def test_causal_holds_at_sixteen_clients_on_a_hundred_keys(seed):
+    verdict = check_causal(ycsb_history(seed, clients=16, records=100))
+    assert verdict.ok, [str(v) for v in verdict.violations]

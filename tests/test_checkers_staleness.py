@@ -1,6 +1,8 @@
 """Tests for staleness metrics and convergence checking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkers import (
     check_bounded_staleness,
@@ -16,10 +18,38 @@ from repro.clocks import LamportClock
 from repro.histories import History, make_read, make_write
 from repro.storage import LWWStore
 
+from .test_histories import op_st
+
 
 # ----------------------------------------------------------------------
 # Staleness
 # ----------------------------------------------------------------------
+
+def scan_staleness(history):
+    """`measure_staleness` by definition: per read, filter the key's
+    completed writes (the three comprehensions the bisect replaced)."""
+    out = []
+    for read in history:
+        if not (read.is_read and read.completed):
+            continue
+        missed = [
+            w for w in history
+            if w.is_write and w.completed and w.key == read.key
+            and w.end <= read.start and w.version > read.version
+        ]
+        superseded = min((w.end for w in missed), default=read.start)
+        out.append((read.op_id, len(missed), max(0.0, read.start - superseded)))
+    return out
+
+
+@given(ops=st.lists(op_st, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_measure_staleness_equals_its_definition(ops):
+    history = History(ops)
+    measured = [(m.op.op_id, m.versions_behind, m.time_behind)
+                for m in measure_staleness(history)]
+    assert measured == scan_staleness(history)
+
 
 def three_version_history(read_version):
     return History([
