@@ -48,7 +48,8 @@ def run_read_repair(enabled, seed=3):
 
     spawn(sim, script())
     sim.run()
-    return healed["victim"] == "v", store.cluster.read_repairs
+    return (healed["victim"] == "v",
+            sim.metrics.counter("quorum.read_repairs").value)
 
 
 # ----------------------------------------------------------------------

@@ -33,10 +33,10 @@ def merkle_vs_full_bytes(strategy, seed=4, common_keys=300):
     for i in range(common_keys):
         cluster.replicas[0].write(f"common-{i}", i)
     cluster.run_until_converged()
-    baseline = net.stats.bytes_sent
+    baseline = sim.metrics.counter("net.bytes_sent").value
     cluster.replicas[1].write("fresh-key", "x")
     cluster.run_until_converged()
-    return net.stats.bytes_sent - baseline
+    return sim.metrics.counter("net.bytes_sent").value - baseline
 
 
 def test_e4_convergence(benchmark, capsys):

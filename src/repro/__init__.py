@@ -8,8 +8,9 @@ and replication mechanisms into running code:
   partitionable network, WAN topologies, generator-based clients.
 * :mod:`repro.clocks` — Lamport / vector / version-vector / dotted /
   hybrid logical clocks.
-* :mod:`repro.storage` — per-replica stores (LWW, siblings, sequenced,
-  multi-version).
+* :mod:`repro.storage` — the multi-version store behind snapshot
+  isolation (replicas hold their own stores, see
+  :mod:`repro.replication`).
 * :mod:`repro.crdt` — state-, op- and delta-based CRDTs.
 * :mod:`repro.replication` — primary–backup, Dynamo quorums, gossip
   anti-entropy with Merkle trees, Paxos/Multi-Paxos, PNUTS timelines,

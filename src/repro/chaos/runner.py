@@ -15,7 +15,7 @@ whether a cache is present; ``policy`` only decides whether a
 :class:`~repro.cache.CachedStore` wraps the adapter.  ``repro chaos``
 and ``repro cache`` are two grids over :func:`run_grid`.
 
-Every run is traced through a :class:`~repro.perf.HashingTracer`, so a
+Every run is traced through a :class:`~repro.sim.HashingTracer`, so a
 cell has a fingerprint: same seed + same cell ⇒ byte-identical trace,
 which the CLI and CI verify back-to-back.
 """
@@ -37,8 +37,7 @@ from ..checkers import (
     stale_read_fraction,
     staleness_by_tier,
 )
-from ..perf.harness import HashingTracer
-from ..sim import FixedLatency, Network, Simulator
+from ..sim import FixedLatency, HashingTracer, Network, Simulator
 from ..workload import YCSBWorkload, run_workload
 from .nemesis import Nemesis
 from .plan import FaultPlan, resolve_plan

@@ -22,7 +22,7 @@ The scenario runs the same seeded storm up to three times:
   admitted requests finish inside their timeout, and goodput holds
   within 20% of the knee.
 
-Every run is traced through a :class:`~repro.perf.HashingTracer`, so
+Every run is traced through a :class:`~repro.sim.HashingTracer`, so
 the whole storm has a per-seed fingerprint; the CI overload-smoke job
 runs it twice and fails on drift, and :func:`run_storm` checks
 convergence after the storm quiesces (an overloaded store must shed or
@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 
 from ..api import registry
 from ..checkers import check_convergence
-from ..perf.harness import HashingTracer
-from ..sim import FixedLatency, Network, Simulator
+from ..sim import FixedLatency, HashingTracer, Network, Simulator
 from ..workload import FlashCrowdArrivals, PoissonArrivals, YCSBWorkload
 from ..workload.openloop import OpenLoopDriver
 

@@ -3,9 +3,9 @@
 Registers are where the taxonomy's conflict-handling choices are most
 visible: LWW silently *loses* one of two concurrent writes (cheap,
 lossy); the MV-register keeps both as siblings (lossless, pushes
-resolution to the reader) — the same design fork as
-:class:`repro.storage.LWWStore` vs :class:`repro.storage.SiblingStore`,
-but packaged as mergeable values.
+resolution to the reader) — the same design fork as the quorum
+engine's ``LWWStamps`` vs ``DottedSiblings`` conflict strategies
+(:mod:`repro.replication.quorum`), but packaged as mergeable values.
 """
 
 from __future__ import annotations

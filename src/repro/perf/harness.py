@@ -4,9 +4,10 @@ Responsibilities:
 
 * time each scenario untraced (wall clock, events/sec, ops/sec, peak
   RSS high-water mark),
-* re-run it under :class:`HashingTracer` to fingerprint behavior
-  (SHA-256 over the exact JSONL the :class:`~repro.sim.Tracer` would
-  dump, plus a digest of ``metrics.snapshot()``),
+* re-run it under :class:`~repro.sim.HashingTracer` to fingerprint
+  behavior (SHA-256 over the exact JSONL the
+  :class:`~repro.sim.Tracer` would dump, plus a digest of
+  ``metrics.snapshot()``),
 * assemble the ``BENCH_CORE.json`` document and compare two documents
   for the CI regression guard.
 
@@ -17,16 +18,14 @@ optimization, or the optimization changed semantics.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import platform
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
 from ..errors import ReproError
-from ..sim.trace import ANNOTATION, TraceEvent
+from ..sim.trace import HashingTracer, metrics_digest
 from .scenarios import DEFAULT_SCENARIOS, SCENARIOS, ScenarioOutcome
 
 SCHEMA = "repro.perf.bench_core/1"
@@ -59,40 +58,6 @@ def _peak_rss_kb() -> int | None:
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         peak //= 1024
     return int(peak)
-
-
-class HashingTracer:
-    """A tracer that hashes the trace instead of storing it.
-
-    Feeds every record through the exact JSONL encoding
-    :meth:`repro.sim.trace.Tracer.dump_jsonl` uses, so its digest is
-    byte-comparable with a dumped trace file — without holding a
-    multi-hundred-MB timeline in memory during a macro benchmark.
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self._hash = hashlib.sha256()
-        self.count = 0
-
-    def record(self, time: float, kind: str, **data: Any) -> None:
-        line = TraceEvent(time, kind, data).to_json()
-        self._hash.update(line.encode("utf-8"))
-        self._hash.update(b"\n")
-        self.count += 1
-
-    def annotate(self, time: float, category: str, **data: Any) -> None:
-        self.record(time, ANNOTATION, category=category, **data)
-
-    def hexdigest(self) -> str:
-        return self._hash.hexdigest()
-
-
-def metrics_digest(snapshot: dict) -> str:
-    """Canonical digest of a ``MetricsRegistry.snapshot()``."""
-    payload = json.dumps(snapshot, sort_keys=True, default=repr)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass

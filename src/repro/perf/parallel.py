@@ -14,7 +14,7 @@ changed nothing but the wall clock.
 
 Each worker runs the seed twice, exactly like ``repro bench`` does:
 once untraced for an honest wall-clock measurement, once under
-:class:`~repro.perf.harness.HashingTracer` for the fingerprint, and
+:class:`~repro.sim.HashingTracer` for the fingerprint, and
 cross-checks the two runs' metrics digests (tracing must never perturb
 a simulation).
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..errors import ReproError
-from .harness import HashingTracer, metrics_digest
+from ..sim.trace import HashingTracer, metrics_digest
 from .scenarios import SCENARIOS
 
 

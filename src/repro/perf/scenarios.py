@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..api import registry
+from ..chaos import PLANS, Nemesis
 from ..crdt import GCounter, ORSet
 from ..sharding import ShardedStore
 from ..sim import ExponentialLatency, Network, Simulator
@@ -143,10 +144,6 @@ def _run_multipaxos(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutco
 
 
 def _run_quorum_chaos(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutcome:
-    # Imported here: repro.chaos pulls in repro.perf.harness for its
-    # fingerprints, so a module-level import would be circular.
-    from ..chaos import PLANS, Nemesis
-
     ops, clients = (300, 6) if quick else (2000, 16)
     sim = Simulator(seed=seed, tracer=tracer)
     net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))

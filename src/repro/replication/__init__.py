@@ -14,13 +14,32 @@
 * :class:`CausalCluster` — COPS-style causal broadcast KV.
 * :class:`ChainCluster` — chain replication.
 * :class:`Proposer`/:class:`Acceptor` — single-decree Paxos.
+
+The five single-group networked protocols (primary–backup, chain,
+timeline, causal, Multi-Paxos) differ only in mechanism: each writes
+its wire messages, its replica's handlers and its client's verbs over
+the skeleton in :mod:`repro.replication.common` —
+:class:`RecordingClient` (the recorded client call),
+:class:`ReplicaGroup` (ids, replicas, recorder, ``connect``,
+``snapshots``) and, under primary–backup, chain and timeline,
+:class:`VersionedReplica` (the highest-version-wins store) with
+:class:`VersionedGroup` (its catch-up sweep).
 """
 
 from .anti_entropy import GossipCluster, GossipReplica
 from .bayou import BayouCluster, BayouReplica, BayouWrite
 from .causal_store import CausalClient, CausalCluster, CausalReplica
 from .chain import ChainClient, ChainCluster, ChainReplica
-from .common import ClientNode, Reply, Request, ServerNode
+from .common import (
+    ClientNode,
+    RecordingClient,
+    ReplicaGroup,
+    Reply,
+    Request,
+    ServerNode,
+    VersionedGroup,
+    VersionedReplica,
+)
 from .merkle import MerkleTree, build_tree, differing_leaves, keys_in_buckets
 from .multipaxos import (
     GetCmd,
@@ -46,6 +65,10 @@ __all__ = [
     "CausalClient",
     "CausalReplica",
     "ServerNode",
+    "RecordingClient",
+    "ReplicaGroup",
+    "VersionedGroup",
+    "VersionedReplica",
     "Request",
     "Reply",
     "PrimaryBackupCluster",

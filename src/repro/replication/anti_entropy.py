@@ -214,14 +214,6 @@ class GossipCluster:
             GossipReplica(sim, network, node_id, self) for node_id in ids
         ]
 
-    @property
-    def rounds_started(self) -> int:
-        return self._c_rounds_started.value
-
-    @property
-    def entries_merged(self) -> int:
-        return self._c_entries_merged.value
-
     def replica(self, index: int) -> GossipReplica:
         return self.replicas[index]
 

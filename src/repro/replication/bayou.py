@@ -73,10 +73,6 @@ class BayouReplica(Node):
         if cluster.interval is not None:
             self.every(cluster.interval, self.anti_entropy_once, jitter=0.5)
 
-    @property
-    def rollbacks(self) -> int:
-        return self._c_rollbacks.value
-
     # ------------------------------------------------------------------
     # Client API
     # ------------------------------------------------------------------

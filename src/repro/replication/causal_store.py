@@ -32,7 +32,7 @@ from typing import Any, Hashable
 from ..crdt.opbased import CausalBuffer, OpEnvelope
 from ..histories import History, TokenHistoryRecorder
 from ..sim import Future, Network, Simulator
-from .common import ClientNode, ServerNode
+from .common import RecordingClient, ReplicaGroup, ServerNode
 
 #: Arbitration rank of a write: grows along causality (vector-clock
 #: sum strictly increases on causal successors) and breaks concurrent
@@ -118,7 +118,7 @@ class CausalReplica(ServerNode):
         return {key: value for key, (value, _rank) in self.data.items()}
 
 
-class CausalClient(ClientNode):
+class CausalClient(RecordingClient):
     """A client pinned to one replica (its 'local datacenter')."""
 
     def __init__(
@@ -130,27 +130,8 @@ class CausalClient(ClientNode):
         session: Hashable,
         home: Hashable,
     ) -> None:
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
-        self.session = session
+        super().__init__(sim, network, node_id, cluster, session)
         self.home = home
-
-    def _recorded(self, kind, key, inner, extract):
-        outer = Future(self.sim)
-        recorder = self.cluster.recorder
-        handle = recorder.begin(kind, key, self.session, self.home)
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                rank, value = extract(future.value)
-                recorder.complete_token(handle, rank, value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
 
     def _endpoints(self) -> list:
         """Failover order: the home replica, then every other replica —
@@ -164,14 +145,14 @@ class CausalClient(ClientNode):
         inner = self.call(self._endpoints(), CPutLocal(key, value), timeout,
                           idempotent=True)
         return self._recorded(
-            "write", key, inner, lambda rank: (tuple(rank), value)
+            "write", key, self.home, inner, lambda rank: (tuple(rank), value)
         )
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
         """Local read; resolves with ``(value, rank-or-None)``."""
         inner = self.call(self._endpoints(), CGetLocal(key), timeout)
         return self._recorded(
-            "read", key, inner,
+            "read", key, self.home, inner,
             lambda reply: (
                 tuple(reply[1]) if reply[1] is not None else None,
                 reply[0],
@@ -179,8 +160,14 @@ class CausalClient(ClientNode):
         )
 
 
-class CausalCluster:
+class CausalCluster(ReplicaGroup):
     """COPS-style causal KV: local ops + causal broadcast."""
+
+    replica_class = CausalReplica
+    client_class = CausalClient
+    recorder_class = TokenHistoryRecorder
+    replica_prefix = "cc"
+    client_prefix = "ccclient"
 
     def __init__(
         self,
@@ -189,44 +176,17 @@ class CausalCluster:
         nodes: int = 3,
         node_ids: list[Hashable] | None = None,
     ) -> None:
-        ids = node_ids or [f"cc{i}" for i in range(nodes)]
-        self.sim = sim
-        self.network = network
-        self.node_ids = list(ids)
         metrics = sim.metrics
         self._c_writes_local = metrics.counter("causal.writes_local")
         self._c_reads_local = metrics.counter("causal.reads_local")
         self._c_ops_applied = metrics.counter("causal.ops_applied")
         self._g_pending = metrics.gauge("causal.pending")
-        self.replicas = [CausalReplica(sim, network, i, self) for i in ids]
-        self._clients = 0
-        self.recorder = TokenHistoryRecorder(sim)
-
-    def replica(self, node_id: Hashable) -> CausalReplica:
-        for replica in self.replicas:
-            if replica.node_id == node_id:
-                return replica
-        raise KeyError(node_id)
-
-    def connect(
-        self,
-        home: Hashable,
-        session: Hashable | None = None,
-        client_id: Hashable | None = None,
-    ) -> CausalClient:
-        self._clients += 1
-        session = session if session is not None else f"session-{self._clients}"
-        client_id = client_id if client_id is not None else f"ccclient-{self._clients}"
-        return CausalClient(self.sim, self.network, client_id, self,
-                            session, home)
+        super().__init__(sim, network, nodes, node_ids)
 
     def history(self) -> History:
         """The clients' operations, arbitration ranks densified into
         per-key integer versions."""
         return self.recorder.history()
-
-    def snapshots(self) -> list[dict]:
-        return [replica.snapshot() for replica in self.replicas]
 
     def anti_entropy_sweep(self) -> None:
         """Instantaneous pairwise exchange of applied logs until a

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import NotLeaderError
-from ..histories import HistoryRecorder
 from ..sim import Future, Network, Simulator
-from .common import ClientNode, ServerNode
+from .common import RecordingClient, VersionedGroup, VersionedReplica
 
 
 @dataclass
@@ -44,7 +43,7 @@ class ChainAck:
     write_id: int
 
 
-class ChainReplica(ServerNode):
+class ChainReplica(VersionedReplica):
     """One link: knows its successor/predecessor by cluster position."""
 
     def __init__(
@@ -53,13 +52,9 @@ class ChainReplica(ServerNode):
         network: Network,
         node_id: Hashable,
         cluster: "ChainCluster",
-        index: int,
     ) -> None:
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
-        self.index = index
-        self.data: dict[Hashable, tuple[Any, int]] = {}
-        self._versions: dict[Hashable, int] = {}
+        super().__init__(sim, network, node_id, cluster)
+        self.index = cluster.node_ids.index(node_id)
         self._pending: dict[int, tuple[Future, int]] = {}
         self._write_ids = 0
 
@@ -77,18 +72,12 @@ class ChainReplica(ServerNode):
             return None
         return self.cluster.replicas[self.index + 1]
 
-    def _install(self, key: Hashable, value: Any, version: int) -> None:
-        current = self.data.get(key)
-        if current is None or version > current[1]:
-            self.data[key] = (value, version)
-        self._versions[key] = max(self._versions.get(key, 0), version)
-
     # -- client-facing -----------------------------------------------------
     def serve_CPut(self, src: Hashable, payload: CPut):
         if not self.is_head:
             raise NotLeaderError("writes must enter at the head")
-        version = self._versions.get(payload.key, 0) + 1
-        self._install(payload.key, payload.value, version)
+        version = self.read(payload.key)[1] + 1
+        self.install(payload.key, payload.value, version)
         if self.is_tail:  # single-node chain
             return version
         self._write_ids += 1
@@ -104,11 +93,11 @@ class ChainReplica(ServerNode):
     def serve_CGet(self, src: Hashable, payload: CGet):
         if not self.is_tail:
             raise NotLeaderError("reads are served by the tail")
-        return self.data.get(payload.key, (None, 0))
+        return self.read(payload.key)
 
     # -- chain propagation -------------------------------------------------
     def handle_ChainForward(self, src: Hashable, msg: ChainForward) -> None:
-        self._install(msg.key, msg.value, msg.version)
+        self.install(msg.key, msg.value, msg.version)
         if self.is_tail:
             # Ack flows straight back to the head.
             self.send(self.cluster.replicas[0].node_id, ChainAck(msg.write_id))
@@ -123,33 +112,8 @@ class ChainReplica(ServerNode):
         if not future.done:
             future.resolve(version)
 
-    def snapshot(self) -> dict:
-        return {key: value for key, (value, _version) in self.data.items()}
 
-
-class ChainClient(ClientNode):
-    def __init__(self, sim, network, node_id, cluster, session):
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
-        self.session = session
-
-    def _recorded(self, kind, key, target, inner, extract):
-        recorder = self.cluster.recorder
-        handle = recorder.begin(kind, key, self.session, target)
-        outer = Future(self.sim)
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                version, value = extract(future.value)
-                recorder.complete(handle, version, value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
-
+class ChainClient(RecordingClient):
     def put(self, key: Hashable, value: Any, timeout: float | None = None) -> Future:
         # Chain roles are fixed (writes at head, reads at tail), so
         # there are no failover endpoints — retries re-ask the same
@@ -164,27 +128,13 @@ class ChainClient(ClientNode):
         return self._recorded("read", key, tail, inner, lambda v: (v[1], v[0]))
 
 
-class ChainCluster:
+class ChainCluster(VersionedGroup):
     """A static chain of replicas: head = replicas[0], tail = last."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-    ) -> None:
-        if nodes < 1:
-            raise ValueError("need at least one replica")
-        ids = node_ids or [f"ch{i}" for i in range(nodes)]
-        self.sim = sim
-        self.network = network
-        self.replicas = [
-            ChainReplica(sim, network, node_id, self, index)
-            for index, node_id in enumerate(ids)
-        ]
-        self.recorder = HistoryRecorder(sim)
-        self._clients = 0
+    replica_class = ChainReplica
+    client_class = ChainClient
+    replica_prefix = "ch"
+    client_prefix = "chclient"
 
     @property
     def head(self) -> ChainReplica:
@@ -193,26 +143,3 @@ class ChainCluster:
     @property
     def tail(self) -> ChainReplica:
         return self.replicas[-1]
-
-    def connect(self, session=None, client_id=None) -> ChainClient:
-        self._clients += 1
-        session = session if session is not None else f"session-{self._clients}"
-        client_id = client_id if client_id is not None else f"chclient-{self._clients}"
-        return ChainClient(self.sim, self.network, client_id, self, session)
-
-    def snapshots(self) -> list[dict]:
-        return [replica.snapshot() for replica in self.replicas]
-
-    def anti_entropy_sweep(self) -> None:
-        """Instantaneous chain repair between live replicas: flood
-        every record through the version-guarded ``_install`` path so
-        the per-key max version wins everywhere.  A ``ChainForward``
-        dropped by a partition is never re-sent, so the chaos runner
-        calls this after healing to restore the chain invariant."""
-        for source in self.replicas:
-            if source.crashed:
-                continue
-            for key, (value, version) in list(source.data.items()):
-                for target in self.replicas:
-                    if target is not source and not target.crashed:
-                        target._install(key, value, version)

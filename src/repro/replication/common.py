@@ -33,6 +33,7 @@ from typing import Any, Hashable
 from .. import errors
 from ..errors import OverloadedError, ReproError, SimulationError
 from ..errors import TimeoutError as ReproTimeoutError
+from ..histories import HistoryRecorder
 from ..rpc import RetryPolicy, RpcCall, rpc_counters
 from ..sim import Future, Network, Node, Simulator
 from ..sim.trace import MSG_DROP
@@ -525,3 +526,168 @@ class ServerNode(Node):
             return
         self._busy_until = 0.0
         super().recover()
+
+
+# ----------------------------------------------------------------------
+# The protocol skeleton: everything about a single-group protocol that
+# is not mechanism.  A protocol writes its wire messages, its replica's
+# handlers and its client's verbs; the bases below supply the recorded
+# client call, the cluster scaffold and the versioned store + sweep.
+# ----------------------------------------------------------------------
+class RecordingClient(ClientNode):
+    """A client node bound to one session of one :class:`ReplicaGroup`,
+    recording every operation into the group's history."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Network,
+        node_id: Hashable,
+        cluster: "ReplicaGroup",
+        session: Hashable,
+    ) -> None:
+        super().__init__(sim, network, node_id)
+        self.cluster = cluster
+        self.session = session
+
+    def _recorded(
+        self, kind: str, key: Hashable, target: Hashable, inner: Future,
+        extract,
+    ) -> Future:
+        """Record one operation around its RPC future ``inner``.
+
+        ``target`` is the replica the operation was addressed to;
+        ``extract(reply)`` gives ``(version, value)`` for the history —
+        an integer version, or an orderable token when the group
+        records through a :class:`~repro.histories
+        .TokenHistoryRecorder`.  The returned future settles as
+        ``inner`` does, after the history entry is written."""
+        recorder = self.cluster.recorder
+        handle = recorder.begin(kind, key, self.session, target)
+        complete = getattr(recorder, "complete_token", recorder.complete)
+        outer = Future(self.sim)
+
+        def done(future: Future) -> None:
+            if future.error is not None:
+                recorder.fail(handle)
+                outer.fail(future.error)
+            else:
+                version, value = extract(future.value)
+                complete(handle, version, value)
+                outer.resolve(future.value)
+
+        inner.add_callback(done)
+        return outer
+
+
+class ReplicaGroup:
+    """One group of replicas over a shared network, plus its clients.
+
+    Subclasses name the replica and client classes and the id prefixes;
+    replicas are built in id order as ``replica_class(sim, network,
+    node_id, cluster)``.
+    """
+
+    replica_class: type
+    client_class: type
+    recorder_class: type = HistoryRecorder
+    #: Default replica ids are ``<replica_prefix><i>``, default client
+    #: ids ``<client_prefix>-<n>`` (sessions: ``session-<n>``).
+    replica_prefix: str
+    client_prefix: str
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Network,
+        nodes: int = 3,
+        node_ids: list[Hashable] | None = None,
+    ) -> None:
+        if nodes < 1:
+            raise ValueError("need at least one replica")
+        ids = list(node_ids) if node_ids else [
+            f"{self.replica_prefix}{i}" for i in range(nodes)
+        ]
+        if len(ids) != nodes:
+            raise ValueError(
+                f"node_ids has {len(ids)} entries for {nodes} replicas"
+            )
+        self.sim = sim
+        self.network = network
+        self.node_ids = ids
+        self.recorder = self.recorder_class(sim)
+        self._clients = 0
+        self.replicas = [
+            self.replica_class(sim, network, node_id, self) for node_id in ids
+        ]
+
+    def connect(
+        self,
+        session: Hashable | None = None,
+        client_id: Hashable | None = None,
+        **opts: Any,
+    ) -> RecordingClient:
+        """Attach a new client node (one session) to the network;
+        ``opts`` go to the protocol's client class."""
+        self._clients += 1
+        if session is None:
+            session = f"session-{self._clients}"
+        if client_id is None:
+            client_id = f"{self.client_prefix}-{self._clients}"
+        return self.client_class(
+            self.sim, self.network, client_id, self, session, **opts
+        )
+
+    def replica(self, node_id: Hashable) -> ServerNode:
+        for replica in self.replicas:
+            if replica.node_id == node_id:
+                return replica
+        raise KeyError(node_id)
+
+    def snapshots(self) -> list[dict]:
+        return [replica.snapshot() for replica in self.replicas]
+
+
+class VersionedReplica(ServerNode):
+    """A replica storing ``key -> (value, version)`` where the highest
+    version wins — safe exactly when one node (primary, head, record
+    master) assigns each key's versions."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Network,
+        node_id: Hashable,
+        cluster: ReplicaGroup,
+    ) -> None:
+        super().__init__(sim, network, node_id)
+        self.cluster = cluster
+        self.data: dict[Hashable, tuple[Any, int]] = {}
+
+    def install(self, key: Hashable, value: Any, version: int) -> None:
+        current = self.data.get(key)
+        if current is None or version > current[1]:
+            self.data[key] = (value, version)
+
+    def read(self, key: Hashable) -> tuple[Any, int]:
+        return self.data.get(key, (None, 0))
+
+    def snapshot(self) -> dict:
+        return {key: value for key, (value, _version) in self.data.items()}
+
+
+class VersionedGroup(ReplicaGroup):
+    """A group of :class:`VersionedReplica`."""
+
+    def anti_entropy_sweep(self) -> None:
+        """Instantaneous catch-up between live replicas: every record
+        flows to every other replica through ``install``, so the
+        per-key highest version wins everywhere.  These protocols ship
+        each write once — a replication message dropped by a partition
+        is never re-sent — so the chaos runner sweeps after healing."""
+        live = [replica for replica in self.replicas if not replica.crashed]
+        for source in live:
+            for key, (value, version) in list(source.data.items()):
+                for target in live:
+                    if target is not source:
+                        target.install(key, value, version)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import NotLeaderError
-from ..histories import HistoryRecorder
 from ..sim import Future, Network, Simulator
-from .common import ClientNode, ServerNode
+from .common import RecordingClient, ReplicaGroup, ServerNode
 from .paxos import NO_BALLOT, Ballot
 
 
@@ -127,7 +126,6 @@ class PaxosReplica(ServerNode):
         self.committed: dict[int, Any] = {}
         self.applied_through = -1
         self.store: dict[Hashable, tuple[Any, int]] = {}  # key -> (value, version)
-        self._versions: dict[Hashable, int] = {}
         # Leader state.
         self.is_leader = False
         self.ballot: Ballot = NO_BALLOT
@@ -257,8 +255,7 @@ class PaxosReplica(ServerNode):
 
     def _apply(self, command: Any) -> Any:
         if isinstance(command, PutCmd):
-            version = self._versions.get(command.key, 0) + 1
-            self._versions[command.key] = version
+            version = self.store.get(command.key, (None, 0))[1] + 1
             self.store[command.key] = (command.value, version)
             return version
         if isinstance(command, GetCmd):
@@ -296,40 +293,8 @@ class PaxosReplica(ServerNode):
         return {key: value for key, (value, _version) in self.store.items()}
 
 
-class PaxosClient(ClientNode):
+class PaxosClient(RecordingClient):
     """Client handle with history recording."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: Hashable,
-        cluster: "MultiPaxosCluster",
-        session: Hashable,
-    ) -> None:
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
-        self.session = session
-
-    def _recorded(
-        self, kind: str, key: Hashable, target: Hashable, inner: Future,
-        extract,
-    ) -> Future:
-        recorder = self.cluster.recorder
-        handle = recorder.begin(kind, key, self.session, target)
-        outer = Future(self.sim)
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                version, value = extract(future.value)
-                recorder.complete(handle, version, value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
 
     def put(
         self, key: Hashable, value: Any, timeout: float | None = None
@@ -369,8 +334,13 @@ class PaxosClient(ClientNode):
         )
 
 
-class MultiPaxosCluster:
+class MultiPaxosCluster(ReplicaGroup):
     """A Multi-Paxos group replicating a KV state machine."""
+
+    replica_class = PaxosReplica
+    client_class = PaxosClient
+    replica_prefix = "px"
+    client_prefix = "pxclient"
 
     def __init__(
         self,
@@ -379,15 +349,7 @@ class MultiPaxosCluster:
         nodes: int = 3,
         node_ids: list[Hashable] | None = None,
     ) -> None:
-        if nodes < 1:
-            raise ValueError("need at least one replica")
-        ids = node_ids or [f"px{i}" for i in range(nodes)]
-        self.sim = sim
-        self.network = network
-        self.node_ids = list(ids)
-        self.replicas = [PaxosReplica(sim, network, i, self) for i in ids]
-        self.recorder = HistoryRecorder(sim)
-        self._clients = 0
+        super().__init__(sim, network, nodes, node_ids)
         self._leader: PaxosReplica | None = None
         self._round = 0
 
@@ -413,17 +375,6 @@ class MultiPaxosCluster:
             if other is not replica:
                 other.is_leader = False
         self._leader = replica
-
-    def connect(
-        self, session: Hashable | None = None, client_id: Hashable | None = None
-    ) -> PaxosClient:
-        self._clients += 1
-        session = session if session is not None else f"session-{self._clients}"
-        client_id = client_id if client_id is not None else f"pxclient-{self._clients}"
-        return PaxosClient(self.sim, self.network, client_id, self, session)
-
-    def snapshots(self) -> list[dict]:
-        return [replica.snapshot() for replica in self.replicas]
 
     def catch_up(self) -> None:
         """Instantaneous log repair: union every replica's committed

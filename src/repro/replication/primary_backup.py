@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import NotLeaderError, UnavailableError
-from ..histories import HistoryRecorder
 from ..sim import Future, Network, Simulator
-from .common import ClientNode, ServerNode
+from .common import RecordingClient, VersionedGroup, VersionedReplica
 
 VALID_MODES = ("async", "sync", "quorum")
 
@@ -54,32 +53,17 @@ class ReplicateAck:
     write_id: int
 
 
-class PBReplica(ServerNode):
+class PBReplica(VersionedReplica):
     """One primary/backup storage node."""
 
     def __init__(
         self, sim: Simulator, network: Network, node_id: Hashable, cluster:
         "PrimaryBackupCluster"
     ) -> None:
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
+        super().__init__(sim, network, node_id, cluster)
         self.is_primary = False
-        self.data: dict[Hashable, tuple[Any, int]] = {}
-        self._versions: dict[Hashable, int] = {}
         self._write_ids = 0
         self._pending: dict[int, tuple[Future, int, int]] = {}  # id -> (future, version, acks_left)
-
-    # -- storage ---------------------------------------------------------
-    def apply(self, key: Hashable, value: Any, version: int) -> None:
-        current = self.data.get(key)
-        if current is None or version > current[1]:
-            self.data[key] = (value, version)
-
-    def read(self, key: Hashable) -> tuple[Any, int]:
-        return self.data.get(key, (None, 0))
-
-    def snapshot(self) -> dict:
-        return {key: value for key, (value, _version) in self.data.items()}
 
     # -- client-facing ------------------------------------------------------
     def serve_GetPayload(self, src: Hashable, payload: GetPayload):
@@ -90,9 +74,8 @@ class PBReplica(ServerNode):
             raise NotLeaderError(
                 f"{self.node_id!r} is a backup; writes go to the primary"
             )
-        version = self._versions.get(payload.key, 0) + 1
-        self._versions[payload.key] = version
-        self.apply(payload.key, payload.value, version)
+        version = self.read(payload.key)[1] + 1
+        self.install(payload.key, payload.value, version)
         backups = [r for r in self.cluster.replicas if r is not self]
         acks_needed = self.cluster.acks_needed(len(backups))
         self._write_ids += 1
@@ -108,10 +91,7 @@ class PBReplica(ServerNode):
 
     # -- replication ----------------------------------------------------
     def handle_ReplicateMsg(self, src: Hashable, msg: ReplicateMsg) -> None:
-        self.apply(msg.key, msg.value, msg.version)
-        self._versions[msg.key] = max(
-            self._versions.get(msg.key, 0), msg.version
-        )
+        self.install(msg.key, msg.value, msg.version)
         self.send(src, ReplicateAck(msg.write_id))
 
     def handle_ReplicateAck(self, src: Hashable, msg: ReplicateAck) -> None:
@@ -131,44 +111,20 @@ class PBReplica(ServerNode):
         self._pending.clear()
 
 
-class PBClient(ClientNode):
+class PBClient(RecordingClient):
     """Client handle bound to one session, recording history."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: Hashable,
-        cluster: "PrimaryBackupCluster",
-        session: Hashable,
-    ) -> None:
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
-        self.session = session
 
     def put(
         self, key: Hashable, value: Any, timeout: float | None = None
     ) -> Future:
         """Write through the primary; resolves with the new version."""
-        recorder = self.cluster.recorder
-        primary = self.cluster.primary
-        handle = recorder.begin("write", key, self.session, primary.node_id)
+        primary = self.cluster.primary.node_id
         # Writes only the primary can accept: no failover endpoints,
         # but retried writes dedup at the primary.
-        inner = self.call(primary.node_id, PutPayload(key, value), timeout,
+        inner = self.call(primary, PutPayload(key, value), timeout,
                           idempotent=True)
-        outer = Future(self.sim, label=f"put({key!r})")
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                recorder.complete(handle, future.value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
+        return self._recorded("write", key, primary, inner,
+                              lambda v: (v, value))
 
     def get(
         self,
@@ -179,31 +135,23 @@ class PBClient(ClientNode):
         """Read from ``replica`` (default primary); resolves with
         ``(value, version)``."""
         target = replica or self.cluster.primary
-        recorder = self.cluster.recorder
-        handle = recorder.begin("read", key, self.session, target.node_id)
         # Reads fail over across the replica set (trading freshness
         # for availability, the EC bargain); writes do not.
         endpoints = [target.node_id] + [
             r.node_id for r in self.cluster.replicas if r is not target
         ]
         inner = self.call(endpoints, GetPayload(key), timeout)
-        outer = Future(self.sim, label=f"get({key!r})")
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                value, version = future.value
-                recorder.complete(handle, version, value)
-                outer.resolve((value, version))
-
-        inner.add_callback(done)
-        return outer
+        return self._recorded("read", key, target.node_id, inner,
+                              lambda v: (v[1], v[0]))
 
 
-class PrimaryBackupCluster:
+class PrimaryBackupCluster(VersionedGroup):
     """A primary plus ``n - 1`` backups over a shared network."""
+
+    replica_class = PBReplica
+    client_class = PBClient
+    replica_prefix = "pb"
+    client_prefix = "client"
 
     def __init__(
         self,
@@ -215,18 +163,9 @@ class PrimaryBackupCluster:
     ) -> None:
         if mode not in VALID_MODES:
             raise ValueError(f"mode must be one of {VALID_MODES}")
-        if n < 1:
-            raise ValueError("need at least one replica")
-        ids = node_ids or [f"pb{i}" for i in range(n)]
-        if len(ids) != n:
-            raise ValueError("node_ids length must equal n")
-        self.sim = sim
-        self.network = network
+        super().__init__(sim, network, n, node_ids)
         self.mode = mode
-        self.replicas = [PBReplica(sim, network, node_id, self) for node_id in ids]
         self.replicas[0].is_primary = True
-        self.recorder = HistoryRecorder(sim)
-        self._clients = 0
 
     @property
     def primary(self) -> PBReplica:
@@ -246,15 +185,6 @@ class PrimaryBackupCluster:
             return backup_count
         return (backup_count + 1) // 2  # majority of all replicas incl. self
 
-    def connect(
-        self, session: Hashable | None = None, client_id: Hashable | None = None
-    ) -> PBClient:
-        """Attach a new client node (one session) to the network."""
-        self._clients += 1
-        session = session if session is not None else f"session-{self._clients}"
-        client_id = client_id if client_id is not None else f"client-{self._clients}"
-        return PBClient(self.sim, self.network, client_id, self, session)
-
     def promote(self, replica: PBReplica) -> None:
         """Manual failover.  With ``async`` mode this can lose acked
         writes — deliberately reproducible (discussed in E1/E12)."""
@@ -263,23 +193,3 @@ class PrimaryBackupCluster:
         for r in self.replicas:
             r.is_primary = False
         replica.is_primary = True
-
-    def snapshots(self) -> list[dict]:
-        return [replica.snapshot() for replica in self.replicas]
-
-    def anti_entropy_sweep(self) -> None:
-        """Instantaneous catch-up between live replicas: flood every
-        record through the version-guarded ``apply`` path so the
-        per-key max version wins everywhere.  Replication ships each
-        write once — a ``ReplicateMsg`` dropped by a partition is
-        never re-sent, so the chaos runner calls this after healing."""
-        for source in self.replicas:
-            if source.crashed:
-                continue
-            for key, (value, version) in list(source.data.items()):
-                for target in self.replicas:
-                    if target is not source and not target.crashed:
-                        target.apply(key, value, version)
-                        target._versions[key] = max(
-                            target._versions.get(key, 0), version
-                        )

@@ -684,30 +684,6 @@ class DynamoCluster:
         )
         self._clients = 0
 
-    @property
-    def read_repairs(self) -> int:
-        return self._c_read_repairs.value
-
-    @property
-    def hinted_writes(self) -> int:
-        return self._c_hinted_writes.value
-
-    @property
-    def hints_delivered(self) -> int:
-        return self._c_hints_delivered.value
-
-    @property
-    def writes_succeeded(self) -> int:
-        return self._c_writes_succeeded.value
-
-    @property
-    def writes_failed(self) -> int:
-        return self._c_writes_failed.value
-
-    @property
-    def reads_failed(self) -> int:
-        return self._c_reads_failed.value
-
     def node(self, node_id: Hashable) -> DynamoNode:
         for node in self.nodes:
             if node.node_id == node_id:

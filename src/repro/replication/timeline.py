@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import UnavailableError
-from ..histories import HistoryRecorder
 from ..sim import Future, Network, Simulator
-from .common import ClientNode, ServerNode
+from .common import ClientNode, RecordingClient, VersionedGroup, VersionedReplica
 from .ring import HashRing
 
 
@@ -53,7 +52,7 @@ class PropagateMsg:
     version: int
 
 
-class TimelineReplica(ServerNode):
+class TimelineReplica(VersionedReplica):
     """Holds every record; masters the records the ring assigns it."""
 
     def __init__(
@@ -63,9 +62,7 @@ class TimelineReplica(ServerNode):
         node_id: Hashable,
         cluster: "TimelineCluster",
     ) -> None:
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
-        self.data: dict[Hashable, tuple[Any, int]] = {}
+        super().__init__(sim, network, node_id, cluster)
         self._waiters: dict[Hashable, list[tuple[int, Future]]] = {}
 
     # -- mastering ---------------------------------------------------------
@@ -76,9 +73,8 @@ class TimelineReplica(ServerNode):
         if not self.is_master_of(payload.key):
             # Forward to the record master and relay its answer.
             return self._forwarded_write(payload)
-        value, version = self.data.get(payload.key, (None, 0))
-        version += 1
-        self._install(payload.key, payload.value, version)
+        version = self.read(payload.key)[1] + 1
+        self.install(payload.key, payload.value, version)
         delay = self.cluster.propagation_delay
         message = PropagateMsg(payload.key, payload.value, version)
         for peer in self.cluster.node_ids:
@@ -109,10 +105,10 @@ class TimelineReplica(ServerNode):
 
     # -- reads ------------------------------------------------------------
     def serve_TReadAny(self, src: Hashable, payload: TReadAny):
-        return self.data.get(payload.key, (None, 0))
+        return self.read(payload.key)
 
     def serve_TReadCritical(self, src: Hashable, payload: TReadCritical):
-        value, version = self.data.get(payload.key, (None, 0))
+        value, version = self.read(payload.key)
         if version >= payload.min_version:
             return (value, version)
         future = Future(self.sim, label=f"critical({payload.key!r})")
@@ -123,16 +119,16 @@ class TimelineReplica(ServerNode):
 
     # -- propagation ---------------------------------------------------------
     def handle_PropagateMsg(self, src: Hashable, msg: PropagateMsg) -> None:
-        self._install(msg.key, msg.value, msg.version)
+        self.install(msg.key, msg.value, msg.version)
 
-    def _install(self, key: Hashable, value: Any, version: int) -> None:
-        current = self.data.get(key)
-        if current is None or version > current[1]:
-            self.data[key] = (value, version)
-        stored_value, stored_version = self.data[key]
+    def install(self, key: Hashable, value: Any, version: int) -> None:
+        """Install, then wake the critical reads the stored version
+        now satisfies."""
+        super().install(key, value, version)
         waiters = self._waiters.get(key)
         if not waiters:
             return
+        stored_value, stored_version = self.data[key]
         still_waiting = []
         for min_version, future in waiters:
             if stored_version >= min_version:
@@ -144,11 +140,8 @@ class TimelineReplica(ServerNode):
         else:
             del self._waiters[key]
 
-    def snapshot(self) -> dict:
-        return {key: value for key, (value, _version) in self.data.items()}
 
-
-class TimelineClient(ClientNode):
+class TimelineClient(RecordingClient):
     """Client with per-session read floors (for critical reads)."""
 
     def __init__(
@@ -160,9 +153,7 @@ class TimelineClient(ClientNode):
         session: Hashable,
         home: Hashable | None = None,
     ) -> None:
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
-        self.session = session
+        super().__init__(sim, network, node_id, cluster, session)
         self.home = home  # preferred replica for reads (nearest site)
         self.floors: dict[Hashable, int] = {}  # key -> min acceptable version
 
@@ -180,23 +171,6 @@ class TimelineClient(ClientNode):
         return [target] + [
             node for node in self.cluster.node_ids if node != target
         ]
-
-    def _recorded(self, kind, key, target, inner, extract):
-        recorder = self.cluster.recorder
-        handle = recorder.begin(kind, key, self.session, target)
-        outer = Future(self.sim)
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                version, value = extract(future.value)
-                recorder.complete(handle, version, value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
 
     def write(self, key: Hashable, value: Any, timeout: float | None = None) -> Future:
         """Resolves with the new version (master-assigned seqno)."""
@@ -251,8 +225,13 @@ class TimelineClient(ClientNode):
         return self._recorded("read", key, master, inner, lambda v: (v[1], v[0]))
 
 
-class TimelineCluster:
+class TimelineCluster(VersionedGroup):
     """Replicas with ring-assigned per-record mastership."""
+
+    replica_class = TimelineReplica
+    client_class = TimelineClient
+    replica_prefix = "tl"
+    client_prefix = "tlclient"
 
     def __init__(
         self,
@@ -262,18 +241,12 @@ class TimelineCluster:
         propagation_delay: float = 0.0,
         node_ids: list[Hashable] | None = None,
     ) -> None:
-        ids = node_ids or [f"tl{i}" for i in range(nodes)]
-        self.sim = sim
-        self.network = network
-        self.node_ids = list(ids)
+        super().__init__(sim, network, nodes, node_ids)
         self.propagation_delay = propagation_delay
-        self.ring = HashRing(ids, vnodes=16)
-        self.replicas = [TimelineReplica(sim, network, i, self) for i in ids]
-        self.recorder = HistoryRecorder(sim)
-        self._clients = 0
+        self.ring = HashRing(self.node_ids, vnodes=16)
         self._masters: dict[Hashable, Hashable] = {}
         # Internal client node used for write forwarding between replicas.
-        self._forwarder = ClientNode(sim, network, f"{ids[0]}-fwd")
+        self._forwarder = ClientNode(sim, network, f"{self.node_ids[0]}-fwd")
 
     def master_of(self, key: Hashable) -> Hashable:
         master = self._masters.get(key)
@@ -287,38 +260,3 @@ class TimelineCluster:
         if node_id not in self.node_ids:
             raise UnavailableError(f"unknown node {node_id!r}")
         self._masters[key] = node_id
-
-    def replica(self, node_id: Hashable) -> TimelineReplica:
-        for replica in self.replicas:
-            if replica.node_id == node_id:
-                return replica
-        raise KeyError(node_id)
-
-    def connect(
-        self,
-        session: Hashable | None = None,
-        client_id: Hashable | None = None,
-        home: Hashable | None = None,
-    ) -> TimelineClient:
-        self._clients += 1
-        session = session if session is not None else f"session-{self._clients}"
-        client_id = client_id if client_id is not None else f"tlclient-{self._clients}"
-        return TimelineClient(self.sim, self.network, client_id, self, session, home)
-
-    def snapshots(self) -> list[dict]:
-        return [replica.snapshot() for replica in self.replicas]
-
-    def anti_entropy_sweep(self) -> None:
-        """Instantaneous state exchange between live replicas: every
-        record flows to every replica through the version-guarded
-        install path, so the per-key max version wins everywhere.
-        Timeline propagation sends each write once — a propagation
-        dropped by a partition never re-sends, so the chaos runner
-        calls this after healing to quiesce."""
-        for source in self.replicas:
-            if source.crashed:
-                continue
-            for key, (value, version) in list(source.data.items()):
-                for target in self.replicas:
-                    if target is not source and not target.crashed:
-                        target._install(key, value, version)

@@ -32,7 +32,7 @@ region are 1–2 ms while authoritative reads pay one to two WAN round
 trips — the local p99 must stay strictly below the remote p99 for
 every protocol (asserted by E18 and ``MultiRegionReport.ok``).
 
-Every leg runs under its own :class:`~repro.perf.HashingTracer`, so the
+Every leg runs under its own :class:`~repro.sim.HashingTracer`, so the
 scenario has a per-seed fingerprint; the CI ``multiregion-smoke`` job
 runs it twice (``--check-determinism``) and fails on drift.
 """
@@ -46,9 +46,8 @@ from ..analysis import LatencyStats
 from ..chaos import FaultPlan, Nemesis, step
 from ..checkers import check_convergence
 from ..errors import ReproError
-from ..perf.harness import HashingTracer
 from ..placement import Placement
-from ..sim import Network, Simulator, spawn
+from ..sim import HashingTracer, Network, Simulator, spawn
 from ..sim.topology import THREE_CONTINENTS
 from ..sharding import ShardedStore
 

@@ -20,7 +20,7 @@ screenshot:
   (:func:`~repro.checkers.check_convergence` over the
   ownership-filtered sharded snapshots).
 
-The run is traced through a :class:`~repro.perf.HashingTracer`, so the
+The run is traced through a :class:`~repro.sim.HashingTracer`, so the
 whole scenario has a per-seed fingerprint; the CI rebalance-smoke job
 runs it twice (``--check-determinism``) and fails on drift.
 """
@@ -32,8 +32,7 @@ from typing import Any
 
 from ..checkers import check_convergence, check_no_lost_writes, read_back
 from ..membership import MembershipService
-from ..perf.harness import HashingTracer
-from ..sim import FixedLatency, Network, Simulator, spawn
+from ..sim import FixedLatency, HashingTracer, Network, Simulator, spawn
 from ..workload import PoissonArrivals, YCSBWorkload
 from ..workload.openloop import OpenLoopDriver
 from .sharded import ShardedStore

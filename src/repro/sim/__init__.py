@@ -23,7 +23,14 @@ from .network import (
 )
 from .node import Node
 from .process import Future, Process, all_of, spawn
-from .trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
+from .trace import (
+    NULL_TRACER,
+    HashingTracer,
+    NullTracer,
+    TraceEvent,
+    Tracer,
+    metrics_digest,
+)
 from .topology import (
     SINGLE_DC,
     THREE_CONTINENTS,
@@ -56,6 +63,8 @@ __all__ = [
     "spawn",
     "all_of",
     "Tracer",
+    "HashingTracer",
+    "metrics_digest",
     "NullTracer",
     "NULL_TRACER",
     "TraceEvent",

@@ -195,12 +195,10 @@ def estimate_size(obj: Any) -> int:
 
 
 class NetworkStats:
-    """Registry-backed view of the network's counters.
-
-    Keeps the attribute API the analysis layer and the tests have
-    always read (``stats.messages_sent`` …), but the values now live
-    in the simulator's :class:`MetricsRegistry` under ``net.*`` so
-    they show up next to every other metric of a run.
+    """The network's handles on its counters, which live in the
+    simulator's :class:`MetricsRegistry` under ``net.*`` — read them
+    there (``sim.metrics.counter("net.messages_sent").value``), next
+    to every other metric of a run.
     """
 
     _COUNTERS = (
@@ -219,68 +217,20 @@ class NetworkStats:
         self._prefix = prefix
         for name in self._COUNTERS:
             setattr(self, "_" + name, registry.counter(f"{prefix}.{name}"))
-        self._type_counters: dict[str, Any] = {}
         # Hot-path cache keyed by message *class*: one dict hit per
         # send instead of re-formatting "<prefix>.by_type.<name>" and
         # re-hashing the name string.  Distinct classes sharing a
-        # __name__ share the registry counter, as before.
+        # __name__ share the registry counter.
         self._class_counters: dict[type, Any] = {}
-
-    @property
-    def messages_sent(self) -> int:
-        return self._messages_sent.value
-
-    @property
-    def messages_delivered(self) -> int:
-        return self._messages_delivered.value
-
-    @property
-    def messages_dropped_loss(self) -> int:
-        return self._messages_dropped_loss.value
-
-    @property
-    def messages_dropped_partition(self) -> int:
-        return self._messages_dropped_partition.value
-
-    @property
-    def messages_dropped_link(self) -> int:
-        return self._messages_dropped_link.value
-
-    @property
-    def messages_dropped_crash(self) -> int:
-        return self._messages_dropped_crash.value
-
-    @property
-    def messages_duplicated(self) -> int:
-        return self._messages_duplicated.value
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._bytes_sent.value
-
-    @property
-    def by_type(self) -> dict:
-        return {
-            name: counter.value
-            for name, counter in self._type_counters.items()
-        }
 
     def counter_for_type(self, cls: type) -> Any:
         """Get-or-create the ``by_type`` counter for a message class."""
         counter = self._class_counters.get(cls)
         if counter is None:
-            name = cls.__name__
-            counter = self._type_counters.get(name)
-            if counter is None:
-                counter = self._registry.counter(
-                    f"{self._prefix}.by_type.{name}"
-                )
-                self._type_counters[name] = counter
-            self._class_counters[cls] = counter
+            counter = self._class_counters[cls] = self._registry.counter(
+                f"{self._prefix}.by_type.{cls.__name__}"
+            )
         return counter
-
-    def record_type(self, message: Any) -> None:
-        self.counter_for_type(type(message)).inc()
 
 
 @dataclass(slots=True)
@@ -353,6 +303,17 @@ class Network:
         self._inc_sent = self.stats._messages_sent.inc
         self._inc_delivered = self.stats._messages_delivered.inc
         self._type_incs: dict[type, Callable[..., Any]] = {}
+        # Trace drop reason -> the counter that accounts for it: a
+        # severed or lossy link has its own counter — not a partition,
+        # not random loss.
+        stats = self.stats
+        self._drop_counters = {
+            "crash": stats._messages_dropped_crash,
+            "partition": stats._messages_dropped_partition,
+            "link_down": stats._messages_dropped_link,
+            "link_loss": stats._messages_dropped_link,
+            "loss": stats._messages_dropped_loss,
+        }
         # Same-(time, dst) deliveries share one scheduled dispatch;
         # the pending payloads live here until _deliver drains them.
         self._inflight: dict[tuple[float, NodeId], list] = {}
@@ -469,19 +430,30 @@ class Network:
         self._partition = None
         self._update_healthy()
 
-    def reachable(self, src: NodeId, dst: NodeId) -> bool:
+    def _crossing(
+        self, src: NodeId, dst: NodeId
+    ) -> tuple[str | None, LinkFault | None]:
+        """Whether a message can cross ``src`` → ``dst`` right now: the
+        drop reason (``"partition"`` / ``"link_down"``) or ``None``,
+        plus the pair's link fault, if any.  The one reachability rule
+        under both :meth:`send` and :meth:`reachable`; nodes registered
+        after a split belong to its implicit leftover group."""
         if src == dst:
-            return True
-        if self._partition is not None:
+            return None, None
+        partition = self._partition
+        if partition is not None:
             leftover = self._partition_leftover
-            if (self._partition.get(src, leftover)
-                    != self._partition.get(dst, leftover)):
-                return False
+            if partition.get(src, leftover) != partition.get(dst, leftover):
+                return "partition", None
+        fault = None
         if self._link_faults:
             fault = self._link_faults.get(frozenset((src, dst)))
             if fault is not None and fault.down:
-                return False
-        return True
+                return "link_down", fault
+        return None, fault
+
+    def reachable(self, src: NodeId, dst: NodeId) -> bool:
+        return self._crossing(src, dst)[0] is None
 
     @property
     def partitioned(self) -> bool:
@@ -553,8 +525,8 @@ class Network:
         the message type name is only computed when tracing is on, the
         payload size estimate only when ``track_bytes`` asked for it,
         per-link latency samplers are built once per (src, dst), and
-        the failure-free case takes a branch guarded by one
-        ``_healthy`` flag.
+        the failure-free case skips every fault check on one
+        ``_healthy`` flag, straight to the single sample + enqueue.
 
         Per-message delay is always sampled *before* grouping (RNG
         draw order is part of the determinism contract); messages
@@ -585,13 +557,36 @@ class Network:
         if src_node is not None and getattr(src_node, "crashed", False):
             # Fail-stop means a crashed node cannot put messages on the
             # wire, not just that it stops hearing them.
-            stats._messages_dropped_crash.inc()
-            if tracing:
-                trace.record(sim.now, MSG_DROP, reason="crash",
-                             src=src, dst=dst, msg_type=msg_name)
+            self._drop("crash", src, dst, msg_name)
             return
-        if self._healthy:
-            # Fast path: no partition, link faults, loss or duplication.
+        rng = sim.rng
+        copies = 1
+        loss_rate = link_loss = extra_delay = 0.0
+        if not self._healthy:
+            # Every fault check lives here; the failure-free case skips
+            # the block on one flag and falls through with the neutral
+            # values above.
+            reason, fault = self._crossing(src, dst)
+            if reason is not None:
+                self._drop(reason, src, dst, msg_name)
+                return
+            if fault is not None:
+                link_loss = fault.drop_rate
+                extra_delay = fault.extra_delay
+            loss_rate = self._loss_rate
+            if self._duplicate_rate and rng.random() < self._duplicate_rate:
+                copies = 2
+                stats._messages_duplicated.inc()
+        while copies:
+            copies -= 1
+            # Per copy, in this order: loss draw, link-loss draw, delay
+            # draw (RNG draw order is part of the determinism contract).
+            if loss_rate and rng.random() < loss_rate:
+                self._drop("loss", src, dst, msg_name)
+                continue
+            if link_loss and rng.random() < link_loss:
+                self._drop("link_loss", src, dst, msg_name)
+                continue
             if src == dst:
                 delay = self.loopback_latency
             else:
@@ -599,7 +594,9 @@ class Network:
                 if sampler is None:
                     sampler = self._link_sampler(src, dst)
                     self._samplers[(src, dst)] = sampler
-                delay = sampler(sim.rng)
+                delay = sampler(rng)
+                if extra_delay:
+                    delay += extra_delay
             key = (sim.now + delay, dst)
             bucket = self._inflight.get(key)
             if bucket is None:
@@ -608,64 +605,16 @@ class Network:
                 sim._push_fn(key[0], self._deliver, key)
             else:
                 bucket.append((src, message))
-            return
-        if (
-            self._partition is not None
-            and src != dst
-            and self._partition.get(src, self._partition_leftover)
-            != self._partition.get(dst, self._partition_leftover)
-        ):
-            stats._messages_dropped_partition.inc()
-            if tracing:
-                trace.record(sim.now, MSG_DROP, reason="partition",
-                             src=src, dst=dst, msg_type=msg_name)
-            return
-        fault = None
-        if self._link_faults and src != dst:
-            fault = self._link_faults.get(frozenset((src, dst)))
-            if fault is not None and fault.down:
-                # A severed link is its own failure mode with its own
-                # counter — not a partition, not random loss.
-                stats._messages_dropped_link.inc()
-                if tracing:
-                    trace.record(sim.now, MSG_DROP, reason="link_down",
-                                 src=src, dst=dst, msg_type=msg_name)
-                return
-        copies = 1
-        if self._duplicate_rate and sim.rng.random() < self._duplicate_rate:
-            copies = 2
-            stats._messages_duplicated.inc()
-        for _ in range(copies):
-            if self._loss_rate and sim.rng.random() < self._loss_rate:
-                stats._messages_dropped_loss.inc()
-                if tracing:
-                    trace.record(sim.now, MSG_DROP, reason="loss",
-                                 src=src, dst=dst, msg_type=msg_name)
-                continue
-            if fault is not None and fault.drop_rate \
-                    and sim.rng.random() < fault.drop_rate:
-                stats._messages_dropped_link.inc()
-                if tracing:
-                    trace.record(sim.now, MSG_DROP, reason="link_loss",
-                                 src=src, dst=dst, msg_type=msg_name)
-                continue
-            if src == dst:
-                delay = self.loopback_latency
-            else:
-                sampler = self._samplers.get((src, dst))
-                if sampler is None:
-                    sampler = self._link_sampler(src, dst)
-                    self._samplers[(src, dst)] = sampler
-                delay = sampler(sim.rng)
-                if fault is not None and fault.extra_delay > 0:
-                    delay += fault.extra_delay
-            key = (sim.now + delay, dst)
-            bucket = self._inflight.get(key)
-            if bucket is None:
-                self._inflight[key] = [(src, message)]
-                sim._push_fn(key[0], self._deliver, key)
-            else:
-                bucket.append((src, message))
+
+    def _drop(
+        self, reason: str, src: NodeId, dst: NodeId, msg_name: str | None
+    ) -> None:
+        """Count and trace one message lost for ``reason``
+        (``msg_name`` is set exactly when tracing is on)."""
+        self._drop_counters[reason].inc()
+        if msg_name is not None:
+            self.sim.trace.record(self.sim.now, MSG_DROP, reason=reason,
+                                  src=src, dst=dst, msg_type=msg_name)
 
     def broadcast(self, src: NodeId, message: Any, include_self: bool = False) -> None:
         # Snapshot the membership: a callback reached from send() (e.g.
@@ -703,11 +652,8 @@ class Network:
         deliver = node.deliver
         for src, message in batch:
             if getattr(node, "crashed", False):
-                self.stats._messages_dropped_crash.inc()
-                if tracing:
-                    trace.record(sim.now, MSG_DROP, reason="crash",
-                                 src=src, dst=dst,
-                                 msg_type=type(message).__name__)
+                self._drop("crash", src, dst,
+                           type(message).__name__ if tracing else None)
                 continue
             inc_delivered()
             if tracing:

@@ -28,6 +28,7 @@ then inspect with ``python -m repro trace run.trace.jsonl``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
@@ -157,6 +158,42 @@ class Tracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tracer events={len(self.events)} dropped={self.dropped}>"
+
+
+class HashingTracer:
+    """A tracer that hashes the trace instead of storing it.
+
+    Feeds every record through the exact JSONL encoding
+    :meth:`Tracer.dump_jsonl` uses, so its digest is byte-comparable
+    with a dumped trace file — without holding a multi-hundred-MB
+    timeline in memory during a macro benchmark.  With
+    :func:`metrics_digest` it is a run's behaviour fingerprint: same
+    seed ⇒ same trace hash and metrics digest, or behaviour changed.
+    """
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+        self.count = 0
+
+    def record(self, time: float, kind: str, **data: Any) -> None:
+        line = TraceEvent(time, kind, data).to_json()
+        self._hash.update(line.encode("utf-8"))
+        self._hash.update(b"\n")
+        self.count += 1
+
+    def annotate(self, time: float, category: str, **data: Any) -> None:
+        self.record(time, ANNOTATION, category=category, **data)
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def metrics_digest(snapshot: dict) -> str:
+    """Canonical digest of a ``MetricsRegistry.snapshot()``."""
+    payload = json.dumps(snapshot, sort_keys=True, default=repr)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

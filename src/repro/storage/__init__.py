@@ -1,27 +1,15 @@
 """Per-replica storage engines.
 
-Conflict handling is the storage-level axis of the tutorial's
-taxonomy: :class:`LWWStore` arbitrates, :class:`SiblingStore` keeps
-conflicts for the app, :class:`SequencedStore` prevents them with a
-single master, and :class:`MultiVersionStore` keeps committed history
-for snapshot-isolation transactions.
+The replicas of :mod:`repro.replication` hold their own stores —
+``LWWStamps`` / ``DottedSiblings`` in the quorum engine, the
+highest-version-wins ``VersionedReplica`` under primary–backup, chain
+and timeline.  What lives here is :class:`MultiVersionStore`, the
+committed-history store behind snapshot-isolation transactions.
 """
 
 from .mvstore import MultiVersionStore, TimestampOracle, Version
-from .versioned_store import (
-    LWWStore,
-    SequencedStore,
-    SequencedValue,
-    SiblingStore,
-    StampedValue,
-)
 
 __all__ = [
-    "LWWStore",
-    "SiblingStore",
-    "SequencedStore",
-    "SequencedValue",
-    "StampedValue",
     "MultiVersionStore",
     "TimestampOracle",
     "Version",

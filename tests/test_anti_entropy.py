@@ -138,10 +138,10 @@ def test_merkle_uses_fewer_bytes_when_nearly_converged():
         for i in range(200):
             cluster.replicas[0].write(f"common-{i}", i)
         cluster.run_until_converged()
-        baseline = net.stats.bytes_sent
+        baseline = sim.metrics.counter("net.bytes_sent").value
         cluster.replicas[1].write("fresh", "x")
         cluster.run_until_converged()
-        byte_counts[strategy] = net.stats.bytes_sent - baseline
+        byte_counts[strategy] = sim.metrics.counter("net.bytes_sent").value - baseline
     assert byte_counts["merkle"] < byte_counts["full"] / 5
 
 
@@ -169,11 +169,11 @@ def test_crashed_replica_stops_gossiping():
     dead = cluster.replicas[0]
     dead.write("secret", "only-here")
     dead.crash()
-    before = net.stats.messages_dropped_crash
+    before = sim.metrics.counter("net.messages_dropped_crash").value
     net.send(dead.node_id, cluster.replicas[1].node_id,
              FullState(dead._all_entries(), reply_expected=True))
     sim.run()
-    assert net.stats.messages_dropped_crash == before + 1
+    assert sim.metrics.counter("net.messages_dropped_crash").value == before + 1
     assert cluster.replicas[1].read("secret") is None
 
 

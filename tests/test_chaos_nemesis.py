@@ -84,11 +84,12 @@ def test_heal_and_settle_restore_convergence(protocol):
 
 def test_partition_drops_use_the_partition_counter():
     sim, network, *_ = chaos_run(plan=PLANS["partitions"])
-    stats = network.stats
-    assert stats.messages_dropped_partition + stats.messages_dropped_link > 0
+    dropped = sim.metrics.counters("net.messages_dropped_")
+    assert (dropped["net.messages_dropped_partition"]
+            + dropped["net.messages_dropped_link"]) > 0
     # FixedLatency has no background loss: nothing may leak into the
     # generic loss bucket (dedicated counters, satellite fix).
-    assert stats.messages_dropped_loss == 0
+    assert dropped["net.messages_dropped_loss"] == 0
 
 
 def test_link_faults_use_the_dedicated_link_counter():
@@ -101,9 +102,9 @@ def test_link_faults_use_the_dedicated_link_counter():
             network.set_link_fault(a, b, drop_rate=0.99)
     workload = YCSBWorkload("A", records=8, seed=3)
     run_workload(store, workload.take(20), clients=1, timeout=100.0)
-    assert network.stats.messages_dropped_link > 0
-    assert network.stats.messages_dropped_loss == 0
-    assert network.stats.messages_dropped_partition == 0
+    assert sim.metrics.counter("net.messages_dropped_link").value > 0
+    assert sim.metrics.counter("net.messages_dropped_loss").value == 0
+    assert sim.metrics.counter("net.messages_dropped_partition").value == 0
 
 
 def test_crash_never_kills_the_last_server():

@@ -14,9 +14,7 @@ from repro.checkers import (
     staleness_by_tier,
     staleness_distribution,
 )
-from repro.clocks import LamportClock
 from repro.histories import History, make_read, make_write
-from repro.storage import LWWStore
 
 from .test_histories import op_st
 
@@ -227,12 +225,15 @@ def test_staleness_by_tier_empty_history():
 # Convergence
 # ----------------------------------------------------------------------
 
-def make_store(items):
-    clock = LamportClock("seed")
-    store = LWWStore()
-    for key, value in items.items():
-        store.put(key, value, clock.tick())
-    return store
+class make_store:
+    """The least a replica is to the convergence helpers: an object
+    whose ``snapshot()`` is its key → value mapping."""
+
+    def __init__(self, items):
+        self.items = dict(items)
+
+    def snapshot(self):
+        return self.items
 
 
 def test_convergence_identical_stores():

@@ -92,12 +92,10 @@ def test_network_publishes_into_registry():
     assert sim.metrics.counter("net.messages_sent").value == 1
     assert sim.metrics.counter("net.messages_delivered").value == 1
     assert sim.metrics.counter("net.by_type.str").value == 1
-    # The legacy attribute API reads the same storage.
-    assert net.stats.messages_sent == 1
-    assert net.stats.by_type == {"str": 1}
+    assert sim.metrics.counters("net.by_type.") == {"net.by_type.str": 1}
 
 
-def test_quorum_metrics_mirror_legacy_attributes():
+def test_quorum_metrics_in_registry():
     sim = Simulator(seed=1)
     net = Network(sim, latency=FixedLatency(2.0))
     cluster = DynamoCluster(sim, net, nodes=3, n=3, r=2, w=2)
@@ -110,9 +108,7 @@ def test_quorum_metrics_mirror_legacy_attributes():
     spawn(sim, script())
     sim.run()
     metrics = sim.metrics
-    assert cluster.writes_succeeded == 1
     assert metrics.counter("quorum.writes_succeeded").value == 1
-    assert cluster.read_repairs == metrics.counter("quorum.read_repairs").value
     assert metrics.latency("quorum.write_ms").count == 1
     assert metrics.latency("quorum.read_ms").count == 1
     rendered = metrics.render(prefix="quorum")
@@ -125,9 +121,7 @@ def test_gossip_metrics_in_registry():
     cluster = GossipCluster(sim, net, nodes=4, interval=10.0)
     cluster.replicas[0].write("k", "v")
     cluster.run_until_converged()
-    assert cluster.rounds_started > 0
-    assert cluster.rounds_started == \
-        sim.metrics.counter("gossip.rounds_started").value
+    assert sim.metrics.counter("gossip.rounds_started").value > 0
     assert sim.metrics.counter("gossip.entries_merged").value >= 3
 
 

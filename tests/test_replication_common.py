@@ -1,14 +1,25 @@
-"""Tests for the request/reply layer and the hash ring."""
+"""Tests for the request/reply layer, the protocol skeleton the five
+single-group protocols share, and the hash ring."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     NotLeaderError,
     OverloadedError,
     TimeoutError as ReproTimeoutError,
 )
-from repro.replication import HashRing, stable_hash
-from repro.replication.common import ClientNode, ServerNode
+from repro.replication import (
+    CausalCluster,
+    ChainCluster,
+    HashRing,
+    MultiPaxosCluster,
+    PrimaryBackupCluster,
+    TimelineCluster,
+    stable_hash,
+)
+from repro.replication.common import ClientNode, ServerNode, VersionedReplica
 from repro.rpc import RetryPolicy
 from repro.sim import FixedLatency, Future, Network, Simulator
 
@@ -213,6 +224,183 @@ def test_retry_layer_honors_retry_after_hint():
     assert first.value == "ONE"
     assert second.value == "TWO"         # retried after the hint, then admitted
     assert sim.metrics.counter("rpc.throttled").value >= 1
+
+
+# ----------------------------------------------------------------------
+# The protocol skeleton: RecordingClient / ReplicaGroup / Versioned*
+# ----------------------------------------------------------------------
+
+class Proto:
+    """How to drive one single-group protocol through the skeleton."""
+
+    def __init__(self, cluster_cls, replica_prefix, client_prefix,
+                 size_kw="nodes", write="put", homed=False, elects=False):
+        self.cluster_cls = cluster_cls
+        self.replica_prefix = replica_prefix
+        self.client_prefix = client_prefix
+        self.size_kw = size_kw
+        self.write = write
+        self.homed = homed
+        self.elects = elects
+
+    def build(self, size=3, **kwargs):
+        sim = Simulator(seed=5)
+        net = Network(sim, latency=FixedLatency(1.0))
+        cluster = self.cluster_cls(sim, net, **{self.size_kw: size}, **kwargs)
+        if self.elects:
+            cluster.elect()
+            sim.run()
+        return sim, net, cluster
+
+    def connect(self, cluster, **kwargs):
+        if self.homed:
+            kwargs.setdefault("home", cluster.node_ids[0])
+        return cluster.connect(**kwargs)
+
+    def put(self, client, key, value, timeout=None):
+        return getattr(client, self.write)(key, value, timeout=timeout)
+
+
+PB = Proto(PrimaryBackupCluster, "pb", "client", size_kw="n")
+CHAIN = Proto(ChainCluster, "ch", "chclient")
+TIMELINE = Proto(TimelineCluster, "tl", "tlclient", write="write")
+CAUSAL = Proto(CausalCluster, "cc", "ccclient", homed=True)
+PAXOS = Proto(MultiPaxosCluster, "px", "pxclient", elects=True)
+
+GROUPS = pytest.mark.parametrize(
+    "proto", [PB, CHAIN, TIMELINE, CAUSAL, PAXOS],
+    ids=["primary_backup", "chain", "timeline", "causal", "multipaxos"],
+)
+VERSIONED = pytest.mark.parametrize(
+    "proto", [PB, CHAIN, TIMELINE],
+    ids=["primary_backup", "chain", "timeline"],
+)
+
+
+@GROUPS
+def test_group_default_ids_and_connect_naming(proto):
+    _sim, _net, cluster = proto.build()
+    ids = [f"{proto.replica_prefix}{i}" for i in range(3)]
+    assert [r.node_id for r in cluster.replicas] == ids
+    assert cluster.replica(ids[1]) is cluster.replicas[1]
+    with pytest.raises(KeyError):
+        cluster.replica("nobody")
+    first, second = proto.connect(cluster), proto.connect(cluster)
+    assert (first.node_id, first.session) == (
+        f"{proto.client_prefix}-1", "session-1")
+    assert (second.node_id, second.session) == (
+        f"{proto.client_prefix}-2", "session-2")
+    named = proto.connect(cluster, session="s", client_id="me")
+    assert (named.node_id, named.session) == ("me", "s")
+
+
+@GROUPS
+def test_group_rejects_bad_sizes(proto):
+    # Before the shared base only primary_backup checked the id count
+    # and timeline / causal accepted an empty group.
+    with pytest.raises(ValueError):
+        proto.build(size=0)
+    with pytest.raises(ValueError):
+        proto.build(size=3, node_ids=["a", "b"])
+    _sim, _net, cluster = proto.build(size=2, node_ids=["a", "b"])
+    assert [r.node_id for r in cluster.replicas] == ["a", "b"]
+
+
+@GROUPS
+def test_group_records_completed_and_timed_out_ops(proto):
+    sim, net, cluster = proto.build()
+    client = proto.connect(cluster)
+    done = proto.put(client, "k", "v1")
+    sim.run()
+    assert done.error is None
+    # One {key: value} mapping per replica, in replica order.
+    assert cluster.snapshots() == [{"k": "v1"}] * 3
+
+    net.partition([client.node_id], cluster.node_ids)
+    lost = proto.put(client, "k", "v2", timeout=20.0)
+    sim.run()
+    assert isinstance(lost.error, ReproTimeoutError)
+    ok, failed = cluster.recorder.history()
+    assert (ok.kind, ok.key, ok.session, ok.completed) == (
+        "write", "k", client.session, True)
+    assert ok.version == 1 and ok.value == "v1"
+    # The timed-out op is kept, failed, against the replica it was
+    # addressed to (the same one that served the first write).
+    assert (failed.kind, failed.key, failed.session, failed.completed) == (
+        "write", "k", client.session, False)
+    assert failed.replica == ok.replica
+    assert failed.replica in cluster.node_ids
+
+
+@VERSIONED
+def test_sweep_floods_highest_version_and_skips_crashed(proto):
+    sim, net, cluster = proto.build()
+    if proto is TIMELINE:
+        cluster.set_master("k", cluster.node_ids[0])
+    writer, follower, dead = cluster.replicas
+    client = proto.connect(cluster)
+    proto.put(client, "k", "v1")
+    sim.run()
+    dead.crash()
+    net.partition([client.node_id, writer.node_id],
+                  [follower.node_id, dead.node_id])
+    # The replication message for v2 is dropped at the partition and
+    # never re-sent (the chain's client times out waiting for its tail).
+    proto.put(client, "k", "v2", timeout=20.0)
+    sim.run()
+    assert writer.data["k"] == ("v2", 2)
+    assert follower.data["k"] == ("v1", 1)
+    dead.install("ghost", "unseen", 9)
+
+    net.heal()
+    cluster.anti_entropy_sweep()
+    assert writer.data == follower.data == {"k": ("v2", 2)}
+    # A crashed replica neither receives nor contributes records.
+    assert dead.data == {"k": ("v1", 1), "ghost": ("unseen", 9)}
+    dead.recover()
+    cluster.anti_entropy_sweep()
+    assert writer.data == follower.data == dead.data
+    assert cluster.snapshots() == [{"k": "v2", "ghost": "unseen"}] * 3
+
+
+def versioned_replicas(count):
+    sim = Simulator(seed=0)
+    net = Network(sim)
+    return [VersionedReplica(sim, net, f"r{i}", None) for i in range(count)]
+
+
+def test_versioned_replica_reads_nothing_as_version_zero():
+    (replica,) = versioned_replicas(1)
+    assert replica.read("k") == (None, 0)
+    assert replica.snapshot() == {}
+
+
+def test_versioned_replica_keeps_the_highest_version():
+    (replica,) = versioned_replicas(1)
+    replica.install("k", "v2", 2)
+    replica.install("k", "v1", 1)      # late arrival of an older version
+    replica.install("k", "again", 2)   # a duplicate delivery
+    assert replica.read("k") == ("v2", 2)
+    assert replica.snapshot() == {"k": "v2"}
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 8)),
+                max_size=24), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_versioned_replicas_agree_under_any_arrival_order(writes, rng):
+    """One master per key makes versions total, so whatever order the
+    versions arrive in, every replica ends at the per-key maximum."""
+    a, b = versioned_replicas(2)
+    shuffled = list(writes)
+    rng.shuffle(shuffled)
+    for replica, order in ((a, writes), (b, shuffled)):
+        for key, version in order:
+            replica.install(key, f"{key}@{version}", version)
+    highest = {}
+    for key, version in writes:
+        highest[key] = max(highest.get(key, 0), version)
+    assert a.data == b.data == {
+        key: (f"{key}@{version}", version) for key, version in highest.items()}
 
 
 # ----------------------------------------------------------------------

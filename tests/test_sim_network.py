@@ -1,6 +1,8 @@
 """Unit tests for the simulated network: latency, loss, partitions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.sim import (
@@ -10,6 +12,7 @@ from repro.sim import (
     MatrixLatency,
     Network,
     Simulator,
+    Tracer,
     UniformLatency,
     estimate_size,
 )
@@ -41,7 +44,7 @@ def test_fixed_latency_delivery():
     net.send("a", "b", "hello")
     sim.run()
     assert nodes["b"].received == [(7.0, "a", "hello")]
-    assert net.stats.messages_delivered == 1
+    assert sim.metrics.counter("net.messages_delivered").value == 1
 
 
 def test_loopback_uses_loopback_latency():
@@ -70,7 +73,7 @@ def test_loss_rate_drops_messages():
     sim.run()
     delivered = len(nodes["b"].received)
     assert 60 < delivered < 140
-    assert net.stats.messages_dropped_loss == 200 - delivered
+    assert sim.metrics.counter("net.messages_dropped_loss").value == 200 - delivered
 
 
 def test_duplicate_rate_duplicates_messages():
@@ -79,7 +82,7 @@ def test_duplicate_rate_duplicates_messages():
         net.send("a", "b", "m")
     sim.run()
     assert len(nodes["b"].received) > 120
-    assert net.stats.messages_duplicated == len(nodes["b"].received) - 100
+    assert sim.metrics.counter("net.messages_duplicated").value == len(nodes["b"].received) - 100
 
 
 def test_partition_blocks_cross_group_traffic_only():
@@ -90,7 +93,7 @@ def test_partition_blocks_cross_group_traffic_only():
     sim.run()
     assert nodes["b"].received == []
     assert len(nodes["c"].received) == 1
-    assert net.stats.messages_dropped_partition == 1
+    assert sim.metrics.counter("net.messages_dropped_partition").value == 1
 
 
 def test_unnamed_nodes_form_implicit_partition_group():
@@ -160,7 +163,7 @@ def test_crashed_node_drops_incoming():
     net.send("a", "b", "m")
     sim.run()
     assert nodes["b"].received == []
-    assert net.stats.messages_dropped_crash == 1
+    assert sim.metrics.counter("net.messages_dropped_crash").value == 1
 
 
 def test_crashed_source_cannot_send():
@@ -172,8 +175,8 @@ def test_crashed_source_cannot_send():
     net.send("a", "b", "from-the-grave")
     sim.run()
     assert nodes["b"].received == []
-    assert net.stats.messages_dropped_crash == 1
-    assert net.stats.messages_delivered == 0
+    assert sim.metrics.counter("net.messages_dropped_crash").value == 1
+    assert sim.metrics.counter("net.messages_delivered").value == 0
 
 
 def test_crashed_source_drop_counted_before_partition():
@@ -184,8 +187,8 @@ def test_crashed_source_drop_counted_before_partition():
     nodes["a"].crashed = True
     net.send("a", "b", "m")
     sim.run()
-    assert net.stats.messages_dropped_crash == 1
-    assert net.stats.messages_dropped_partition == 0
+    assert sim.metrics.counter("net.messages_dropped_crash").value == 1
+    assert sim.metrics.counter("net.messages_dropped_partition").value == 0
 
 
 def test_broadcast_tolerates_registration_during_iteration():
@@ -234,13 +237,14 @@ def test_stats_by_type_counts_message_classes():
     net.send("a", "b", 42)
     net.send("a", "b", 43)
     sim.run()
-    assert net.stats.by_type == {"str": 1, "int": 2}
+    assert sim.metrics.counters("net.by_type.") == {
+        "net.by_type.str": 1, "net.by_type.int": 2}
 
 
 def test_byte_tracking_optional():
     sim, net, _nodes = make_net(track_bytes=True)
     net.send("a", "b", "hello")
-    assert net.stats.bytes_sent == estimate_size("hello")
+    assert sim.metrics.counter("net.bytes_sent").value == estimate_size("hello")
 
 
 def test_invalid_rates_rejected():
@@ -331,3 +335,52 @@ def test_estimate_size_handles_objects_and_none():
 
     assert estimate_size(None) == 1
     assert estimate_size(Thing()) > 8
+
+
+# ----------------------------------------------------------------------
+# One reachability rule under send() and reachable()
+# ----------------------------------------------------------------------
+
+NAMES = [f"n{i}" for i in range(6)]
+pairs_st = st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES))
+
+
+@given(
+    early=st.integers(2, 6),
+    # Group index per early node; None leaves it unnamed (leftover).
+    groups=st.none() | st.lists(
+        st.none() | st.integers(0, 2), min_size=6, max_size=6),
+    faults=st.lists(st.tuples(
+        pairs_st,
+        st.sampled_from([{"down": True}, {"drop_rate": 0.5},
+                         {"extra_delay": 3.0}]),
+    ), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_reachable_iff_send_is_not_blocked(early, groups, faults):
+    tracer = Tracer()
+    sim = Simulator(seed=1, tracer=tracer)
+    net = Network(sim)
+    for name in NAMES[:early]:
+        Sink(sim, net, name)
+    if groups is not None:
+        named = {}
+        for name, group in zip(NAMES[:early], groups):
+            if group is not None:
+                named.setdefault(group, []).append(name)
+        net.partition(*named.values())
+    for name in NAMES[early:]:      # registered after the split
+        Sink(sim, net, name)
+    for (a, b), fault in faults:
+        if a != b:
+            net.set_link_fault(a, b, **fault)
+    for src in NAMES:
+        for dst in NAMES:
+            seen = len(tracer)
+            net.send(src, dst, "m")
+            reasons = {event.data["reason"]
+                       for event in tracer.events[seen:]
+                       if event.kind == "msg_drop"}
+            assert reasons <= {"partition", "link_down", "link_loss"}
+            blocked = bool(reasons & {"partition", "link_down"})
+            assert net.reachable(src, dst) == (not blocked), (src, dst)

@@ -82,7 +82,7 @@ def test_crashed_node_ignores_messages_and_timers():
     sim.run()
     assert a.log == []
     assert fired == []
-    assert net.stats.messages_dropped_crash == 1
+    assert sim.metrics.counter("net.messages_dropped_crash").value == 1
 
 
 def test_send_while_crashed_is_dropped_silently():
@@ -93,7 +93,7 @@ def test_send_while_crashed_is_dropped_silently():
     a.crash()
     a.send("b", Ping(0))
     sim.run()
-    assert net.stats.messages_sent == 0
+    assert sim.metrics.counter("net.messages_sent").value == 0
 
 
 def test_recover_runs_hook_and_reenables():

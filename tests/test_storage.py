@@ -1,192 +1,9 @@
-"""Unit + property tests for the per-replica storage engines."""
+"""Unit tests for the multi-version store."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.clocks import LamportClock, VectorClock
 from repro.errors import StorageError
-from repro.storage import (
-    LWWStore,
-    MultiVersionStore,
-    SequencedStore,
-    SiblingStore,
-    TimestampOracle,
-)
-
-
-# ----------------------------------------------------------------------
-# LWWStore
-# ----------------------------------------------------------------------
-
-def test_lww_put_get_roundtrip():
-    clock = LamportClock("r1")
-    store = LWWStore()
-    assert store.put("k", "v1", clock.tick())
-    assert store.get("k") == "v1"
-    assert len(store) == 1
-
-
-def test_lww_newer_stamp_wins_older_loses():
-    clock = LamportClock("r1")
-    store = LWWStore()
-    old, new = clock.tick(), clock.tick()
-    assert store.put("k", "new", new)
-    assert not store.put("k", "old", old)  # late old write loses
-    assert store.get("k") == "new"
-
-
-def test_lww_equal_stamp_does_not_overwrite():
-    clock = LamportClock("r1")
-    store = LWWStore()
-    stamp = clock.tick()
-    store.put("k", "first", stamp)
-    assert not store.put("k", "second", stamp)
-    assert store.get("k") == "first"
-
-
-def test_lww_concurrent_writes_arbitrated_by_node_id():
-    a, b = LamportClock("a"), LamportClock("b")
-    sa, sb = a.tick(), b.tick()  # same counter, different node
-    s1, s2 = LWWStore(), LWWStore()
-    s1.put("k", "from-a", sa); s1.put("k", "from-b", sb)
-    s2.put("k", "from-b", sb); s2.put("k", "from-a", sa)
-    # Arbitration is order-independent: both replicas pick the same winner.
-    assert s1.get("k") == s2.get("k") == "from-b"
-
-
-def test_lww_delete_tombstone_beats_earlier_write():
-    clock = LamportClock("r1")
-    store = LWWStore()
-    w = clock.tick()
-    d = clock.tick()
-    store.delete("k", d)
-    assert not store.put("k", "late", w)
-    assert store.get("k") is None
-    assert "k" not in list(store.keys())
-    assert store.dump()["k"].deleted
-
-
-def test_lww_merge_from_is_anti_entropy():
-    c1, c2 = LamportClock("r1"), LamportClock("r2")
-    s1, s2 = LWWStore(), LWWStore()
-    s1.put("x", 1, c1.tick())
-    s2.put("y", 2, c2.tick())
-    changed = s1.merge_from(s2)
-    assert changed == 1
-    assert s1.snapshot() == {"x": 1, "y": 2}
-    assert s1.merge_from(s2) == 0  # idempotent
-
-
-def test_lww_merge_convergence_regardless_of_direction():
-    c1, c2 = LamportClock("r1"), LamportClock("r2")
-    s1, s2 = LWWStore(), LWWStore()
-    s1.put("k", "v1", c1.tick())
-    s2.put("k", "v2", c2.tick())
-    s1_copy = LWWStore(); s1_copy.merge_from(s1)
-    s1.merge_from(s2)
-    s2.merge_from(s1_copy)
-    assert s1.snapshot() == s2.snapshot()
-
-
-def test_lww_items_and_keys_skip_tombstones():
-    clock = LamportClock("r1")
-    store = LWWStore()
-    store.put("a", 1, clock.tick())
-    store.put("b", 2, clock.tick())
-    store.delete("a", clock.tick())
-    assert dict(store.items()) == {"b": 2}
-
-
-# ----------------------------------------------------------------------
-# SiblingStore
-# ----------------------------------------------------------------------
-
-def test_sibling_store_get_missing_key():
-    store = SiblingStore("r1")
-    values, ctx = store.get("k")
-    assert values == [] and ctx == VectorClock()
-
-
-def test_sibling_store_read_modify_write_no_siblings():
-    store = SiblingStore("r1")
-    store.put("k", "v1")
-    _values, ctx = store.get("k")
-    store.put("k", "v2", ctx)
-    values, _ = store.get("k")
-    assert values == ["v2"]
-    assert store.sibling_count("k") == 1
-
-
-def test_sibling_store_concurrent_writes_keep_siblings():
-    store = SiblingStore("r1")
-    store.put("k", "a")            # blind write
-    store.put("k", "b")            # another blind write
-    values, ctx = store.get("k")
-    assert sorted(values) == ["a", "b"]
-    store.put("k", "resolved", ctx)
-    assert store.get("k")[0] == ["resolved"]
-
-
-def test_sibling_store_merge_from_converges():
-    s1, s2 = SiblingStore("r1"), SiblingStore("r2")
-    s1.put("k", "left")
-    s2.put("k", "right")
-    s1.merge_from(s2)
-    s2.merge_from(s1)
-    assert s1.snapshot() == s2.snapshot()
-    assert s1.snapshot()["k"] == ("left", "right")
-
-
-def test_sibling_store_merge_resolves_superseded_versions():
-    s1 = SiblingStore("r1")
-    s1.put("k", "old")
-    s2 = SiblingStore("r1")
-    s2.merge_key("k", s1.entry("k"))
-    _values, ctx = s2.get("k")
-    s2.put("k", "new", ctx)
-    s1.merge_key("k", s2.entry("k"))
-    assert s1.get("k")[0] == ["new"]
-
-
-def test_sibling_store_len_and_keys():
-    store = SiblingStore("r1")
-    store.put("a", 1)
-    store.put("b", 2)
-    assert len(store) == 2
-    assert sorted(store.keys()) == ["a", "b"]
-
-
-# ----------------------------------------------------------------------
-# SequencedStore
-# ----------------------------------------------------------------------
-
-def test_sequenced_master_writes_assign_increasing_seqnos():
-    store = SequencedStore()
-    v1 = store.write_as_master("k", "a")
-    v2 = store.write_as_master("k", "b")
-    assert (v1.seqno, v2.seqno) == (1, 2)
-    assert store.get("k") == "b"
-
-
-def test_sequenced_apply_keeps_only_newest():
-    master = SequencedStore()
-    replica = SequencedStore()
-    v1 = master.write_as_master("k", "a")
-    v2 = master.write_as_master("k", "b")
-    # Replica receives v2 first (reordered network), then stale v1.
-    assert replica.apply("k", v2)
-    assert not replica.apply("k", v1)
-    assert replica.get("k") == "b"
-    assert replica.current_seqno("k") == 2
-
-
-def test_sequenced_per_key_independence():
-    store = SequencedStore()
-    store.write_as_master("x", 1)
-    store.write_as_master("y", 1)
-    assert store.current_seqno("x") == store.current_seqno("y") == 1
-    assert store.snapshot() == {"x": 1, "y": 1}
+from repro.storage import MultiVersionStore, TimestampOracle
 
 
 # ----------------------------------------------------------------------
@@ -263,40 +80,3 @@ def test_oracle_monotonic():
     values = [oracle.next() for _ in range(5)]
     assert values == sorted(values) and len(set(values)) == 5
     assert oracle.latest == 5
-
-
-# ----------------------------------------------------------------------
-# Property tests
-# ----------------------------------------------------------------------
-
-@given(st.lists(st.tuples(st.sampled_from("rkq"), st.integers(0, 30)), max_size=30))
-@settings(max_examples=60)
-def test_lww_replicas_converge_under_any_merge_order(ops):
-    """Writes applied in any order + pairwise merges ⇒ identical state."""
-    clocks = {node: LamportClock(node) for node in "rkq"}
-    stamped = [(node, value, clocks[node].tick()) for node, value in ops]
-    s1, s2 = LWWStore(), LWWStore()
-    for node, value, stamp in stamped:
-        s1.put("key", value, stamp)
-    for node, value, stamp in reversed(stamped):
-        s2.put("key", value, stamp)
-    assert s1.snapshot() == s2.snapshot()
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["r1", "r2", "r3"]), st.integers(0, 100)),
-        min_size=1,
-        max_size=20,
-    )
-)
-@settings(max_examples=60)
-def test_sibling_stores_converge_after_full_merge(ops):
-    stores = {r: SiblingStore(r) for r in ("r1", "r2", "r3")}
-    for replica, value in ops:
-        stores[replica].put("k", value)
-    for a in stores.values():
-        for b in stores.values():
-            a.merge_from(b)
-    snapshots = {repr(s.snapshot()) for s in stores.values()}
-    assert len(snapshots) == 1

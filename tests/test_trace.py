@@ -179,7 +179,7 @@ def test_tracing_does_not_change_execution(tmp_path):
         for _ in range(50):
             a.send("b", "ping")
         sim.run()
-        return sim.now, sim.events_processed, net.stats.messages_delivered
+        return sim.now, sim.events_processed, sim.metrics.counter("net.messages_delivered").value
 
     assert run(None) == run(Tracer())
 
