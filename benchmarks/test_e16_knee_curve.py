@@ -17,7 +17,7 @@ from common import emit
 from repro import Network, Simulator
 from repro.analysis import render_table
 from repro.api import registry
-from repro.chaos import run_storm
+from repro.scenarios import run_storm
 from repro.sim import FixedLatency
 from repro.workload import OpenLoopDriver, PoissonArrivals, YCSBWorkload
 
@@ -104,5 +104,5 @@ def test_e16_hot_key_storm(capsys):
     assert report.collapse_prevented, report.runs["protected"].goodput
     assert report.converged
     # Deterministic per seed: a second identical storm fingerprints
-    # byte-identically (the CI overload-smoke gate).
-    assert run_storm(seed=42).fingerprint() == report.fingerprint()
+    # byte-identically (the CI stories-smoke gate).
+    assert run_storm(seed=42).fingerprint == report.fingerprint

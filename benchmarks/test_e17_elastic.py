@@ -23,10 +23,9 @@ from common import emit
 from repro import Network, Simulator
 from repro.analysis import render_table
 from repro.membership import Autoscaler
-from repro.perf.harness import HashingTracer
+from repro.scenarios import run_scale_demo
 from repro.sharding import ShardedStore
-from repro.sharding.demo import run_scale_demo
-from repro.sim import FixedLatency
+from repro.sim import FixedLatency, HashingTracer
 from repro.workload import FlashCrowdArrivals, YCSBWorkload, run_workload
 
 SERVICE_TIME = 1.0          # ms/request -> 1000 ops/s/node

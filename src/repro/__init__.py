@@ -54,7 +54,6 @@ from . import (
     placement,
     replication,
     rpc,
-    scenarios,
     sharding,
     sim,
     sla,
@@ -88,7 +87,6 @@ __all__ = [
     "analysis",
     "api",
     "placement",
-    "scenarios",
     "sharding",
     "errors",
     "__version__",

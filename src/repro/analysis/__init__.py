@@ -6,7 +6,6 @@ from .pbs import (
     PBSResult,
     WARSModel,
     exponential,
-    quorum_sweep,
     simulate_k_staleness,
     simulate_t_visibility,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "exponential",
     "simulate_t_visibility",
     "simulate_k_staleness",
-    "quorum_sweep",
     "render_table",
     "print_table",
 ]

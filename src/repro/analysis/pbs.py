@@ -160,24 +160,3 @@ def simulate_k_staleness(
                                  seed=seed)
     p_inconsistent = 1.0 - base.p_consistent
     return 1.0 - p_inconsistent ** k
-
-
-def quorum_sweep(
-    n: int,
-    t_values: list[float],
-    model: WARSModel | None = None,
-    trials: int = 5_000,
-    seed: int = 0,
-) -> list[PBSResult]:
-    """All (R, W) combinations for a given N, at each t — the grid
-    behind the PBS paper's headline figures (reproduced as E2)."""
-    results = []
-    for r in range(1, n + 1):
-        for w in range(1, n + 1):
-            for t in t_values:
-                results.append(
-                    simulate_t_visibility(
-                        n, r, w, t, model=model, trials=trials, seed=seed,
-                    )
-                )
-    return results

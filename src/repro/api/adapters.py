@@ -50,20 +50,24 @@ def _norm_versioned(pair):
     return value, (version or None)
 
 
-def _session_region(store, read_preference, region):
-    """Validate and resolve a session's ``(read_preference, region)``.
+def _session_region(store, opts: dict):
+    """Pop and validate the region contract — ``read_preference=`` and
+    ``region=`` — out of a session's ``opts``.
 
     Returns ``(None, None)`` for region-blind sessions.  Otherwise the
-    store must have been built with ``placement=`` and the preference
-    must be declared in its capabilities; ``region`` falls back to the
+    store must be networked (a direct-attach session has no client node
+    to place) and built with ``placement=``, and the preference must be
+    declared in its capabilities; ``region`` falls back to the
     placement's ``default_region``."""
+    read_preference = opts.pop("read_preference", None)
+    region = opts.pop("region", None)
     if read_preference is None and region is None:
         return None, None
     placement = store.placement
-    if placement is None:
+    if placement is None or not store.capabilities.networked:
         raise ValueError(
             f"{store.capabilities.name}: read_preference=/region= need a "
-            "store built with placement="
+            "networked store built with placement="
         )
     supported = store.capabilities.read_preferences
     if read_preference is not None and read_preference not in supported:
@@ -79,18 +83,6 @@ def _session_region(store, read_preference, region):
     if region not in placement.region_names:
         raise ValueError(f"unknown region {region!r}")
     return read_preference, region
-
-
-def _attach_locality(placement, client, region, read_preference) -> None:
-    """Place a session's client node in its region; for the follower
-    and nearest preferences also attach the locality view that makes
-    :meth:`ClientNode.call` order endpoints nearest-first.  The
-    ``primary`` preference deliberately gets *no* locality: the
-    authoritative replica must stay first in failover lists even when
-    it is the remote endpoint."""
-    placement.place(client.node_id, region)
-    if read_preference in ("local_follower", "nearest"):
-        client.locality = placement.locality(region)
 
 
 class ClusterStore(ConsistentStore):
@@ -155,15 +147,49 @@ class ClusterStore(ConsistentStore):
     def _servers(self) -> list:
         return getattr(self.cluster, self.servers_attr)
 
-    def _connect(self, name, retry: RetryPolicy | None, **opts: Any):
-        """A protocol client for one session, carrying the effective
-        :class:`RetryPolicy`: the session-level override wins over the
-        store-wide default."""
+    def _near(self, read_preference, region, candidates) -> Hashable:
+        """The one locality rule, over candidate node ids:
+        ``local_follower`` takes the first candidate in ``region``;
+        with none there — and for ``nearest`` — the candidate cheapest
+        to reach from it."""
+        if read_preference == "local_follower":
+            locals_ = self.placement.nodes_in(region, within=candidates)
+            if locals_:
+                return locals_[0]
+        return self.placement.locality(region).nearest(candidates)
+
+    def _open(self, name, retry: RetryPolicy | None, opts: dict,
+              pin: str | None = None, candidates=()):
+        """One session's protocol client — what every networked
+        adapter's ``session()`` starts with; returns ``(client,
+        read_preference, region)``.
+
+        Resolves the region contract in ``opts``
+        (:func:`_session_region`); under the follower and nearest
+        preferences defaults the connect option ``pin`` (a coordinator,
+        a home replica) to the :meth:`_near` one of ``candidates``;
+        connects with the effective :class:`RetryPolicy` (the
+        session-level override wins over the store-wide default); and
+        places the client node in its region."""
+        read_preference, region = _session_region(self, opts)
+        local = read_preference in ("local_follower", "nearest")
+        if pin is not None and local:
+            opts.setdefault(
+                pin, self._near(read_preference, region, candidates)
+            )
         client = self.cluster.connect(session=name, **opts)
         policy = retry if retry is not None else self.retry
         if policy is not None:
             client.retry = policy
-        return client
+        if region is not None:
+            self.placement.place(client.node_id, region)
+            if local:
+                # The locality view makes :meth:`ClientNode.call` order
+                # endpoints nearest-first.  ``primary`` deliberately
+                # gets none: the authoritative replica must stay first
+                # in failover lists even when it is the remote endpoint.
+                client.locality = self.placement.locality(region)
+        return client, read_preference, region
 
     def _versioned(self, read):
         """A read fn over a client call resolving ``(value, version)``,
@@ -208,31 +234,15 @@ class QuorumStore(ClusterStore):
         self,
         name: Hashable | None = None,
         retry: RetryPolicy | None = None,
-        read_preference: str | None = None,
-        region: str | None = None,
         **opts: Any,
     ) -> StoreSession:
-        read_preference, region = _session_region(
-            self, read_preference, region
+        # Quorum reads still touch R replicas wherever they live; what
+        # locality buys is a same-region *coordinator*, so the
+        # client<->coordinator hop stays off the WAN.
+        client, read_preference, region = self._open(
+            name, retry, opts, pin="coordinator",
+            candidates=self.cluster.ring.nodes,
         )
-        if region is not None and read_preference in (
-            "local_follower", "nearest",
-        ):
-            # Quorum reads still touch R replicas wherever they live;
-            # what locality buys is a same-region *coordinator*, so the
-            # client<->coordinator hop stays off the WAN.
-            ring_nodes = self.cluster.ring.nodes
-            locals_ = self.placement.nodes_in(region, within=ring_nodes)
-            if read_preference == "local_follower" and locals_:
-                opts.setdefault("coordinator", locals_[0])
-            else:
-                opts.setdefault(
-                    "coordinator",
-                    self.placement.locality(region).nearest(ring_nodes),
-                )
-        client = self._connect(name, retry, **opts)
-        if region is not None:
-            _attach_locality(self.placement, client, region, read_preference)
         put_fn, get_fn = self._token_fns(client)
         return FnSession(
             client.session,
@@ -320,7 +330,9 @@ class CausalStore(ClusterStore):
             ids = self.cluster.node_ids
             home = ids[self._next_home % len(ids)]
             self._next_home += 1
-        client = self._connect(name, retry, home=home, **opts)
+        client, _pref, region = self._open(
+            name, retry, {**opts, "home": home}
+        )
         return FnSession(
             client.session,
             put_fn=lambda k, v, t: mapped_future(
@@ -338,6 +350,7 @@ class CausalStore(ClusterStore):
             default_mode="local",
             client_id=client.node_id,
             client=client,
+            region=region,
         )
 
 
@@ -381,34 +394,13 @@ class TimelineStore(ClusterStore):
         retry_delay: float = 10.0,
         spread_replicas: bool = False,
         retry: RetryPolicy | None = None,
-        read_preference: str | None = None,
-        region: str | None = None,
         **opts: Any,
     ) -> StoreSession:
-        read_preference, region = _session_region(
-            self, read_preference, region
+        client, read_preference, region = self._open(
+            name, retry, opts, pin="home", candidates=self.cluster.node_ids,
         )
-        default_mode = "any"
-        if region is not None:
-            node_ids = self.cluster.node_ids
-            if read_preference == "primary":
-                # Authoritative reads: the record master, wherever it is.
-                default_mode = "latest"
-            elif read_preference == "local_follower":
-                locals_ = self.placement.nodes_in(region, within=node_ids)
-                opts.setdefault(
-                    "home",
-                    locals_[0] if locals_
-                    else self.placement.locality(region).nearest(node_ids),
-                )
-            elif read_preference == "nearest":
-                opts.setdefault(
-                    "home",
-                    self.placement.locality(region).nearest(node_ids),
-                )
-        client = self._connect(name, retry, **opts)
-        if region is not None:
-            _attach_locality(self.placement, client, region, read_preference)
+        # Authoritative reads: the record master, wherever it is.
+        default_mode = "latest" if read_preference == "primary" else "any"
         put_fn = lambda k, v, t: client.write(k, v, timeout=t)
         read_any = client.read_any
         wrapped = None
@@ -476,6 +468,7 @@ class BayouStore(ClusterStore):
         retry: RetryPolicy | None = None,  # noqa: ARG002 - no RPC path
         **opts: Any,
     ) -> StoreSession:
+        _session_region(self, opts)     # direct-attach: rejects both
         if replica is None:
             index = self._next_replica % len(self.cluster.replicas)
             self._next_replica += 1
@@ -543,34 +536,20 @@ class PrimaryBackupStore(ClusterStore):
         self,
         name: Hashable | None = None,
         retry: RetryPolicy | None = None,
-        read_preference: str | None = None,
-        region: str | None = None,
         **opts: Any,
     ) -> StoreSession:
-        read_preference, region = _session_region(
-            self, read_preference, region
-        )
-        client = self._connect(name, retry, **opts)
+        client, read_preference, region = self._open(name, retry, opts)
         default_mode = "primary"
 
         if read_preference in ("local_follower", "nearest"):
             default_mode = "backup"
-            placement = self.placement
-            locality = placement.locality(region)
 
             def backup():
                 # Re-resolved per read so a promotion (region failover)
                 # re-routes follower reads without reopening sessions.
-                replicas = self.cluster.replicas
-                locals_ = [
-                    r for r in replicas
-                    if placement.region_of(r.node_id) == region
-                ]
-                if read_preference == "local_follower" and locals_:
-                    return locals_[0]
-                return min(
-                    replicas, key=lambda r: locality.delay_to(r.node_id)
-                )
+                return self.cluster.replica(self._near(
+                    read_preference, region, self.server_ids()
+                ))
         else:
             def backup():
                 backups = self.cluster.backups
@@ -580,8 +559,6 @@ class PrimaryBackupStore(ClusterStore):
             lambda k, timeout: client.get(k, replica=backup(), timeout=timeout)
         )
 
-        if region is not None:
-            _attach_locality(self.placement, client, region, read_preference)
         return FnSession(
             client.session,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
@@ -618,7 +595,7 @@ class ChainStore(ClusterStore):
         retry: RetryPolicy | None = None,
         **opts: Any,
     ) -> StoreSession:
-        client = self._connect(name, retry, **opts)
+        client, _pref, region = self._open(name, retry, opts)
         return FnSession(
             client.session,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
@@ -626,6 +603,7 @@ class ChainStore(ClusterStore):
             default_mode="tail",
             client_id=client.node_id,
             client=client,
+            region=region,
         )
 
 
@@ -662,7 +640,7 @@ class MultiPaxosStore(ClusterStore):
         retry: RetryPolicy | None = None,
         **opts: Any,
     ) -> StoreSession:
-        client = self._connect(name, retry, **opts)
+        client, _pref, region = self._open(name, retry, opts)
         return FnSession(
             client.session,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
@@ -673,6 +651,7 @@ class MultiPaxosStore(ClusterStore):
             default_mode="log",
             client_id=client.node_id,
             client=client,
+            region=region,
         )
 
     def settle(self) -> None:
@@ -717,11 +696,9 @@ class PileusStore(TimelineStore):
         sla: SLA = SHOPPING_CART,
         target: Hashable | None = None,
         retry: RetryPolicy | None = None,
-        region: str | None = None,
         **opts: Any,
     ) -> StoreSession:
-        _pref, region = _session_region(self, None, region)
-        client = self._connect(name, retry, **opts)
+        client, _pref, region = self._open(name, retry, opts)
         if target is not None:
             sla_client = FixedTargetSLAClient(client, target)
         else:
@@ -731,7 +708,6 @@ class PileusStore(TimelineStore):
             # in its region and the monitor starts from the *real* WAN
             # round trips instead of the flat default, so sub-SLA
             # selection reflects geography from the first read.
-            self.placement.place(client.node_id, region)
             for node_id in self.cluster.node_ids:
                 sla_client.monitor.latency[node_id] = 2 * self.placement.delay(
                     region, self.placement.region_of(node_id)

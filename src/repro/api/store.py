@@ -231,7 +231,10 @@ class ConsistentStore(ABC):
     @abstractmethod
     def session(self, name: Hashable | None = None, **opts: Any) -> StoreSession:
         """Create a client session (``opts`` are adapter-specific:
-        ``coordinator=``, ``home=``, ``guarantees=``, ``sla=`` …)."""
+        ``coordinator=``, ``home=``, ``guarantees=``, ``sla=`` …).  On a
+        store built with ``placement=``, every networked adapter also
+        takes ``region=`` (where the session's client node lives) and
+        the ``read_preference=`` values its capabilities declare."""
 
     @abstractmethod
     def server_ids(self) -> list[Hashable]:

@@ -32,7 +32,6 @@ from .runner import (
     run_cell,
     run_grid,
 )
-from .storm import StormReport, StormRun, format_storm, run_storm
 
 __all__ = [
     "FAULTS",
@@ -55,8 +54,4 @@ __all__ = [
     "FAIL",
     "UNKNOWN",
     "WAIVED",
-    "StormRun",
-    "StormReport",
-    "run_storm",
-    "format_storm",
 ]

@@ -263,26 +263,36 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _perf_failed(command: str, exc) -> int:
+    """One line for a :class:`repro.perf.PerfError`: exit 2 when the
+    engine refused the arguments, 1 when a run misbehaved."""
+    print(f"{command} failed: {exc}", file=sys.stderr)
+    return 2 if exc.bad_input else 1
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run the macro perf scenarios; optionally write BENCH_CORE.json
     and/or gate against a committed baseline."""
     import json
 
-    from .perf import SCENARIOS, compare, render_report, run_suite
+    from .perf import SCENARIOS, PerfError, compare, render_report, run_suite
 
     if args.list:
         for name, scenario in SCENARIOS.items():
             print(f"{name:<18} {scenario.description}")
         return 0
 
-    doc = run_suite(
-        scenarios=args.scenario or None,
-        seed=args.seed,
-        quick=args.quick,
-        verify=not args.no_verify,
-        repeats=args.repeat,
-        workers=args.workers,
-    )
+    try:
+        doc = run_suite(
+            scenarios=args.scenario or None,
+            seed=args.seed,
+            quick=args.quick,
+            verify=not args.no_verify,
+            repeats=args.repeat,
+            workers=args.workers,
+        )
+    except PerfError as exc:
+        return _perf_failed("bench", exc)
     print(render_report(doc))
 
     if args.output:
@@ -317,7 +327,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     from .analysis import render_table
     from .perf import (
-        SweepError,
+        PerfError,
         check_parallel_determinism,
         parse_seeds,
         run_sweep,
@@ -334,9 +344,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             report = run_sweep(
                 args.scenario, seeds, workers=args.workers, quick=args.quick,
             )
-    except SweepError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
+    except PerfError as exc:
+        return _perf_failed("sweep", exc)
 
     rows = [
         [result.seed, result.events, round(result.events_per_sec, 1),
@@ -427,6 +436,19 @@ def _conformance(args: argparse.Namespace, protocols, policies, unit: str,
     return 0 if all(report.ok for report in reports) else 1
 
 
+def _story(args: argparse.Namespace, name: str, run, render) -> int:
+    """Run one :mod:`repro.scenarios` script and print its report;
+    exit 0 when ``report.ok`` — and, with ``--check-determinism``, a
+    second run reproduced the fingerprint — else 1."""
+    report = run()
+    print(render(report))
+    if args.check_determinism and not _reproduces(
+        {name: report.fingerprint}, lambda: {name: run().fingerprint},
+    ):
+        return 1
+    return 0 if report.ok else 1
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos conformance suite and print the verdict table.
 
@@ -479,24 +501,21 @@ def cmd_load(args: argparse.Namespace) -> int:
 
     Exit status: 0 on success; for ``--storm``, 1 when the collapse /
     prevention / convergence verdicts fail or (with
-    ``--check-determinism``) the fingerprint drifts between two runs.
+    ``--check-determinism``) the fingerprint drifts between two runs;
+    2 on an unknown ``--protocol`` / ``--preset``.
     """
     from .api import registry
+    from .workload import PRESETS
 
+    if _unknown("protocol", [args.protocol], registry.names()) \
+            or _unknown("preset", [args.preset], sorted(PRESETS)):
+        return 2
     if args.storm:
-        from .chaos import format_storm, run_storm
+        from .scenarios import format_storm, run_storm
 
-        report = run_storm(seed=args.seed, protocol=args.protocol,
-                           nodes=args.nodes)
-        print(format_storm(report))
-        if args.check_determinism and not _reproduces(
-            {"storm": report.fingerprint()},
-            lambda: {"storm": run_storm(
-                seed=args.seed, protocol=args.protocol, nodes=args.nodes,
-            ).fingerprint()},
-        ):
-            return 1
-        return 0 if report.ok else 1
+        return _story(args, "storm", lambda: run_storm(
+            seed=args.seed, protocol=args.protocol, nodes=args.nodes,
+        ), format_storm)
 
     from .analysis import print_table
     from .sim import FixedLatency, Network, Simulator
@@ -508,10 +527,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         YCSBWorkload,
     )
 
-    if args.protocol not in registry.names():
-        print(f"unknown protocol {args.protocol!r}; available: "
-              f"{', '.join(registry.names())}", file=sys.stderr)
-        return 2
     if args.arrivals == "poisson":
         arrivals = PoissonArrivals(rate=args.rate, seed=args.seed)
     elif args.arrivals == "diurnal":
@@ -569,22 +584,18 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
     Exit status: 0 when both ring moves commit, no acknowledged write
     is lost, and the store converges; 1 on any verdict failure or
-    (with ``--check-determinism``) fingerprint drift between two runs.
+    (with ``--check-determinism``) fingerprint drift between two runs;
+    2 on an unknown ``--protocol``.
     """
-    from .sharding.demo import format_scale, run_scale_demo
+    from .api import registry
+    from .scenarios import format_scale, run_scale_demo
 
-    knobs = dict(
+    if _unknown("protocol", [args.protocol], registry.names()):
+        return 2
+    return _story(args, "scale", lambda: run_scale_demo(
         seed=args.seed, protocol=args.protocol, shards=args.shards,
         peak=args.peak, rate=args.rate, duration=args.duration,
-    )
-    report = run_scale_demo(**knobs)
-    print(format_scale(report))
-    if args.check_determinism and not _reproduces(
-        {"scale": report.fingerprint},
-        lambda: {"scale": run_scale_demo(**knobs).fingerprint},
-    ):
-        return 1
-    return 0 if report.ok else 1
+    ), format_scale)
 
 
 def cmd_multiregion(args: argparse.Namespace) -> int:
@@ -593,25 +604,19 @@ def cmd_multiregion(args: argparse.Namespace) -> int:
     Exit status: 0 when every protocol recovers from the region loss,
     local follower reads beat cross-region primary reads, and the
     quorum leg loses no acknowledged write; 1 on any verdict failure
-    or (with ``--check-determinism``) fingerprint drift between runs.
+    or (with ``--check-determinism``) fingerprint drift between runs;
+    2 on an unknown ``--protocol``.
     """
     from .scenarios import format_multiregion, run_multiregion
+    from .scenarios.multiregion import PROTOCOL_KWARGS
 
     protocols = tuple(args.protocol) or ("timeline", "primary_backup",
                                          "quorum")
-    knobs = dict(seed=args.seed, protocols=protocols, quick=args.quick)
-    try:
-        report = run_multiregion(**knobs)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    if _unknown("protocol", protocols, sorted(PROTOCOL_KWARGS)):
         return 2
-    print(format_multiregion(report))
-    if args.check_determinism and not _reproduces(
-        {"multiregion": report.fingerprint},
-        lambda: {"multiregion": run_multiregion(**knobs).fingerprint},
-    ):
-        return 1
-    return 0 if report.ok else 1
+    return _story(args, "multiregion", lambda: run_multiregion(
+        seed=args.seed, protocols=protocols, quick=args.quick,
+    ), format_multiregion)
 
 
 def cmd_selftest(_args: argparse.Namespace) -> int:

@@ -1,27 +1,18 @@
-"""Seeded macro-benchmark harness (``repro bench``).
+"""Seeded macro benchmarks: one measuring engine, two views.
 
-The perf package is the repo's measurement loop: a small set of
-macro scenarios — quorum YCSB through the workload driver, the
-sharded ring, multipaxos, and a CRDT merge storm — each a
-deterministic function of one seed, timed end-to-end and written to
-``BENCH_CORE.json`` (events/sec, ops/sec, wall time, peak RSS per
-scenario).  Every scenario is also re-run under a hashing tracer so a
-perf PR can prove behavior is unchanged: same seed ⇒ same trace hash
-and same ``metrics.snapshot()`` digest, before and after an
-optimization.
-
-Entry points::
+A small catalogue of macro scenarios (:mod:`repro.perf.scenarios`),
+each a deterministic function of one seed, is measured by one engine
+(:mod:`repro.perf.harness` — see its docstring for the measuring and
+fingerprinting discipline).  ``repro bench`` is its *scenarios × one
+seed* view (:func:`run_suite` → the ``BENCH_CORE.json`` document
+:func:`compare` gates in CI); ``repro sweep`` is its *one scenario ×
+seeds* view (:func:`run_sweep`, :func:`check_parallel_determinism`)::
 
     python -m repro bench --quick              # CI smoke scale
     python -m repro bench --quick --workers 4  # scenarios across cores
     python -m repro bench --output BENCH_CORE.json
     python -m repro bench --quick --compare BENCH_CORE.json
     python -m repro sweep --scenario quorum_ycsb --seeds 1-8 --workers 4
-
-``repro sweep`` (:mod:`repro.perf.parallel`) fans one scenario's seeds
-across a multiprocess pool and can prove the fan-out changed nothing:
-the parallel run must produce the identical set of per-seed
-``(trace_hash, metrics_digest)`` fingerprints as a serial run.
 """
 
 from .harness import (
@@ -29,20 +20,17 @@ from .harness import (
     RSS_TOLERANCE,
     SCHEMA,
     HashingTracer,
-    PerfHarnessError,
-    ScenarioReport,
-    compare,
-    metrics_digest,
-    render_report,
-    run_scenario,
-    run_suite,
-)
-from .parallel import (
-    SeedResult,
-    SweepError,
+    PerfError,
+    RunRecord,
     SweepReport,
     check_parallel_determinism,
+    compare,
+    metrics_digest,
     parse_seeds,
+    render_report,
+    run_matrix,
+    run_scenario,
+    run_suite,
     run_sweep,
 )
 from .scenarios import DEFAULT_SCENARIOS, SCENARIOS, Scenario, ScenarioOutcome
@@ -54,18 +42,17 @@ __all__ = [
     "SCHEMA",
     "SCENARIOS",
     "HashingTracer",
-    "PerfHarnessError",
+    "PerfError",
+    "RunRecord",
     "Scenario",
     "ScenarioOutcome",
-    "ScenarioReport",
-    "SeedResult",
-    "SweepError",
     "SweepReport",
     "check_parallel_determinism",
     "compare",
     "metrics_digest",
     "parse_seeds",
     "render_report",
+    "run_matrix",
     "run_scenario",
     "run_suite",
     "run_sweep",

@@ -1,15 +1,26 @@
-"""Measurement + comparison machinery behind ``repro bench``.
+"""The one measuring engine under ``repro bench`` and ``repro sweep``.
 
-Responsibilities:
+One instrument, written once:
 
-* time each scenario untraced (wall clock, events/sec, ops/sec, peak
-  RSS high-water mark),
-* re-run it under :class:`~repro.sim.HashingTracer` to fingerprint
-  behavior (SHA-256 over the exact JSONL the
-  :class:`~repro.sim.Tracer` would dump, plus a digest of
-  ``metrics.snapshot()``),
-* assemble the ``BENCH_CORE.json`` document and compare two documents
-  for the CI regression guard.
+* :func:`run_scenario` measures one ``(scenario, seed)``: N timed
+  untraced passes (wall clock best-of-N, events/sec, ops/sec, peak RSS
+  high-water mark), then one pass under
+  :class:`~repro.sim.HashingTracer` for the behavior fingerprint
+  (SHA-256 over the exact JSONL the :class:`~repro.sim.Tracer` would
+  dump, plus a digest of ``metrics.snapshot()``).  Every pass must
+  reproduce the first one — repeats must not drift and tracing must
+  never perturb a simulation.  The result is one :class:`RunRecord`.
+* :func:`run_matrix` runs a list of such tasks, serially or on the
+  only process pool in the package.  One simulation is single-threaded
+  by construction (determinism comes from a totally ordered event
+  loop), so the way to go faster is to run *many at once*, one fully
+  independent simulator per worker.
+
+Two thin views sit on the matrix: :func:`run_suite` (*scenarios × one
+seed* → the ``BENCH_CORE.json`` document :func:`compare` gates) and
+:func:`run_sweep` (*one scenario × seeds* → :class:`SweepReport`, with
+:func:`check_parallel_determinism` proving fan-out changed nothing but
+the wall clock).
 
 The behavior fingerprint is the contract that makes perf PRs safe:
 same seed ⇒ same trace hash and metrics digest before and after an
@@ -18,15 +29,16 @@ optimization, or the optimization changed semantics.
 
 from __future__ import annotations
 
+import multiprocessing
 import platform
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..errors import ReproError
 from ..sim.trace import HashingTracer, metrics_digest
-from .scenarios import DEFAULT_SCENARIOS, SCENARIOS, ScenarioOutcome
+from .scenarios import DEFAULT_SCENARIOS, SCENARIOS, Scenario
 
 SCHEMA = "repro.perf.bench_core/1"
 DEFAULT_SEED = 42
@@ -45,8 +57,14 @@ except ImportError:  # pragma: no cover - windows fallback
     resource = None  # type: ignore[assignment]
 
 
-class PerfHarnessError(ReproError):
-    """A scenario misbehaved (nondeterminism between harness runs)."""
+class PerfError(ReproError):
+    """The engine refused its input (``bad_input``: unknown scenario,
+    bad seed spec, ``workers`` / ``repeats`` < 1) or caught a scenario
+    misbehaving (a pass, or a parallel sweep, that diverged)."""
+
+    def __init__(self, message: str, bad_input: bool = False) -> None:
+        super().__init__(message)
+        self.bad_input = bad_input
 
 
 def _peak_rss_kb() -> int | None:
@@ -60,25 +78,48 @@ def _peak_rss_kb() -> int | None:
     return int(peak)
 
 
-@dataclass
-class ScenarioReport:
-    """One scenario's measured + fingerprinted result."""
+def _checked(name: str, repeats: int) -> Scenario:
+    """The scenario a task names, or the refusal of a bad task."""
+    if name not in SCENARIOS:
+        raise PerfError(
+            f"unknown scenario {name!r} (have: {', '.join(SCENARIOS)})",
+            bad_input=True,
+        )
+    if repeats < 1:
+        raise PerfError("repeats must be >= 1", bad_input=True)
+    return SCENARIOS[name]
 
-    name: str
-    description: str
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One ``(scenario, seed)``'s measured + fingerprinted outcome."""
+
+    scenario: str
+    seed: int
     events: int
     ops: int
     wall_s: float
-    events_per_sec: float
-    ops_per_sec: float
     peak_rss_kb: int | None
     metrics_digest: str
     trace_hash: str | None = None
     trace_events: int | None = None
 
+    @property
+    def events_per_sec(self) -> float:
+        return self.events / self.wall_s
+
+    @property
+    def ops_per_sec(self) -> float:
+        return self.ops / self.wall_s
+
+    @property
+    def fingerprint(self) -> tuple[int, str | None, str]:
+        return (self.seed, self.trace_hash, self.metrics_digest)
+
     def to_json(self) -> dict:
         return {
-            "description": self.description,
+            "description": SCENARIOS[self.scenario].description,
+            "seed": self.seed,
             "events": self.events,
             "ops": self.ops,
             "wall_s": round(self.wall_s, 4),
@@ -97,84 +138,85 @@ def run_scenario(
     quick: bool = False,
     verify: bool = True,
     repeats: int = 1,
-) -> ScenarioReport:
-    """Time one scenario; with ``verify``, also fingerprint its behavior.
+) -> RunRecord:
+    """Measure one scenario at one seed.
 
-    ``repeats`` runs the timed (untraced) pass that many times and
-    keeps the best wall time — best-of-N is the standard defense
-    against scheduler noise on shared machines; every repeat must
-    produce the identical metrics snapshot or the scenario is declared
-    nondeterministic.
-
-    The verification pass re-runs the scenario under a
-    :class:`HashingTracer` and checks the untraced and traced runs
-    produced identical metrics snapshots — tracing must never perturb
-    a simulation.
+    ``repeats`` timed (untraced) passes keep the best wall time —
+    best-of-N is the standard defense against scheduler noise on shared
+    machines.  With ``verify``, one more pass runs under a
+    :class:`HashingTracer` for the trace hash.  Every pass after the
+    first must reproduce its ``(metrics_digest, events_processed)`` or
+    the scenario is declared nondeterministic.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    scenario = SCENARIOS[name]
-    wall: float | None = None
-    digest: str | None = None
-    events = 0
-    outcome: ScenarioOutcome | None = None
-    for _ in range(repeats):
+    scenario = _checked(name, repeats)
+    wall = float("inf")
+    first = tracer = None
+    for index in range(repeats + bool(verify)):
+        tracer = HashingTracer() if index == repeats else None
         start = time.perf_counter()
-        attempt: ScenarioOutcome = scenario.run(seed, quick, None)
+        outcome = scenario.run(seed, quick, tracer)
         elapsed = time.perf_counter() - start
-        attempt_digest = metrics_digest(attempt.sim.metrics.snapshot())
-        if digest is None:
-            digest = attempt_digest
-            events = attempt.sim.events_processed
-        elif (attempt_digest != digest
-                or attempt.sim.events_processed != events):
-            raise PerfHarnessError(
-                f"scenario {name!r} is nondeterministic: repeat run "
-                f"diverged from the first (seed={seed})"
+        behavior = (metrics_digest(outcome.sim.metrics.snapshot()),
+                    outcome.sim.events_processed)
+        if first is None:
+            first, ops = behavior, outcome.ops
+        elif behavior != first:
+            raise PerfError(
+                f"scenario {name!r} is nondeterministic at seed {seed}: "
+                f"{'traced re-run' if tracer else 'repeat run'} diverged "
+                "from the first timed run"
             )
-        if wall is None or elapsed < wall:
-            wall = elapsed
-        outcome = attempt
-    assert wall is not None and digest is not None and outcome is not None
-
-    trace_hash: str | None = None
-    trace_events: int | None = None
-    if verify:
-        tracer = HashingTracer()
-        traced = scenario.run(seed, quick, tracer)
-        traced_digest = metrics_digest(traced.sim.metrics.snapshot())
-        if traced_digest != digest or traced.sim.events_processed != events:
-            raise PerfHarnessError(
-                f"scenario {name!r} is nondeterministic: traced re-run "
-                f"diverged from the timed run (seed={seed})"
-            )
-        trace_hash = tracer.hexdigest()
-        trace_events = tracer.count
-
-    wall = max(wall, 1e-9)
-    return ScenarioReport(
-        name=name,
-        description=scenario.description,
+        if tracer is None:
+            wall = min(wall, elapsed)
+    digest, events = first
+    return RunRecord(
+        scenario=name,
+        seed=seed,
         events=events,
-        ops=outcome.ops,
-        wall_s=wall,
-        events_per_sec=events / wall,
-        ops_per_sec=outcome.ops / wall,
+        ops=ops,
+        wall_s=max(wall, 1e-9),
         peak_rss_kb=_peak_rss_kb(),
         metrics_digest=digest,
-        trace_hash=trace_hash,
-        trace_events=trace_events,
+        trace_hash=tracer.hexdigest() if tracer else None,
+        trace_events=tracer.count if tracer else None,
     )
 
 
-def _run_scenario_task(task: tuple) -> tuple[str, dict]:
-    """Pool worker for :func:`run_suite` — module-level so it pickles
-    under the ``spawn`` start method."""
-    name, seed, quick, verify, repeats = task
-    report = run_scenario(
-        name, seed=seed, quick=quick, verify=verify, repeats=repeats
+def run_matrix(tasks: Iterable[tuple], workers: int = 1) -> list[RunRecord]:
+    """Run every :func:`run_scenario` argument tuple ``(name, seed,
+    quick, verify, repeats)`` and return the records in task order,
+    whichever worker finished first.
+
+    ``workers > 1`` fans the tasks across a process pool.  Workers
+    prefer the ``fork`` start method (cheap on Linux, inherits the
+    parent's hash seed) and fall back to ``spawn``; trace hashes are
+    hash-seed-independent either way.  Timings from a loaded machine
+    are noisier than serial best-of-N, so keep ``workers=1`` for
+    baseline regeneration.  ``peak_rss_kb`` is *more* accurate in
+    parallel mode: each worker's high-water mark covers only its own
+    tasks, while a serial run reports the process-wide monotone maximum.
+    """
+    tasks = list(tasks)
+    if not tasks:
+        raise PerfError("nothing to run: no scenario or seed given",
+                        bad_input=True)
+    for name, _seed, _quick, _verify, repeats in tasks:
+        _checked(name, repeats)  # refuse before anything runs or forks
+    if workers < 1:
+        raise PerfError("workers must be >= 1", bad_input=True)
+    if workers == 1:
+        return [run_scenario(*task) for task in tasks]
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
     )
-    return name, report.to_json()
+    with context.Pool(processes=min(workers, len(tasks))) as pool:
+        return pool.starmap(run_scenario, tasks)
+
+
+# ---------------------------------------------------------------------------
+# View 1: scenarios × one seed — the BENCH_CORE document and its CI gate
+# ---------------------------------------------------------------------------
 
 
 def run_suite(
@@ -190,50 +232,21 @@ def run_suite(
     ``scenarios=None`` runs :data:`~repro.perf.scenarios.\
 DEFAULT_SCENARIOS` — the gated set BENCH_CORE.json pins — not every
     registered scenario; heavyweight opt-in scenarios must be named.
-
-    ``workers > 1`` fans the scenarios across a process pool (one
-    scenario per worker, results assembled in request order).  Timings
-    from a loaded machine are noisier than serial best-of-N, so keep
-    the serial path for baseline regeneration; parallel mode is for
-    fast comparative sweeps.  Per-scenario ``peak_rss_kb`` is *more*
-    accurate in parallel mode: each worker's high-water mark covers
-    only its own scenario, while a serial run reports the process-wide
-    monotone maximum.
     """
     names = list(scenarios) if scenarios else list(DEFAULT_SCENARIOS)
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
-        raise KeyError(f"unknown scenario(s): {', '.join(unknown)}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    doc: dict = {
+    records = run_matrix(
+        [(name, seed, quick, verify, repeats) for name in names], workers
+    )
+    return {
         "schema": SCHEMA,
         "seed": seed,
         "quick": quick,
         "python": platform.python_version(),
         "platform": sys.platform,
-        "scenarios": {},
+        "scenarios": {
+            record.scenario: record.to_json() for record in records
+        },
     }
-    tasks = [(name, seed, quick, verify, repeats) for name in names]
-    if workers == 1:
-        results = [_run_scenario_task(task) for task in tasks]
-    else:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        with context.Pool(processes=min(workers, len(tasks))) as pool:
-            results = pool.map(_run_scenario_task, tasks)
-    for name, entry in results:
-        doc["scenarios"][name] = entry
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# Comparison (the CI regression guard)
-# ---------------------------------------------------------------------------
 
 
 def _same_fingerprint_basis(current: dict, baseline: dict) -> bool:
@@ -319,3 +332,130 @@ def render_report(doc: dict) -> str:
         title=f"repro bench — {scale} scale, seed={doc.get('seed')}, "
               f"python {doc.get('python')}",
     )
+
+
+# ---------------------------------------------------------------------------
+# View 2: one scenario × seeds — the sweep and its parallel == serial proof
+# ---------------------------------------------------------------------------
+
+
+def parse_seeds(spec: str) -> list[int]:
+    """Parse a seed spec: ``"42"``, ``"1-8"``, or ``"1,2,5-7"``.
+
+    Ranges are inclusive.  Order is preserved; duplicates are rejected
+    (a sweep result set is keyed by seed).
+    """
+    seeds: list[int] = []
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        lo, dash, hi = part.partition("-")
+        try:
+            if dash:
+                start, stop = int(lo), int(hi)
+                if stop < start:
+                    raise ValueError
+                seeds.extend(range(start, stop + 1))
+            else:
+                seeds.append(int(part))
+        except ValueError:
+            raise PerfError(f"bad seed spec {part!r} (want N, N-M, or N,M)",
+                            bad_input=True) from None
+    if not seeds:
+        raise PerfError(f"empty seed spec {spec!r}", bad_input=True)
+    if len(set(seeds)) != len(seeds):
+        raise PerfError(f"duplicate seeds in spec {spec!r}", bad_input=True)
+    return seeds
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    """A whole sweep: per-seed records plus aggregate throughput."""
+
+    scenario: str
+    quick: bool
+    workers: int
+    results: tuple[RunRecord, ...]
+    wall_s: float  # whole-sweep wall clock, all workers included
+
+    @property
+    def total_events(self) -> int:
+        return sum(result.events for result in self.results)
+
+    @property
+    def aggregate_events_per_sec(self) -> float:
+        """System throughput: events completed across all workers per
+        second of sweep wall clock — the number cross-core fan-out is
+        allowed to scale, unlike any single seed's rate."""
+        return self.total_events / max(self.wall_s, 1e-9)
+
+    @property
+    def serial_wall_s(self) -> float:
+        """What the same seeds cost back-to-back (sum of per-seed
+        walls) — the denominator of the parallel speedup."""
+        return sum(result.wall_s for result in self.results)
+
+    def fingerprints(self) -> frozenset[tuple]:
+        return frozenset(result.fingerprint for result in self.results)
+
+    def to_json(self) -> dict:
+        return {
+            "scenario": self.scenario,
+            "quick": self.quick,
+            "workers": self.workers,
+            "wall_s": round(self.wall_s, 4),
+            "aggregate_events_per_sec": round(self.aggregate_events_per_sec, 1),
+            "seeds": [result.to_json() for result in self.results],
+        }
+
+
+def run_sweep(
+    scenario: str,
+    seeds: Iterable[int],
+    workers: int = 1,
+    quick: bool = True,
+) -> SweepReport:
+    """Run ``scenario`` at every seed (verified, one timed pass each),
+    fanned across ``workers`` processes; results in seed order, so two
+    sweeps over the same seeds are directly comparable."""
+    start = time.perf_counter()
+    records = run_matrix(
+        [(scenario, seed, quick, True, 1) for seed in seeds], workers
+    )
+    return SweepReport(
+        scenario=scenario,
+        quick=quick,
+        workers=workers,
+        results=tuple(records),
+        wall_s=max(time.perf_counter() - start, 1e-9),
+    )
+
+
+def check_parallel_determinism(
+    scenario: str,
+    seeds: Sequence[int],
+    workers: int,
+    quick: bool = True,
+) -> tuple[SweepReport, SweepReport]:
+    """Run the sweep serially and in parallel; raise unless both
+    produce the identical ``(seed, trace_hash, metrics_digest)`` set —
+    the property chaos Monte Carlo needs: more seeds checked per
+    CPU-hour, with a proof that parallelism changed nothing.
+
+    Returns ``(serial, parallel)`` reports on success so callers can
+    show the speedup next to the proof.
+    """
+    serial = run_sweep(scenario, seeds, workers=1, quick=quick)
+    parallel = run_sweep(scenario, seeds, workers=workers, quick=quick)
+    mine, theirs = serial.fingerprints(), parallel.fingerprints()
+    if mine != theirs:
+        diverged = sorted(
+            {seed for seed, _h, _d in mine.symmetric_difference(theirs)}
+        )
+        raise PerfError(
+            f"parallel sweep diverged from serial for scenario "
+            f"{scenario!r} at seed(s) {diverged} — worker isolation is "
+            "broken (shared state leaked across simulations?)"
+        )
+    return serial, parallel

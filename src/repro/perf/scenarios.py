@@ -1,15 +1,18 @@
-"""The macro-benchmark scenarios behind ``repro bench``.
+"""The scenario catalogue behind ``repro bench`` and ``repro sweep``.
 
 Each scenario builds a fresh :class:`~repro.sim.Simulator` from the
 given seed, drives a representative workload through the public store
 machinery, and returns the simulator plus the count of
 application-level operations it completed.  Scenarios must be
-*deterministic functions of the seed*: the harness runs each one twice
-(untraced for timing, then under a hashing tracer for the behavior
-fingerprint) and insists the two metrics snapshots agree.
+*deterministic functions of the seed*: the engine runs each one at
+least twice (untraced for timing, then under a hashing tracer for the
+behavior fingerprint) and insists every pass reproduces the first.
 
-The four scenarios cover the hot paths that dominate every experiment
-in ``benchmarks/``:
+The closed-loop YCSB scenarios are rows over one runner
+(:func:`_ycsb`: store builder, keyspace, size per scale, timeout, fault
+plan); the CRDT storm and the open-loop flood are functions.  Together
+they cover the hot paths that dominate every experiment in
+``benchmarks/``:
 
 ``quorum_ycsb``
     YCSB-A through the :class:`~repro.workload.WorkloadDriver` against
@@ -35,11 +38,15 @@ ShardedStore` (hash-ring routing, per-node service time) — adds
     an admission-controlled quorum store — the arrival scheduler,
     bounded service queue, token bucket, and shed/retry-after paths
     under sustained saturation.
+
+``quorum_ycsb_100x`` and ``quorum_ycsb_cached`` are opt-in variants of
+the first (see the notes on their rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from ..api import registry
@@ -72,93 +79,40 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _run_quorum_ycsb(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutcome:
-    ops, clients = (400, 8) if quick else (4000, 24)
-    sim = Simulator(seed=seed, tracer=tracer)
-    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
-    store = registry.build("quorum", sim, net, nodes=5, r=2, w=2)
-    workload = YCSBWorkload("A", records=500, seed=seed + 1)
-    result = run_workload(store, workload.take(ops), clients=clients,
-                          timeout=60_000.0)
-    return ScenarioOutcome(sim, result.ops_ok)
+def _ycsb(
+    build: Callable[[Simulator, Network], Any],
+    records: int,
+    quick: tuple[int, int],
+    full: tuple[int, int],
+    timeout: float = 60_000.0,
+    plan: str | None = None,
+) -> Callable[[int, bool, Any], ScenarioOutcome]:
+    """A closed-loop YCSB-A scenario over the store ``build(sim, net)``
+    makes: ``quick`` / ``full`` are ``(ops, clients)`` at each scale;
+    ``plan`` names a fault plan a :class:`~repro.chaos.Nemesis` executes
+    alongside the workload (healed and settled before returning)."""
+
+    def run(seed: int, quick_scale: bool, tracer: Any = None) -> ScenarioOutcome:
+        ops, clients = quick if quick_scale else full
+        sim = Simulator(seed=seed, tracer=tracer)
+        net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
+        store = build(sim, net)
+        workload = YCSBWorkload("A", records=records, seed=seed + 1)
+        nemesis = Nemesis(PLANS[plan], seed=seed) if plan else None
+        result = run_workload(store, workload.take(ops), clients=clients,
+                              timeout=timeout, nemesis=nemesis)
+        if nemesis is not None:
+            nemesis.heal_all()
+            sim.run()
+            store.settle()
+            sim.run()
+        return ScenarioOutcome(sim, result.ops_ok)
+
+    return run
 
 
-def _run_quorum_ycsb_100x(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutcome:
-    """100x the quick ``quorum_ycsb`` op count, same store shape.
-
-    ``quick`` is ignored on purpose: this is fixed heavyweight fodder
-    for the multiprocess sweep runner (``repro sweep``), where the
-    interesting number is aggregate events/sec across workers, not a
-    tunable per-run size.  Not part of ``DEFAULT_SCENARIOS`` — too big
-    for the serial bench gate.
-    """
-    ops, clients = 40_000, 24
-    sim = Simulator(seed=seed, tracer=tracer)
-    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
-    store = registry.build("quorum", sim, net, nodes=5, r=2, w=2)
-    workload = YCSBWorkload("A", records=500, seed=seed + 1)
-    result = run_workload(store, workload.take(ops), clients=clients,
-                          timeout=600_000.0)
-    return ScenarioOutcome(sim, result.ops_ok)
-
-
-def _run_quorum_ycsb_cached(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutcome:
-    """``quorum_ycsb`` behind a write-through cache — the hit path
-    (no network round trip), the fill path, and the CDC append all on
-    the measured loop.  Not part of ``DEFAULT_SCENARIOS``: reached by
-    name, so adding the cache tier cannot shift the pinned baseline.
-    """
-    ops, clients = (400, 8) if quick else (4000, 24)
-    sim = Simulator(seed=seed, tracer=tracer)
-    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
-    store = registry.build("cached", sim, net, protocol="quorum",
-                           policy="write_through", ttl=200.0, capacity=256,
-                           miss_mode="quorum", nodes=5, r=2, w=2)
-    workload = YCSBWorkload("A", records=500, seed=seed + 1)
-    result = run_workload(store, workload.take(ops), clients=clients,
-                          timeout=60_000.0)
-    return ScenarioOutcome(sim, result.ops_ok)
-
-
-def _run_sharded_ring(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutcome:
-    ops, clients = (400, 16) if quick else (3000, 32)
-    sim = Simulator(seed=seed, tracer=tracer)
-    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
-    store = ShardedStore(sim, net, protocol="quorum", shards=4,
-                         nodes_per_shard=3, service_time=2.0)
-    workload = YCSBWorkload("A", records=1000, seed=seed + 1)
-    result = run_workload(store, workload.take(ops), clients=clients,
-                          timeout=60_000.0)
-    return ScenarioOutcome(sim, result.ops_ok)
-
-
-def _run_multipaxos(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutcome:
-    ops, clients = (200, 4) if quick else (1500, 8)
-    sim = Simulator(seed=seed, tracer=tracer)
-    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
-    store = registry.build("multipaxos", sim, net, nodes=5)
-    workload = YCSBWorkload("A", records=200, seed=seed + 1)
-    result = run_workload(store, workload.take(ops), clients=clients,
-                          timeout=120_000.0)
-    return ScenarioOutcome(sim, result.ops_ok)
-
-
-def _run_quorum_chaos(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutcome:
-    ops, clients = (300, 6) if quick else (2000, 16)
-    sim = Simulator(seed=seed, tracer=tracer)
-    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
-    store = registry.build("quorum", sim, net, nodes=5, r=2, w=2)
-    workload = YCSBWorkload("A", records=500, seed=seed + 1)
-    nemesis = Nemesis(PLANS["mixed"], seed=seed)
-    # The tight per-op timeout is the point: faults make ops fail, and
-    # the timeout/cleanup machinery is the path being measured.
-    result = run_workload(store, workload.take(ops), clients=clients,
-                          timeout=400.0, nemesis=nemesis)
-    nemesis.heal_all()
-    sim.run()
-    store.settle()
-    sim.run()
-    return ScenarioOutcome(sim, result.ops_ok)
+#: ``build(sim, net)`` of the 5-node R=W=2 quorum store three rows share.
+_QUORUM = partial(registry.build, "quorum", nodes=5, r=2, w=2)
 
 
 def _run_openloop_overload(seed: int, quick: bool, tracer: Any = None) -> ScenarioOutcome:
@@ -237,49 +191,65 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             "quorum_ycsb",
             "YCSB-A via WorkloadDriver on a 5-node quorum store (R=W=2)",
-            _run_quorum_ycsb,
+            _ycsb(_QUORUM, 500, quick=(400, 8), full=(4000, 24)),
         ),
         Scenario(
             "sharded_ring",
             "YCSB-A on a 4-shard hash-ring of quorum groups, 2ms service time",
-            _run_sharded_ring,
+            _ycsb(partial(ShardedStore, protocol="quorum", shards=4,
+                          nodes_per_shard=3, service_time=2.0),
+                  1000, quick=(400, 16), full=(3000, 32)),
         ),
         Scenario(
             "multipaxos",
             "YCSB-A on a 5-node multipaxos replicated log",
-            _run_multipaxos,
+            _ycsb(partial(registry.build, "multipaxos", nodes=5),
+                  200, quick=(200, 4), full=(1500, 8), timeout=120_000.0),
         ),
         Scenario(
             "crdt_merge_storm",
             "gossip rounds of ORSet+GCounter snapshot copy+merge",
             _run_crdt_merge_storm,
         ),
+        # The tight per-op timeout is the point: faults make ops fail,
+        # and the timeout/cleanup machinery is the path being measured.
         Scenario(
             "quorum_chaos",
             "YCSB-A on the quorum store under the mixed nemesis fault plan",
-            _run_quorum_chaos,
+            _ycsb(_QUORUM, 500, quick=(300, 6), full=(2000, 16),
+                  timeout=400.0, plan="mixed"),
         ),
         Scenario(
             "openloop_overload",
             "open-loop Poisson flood past capacity, admission control on",
             _run_openloop_overload,
         ),
+        # One size at both scales on purpose: fixed heavyweight fodder
+        # for the multiprocess sweep (``repro sweep``), where the
+        # interesting number is aggregate events/sec across workers.
         Scenario(
             "quorum_ycsb_100x",
             "quorum_ycsb at 100x the quick op count — sweep-runner fodder",
-            _run_quorum_ycsb_100x,
+            _ycsb(_QUORUM, 500, quick=(40_000, 24), full=(40_000, 24),
+                  timeout=600_000.0),
         ),
+        # The hit path (no network round trip), the fill path and the
+        # CDC append all on the measured loop.
         Scenario(
             "quorum_ycsb_cached",
             "quorum_ycsb behind a write-through cache (hit/fill/CDC paths)",
-            _run_quorum_ycsb_cached,
+            _ycsb(partial(registry.build, "cached", protocol="quorum",
+                          policy="write_through", ttl=200.0, capacity=256,
+                          miss_mode="quorum", nodes=5, r=2, w=2),
+                  500, quick=(400, 8), full=(4000, 24)),
         ),
     )
 }
 
 #: The scenarios ``repro bench`` runs by default and BENCH_CORE.json
-#: pins.  Heavyweight opt-in scenarios (``quorum_ycsb_100x``) stay out
-#: of the serial gate and are reached by name or via ``repro sweep``.
+#: pins.  ``quorum_ycsb_100x`` (too big for the serial gate) and
+#: ``quorum_ycsb_cached`` (so the cache tier cannot shift the pinned
+#: baseline) stay out: reached by name or via ``repro sweep``.
 DEFAULT_SCENARIOS: tuple[str, ...] = (
     "quorum_ycsb",
     "sharded_ring",

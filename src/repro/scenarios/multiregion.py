@@ -33,7 +33,7 @@ trips — the local p99 must stay strictly below the remote p99 for
 every protocol (asserted by E18 and ``MultiRegionReport.ok``).
 
 Every leg runs under its own :class:`~repro.sim.HashingTracer`, so the
-scenario has a per-seed fingerprint; the CI ``multiregion-smoke`` job
+scenario has a per-seed fingerprint; the CI ``stories-smoke`` job
 runs it twice (``--check-determinism``) and fails on drift.
 """
 

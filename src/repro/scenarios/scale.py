@@ -21,7 +21,7 @@ screenshot:
   ownership-filtered sharded snapshots).
 
 The run is traced through a :class:`~repro.sim.HashingTracer`, so the
-whole scenario has a per-seed fingerprint; the CI rebalance-smoke job
+whole scenario has a per-seed fingerprint; the CI stories-smoke job
 runs it twice (``--check-determinism``) and fails on drift.
 """
 
@@ -32,10 +32,10 @@ from typing import Any
 
 from ..checkers import check_convergence, check_no_lost_writes, read_back
 from ..membership import MembershipService
+from ..sharding import ShardedStore
 from ..sim import FixedLatency, HashingTracer, Network, Simulator, spawn
 from ..workload import PoissonArrivals, YCSBWorkload
 from ..workload.openloop import OpenLoopDriver
-from .sharded import ShardedStore
 
 __all__ = ["ScaleReport", "run_scale_demo", "format_scale"]
 

@@ -23,7 +23,7 @@ The scenario runs the same seeded storm up to three times:
   within 20% of the knee.
 
 Every run is traced through a :class:`~repro.sim.HashingTracer`, so
-the whole storm has a per-seed fingerprint; the CI overload-smoke job
+the whole storm has a per-seed fingerprint; the CI stories-smoke job
 runs it twice and fails on drift, and :func:`run_storm` checks
 convergence after the storm quiesces (an overloaded store must shed or
 slow, never diverge).
@@ -47,6 +47,12 @@ SERVICE_TIME = 1.0          # ms per request -> 1000 ops/sec/node
 QUEUE_LIMIT = 32            # admitted-but-unserved requests per node
 ADMISSION_RATE = 900.0      # sustained ops/sec/node through the bucket
 ADMISSION_BURST = 50.0
+#: The flash crowd (:class:`~repro.workload.FlashCrowdArrivals`
+#: arguments): several times a 3-node store's capacity at the spike.
+FLASH_CROWD = dict(base=500.0, spike=8000.0, spike_at=500.0, hold=2000.0,
+                   decay=1000.0)
+UNTIL = 4000.0              # offered-traffic window per leg (ms)
+TIMEOUT = 100.0             # per-op client timeout (ms)
 
 
 @dataclass
@@ -101,6 +107,7 @@ class StormReport:
         return (self.collapse_demonstrated and self.collapse_prevented
                 and self.converged)
 
+    @property
     def fingerprint(self) -> str:
         """One combined per-seed fingerprint over all three legs."""
         return "-".join(
@@ -115,8 +122,6 @@ def _storm_leg(
     admission: bool,
     protocol: str,
     nodes: int,
-    until: float,
-    timeout: float,
 ) -> StormRun:
     tracer = HashingTracer()
     sim = Simulator(seed, tracer=tracer)
@@ -131,8 +136,8 @@ def _storm_leg(
     # node the storm lands on.
     ops = YCSBWorkload("B", records=100, seed=seed)
     driver = OpenLoopDriver(store, arrivals, ops, sessions=1000,
-                            timeout=timeout, seed=seed)
-    result = driver.run(until)
+                            timeout=TIMEOUT, seed=seed)
+    result = driver.run(UNTIL)
     # The storm must never break safety: once traffic stops and the
     # store quiesces, replicas converge exactly as after a partition.
     store.settle()
@@ -157,37 +162,20 @@ def _storm_leg(
 
 
 def run_storm(
-    seed: int = 42,
-    protocol: str = "quorum",
-    nodes: int = 3,
-    base_rate: float = 500.0,
-    spike_rate: float = 8000.0,
-    spike_at: float = 500.0,
-    hold: float = 2000.0,
-    decay: float = 1000.0,
-    until: float = 4000.0,
-    timeout: float = 100.0,
+    seed: int = 42, protocol: str = "quorum", nodes: int = 3,
 ) -> StormReport:
     """Run the three-leg hot-key storm; deterministic per ``seed``."""
     report = StormReport(seed=seed, protocol=protocol)
     capacity = nodes * 1000.0 / SERVICE_TIME
-    report.runs["knee"] = _storm_leg(
-        "knee", seed, PoissonArrivals(rate=capacity, seed=seed),
-        admission=True, protocol=protocol, nodes=nodes,
-        until=until, timeout=timeout,
+    legs = (
+        ("knee", PoissonArrivals(rate=capacity, seed=seed), True),
+        ("collapse", FlashCrowdArrivals(**FLASH_CROWD, seed=seed), False),
+        ("protected", FlashCrowdArrivals(**FLASH_CROWD, seed=seed), True),
     )
-    storm = dict(base=base_rate, spike=spike_rate, spike_at=spike_at,
-                 hold=hold, decay=decay, seed=seed)
-    report.runs["collapse"] = _storm_leg(
-        "collapse", seed, FlashCrowdArrivals(**storm),
-        admission=False, protocol=protocol, nodes=nodes,
-        until=until, timeout=timeout,
-    )
-    report.runs["protected"] = _storm_leg(
-        "protected", seed, FlashCrowdArrivals(**storm),
-        admission=True, protocol=protocol, nodes=nodes,
-        until=until, timeout=timeout,
-    )
+    for name, arrivals, admission in legs:
+        report.runs[name] = _storm_leg(
+            name, seed, arrivals, admission, protocol, nodes
+        )
     return report
 
 
@@ -221,6 +209,6 @@ def format_storm(report: StormReport) -> str:
         f"(goodput {protected:.0f}, needs >= {0.8 * knee:.0f})"
     )
     lines.append(f"converged after storm: {report.converged}")
-    lines.append(f"fingerprint: {report.fingerprint()}")
+    lines.append(f"fingerprint: {report.fingerprint}")
     lines.append("PASS" if report.ok else "FAIL")
     return "\n".join(lines)

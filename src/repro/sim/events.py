@@ -292,49 +292,6 @@ class EventQueue:
             return event
         raise SimulationError("pop from empty event queue")
 
-    def pop_batch(self) -> list[Event]:
-        """Drain every live event sharing the earliest timestamp.
-
-        Events come back in exact sequential :meth:`pop` order (seq
-        tie-break preserved); lazy-cancelled entries are skipped with
-        the same accounting.  Every returned event is marked
-        ``executed`` at collection, so — unlike ``Simulator.run``'s
-        lazy inner drain, which leaves each event in the heap until its
-        turn — a callback in the batch cancelling a later batch-mate is
-        a no-op.  Use it for externally driven tick-at-a-time
-        execution; returns ``[]`` on an empty queue.
-        """
-        heap = self._heap
-        pop_entry = heapq.heappop
-        while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
-            pop_entry(heap)
-            self._dead -= 1
-        if not heap:
-            return []
-        tick = heap[0][0]
-        batch: list[Event] = []
-        append = batch.append
-        while heap and heap[0][0] == tick:
-            entry = pop_entry(heap)
-            if len(entry) == 4:
-                time, seq, fn, args = entry
-                self._live -= 1
-                self._foreground -= 1
-                event = Event(time, seq, fn, args, self, False)
-                event.executed = True
-                append(event)
-                continue
-            event = entry[2]
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            event.executed = True
-            self._live -= 1
-            if not event.daemon:
-                self._foreground -= 1
-            append(event)
-        return batch
-
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` if the queue is empty."""
         heap = self._heap

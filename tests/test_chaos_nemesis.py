@@ -6,8 +6,7 @@ from repro.api import registry
 from repro.chaos import PLANS, FaultPlan, Nemesis, step
 from repro.checkers import check_convergence
 from repro.errors import SimulationError
-from repro.perf.harness import HashingTracer
-from repro.sim import FixedLatency, Network, Simulator
+from repro.sim import FixedLatency, HashingTracer, Network, Simulator
 from repro.workload import YCSBWorkload, run_workload
 
 

@@ -15,9 +15,8 @@ from repro.checkers import (
     check_no_lost_writes,
     read_back,
 )
-from repro.perf.harness import HashingTracer
 from repro.sharding import ShardedStore
-from repro.sim import FixedLatency, Network, Simulator
+from repro.sim import FixedLatency, HashingTracer, Network, Simulator
 from repro.workload import YCSBWorkload, run_workload
 
 

@@ -10,10 +10,9 @@ from repro.checkers import (
 )
 from repro.errors import OverloadedError, SimulationError
 from repro.histories import TokenHistoryRecorder
-from repro.perf.harness import HashingTracer
+from repro.scenarios import run_scale_demo
 from repro.sharding import RingMove, ShardedStore
-from repro.sharding.demo import run_scale_demo
-from repro.sim import FixedLatency, Network, Simulator, spawn
+from repro.sim import FixedLatency, HashingTracer, Network, Simulator, spawn
 
 
 def build(seed=7, shards=2, tracer=None, **kwargs):

@@ -130,70 +130,3 @@ def test_daemon_accounting_on_cancel():
     daemon.cancel()
     assert len(q) == 1
     assert q.foreground_live == 1
-
-
-# ---------------------------------------------------------------------------
-# pop_batch (tick-at-a-time draining)
-# ---------------------------------------------------------------------------
-
-
-def test_pop_batch_matches_sequential_pop_order():
-    def build():
-        q = EventQueue()
-        for i in range(30):
-            # Three events per tick, mixed entry shapes: cancellable
-            # handles and handle-free push_fn entries share the heap.
-            if i % 3 == 0:
-                q.push_fn(float(i // 3), (lambda: None), ())
-            else:
-                q.push(float(i // 3), lambda: None)
-        return q
-
-    sequential, batched = build(), build()
-    expected = []
-    while sequential:
-        event = sequential.pop()
-        expected.append((event.time, event.seq))
-    got = []
-    while batched:
-        batch = batched.pop_batch()
-        ticks = {event.time for event in batch}
-        assert len(ticks) == 1  # one timestamp per batch
-        got.extend((event.time, event.seq) for event in batch)
-    assert got == expected
-
-
-def test_pop_batch_skips_lazily_cancelled_with_accounting():
-    q = EventQueue()
-    keep = q.push(1.0, lambda: None)
-    dead = [q.push(1.0, lambda: None) for _ in range(3)]
-    later = q.push(2.0, lambda: None)
-    for event in dead:
-        event.cancel()
-    batch = q.pop_batch()
-    assert [event.seq for event in batch] == [keep.seq]
-    assert all(event.executed for event in batch)
-    assert len(q) == 1
-    assert q.foreground_live == 1
-    assert q.pop_batch()[0].seq == later.seq
-    assert q.pop_batch() == []
-    assert len(q) == 0
-
-
-def test_pop_batch_marks_executed_so_batchmate_cancel_noops():
-    """pop_batch collects the whole tick up front, so a callback in the
-    batch cancelling a later batch-mate must see a no-op (the mate is
-    already marked executed) — no double-decrement."""
-    q = EventQueue()
-    first = q.push(1.0, lambda: None)
-    second = q.push(1.0, lambda: None)
-    batch = q.pop_batch()
-    assert [event.seq for event in batch] == [first.seq, second.seq]
-    second.cancel()  # what a dispatched first-callback would do
-    assert not second.cancelled
-    assert len(q) == 0
-    assert q.foreground_live == 0
-
-
-def test_pop_batch_empty_queue_returns_empty_list():
-    assert EventQueue().pop_batch() == []

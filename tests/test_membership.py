@@ -8,9 +8,8 @@ from repro.membership import (
     MembershipService,
     PhiAccrualDetector,
 )
-from repro.perf.harness import HashingTracer
 from repro.sharding import ShardedStore
-from repro.sim import FixedLatency, Network, Simulator
+from repro.sim import FixedLatency, HashingTracer, Network, Simulator
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""The ``repro.perf`` macro-benchmark harness and its CI compare gate.
+"""The ``repro.perf`` measuring engine, its bench view (``run_suite``,
+the BENCH_CORE document) and the CI compare gate.  The sweep view is
+covered in ``test_perf_sweep.py``.
 
 Scenario runs here use ``quick=True`` scale — these tests check the
-harness machinery (determinism, fingerprinting, comparison), not
+engine's machinery (determinism, fingerprinting, comparison), not
 absolute performance.
 """
 
 import hashlib
+import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -15,7 +19,9 @@ from repro.perf import (
     DEFAULT_SCENARIOS,
     SCENARIOS,
     HashingTracer,
-    PerfHarnessError,
+    PerfError,
+    Scenario,
+    ScenarioOutcome,
     compare,
     render_report,
     run_scenario,
@@ -92,8 +98,41 @@ def test_run_scenario_seed_changes_fingerprint():
 def test_run_scenario_repeats_best_of():
     report = run_scenario("crdt_merge_storm", seed=11, quick=True, repeats=2)
     assert report.events > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(PerfError, match="repeats") as refused:
         run_scenario("crdt_merge_storm", seed=11, quick=True, repeats=0)
+    assert refused.value.bad_input
+
+
+def test_run_scenario_without_verify_has_no_trace_hash():
+    record = run_scenario("crdt_merge_storm", seed=11, quick=True,
+                          verify=False)
+    assert record.trace_hash is None and record.trace_events is None
+    assert len(record.metrics_digest) == 64
+
+
+@pytest.mark.parametrize("diverging_pass, cause", [
+    (2, "repeat run"),      # second of two timed passes
+    (3, "traced re-run"),   # the traced pass after them
+])
+def test_run_scenario_raises_on_a_diverging_pass(
+        monkeypatch, diverging_pass, cause):
+    """Every pass must reproduce the first one's (metrics digest,
+    event count): a scenario that drifts on a repeat or under the
+    tracer is refused, not measured."""
+    passes = itertools.count(1)
+
+    def flaky(seed, quick, tracer):
+        sim = Simulator(seed=seed, tracer=tracer)
+        sim.schedule(1.0, lambda: None)
+        if next(passes) == diverging_pass:
+            sim.metrics.counter("flaky.extra").inc()
+        sim.run()
+        return ScenarioOutcome(sim, 1)
+
+    monkeypatch.setitem(SCENARIOS, "flaky", Scenario("flaky", "drifts", flaky))
+    with pytest.raises(PerfError, match=cause) as caught:
+        run_scenario("flaky", seed=1, quick=True, repeats=2)
+    assert not caught.value.bad_input
 
 
 def test_run_suite_document_shape():
@@ -111,8 +150,34 @@ def test_run_suite_document_shape():
 
 
 def test_run_suite_rejects_unknown_scenario():
-    with pytest.raises(KeyError):
-        run_suite(scenarios=["nope"], seed=1, quick=True)
+    with pytest.raises(PerfError, match="unknown scenario 'nope'"):
+        run_suite(scenarios=["crdt_merge_storm", "nope"], seed=1, quick=True)
+    with pytest.raises(PerfError, match="workers"):
+        run_suite(scenarios=["crdt_merge_storm"], quick=True, workers=0)
+
+
+def test_run_suite_workers_match_serial():
+    """``bench --workers``: fanning scenarios across the pool changes
+    timings only — the behavior columns are those of the serial run,
+    in request order."""
+    names = ["crdt_merge_storm", "quorum_ycsb", "multipaxos"]
+    serial = run_suite(scenarios=names, seed=3, quick=True)
+    pooled = run_suite(scenarios=names, seed=3, quick=True, workers=2)
+    assert list(pooled["scenarios"]) == names
+    for name in names:
+        for field in ("events", "ops", "metrics_digest", "trace_hash",
+                      "trace_events"):
+            assert pooled["scenarios"][name][field] \
+                == serial["scenarios"][name][field], (name, field)
+
+
+def test_bench_core_pins_exactly_the_default_scenarios():
+    # BENCH_CORE.json is the pinned view of the gated catalogue:
+    # ``compare`` flags scenarios *missing* from a run, so a default
+    # scenario nobody pinned would otherwise go ungated silently.
+    path = pathlib.Path(__file__).resolve().parents[1] / "BENCH_CORE.json"
+    pinned = json.loads(path.read_text())["scenarios"]
+    assert set(pinned) == set(DEFAULT_SCENARIOS)
 
 
 def _doc(events_per_sec=1000.0, trace_hash="t1", metrics_digest="m1",
@@ -226,10 +291,11 @@ def test_cli_bench_compare_detects_doctored_baseline(tmp_path, capsys):
 
 
 def test_scenarios_error_cleanly_on_bad_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(PerfError, match="unknown scenario") as refused:
         run_scenario("missing", quick=True)
+    assert refused.value.bad_input
 
 
 def test_perf_harness_error_is_repro_error():
     from repro.errors import ReproError
-    assert issubclass(PerfHarnessError, ReproError)
+    assert issubclass(PerfError, ReproError)

@@ -1,4 +1,5 @@
-"""The multiprocess seed-sweep runner (``repro sweep``).
+"""The sweep view of the ``repro.perf`` engine (``repro sweep``): one
+scenario × many seeds over the engine's process pool.
 
 Pool-backed sweeps here use the smallest quick scenario
 (``crdt_merge_storm``) so the suite stays fast; the property under
@@ -14,7 +15,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ReproError
 from repro.perf import (
-    SweepError,
+    PerfError,
     check_parallel_determinism,
     parse_seeds,
     run_sweep,
@@ -42,8 +43,9 @@ def test_parse_seeds_mixed_list():
 
 @pytest.mark.parametrize("spec", ["", ",", "x", "3-1", "1-2-3", "1,1", "2-4,3"])
 def test_parse_seeds_rejects_garbage(spec):
-    with pytest.raises(SweepError):
+    with pytest.raises(PerfError) as refused:
         parse_seeds(spec)
+    assert refused.value.bad_input
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +62,6 @@ def test_serial_sweep_results_in_seed_order():
         assert len(result.trace_hash) == 64
         assert len(result.metrics_digest) == 64
         assert result.trace_events > 0
-
-
-def test_sweep_matches_run_scenario_fingerprint():
-    from repro.perf import run_scenario
-
-    report = run_sweep(SCENARIO, [42], workers=1, quick=True)
-    single = run_scenario(SCENARIO, seed=42, quick=True, verify=True)
-    assert report.results[0].trace_hash == single.trace_hash
-    assert report.results[0].metrics_digest == single.metrics_digest
-    assert report.results[0].events == single.events
 
 
 def test_parallel_sweep_matches_serial_fingerprints():
@@ -97,19 +89,21 @@ def test_sweep_report_json_roundtrips():
 
 
 def test_sweep_rejects_unknown_scenario():
-    with pytest.raises(SweepError):
+    with pytest.raises(PerfError, match="unknown scenario"):
         run_sweep("nope", [1], workers=1)
 
 
 def test_sweep_rejects_empty_seeds_and_bad_workers():
-    with pytest.raises(SweepError):
+    with pytest.raises(PerfError, match="nothing to run"):
         run_sweep(SCENARIO, [], workers=1)
-    with pytest.raises(SweepError):
+    with pytest.raises(PerfError, match="workers"):
         run_sweep(SCENARIO, [1], workers=0)
 
 
 def test_sweep_error_is_repro_error():
-    assert issubclass(SweepError, ReproError)
+    # What ``cmd_sweep`` relies on to turn any refusal into one line.
+    with pytest.raises(ReproError):
+        parse_seeds("8-1")
 
 
 # ---------------------------------------------------------------------------
@@ -141,5 +135,5 @@ def test_cli_sweep_check_determinism(capsys):
 
 
 def test_cli_sweep_bad_seed_spec_exits_nonzero(capsys):
-    assert main(["sweep", "--scenario", SCENARIO, "--seeds", "8-1"]) == 1
+    assert main(["sweep", "--scenario", SCENARIO, "--seeds", "8-1"]) == 2
     assert "sweep failed" in capsys.readouterr().err

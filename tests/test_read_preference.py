@@ -11,6 +11,7 @@ locality counters record — and the validation around the knob.
 import pytest
 
 from repro.api import registry
+from repro.api.store import READ_PREFERENCES
 from repro.placement import Placement
 from repro.sim import THREE_CONTINENTS, Network, Simulator, spawn
 
@@ -81,6 +82,30 @@ def test_region_blind_sessions_still_work():
 # ----------------------------------------------------------------------
 # Client placement + locality attachment
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("protocol", registry.names())
+def test_region_contract_holds_for_every_adapter(protocol):
+    """One session-opening helper under every adapter: a networked one
+    places the session's client in ``region=``, the direct-attach one
+    (no client node to place) refuses it, and a read preference the
+    capabilities do not declare is the same ``ValueError`` everywhere —
+    never a ``TypeError`` from the protocol client, never ignored."""
+    _sim, placement, store = build(protocol)
+    capabilities = store.capabilities
+    if capabilities.networked:
+        session = store.session("s", region="asia")
+        assert session.region == "asia"
+        assert placement.region_of(session.client_id) == "asia"
+    else:
+        with pytest.raises(ValueError, match="networked"):
+            store.session("s", region="asia")
+    undeclared = next(
+        preference for preference in (*READ_PREFERENCES, "bogus")
+        if preference not in capabilities.read_preferences
+    )
+    with pytest.raises(ValueError, match="read.preference"):
+        store.session("t", read_preference=undeclared, region=EU)
+
 
 @pytest.mark.parametrize("protocol", ["quorum", "timeline", "primary_backup"])
 def test_session_client_is_placed_in_its_region(protocol):
