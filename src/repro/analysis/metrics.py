@@ -43,18 +43,7 @@ class LatencyStats:
         """Linear-interpolated percentile, p in [0, 100]."""
         if not 0 <= p <= 100:
             raise ValueError("percentile must be in [0, 100]")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100) * (len(ordered) - 1)
-        low = math.floor(rank)
-        high = math.ceil(rank)
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        return _percentile_of(sorted(self.samples), p)
 
     @property
     def p50(self) -> float:
@@ -78,14 +67,27 @@ class LatencyStats:
         )
 
     def summary(self) -> dict:
+        ordered = sorted(self.samples)  # once, for all four order statistics
         return {
-            "count": self.count,
+            "count": len(ordered),
             "mean": round(self.mean, 3),
-            "p50": round(self.p50, 3),
-            "p95": round(self.p95, 3),
-            "p99": round(self.p99, 3),
-            "max": round(self.maximum, 3),
+            "p50": round(_percentile_of(ordered, 50), 3),
+            "p95": round(_percentile_of(ordered, 95), 3),
+            "p99": round(_percentile_of(ordered, 99), 3),
+            "max": round(ordered[-1] if ordered else 0.0, 3),
         }
+
+
+def _percentile_of(ordered: list[float], p: float) -> float:
+    """Linear interpolation at ``p`` percent into an ascending list."""
+    if not ordered:
+        return 0.0
+    rank = (p / 100) * (len(ordered) - 1)
+    low, high = math.floor(rank), math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
 def throughput(operations: int, duration_ms: float) -> float:

@@ -103,6 +103,8 @@ class RunRecord:
     metrics_digest: str
     trace_hash: str | None = None
     trace_events: int | None = None
+    #: Wall time of the traced pass; over ``wall_s``, the fingerprint's cost.
+    traced_wall_s: float | None = None
 
     @property
     def events_per_sec(self) -> float:
@@ -123,6 +125,7 @@ class RunRecord:
             "events": self.events,
             "ops": self.ops,
             "wall_s": round(self.wall_s, 4),
+            "traced_wall_s": self.traced_wall_s and round(self.traced_wall_s, 4),
             "events_per_sec": round(self.events_per_sec, 1),
             "ops_per_sec": round(self.ops_per_sec, 1),
             "peak_rss_kb": self.peak_rss_kb,
@@ -179,6 +182,7 @@ def run_scenario(
         metrics_digest=digest,
         trace_hash=tracer.hexdigest() if tracer else None,
         trace_events=tracer.count if tracer else None,
+        traced_wall_s=elapsed if tracer else None,
     )
 
 
@@ -321,12 +325,14 @@ def render_report(doc: dict) -> str:
             entry["ops"],
             entry["ops_per_sec"],
             entry["wall_s"],
+            round(entry["traced_wall_s"] / entry["wall_s"], 2)
+            if entry.get("traced_wall_s") and entry["wall_s"] else "-",
             entry["peak_rss_kb"] if entry["peak_rss_kb"] is not None else "-",
             (entry["trace_hash"] or "-")[:12],
         ])
     scale = "quick" if doc.get("quick") else "full"
     return render_table(
-        ["scenario", "events", "events/s", "ops", "ops/s", "wall s",
+        ["scenario", "events", "events/s", "ops", "ops/s", "wall s", "fp x",
          "peak RSS KiB", "trace hash"],
         rows,
         title=f"repro bench — {scale} scale, seed={doc.get('seed')}, "

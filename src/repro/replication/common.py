@@ -164,10 +164,8 @@ class ClientNode(Node):
         if timer is not None:
             timer.cancel()
         if self.sim.trace.enabled:
-            self.sim.trace.record(
-                self.sim.now, MSG_DROP, reason=reason,
-                src=dst, dst=self.node_id, msg_type=Reply.__name__,
-            )
+            self.sim.trace.message(self.sim.now, MSG_DROP, dst, self.node_id,
+                                   Reply.__name__, reason)
 
     def handle_Reply(self, src: Hashable, msg: Reply) -> None:
         entry = self._outstanding.pop(msg.request_id, None)

@@ -23,10 +23,6 @@ from .events import Event, EventQueue
 from .trace import NULL_TRACER
 
 
-def _fn_name(fn: Callable[..., Any]) -> str:
-    return getattr(fn, "__qualname__", None) or repr(fn)
-
-
 class Simulator:
     """A single-threaded discrete-event simulator.
 
@@ -158,8 +154,7 @@ class Simulator:
         # inline peek/pop straight against the heap (EventQueue._compact
         # rebuilds the heap list in place, so the alias stays valid
         # across callbacks).  The tracer's ``enabled`` flag is a class
-        # attribute, so it cannot change mid-run; ``_fn_name`` is only
-        # computed when it is on.
+        # attribute, so it cannot change mid-run.
         #
         # Dispatch is *batched*: the outer loop picks the next
         # timestamp, the inner loop drains every entry at that instant
@@ -176,7 +171,7 @@ class Simulator:
         recycle = queue.recycle
         trace = self.trace
         tracing = trace.enabled
-        trace_record = trace.record
+        trace_event = trace.event
         no_deadline = until is None
         done = False
         try:
@@ -198,10 +193,7 @@ class Simulator:
                         queue._live -= 1
                         queue._foreground -= 1
                         if tracing:
-                            trace_record(
-                                tick, "event_executed",
-                                fn=_fn_name(fn), seq=entry[1], daemon=False,
-                            )
+                            trace_event(tick, fn, entry[1], False)
                         fn(*entry[3])
                         processed += 1
                         self.events_processed += 1
@@ -220,11 +212,7 @@ class Simulator:
                         if not event.daemon:
                             queue._foreground -= 1
                         if tracing:
-                            trace_record(
-                                tick, "event_executed",
-                                fn=_fn_name(event.fn), seq=event.seq,
-                                daemon=event.daemon,
-                            )
+                            trace_event(tick, event.fn, event.seq, event.daemon)
                         event.fn(*event.args)
                         if event.pooled:
                             recycle(event)
@@ -278,10 +266,7 @@ class Simulator:
         event = self._queue.pop()
         self.now = event.time
         if self.trace.enabled:
-            self.trace.record(
-                event.time, "event_executed",
-                fn=_fn_name(event.fn), seq=event.seq, daemon=event.daemon,
-            )
+            self.trace.event(event.time, event.fn, event.seq, event.daemon)
         self._running = True
         try:
             event.fn(*event.args)

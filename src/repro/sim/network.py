@@ -551,8 +551,7 @@ class Network:
         if self.track_bytes:
             stats._bytes_sent.inc(estimate_size(message))
         if tracing:
-            trace.record(sim.now, MSG_SEND, src=src, dst=dst,
-                         msg_type=msg_name)
+            trace.message(sim.now, MSG_SEND, src, dst, msg_name)
         src_node = nodes.get(src)
         if src_node is not None and getattr(src_node, "crashed", False):
             # Fail-stop means a crashed node cannot put messages on the
@@ -613,8 +612,7 @@ class Network:
         (``msg_name`` is set exactly when tracing is on)."""
         self._drop_counters[reason].inc()
         if msg_name is not None:
-            self.sim.trace.record(self.sim.now, MSG_DROP, reason=reason,
-                                  src=src, dst=dst, msg_type=msg_name)
+            self.sim.trace.message(self.sim.now, MSG_DROP, src, dst, msg_name, reason)
 
     def broadcast(self, src: NodeId, message: Any, include_self: bool = False) -> None:
         # Snapshot the membership: a callback reached from send() (e.g.
@@ -657,6 +655,5 @@ class Network:
                 continue
             inc_delivered()
             if tracing:
-                trace.record(sim.now, MSG_DELIVER, src=src, dst=dst,
-                             msg_type=type(message).__name__)
+                trace.message(sim.now, MSG_DELIVER, src, dst, type(message).__name__)
             deliver(src, message)

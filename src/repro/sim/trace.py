@@ -28,10 +28,12 @@ then inspect with ``python -m repro trace run.trace.jsonl``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from math import isfinite
+from typing import Any, Callable, Iterable, Iterator
 
 # Canonical event kinds.  Protocol annotations use ANNOTATION with a
 # free-form ``category`` field; everything else is emitted by the sim
@@ -67,7 +69,35 @@ class TraceEvent:
         return f"{self.time:12.3f}  {self.kind:<15} {fields}"
 
 
-class NullTracer:
+def _fn_name(fn: Callable[..., Any]) -> str:
+    """A callback's trace name: never its ``repr``, which can hold a memory address."""
+    name = getattr(fn, "__qualname__", None)
+    if isinstance(name, str):
+        return name
+    if isinstance(fn, functools.partial):
+        return f"partial({_fn_name(fn.func)})"
+    return type(fn).__qualname__
+
+
+class TraceHooks:
+    """A tracer's typed hooks in terms of its ``record``: the one definition of
+    the per-event and per-message records' field names and order."""
+
+    def annotate(self, time: float, category: str, **data: Any) -> None:
+        """Protocol-defined annotation (kind=``annotation``)."""
+        self.record(time, ANNOTATION, category=category, **data)
+
+    def event(self, time: float, fn: Callable, seq: int, daemon: bool) -> None:
+        self.record(time, EVENT_EXECUTED, fn=_fn_name(fn), seq=seq, daemon=daemon)
+
+    def message(self, time: float, kind: str, src: Any, dst: Any,
+                msg_type: str, reason: str | None = None) -> None:
+        """A ``msg_send`` / ``msg_deliver``, or a ``msg_drop`` and why."""
+        why = {} if reason is None else {"reason": reason}
+        self.record(time, kind, **why, src=src, dst=dst, msg_type=msg_type)
+
+
+class NullTracer(TraceHooks):
     """The default tracer: records nothing, accepts everything."""
 
     enabled = False
@@ -75,15 +105,12 @@ class NullTracer:
     def record(self, time: float, kind: str, **data: Any) -> None:
         pass
 
-    def annotate(self, time: float, category: str, **data: Any) -> None:
-        pass
-
 
 #: Shared no-op instance used by every simulator without a tracer.
 NULL_TRACER = NullTracer()
 
 
-class Tracer:
+class Tracer(TraceHooks):
     """Records structured events into an in-memory timeline.
 
     Parameters
@@ -109,10 +136,6 @@ class Tracer:
             self.dropped += 1
             return
         self.events.append(TraceEvent(time, kind, data))
-
-    def annotate(self, time: float, category: str, **data: Any) -> None:
-        """Protocol-defined annotation (kind=``annotation``)."""
-        self.record(time, ANNOTATION, category=category, **data)
 
     def clear(self) -> None:
         self.events.clear()
@@ -160,33 +183,101 @@ class Tracer:
         return f"<Tracer events={len(self.events)} dropped={self.dropped}>"
 
 
-class HashingTracer:
+class HashingTracer(TraceHooks):
     """A tracer that hashes the trace instead of storing it.
 
-    Feeds every record through the exact JSONL encoding
-    :meth:`Tracer.dump_jsonl` uses, so its digest is byte-comparable
+    :meth:`hexdigest` **is** the SHA-256 of the bytes
+    :meth:`Tracer.dump_jsonl` would write, so it is byte-comparable
     with a dumped trace file — without holding a multi-hundred-MB
     timeline in memory during a macro benchmark.  With
     :func:`metrics_digest` it is a run's behaviour fingerprint: same
     seed ⇒ same trace hash and metrics digest, or behaviour changed.
+
+    Lines are built from a per-tick head and the cached encoding of each
+    ``str`` in them, and hashed in batches; a value not recognised by exact
+    type (``1 == True == 1.0``, encoded differently) takes ``TraceEvent.to_json``.
     """
 
     enabled = True
+    FLUSH_LINES = 256  # per sha256.update: a few tens of KiB
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
-        self.count = 0
+        self._lines: list[str] = []  # awaiting the next sha256.update
+        self._flushed = 0
+        self._frags: dict[str, str] = {}  # exact str -> its JSON encoding
+        self._tick: Any = object()  # the time ``_head`` encodes; none yet
+        self._head = ""
+
+    @property
+    def count(self) -> int:
+        return self._flushed + len(self._lines)
+
+    def _frag(self, text: str) -> str:
+        return self._frags.get(text) or self._frags.setdefault(text, json.dumps(text))
+
+    def _emit(self, time: Any, body: str) -> bool:
+        """Buffer the line ``{"time": <time>, "kind": <body>`` — unless
+        ``time`` is not a finite ``float``, which only ``to_json`` encodes."""
+        if time is not self._tick:  # by identity: 0 == 0.0, encoded differently
+            if type(time) is not float or not isfinite(time):
+                return False
+            self._tick = time
+            self._head = f'{{"time": {round(time, 6)!r}, "kind": '
+        lines = self._lines
+        lines.append(self._head + body)
+        if len(lines) >= self.FLUSH_LINES:
+            self._flush()
+        return True
+
+    def _flush(self) -> None:
+        self._hash.update("".join(self._lines).encode("utf-8"))
+        self._flushed += len(self._lines)
+        self._lines.clear()
 
     def record(self, time: float, kind: str, **data: Any) -> None:
-        line = TraceEvent(time, kind, data).to_json()
-        self._hash.update(line.encode("utf-8"))
-        self._hash.update(b"\n")
-        self.count += 1
+        if type(kind) is str:
+            parts = [self._frag(kind)]
+            for key, value in data.items():
+                exact = type(value)
+                if exact is str:
+                    encoded = self._frag(value)
+                elif exact is int:
+                    encoded = repr(value)
+                elif exact is bool:
+                    encoded = "true" if value else "false"
+                else:
+                    break
+                parts.append(f", {self._frag(key)}: {encoded}")
+            else:
+                if self._emit(time, "".join(parts) + "}\n"):
+                    return
+        self._lines.append(TraceEvent(time, kind, data).to_json() + "\n")
+        if len(self._lines) >= self.FLUSH_LINES:
+            self._flush()
 
-    def annotate(self, time: float, category: str, **data: Any) -> None:
-        self.record(time, ANNOTATION, category=category, **data)
+    def event(self, time: float, fn: Callable, seq: int, daemon: bool) -> None:
+        name = self._frags.get(getattr(fn, "__qualname__", None))
+        if not (name and type(seq) is int and type(daemon) is bool and self._emit(
+                time, f'"event_executed", "fn": {name}, "seq": {seq}, '
+                      f'"daemon": {"true" if daemon else "false"}}}\n')):
+            super().event(time, fn, seq, daemon)
+
+    def message(self, time: float, kind: str, src: Any, dst: Any,
+                msg_type: str, reason: str | None = None) -> None:
+        frags = self._frags
+        try:
+            why = "" if reason is None else f', "reason": {frags[reason]}'
+            body = (f'{frags[kind]}{why}, "src": {frags[src]}, "dst": {frags[dst]}, '
+                    f'"msg_type": {frags[msg_type]}}}\n')
+        except (KeyError, TypeError):  # not cached yet, or not a string
+            body = None
+        if not (body and self._emit(time, body)):
+            super().message(time, kind, src, dst, msg_type, reason)
 
     def hexdigest(self) -> str:
+        """Digest of everything recorded so far; callable mid-run."""
+        self._flush()
         return self._hash.hexdigest()
 
 

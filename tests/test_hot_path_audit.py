@@ -1,6 +1,7 @@
-"""Hot-path invariants: slotted structs, pool lifetime, batched dispatch.
+"""Hot-path invariants: slotted structs, pool lifetime, batched dispatch,
+fingerprint cost.
 
-Three families of checks guard the raw-speed machinery:
+Four families of checks guard the raw-speed machinery:
 
 * **Slots audit** — the structs on the per-event/per-message hot path
   (:class:`Event`, the network/RPC/replication message dataclasses,
@@ -18,20 +19,30 @@ Three families of checks guard the raw-speed machinery:
   property test drives random schedules (same-tick cascades,
   cancellations, daemons) through ``run()`` and a ``step()`` loop and
   requires byte-identical trace hashes.
+* **Fingerprint cost** — ``HashingTracer`` builds almost no
+  ``TraceEvent``, encodes almost nothing through ``json.dumps`` and
+  feeds SHA-256 in batches, and its caches grow with the distinct
+  strings traced, not with the records.  Counts, not timings: timing
+  gates flake on a shared host, counts do not.
 """
 
 import ast
+import collections
+import hashlib
+import json
 import pathlib
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.perf import HashingTracer
+from repro.perf import SCENARIOS, HashingTracer
+from repro.perf.scenarios import _QUORUM, _ycsb
 from repro.replication.common import Reply, Request
 from repro.replication.quorum import FetchMsg, FetchReply, QGet, QPut, StoreAck, StoreMsg
-from repro.sim import Simulator
+from repro.sim import Simulator, trace
 from repro.sim.events import Event, EventQueue, PooledEvent, set_pool_debug
 from repro.sim.network import LinkFault
 from repro.sim.trace import TraceEvent
@@ -249,3 +260,63 @@ def test_batched_run_trace_equals_step_loop_trace(plan):
     assert batched.events_processed == stepped.events_processed
     assert batched.now == stepped.now
     assert batched_tracer.hexdigest() == stepped_tracer.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Fingerprint cost (counts)
+# ---------------------------------------------------------------------------
+
+
+def test_fingerprint_touches_slow_paths_on_few_records(monkeypatch):
+    """On a traced quick ``quorum_ycsb`` run, ``TraceEvent``
+    constructions, ``json.dumps`` calls from ``repro.sim.trace`` and
+    ``sha256.update`` calls are each at most 5 % of the record count
+    (one of each *per record* is what made the fingerprint cost 3x)."""
+    reference = HashingTracer()
+    SCENARIOS["quorum_ycsb"].run(42, True, reference)
+
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class CountedSha256:
+        def __init__(self):
+            self.inner = hashlib.sha256()
+            self.hexdigest = self.inner.hexdigest
+            self.update = counted("sha256.update", self.inner.update)
+
+    monkeypatch.setattr(trace, "TraceEvent",
+                        counted("TraceEvent", trace.TraceEvent))
+    monkeypatch.setattr(trace, "json", types.SimpleNamespace(
+        dumps=counted("json.dumps", json.dumps), loads=json.loads))
+    monkeypatch.setattr(trace, "hashlib",
+                        types.SimpleNamespace(sha256=CountedSha256))
+    tracer = HashingTracer()
+    SCENARIOS["quorum_ycsb"].run(42, True, tracer)
+
+    # The counting shims are wired in and changed no byte.
+    assert tracer.hexdigest() == reference.hexdigest()
+    assert calls["json.dumps"] > 0 and calls["sha256.update"] > 0
+    assert tracer.count > 10_000
+    for name in ("TraceEvent", "json.dumps", "sha256.update"):
+        assert calls[name] <= 0.05 * tracer.count, (name, calls[name])
+
+
+def test_fingerprint_caches_grow_with_distinct_strings_not_records():
+    """Doubling ``quorum_ycsb``'s ops doubles the records and leaves
+    the fragment cache within a few entries (node ids, message types,
+    callback names, annotation values) — keyed by exact strings, never
+    by callables (a per-op closure each) or by record."""
+    traced = []
+    for ops in (400, 800):
+        tracer = HashingTracer()
+        _ycsb(_QUORUM, 500, quick=(ops, 8), full=(ops, 8))(42, True, tracer)
+        assert all(type(key) is str for key in tracer._frags)
+        traced.append((tracer.count, len(tracer._frags)))
+    (records, cached), (more_records, more_cached) = traced
+    assert more_records > 1.9 * records
+    assert cached <= more_cached <= cached + 8 < 100

@@ -7,12 +7,15 @@ engine's machinery (determinism, fingerprinting, comparison), not
 absolute performance.
 """
 
+import functools
 import hashlib
 import itertools
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.perf import (
@@ -75,6 +78,134 @@ def test_hashing_tracer_matches_dumped_jsonl(tmp_path):
     assert hashing.count == len(stored.events)
 
 
+# -- the byte-equality contract as a property -------------------------------
+# One random stream of record / annotate / event / message calls goes to
+# a Tracer and a HashingTracer; the stream is built from the cases a
+# fragment cache can get wrong.
+
+
+class _Opaque:
+    """Only ``default=repr`` can encode this (deterministically)."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return f"<opaque {self.tag}>"
+
+    def __call__(self):
+        pass
+
+    def method(self):
+        pass
+
+
+def _named():
+    pass
+
+
+_AWKWARD_TEXT = ["", "n1", "n2", "Reply", '"', "\\", "\n", "\u2028", "é", "true", "1"]
+#: Equal under ``==`` (so one dict key) in groups, encoded differently.
+_COLLIDING = [1, True, 1.0, 0, False, 0.0, -0.0]
+#: Consecutive ticks a head cache must keep apart: equal times that
+#: encode differently, and two that round to the same 6 d.p.
+_TWIN_TIMES = [[0.0, 0], [0, 0.0, -0.0, 0.0], [1.0, True, 1, 1.0],
+               [0.1234561, 0.1234564]]
+_TIMES = st.one_of(
+    st.sampled_from(_TWIN_TIMES),
+    st.lists(st.one_of(
+        st.sampled_from([1e22, float("inf"), float("-inf"), float("nan")]),
+        st.floats(min_value=0.0, max_value=1e6),
+    ), min_size=1, max_size=1),
+)
+_TEXT = st.one_of(st.sampled_from(_AWKWARD_TEXT), st.text(max_size=3))
+_NODE_IDS = st.one_of(_TEXT, st.sampled_from(_COLLIDING + [7, (1, "a"), ("r", (2, 3))]))
+_VALUES = st.one_of(
+    _NODE_IDS,
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([None, _Opaque("x"), [1, {"k": [True, None]}],
+                     {"a": {"b": [1.0, "é"]}}]),
+)
+_FIELDS = st.lists(
+    st.tuples(st.sampled_from(["src", "dst", "key", "node", "value", "é", 'q"']),
+              _VALUES),
+    unique_by=lambda pair: pair[0], max_size=4,
+)  # unique keys in random order: one kind sees its kwargs permuted
+_CALLBACKS = st.sampled_from([
+    _named, lambda: None, len, _Opaque("cb"), _Opaque("m").method,
+    functools.partial(_Opaque("p").method), functools.partial(_named),
+])
+_CALLS = st.one_of(
+    st.tuples(st.just("record"),
+              st.sampled_from(["msg_send", "node_crash", "é\n", 1, True]), _FIELDS),
+    st.tuples(st.just("annotate"), _TEXT, _FIELDS),
+    st.tuples(st.just("event"), _CALLBACKS,
+              st.one_of(st.integers(), st.sampled_from(_COLLIDING)),
+              st.sampled_from([True, False, 1, 0, None])),
+    st.tuples(st.just("message"),
+              st.sampled_from(["msg_send", "msg_deliver", "msg_drop", "other"]),
+              _NODE_IDS, _NODE_IDS, _TEXT,
+              st.sampled_from([None, None, "loss", "crash", "é", 5])),
+)
+#: A step: its ticks' times (each one *object* shared by the tick's
+#: calls, as in a simulator: the head cache hits by identity), the calls
+#: made at each, how often to repeat them (the last choice pushes one
+#: tick past the flush size) and whether to take a digest mid-stream.
+_STEPS = st.lists(
+    st.tuples(_TIMES, st.lists(_CALLS, max_size=6),
+              st.sampled_from([1, 1, 1, 2, HashingTracer.FLUSH_LINES]), st.booleans()),
+    max_size=8,
+)
+
+
+def _dumped_digest(tracer):
+    return hashlib.sha256(tracer.dumps_jsonl().encode("utf-8")).hexdigest()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_STEPS)
+def test_hashing_tracer_matches_dumped_jsonl_on_any_stream(steps):
+    stored, hashing = Tracer(), HashingTracer()
+    for times, calls, repeat, digest_now in steps:
+        for time, (hook, *args) in itertools.product(times, calls * repeat):
+            for tracer in (stored, hashing):
+                if hook in ("record", "annotate"):
+                    getattr(tracer, hook)(time, args[0], **dict(args[1]))
+                else:
+                    getattr(tracer, hook)(time, *args)
+        if digest_now:  # mid-stream, and recording continues after it
+            assert hashing.hexdigest() == _dumped_digest(stored)
+            assert hashing.hexdigest() == hashing.hexdigest()
+    assert hashing.count == len(stored.events)  # live: lines still buffered
+    assert hashing.hexdigest() == _dumped_digest(stored)
+    assert hashing.count == len(stored.events)  # ... and after the flush
+
+
+@pytest.mark.parametrize("name", ["quorum_chaos", "multipaxos"])
+def test_hashing_tracer_matches_dumped_jsonl_on_real_runs(monkeypatch, name):
+    """The same equality on whole runs — drops, crashes and annotations
+    in ``quorum_chaos`` — with the storing half dispatched by ``run()``
+    and the hashing half by a ``step()`` loop, so both hook sites of
+    the simulator are held to it."""
+    stored, hashing = Tracer(), HashingTracer()
+    SCENARIOS[name].run(9, True, stored)
+
+    def run_by_stepping(sim, until=None, max_events=None):
+        assert until is None and max_events is None
+        while sim.step(daemons=False):
+            pass
+
+    monkeypatch.setattr(Simulator, "run", run_by_stepping)
+    SCENARIOS[name].run(9, True, hashing)
+    kinds = stored.kind_counts()
+    assert kinds["msg_send"] > 1000 and kinds["event_executed"] > 1000
+    if name == "quorum_chaos":
+        assert kinds["msg_drop"] and kinds["node_crash"] and kinds["annotation"]
+    assert hashing.count == len(stored.events)
+    assert hashing.hexdigest() == _dumped_digest(stored)
+
+
 def test_run_scenario_quick_is_deterministic():
     first = run_scenario("crdt_merge_storm", seed=11, quick=True)
     second = run_scenario("crdt_merge_storm", seed=11, quick=True)
@@ -98,6 +229,9 @@ def test_run_scenario_seed_changes_fingerprint():
 def test_run_scenario_repeats_best_of():
     report = run_scenario("crdt_merge_storm", seed=11, quick=True, repeats=2)
     assert report.events > 0
+    # ``verify`` (the default) keeps the traced pass's wall time, which
+    # ``repro bench`` prints over the best untraced one as ``fp x``.
+    assert report.traced_wall_s > 0 and report.to_json()["traced_wall_s"] > 0
     with pytest.raises(PerfError, match="repeats") as refused:
         run_scenario("crdt_merge_storm", seed=11, quick=True, repeats=0)
     assert refused.value.bad_input
@@ -107,6 +241,8 @@ def test_run_scenario_without_verify_has_no_trace_hash():
     record = run_scenario("crdt_merge_storm", seed=11, quick=True,
                           verify=False)
     assert record.trace_hash is None and record.trace_events is None
+    assert record.traced_wall_s is None
+    assert record.to_json()["traced_wall_s"] is None
     assert len(record.metrics_digest) == 64
 
 

@@ -1,11 +1,14 @@
 """Tests for the structured tracing layer (repro.sim.trace)."""
 
+import functools
+
 import pytest
 
 from repro.cli import main as cli_main
 from repro.sim import (
     NULL_TRACER,
     FixedLatency,
+    HashingTracer,
     Network,
     NullTracer,
     Simulator,
@@ -49,6 +52,37 @@ def test_executed_events_recorded():
     executed = tracer.filter(kind="event_executed")
     assert [event.time for event in executed] == [1.0, 2.0]
     assert all("fn" in event.data for event in executed)
+
+
+def test_callback_names_never_hold_a_memory_address():
+    """A callable instance and a ``partial`` have no ``__qualname__``;
+    naming them by ``repr`` put an address in the trace, so one seed
+    hashed differently in two processes.  Two simulators, distinct
+    (live) instances, hence distinct addresses: same bytes."""
+
+    class Callback:
+        def __call__(self):
+            pass
+
+        def method(self, _arg):
+            pass
+
+    def traced_run(owner):
+        stored, hashing = Tracer(), HashingTracer()
+        for tracer in (stored, hashing):
+            sim = Simulator(tracer=tracer)
+            sim.schedule(1.0, owner)
+            sim.schedule(2.0, functools.partial(owner.method, 1))
+            sim.run()
+        return stored, hashing.hexdigest()
+
+    one, other = Callback(), Callback()
+    (stored, digest), (_stored, other_digest) = traced_run(one), traced_run(other)
+    assert digest == other_digest
+    assert "0x" not in stored.dumps_jsonl()
+    names = [event.data["fn"] for event in stored]
+    prefix = "test_callback_names_never_hold_a_memory_address.<locals>.Callback"
+    assert names == [prefix, f"partial({prefix}.method)"]
 
 
 def test_send_and_deliver_traced():

@@ -203,6 +203,32 @@ def test_latency_stats_empty_and_validation():
     assert summary["count"] == 0
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 100, 101, 997])
+def test_latency_stats_summary_sorts_once_to_the_same_values(size, monkeypatch):
+    """``summary()`` reads its order statistics off one sorted copy;
+    each value is the one the (re-sorting) properties give, to the
+    bit — every metrics digest hashes this dict."""
+    rng = random.Random(size)
+    stats = LatencyStats()
+    stats.extend(rng.expovariate(0.1) for _ in range(size))
+    expected = {
+        "count": stats.count,
+        "mean": round(stats.mean, 3),
+        "p50": round(stats.p50, 3),
+        "p95": round(stats.p95, 3),
+        "p99": round(stats.p99, 3),
+        "max": round(stats.maximum, 3),
+    }
+    sorts = []
+    monkeypatch.setitem(LatencyStats.summary.__globals__, "sorted",
+                        lambda values: sorts.append(1) or sorted(values))
+    assert stats.summary() == expected
+    assert list(stats.summary()) == list(expected)  # same key order
+    assert len(sorts) == 2  # one per summary() call
+    stats.samples.clear()  # what MetricsRegistry.reset does: nothing cached
+    assert stats.summary()["count"] == 0 and stats.summary()["max"] == 0.0
+
+
 def test_throughput():
     assert throughput(100, 1000.0) == 100.0
     assert throughput(100, 0.0) == 0.0
