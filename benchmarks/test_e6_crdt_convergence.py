@@ -15,7 +15,6 @@ from common import emit
 from repro.analysis import render_table
 from repro.crdt import (
     RGA,
-    DeltaORSet,
     GCounter,
     LWWRegister,
     MVRegister,
@@ -100,16 +99,11 @@ def shipping_cost(ops=50, seed=9):
     rng = random.Random(seed)
     items = [f"item-{rng.randint(0, 20)}" for _ in range(ops)]
 
-    full_source = ORSet("a")
-    full_bytes = 0
+    source = ORSet("a")
+    full_bytes = delta_bytes = 0
     for item in items:
-        full_source.add(item)
-        full_bytes += estimate_size(full_source.state())
-
-    delta_source = DeltaORSet("a")
-    delta_bytes = 0
-    for item in items:
-        delta = delta_source.add(item)
+        delta = source.add(item)
+        full_bytes += estimate_size(source.state())
         delta_bytes += estimate_size(delta.state())
 
     op_source = OpORSet("a")

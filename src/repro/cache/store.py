@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Any, Hashable
 
 from ..api import registry as _registry
@@ -664,31 +665,21 @@ def derive_capabilities(
             staleness_bound_ms = ttl + flush_delay
         else:
             staleness_bound_ms = None
-    return StoreCapabilities(
+    # Everything else the backing adapter declares carries through.
+    return replace(
+        inner,
         name=f"cached[{inner.name}:{policy}]",
-        description=(
-            f"{policy} cache (ttl={ttl}) over {inner.name}"
-        ),
+        description=f"{policy} cache (ttl={ttl}) over {inner.name}",
         read_modes=("cached",) + inner.read_modes,
         session_guarantees=claimed,
-        tentative_reads=inner.tentative_reads,
-        multi_value_reads=inner.multi_value_reads,
-        networked=inner.networked,
-        has_history=inner.has_history,
-        survives_replica_crash=inner.survives_replica_crash,
-        retry_safe_reads=inner.retry_safe_reads,
         # Write-behind retries internally; the client-side idempotent
         # retry contract is not exercised on the ack path.
         retry_safe_writes=(inner.retry_safe_writes
                            and policy != "write_behind"),
-        failover_reads=inner.failover_reads,
         failover_writes=(inner.failover_writes
                          and policy != "write_behind"),
         # Cache hits serve cached state: no linearizable mode claims.
         linearizable_read_modes=(),
-        eventually_convergent=inner.eventually_convergent,
-        elastic=inner.elastic,
-        read_preferences=inner.read_preferences,
         chaos_waivers=tuple(waivers),
         staleness_bound_ms=staleness_bound_ms,
     )

@@ -1,10 +1,11 @@
 """Logical clocks: the causality machinery under every protocol here.
 
 * :class:`LamportClock` — scalar happened-before witness, LWW tiebreak.
-* :class:`VectorClock` — exact causality; detects concurrency.
-* :class:`VersionVector` — per-object causality for replicated stores.
+* :class:`VectorClock` — exact causality; detects concurrency.  Used
+  per object it is the version vector under a sibling set's dots.
 * :class:`DottedValueSet` — dotted version vectors (Riak-style sibling
-  management without sibling explosion).
+  management without sibling explosion): the one sibling set, under
+  the quorum store and ``MVRegister`` alike.
 * :class:`HybridLogicalClock` — physical-time-flavored causal stamps.
 """
 
@@ -12,7 +13,6 @@ from .dvv import Dot, DottedValueSet, DottedVersion
 from .hlc import HLCStamp, HybridLogicalClock
 from .lamport import LamportClock, LamportStamp
 from .vector import EMPTY_CLOCK, Ordering, VectorClock
-from .version_vector import VersionVector, joint_ceiling, reduce_siblings
 
 __all__ = [
     "LamportClock",
@@ -20,9 +20,6 @@ __all__ = [
     "VectorClock",
     "Ordering",
     "EMPTY_CLOCK",
-    "VersionVector",
-    "reduce_siblings",
-    "joint_ceiling",
     "Dot",
     "DottedVersion",
     "DottedValueSet",

@@ -8,12 +8,13 @@ State-based: :class:`GCounter`, :class:`PNCounter`,
 Op-based (with causal delivery): :class:`OpCounter`, :class:`OpORSet`,
 :class:`CausalBuffer`.
 
-Delta-state: :class:`DeltaGCounter`, :class:`DeltaORSet`.
+Delta-state is a property, not a second family: ``ORSet.add`` /
+``remove`` and ``GCounter.increment`` return the small state a peer
+joins with the same ``merge`` as a full one.
 """
 
 from .base import StateCRDT
 from .counters import GCounter, PNCounter
-from .delta import DeltaGCounter, DeltaORSet
 from .maps import LWWMap, ORMap
 from .opbased import CausalBuffer, OpCounter, OpEnvelope, OpORSet
 from .registers import LWWRegister, MVRegister
@@ -38,6 +39,4 @@ __all__ = [
     "OpORSet",
     "OpEnvelope",
     "CausalBuffer",
-    "DeltaGCounter",
-    "DeltaORSet",
 ]

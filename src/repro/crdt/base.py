@@ -82,16 +82,3 @@ class StateCRDT(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} @{self.replica_id} value={self.value!r}>"
 
-
-class Tag:
-    """Unique operation tags ``(replica, counter)`` for OR-Sets.
-
-    Tags must be globally unique; per-replica counters guarantee this
-    without coordination.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def fresh(replica: Hashable, counter: int) -> tuple[Hashable, int]:
-        return (replica, counter)

@@ -14,11 +14,15 @@ from .base import StateCRDT
 
 
 class GCounter(StateCRDT):
-    """Grow-only counter.
+    """Grow-only counter.  ``increment`` returns its **delta** — a
+    ``GCounter`` holding just this replica's new entry — which a peer
+    merges like any full state (ship it instead of ``copy()``, or join
+    several into a fresh ``GCounter`` and ship that).
 
     >>> a, b = GCounter("a"), GCounter("b")
-    >>> a.increment(3); b.increment(2)
-    >>> _ = a.merge(b)
+    >>> _ = a.increment(3)
+    >>> delta = b.increment(2)
+    >>> _ = a.merge(delta)
     >>> a.value
     5
     """
@@ -27,11 +31,16 @@ class GCounter(StateCRDT):
         self.replica_id = replica_id
         self._counts: dict[Hashable, int] = {}
 
-    def increment(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be positive) to this replica's entry."""
+    def increment(self, amount: int = 1) -> "GCounter":
+        """Add ``amount`` (must be positive) to this replica's entry;
+        returns the delta."""
         if amount <= 0:
             raise ValueError("GCounter can only grow; use PNCounter to decrement")
-        self._counts[self.replica_id] = self._counts.get(self.replica_id, 0) + amount
+        me = self.replica_id
+        self._counts[me] = count = self._counts.get(me, 0) + amount
+        delta = self._blank_copy()
+        delta._counts = {me: count}
+        return delta
 
     @property
     def value(self) -> int:

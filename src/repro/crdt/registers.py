@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from ..clocks import Ordering, VectorClock
+from ..clocks.dvv import DottedValueSet
 from ..clocks.lamport import LamportStamp
 from .base import StateCRDT
 
@@ -77,8 +77,11 @@ class LWWRegister(StateCRDT):
 class MVRegister(StateCRDT):
     """Multi-value register: concurrent assigns become siblings.
 
-    ``values`` returns all current siblings; ``assign`` supersedes every
-    sibling this replica has seen (its clock dominates their join).
+    The CRDT face of :class:`~repro.clocks.dvv.DottedValueSet`, the same
+    sibling set the quorum engine keeps per key: ``assign`` is a write
+    whose causal context is everything this replica has seen, so it
+    supersedes every sibling held here; ``merge`` is replica sync.
+    ``values`` returns all current siblings.
 
     >>> a, b = MVRegister("a"), MVRegister("b")
     >>> a.assign("x"); b.assign("y")
@@ -92,68 +95,43 @@ class MVRegister(StateCRDT):
 
     def __init__(self, replica_id: Hashable) -> None:
         self.replica_id = replica_id
-        self._siblings: list[tuple[VectorClock, Any]] = []
+        self._siblings = DottedValueSet()
 
     def assign(self, value: Any) -> None:
-        ceiling = VectorClock()
-        for clock, _ in self._siblings:
-            ceiling = ceiling.merge(clock)
-        self._siblings = [(ceiling.tick(self.replica_id), value)]
-
-    @staticmethod
-    def _canonical_key(entry: tuple[VectorClock, Any]) -> str:
-        clock, _value = entry
-        return repr(sorted(clock.entries().items(), key=lambda kv: str(kv[0])))
+        siblings = self._siblings
+        self._siblings = siblings.put(self.replica_id, value, siblings.context())
 
     @property
     def values(self) -> list[Any]:
-        """Sibling values in a canonical (clock-derived) order, so two
-        converged replicas report identical lists."""
-        return [
-            value
-            for _, value in sorted(self._siblings, key=self._canonical_key)
-        ]
+        """Sibling values in dot order (``sync``'s canonical order), so
+        two converged replicas report identical lists."""
+        return self._siblings.values()
 
     @property
     def value(self) -> Any:
         """Single value if unambiguous, else the sibling list."""
-        if not self._siblings:
-            return None
-        if len(self._siblings) == 1:
-            return self._siblings[0][1]
-        return self.values
+        values = self.values
+        if len(values) > 1:
+            return values
+        return values[0] if values else None
 
     def merge(self, other: "MVRegister") -> "MVRegister":
         self._require_same_type(other)
-        combined = list(self._siblings)
-        for clock, value in other._siblings:
-            dominated = False
-            survivors: list[tuple[VectorClock, Any]] = []
-            duplicate = False
-            for kept_clock, kept_value in combined:
-                cmp = clock.compare(kept_clock)
-                if cmp is Ordering.BEFORE:
-                    dominated = True
-                    survivors.append((kept_clock, kept_value))
-                elif cmp is Ordering.EQUAL:
-                    duplicate = True
-                    survivors.append((kept_clock, kept_value))
-                elif cmp is Ordering.AFTER:
-                    continue  # incoming supersedes this sibling
-                else:
-                    survivors.append((kept_clock, kept_value))
-            combined = survivors
-            if not dominated and not duplicate:
-                combined.append((clock, value))
-        self._siblings = combined
+        self._siblings = self._siblings.sync(other._siblings)
         return self
 
     def copy(self) -> "MVRegister":
         clone = self._blank_copy()
-        # VectorClock is immutable (tick/merge return new instances),
-        # so sharing the (clock, value) tuples is safe.
-        clone._siblings = list(self._siblings)
+        # DottedValueSet has value semantics (put/sync return new sets).
+        clone._siblings = self._siblings
         return clone
 
-    def state(self) -> list:
-        return [(clock.entries(), value) for clock, value in self._siblings]
+    def state(self) -> dict:
+        siblings = self._siblings
+        return {
+            "siblings": [
+                ((v.dot.replica, v.dot.counter), v.value)
+                for v in siblings.versions
+            ],
+            "context": siblings.context().entries(),
+        }

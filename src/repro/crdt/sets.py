@@ -10,6 +10,7 @@ LWW-Element-Set arbitrates by timestamp with a configurable bias.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Hashable, Iterator
 
 from .base import StateCRDT
@@ -105,34 +106,46 @@ class TwoPSet(StateCRDT):
         }
 
 
-#: Shared empty tag set — ``live_tags`` on an absent element allocates
-#: nothing.
+#: Shared empty dot set — ``live_tags`` on an absent element, and the
+#: dot cloud of every full replica, allocate nothing.
 _NO_TAGS: frozenset = frozenset()
 
 
 class ORSet(StateCRDT):
     """Observed-remove set (add-wins), tombstone-free — an ORSWOT
-    ("observed-remove set without tombstones", the Riak design).
+    ("observed-remove set without tombstones", the Riak design) whose
+    mutators also return **deltas**.
 
     Every add mints a unique **dot** ``(replica, counter)``; the state
-    keeps only the *live* dots per element plus a **causal context**
-    (``_maxc``): the highest counter seen from each replica.  Because a
-    replica mints its dots sequentially and states travel whole, any
-    state's knowledge of replica *r* is always the prefix ``1..maxc[r]``
-    — so "dot covered by the context but absent from the live store"
-    *is* the tombstone, and removed elements cost nothing forever after.
-    Merge keeps a dot iff both sides hold it live, or one side holds it
-    and the other has never seen it (add-wins for concurrent adds).
+    keeps only the *live* dots per element plus a **causal context**:
+    the dots it has seen, live or not.  "Dot covered by the context but
+    absent from the live store" *is* the tombstone, so removed elements
+    cost nothing forever after.  Merge keeps a dot iff both sides hold
+    it live, or one side holds it and the other has never seen it
+    (add-wins for concurrent adds).
+
+    The context is *prefixes + a dot cloud*: ``_maxc[r]`` says every dot
+    ``1..maxc[r]`` of replica *r* was seen, ``_cloud`` holds the seen
+    dots beyond those prefixes.  A replica mints its dots sequentially,
+    so a state that travels whole is all prefix and its cloud is empty;
+    the cloud is what lets a **delta** — the small state :meth:`add` and
+    :meth:`remove` return — name exactly the dots it touched instead of
+    claiming every earlier dot of its replica.  A delta is an ``ORSet``
+    like any other: ship it instead of ``copy()``, or join several into
+    a fresh ``ORSet`` and ship that; :meth:`merge` takes full states and
+    deltas alike, in any order, any number of times, and folds cloud
+    dots into the prefixes as the gaps close.  (A delta is a state to
+    join, not a replica to mutate further.)
 
     Dot sets are immutable (``frozenset``): :meth:`copy` — the gossip
     wire snapshot — is a shallow dict copy sharing them, and merge
     skips an element in O(1) when both sides hold the same object.
 
     >>> a, b = ORSet("a"), ORSet("b")
-    >>> a.add("x")
-    >>> _ = b.merge(a.copy())
-    >>> b.remove("x")      # b removes the add it saw
-    >>> a.add("x")         # concurrent re-add at a
+    >>> delta = a.add("x")
+    >>> _ = b.merge(delta)     # ship the delta, not the whole state
+    >>> _ = b.remove("x")      # b removes the add it saw
+    >>> _ = a.add("x")         # concurrent re-add at a
     >>> _ = a.merge(b); _ = b.merge(a.copy())
     >>> ("x" in a, "x" in b)
     (True, True)
@@ -142,23 +155,42 @@ class ORSet(StateCRDT):
         self.replica_id = replica_id
         self._counter = 0
         self._dots: dict[Any, frozenset] = {}   # element -> live dots only
-        self._maxc: dict[Hashable, int] = {}    # causal context: replica -> max counter
+        self._maxc: dict[Hashable, int] = {}    # context: replica -> seen prefix
+        self._cloud: frozenset = _NO_TAGS       # context: seen dots past the prefixes
 
     def _fresh_tag(self) -> tuple:
-        self._counter += 1
-        self._maxc[self.replica_id] = self._counter
-        return (self.replica_id, self._counter)
+        me = self.replica_id
+        self._counter = count = self._counter + 1
+        dot = (me, count)
+        if self._maxc.get(me, 0) == count - 1:
+            self._maxc[me] = count
+        else:  # own dots seen out of order (joined deltas): not a prefix
+            self._cloud |= {dot}
+        return dot
 
-    def add(self, item: Any) -> None:
+    def _delta(self, dots: dict, context: frozenset) -> "ORSet":
+        """A state holding ``dots`` that has seen exactly ``context``."""
+        delta = self._blank_copy()
+        delta._counter = self._counter
+        delta._dots = dots
+        delta._maxc = {}
+        delta._cloud = context
+        return delta
+
+    def add(self, item: Any) -> "ORSet":
+        """Add ``item`` under a fresh dot; returns the delta (that dot,
+        live, and nothing else seen)."""
         dots = self._dots.get(item)
-        dot = self._fresh_tag()
-        self._dots[item] = frozenset((dot,)) if dots is None else dots | {dot}
+        single = frozenset((self._fresh_tag(),))
+        self._dots[item] = single if dots is None else dots | single
+        return self._delta({item: single}, single)
 
-    def remove(self, item: Any) -> None:
+    def remove(self, item: Any) -> "ORSet":
         """Drop every dot of ``item`` observed at this replica.  The
         causal context still covers them, which is what tells peers the
-        removal happened."""
-        self._dots.pop(item, None)
+        removal happened — and is all the returned delta carries: an
+        empty store that has seen exactly the removed dots."""
+        return self._delta({}, self._dots.pop(item, _NO_TAGS))
 
     def live_tags(self, item: Any) -> frozenset:
         return self._dots.get(item, _NO_TAGS)
@@ -178,6 +210,70 @@ class ORSet(StateCRDT):
 
     def merge(self, other: "ORSet") -> "ORSet":
         self._require_same_type(other)
+        cloud, ocloud = self._cloud, other._cloud
+        if cloud or ocloud:
+            self._join_dots(other)
+        else:
+            self._join_dots_prefix(other)
+        ctx = self._maxc
+        for replica, count in other._maxc.items():
+            if count > ctx.get(replica, 0):
+                ctx[replica] = count
+        # Keep our dot counter ahead of every dot seen from ourselves,
+        # so dots stay unique even after state restore.
+        seen = ctx.get(self.replica_id, 0)
+        if cloud or ocloud:
+            # Join the clouds, then compact: in counter order, a dot
+            # that extends its replica's prefix joins it, one the
+            # prefix already covers is dropped, the rest stay.
+            beyond = []
+            for dot in sorted(cloud | ocloud, key=itemgetter(1)):
+                replica, count = dot
+                have = ctx.get(replica, 0)
+                if count == have + 1:
+                    ctx[replica] = count
+                elif count > have:
+                    beyond.append(dot)
+                if replica == self.replica_id and count > seen:
+                    seen = count
+            self._cloud = frozenset(beyond)
+        if seen > self._counter:
+            self._counter = seen
+        return self
+
+    def _seen(self, dot: tuple) -> bool:
+        return dot[1] <= self._maxc.get(dot[0], 0) or dot in self._cloud
+
+    def _join_dots(self, other: "ORSet") -> None:
+        """The dot-store join under any two contexts: keep a dot iff
+        both sides hold it live, or its only holder is the side the
+        other has not seen it from.  Runs when either side has a cloud
+        (a delta, or a state joined from deltas)."""
+        mine, theirs = self._dots, other._dots
+        seen, oseen = self._seen, other._seen
+        # Theirs first, in their order — the order the prefix loop
+        # adopts new elements in — then the elements only we hold.
+        for item in {**theirs, **mine}:
+            cur = mine.get(item, _NO_TAGS)
+            odots = theirs.get(item, _NO_TAGS)
+            merged = frozenset(
+                [d for d in cur if d in odots or not oseen(d)]
+                + [d for d in odots if d not in cur and not seen(d)]
+            )
+            if merged == cur:
+                pass
+            elif merged:
+                mine[item] = merged
+            else:
+                del mine[item]
+
+    def _join_dots_prefix(self, other: "ORSet") -> None:
+        """:meth:`_join_dots` specialised for two cloud-free contexts —
+        every merge between full replicas, i.e. the gossip hot path
+        (``crdt_merge_storm``): "unseen" is one comparison against the
+        prefix, and elements both sides hold as the same object are
+        skipped in O(1).  Kept by measurement: sending full-state
+        merges through :meth:`_join_dots` halves their rate."""
         mine, theirs = self._dots, other._dots
         ctx, octx = self._maxc, other._maxc
         for item, odots in theirs.items():
@@ -222,15 +318,6 @@ class ORSet(StateCRDT):
                     mine[item] = frozenset(keep)
                 else:
                     del mine[item]
-        for replica, count in octx.items():
-            if count > ctx.get(replica, 0):
-                ctx[replica] = count
-        # Keep our dot counter ahead of every dot seen from ourselves,
-        # so dots stay unique even after state restore.
-        seen = ctx.get(self.replica_id, 0)
-        if seen > self._counter:
-            self._counter = seen
-        return self
 
     def copy(self) -> "ORSet":
         clone = self._blank_copy()
@@ -239,16 +326,22 @@ class ORSet(StateCRDT):
         # gossip round ships is O(live elements), not O(history).
         clone._dots = dict(self._dots)
         clone._maxc = dict(self._maxc)
+        clone._cloud = self._cloud
         return clone
 
     def state(self) -> dict:
-        return {
+        """Wire form; ``cloud`` appears only when non-empty, i.e. never
+        for a full replica."""
+        out = {
             "dots": {repr(k): sorted(v) for k, v in self._dots.items()},
             "context": {
                 repr(r): c
                 for r, c in sorted(self._maxc.items(), key=lambda kv: repr(kv[0]))
             },
         }
+        if self._cloud:
+            out["cloud"] = sorted(self._cloud)
+        return out
 
 
 class LWWElementSet(StateCRDT):

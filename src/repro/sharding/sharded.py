@@ -36,15 +36,11 @@ with shard count (benchmarks/test_e13_sharding.py measures it).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Hashable
 
 from ..api import registry
-from ..api.store import (
-    ConsistentStore,
-    StoreCapabilities,
-    StoreSession,
-    resolved,
-)
+from ..api.store import ConsistentStore, StoreSession, resolved
 from ..errors import OverloadedError, SimulationError
 from ..histories import History
 from ..replication import HashRing
@@ -173,20 +169,14 @@ class ShardedStore(ConsistentStore):
         #: Optional :class:`repro.membership.MembershipService` kept in
         #: sync with ring moves (see :meth:`attach_membership`).
         self.membership: Any = None
-        self.capabilities = StoreCapabilities(
+        # Everything the wrapped adapter declares carries through; only
+        # what the routing tier changes is named.
+        self.capabilities = replace(
+            spec.capabilities,
             name=f"sharded[{protocol}x{shards}]",
             description=f"{shards}-shard router over {protocol}",
-            read_modes=spec.capabilities.read_modes,
             session_guarantees=(),
-            tentative_reads=spec.capabilities.tentative_reads,
-            multi_value_reads=spec.capabilities.multi_value_reads,
-            networked=spec.capabilities.networked,
-            has_history=spec.capabilities.has_history,
-            survives_replica_crash=spec.capabilities.survives_replica_crash,
-            retry_safe_reads=spec.capabilities.retry_safe_reads,
-            retry_safe_writes=spec.capabilities.retry_safe_writes,
-            failover_reads=spec.capabilities.failover_reads,
-            failover_writes=spec.capabilities.failover_writes,
+            linearizable_read_modes=(),
             elastic=True,
             read_preferences=(
                 spec.capabilities.read_preferences

@@ -68,7 +68,6 @@ class Simulator:
         self._queue = EventQueue()
         self._push = self._queue.push  # bound once: scheduling is hot
         self._push_fn = self._queue.push_fn  # handle-free fast path
-        self._push_pooled = self._queue.push_pooled  # call_soon backend
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -110,20 +109,17 @@ class Simulator:
             )
         return self._push(time, fn, args)
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at the current time, after pending events
         already scheduled for this instant.
 
         This is the fast path the future/process machinery leans on:
-        no delay validation, no clock arithmetic — straight onto the
-        queue at ``now``.  The returned handle is **pool-backed**: it
-        may be cancelled before it fires, but must not be retained
-        past dispatch (the dispatch loop recycles it — see
-        :func:`repro.sim.events.set_pool_debug`).  Callers needing a
-        long-lived handle at the current instant should use
-        ``schedule(0.0, ...)``.
+        no delay validation, no clock arithmetic, no :class:`Event` —
+        a handle-free entry straight onto the queue at ``now``.
+        Callers needing a cancellable handle at the current instant
+        use ``schedule(0.0, ...)``.
         """
-        return self._push_pooled(self.now, fn, args)
+        self._push_fn(self.now, fn, args)
 
     # ------------------------------------------------------------------
     # Execution
@@ -168,7 +164,6 @@ class Simulator:
         queue = self._queue
         heap = queue._heap
         pop_entry = heapq.heappop
-        recycle = queue.recycle
         trace = self.trace
         tracing = trace.enabled
         trace_event = trace.event
@@ -214,8 +209,6 @@ class Simulator:
                         if tracing:
                             trace_event(tick, event.fn, event.seq, event.daemon)
                         event.fn(*event.args)
-                        if event.pooled:
-                            recycle(event)
                         processed += 1
                         self.events_processed += 1
                     if self._stopped or processed >= limit:
@@ -272,8 +265,6 @@ class Simulator:
             event.fn(*event.args)
         finally:
             self._running = False
-        if event.pooled:
-            self._queue.recycle(event)
         self.events_processed += 1
         return True
 

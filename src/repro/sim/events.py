@@ -15,7 +15,8 @@ Two entry shapes share the heap:
 ``(time, seq, fn, args)``
     A *handle-free* entry from :meth:`push_fn` — no :class:`Event` is
     ever allocated.  Used for fire-and-forget work (network
-    deliveries) that is never cancelled and never daemonized.  Mixing
+    deliveries, ``Simulator.call_soon``) that is never cancelled and
+    never daemonized.  Mixing
     the two shapes is safe because sequence numbers are unique: tuple
     comparison always resolves at element 1 and never reaches the
     payload.
@@ -25,17 +26,6 @@ when it surfaces from the heap.  When cancelled entries outnumber live
 ones (a hedged-RPC storm cancelling its loser timers, say), the heap is
 compacted in one pass so dead timers cannot dominate heap depth for the
 rest of a long run.
-
-Event pooling
--------------
-:meth:`push_pooled` (the ``Simulator.call_soon`` backend) draws
-:class:`PooledEvent` objects from a free list; the dispatch loop
-returns them via :meth:`recycle` right after their callback runs.
-Pool lifetime rule: **a pooled handle must not be retained past its
-dispatch** — cancelling before it fires is fine, touching it after is
-use-after-free.  :func:`set_pool_debug` arms a debug mode in which the
-pool stops reusing objects and any post-recycle ``cancel()`` raises
-instead of silently corrupting an unrelated event.
 """
 
 from __future__ import annotations
@@ -44,23 +34,6 @@ import heapq
 from typing import Any, Callable
 
 from ..errors import SimulationError
-
-#: Max free-listed events; beyond this, retired events go to the GC.
-_POOL_CAP = 256
-
-_POOL_DEBUG = False
-
-
-def set_pool_debug(enabled: bool) -> None:
-    """Toggle use-after-free detection for pooled events.
-
-    When enabled, recycled events are *not* reused (so their ``_freed``
-    flag stays set forever) and ``cancel()`` on a recycled event raises
-    :class:`SimulationError` instead of no-opping.  Costs allocation
-    throughput; meant for tests and debugging, not production runs.
-    """
-    global _POOL_DEBUG
-    _POOL_DEBUG = enabled
 
 
 class Event:
@@ -74,11 +47,6 @@ class Event:
         "time", "seq", "fn", "args", "cancelled", "daemon", "executed",
         "_queue",
     )
-
-    #: Class-level defaults — plain events are never pool-managed, so
-    #: they pay no per-instance storage for the pool bookkeeping.
-    pooled = False
-    _freed = False
 
     def __init__(
         self,
@@ -104,13 +72,6 @@ class Event:
         marks ``executed`` at pop, before the callback runs) is a
         harmless no-op, so queue accounting can never double-decrement.
         """
-        if self._freed:
-            if _POOL_DEBUG:
-                raise SimulationError(
-                    "cancel() on a recycled pooled event (use-after-free): "
-                    "call_soon handles must not be retained past dispatch"
-                )
-            return
         if not self.cancelled and not self.executed:
             self.cancelled = True
             queue = self._queue
@@ -129,24 +90,8 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        if self._freed:
-            state = "recycled"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time:.6f} #{self.seq} {name} {state}>"
-
-
-class PooledEvent(Event):
-    """An :class:`Event` owned by the queue's free list.
-
-    Identical semantics while live; after dispatch the queue reclaims
-    it (``_freed`` set, payload dropped) and may hand the same object
-    to a later :meth:`EventQueue.push_pooled`.  Callers therefore must
-    not keep references past dispatch — see :func:`set_pool_debug`.
-    """
-
-    __slots__ = ("_freed",)
-
-    pooled = True
 
 
 class EventQueue:
@@ -159,7 +104,6 @@ class EventQueue:
         self._live = 0
         self._foreground = 0
         self._dead = 0  # cancelled entries still parked in the heap
-        self._pool: list[PooledEvent] = []
 
     def __len__(self) -> int:
         return self._live
@@ -213,51 +157,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, fn, args))
         self._live += 1
         self._foreground += 1
-
-    def push_pooled(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        args: tuple = (),
-    ) -> Event:
-        """Like :meth:`push` (foreground, non-daemon) but the handle is
-        drawn from the free list and reclaimed right after dispatch.
-        Callers may cancel it before it fires; retaining it past
-        dispatch is use-after-free (see :func:`set_pool_debug`).
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event.executed = False
-            event._freed = False
-        else:
-            event = PooledEvent(time, seq, fn, args, self, False)
-            event._freed = False
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
-        self._foreground += 1
-        return event
-
-    def recycle(self, event: PooledEvent) -> None:
-        """Return a dispatched pooled event to the free list.
-
-        Called by the dispatch loops immediately after the callback
-        ran (only ever with ``event.pooled`` true).  In debug mode the
-        object is retired instead of reused so stale handles keep
-        raising (see :func:`set_pool_debug`).
-        """
-        event._freed = True
-        event.fn = None  # type: ignore[assignment]
-        event.args = ()
-        if not _POOL_DEBUG and len(self._pool) < _POOL_CAP:
-            self._pool.append(event)
 
     def pop(self) -> Event:
         """Pop the earliest non-cancelled event.

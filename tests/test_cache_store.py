@@ -5,9 +5,11 @@ per-shard caches, serving-tier attribution, and the derived
 capability records.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.api import registry
+from repro.api import StoreCapabilities, registry
 from repro.cache import POLICIES, CachedStore, derive_capabilities
 from repro.sharding import ShardedStore
 from repro.sim import FixedLatency, Network, Simulator, spawn
@@ -372,6 +374,57 @@ def test_derived_capabilities_intersect_claims():
             assert caps.waiver_for(guarantee)
         assert caps.linearizable_read_modes == ()
         assert caps.read_modes[0] == "cached"
+
+
+#: What each wrapper tier changes.  Every other field must equal the
+#: wrapped adapter's: a tier may not drop what the adapter declares.
+_SHARDED_OVERRIDES = {
+    "name", "description", "session_guarantees", "linearizable_read_modes",
+    "elastic", "read_preferences",
+}
+_CACHED_OVERRIDES = {
+    "name", "description", "read_modes", "session_guarantees",
+    "retry_safe_writes", "failover_writes", "linearizable_read_modes",
+    "chaos_waivers", "staleness_bound_ms",
+}
+
+
+def _assert_carried_through(inner, outer, overrides):
+    for field in dataclasses.fields(StoreCapabilities):
+        if field.name not in overrides:
+            assert getattr(outer, field.name) == getattr(inner, field.name), (
+                f"{outer.name} resets {field.name}")
+
+
+@pytest.mark.parametrize("protocol", registry.names())
+def test_sharded_store_keeps_what_the_adapter_declares(protocol):
+    sim = Simulator(seed=1)
+    store = ShardedStore(sim, Network(sim), protocol=protocol, shards=2)
+    inner = registry.get(protocol).capabilities
+    _assert_carried_through(inner, store.capabilities, _SHARDED_OVERRIDES)
+    assert store.capabilities.elastic
+    assert store.capabilities.session_guarantees == ()
+    assert store.capabilities.linearizable_read_modes == ()
+
+
+def test_sharded_pileus_carries_both_waivers():
+    sim = Simulator(seed=1)
+    store = ShardedStore(sim, Network(sim), protocol="pileus", shards=2)
+    waivers = registry.get("pileus").capabilities.chaos_waivers
+    assert len(waivers) == 2
+    assert store.capabilities.chaos_waivers == waivers
+    for guarantee, reason in waivers:
+        assert store.capabilities.waiver_for(guarantee) == reason
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("protocol", registry.names())
+def test_cached_store_keeps_what_the_adapter_declares(protocol, policy):
+    inner = registry.get(protocol).capabilities
+    caps = derive_capabilities(inner, policy, ttl=100.0, flush_delay=0.0)
+    _assert_carried_through(inner, caps, _CACHED_OVERRIDES)
+    # The inner waivers survive; the policy only adds to them.
+    assert caps.chaos_waivers[:len(inner.chaos_waivers)] == inner.chaos_waivers
 
 
 def test_staleness_bound_auto():

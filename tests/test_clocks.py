@@ -11,9 +11,6 @@ from repro.clocks import (
     LamportStamp,
     Ordering,
     VectorClock,
-    VersionVector,
-    joint_ceiling,
-    reduce_siblings,
 )
 
 
@@ -138,72 +135,6 @@ def test_compare_antisymmetric(v, w):
 @given(clock_st, st.sampled_from(["a", "b", "c"]))
 def test_tick_strictly_advances(v, node):
     assert v.tick(node).strictly_dominates(v)
-
-
-# ----------------------------------------------------------------------
-# Version vectors
-# ----------------------------------------------------------------------
-
-def test_version_vector_bump_and_descent():
-    v0 = VersionVector()
-    v1 = v0.bump("r1")
-    v2 = v1.bump("r2")
-    assert v2.descends_from(v1) and v1.descends_from(v0)
-    assert not v1.descends_from(v2)
-    assert isinstance(v2, VersionVector)
-
-
-def test_reduce_siblings_drops_dominated():
-    v1 = VersionVector().bump("r1")
-    v2 = v1.bump("r1")
-    survivors = reduce_siblings([(v1, "old"), (v2, "new")])
-    assert survivors == [(v2, "new")]
-
-
-def test_reduce_siblings_keeps_concurrent():
-    a = VersionVector().bump("r1")
-    b = VersionVector().bump("r2")
-    survivors = reduce_siblings([(a, "x"), (b, "y")])
-    assert len(survivors) == 2
-
-
-def test_reduce_siblings_equal_vectors_later_wins():
-    v = VersionVector().bump("r1")
-    survivors = reduce_siblings([(v, "first"), (v, "second")])
-    assert survivors == [(v, "second")]
-
-
-def test_reduce_siblings_new_dominates_several():
-    a = VersionVector().bump("r1")
-    b = VersionVector().bump("r2")
-    top = a.merge(b).bump("r1")
-    survivors = reduce_siblings([(a, "x"), (b, "y"), (top, "z")])
-    assert survivors == [(top, "z")]
-
-
-def test_joint_ceiling():
-    a = VersionVector({"r1": 3})
-    b = VersionVector({"r1": 1, "r2": 5})
-    ceiling = joint_ceiling([a, b, {"r3": 2}])
-    assert ceiling.entries() == {"r1": 3, "r2": 5, "r3": 2}
-
-
-vv_st = st.dictionaries(nodes_st, st.integers(min_value=0, max_value=5)).map(
-    VersionVector
-)
-
-
-@given(st.lists(st.tuples(vv_st, st.integers()), max_size=8))
-@settings(max_examples=60)
-def test_reduce_siblings_survivors_pairwise_incomparable(pairs):
-    survivors = reduce_siblings(pairs)
-    for i, (v, _) in enumerate(survivors):
-        for j, (w, _) in enumerate(survivors):
-            if i != j:
-                assert v.compare(w) is Ordering.CONCURRENT
-    # Nothing maximal is lost: every input is dominated by some survivor.
-    for v, _ in pairs:
-        assert any(w.dominates(v) for w, _ in survivors)
 
 
 # ----------------------------------------------------------------------

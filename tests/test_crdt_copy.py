@@ -22,7 +22,6 @@ from repro.crdt import (
     RGA,
     TwoPSet,
 )
-from repro.crdt.delta import DeltaGCounter, DeltaORSet
 
 
 def test_gcounter_copy_independent():
@@ -78,8 +77,8 @@ def test_orset_copy_independent_and_tag_safe():
     a.add("y")
     b = a.copy()
     assert b.value == a.value == frozenset({"y"})
-    # Tag sets must not be shared: a remove on the copy that
-    # tombstones observed tags may not affect the original.
+    # A remove on the copy drops the dots the copy observed; it may
+    # not affect the original.
     b.remove("y")
     assert "y" in a
     assert "y" not in b
@@ -160,32 +159,32 @@ def test_rga_copy_independent():
 
 
 def test_delta_gcounter_copy_carries_delta_group():
-    a = DeltaGCounter("a")
-    a.increment(3)
-    b = a.copy()
-    assert type(b) is DeltaGCounter
+    a = GCounter("a")
+    group = GCounter("a")
+    group.merge(a.increment(3))
+    b = group.copy()
+    assert type(b) is GCounter
     assert b.value == 3
-    # The pending delta group travels with the copy but is independent.
-    delta_a = a.split()
-    assert delta_a is not None and delta_a.value == 3
-    delta_b = b.split()
-    assert delta_b is not None and delta_b.value == 3
+    # The copied group is independent of the one still accumulating.
+    group.merge(a.increment(2))
+    assert group.value == 5
+    assert b.value == 3
 
 
 def test_delta_orset_copy_carries_pending_delta():
-    a = DeltaORSet("a")
-    a.add("x")
-    b = a.copy()
-    assert type(b) is DeltaORSet
+    a = ORSet("a")
+    a.add("w")
+    pending = a.add("x")        # dot (a,2) alone: context is cloud-only
+    b = pending.copy()
+    assert type(b) is ORSet
     assert "x" in b
-    delta_b = b.split()
-    assert delta_b is not None and "x" in delta_b
-    # Draining the copy's delta leaves the original's intact.
-    delta_a = a.split()
-    assert delta_a is not None and "x" in delta_a
-    # And with no pending delta, split returns None on both.
-    assert a.split() is None
-    assert b.split() is None
+    assert b.state() == pending.state()
+    assert b.state()["cloud"] == [("a", 2)]
+    # Joining into the copy leaves the original delta intact.
+    b.merge(a.copy())
+    assert b.value == frozenset({"w", "x"}) and "cloud" not in b.state()
+    assert pending.value == frozenset({"x"})
+    assert pending.state()["cloud"] == [("a", 2)]
 
 
 @pytest.mark.parametrize("factory", [
@@ -200,8 +199,8 @@ def test_delta_orset_copy_carries_pending_delta():
     lambda: LWWMap("r"),
     lambda: ORMap("r", GCounter),
     lambda: RGA("r"),
-    lambda: DeltaGCounter("r"),
-    lambda: DeltaORSet("r"),
+    lambda: ORSet("r").remove("ghost"),     # the empty delta
+    lambda: ORMap("r", ORSet),
 ])
 def test_copy_of_empty_instance_matches(factory):
     original = factory()

@@ -12,16 +12,25 @@ exchanging states in an arbitrary (fair) order converge.
 
 The harness is generic: each CRDT type registers a factory and an op
 interpreter, and hypothesis drives random op sequences + merge orders.
+The ``Delta<Type>`` rows run the same laws over *partial* states: what a
+replica knows when it was fed some of a source's deltas, some of its
+full states and missed the rest.
+
+The second half states the delta join itself as properties: deltas —
+shuffled, duplicated — join to the state, a remove's delta deletes only
+what it names, and ``MVRegister`` is ``DottedValueSet`` with a replica
+id.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clocks import DottedValueSet
 from repro.crdt import (
     RGA,
-    DeltaGCounter,
-    DeltaORSet,
     GCounter,
     GSet,
     LWWElementSet,
@@ -40,11 +49,10 @@ REPLICAS = ("r1", "r2", "r3")
 def _apply_counter(crdt, op):
     kind, arg = op
     if kind == 0:
-        crdt.increment(arg % 5 + 1)
-    elif hasattr(crdt, "decrement"):
-        crdt.decrement(arg % 3 + 1)
-    else:
-        crdt.increment(arg % 7 + 1)
+        return crdt.increment(arg % 5 + 1)
+    if hasattr(crdt, "decrement"):
+        return crdt.decrement(arg % 3 + 1)
+    return crdt.increment(arg % 7 + 1)
 
 
 def _apply_register(crdt, op):
@@ -56,9 +64,8 @@ def _apply_set(crdt, op):
     kind, arg = op
     element = f"e{arg % 6}"
     if kind == 0 or not hasattr(crdt, "remove"):
-        crdt.add(element)
-    else:
-        crdt.remove(element)
+        return crdt.add(element)
+    return crdt.remove(element)
 
 
 def _apply_lww_map(crdt, op):
@@ -99,9 +106,11 @@ CRDT_SPECS = {
     "LWWMap": (LWWMap, _apply_lww_map),
     "ORMap": (lambda r: ORMap(r, PNCounter), _apply_ormap),
     "RGA": (RGA, _apply_rga),
-    "DeltaGCounter": (DeltaGCounter, _apply_counter),
-    "DeltaORSet": (DeltaORSet, _apply_set),
 }
+#: Types whose mutators return deltas get a second row, ``Delta<Type>``:
+#: the same laws over delta-fed partial states (see :func:`build`).
+DELTA_FED = {f"Delta{cls.__name__}": cls.__name__ for cls in (GCounter, ORSet)}
+CRDT_SPECS.update({row: CRDT_SPECS[base] for row, base in DELTA_FED.items()})
 
 
 def observed(crdt):
@@ -122,6 +131,20 @@ ops_st = st.lists(
 def build(spec_name, replica, ops):
     factory, interpreter = CRDT_SPECS[spec_name]
     crdt = factory(replica)
+    if spec_name in DELTA_FED:
+        # The ops run at a hidden source; ``crdt`` joins the delta of
+        # every odd-argument op, the source's full state at every
+        # tenth argument, and misses the rest — so it has gaps (for an
+        # ORSet, a dot cloud) and the laws see deltas and full states
+        # mixed.
+        source = factory(replica)
+        for op in ops:
+            delta = interpreter(source, op)
+            if op[1] % 2:
+                crdt.merge(delta)
+            elif op[1] % 10 == 0:
+                crdt.merge(source.copy())
+        return crdt
     for op in ops:
         interpreter(crdt, op)
     return crdt
@@ -231,3 +254,139 @@ def test_copy_is_independent(spec_name):
     assert observed(clone) == snapshot
     clone.merge(original)
     assert observed(clone) == observed(original)
+
+
+# ----------------------------------------------------------------------
+# The delta join as a property
+# ----------------------------------------------------------------------
+
+set_script_st = st.lists(
+    st.tuples(
+        st.integers(0, 2),      # replica
+        st.integers(0, 3),      # 0-1 add, 2 remove, 3 pull a peer's state
+        st.integers(0, 30),
+    ),
+    max_size=30,
+)
+
+
+def _converge(replicas):
+    for _round in range(2):
+        for a in replicas:
+            for b in replicas:
+                if a is not b:
+                    a.merge(b.copy())
+
+
+@given(script=set_script_st, seed=st.integers(0, 2**16))
+@settings(max_examples=120, deadline=None)
+def test_orset_deltas_join_to_the_converged_state(script, seed):
+    """An observer that merges only the emitted deltas — shuffled, each
+    delivered twice — ends in the state the replicas converge to, its
+    cloud compacted back to prefixes; and a delta merged into its own
+    source is a no-op."""
+    replicas = [ORSet(r) for r in REPLICAS]
+    deltas = []
+    for who, kind, arg in script:
+        replica = replicas[who]
+        if kind == 3:
+            replica.merge(replicas[arg % 3].copy())
+            continue
+        delta = (replica.add if kind < 2 else replica.remove)(f"e{arg % 6}")
+        deltas.append(delta)
+        snapshot = replica.state()
+        replica.merge(delta)
+        assert replica.state() == snapshot
+    _converge(replicas)
+    observer = ORSet("observer")
+    deliveries = deltas * 2
+    random.Random(seed).shuffle(deliveries)
+    for delta in deliveries:
+        observer.merge(delta)
+    assert observer.value == replicas[0].value
+    assert observer.state() == replicas[0].state()
+    assert "cloud" not in observer.state()
+
+
+@given(script=set_script_st)
+@settings(max_examples=120, deadline=None)
+def test_orset_prefix_join_is_the_general_join(script):
+    """``merge`` picks the dot-store join from its inputs: a loop
+    specialised for two cloud-free contexts, the general one otherwise.
+    On cloud-free inputs both must produce the same store, in the same
+    element order — so the specialisation cannot drift."""
+    replicas = [ORSet(r) for r in REPLICAS]
+    for who, kind, arg in script:
+        replica = replicas[who]
+        if kind < 3:
+            (replica.add if kind < 2 else replica.remove)(f"e{arg % 6}")
+            continue
+        incoming = replicas[arg % 3].copy()
+        by_prefix, by_general = replica.copy(), replica.copy()
+        assert "cloud" not in by_prefix.state() and "cloud" not in incoming.state()
+        by_prefix._join_dots_prefix(incoming)
+        by_general._join_dots(incoming)
+        assert by_prefix._dots == by_general._dots
+        assert list(by_prefix._dots) == list(by_general._dots)
+        replica.merge(incoming)
+        assert replica._dots == by_general._dots
+
+
+@given(
+    increments=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(1, 5)), max_size=20
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_gcounter_deltas_join_to_the_state(increments, seed):
+    replicas = [GCounter(r) for r in REPLICAS]
+    deltas = [replicas[who].increment(amount) for who, amount in increments]
+    _converge(replicas)
+    observer = GCounter("observer")     # a plain GCounter takes deltas
+    deliveries = deltas * 2
+    random.Random(seed).shuffle(deliveries)
+    for delta in deliveries:
+        observer.merge(delta)
+    assert observer.state() == replicas[0].state()
+    assert observer.value == sum(amount for _who, amount in increments)
+
+
+@given(script=st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 30)),
+    max_size=30,
+))
+@settings(max_examples=120, deadline=None)
+def test_mv_register_is_a_dotted_value_set(script):
+    """The same assign / merge script through ``MVRegister`` and through
+    bare ``DottedValueSet``s reports the same siblings in the same
+    order — and those are exactly the maximal writes the replica has
+    seen, by the pairwise vector-clock reduction kept here as the
+    oracle."""
+    registers = [MVRegister(r) for r in REPLICAS]
+    bare = [DottedValueSet() for _ in REPLICAS]
+    writes = []     # (replica, counter, the write's vector clock, value)
+    for who, kind, arg in script:
+        if kind < 2:
+            value = f"v{len(writes)}"
+            registers[who].assign(value)
+            bare[who] = bare[who].put(REPLICAS[who], value, bare[who].context())
+            dot = bare[who].versions[-1].dot
+            writes.append((dot.replica, dot.counter, bare[who].context(), value))
+        elif arg % 3 != who:
+            registers[who].merge(registers[arg % 3].copy())
+            bare[who] = bare[who].sync(bare[arg % 3])
+        assert registers[who].values == bare[who].values()
+        seen = [
+            (clock, value) for replica, counter, clock, value in writes
+            if bare[who].context()[replica] >= counter
+        ]
+        maximal = [
+            value for clock, value in seen
+            if not any(other.strictly_dominates(clock) for other, _ in seen)
+        ]
+        assert sorted(registers[who].values) == sorted(maximal)
+    _converge(registers)
+    assert len({tuple(r.values) for r in registers}) == 1
+    everything = bare[0].sync(bare[1]).sync(bare[2])
+    assert registers[0].values == everything.values()

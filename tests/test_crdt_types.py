@@ -4,8 +4,6 @@ import pytest
 
 from repro.crdt import (
     RGA,
-    DeltaGCounter,
-    DeltaORSet,
     GCounter,
     GSet,
     LWWElementSet,
@@ -425,37 +423,46 @@ def test_rga_merge_idempotent_duplicate_nodes():
 
 
 # ----------------------------------------------------------------------
-# Delta CRDTs
+# Deltas: the small states ORSet / GCounter mutators return
 # ----------------------------------------------------------------------
 
 def test_delta_gcounter_delta_carries_increment():
-    a, b = DeltaGCounter("a"), DeltaGCounter("b")
+    a, b = GCounter("a"), GCounter("b")
     delta = a.increment(5)
+    assert type(delta) is GCounter and delta.state() == {"a": 5}
     b.merge(delta)
     assert b.value == 5
     assert a.value == 5
 
 
 def test_delta_gcounter_split_drains_group():
-    a = DeltaGCounter("a")
-    a.increment(1)
-    a.increment(2)
-    group = a.split()
-    assert group is not None and group.value == 3
-    assert a.split() is None
+    """What ``split()`` buffered inside the counter, the caller now
+    holds: a delta group is a fresh ``GCounter`` the deltas are joined
+    into, shipped, and replaced by a new one."""
+    a, b = GCounter("a"), GCounter("b")
+    group = GCounter("a")
+    group.merge(a.increment(1))
+    group.merge(a.increment(2))
+    assert group.value == 3
+    b.merge(group)
+    group = GCounter("a")          # drained: the next group starts empty
+    group.merge(a.increment(4))
+    assert group.state() == {"a": 7}
+    b.merge(group)
+    assert b.value == a.value == 7
 
 
 def test_delta_gcounter_forwarding_via_merge():
-    a, b, c = DeltaGCounter("a"), DeltaGCounter("b"), DeltaGCounter("c")
-    b.merge(a.increment(4))
-    group = b.split()  # b forwards what it learned
-    assert group is not None
-    c.merge(group)
-    assert c.value == 4
+    a, b, c = GCounter("a"), GCounter("b"), GCounter("c")
+    delta = a.increment(4)
+    b.merge(delta)
+    c.merge(delta)             # b forwards the delta it learned from
+    c.merge(b.increment(1))
+    assert c.value == 5
 
 
 def test_delta_orset_add_remove_via_deltas():
-    a, b = DeltaORSet("a"), DeltaORSet("b")
+    a, b = ORSet("a"), ORSet("b")
     b.merge(a.add("x"))
     assert "x" in b
     a.merge(b.remove("x"))
@@ -463,33 +470,81 @@ def test_delta_orset_add_remove_via_deltas():
 
 
 def test_delta_orset_remove_of_absent_is_noop_delta():
-    a = DeltaORSet("a")
+    a = ORSet("a")
+    a.add("kept")
     delta = a.remove("ghost")
     assert delta.value == frozenset()
+    assert delta.state() == {"dots": {}, "context": {}}
+    b = ORSet("b")
+    b.merge(a.copy())
+    b.merge(delta)
+    assert b.value == frozenset({"kept"})
 
 
 def test_delta_orset_split_accumulates_multiple_ops():
-    a, b = DeltaORSet("a"), DeltaORSet("b")
-    a.add("x")
-    a.add("y")
-    a.remove("x")
-    group = a.split()
-    assert group is not None
+    """The ``split()`` pattern, caller-side: join the deltas into a
+    fresh ``ORSet`` and ship that."""
+    a, b = ORSet("a"), ORSet("b")
+    group = ORSet("a")
+    for delta in (a.add("x"), a.add("y"), a.remove("x")):
+        group.merge(delta)
     b.merge(group)
     assert b.value == frozenset({"y"})
-    assert a.split() is None
+    # The group saw both of a's dots in order: it compacted to a prefix.
+    assert group.state()["context"] == {"'a'": 2}
+    assert "cloud" not in group.state()
 
 
 def test_delta_merge_matches_full_state_merge():
-    full_a, full_b = ORSet("a"), ORSet("b")
-    delta_a, delta_b = DeltaORSet("a"), DeltaORSet("b")
-    for s in (full_a, delta_a):
-        s.add("p"); s.add("q"); s.remove("p")
-    for s in (full_b, delta_b):
-        s.add("r")
-    full_a.merge(full_b)
-    delta_a.merge(delta_b)
-    assert full_a.value == delta_a.value == frozenset({"q", "r"})
+    a = ORSet("a")
+    deltas = [a.add("p"), a.add("q"), a.remove("p")]
+    via_state, via_deltas = ORSet("b"), ORSet("b")
+    for b in (via_state, via_deltas):
+        b.add("r")
+    via_state.merge(a.copy())
+    for delta in reversed(deltas):      # out of order on purpose
+        via_deltas.merge(delta)
+    assert via_state.value == via_deltas.value == frozenset({"q", "r"})
+    assert via_state.state() == via_deltas.state()
+
+
+def test_delta_of_a_remove_deletes_only_the_dots_it_names():
+    """The over-covering failure a per-replica-max context would cause:
+    a's remove of "x" carries dot (a,1) only, so it may not touch "y"
+    (dot (a,2), which a minted *before* the remove) at a peer that
+    holds both."""
+    a, b = ORSet("a"), ORSet("b")
+    a.add("x")
+    a.add("y")
+    b.merge(a.copy())
+    b.add("x")                           # b's own dot on x, unseen by a
+    removal = a.remove("x")
+    assert removal.state() == {"dots": {}, "context": {}, "cloud": [("a", 1)]}
+    b.merge(removal)
+    assert b.live_tags("x") == frozenset({("b", 1)})   # add-wins, a's dot gone
+    assert b.live_tags("y") == frozenset({("a", 2)})   # untouched
+    # And a peer that has seen nothing learns nothing live from it.
+    c = ORSet("c")
+    c.merge(removal)
+    c.merge(a.copy())
+    assert c.value == frozenset({"y"})
+
+
+def test_orset_dot_minted_over_a_gap_goes_to_the_cloud():
+    """A restarted replica that has only its own third dot back may not
+    claim dots 1 and 2 when it mints the fourth."""
+    a = ORSet("a")
+    a.add("p"); a.add("q")
+    third = a.add("r")
+    fresh = ORSet("a")
+    fresh.merge(third)
+    fresh.add("s")
+    assert fresh.state()["context"] == {}
+    assert fresh.state()["cloud"] == [("a", 3), ("a", 4)]
+    fresh.merge(a.copy())                # the gap closes: all prefix again
+    assert fresh.value == frozenset({"p", "q", "r", "s"})
+    assert fresh.state()["context"] == {"'a'": 4}
+    assert "cloud" not in fresh.state()
 
 
 def test_rga_insert_after_cursor_semantics():

@@ -1,5 +1,5 @@
-"""Hot-path invariants: slotted structs, pool lifetime, batched dispatch,
-fingerprint cost.
+"""Hot-path invariants: slotted structs, handle-free ``call_soon``,
+batched dispatch, fingerprint cost.
 
 Four families of checks guard the raw-speed machinery:
 
@@ -9,11 +9,9 @@ Four families of checks guard the raw-speed machinery:
   ``__dict__``, so no silent ad-hoc attributes and no per-instance
   dict allocation.  An AST scan backs this up by rejecting attribute
   writes to Event internals from outside the queue/simulator modules.
-* **Pool lifetime** — ``call_soon`` handles are recycled at dispatch;
-  an AST scan insists no call site ever *binds* the returned handle
-  (what is never bound cannot be retained), and a runtime test proves
-  the debug mode catches a retained handle being touched after
-  recycling.
+* **Handle-free ``call_soon``** — it allocates no :class:`Event` and
+  returns ``None``; an AST scan insists every call site is a bare
+  expression statement, so nothing can come to depend on a handle.
 * **Batched dispatch** — ``Simulator.run``'s batched inner loop must
   be observationally identical to popping one event at a time: a
   property test drives random schedules (same-tick cascades,
@@ -37,13 +35,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.perf import SCENARIOS, HashingTracer
 from repro.perf.scenarios import _QUORUM, _ycsb
 from repro.replication.common import Reply, Request
 from repro.replication.quorum import FetchMsg, FetchReply, QGet, QPut, StoreAck, StoreMsg
 from repro.sim import Simulator, trace
-from repro.sim.events import Event, EventQueue, PooledEvent, set_pool_debug
+from repro.sim.events import Event
 from repro.sim.network import LinkFault
 from repro.sim.trace import TraceEvent
 
@@ -56,7 +53,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 SLOTTED_HOT_STRUCTS = [
     Event(0.0, 0, lambda: None, ()),
-    PooledEvent(0.0, 0, lambda: None, ()),
     Request(1, "payload"),
     Reply(1),
     QPut("k", "v"),
@@ -85,11 +81,9 @@ def test_hot_structs_reject_ad_hoc_attributes(instance):
 
 #: Attribute names that constitute Event's internals.  Writing them on
 #: any attribute target outside the queue/simulator modules means some
-#: protocol is poking scheduled-event state directly — which breaks
-#: once the handle is pool-recycled.
-_EVENT_INTERNALS = frozenset(
-    {"cancelled", "executed", "daemon", "_freed", "_queue"}
-)
+#: protocol is poking scheduled-event state directly, behind the
+#: queue's live / foreground / dead accounting.
+_EVENT_INTERNALS = frozenset({"cancelled", "executed", "daemon", "_queue"})
 _EVENT_MODULES = frozenset({"events.py", "core.py"})
 
 
@@ -128,10 +122,9 @@ def test_no_external_writes_to_event_internals():
 
 
 def test_no_call_site_binds_a_call_soon_handle():
-    """Pool safety by construction: a handle that is never bound cannot
-    be retained past dispatch.  Every ``call_soon(...)`` call in the
-    package must be a bare expression statement (callers needing a
-    long-lived handle must use ``schedule(0.0, ...)``)."""
+    """``call_soon`` returns ``None``: every call in the package must
+    be a bare expression statement (callers needing a handle use
+    ``schedule(0.0, ...)``)."""
 
     def is_call_soon(call):
         return (isinstance(call, ast.Call)
@@ -148,58 +141,13 @@ def test_no_call_site_binds_a_call_soon_handle():
                 ):
                     offenders.append(
                         f"{path.relative_to(SRC)}:{child.lineno} binds or "
-                        "nests the call_soon handle"
+                        "nests call_soon's (None) result"
                     )
     assert offenders == []
 
 
-# ---------------------------------------------------------------------------
-# Pool lifetime (runtime)
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def pool_debug():
-    set_pool_debug(True)
-    try:
-        yield
-    finally:
-        set_pool_debug(False)
-
-
-def test_pool_debug_catches_use_after_free(pool_debug):
-    sim = Simulator()
-    leaked = {}
-
-    def grab():
-        # Deliberately violate the contract: retain the handle of the
-        # *currently dispatching* pooled event.
-        leaked["handle"] = handle
-
-    handle = sim.call_soon(grab)
-    sim.run()
-    with pytest.raises(SimulationError, match="use-after-free"):
-        leaked["handle"].cancel()
-
-
-def test_pool_reuses_recycled_events_outside_debug():
-    q = EventQueue()
-    first = q.push_pooled(0.0, lambda: None)
-    q.pop()
-    q.recycle(first)
-    second = q.push_pooled(1.0, lambda: None)
-    assert second is first  # round-tripped through the free list
-    assert not second._freed
-
-
-def test_cancel_before_dispatch_is_allowed_for_pooled(pool_debug):
-    sim = Simulator()
-    fired = []
-    handle = sim.call_soon(fired.append, "nope")
-    handle.cancel()  # before dispatch: legal, pooled or not
-    sim.schedule(1.0, fired.append, "yes")
-    sim.run()
-    assert fired == ["yes"]
+def test_call_soon_returns_no_handle():
+    assert Simulator().call_soon(lambda: None) is None
 
 
 # ---------------------------------------------------------------------------
