@@ -52,6 +52,15 @@ class VectorClock(Mapping[Hashable, int]):
         }
         self._hash: int | None = None
 
+    @classmethod
+    def _adopt(cls, counts: dict[Hashable, int]) -> "VectorClock":
+        """Wrap a dict this module just built (fresh, positive ints
+        only) without the copy and checks untrusted input gets."""
+        clock = cls.__new__(cls)
+        clock._counts = counts
+        clock._hash = None
+        return clock
+
     # -- Mapping protocol ------------------------------------------------
     def __getitem__(self, node: Hashable) -> int:
         return self._counts.get(node, 0)
@@ -77,7 +86,7 @@ class VectorClock(Mapping[Hashable, int]):
         """Return a clock with ``node``'s entry incremented."""
         counts = dict(self._counts)
         counts[node] = counts.get(node, 0) + 1
-        return VectorClock(counts)
+        return VectorClock._adopt(counts)
 
     def merge(self, other: "VectorClock") -> "VectorClock":
         """Pointwise maximum — the join of the causal lattice."""
@@ -85,7 +94,7 @@ class VectorClock(Mapping[Hashable, int]):
         for node, count in other._counts.items():
             if count > counts.get(node, 0):
                 counts[node] = count
-        return VectorClock(counts)
+        return VectorClock._adopt(counts)
 
     def compare(self, other: "VectorClock") -> Ordering:
         """Compare under the happened-before partial order."""

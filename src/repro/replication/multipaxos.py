@@ -124,12 +124,16 @@ class PaxosReplica(ServerNode):
         self.accepted: dict[int, tuple[Ballot, Any]] = {}
         # Learner state.
         self.committed: dict[int, Any] = {}
+        self._last_committed = -1  # highest slot in ``committed``
         self.applied_through = -1
         self.store: dict[Hashable, tuple[Any, int]] = {}  # key -> (value, version)
         # Leader state.
         self.is_leader = False
         self.ballot: Ballot = NO_BALLOT
         self.next_slot = 0
+        # Undecided slots proposed under the current ballot only: a
+        # slot leaves both tables when it commits, a new ballot starts
+        # with both empty.
         self._accept_votes: dict[int, set] = {}   # slot -> acceptor ids
         self._proposals: dict[int, Any] = {}
         self._slot_futures: dict[int, Future] = {}
@@ -145,6 +149,10 @@ class PaxosReplica(ServerNode):
         self.ballot = (round_number, str(self.node_id))
         self._preparing = True
         self._promises = []
+        # A vote counts only in the ballot it was cast in; phase 1
+        # re-proposes every slot it adopts, so nothing live is lost.
+        self._accept_votes.clear()
+        self._proposals.clear()
         for peer in self.cluster.node_ids:
             self.send(peer, MPPrepare(self.ballot))
 
@@ -192,10 +200,12 @@ class PaxosReplica(ServerNode):
     # Log replication (phase 2)
     # ------------------------------------------------------------------
     def _propose_in_slot(self, slot: int, command: Any) -> None:
-        self._accept_votes.setdefault(slot, set())
-        self._proposals[slot] = command
-        for peer in self.cluster.node_ids:
-            self.send(peer, MPAccept(self.ballot, slot, command))
+        if slot not in self.committed:
+            self._accept_votes.setdefault(slot, set())
+            self._proposals[slot] = command
+        self.send_many(
+            self.cluster.node_ids, MPAccept(self.ballot, slot, command)
+        )
 
     def handle_MPAccept(self, src: Hashable, msg: MPAccept) -> None:
         if msg.ballot >= self.promised:
@@ -206,16 +216,17 @@ class PaxosReplica(ServerNode):
     def handle_MPAccepted(self, src: Hashable, msg: MPAccepted) -> None:
         if not self.is_leader or msg.ballot != self.ballot:
             return
-        if msg.slot in self.committed:
-            return
-        votes = self._accept_votes.setdefault(msg.slot, set())
+        votes = self._accept_votes.get(msg.slot)
+        if votes is None:
+            return  # already decided: late or duplicated vote
         votes.add(src)  # set semantics: duplicates don't double-count
         if len(votes) >= self.cluster.majority:
             command = self._proposals[msg.slot]
             self._commit(msg.slot, command)
+            message = MPCommit(msg.slot, command)
             for peer in self.cluster.node_ids:
                 if peer != self.node_id:
-                    self.send(peer, MPCommit(msg.slot, command))
+                    self.send(peer, message)
 
     def handle_MPCommit(self, src: Hashable, msg: MPCommit) -> None:
         self._commit(msg.slot, msg.command)
@@ -226,10 +237,12 @@ class PaxosReplica(ServerNode):
             self.send(src, CatchupRequest(self.applied_through + 1))
 
     def handle_CatchupRequest(self, src: Hashable, msg: CatchupRequest) -> None:
+        # Walk the requested suffix, never the whole log: O(gap).
+        committed = self.committed
         slots = {
-            slot: command
-            for slot, command in self.committed.items()
-            if slot >= msg.from_slot
+            slot: committed[slot]
+            for slot in range(msg.from_slot, self._last_committed + 1)
+            if slot in committed
         }
         self.send(src, CatchupReply(slots))
 
@@ -241,6 +254,10 @@ class PaxosReplica(ServerNode):
     def _commit(self, slot: int, command: Any) -> None:
         if slot not in self.committed:
             self.committed[slot] = command
+            if slot > self._last_committed:
+                self._last_committed = slot
+            self._accept_votes.pop(slot, None)
+            self._proposals.pop(slot, None)
         self._apply_ready()
 
     def _apply_ready(self) -> None:

@@ -75,7 +75,7 @@ class HashRing:
 
     def _walk_from(self, key: Hashable) -> tuple[Hashable, ...]:
         """Physical nodes clockwise from the key's token, distinct,
-        cycling over the whole ring once.  Cached per key."""
+        cycling over the ring until every node is in.  Cached per key."""
         cached = self._walk_cache.get(key)
         if cached is not None:
             return cached
@@ -91,6 +91,8 @@ class HashRing:
             if node not in seen:
                 seen.add(node)
                 out.append(node)
+                if len(out) == len(self._nodes):
+                    break  # every node placed: the rest are repeats
         walk = tuple(out)
         self._walk_cache[key] = walk
         return walk

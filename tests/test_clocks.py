@@ -120,6 +120,20 @@ def test_merge_is_least_upper_bound(v, w):
         assert m[node] == max(v[node], w[node])
 
 
+@given(clock_st, clock_st, nodes_st)
+def test_tick_and_merge_equal_publicly_constructed_clocks(v, w, node):
+    # tick / merge adopt the dict they built instead of going through
+    # the validating constructor; the clocks must be indistinguishable.
+    ticked = {**v.entries(), node: v[node] + 1}
+    joined = {n: max(v[n], w[n]) for n in set(v) | set(w)}
+    for fast, counts in ((v.tick(node), ticked), (v.merge(w), joined)):
+        reference = VectorClock(counts)
+        assert fast == reference and hash(fast) == hash(reference)
+        assert fast.entries() == reference.entries() == counts
+        assert fast.entries() is not fast.entries()  # still a copy out
+    assert v == VectorClock(v.entries())             # operands untouched
+
+
 @given(clock_st, clock_st)
 def test_compare_antisymmetric(v, w):
     cv, cw = v.compare(w), w.compare(v)

@@ -1,11 +1,26 @@
 """Tests for single-decree Paxos and the Multi-Paxos KV cluster."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkers import check_convergence, check_linearizability
 from repro.errors import NotLeaderError, TimeoutError as ReproTimeoutError
 from repro.replication import Acceptor, MultiPaxosCluster, Proposer
-from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
+from repro.replication.multipaxos import (
+    CatchupReply,
+    CatchupRequest,
+    MPAccepted,
+    PutCmd,
+)
+from repro.sim import (
+    ExponentialLatency,
+    FixedLatency,
+    Network,
+    Simulator,
+    Tracer,
+    spawn,
+)
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +122,8 @@ def test_acceptor_crash_recovery_keeps_promises():
 # Multi-Paxos KV
 # ----------------------------------------------------------------------
 
-def make_mp(nodes=3, seed=0, latency=2.0):
-    sim = Simulator(seed=seed)
+def make_mp(nodes=3, seed=0, latency=2.0, tracer=None):
+    sim = Simulator(seed=seed, tracer=tracer)
     net = Network(sim, latency=FixedLatency(latency))
     cluster = MultiPaxosCluster(sim, net, nodes=nodes)
     cluster.elect()
@@ -294,3 +309,127 @@ def test_uncommitted_writes_recovered_or_dropped_safely():
     spawn(sim, script2())
     sim.run()
     assert out["read"] == ("after", out["v"])
+
+
+# ----------------------------------------------------------------------
+# Catch-up and the leader's tables
+# ----------------------------------------------------------------------
+
+class NoScanLog(dict):
+    """A committed log that refuses to be walked end to end."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("catch-up iterated the whole committed log")
+
+    items = keys = values = __iter__ = _refuse
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    slots=st.lists(st.integers(min_value=0, max_value=60), unique=True,
+                   max_size=40),
+    from_slot=st.integers(min_value=0, max_value=70),
+)
+def test_catchup_reply_equals_full_scan_without_scanning(slots, from_slot):
+    _sim, _net, cluster = make_mp()
+    replica = cluster.replicas[1]
+    for slot in slots:                       # arrival order, holes and all
+        replica._commit(slot, PutCmd("k", slot))
+    # Oracle: the whole-log comprehension the handler used to run.
+    expected = {
+        slot: command
+        for slot, command in replica.committed.items()
+        if slot >= from_slot
+    }
+    replica.committed = NoScanLog(replica.committed)
+    sent = []
+    replica.send = lambda dst, message: sent.append((dst, message))
+    replica.handle_CatchupRequest("px2", CatchupRequest(from_slot))
+    [(dst, reply)] = sent
+    assert dst == "px2" and isinstance(reply, CatchupReply)
+    assert reply.committed == expected
+
+
+def test_commits_delivered_out_of_order_are_caught_up():
+    tracer = Tracer()
+    sim, net, cluster = make_mp(nodes=5, tracer=tracer)
+    client = cluster.connect()
+    leader, laggard = cluster.leader.node_id, cluster.replicas[4].node_id
+
+    def script():
+        # Slot 0's commit crawls to the laggard; slot 1's overtakes it.
+        net.set_link_fault(leader, laggard, extra_delay=50.0)
+        yield client.put("a", "first")
+        net.clear_link_fault(leader, laggard)
+        yield client.put("b", "second")
+
+    spawn(sim, script())
+    sim.run()
+    summary = tracer.message_summary()
+    assert summary["CatchupRequest"]["delivered"] == 1
+    assert summary["CatchupReply"]["delivered"] == 1
+    for replica in cluster.replicas:
+        assert replica.applied_through == 1
+        assert not replica._catching_up
+    assert check_convergence(cluster.snapshots()).ok
+    assert cluster.replicas[4].snapshot() == {"a": "first", "b": "second"}
+
+
+def test_leader_tables_hold_undecided_slots_only():
+    sim, _net, cluster = make_mp(nodes=5)
+    leader = cluster.leader
+    in_flight = []
+
+    def lane(index):
+        client = cluster.connect()
+        for i in range(100):
+            yield client.put(f"k{(index + i) % 7}", i)
+            in_flight.append(len(leader._accept_votes))
+            yield client.get(f"k{i % 7}")
+
+    for index in range(4):                  # 4 lanes x 100 ops = 400 slots
+        spawn(sim, lane(index))
+    sim.run()
+    assert leader.applied_through == 799 and len(leader.committed) == 800
+    assert max(in_flight) <= 4              # one undecided slot per lane
+    assert leader._accept_votes == {} and leader._proposals == {}
+    # A late or duplicated vote for a decided slot changes nothing.
+    before = dict(leader.committed)
+    for src in cluster.node_ids * 2:
+        leader.handle_MPAccepted(src, MPAccepted(leader.ballot, 5))
+    sim.run()
+    assert leader._accept_votes == {} and leader._proposals == {}
+    assert leader.committed == before and leader.applied_through == 799
+
+
+def test_votes_from_an_old_ballot_do_not_count_after_reelection():
+    # Regression: _accept_votes was keyed by slot alone and survived
+    # start_leadership, so a leader re-elected without a crash counted
+    # the votes of its old ballot toward the new one.
+    sim, net, cluster = make_mp(nodes=5)
+    px = cluster.node_ids
+    client = cluster.connect()
+    leader = cluster.leader
+    net.partition([px[0], px[1], client.node_id])   # two of five: no majority
+
+    def script():
+        try:
+            yield client.put("k", "stranded", timeout=50.0)
+        except ReproTimeoutError:
+            pass
+
+    spawn(sim, script())
+    sim.run()
+    assert leader._accept_votes == {0: {px[0], px[1]}}
+    net.heal()
+    cluster.elect(leader)
+    # Prepare out, promises back, slot 0 re-proposed at ballot 2: 4 ms.
+    # Cut off every peer but px2 while those MPAccepts are in flight,
+    # so their MPAccepted replies are dropped at the partition.
+    sim.run(until=sim.now + 5.0)
+    assert leader.is_leader and leader.ballot == (2, px[0])
+    net.partition([px[0], px[2]])
+    sim.run()
+    # Its own vote and px2's are all the new ballot has: no majority.
+    assert leader._accept_votes == {0: {px[0], px[2]}}
+    assert all(0 not in replica.committed for replica in cluster.replicas)

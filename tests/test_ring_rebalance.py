@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.replication import HashRing
+from repro.replication.ring import stable_hash
 
 KEYS = [f"key-{i}" for i in range(2000)]
 
@@ -84,3 +85,42 @@ def test_membership_changes_bump_the_ring_version():
     assert ring.version == start + 1
     ring.remove_node("c")
     assert ring.version == start + 2
+
+
+def full_scan_walk(ring, key):
+    """Reference: every token once, clockwise from the key's, keeping
+    each node's first appearance (what ``_walk_from`` did before it
+    learned to stop once every node is in)."""
+    tokens = sorted((stable_hash((node, i)), node)
+                    for node in ring.nodes for i in range(ring.vnodes))
+    position = stable_hash(key)
+    clockwise = ([node for token, node in tokens if token > position]
+                 + [node for token, node in tokens if token <= position])
+    return tuple(dict.fromkeys(clockwise))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.lists(st.integers(0, 40), min_size=1, max_size=7, unique=True),
+    vnodes=st.integers(min_value=1, max_value=24),
+    keys=st.lists(st.one_of(st.integers(), st.text(max_size=6)),
+                  min_size=1, max_size=12),
+    seed=seeds,
+)
+def test_walk_equals_full_scan_across_membership_changes(
+    names, vnodes, keys, seed
+):
+    ring = HashRing([f"w{name}" for name in names], vnodes=vnodes)
+
+    def check():
+        for key in keys:
+            walk = ring._walk_from(key)
+            assert walk == full_scan_walk(ring, key)
+            assert sorted(walk) == sorted(ring.nodes)
+            assert ring._walk_from(key) is walk      # cached tuple
+
+    check()
+    ring.add_node("newcomer")
+    check()
+    ring.remove_node(ring.nodes[seed % len(ring.nodes)])
+    check()
