@@ -88,7 +88,7 @@ class ClientNode(Node):
         super().__init__(sim, network, node_id)
         self._next_request = 0
         self._next_idem = 0
-        # request_id -> (future, timeout timer or None)
+        # request_id -> (future, timeout deadline or None)
         self._outstanding: dict[int, tuple[Future, Any]] = {}
         #: Default policy applied by :meth:`call` when none is passed
         #: explicitly (set by the store adapters' ``retry=`` option).
@@ -136,7 +136,7 @@ class ClientNode(Node):
             self.sim.metrics.counter(f"rpc.{name}").inc()
         self.send(dst, Request(request_id, payload, idempotency_key))
         timer = (
-            self.set_timer(timeout, self._timeout, request_id)
+            self.set_deadline(timeout, self._timeout, request_id)
             if timeout is not None else None
         )
         self._outstanding[request_id] = (future, timer)

@@ -293,6 +293,7 @@ class _CoordinatorOp:
     state: Any = None                  # the minted write
     replies: list = field(default_factory=list)   # (src, state) per read reply
     responded: set = field(default_factory=set)
+    deadlines: tuple = ()              # cancelled when the op is decided
 
 
 class DynamoNode(ServerNode):
@@ -312,6 +313,7 @@ class DynamoNode(ServerNode):
         # Hinted writes held for unreachable home replicas:
         # home node id -> {key: state}
         self.hints: dict[Hashable, dict[Hashable, Any]] = {}
+        #: Undecided ops of this incarnation: gone at quorum, deadline or crash.
         self._ops: dict[int, _CoordinatorOp] = {}
         self._op_ids = 0
         if cluster.hint_interval is not None:
@@ -364,8 +366,10 @@ class DynamoNode(ServerNode):
             del self._ops[op_id]
             self._acknowledge(op)
             return future
-        self.set_timer(cluster.replica_timeout, self._write_fallback, op_id)
-        self.set_timer(cluster.op_deadline, self._expire, op_id)
+        op.deadlines = (
+            self.set_deadline(cluster.replica_timeout, self._write_fallback, op_id),
+            self.set_deadline(cluster.op_deadline, self._expire, op_id),
+        )
         return future
 
     def serve_QGet(self, src: Hashable, payload: QGet) -> Future:
@@ -373,12 +377,11 @@ class DynamoNode(ServerNode):
         targets = cluster.ring.preference_list(key, cluster.n)
         op_id = self._next_op()
         future = Future(self.sim, label=f"qget#{op_id}")
-        self._ops[op_id] = _CoordinatorOp(
-            "read", key, future, cluster.r, set(targets)
-        )
+        op = _CoordinatorOp("read", key, future, cluster.r, set(targets))
+        self._ops[op_id] = op
         for target in targets:
             self.send(target, FetchMsg(op_id, key))
-        self.set_timer(cluster.op_deadline, self._expire, op_id)
+        op.deadlines = (self.set_deadline(cluster.op_deadline, self._expire, op_id),)
         return future
 
     # -- replica side -----------------------------------------------------
@@ -410,11 +413,19 @@ class DynamoNode(ServerNode):
         op.responded.add(src)
         return op
 
+    def _retire(self, op_id: int, op: _CoordinatorOp) -> None:
+        """Forget an op that met its quorum, and its timeouts with it:
+        later acks and replies find no entry and count for nothing."""
+        del self._ops[op_id]
+        for deadline in op.deadlines:
+            deadline.cancel()
+
     def handle_StoreAck(self, src: Hashable, msg: StoreAck) -> None:
         op = self._counted(src, msg.op_id, "write")
         if op is None:
             return
-        if len(op.responded) >= op.needed and not op.future.done:
+        if len(op.responded) >= op.needed:
+            self._retire(msg.op_id, op)
             self._acknowledge(op)
 
     def _acknowledge(self, op: _CoordinatorOp) -> None:
@@ -428,7 +439,8 @@ class DynamoNode(ServerNode):
             return
         conflicts = self.conflicts
         op.replies.append((src, conflicts.decode(msg.value, msg.stamp)))
-        if len(op.replies) >= op.needed and not op.future.done:
+        if len(op.replies) >= op.needed:
+            self._retire(msg.op_id, op)
             merged = conflicts.EMPTY
             for _src, state in op.replies:
                 merged = conflicts.merge(merged, state)
@@ -450,7 +462,7 @@ class DynamoNode(ServerNode):
     # -- sloppy quorum / hinted handoff ---------------------------------------
     def _write_fallback(self, op_id: int) -> None:
         op = self._ops.get(op_id)
-        if op is None or op.future.done or not self.cluster.sloppy:
+        if op is None or not self.cluster.sloppy:
             return
         missing = op.targets - op.responded
         if not missing:
@@ -479,9 +491,15 @@ class DynamoNode(ServerNode):
                     self.cluster._c_hints_delivered.inc()
 
     # -- lifecycle ---------------------------------------------------------
+    def on_crash(self) -> None:
+        """The pending-op table is volatile (data and hints are not): a
+        recovered node must not acknowledge, on an ack delayed past its
+        restart, a request it coordinated before the crash."""
+        self._ops.clear()
+
     def _expire(self, op_id: int) -> None:
         op = self._ops.pop(op_id, None)
-        if op is None or op.future.done:
+        if op is None:
             return
         op.future.fail(
             QuorumError(

@@ -144,7 +144,7 @@ class RpcCall:
             and self.policy.hedge_after is not None
             and self.hedges < self.policy.max_hedges
         ):
-            self._hedge_timer = self.client.set_timer(
+            self._hedge_timer = self.client.set_deadline(
                 self.policy.hedge_after, self._fire_hedge
             )
 

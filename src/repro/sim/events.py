@@ -83,6 +83,16 @@ class Event:
                 if queue._dead > queue._live:
                     queue._compact()
 
+    def set_daemon(self, daemon: bool) -> None:
+        """Flip a pending event between foreground and daemon: one
+        long-lived wake-up (a node's deadline lane) keeps ``run()`` alive
+        exactly while something waits on it.  Like :meth:`cancel`, a
+        no-op on an event that was cancelled or has fired."""
+        if self.daemon is not daemon and not (self.cancelled or self.executed):
+            self.daemon = daemon
+            if self._queue is not None:
+                self._queue._foreground += -1 if daemon else 1
+
     def __lt__(self, other: "Event") -> bool:
         # Not used by the heap (tuples compare first); kept so sorting
         # Event handles directly stays meaningful.

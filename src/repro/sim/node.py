@@ -4,6 +4,9 @@ A :class:`Node` is a message-handler state machine: the network calls
 :meth:`deliver`, which dispatches to ``handle_<MessageClassName>``
 methods.  Timers are thin wrappers over the simulator that respect
 crashes — a crashed node neither receives messages nor fires timers.
+A *timer* (:meth:`Node.set_timer`, :meth:`Node.every`) is expected to
+fire and is one simulator event; a *timeout* (:meth:`Node.set_deadline`)
+is set per operation and almost never fires, so it costs no event.
 
 Crash/recover models fail-stop with amnesia of *volatile* state only:
 subclasses override :meth:`on_crash` / :meth:`on_recover` to decide
@@ -13,12 +16,50 @@ does not).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Hashable
 
 from ..errors import SimulationError
 from .core import Simulator
 from .events import Event
 from .network import Network
+
+
+class Deadline:
+    """One pending timeout; the handle :meth:`Node.set_deadline` returns."""
+
+    __slots__ = ("time", "fn", "args", "_lane")
+
+    def __init__(self, time: float, fn: Callable[..., Any], args: tuple, lane: "_Lane") -> None:
+        self.time = time
+        self.fn = fn
+        self.args = args
+        self._lane = lane
+
+    def cancel(self) -> None:
+        """Prevent the callback from running and drop every reference to it.
+        Idempotent; a no-op once it has fired or the node has crashed."""
+        if self.fn is None:
+            return
+        self.fn = self.args = None
+        lane = self._lane
+        lane.live -= 1
+        if not lane.live:
+            lane.wake.set_daemon(True)
+
+
+class _Lane:
+    """A node's pending deadlines of one delay value.  A constant delay means
+    they expire in the order they were set, so a FIFO and one wake-up event
+    serve them all (Varghese & Lauck's scheme for constant timeouts)."""
+
+    __slots__ = ("delay", "entries", "live", "wake")
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+        self.entries: deque[Deadline] = deque()
+        self.live = 0  # entries neither cancelled nor fired
+        self.wake: Event | None = None  # foreground exactly while ``live`` > 0
 
 
 class Node:
@@ -42,6 +83,7 @@ class Node:
         self.crashed = False
         self._timers: list[Event] = []
         self._timer_prune_at = 64
+        self._lanes: dict[float, _Lane] = {}
         self._handler_cache: dict[type, Callable[..., Any]] = {}
         network.register(self)
 
@@ -109,15 +151,8 @@ class Node:
         not keep ``sim.run()`` alive (see
         :meth:`Simulator.schedule_daemon`).
         """
-
-        def guarded() -> None:
-            if not self.crashed:
-                fn(*args)
-
-        if daemon:
-            event = self.sim.schedule_daemon(delay, guarded)
-        else:
-            event = self.sim.schedule(delay, guarded)
+        schedule = self.sim.schedule_daemon if daemon else self.sim.schedule
+        event = schedule(delay, self._guard, fn, args)
         self._timers.append(event)
         if len(self._timers) > self._timer_prune_at:
             # Prune fired timers too, not just cancelled ones — on a
@@ -131,6 +166,56 @@ class Node:
             ]
             self._timer_prune_at = max(64, 2 * len(self._timers))
         return event
+
+    def _guard(self, fn: Callable[..., Any], args: tuple) -> None:
+        if not self.crashed:
+            fn(*args)
+
+    def set_deadline(self, delay: float, fn: Callable[..., Any], *args: Any) -> Deadline:
+        """Run ``fn`` after ``delay`` ms unless cancelled or this node
+        crashes first — for the timeout set on every operation and
+        cancelled by nearly every one.
+
+        Deadlines of one ``delay`` share a FIFO lane and one wake-up
+        event, so setting one is an append and cancelling one a flag: no
+        event, no heap push.  A live deadline keeps ``run()`` alive and
+        fires at exactly ``now + delay``, as a timer would (deadlines of
+        *different* lanes due at one instant fire in the order the lanes
+        woke, not the order set); a cancelled one holds no ``run()`` open.
+        """
+        lane = self._lanes.get(delay)
+        if lane is None:
+            lane = _Lane(delay)
+            lane.wake = self.sim.schedule(delay, self._wake, lane)
+            self._lanes[delay] = lane
+        entry = Deadline(self.sim.now + delay, fn, args, lane)
+        lane.entries.append(entry)
+        lane.live += 1
+        if lane.live == 1:
+            lane.wake.set_daemon(False)
+        return entry
+
+    def _wake(self, lane: _Lane) -> None:
+        """A lane's wake-up: drop cancelled heads, fire the due ones in
+        the order they were set, sleep until the next live one — or
+        forget a drained lane, so one-off delays cannot accumulate."""
+        entries, now = lane.entries, self.sim.now
+        while entries:
+            entry = entries[0]
+            fn = entry.fn
+            if fn is not None:
+                if entry.time > now:
+                    lane.wake = self.sim.schedule_at(entry.time, self._wake, lane)
+                    return
+                args = entry.args
+                entry.fn = entry.args = None
+                lane.live -= 1
+                # ``lane.wake`` is still this (executed) event: a callback
+                # setting a deadline on this lane appends, arms nothing.
+                self._guard(fn, args)
+            entries.popleft()
+        if self._lanes.get(lane.delay) is lane:
+            del self._lanes[lane.delay]
 
     def every(self, interval: float, fn: Callable[..., Any], *args: Any,
               jitter: float = 0.0) -> None:
@@ -170,6 +255,11 @@ class Node:
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
+        for lane in self._lanes.values():
+            lane.wake.cancel()
+            for entry in lane.entries:
+                entry.fn = entry.args = None
+        self._lanes.clear()
         self.on_crash()
 
     def recover(self) -> None:

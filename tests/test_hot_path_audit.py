@@ -5,9 +5,9 @@ Four families of checks guard the raw-speed machinery:
 
 * **Slots audit** — the structs on the per-event/per-message hot path
   (:class:`Event`, the network/RPC/replication message dataclasses,
-  :class:`TraceEvent`) must stay ``__slots__``-only: no instance
-  ``__dict__``, so no silent ad-hoc attributes and no per-instance
-  dict allocation.  An AST scan backs this up by rejecting attribute
+  :class:`TraceEvent`, a node's :class:`Deadline` and its lane) must
+  stay ``__slots__``-only: no instance ``__dict__``, so no silent
+  ad-hoc attributes and no per-instance dict allocation.  An AST scan backs this up by rejecting attribute
   writes to Event internals from outside the queue/simulator modules.
 * **Handle-free ``call_soon``** — it allocates no :class:`Event` and
   returns ``None``; an AST scan insists every call site is a bare
@@ -42,6 +42,7 @@ from repro.replication.quorum import FetchMsg, FetchReply, QGet, QPut, StoreAck,
 from repro.sim import Simulator, trace
 from repro.sim.events import Event
 from repro.sim.network import LinkFault
+from repro.sim.node import Deadline, _Lane
 from repro.sim.trace import TraceEvent
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -63,6 +64,8 @@ SLOTTED_HOT_STRUCTS = [
     FetchReply(1, "k", None, None),
     LinkFault(),
     TraceEvent(0.0, "kind"),
+    Deadline(0.0, lambda: None, (), _Lane(0.0)),
+    _Lane(0.0),
 ]
 
 
@@ -119,6 +122,18 @@ def test_no_external_writes_to_event_internals():
                         f"writes {target.value.id}.{target.attr}"
                     )
     assert offenders == []
+
+
+def test_set_timer_builds_no_closure():
+    """A timer's event carries the node's bound crash-guard and
+    ``(fn, args)`` — not a per-call ``guarded`` function object and its
+    three cells, which the collector then had to track."""
+    tree = ast.parse((SRC / "sim" / "node.py").read_text())
+    (set_timer,) = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "set_timer"]
+    nested = [node for node in ast.walk(set_timer) if node is not set_timer
+              and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    assert nested == []
 
 
 def test_no_call_site_binds_a_call_soon_handle():

@@ -7,9 +7,14 @@ followed by what is specific to LWW stamps and to sibling sets.
 
 import pytest
 
+from repro.api import registry
+from repro.cache import CachedStore
+from repro.chaos import PLANS, Nemesis
 from repro.checkers import check_linearizability, stale_read_fraction
 from repro.errors import QuorumError, TimeoutError as ReproTimeoutError
 from repro.replication import DynamoCluster, SiblingDynamoCluster
+from repro.replication.quorum import DynamoNode
+from repro.sharding import ShardedStore
 from repro.sim import (
     ExponentialLatency,
     FixedLatency,
@@ -18,6 +23,7 @@ from repro.sim import (
     Tracer,
     spawn,
 )
+from repro.workload import YCSBWorkload, run_workload
 
 BOTH = pytest.mark.parametrize(
     "cluster_cls", [DynamoCluster, SiblingDynamoCluster],
@@ -247,6 +253,90 @@ def test_duplicated_acks_count_once_per_replica(cluster_cls):
 
     out = run_script(sim, client, read)
     assert "read quorum not met" in out["result"] and "(2/3)" in out["result"]
+
+
+@BOTH
+def test_coordinator_forgets_pending_ops_at_crash(cluster_cls):
+    """The pending-op table is volatile.  A write is in flight, its acks
+    held back 50 ms each way; the coordinator crashes at 10 and is back
+    at 20.  The acks that arrive at ~103 must not make the recovered
+    node acknowledge, from memory it should have lost, a request of its
+    previous incarnation."""
+    tracer = Tracer()
+    sim = Simulator(seed=1, tracer=tracer)
+    net = Network(sim, latency=FixedLatency(1.0))
+    cluster = cluster_cls(sim, net, nodes=3, n=3, r=2, w=2, hint_interval=None)
+    client = cluster.connect()
+    coordinator = cluster.node(cluster.ring.coordinator("k"))
+    for other in cluster.ring.nodes:
+        if other != coordinator.node_id:
+            net.set_link_fault(coordinator.node_id, other, extra_delay=50.0)
+    sim.schedule(10.0, coordinator.crash)
+    sim.schedule(20.0, coordinator.recover)
+    out = run_script(sim, client, try_put)
+    acks = tracer.filter(kind="msg_deliver", msg_type="StoreAck",
+                         dst=coordinator.node_id, since=20.0)
+    assert len(acks) == 2 and not coordinator.crashed  # they did arrive
+    assert tracer.filter(kind="msg_send", msg_type="Reply") == []
+    assert out["result"] == "TimeoutError"
+    assert counted(cluster, "writes_succeeded") == 0
+    assert coordinator._ops == {}
+
+
+def _sample_pending(sim, net, samples):
+    """Sample, every 2 ms of the run, how many ops the Dynamo nodes on
+    ``net`` hold pending between them; returns the nodes."""
+    nodes = [node for node in map(net.node, net.node_ids)
+             if isinstance(node, DynamoNode)]
+
+    def probe():
+        samples.append(sum(len(node._ops) for node in nodes))
+        sim.schedule_daemon(2.0, probe)
+
+    probe()
+    return nodes
+
+
+def test_pending_op_table_holds_undecided_ops_only():
+    """An op leaves ``_ops`` at its quorum, not ``op_deadline`` (forty
+    op lifetimes) later: 8 closed-loop clients never have more than 8
+    ops undecided, and a finished run leaves none."""
+    sim = Simulator(seed=3)
+    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
+    store = registry.build("quorum", sim, net, nodes=5, r=2, w=2)
+    samples = []
+    nodes = _sample_pending(sim, net, samples)
+    result = run_workload(store, YCSBWorkload("A", records=100, seed=4).take(400),
+                          clients=8, timeout=60_000.0)
+    assert result.ops_ok == 400 and len(nodes) == 5
+    assert len(samples) > 50 and 0 < max(samples) <= 8
+    assert [node._ops for node in nodes] == [{}] * 5
+
+
+def test_pending_op_table_is_empty_after_chaos_heals():
+    """Crashes, partitions and drops leave ops undecided; each is gone
+    by its deadline or its coordinator's crash, so after heal + settle
+    no node of the composed stack (cache over sharded sibling quorums)
+    remembers one."""
+    sim = Simulator(seed=42)
+    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0))
+    store = CachedStore(
+        ShardedStore(sim, net, protocol="quorum_siblings", shards=4,
+                     nodes_per_shard=3, service_time=0.5),
+        policy="write_through", ttl=200.0, capacity=256, seed=47)
+    samples = []
+    nodes = _sample_pending(sim, net, samples)
+    nemesis = Nemesis(PLANS["mixed"], seed=46)
+    result = run_workload(store, YCSBWorkload("B", records=1000, seed=43).take(600),
+                          clients=8, timeout=400.0, nemesis=nemesis)
+    assert result.ops_failed > 0 and max(samples) > 0  # the faults bit
+    nemesis.heal_all()
+    sim.run()
+    for _ in range(2):
+        store.settle()
+        sim.run()
+    assert len(nodes) == 12
+    assert [node._ops for node in nodes] == [{}] * 12
 
 
 @BOTH
