@@ -211,10 +211,7 @@ class ORSet(StateCRDT):
     def merge(self, other: "ORSet") -> "ORSet":
         self._require_same_type(other)
         cloud, ocloud = self._cloud, other._cloud
-        if cloud or ocloud:
-            self._join_dots(other)
-        else:
-            self._join_dots_prefix(other)
+        self._join_dots(other)
         ctx = self._maxc
         for replica, count in other._maxc.items():
             if count > ctx.get(replica, 0):
@@ -241,83 +238,78 @@ class ORSet(StateCRDT):
             self._counter = seen
         return self
 
-    def _seen(self, dot: tuple) -> bool:
-        return dot[1] <= self._maxc.get(dot[0], 0) or dot in self._cloud
-
     def _join_dots(self, other: "ORSet") -> None:
-        """The dot-store join under any two contexts: keep a dot iff
-        both sides hold it live, or its only holder is the side the
-        other has not seen it from.  Runs when either side has a cloud
-        (a delta, or a state joined from deltas)."""
+        """The dot-store join, ``(s ∩ s′) ∪ (s ∖ c′) ∪ (s′ ∖ c)``: keep
+        a dot iff both sides hold it live, or its only holder is the
+        side the other has not seen it from.  The intersection is never
+        walked: per element the two differences are taken in C, and only
+        their dots — held by one side alone — meet a context (prefix,
+        then cloud).  Three outcomes: nothing dropped and nothing taken
+        leaves our object in place; everything dropped and everything
+        taken adopts *their* object, so the next exchange between these
+        replicas skips the element on identity; anything else rebuilds.
+        An element one side lacks is the same rule with that side
+        empty.  Plain loops, two flags, a list only on the first hit:
+        the differences hold one or two dots, where a comprehension's
+        frame costs more than its body."""
         mine, theirs = self._dots, other._dots
-        seen, oseen = self._seen, other._seen
-        # Theirs first, in their order — the order the prefix loop
-        # adopts new elements in — then the elements only we hold.
-        for item in {**theirs, **mine}:
-            cur = mine.get(item, _NO_TAGS)
-            odots = theirs.get(item, _NO_TAGS)
-            merged = frozenset(
-                [d for d in cur if d in odots or not oseen(d)]
-                + [d for d in odots if d not in cur and not seen(d)]
-            )
-            if merged == cur:
-                pass
-            elif merged:
-                mine[item] = merged
-            else:
-                del mine[item]
-
-    def _join_dots_prefix(self, other: "ORSet") -> None:
-        """:meth:`_join_dots` specialised for two cloud-free contexts —
-        every merge between full replicas, i.e. the gossip hot path
-        (``crdt_merge_storm``): "unseen" is one comparison against the
-        prefix, and elements both sides hold as the same object are
-        skipped in O(1).  Kept by measurement: sending full-state
-        merges through :meth:`_join_dots` halves their rate."""
-        mine, theirs = self._dots, other._dots
-        ctx, octx = self._maxc, other._maxc
+        ctx, cloud = self._maxc, self._cloud
+        octx, ocloud = other._maxc, other._cloud
+        # Theirs first, in their order: new elements land in it.
         for item, odots in theirs.items():
-            cur = mine.get(item)
-            if cur is None:
-                # New element: adopt the dots the other side holds live,
-                # minus any we have already seen (and thus removed).
-                keep = [d for d in odots if d[1] > ctx.get(d[0], 0)]
-                if len(keep) == len(odots):
-                    mine[item] = odots
-                elif keep:
-                    mine[item] = frozenset(keep)
-            elif cur is not odots and cur != odots:
-                # One pass per side, no intermediate differences: keep a
-                # dot iff both hold it live, or its only holder is the
-                # side the other has not caught up with yet.
-                merged = {
-                    d for d in cur
-                    if d in odots or d[1] > octx.get(d[0], 0)
-                }
-                merged.update(
-                    d for d in odots
-                    if d not in cur and d[1] > ctx.get(d[0], 0)
-                )
-                if merged == cur:
-                    pass
-                elif merged == odots:
-                    # Adopt their object so the next exchange between
-                    # these replicas short-circuits on identity.
-                    mine[item] = odots
-                elif merged:
-                    mine[item] = frozenset(merged)
+            cur = mine.get(item, _NO_TAGS)
+            if cur is odots:
+                continue
+            if cur:
+                if cur == odots:
+                    continue
+                gone, new = cur - odots, odots - cur
+            else:
+                gone, new = cur, odots
+            drop = add = ()
+            kept = left = False
+            for d in gone:
+                if d[1] <= octx.get(d[0], 0) or d in ocloud:
+                    if drop:
+                        drop.append(d)
+                    else:
+                        drop = [d]
+                else:
+                    kept = True
+            for d in new:
+                if d[1] > ctx.get(d[0], 0) and d not in cloud:
+                    if add:
+                        add.append(d)
+                    else:
+                        add = [d]
+                else:
+                    left = True
+            if not (kept or left):
+                mine[item] = odots
+            elif drop or add:
+                merged = cur.difference(drop).union(add)
+                if merged:
+                    mine[item] = merged
                 else:
                     del mine[item]
-        # Elements only we hold: drop dots the other side has seen and
-        # removed (covered by their context, absent from their store).
+        # Then the elements only we hold: nothing to take, and what the
+        # other side has seen (and so removed) goes.
         for item in [i for i in mine if i not in theirs]:
             cur = mine[item]
-            keep = [d for d in cur if d[1] > octx.get(d[0], 0)]
-            if len(keep) != len(cur):
-                if keep:
-                    mine[item] = frozenset(keep)
+            drop = ()
+            kept = False
+            for d in cur:
+                if d[1] <= octx.get(d[0], 0) or d in ocloud:
+                    if drop:
+                        drop.append(d)
+                    else:
+                        drop = [d]
                 else:
-                    del mine[item]
+                    kept = True
+            if not kept:
+                del mine[item]
+            elif drop:
+                mine[item] = cur.difference(drop)
 
     def copy(self) -> "ORSet":
         clone = self._blank_copy()

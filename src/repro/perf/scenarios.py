@@ -45,6 +45,8 @@ the first (see the notes on their rows).
 
 from __future__ import annotations
 
+import json
+import zlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
@@ -142,7 +144,9 @@ def _run_crdt_merge_storm(seed: int, quick: bool, tracer: Any = None) -> Scenari
     replicas = 8
     rounds = 25 if quick else 150
     mutations_per_round = 3
-    universe = 64  # distinct elements; tags still accrue per add
+    # Distinct elements; tags still accrue per add (pinned, not fixed:
+    # tests/test_crdt_types.py::test_readd_keeps_one_live_dot).
+    universe = 64
 
     sim = Simulator(seed=seed, tracer=tracer)
     rng = sim.rng
@@ -182,6 +186,13 @@ def _run_crdt_merge_storm(seed: int, quick: bool, tracer: Any = None) -> Scenari
 
     sim.call_soon(round_, 0)
     sim.run()
+    # The outcome, so the pinned metrics digest moves when a join does.
+    gauge = sim.metrics.gauge
+    gauge("crdt.live_elements").set(sum(len(s) for s in sets))
+    gauge("crdt.live_dots").set(sum(len(s.live_tags(e)) for s in sets for e in s))
+    gauge("crdt.counter_total").set(sum(c.value for c in counters))
+    states = json.dumps([c.state() for c in sets + counters], sort_keys=True)
+    gauge("crdt.state_crc32").set(zlib.crc32(states.encode()))
     return ScenarioOutcome(sim, merges.value)
 
 

@@ -22,7 +22,10 @@ what it names, and ``MVRegister`` is ``DottedValueSet`` with a replica
 id.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -308,28 +311,216 @@ def test_orset_deltas_join_to_the_converged_state(script, seed):
     assert "cloud" not in observer.state()
 
 
-@given(script=set_script_st)
-@settings(max_examples=120, deadline=None)
-def test_orset_prefix_join_is_the_general_join(script):
-    """``merge`` picks the dot-store join from its inputs: a loop
-    specialised for two cloud-free contexts, the general one otherwise.
-    On cloud-free inputs both must produce the same store, in the same
-    element order — so the specialisation cannot drift."""
+# ----------------------------------------------------------------------
+# The dot-store join against its definition
+# ----------------------------------------------------------------------
+
+_NONE = frozenset()
+
+
+def _has_seen(orset, dot):
+    return dot[1] <= orset._maxc.get(dot[0], 0) or dot in orset._cloud
+
+
+def _join_oracle(ours, theirs):
+    """``_join_dots``'s docstring, read literally: keep a dot iff both
+    hold it live, or its only holder is the side the other has not seen
+    it from.  Our elements keep their places; new ones follow in their
+    order."""
+    joined = {}
+    for item in {**ours._dots, **theirs._dots}:
+        mine, other = ours._dots.get(item, _NONE), theirs._dots.get(item, _NONE)
+        dots = frozenset(
+            d for d in mine | other
+            if (d in mine and d in other)
+            or (d in mine and not _has_seen(theirs, d))
+            or (d in other and not _has_seen(ours, d))
+        )
+        if dots:
+            joined[item] = dots
+    return joined
+
+
+def _assert_join_is_the_definition(ours, theirs):
+    expected = _join_oracle(ours, theirs)
+    ours._join_dots(theirs)
+    assert ours._dots == expected
+    assert list(ours._dots) == list(expected)
+
+
+join_script_st = st.lists(
+    st.tuples(
+        st.integers(0, 2),      # replica
+        st.integers(0, 5),      # 0-1 add, 2 remove, 3 pull a state, 4 a delta, 5 a delta group
+        st.integers(0, 30),
+    ),
+    max_size=40,
+)
+
+
+def _run_join_script(script):
+    """Every pull — a peer's full state, one earlier delta out of order,
+    or several joined into a fresh ``ORSet`` — goes through
+    ``_join_dots`` against the oracle, then through ``merge``.  Returns
+    the (cloud on our side, cloud on theirs) combinations it met."""
     replicas = [ORSet(r) for r in REPLICAS]
+    deltas, met = [], set()
     for who, kind, arg in script:
         replica = replicas[who]
         if kind < 3:
-            (replica.add if kind < 2 else replica.remove)(f"e{arg % 6}")
+            deltas.append((replica.add if kind < 2 else replica.remove)(f"e{arg % 6}"))
             continue
-        incoming = replicas[arg % 3].copy()
-        by_prefix, by_general = replica.copy(), replica.copy()
-        assert "cloud" not in by_prefix.state() and "cloud" not in incoming.state()
-        by_prefix._join_dots_prefix(incoming)
-        by_general._join_dots(incoming)
-        assert by_prefix._dots == by_general._dots
-        assert list(by_prefix._dots) == list(by_general._dots)
+        if kind == 3 or not deltas:
+            incoming = replicas[arg % 3].copy()
+        elif kind == 4:
+            incoming = deltas[arg % len(deltas)]
+        else:
+            incoming = ORSet("group")
+            for delta in deltas[arg % len(deltas)::3]:
+                incoming.merge(delta)
+        met.add((bool(replica._cloud), bool(incoming._cloud)))
+        _assert_join_is_the_definition(replica.copy(), incoming)
         replica.merge(incoming)
-        assert replica._dots == by_general._dots
+    return met
+
+
+@given(script=join_script_st)
+@settings(max_examples=150, deadline=None)
+def test_orset_join_is_the_definition(script):
+    """One join serves full states and deltas: on every pair a script
+    produces it leaves the store the definition does, in the element
+    order the pinned state digests were recorded in."""
+    _run_join_script(script)
+
+
+def test_orset_join_is_the_definition_under_every_cloud_combination():
+    rng = random.Random(23)
+    met = set()
+    for _ in range(20):
+        met |= _run_join_script([
+            (rng.randrange(3), rng.randrange(6), rng.randrange(31))
+            for _ in range(60)
+        ])
+    assert met == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _hand_built(replica, dots, context):
+    orset = ORSet(replica)
+    orset._dots = {"x": frozenset(dots)}
+    orset._maxc = dict(context)
+    return orset
+
+
+@pytest.mark.parametrize("shared", [0, 50])
+@pytest.mark.parametrize("outcome", ["no-op", "adopt", "rebuild"])
+def test_orset_join_outcomes(outcome, shared):
+    """The three things the join does to an element both sides hold as
+    different sets — one differing dot a side, ``shared`` common ones."""
+    common = [("s", n + 1) for n in range(shared)]
+    a1, b1 = ("a", 1), ("b", 1)
+    # no-op: we removed their dot, they never saw ours.  adopt: the
+    # reverse.  rebuild: two concurrent adds, both survive.
+    ours = _hand_built("a", common + [a1],
+                       {"s": shared, "a": 1, "b": int(outcome == "no-op")})
+    theirs = _hand_built("b", common + [b1],
+                         {"s": shared, "b": 1, "a": int(outcome == "adopt")})
+    before = ours._dots["x"]
+    _assert_join_is_the_definition(ours, theirs)
+    after = ours._dots["x"]
+    if outcome == "no-op":
+        assert after is before
+    elif outcome == "adopt":
+        assert after is theirs._dots["x"]
+    else:
+        assert after == before | theirs._dots["x"]
+        assert after is not before and after is not theirs._dots["x"]
+
+
+def test_orset_join_with_hundreds_of_one_sided_dots():
+    """Re-adds accrue dots, so a difference can hold hundreds: every
+    branch of the loops (first hit, later hits, kept, left) in one
+    element, against the oracle."""
+    mine = [("a", n + 1) for n in range(300)]
+    theirs = [("b", n + 1) for n in range(200)]
+    # They have seen (and removed) all but our last 20; we have seen
+    # (and removed) their first 100.
+    ours = _hand_built("a", mine, {"a": 300, "b": 100})
+    other = _hand_built("b", theirs, {"a": 280, "b": 200})
+    _assert_join_is_the_definition(ours, other)
+    assert ours._dots["x"] == frozenset(mine[280:] + theirs[100:])
+
+
+def test_orset_merge_adopts_their_dot_sets():
+    """Whatever a merge changes into the sender's set *is* the sender's
+    set, so the next exchange skips it on identity; and an exchange
+    that brings nothing replaces nothing."""
+    a, b = ORSet("a"), ORSet("b")
+    for n in range(6):
+        a.add(f"e{n}")
+    b.merge(a.copy())
+    a.add("e0")
+    a.remove("e1")
+    a.add("e1")
+    a.add("new")
+    b.add("e2")         # concurrent: b's set stays b's own
+    before = dict(b._dots)
+    b.merge(snap := a.copy())
+    changed = [item for item, dots in b._dots.items() if dots is not before.get(item)]
+    assert sorted(changed) == ["e0", "e1", "new"]
+    assert all(b._dots[item] is snap._dots[item] for item in changed)
+    assert b._dots["e2"] is before["e2"]
+    before = dict(b._dots)
+    b.merge(a.copy())
+    assert list(b._dots) == list(before)
+    assert all(b._dots[item] is dots for item, dots in before.items())
+
+
+def test_orset_merge_of_itself_and_of_its_own_delta_changes_nothing():
+    a = ORSet("a")
+    for n in range(4):
+        a.add(f"e{n % 3}")
+    a.remove("e1")
+    a.merge(ORSet("b").add("e1"))
+    for echo in (lambda: a, lambda: a.add("x")):
+        incoming = echo()
+        before, state = dict(a._dots), a.state()
+        a.merge(incoming)
+        assert a.state() == state
+        assert all(a._dots[item] is dots for item, dots in before.items())
+
+
+_STORM = """
+import hashlib, json, random
+from repro.crdt import ORSet
+rng = random.Random(5)
+sets = [ORSet(f"r{i}") for i in range(4)]
+deltas = []
+for _ in range(200):
+    crdt, kind = rng.choice(sets), rng.randrange(5)
+    if kind < 3:
+        deltas.append((crdt.add if kind < 2 else crdt.remove)(f"e{rng.randrange(12)}"))
+    elif kind == 3:
+        crdt.merge(rng.choice(sets).copy())
+    else:
+        crdt.merge(rng.choice(deltas))
+payload = json.dumps([[s.state(), list(s._dots)] for s in sets], sort_keys=True)
+print(hashlib.sha256(payload.encode()).hexdigest())
+"""
+
+
+def test_orset_storm_does_not_depend_on_hash_randomisation():
+    """Dot sets are sets of tuples of strings and iterate in hash order;
+    no state and no element order may depend on it."""
+    def digest(hashseed):
+        env = {**os.environ, "PYTHONHASHSEED": hashseed,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", _STORM], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        return done.stdout.strip()
+
+    first = digest("0")
+    assert len(first) == 64 and first == digest("1")
 
 
 @given(

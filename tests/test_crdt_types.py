@@ -225,6 +225,20 @@ def test_orset_counter_survives_merge_of_own_tags():
     assert all(tag not in a.live_tags("x") for tag in tags)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ORSet.add does `dots | single`: an element re-added N times without a "
+    "remove holds N live dots and every add copies them (every ORMap.update "
+    "re-adds its key).  Almeida's add replaces the element's dots and puts "
+    "them in the delta's context — not state- or delta-identical, E6c moves: "
+    "ROADMAP item 5, pinned in PR 23."
+))
+def test_readd_keeps_one_live_dot():
+    a = ORSet("a")
+    for _ in range(3):
+        a.add("x")
+    assert len(a.live_tags("x")) == 1
+
+
 def test_lww_element_set_add_remove():
     s = LWWElementSet("a")
     s.add("x")

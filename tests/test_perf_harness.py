@@ -226,6 +226,27 @@ def test_run_scenario_seed_changes_fingerprint():
     assert a.trace_hash != b.trace_hash
 
 
+def test_crdt_storm_digest_pins_the_outcome(monkeypatch):
+    """The storm's events and call counters are the same at every seed;
+    its end-of-run gauges (live elements / dots, counter total, CRC-32
+    of every replica's state) are what lets ``bench --compare`` see a
+    CRDT bug: one skipped ``add`` of 600 moves the digest."""
+    from repro.crdt import ORSet
+
+    def digest(seed):
+        return run_scenario("crdt_merge_storm", seed=seed, quick=True,
+                            verify=False).metrics_digest
+
+    honest = digest(1)
+    assert honest != digest(2)
+    calls, add = itertools.count(), ORSet.add
+    monkeypatch.setattr(
+        ORSet, "add",
+        lambda self, item: add(self, item) if next(calls) != 100 else None)
+    assert digest(1) != honest
+    assert next(calls) > 101
+
+
 def test_run_scenario_repeats_best_of():
     report = run_scenario("crdt_merge_storm", seed=11, quick=True, repeats=2)
     assert report.events > 0
