@@ -78,6 +78,7 @@ class CausalReplica(ServerNode):
     ) -> None:
         super().__init__(sim, network, node_id)
         self.cluster = cluster
+        self._peers = [peer for peer in cluster.node_ids if peer != node_id]
         self.buffer = CausalBuffer(node_id, self._apply)
         self.data: dict[Hashable, tuple[Any, Rank]] = {}
         #: Every envelope this replica has applied, in application
@@ -91,9 +92,7 @@ class CausalReplica(ServerNode):
             _WritePayload(payload.key, payload.value)
         )
         self.cluster._c_writes_local.inc()
-        for peer in self.cluster.node_ids:
-            if peer != self.node_id:
-                self.send(peer, envelope)
+        self.send_many(self._peers, envelope)
         return _rank_of(envelope)
 
     def serve_CGetLocal(self, src: Hashable, payload: CGetLocal):

@@ -119,6 +119,7 @@ class PaxosReplica(ServerNode):
     ) -> None:
         super().__init__(sim, network, node_id)
         self.cluster = cluster
+        self._peers = [peer for peer in cluster.node_ids if peer != node_id]
         # Acceptor state (durable across crash).
         self.promised: Ballot = NO_BALLOT
         self.accepted: dict[int, tuple[Ballot, Any]] = {}
@@ -153,8 +154,7 @@ class PaxosReplica(ServerNode):
         # re-proposes every slot it adopts, so nothing live is lost.
         self._accept_votes.clear()
         self._proposals.clear()
-        for peer in self.cluster.node_ids:
-            self.send(peer, MPPrepare(self.ballot))
+        self.send_many(self.cluster.node_ids, MPPrepare(self.ballot))
 
     def handle_MPPrepare(self, src: Hashable, msg: MPPrepare) -> None:
         # Re-promising an equal ballot keeps the handler idempotent
@@ -223,10 +223,7 @@ class PaxosReplica(ServerNode):
         if len(votes) >= self.cluster.majority:
             command = self._proposals[msg.slot]
             self._commit(msg.slot, command)
-            message = MPCommit(msg.slot, command)
-            for peer in self.cluster.node_ids:
-                if peer != self.node_id:
-                    self.send(peer, message)
+            self.send_many(self._peers, MPCommit(msg.slot, command))
 
     def handle_MPCommit(self, src: Hashable, msg: MPCommit) -> None:
         self._commit(msg.slot, msg.command)

@@ -144,8 +144,7 @@ class Proposer(Node):
         self.phase = "prepare"
         self._promises = {}
         self._accepts = set()
-        for acceptor in self.acceptor_ids:
-            self.send(acceptor, Prepare(self.ballot))
+        self.send_many(self.acceptor_ids, Prepare(self.ballot))
 
     def _retry(self, observed: Ballot) -> None:
         if self.phase == "done":
@@ -177,8 +176,7 @@ class Proposer(Node):
         )
         self.phase = "accept"
         self._chosen_for_round = value
-        for acceptor in self.acceptor_ids:
-            self.send(acceptor, AcceptRequest(self.ballot, value))
+        self.send_many(self.acceptor_ids, AcceptRequest(self.ballot, value))
 
     def handle_PrepareNack(self, src: Hashable, msg: PrepareNack) -> None:
         if self.phase == "prepare" and msg.ballot == self.ballot:

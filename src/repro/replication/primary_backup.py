@@ -80,9 +80,10 @@ class PBReplica(VersionedReplica):
         acks_needed = self.cluster.acks_needed(len(backups))
         self._write_ids += 1
         write_id = self._write_ids
-        msg = ReplicateMsg(payload.key, payload.value, version, write_id)
-        for backup in backups:
-            self.send(backup.node_id, msg)
+        self.send_many(
+            [backup.node_id for backup in backups],
+            ReplicateMsg(payload.key, payload.value, version, write_id),
+        )
         if acks_needed == 0:
             return version
         future = Future(self.sim, label=f"pb-write#{write_id}")

@@ -357,9 +357,7 @@ class DynamoNode(ServerNode):
             if self.node_id in op.targets:
                 op.responded.add(self.node_id)
                 targets.remove(self.node_id)
-        message = StoreMsg(op_id, key, *conflicts.encode(state))
-        for target in targets:
-            self.send(target, message)
+        self.send_many(targets, StoreMsg(op_id, key, *conflicts.encode(state)))
         if len(op.responded) >= op.needed:
             # W=1 with the coordinator a home replica of an in-place
             # mint: acknowledged before any replica answers.
@@ -379,8 +377,7 @@ class DynamoNode(ServerNode):
         future = Future(self.sim, label=f"qget#{op_id}")
         op = _CoordinatorOp("read", key, future, cluster.r, set(targets))
         self._ops[op_id] = op
-        for target in targets:
-            self.send(target, FetchMsg(op_id, key))
+        self.send_many(targets, FetchMsg(op_id, key))
         op.deadlines = (self.set_deadline(cluster.op_deadline, self._expire, op_id),)
         return future
 

@@ -13,6 +13,7 @@ a node's own id is allowed (loopback) and uses ``loopback_latency``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
+from math import isfinite, log
 from typing import Any, Callable, Hashable, Iterable, Protocol
 
 from ..analysis.registry import MetricsRegistry
@@ -86,8 +87,10 @@ class ExponentialLatency:
         return self.base + rng.expovariate(1.0 / self.mean)
 
     def link_sampler(self, src: NodeId, dst: NodeId) -> Callable[[Any], float]:
+        # Random.expovariate's own expression, minus its frame: the same
+        # draw and the same float as sample().
         base, rate = self.base, 1.0 / self.mean
-        return lambda rng: base + rng.expovariate(rate)
+        return lambda rng: base + -log(1.0 - rng.random()) / rate
 
 
 class LogNormalLatency:
@@ -99,9 +102,7 @@ class LogNormalLatency:
     def __init__(self, median: float = 1.0, sigma: float = 0.5) -> None:
         if median <= 0 or sigma < 0:
             raise NetworkError("median must be > 0 and sigma >= 0")
-        import math
-
-        self.mu = math.log(median)
+        self.mu = log(median)
         self.sigma = sigma
 
     def sample(self, rng, src: NodeId, dst: NodeId) -> float:
@@ -284,12 +285,18 @@ class Network:
         loopback_latency: float = 0.01,
         track_bytes: bool = False,
     ) -> None:
+        if not (isfinite(loopback_latency) and loopback_latency >= 0):
+            raise NetworkError("loopback_latency must be finite and non-negative")
         self.sim = sim
         self._latency = latency or FixedLatency(1.0)
         self.loopback_latency = loopback_latency
         self.track_bytes = track_bytes
         self.stats = NetworkStats(sim.metrics)
-        self._nodes: dict[NodeId, Any] = {}
+        # node id -> port ``(node, inbox)``.  The inbox maps a delivery
+        # time to the messages landing on this node at that instant —
+        # one ``(src, message)`` pair, or a list of them — which share
+        # one scheduled dispatch until _deliver pops them.
+        self._ports: dict[NodeId, tuple[Any, dict[float, Any]]] = {}
         self._partition: dict[NodeId, int] | None = None
         # Group index late-registered nodes fall into while partitioned.
         self._partition_leftover = 0
@@ -297,12 +304,6 @@ class Network:
         # healthy runs so the send hot path pays one truthiness check.
         self._link_faults: dict[frozenset, LinkFault] = {}
         self._samplers: dict[tuple[NodeId, NodeId], Callable[[Any], float]] = {}
-        # Bound counter methods + per-class inc cache: send()/_deliver()
-        # run once per message, so even a counter attribute walk is
-        # worth hoisting.
-        self._inc_sent = self.stats._messages_sent.inc
-        self._inc_delivered = self.stats._messages_delivered.inc
-        self._type_incs: dict[type, Callable[..., Any]] = {}
         # Trace drop reason -> the counter that accounts for it: a
         # severed or lossy link has its own counter — not a partition,
         # not random loss.
@@ -314,9 +315,6 @@ class Network:
             "link_loss": stats._messages_dropped_link,
             "loss": stats._messages_dropped_loss,
         }
-        # Same-(time, dst) deliveries share one scheduled dispatch;
-        # the pending payloads live here until _deliver drains them.
-        self._inflight: dict[tuple[float, NodeId], list] = {}
         # ``_healthy`` folds the failure-free preconditions (no
         # partition, no link faults, no loss, no duplication) into one
         # flag so the common case pays a single check.  Maintained by
@@ -383,19 +381,19 @@ class Network:
     def register(self, node: Any) -> None:
         """Attach a node (anything with ``.node_id`` and ``.deliver``)."""
         node_id = node.node_id
-        if node_id in self._nodes:
+        if node_id in self._ports:
             raise NetworkError(f"duplicate node id {node_id!r}")
-        self._nodes[node_id] = node
+        self._ports[node_id] = (node, {})
 
     def node(self, node_id: NodeId) -> Any:
         try:
-            return self._nodes[node_id]
+            return self._ports[node_id][0]
         except KeyError:
             raise NetworkError(f"unknown node {node_id!r}") from None
 
     @property
     def node_ids(self) -> list[NodeId]:
-        return list(self._nodes)
+        return list(self._ports)
 
     # ------------------------------------------------------------------
     # Partitions
@@ -411,13 +409,13 @@ class Network:
         assignment: dict[NodeId, int] = {}
         for index, group in enumerate(groups):
             for node_id in group:
-                if node_id not in self._nodes:
+                if node_id not in self._ports:
                     raise NetworkError(f"unknown node {node_id!r} in partition")
                 if node_id in assignment:
                     raise NetworkError(f"node {node_id!r} in two partition groups")
                 assignment[node_id] = index
         leftover = len(groups)
-        for node_id in self._nodes:
+        for node_id in self._ports:
             if node_id not in assignment:
                 assignment[node_id] = leftover
         self._partition = assignment
@@ -477,9 +475,9 @@ class Network:
         traced with reason ``link_down`` / ``link_loss`` — dedicated
         accounting, distinct from partition and random-loss drops.
         """
-        if a not in self._nodes:
+        if a not in self._ports:
             raise NetworkError(f"unknown node {a!r} in link fault")
-        if b not in self._nodes:
+        if b not in self._ports:
             raise NetworkError(f"unknown node {b!r} in link fault")
         if not 0 <= drop_rate < 1:
             raise NetworkError("link drop_rate must be in [0, 1)")
@@ -527,14 +525,17 @@ class Network:
         per-link latency samplers are built once per (src, dst), and
         the failure-free case skips every fault check on one
         ``_healthy`` flag, straight to the single sample + enqueue.
+        Every drop, partition, link-fault, loss, duplicate and
+        ``track_bytes`` rule lives here and nowhere else.
 
         Per-message delay is always sampled *before* grouping (RNG
         draw order is part of the determinism contract); messages
-        landing on the same ``(delivery_time, dst)`` share one
-        scheduled dispatch (see :meth:`_deliver`).
+        landing on the same destination at the same delivery time
+        share one scheduled dispatch (see :meth:`_deliver`).
         """
-        nodes = self._nodes
-        if dst not in nodes:
+        ports = self._ports
+        port = ports.get(dst)
+        if port is None:
             raise NetworkError(f"unknown destination {dst!r}")
         sim = self.sim
         stats = self.stats
@@ -542,18 +543,17 @@ class Network:
         tracing = trace.enabled
         msg_type = type(message)
         msg_name = msg_type.__name__ if tracing else None
-        self._inc_sent()
-        type_inc = self._type_incs.get(msg_type)
-        if type_inc is None:
-            type_inc = stats.counter_for_type(msg_type).inc
-            self._type_incs[msg_type] = type_inc
-        type_inc()
+        stats._messages_sent.value += 1
+        by_type = stats._class_counters.get(msg_type)
+        if by_type is None:
+            by_type = stats.counter_for_type(msg_type)
+        by_type.value += 1
         if self.track_bytes:
             stats._bytes_sent.inc(estimate_size(message))
         if tracing:
             trace.message(sim.now, MSG_SEND, src, dst, msg_name)
-        src_node = nodes.get(src)
-        if src_node is not None and getattr(src_node, "crashed", False):
+        src_port = ports.get(src)
+        if src_port is not None and getattr(src_port[0], "crashed", False):
             # Fail-stop means a crashed node cannot put messages on the
             # wire, not just that it stops hearing them.
             self._drop("crash", src, dst, msg_name)
@@ -596,14 +596,67 @@ class Network:
                 delay = sampler(rng)
                 if extra_delay:
                     delay += extra_delay
-            key = (sim.now + delay, dst)
-            bucket = self._inflight.get(key)
-            if bucket is None:
-                self._inflight[key] = [(src, message)]
-                # The key tuple doubles as the (time, dst) argument pair.
-                sim._push_fn(key[0], self._deliver, key)
+            when = sim.now + delay
+            inbox = port[1]
+            batch = inbox.get(when)
+            if batch is None:
+                inbox[when] = (src, message)
+                sim._push_fn(when, self._deliver, port)
+            elif type(batch) is tuple:
+                inbox[when] = [batch, (src, message)]
             else:
-                bucket.append((src, message))
+                batch.append((src, message))
+
+    def send_many(self, src: NodeId, dsts: Iterable[NodeId], message: Any) -> None:
+        """Fan one message out: ``for dst in dsts: send(src, dst, message)``,
+        send for send — same order, counters, trace records and RNG draws —
+        with everything that loop would recompute resolved once.  Whenever a
+        fault rule could apply (a network that is not healthy,
+        ``track_bytes``, a crashed source) or the message type is new to
+        this network, it *is* that loop.
+        """
+        ports = self._ports
+        stats = self.stats
+        by_type = stats._class_counters.get(type(message))
+        src_port = ports.get(src)
+        if (by_type is None or not self._healthy or self.track_bytes
+                or (src_port is not None and getattr(src_port[0], "crashed", False))):
+            for dst in dsts:
+                self.send(src, dst, message)
+            return
+        sim = self.sim
+        trace = sim.trace
+        tracing = trace.enabled
+        msg_name = type(message).__name__
+        sent = stats._messages_sent
+        now, rng, push, deliver = sim.now, sim.rng, sim._push_fn, self._deliver
+        samplers = self._samplers
+        pair = (src, message)
+        for dst in dsts:
+            port = ports.get(dst)
+            if port is None:
+                raise NetworkError(f"unknown destination {dst!r}")
+            sent.value += 1
+            by_type.value += 1
+            if tracing:
+                trace.message(now, MSG_SEND, src, dst, msg_name)
+            if src == dst:
+                delay = self.loopback_latency
+            else:
+                sampler = samplers.get((src, dst))
+                if sampler is None:
+                    sampler = samplers[(src, dst)] = self._link_sampler(src, dst)
+                delay = sampler(rng)
+            when = now + delay
+            inbox = port[1]
+            batch = inbox.get(when)
+            if batch is None:
+                inbox[when] = pair
+                push(when, deliver, port)
+            elif type(batch) is tuple:
+                inbox[when] = [batch, pair]
+            else:
+                batch.append(pair)
 
     def _drop(
         self, reason: str, src: NodeId, dst: NodeId, msg_name: str | None
@@ -615,45 +668,46 @@ class Network:
             self.sim.trace.message(self.sim.now, MSG_DROP, src, dst, msg_name, reason)
 
     def broadcast(self, src: NodeId, message: Any, include_self: bool = False) -> None:
-        # Snapshot the membership: a callback reached from send() (e.g.
-        # a latency model or future dynamic-membership hook registering
-        # a node) must not blow up the iteration.
-        for dst in list(self._nodes):
-            if dst == src and not include_self:
-                continue
-            self.send(src, dst, message)
+        # The list snapshots the membership: a callback reached from a
+        # send (e.g. a latency model or future dynamic-membership hook
+        # registering a node) must not blow up the iteration.
+        self.send_many(
+            src, [dst for dst in self._ports if include_self or dst != src], message
+        )
 
-    def _deliver(self, when: float, dst: NodeId) -> None:
-        """Dispatch every message grouped under ``(when, dst)``.
+    def _deliver(self, node: Any, inbox: dict[float, Any]) -> None:
+        """Dispatch the messages landing on ``node`` now (called with its
+        port, at the delivery time the batch is filed under).
 
-        One scheduled event delivers the whole bucket, in send order
-        (the grouping key is exact, so only genuinely simultaneous
+        One scheduled event delivers the whole batch, in send order
+        (the grouping is exact, so only genuinely simultaneous
         same-destination messages coalesce — under continuous latency
-        models buckets are almost always singletons).  A grouped
-        dispatch of *n* messages credits ``events_processed`` with the
-        ``n - 1`` events the queue never had to pop, keeping the
-        events/sec basis comparable across grouping regimes.  The
-        crash check runs per message: a handler may crash its own node
-        mid-batch, and the remaining messages must then drop exactly as
-        they would have from their own events.
+        models a batch is almost always the one pair, handled without a
+        loop).  A grouped dispatch of *n* messages credits
+        ``events_processed`` with the ``n - 1`` events the queue never
+        had to pop, keeping the events/sec basis comparable across
+        grouping regimes.  The crash check runs per message: a handler
+        may crash its own node mid-batch, and the remaining messages
+        must then drop exactly as they would have from their own events.
         """
-        batch = self._inflight.pop((when, dst))
         sim = self.sim
-        if len(batch) > 1:
-            sim.events_processed += len(batch) - 1
-        node = self._nodes.get(dst)
-        if node is None:  # pragma: no cover - node removed mid-flight
-            return
         trace = sim.trace
-        tracing = trace.enabled
-        inc_delivered = self._inc_delivered
-        deliver = node.deliver
-        for src, message in batch:
+        rest = inbox.pop(sim.now)
+        if type(rest) is tuple:
+            (src, message), rest = rest, None
+        else:
+            sim.events_processed += len(rest) - 1
+            src, message = rest.pop(0)
+        while True:
             if getattr(node, "crashed", False):
-                self._drop("crash", src, dst,
-                           type(message).__name__ if tracing else None)
-                continue
-            inc_delivered()
-            if tracing:
-                trace.message(sim.now, MSG_DELIVER, src, dst, type(message).__name__)
-            deliver(src, message)
+                self._drop("crash", src, node.node_id,
+                           type(message).__name__ if trace.enabled else None)
+            else:
+                self.stats._messages_delivered.value += 1
+                if trace.enabled:
+                    trace.message(sim.now, MSG_DELIVER, src, node.node_id,
+                                  type(message).__name__)
+                node.deliver(src, message)
+            if not rest:
+                return
+            src, message = rest.pop(0)

@@ -103,8 +103,10 @@ class Node:
         self.network.send(self.node_id, dst, message)
 
     def send_many(self, dsts: list, message: Any) -> None:
-        for dst in dsts:
-            self.send(dst, message)
+        """Fan one ``message`` out to ``dsts``, in order (nothing if crashed)."""
+        if self.crashed:
+            return
+        self.network.send_many(self.node_id, dsts, message)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -114,24 +116,28 @@ class Node:
         :meth:`on_message` instead."""
         if self.crashed:
             return
-        self.on_message(src, message)
+        handler = self._handler_cache.get(type(message))
+        if handler is None:
+            self.on_message(src, message)
+        else:
+            handler(src, message)
 
     def on_message(self, src: Hashable, message: Any) -> None:
         """Dispatch to ``handle_<type(message).__name__>``.
 
         The bound handler is cached per message class — name
-        formatting + ``getattr`` once per type, then one dict hit per
-        delivery.
+        formatting + ``getattr`` once per type, then one dict hit in
+        :meth:`deliver` — unless a subclass overrides this hook, which
+        must then see every message.
         """
         cls = type(message)
-        handler = self._handler_cache.get(cls)
+        handler = getattr(self, f"handle_{cls.__name__}", None)
         if handler is None:
-            handler = getattr(self, f"handle_{cls.__name__}", None)
-            if handler is None:
-                raise SimulationError(
-                    f"{type(self).__name__} {self.node_id!r} has no handler "
-                    f"for {cls.__name__}"
-                )
+            raise SimulationError(
+                f"{type(self).__name__} {self.node_id!r} has no handler "
+                f"for {cls.__name__}"
+            )
+        if type(self).on_message is Node.on_message:
             self._handler_cache[cls] = handler
         handler(src, message)
 

@@ -87,9 +87,7 @@ class RedBlueSite(Node):
         op = ShadowOp(self._fresh_op_id(), account, amount, red=False)
         self._apply(op)
         self.blue_ops += 1
-        for site in self.site_ids:
-            if site != self.node_id:
-                self.send(site, op)
+        self.send_many([site for site in self.site_ids if site != self.node_id], op)
         # The sequencer needs blue deltas too, or its conservative
         # view would never credit deposits and red ops would starve.
         self.send(self.coordinator_id, op)
@@ -194,8 +192,7 @@ class RedCoordinator(Node):
         self.applied.add(msg.op_id)
         op = ShadowOp(msg.op_id, msg.key, msg.delta, red=True, seqno=self._seq)
         self._seq += 1
-        for site in self.site_ids:
-            self.send(site, op)
+        self.send_many(self.site_ids, op)
         self.send(msg.origin, RedReply(msg.op_id, True))
 
 

@@ -1,7 +1,7 @@
 """Hot-path invariants: slotted structs, handle-free ``call_soon``,
 batched dispatch, fingerprint cost.
 
-Four families of checks guard the raw-speed machinery:
+Five families of checks guard the raw-speed machinery:
 
 * **Slots audit** — the structs on the per-event/per-message hot path
   (:class:`Event`, the network/RPC/replication message dataclasses,
@@ -17,6 +17,10 @@ Four families of checks guard the raw-speed machinery:
   property test drives random schedules (same-tick cascades,
   cancellations, daemons) through ``run()`` and a ``step()`` loop and
   requires byte-identical trace hashes.
+* **The message path** — a message costs one send and one dispatch:
+  Python frames per message, counted with ``sys.setprofile``, stay at
+  the handful the path needs, and no protocol sends one loop-invariant
+  message in a ``for`` loop (that is a fan-out: ``send_many``).
 * **Fingerprint cost** — ``HashingTracer`` builds almost no
   ``TraceEvent``, encodes almost nothing through ``json.dumps`` and
   feeds SHA-256 in batches, and its caches grow with the distinct
@@ -29,6 +33,7 @@ import collections
 import hashlib
 import json
 import pathlib
+import sys
 import types
 
 import pytest
@@ -39,7 +44,7 @@ from repro.perf import SCENARIOS, HashingTracer
 from repro.perf.scenarios import _QUORUM, _ycsb
 from repro.replication.common import Reply, Request
 from repro.replication.quorum import FetchMsg, FetchReply, QGet, QPut, StoreAck, StoreMsg
-from repro.sim import Simulator, trace
+from repro.sim import ExponentialLatency, Network, Node, Simulator, trace
 from repro.sim.events import Event
 from repro.sim.network import LinkFault
 from repro.sim.node import Deadline, _Lane
@@ -283,3 +288,133 @@ def test_fingerprint_caches_grow_with_distinct_strings_not_records():
     (records, cached), (more_records, more_cached) = traced
     assert more_records > 1.9 * records
     assert cached <= more_cached <= cached + 8 < 100
+
+
+# ---------------------------------------------------------------------------
+# The message path (counts)
+# ---------------------------------------------------------------------------
+
+
+class _Echo(Node):
+    def handle_FetchMsg(self, src, msg):
+        pass
+
+
+def _python_frames(fn):
+    """Python-level calls made while ``fn()`` runs (``"call"`` events only:
+    which built-ins a path touches differs across 3.10-3.12, its frames
+    do not)."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_frames_per_message_from_send_to_handler():
+    """Node.send -> Network.send -> sampler -> push_fn -> _deliver ->
+    Node.deliver -> handler is 7 frames (12 before the counters, the
+    ``expovariate`` call and ``on_message`` left the path); a five-way
+    fan-out with one loopback shares the first two and draws four delays
+    (5.2 per message; 11.8 before)."""
+    sim = Simulator(seed=3)
+    net = Network(sim, latency=ExponentialLatency(0.3, 1.0))
+    nodes = [_Echo(sim, net, f"n{i}") for i in range(5)]
+    ids = [node.node_id for node in nodes]
+    message = FetchMsg(1, "k")
+    sender = nodes[0]
+
+    def unicast():
+        for dst in ids[1:]:
+            sender.send(dst, message)
+        sim.run()
+
+    def fan_out():
+        sender.send_many(ids, message)
+        sim.run()
+
+    unicast()                               # warm: samplers, caches, counter
+    fan_out()
+    rounds = 40
+    delivered = sim.metrics.counter("net.messages_delivered")
+    for drive, per_round, ceiling in ((unicast, 4, 8), (fan_out, 5, 6)):
+        before = delivered.value
+        frames = _python_frames(lambda: [drive() for _ in range(rounds)])
+        messages = delivered.value - before
+        assert messages == rounds * per_round
+        # Not the path's: ``drive`` and ``Simulator.run`` once per round.
+        assert frames - 2 * rounds <= ceiling * messages, (drive.__name__, frames)
+
+
+def _invariant_send_loops(tree):
+    """``for v in ...: self.send(<v or v.attr>, <expression without v>)``,
+    bare or under one ``if``: a loop-invariant message sent in a loop."""
+    for loop in ast.walk(tree):
+        if not (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)):
+            continue
+        body = loop.body
+        if (len(body) == 1 and isinstance(body[0], ast.If)
+                and not body[0].orelse):
+            body = body[0].body
+        if not (len(body) == 1 and isinstance(body[0], ast.Expr)):
+            continue
+        call = body[0].value
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "send"
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "self"
+                and len(call.args) == 2 and not call.keywords):
+            continue
+        to_loop_variable, invariant = (
+            any(isinstance(name, ast.Name) and name.id == loop.target.id
+                for name in ast.walk(arg))
+            for arg in call.args)
+        if to_loop_variable and not invariant:
+            yield loop.lineno
+
+
+def test_nothing_sends_a_loop_invariant_message_in_a_loop():
+    offenders = [
+        f"{path.relative_to(SRC)}:{lineno} sends one message per iteration "
+        "of a loop that never changes it; use send_many"
+        for path in _py_files()
+        for lineno in _invariant_send_loops(
+            ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []
+
+
+def test_the_loop_scan_sees_what_it_is_for():
+    flagged = """
+for peer in peers:
+    self.send(peer, message)
+for peer in self.cluster.node_ids:
+    if peer != self.node_id:
+        self.send(peer, Commit(slot))
+for backup in backups:
+    self.send(backup.node_id, msg)
+"""
+    allowed = """
+for peer in peers:
+    self.send(peer, Hint(peer, value))
+for peer in peers:
+    self.send(peer, message)
+    self.count += 1
+for peer in peers:
+    if slow:
+        self.set_timer(1.0, self.send, peer, message)
+    else:
+        self.send(peer, message)
+"""
+    assert list(_invariant_send_loops(ast.parse(flagged))) == [2, 4, 7]
+    assert list(_invariant_send_loops(ast.parse(allowed))) == []

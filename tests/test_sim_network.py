@@ -1,5 +1,8 @@
 """Unit tests for the simulated network: latency, loss, partitions."""
 
+import random
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from repro.errors import NetworkError
 from repro.sim import (
     ExponentialLatency,
     FixedLatency,
+    HashingTracer,
     LogNormalLatency,
     MatrixLatency,
     Network,
@@ -16,6 +20,7 @@ from repro.sim import (
     UniformLatency,
     estimate_size,
 )
+from repro.sim.topology import Topology, symmetric_delays
 
 
 class Sink:
@@ -384,3 +389,264 @@ def test_reachable_iff_send_is_not_blocked(early, groups, faults):
             assert reasons <= {"partition", "link_down", "link_loss"}
             blocked = bool(reasons & {"partition", "link_down"})
             assert net.reachable(src, dst) == (not blocked), (src, dst)
+
+
+def test_loopback_latency_validated_at_construction():
+    # Regression: -1.0 / NaN constructed fine and killed sim.run() at the
+    # first self-send with "event queue yielded an event in the past".
+    sim = Simulator()
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(NetworkError, match="loopback_latency"):
+            Network(sim, loopback_latency=bad)
+    net = Network(sim, loopback_latency=0.0)
+    node = Sink(sim, net, "a")
+    net.send("a", "a", "now")
+    sim.run()
+    assert node.received == [(0.0, "a", "now")]
+
+
+# ----------------------------------------------------------------------
+# link_sampler(a, b)(rng) is sample(rng, a, b), draw for draw
+# ----------------------------------------------------------------------
+
+SITES = ("us", "eu", "ap")
+SITE_TOPOLOGY = Topology("three", SITES, symmetric_delays(
+    {("us", "eu"): 40.0, ("us", "ap"): 70.0, ("eu", "ap"): 110.0}))
+LATENCY_MODELS = {
+    "fixed": FixedLatency(2.5),
+    "uniform": UniformLatency(0.5, 3.0),
+    "exponential": ExponentialLatency(base=0.3, mean=1.7),
+    "lognormal": LogNormalLatency(median=2.0, sigma=0.7),
+    "matrix": MatrixLatency({("us", "eu"): 40.0, ("us", "ap"): 70.0,
+                             ("eu", "ap"): 110.0}, jitter=0.2, default=1.0),
+    "matrix-no-jitter": MatrixLatency({("us", "eu"): 40.0}, jitter=0.0,
+                                       default=1.0),
+    "topology": SITE_TOPOLOGY.latency_model(
+        {site: site for site in SITES}, jitter=0.1),
+}
+
+
+@pytest.mark.parametrize("name", LATENCY_MODELS)
+def test_link_sampler_draws_what_sample_draws(name):
+    model = LATENCY_MODELS[name]
+    for a in SITES:
+        for b in SITES:
+            direct, through = random.Random(11), random.Random(11)
+            sampler = model.link_sampler(a, b)
+            for _ in range(1000):
+                assert sampler(through) == model.sample(direct, a, b)
+            assert through.getstate() == direct.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 7])
+def test_exponential_sampler_is_expovariate_bit_for_bit(seed):
+    # The sampler inlines Random.expovariate's expression; this pins it to
+    # the running interpreter's own (CI runs 3.10 and 3.12).
+    base, mean = 0.3, 1.7
+    sampler = ExponentialLatency(base, mean).link_sampler("a", "b")
+    inlined, stdlib = random.Random(seed), random.Random(seed)
+    for _ in range(1000):
+        assert sampler(inlined) == base + stdlib.expovariate(1.0 / mean)
+    assert inlined.getstate() == stdlib.getstate()
+
+
+# ----------------------------------------------------------------------
+# send_many is the loop, byte for byte
+# ----------------------------------------------------------------------
+
+@dataclass
+class Note:
+    n: int
+
+
+FAN_NODES = ("a", "b", "c", "d")
+FAN_MESSAGES = ("text", Note(1))
+node_st = st.sampled_from(FAN_NODES)
+FAULTS = [{"down": True}, {"drop_rate": 0.5}, {"extra_delay": 2.0}, {}]
+step_st = st.one_of(
+    st.tuples(st.just("fan"), node_st, st.lists(node_st, max_size=6),
+              st.sampled_from(FAN_MESSAGES)),
+    st.tuples(st.just("partition"), st.lists(node_st, unique=True, max_size=3)),
+    st.tuples(st.just("heal")),
+    st.tuples(st.just("fault"), node_st, node_st, st.sampled_from(FAULTS)),
+    st.tuples(st.just("loss"), st.sampled_from([0.0, 0.3])),
+    st.tuples(st.just("duplicate"), st.sampled_from([0.0, 0.3])),
+    st.tuples(st.just("crash"), node_st),
+    st.tuples(st.just("recover"), node_st),
+    st.tuples(st.just("run"), st.sampled_from([0.5, 1.0, 3.0])),
+)
+#: name -> (tracer factory, what to compare of the tracer afterwards)
+TRACERS = {
+    "off": (lambda: None, lambda tracer: None),
+    "tracer": (Tracer, Tracer.dumps_jsonl),
+    "hashing": (HashingTracer, HashingTracer.hexdigest),
+}
+
+
+def _play(steps, fan_out, latency, track_bytes, tracer):
+    make_tracer, read_trace = TRACERS[tracer]
+    sim = Simulator(seed=9, tracer=make_tracer())
+    net = Network(sim, latency=latency(), track_bytes=track_bytes)
+    nodes = {name: Sink(sim, net, name) for name in FAN_NODES}
+    for step in steps:
+        kind = step[0]
+        if kind == "fan":
+            fan_out(net, *step[1:])
+        elif kind == "partition":
+            net.partition(step[1])
+        elif kind == "heal":
+            net.heal()
+        elif kind == "fault" and step[1] != step[2]:
+            net.set_link_fault(step[1], step[2], **step[3])
+        elif kind == "loss":
+            net.loss_rate = step[1]
+        elif kind == "duplicate":
+            net.duplicate_rate = step[1]
+        elif kind in ("crash", "recover"):
+            nodes[step[1]].crashed = kind == "crash"
+        elif kind == "run":
+            sim.run(until=sim.now + step[1])
+    sim.run()
+    return (
+        sim.metrics.snapshot(),
+        read_trace(sim.trace),
+        sim.rng.getstate(),
+        {name: node.received for name, node in nodes.items()},
+        sim.events_processed,
+        sim.now,
+    )
+
+
+def _loop(net, src, dsts, message):
+    for dst in dsts:
+        net.send(src, dst, message)
+
+
+@given(
+    steps=st.lists(step_st, max_size=25),
+    latency=st.sampled_from([
+        lambda: FixedLatency(1.0),             # buckets that really group
+        lambda: ExponentialLatency(0.3, 1.0),
+    ]),
+    track_bytes=st.booleans(),
+    tracer=st.sampled_from(sorted(TRACERS)),
+)
+@settings(max_examples=300, deadline=None)
+def test_send_many_is_the_send_loop(steps, latency, track_bytes, tracer):
+    fanned = _play(steps, Network.send_many, latency, track_bytes, tracer)
+    looped = _play(steps, _loop, latency, track_bytes, tracer)
+    assert fanned == looped
+
+
+def test_send_many_script_meets_fast_path_grouping_and_every_fault():
+    """A seeded twin of the property: one script that provably runs the
+    fast path into shared buckets, loopback and repeats, then every
+    delegating condition."""
+    steps = [
+        ("fan", "a", ["b", "b", "a", "c", "b"], "warm"),  # new type: delegates
+        ("fan", "a", ["b", "b", "a", "c", "b"], "fast"),  # groups 3 on b
+        ("fan", "d", ["b", "c"], "fast"),                 # joins b's bucket
+        ("crash", "c"), ("run", 3.0),                     # c dies in flight
+        ("fan", "c", ["a", "b"], "dead source"), ("recover", "c"),
+        ("partition", ["a", "b"]), ("fan", "a", ["b", "c", "d"], "split"),
+        ("heal",), ("fault", "a", "b", {"down": True}),
+        ("fault", "a", "c", {"drop_rate": 0.5}),
+        ("fault", "a", "d", {"extra_delay": 2.0}),
+        ("fan", "a", ["b", "c", "d", "c", "d"], "faulted"),
+        ("fault", "a", "b", {}), ("fault", "a", "c", {}), ("fault", "a", "d", {}),
+        ("loss", 0.3), ("duplicate", 0.3),
+        ("fan", "b", ["a", "c", "d", "a", "c", "d"], "lossy"),
+    ]
+    for tracer in TRACERS:
+        fanned = _play(steps, Network.send_many, lambda: FixedLatency(1.0), False, tracer)
+        assert fanned == _play(steps, _loop, lambda: FixedLatency(1.0), False, tracer)
+    counters, _, _, received, _, _ = fanned
+    assert [m for _, _, m in received["b"][:5]] == ["warm"] * 3 + ["fast"] * 2
+    assert counters["counters"]["net.messages_dropped_crash"] >= 3
+    assert counters["counters"]["net.messages_dropped_partition"] == 2
+    assert counters["counters"]["net.messages_dropped_link"] >= 1
+    assert counters["counters"]["net.messages_dropped_loss"] >= 1
+    assert counters["counters"]["net.messages_duplicated"] >= 1
+
+
+def test_grouped_delivery_is_one_event_with_per_message_credit_and_crash_check():
+    tracer = Tracer()
+    sim = Simulator(tracer=tracer)
+    net = Network(sim, latency=FixedLatency(1.0))
+
+    class Fragile(Sink):
+        def deliver(self, src, message):
+            super().deliver(src, message)
+            self.crashed = message == "poison"
+
+    b = Fragile(sim, net, "b")
+    for name in ("a", "c"):
+        Sink(sim, net, name)
+    net.send("a", "b", "one")
+    net.send("a", "b", "poison")            # b crashes itself mid-batch
+    net.send_many("c", ["b", "b"], "late")
+    assert sim.pending_events == 1          # four messages, one dispatch
+    sim.run()
+    assert b.received == [(1.0, "a", "one"), (1.0, "a", "poison")]
+    assert sim.metrics.counter("net.messages_delivered").value == 2
+    assert sim.metrics.counter("net.messages_dropped_crash").value == 2
+    assert sim.events_processed == 4        # the three pops the queue was spared
+    assert [e.data["fn"] for e in tracer.events if e.kind == "event_executed"] == [
+        "Network._deliver"]
+    assert [(e.kind, e.data["src"]) for e in tracer.events
+            if e.kind in ("msg_deliver", "msg_drop")] == [
+        ("msg_deliver", "a"), ("msg_deliver", "a"), ("msg_drop", "c"), ("msg_drop", "c")]
+    # A message landing at the same instant after the batch ran is a new event.
+    b.crashed = False
+    net.loopback_latency = 0.0
+    net.send("b", "b", "again")
+    sim.run()
+    assert b.received[-1] == (1.0, "b", "again") and sim.events_processed == 5
+
+
+def test_send_many_unknown_destination_raises_after_the_earlier_sends():
+    for warm in (False, True):          # delegating first sighting, then fast path
+        sim, net, nodes = make_net(latency=FixedLatency(1.0))
+        if warm:
+            net.send("a", "b", "m")
+        with pytest.raises(NetworkError, match="nope"):
+            net.send_many("a", ["b", "c", "nope", "b"], "m")
+        sim.run()
+        assert len(nodes["b"].received) == 1 + warm
+        assert len(nodes["c"].received) == 1
+        assert sim.metrics.counter("net.messages_sent").value == 2 + warm
+        assert sim.metrics.counters("net.by_type.") == {"net.by_type.str": 2 + warm}
+
+
+def test_send_many_to_nobody_registers_no_counter():
+    sim, net, _nodes = make_net()
+    net.send_many("a", [], "m")
+    assert sim.metrics.counters("net.by_type.") == {}
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_broadcast_is_send_in_registration_order(include_self):
+    def world():
+        tracer = Tracer()
+        sim = Simulator(seed=4, tracer=tracer)
+        net = Network(sim, latency=ExponentialLatency(0.3, 1.0))
+        nodes = {name: Sink(sim, net, name) for name in ("c", "a", "d", "b")}
+        return sim, net, nodes, tracer
+
+    sim, net, nodes, tracer = world()
+    ref_sim, ref_net, ref_nodes, ref_tracer = world()
+    for round_ in range(3):
+        net.broadcast("a", f"all-{round_}", include_self=include_self)
+        for dst in ref_net.node_ids:
+            if dst != "a" or include_self:
+                ref_net.send("a", dst, f"all-{round_}")
+    sim.run()
+    ref_sim.run()
+    sends = [e.data["dst"] for e in tracer.events if e.kind == "msg_send"]
+    assert sends[:4 if include_self else 3] == (
+        ["c", "a", "d", "b"] if include_self else ["c", "d", "b"])
+    assert tracer.dumps_jsonl() == ref_tracer.dumps_jsonl()
+    assert ({n: s.received for n, s in nodes.items()}
+            == {n: s.received for n, s in ref_nodes.items()})
+    assert sim.rng.getstate() == ref_sim.rng.getstate()

@@ -151,6 +151,66 @@ def test_send_many():
     assert c.log == [("ping", 9)]
 
 
+def test_send_many_on_a_crashed_node_sends_and_counts_nothing():
+    sim = Simulator()
+    net = Network(sim, latency=FixedLatency(1.0))
+    a = Player(sim, net, "a")
+    b = Player(sim, net, "b")
+    a.send_many(["b"], Ping(9))            # the type is known: fast path next
+    a.crash()
+    a.send_many(["b", "b", "nobody"], Ping(9))   # not even the unknown id is looked at
+    sim.run()
+    assert b.log == [("ping", 9)]
+    assert sim.metrics.counter("net.messages_sent").value == 1
+    assert sim.metrics.counter("net.messages_dropped_crash").value == 0
+
+
+def test_on_message_override_sees_every_message():
+    """``deliver`` dispatches through the handler cache itself; a subclass
+    that overrides the hook must still get every message of every type —
+    also once it has delegated to ``super().on_message()`` for that type."""
+    sim = Simulator()
+    net = Network(sim, latency=FixedLatency(1.0))
+
+    class Spy(Player):
+        def __init__(self, *args):
+            super().__init__(*args, limit=0)
+            self.seen = []
+
+        def on_message(self, src, message):
+            self.seen.append(type(message).__name__)
+            if len(self.seen) != 3:        # swallow one, delegate the rest
+                super().on_message(src, message)
+
+    spy = Spy(sim, net, "spy")
+    plain = Player(sim, net, "plain", limit=0)
+    for n in range(3):
+        plain.send("spy", Ping(n))
+        plain.send("spy", Pong(n))
+        spy.send("plain", Ping(n))
+    sim.run()
+    assert spy.seen == ["Ping", "Pong"] * 3
+    assert spy.log == [("ping", 0), ("pong", 0), ("pong", 1), ("ping", 2), ("pong", 2)]
+    assert spy._handler_cache == {}
+    # The un-overridden node fills its cache on the first message of a type.
+    assert plain.log == [("ping", 0), ("ping", 1), ("ping", 2)]
+    assert list(plain._handler_cache) == [Ping]
+
+
+def test_missing_handler_raises_every_time_and_crashed_deliver_is_a_noop():
+    sim = Simulator()
+    net = Network(sim)
+    a = Player(sim, net, "a")
+    for _ in range(2):                     # a miss caches nothing
+        with pytest.raises(SimulationError, match="Player 'a' has no handler for str"):
+            a.deliver("b", "unhandled")
+    a.deliver("b", Ping(5))
+    a.crash()
+    a.deliver("b", Ping(6))
+    a.deliver("b", "unhandled")            # not even the lookup happens
+    assert a.log == [("ping", 5)]
+
+
 # ----------------------------------------------------------------------
 # Topologies
 # ----------------------------------------------------------------------
