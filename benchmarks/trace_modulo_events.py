@@ -9,8 +9,14 @@ under a ``Tracer`` and prints its events, metrics digest and the SHA-256 of
 the JSONL with ``event_executed`` lines dropped: every send, delivery, drop,
 crash and annotation, at its instant, in order.  Equal at two commits (copy
 this file into the other checkout) means only ``seq`` numbering moved.
+
+Beside them it prints the same hash with every message record whose
+``src == dst`` dropped as well, and the metrics digest with the ``net.*``
+counters dropped: equal at two commits means the only change is messages a
+node no longer sends to itself (and the events and counts they cost).
 """
 import hashlib
+import json
 import pathlib
 import sys
 
@@ -18,9 +24,35 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 
+def _digest(kept: list) -> str:
+    return f"{hashlib.sha256(''.join(kept).encode()).hexdigest()} ({len(kept)} records)"
+
+
 def modulo_events(jsonl: str) -> str:
     kept = [line for line in jsonl.splitlines(True) if '"kind": "event_executed"' not in line]
-    return f"{hashlib.sha256(''.join(kept).encode()).hexdigest()} ({len(kept)} records)"
+    return _digest(kept)
+
+
+def _loopback(line: str) -> bool:
+    if '"kind": "msg_' not in line:
+        return False
+    record = json.loads(line)
+    return record["src"] == record["dst"]
+
+
+def modulo_loopback(jsonl: str) -> str:
+    """:func:`modulo_events`, with messages a node sent itself dropped too."""
+    kept = [line for line in jsonl.splitlines(True)
+            if '"kind": "event_executed"' not in line and not _loopback(line)]
+    return _digest(kept)
+
+
+def digest_modulo_net(snapshot: dict) -> str:
+    """The metrics digest of ``snapshot`` without its ``net.*`` counters."""
+    from repro.perf import metrics_digest
+    counters = {name: value for name, value in snapshot["counters"].items()
+                if not name.startswith("net.")}
+    return metrics_digest({**snapshot, "counters": counters})[:16]
 
 
 def run(target: str, seed: int = 42, dump: str | None = None) -> str:
@@ -37,14 +69,20 @@ def run(target: str, seed: int = 42, dump: str | None = None) -> str:
         sim = world.sim
     if dump:
         tracer.dump_jsonl(dump)
-    digest = metrics_digest(sim.metrics.snapshot())[:16]
-    return (f"{target} seed {seed}: events {sim.events_processed}  metrics_digest {digest}  "
-            f"trace modulo event_executed {modulo_events(tracer.dumps_jsonl())}")
+    snapshot, jsonl = sim.metrics.snapshot(), tracer.dumps_jsonl()
+    return (f"{target} seed {seed}: events {sim.events_processed}  "
+            f"metrics_digest {metrics_digest(snapshot)[:16]}  "
+            f"trace modulo event_executed {modulo_events(jsonl)}\n"
+            f"  modulo loopback: metrics_digest without net.* {digest_modulo_net(snapshot)}  "
+            f"trace without src == dst messages {modulo_loopback(jsonl)}")
 
 
 if __name__ == "__main__":
     if sys.argv[1].endswith(".jsonl"):
-        hashes = [modulo_events(pathlib.Path(path).read_text()) for path in sys.argv[1:3]]
-        print(*hashes, "EQUAL" if hashes[0] == hashes[1] else "DIFFERENT", sep="\n")
-        sys.exit(hashes[0] != hashes[1])
+        texts = [pathlib.Path(path).read_text() for path in sys.argv[1:3]]
+        for modulo in (modulo_events, modulo_loopback):
+            hashes = [modulo(text) for text in texts]
+            print(modulo.__name__, *hashes,
+                  "EQUAL" if hashes[0] == hashes[1] else "DIFFERENT", sep="\n  ")
+        sys.exit(modulo_events(texts[0]) != modulo_events(texts[1]))
     print(run(sys.argv[1], int(sys.argv[2]) if sys.argv[2:] else 42, *sys.argv[3:4]))

@@ -154,17 +154,25 @@ class PaxosReplica(ServerNode):
         # re-proposes every slot it adopts, so nothing live is lost.
         self._accept_votes.clear()
         self._proposals.clear()
-        self.send_many(self.cluster.node_ids, MPPrepare(self.ballot))
+        prepare = MPPrepare(self.ballot)
+        # Its own acceptor answers first, in-process: the promise (or
+        # nack) goes straight to this node's handler for it.
+        self.deliver(self.node_id, self._prepare(prepare))
+        self.send_many(self._peers, prepare)
 
-    def handle_MPPrepare(self, src: Hashable, msg: MPPrepare) -> None:
-        # Re-promising an equal ballot keeps the handler idempotent
-        # under message duplication (a nack here would depose the
-        # leader with its own duplicated prepare).
+    # An acceptor's rules map a request to the answer it owes: a handler
+    # sends it, the leader's own share hands it to its own handler.
+    def _prepare(self, msg: MPPrepare) -> "MPPromise | MPNack":
+        # Re-promising an equal ballot keeps the rule idempotent under
+        # message duplication (a nack here would depose the leader with
+        # its own duplicated prepare).
         if msg.ballot >= self.promised:
             self.promised = msg.ballot
-            self.send(src, MPPromise(msg.ballot, dict(self.accepted)))
-        else:
-            self.send(src, MPNack(msg.ballot, self.promised))
+            return MPPromise(msg.ballot, dict(self.accepted))
+        return MPNack(msg.ballot, self.promised)
+
+    def handle_MPPrepare(self, src: Hashable, msg: MPPrepare) -> None:
+        self.send(src, self._prepare(msg))
 
     def handle_MPPromise(self, src: Hashable, msg: MPPromise) -> None:
         if not self._preparing or msg.ballot != self.ballot:
@@ -203,15 +211,25 @@ class PaxosReplica(ServerNode):
         if slot not in self.committed:
             self._accept_votes.setdefault(slot, set())
             self._proposals[slot] = command
-        self.send_many(
-            self.cluster.node_ids, MPAccept(self.ballot, slot, command)
-        )
+        accept = MPAccept(self.ballot, slot, command)
+        # The leader is an acceptor too: it votes first, in-process —
+        # unless it has promised a higher ballot.
+        vote = self._accept(accept)
+        if vote is not None:
+            self.handle_MPAccepted(self.node_id, vote)
+        self.send_many(self._peers, accept)
+
+    def _accept(self, msg: MPAccept) -> "MPAccepted | None":
+        if msg.ballot < self.promised:
+            return None
+        self.promised = msg.ballot
+        self.accepted[msg.slot] = (msg.ballot, msg.command)
+        return MPAccepted(msg.ballot, msg.slot)
 
     def handle_MPAccept(self, src: Hashable, msg: MPAccept) -> None:
-        if msg.ballot >= self.promised:
-            self.promised = msg.ballot
-            self.accepted[msg.slot] = (msg.ballot, msg.command)
-            self.send(src, MPAccepted(msg.ballot, msg.slot))
+        vote = self._accept(msg)
+        if vote is not None:
+            self.send(src, vote)
 
     def handle_MPAccepted(self, src: Hashable, msg: MPAccepted) -> None:
         if not self.is_leader or msg.ballot != self.ballot:

@@ -144,7 +144,7 @@ class LWWStamps:
     #: per-key integer versions (:meth:`DynamoCluster.history`).
     total_order = True
     #: A minted write is detached from the coordinator's own state and
-    #: reaches it like any other home replica: by a loop-back StoreMsg.
+    #: is stored there as at any other home replica: by ``_store``.
     mints_in_place = False
     EMPTY: tuple = (None, None)
 
@@ -352,22 +352,21 @@ class DynamoNode(ServerNode):
             "write", key, future, cluster.w, set(targets), state
         )
         self._ops[op_id] = op
+        store = StoreMsg(op_id, key, *conflicts.encode(state))
         if conflicts.mints_in_place:
             self.data[key] = state
-            if self.node_id in op.targets:
-                op.responded.add(self.node_id)
-                targets.remove(self.node_id)
-        self.send_many(targets, StoreMsg(op_id, key, *conflicts.encode(state)))
-        if len(op.responded) >= op.needed:
-            # W=1 with the coordinator a home replica of an in-place
-            # mint: acknowledged before any replica answers.
-            del self._ops[op_id]
-            self._acknowledge(op)
-            return future
-        op.deadlines = (
-            self.set_deadline(cluster.replica_timeout, self._write_fallback, op_id),
-            self.set_deadline(cluster.op_deadline, self._expire, op_id),
-        )
+        if self.node_id in op.targets:
+            # A home coordinator stores its own copy first, in-process, and
+            # counts the ack (an in-place mint holds the copy already).
+            targets.remove(self.node_id)
+            ack = StoreAck(op_id) if conflicts.mints_in_place else self._store(store)
+            self.handle_StoreAck(self.node_id, ack)
+        self.send_many(targets, store)
+        if not future.done:  # W=1 at a home coordinator is decided already
+            arm = self.set_deadline
+            if cluster.sloppy:
+                op.deadlines = (arm(cluster.replica_timeout, self._write_fallback, op_id),)
+            op.deadlines += (arm(cluster.op_deadline, self._expire, op_id),)
         return future
 
     def serve_QGet(self, src: Hashable, payload: QGet) -> Future:
@@ -377,25 +376,38 @@ class DynamoNode(ServerNode):
         future = Future(self.sim, label=f"qget#{op_id}")
         op = _CoordinatorOp("read", key, future, cluster.r, set(targets))
         self._ops[op_id] = op
-        self.send_many(targets, FetchMsg(op_id, key))
-        op.deadlines = (self.set_deadline(cluster.op_deadline, self._expire, op_id),)
+        fetch = FetchMsg(op_id, key)
+        if self.node_id in op.targets:
+            # A home coordinator answers itself first, in-process.
+            targets.remove(self.node_id)
+            self.handle_FetchReply(self.node_id, self._fetch(fetch))
+        self.send_many(targets, fetch)
+        if not future.done:  # R=1 at a home coordinator is decided already
+            op.deadlines = (self.set_deadline(cluster.op_deadline, self._expire, op_id),)
         return future
 
     # -- replica side -----------------------------------------------------
-    def handle_StoreMsg(self, src: Hashable, msg: StoreMsg) -> None:
+    # A store or a fetch maps to the answer the replica owes; a handler
+    # sends it, the coordinator's own share hands it to its own handler.
+    def _store(self, msg: StoreMsg) -> StoreAck:
         if msg.hint_for is not None and msg.hint_for != self.node_id:
             # We are a stand-in: remember the hint for the home node.
             slot = self.hints.setdefault(msg.hint_for, {})
         else:
             slot = self.data
-        state = self.conflicts.decode(msg.value, msg.stamp)
-        self.merge_in(slot, msg.key, state)
-        self.send(src, StoreAck(msg.op_id))
+        self.merge_in(slot, msg.key, self.conflicts.decode(msg.value, msg.stamp))
+        return StoreAck(msg.op_id)
 
-    def handle_FetchMsg(self, src: Hashable, msg: FetchMsg) -> None:
+    def _fetch(self, msg: FetchMsg) -> FetchReply:
         conflicts = self.conflicts
         held = self.data.get(msg.key, conflicts.EMPTY)
-        self.send(src, FetchReply(msg.op_id, msg.key, *conflicts.encode(held)))
+        return FetchReply(msg.op_id, msg.key, *conflicts.encode(held))
+
+    def handle_StoreMsg(self, src: Hashable, msg: StoreMsg) -> None:
+        self.send(src, self._store(msg))
+
+    def handle_FetchMsg(self, src: Hashable, msg: FetchMsg) -> None:
+        self.send(src, self._fetch(msg))
 
     # -- coordinator ack collection ------------------------------------------
     def _counted(
@@ -447,11 +459,14 @@ class DynamoNode(ServerNode):
 
     def _read_repair(self, op: _CoordinatorOp, merged: Any) -> None:
         conflicts = self.conflicts
-        value, stamp = conflicts.encode(merged)
-        repair_id = self._next_op()  # acks for repairs are ignored
+        # Acks for repairs are ignored: the op id is a fresh one.
+        repair = StoreMsg(self._next_op(), op.key, *conflicts.encode(merged))
         for target, state in op.replies:
             if conflicts.behind(state, merged):
-                self.send(target, StoreMsg(repair_id, op.key, value, stamp))
+                if target == self.node_id:
+                    self._store(repair)
+                else:
+                    self.send(target, repair)
                 self.cluster._c_read_repairs.inc()
                 self.sim.annotate("read_repair", key=op.key,
                                   coordinator=self.node_id, target=target)
@@ -459,7 +474,7 @@ class DynamoNode(ServerNode):
     # -- sloppy quorum / hinted handoff ---------------------------------------
     def _write_fallback(self, op_id: int) -> None:
         op = self._ops.get(op_id)
-        if op is None or not self.cluster.sloppy:
+        if op is None:
             return
         missing = op.targets - op.responded
         if not missing:
@@ -467,9 +482,11 @@ class DynamoNode(ServerNode):
         value, stamp = self.conflicts.encode(op.state)
         stand_ins = self.cluster.ring.fallbacks(op.key, exclude=op.targets)
         for home, stand_in in zip(sorted(missing, key=str), stand_ins):
-            self.send(
-                stand_in, StoreMsg(op_id, op.key, value, stamp, hint_for=home)
-            )
+            hint = StoreMsg(op_id, op.key, value, stamp, hint_for=home)
+            if stand_in == self.node_id:  # a coordinator off the key's homes
+                self.handle_StoreAck(stand_in, self._store(hint))
+            else:
+                self.send(stand_in, hint)
             self.cluster._c_hinted_writes.inc()
             self.sim.annotate("hinted_write", key=op.key, home=home,
                               stand_in=stand_in)

@@ -1,7 +1,7 @@
 """Hot-path invariants: slotted structs, handle-free ``call_soon``,
 batched dispatch, fingerprint cost.
 
-Five families of checks guard the raw-speed machinery:
+Six families of checks guard the raw-speed machinery:
 
 * **Slots audit** — the structs on the per-event/per-message hot path
   (:class:`Event`, the network/RPC/replication message dataclasses,
@@ -21,6 +21,10 @@ Five families of checks guard the raw-speed machinery:
   Python frames per message, counted with ``sys.setprofile``, stay at
   the handful the path needs, and no protocol sends one loop-invariant
   message in a ``for`` loop (that is a fan-out: ``send_many``).
+* **A node never messages itself** — a Dynamo coordinator serves its
+  own replica and a Multi-Paxos leader votes for itself in-process:
+  across every perf scenario and bench workload, no ``Network`` send
+  has ``src == dst``.
 * **Fingerprint cost** — ``HashingTracer`` builds almost no
   ``TraceEvent``, encodes almost nothing through ``json.dumps`` and
   feeds SHA-256 in batches, and its caches grow with the distinct
@@ -31,6 +35,7 @@ Five families of checks guard the raw-speed machinery:
 import ast
 import collections
 import hashlib
+import importlib
 import json
 import pathlib
 import sys
@@ -51,6 +56,7 @@ from repro.sim.node import Deadline, _Lane
 from repro.sim.trace import TraceEvent
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+BENCH = SRC.parent.parent / "bench"
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +275,10 @@ def test_fingerprint_touches_slow_paths_on_few_records(monkeypatch):
     # The counting shims are wired in and changed no byte.
     assert tracer.hexdigest() == reference.hexdigest()
     assert calls["json.dumps"] > 0 and calls["sha256.update"] > 0
-    assert tracer.count > 10_000
+    # Enough records for the ratios to mean something: ~8,450 since a
+    # coordinator stopped messaging itself (a quarter of the messages,
+    # and their events, went; above 10,000 before).
+    assert tracer.count > 8_000
     for name in ("TraceEvent", "json.dumps", "sha256.update"):
         assert calls[name] <= 0.05 * tracer.count, (name, calls[name])
 
@@ -418,3 +427,71 @@ for peer in peers:
 """
     assert list(_invariant_send_loops(ast.parse(flagged))) == [2, 4, 7]
     assert list(_invariant_send_loops(ast.parse(allowed))) == []
+
+
+# ---------------------------------------------------------------------------
+# A node never messages itself (counts)
+# ---------------------------------------------------------------------------
+
+
+def _loopback_sends(monkeypatch, run):
+    """``run()``'s sends from a node to itself, by message type, and its
+    sends in all.  ``send_many`` is the ``send`` loop send for send
+    (``test_send_many_is_the_send_loop``), so here it *is* that loop and
+    every copy is counted once, at ``send``."""
+    loopback, sent = collections.Counter(), [0]
+    send = Network.send
+
+    def counting_send(self, src, dst, message):
+        sent[0] += 1
+        if src == dst:
+            loopback[type(message).__name__] += 1
+        send(self, src, dst, message)
+
+    def send_loop(self, src, dsts, message):
+        for dst in dsts:
+            self.send(src, dst, message)
+
+    monkeypatch.setattr(Network, "send", counting_send)
+    monkeypatch.setattr(Network, "send_many", send_loop)
+    run()
+    return dict(loopback), sent[0]
+
+
+def _bench_run(name):
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    return lambda: workload.run(workload.build(42, workload.smoke_ops, None))
+
+
+_BENCH_WORKLOADS = ("quorum_closed", "paxos_lin", "openloop_overload",
+                    "stack_chaos", "causal_checked", "crdt_merge_storm")
+
+
+@pytest.mark.parametrize("target", [f"core/{name}" for name in SCENARIOS]
+                         + [f"bench/{name}" for name in _BENCH_WORKLOADS])
+def test_no_node_sends_a_message_to_itself(monkeypatch, target):
+    """Every quick perf scenario and every bench workload at smoke size:
+    a home coordinator's fetch, store and read repair and a leader's
+    prepare and accept to itself are served in-process, not sent."""
+    catalogue, name = target.split("/")
+    if catalogue == "core":
+        run = lambda: SCENARIOS[name].run(42, True, None)  # noqa: E731
+    else:
+        monkeypatch.syspath_prepend(str(BENCH))
+        run = _bench_run(name)
+    loopback, sent = _loopback_sends(monkeypatch, run)
+    assert loopback == {}
+    assert sent > 0 or "crdt" in name   # the CRDT storms use no network
+
+
+def test_the_loopback_count_sees_what_it_is_for(monkeypatch):
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    a, b = _Echo(sim, net, "a"), _Echo(sim, net, "b")
+
+    def run():
+        a.send_many(["a", "b", "a"], FetchMsg(1, "k"))
+        b.send("b", FetchMsg(2, "k"))
+        sim.run()
+
+    assert _loopback_sends(monkeypatch, run) == ({"FetchMsg": 3}, 4)

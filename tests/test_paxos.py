@@ -433,3 +433,65 @@ def test_votes_from_an_old_ballot_do_not_count_after_reelection():
     # Its own vote and px2's are all the new ballot has: no majority.
     assert leader._accept_votes == {0: {px[0], px[2]}}
     assert all(0 not in replica.committed for replica in cluster.replicas)
+
+
+# ----------------------------------------------------------------------
+# The leader is one of its acceptors: it answers itself in-process
+# ----------------------------------------------------------------------
+
+def test_single_node_group_elects_and_commits_without_replica_messages():
+    tracer = Tracer()
+    sim, _net, cluster = make_mp(nodes=1, tracer=tracer)
+    assert cluster.leader is cluster.replicas[0]
+    client = cluster.connect()
+    out = {}
+
+    def script():
+        out["version"] = yield client.put("k", "v")
+        out["read"] = yield client.get("k")
+
+    spawn(sim, script())
+    sim.run()
+    assert out == {"version": 1, "read": ("v", 1)}
+    sent = {event.data["msg_type"] for event in tracer.filter(kind="msg_send")}
+    assert sent == {"Request", "Reply"}
+
+
+def test_leader_sends_accepts_to_its_peers_only():
+    tracer = Tracer()
+    sim, _net, cluster = make_mp(nodes=5, tracer=tracer)
+    leader = cluster.leader
+    client = cluster.connect()
+
+    def script():
+        yield client.put("k", "v")
+
+    spawn(sim, script())
+    sim.run()
+    for kind in ("MPPrepare", "MPAccept"):
+        destinations = [event.data["dst"]
+                        for event in tracer.filter(kind="msg_send", msg_type=kind)]
+        assert sorted(destinations) == sorted(leader._peers)
+    assert leader.store == {"k": ("v", 1)}
+
+
+def test_leader_that_promised_a_higher_ballot_does_not_vote_for_itself():
+    sim, _net, cluster = make_mp(nodes=3)
+    leader = cluster.leader
+    leader.promised = (leader.ballot[0] + 1, "px9")   # a rival's prepare got in
+    slot, command = leader.next_slot, PutCmd("k", "v")
+    leader._propose_in_slot(slot, command)
+    assert leader._accept_votes[slot] == set() and slot not in leader.accepted
+    sim.run()
+    # The two peers' votes are a majority of three: committed without it.
+    assert leader.committed[slot] == command and slot not in leader.accepted
+
+
+def test_candidate_that_promised_a_higher_ballot_is_not_elected():
+    sim, _net, cluster = make_mp(nodes=3)
+    candidate = cluster.replicas[1]
+    candidate.promised = (9, "px9")
+    cluster.elect(candidate)
+    assert not candidate._preparing          # its own nack, in-process
+    sim.run()
+    assert not candidate.is_leader and cluster.leader is cluster.replicas[0]

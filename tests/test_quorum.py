@@ -354,6 +354,132 @@ def test_cluster_parameter_validation(cluster_cls):
 
 
 # ---------------------------------------------------------------------------
+# A home coordinator serves its own replica in-process, never by message
+# ---------------------------------------------------------------------------
+
+
+def loopback_sends(tracer):
+    return [event for event in tracer.filter(kind="msg_send")
+            if event.data["src"] == event.data["dst"]]
+
+
+@BOTH
+def test_r1_get_and_w1_put_at_a_home_coordinator_decide_in_process(cluster_cls):
+    """With 2 ms links, the client's round trip is all either op costs:
+    the coordinator's own copy is the quorum, so it answers in the event
+    the request arrived in and arms no op deadline."""
+    tracer = Tracer()
+    sim = Simulator(seed=3, tracer=tracer)
+    net = Network(sim, latency=FixedLatency(2.0))
+    cluster = cluster_cls(sim, net, nodes=5, n=3, r=1, w=1, hint_interval=None)
+    client = cluster.connect()
+    coordinator = cluster.node(cluster.ring.coordinator("k"))
+    out = {}
+
+    def script(out, client):
+        yield client.put("k", "v")
+        out["put"] = sim.now
+        out["value"] = (yield client.get("k"))[0]
+        out["get"] = sim.now
+
+    spawn(sim, script(out, client))
+    for instant in (4.5, 8.5):   # just after the put's and the get's reply
+        sim.run(until=instant)
+        assert coordinator._ops == {} and coordinator._lanes == {}
+    sim.run()
+    assert (out["put"], out["get"]) == (4.0, 8.0)
+    assert out["value"] == shown(cluster, "v")
+    assert loopback_sends(tracer) == []
+    stores = tracer.filter(kind="msg_send", msg_type="StoreMsg")
+    assert len(stores) == cluster.n - 1   # the other homes still get the write
+
+
+@BOTH
+def test_r2_read_fetches_from_the_other_homes_only(cluster_cls):
+    tracer = Tracer()
+    sim = Simulator(seed=3, tracer=tracer)
+    net = Network(sim, latency=FixedLatency(2.0))
+    cluster = cluster_cls(sim, net, nodes=5, n=3, r=2, w=2)
+    client = cluster.connect()
+
+    def script(out, client):
+        out["value"] = (yield client.get("k"))[0]
+
+    out = run_script(sim, client, script)
+    assert out["value"] == ([] if cluster_cls is SiblingDynamoCluster else None)
+    fetches = tracer.filter(kind="msg_send", msg_type="FetchMsg")
+    assert len(fetches) == cluster.n - 1
+    assert loopback_sends(tracer) == []
+
+
+@BOTH
+def test_read_repair_of_the_coordinators_own_copy_is_local(cluster_cls):
+    """A write that missed the read's coordinator (its link to the write's
+    coordinator down) is repaired there by the R=3 read, in-process."""
+    tracer = Tracer()
+    sim = Simulator(seed=3, tracer=tracer)
+    net = Network(sim, latency=FixedLatency(2.0))
+    cluster = cluster_cls(sim, net, nodes=5, n=3, r=3, w=2, hint_interval=None)
+    homes = cluster.ring.preference_list("k", cluster.n)
+    writer = cluster.connect(coordinator=homes[1])
+    reader = cluster.connect()          # coordinated by homes[0]
+    net.set_link_fault(homes[0], homes[1], down=True)
+    out = run_script(sim, writer, try_put)
+    assert out["result"] == "ok" and held(cluster, homes[0], "k") in (None, [])
+    net.clear_link_faults()
+
+    def read(out, client):
+        out["value"] = (yield client.get("k"))[0]
+        out["own"] = held(cluster, homes[0], "k")   # the instant it resolved
+
+    out = run_script(sim, reader, read)
+    assert out["value"] == out["own"] == shown(cluster, "v")
+    assert counted(cluster, "read_repairs") == 1
+    assert loopback_sends(tracer) == []
+    assert [held(cluster, home, "k") for home in homes] == [shown(cluster, "v")] * 3
+
+
+@BOTH
+@pytest.mark.parametrize("sloppy", [False, True], ids=["strict", "sloppy"])
+def test_a_write_arms_the_fallback_deadline_only_when_sloppy(cluster_cls, sloppy):
+    sim, _net, cluster = make_cluster(cluster_cls, r=2, w=2, sloppy=sloppy,
+                                      hint_interval=None)
+    client = cluster.connect()
+    coordinator = cluster.node(cluster.ring.coordinator("k"))
+    spawn(sim, try_put({}, client))
+    sim.run(until=2.5)   # the request is in; the replicas' acks are not
+    (op,) = coordinator._ops.values()
+    delays = sorted(deadline._lane.delay for deadline in op.deadlines)
+    assert delays == ([cluster.replica_timeout] if sloppy else []) + [cluster.op_deadline]
+
+
+@BOTH
+def test_a_coordinator_off_the_homes_keeps_its_own_hint(cluster_cls):
+    """Sloppy quorum with every home cut off: the first stand-in on the
+    ring is the coordinator itself, which holds that hint and counts its
+    own ack in-process, then hands the hint off once the home is back."""
+    tracer = Tracer()
+    sim = Simulator(seed=3, tracer=tracer)
+    net = Network(sim, latency=FixedLatency(2.0))
+    cluster = cluster_cls(sim, net, nodes=6, n=3, r=2, w=2, sloppy=True,
+                          hint_interval=30.0)
+    homes = cluster.ring.preference_list("k", cluster.n)
+    stand_ins = cluster.ring.fallbacks("k", exclude=set(homes))
+    coordinator = cluster.node(stand_ins[0])
+    client = cluster.connect(coordinator=coordinator.node_id)
+    net.partition([client.node_id, *stand_ins])
+    out = run_script(sim, client, try_put)
+    assert out["result"] == "ok"
+    first_home = sorted(homes, key=str)[0]
+    assert list(coordinator.hints) == [first_home]
+    assert loopback_sends(tracer) == []
+    net.heal()
+    sim.run(until=sim.now + 200.0)
+    assert held(cluster, first_home, "k") == shown(cluster, "v")
+    assert coordinator.hints == {}
+
+
+# ---------------------------------------------------------------------------
 # LWW stamps: a total order, so histories have dense versions
 # ---------------------------------------------------------------------------
 
