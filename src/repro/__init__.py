@@ -6,20 +6,17 @@ and replication mechanisms into running code:
 
 * :mod:`repro.sim` — deterministic discrete-event simulator, lossy
   partitionable network, WAN topologies, generator-based clients.
-* :mod:`repro.clocks` — Lamport / vector / version-vector / dotted /
-  hybrid logical clocks.
-* :mod:`repro.storage` — the multi-version store behind snapshot
-  isolation (replicas hold their own stores, see
-  :mod:`repro.replication`).
+* :mod:`repro.clocks` — Lamport / vector / version-vector / dotted
+  clocks.
 * :mod:`repro.crdt` — state-, op- and delta-based CRDTs.
 * :mod:`repro.replication` — primary–backup, Dynamo quorums, gossip
-  anti-entropy with Merkle trees, Paxos/Multi-Paxos, PNUTS timelines,
+  anti-entropy with Merkle trees, Multi-Paxos, PNUTS timelines,
   chain replication.
 * :mod:`repro.client` — session guarantees as a client library.
 * :mod:`repro.checkers` — linearizability / sequential / causal /
   session / staleness / convergence checkers over recorded histories.
 * :mod:`repro.sla` — Pileus-style consistency SLAs.
-* :mod:`repro.txn` — 2PL+2PC, snapshot isolation, RedBlue, escrow.
+* :mod:`repro.txn` — RedBlue and escrow.
 * :mod:`repro.workload`, :mod:`repro.analysis` — generators, metrics,
   and the PBS staleness model.
 
@@ -57,7 +54,6 @@ from . import (
     sharding,
     sim,
     sla,
-    storage,
     txn,
     workload,
 )
@@ -75,7 +71,6 @@ __all__ = [
     "rpc",
     "sim",
     "clocks",
-    "storage",
     "crdt",
     "histories",
     "checkers",

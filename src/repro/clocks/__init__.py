@@ -6,11 +6,9 @@
 * :class:`DottedValueSet` — dotted version vectors (Riak-style sibling
   management without sibling explosion): the one sibling set, under
   the quorum store and ``MVRegister`` alike.
-* :class:`HybridLogicalClock` — physical-time-flavored causal stamps.
 """
 
 from .dvv import Dot, DottedValueSet, DottedVersion
-from .hlc import HLCStamp, HybridLogicalClock
 from .lamport import LamportClock, LamportStamp
 from .vector import EMPTY_CLOCK, Ordering, VectorClock
 
@@ -23,6 +21,4 @@ __all__ = [
     "Dot",
     "DottedVersion",
     "DottedValueSet",
-    "HLCStamp",
-    "HybridLogicalClock",
 ]

@@ -3,7 +3,7 @@
 State-based: :class:`GCounter`, :class:`PNCounter`,
 :class:`LWWRegister`, :class:`MVRegister`, :class:`GSet`,
 :class:`TwoPSet`, :class:`ORSet`, :class:`LWWElementSet`,
-:class:`LWWMap`, :class:`ORMap`, :class:`RGA`.
+:class:`RGA`.
 
 Op-based (with causal delivery): :class:`OpCounter`, :class:`OpORSet`,
 :class:`CausalBuffer`.
@@ -15,7 +15,6 @@ joins with the same ``merge`` as a full one.
 
 from .base import StateCRDT
 from .counters import GCounter, PNCounter
-from .maps import LWWMap, ORMap
 from .opbased import CausalBuffer, OpCounter, OpEnvelope, OpORSet
 from .registers import LWWRegister, MVRegister
 from .rga import RGA, RGANode
@@ -31,8 +30,6 @@ __all__ = [
     "TwoPSet",
     "ORSet",
     "LWWElementSet",
-    "LWWMap",
-    "ORMap",
     "RGA",
     "RGANode",
     "OpCounter",

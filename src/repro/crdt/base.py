@@ -65,9 +65,8 @@ class StateCRDT(abc.ABC):
         """An uninitialized instance of our exact class, replica id set.
 
         Per-type ``copy`` implementations fill in their own fields;
-        ``__init__`` is deliberately skipped so factory-style
-        constructors (e.g. :class:`~repro.crdt.maps.ORMap`) don't need
-        their build arguments replayed.
+        ``__init__`` is deliberately skipped so a copy never replays
+        constructor arguments or builds fields it will overwrite.
         """
         clone = object.__new__(type(self))
         clone.replica_id = self.replica_id

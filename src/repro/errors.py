@@ -3,7 +3,7 @@
 Every exception raised by this package derives from :class:`ReproError`
 so callers can catch library failures with a single ``except`` clause
 while still distinguishing simulator misuse from protocol-level outcomes
-(timeouts, unavailability, transaction aborts).
+(timeouts, unavailability, invariant violations).
 """
 
 from __future__ import annotations
@@ -52,14 +52,6 @@ class QuorumError(UnavailableError):
     """A read or write quorum could not be assembled."""
 
 
-class TransactionAborted(ReproError):
-    """A transaction was aborted (deadlock, conflict, or invariant)."""
-
-    def __init__(self, reason: str = "aborted") -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
 class InvariantViolation(ReproError):
     """An application invariant (e.g. non-negative balance) would be
     violated by the requested operation."""
@@ -75,7 +67,3 @@ class ConsistencyViolation(ReproError):
 
 class NotLeaderError(ReproError):
     """A request requiring the leader/master was sent to a non-leader."""
-
-
-class StorageError(ReproError):
-    """Invalid use of a storage engine (missing key where required)."""

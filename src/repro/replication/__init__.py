@@ -13,7 +13,6 @@
 * :class:`TimelineCluster` — PNUTS per-record mastership.
 * :class:`CausalCluster` — COPS-style causal broadcast KV.
 * :class:`ChainCluster` — chain replication.
-* :class:`Proposer`/:class:`Acceptor` — single-decree Paxos.
 
 The five single-group networked protocols (primary–backup, chain,
 timeline, causal, Multi-Paxos) differ only in mechanism: each writes
@@ -48,7 +47,6 @@ from .multipaxos import (
     PaxosReplica,
     PutCmd,
 )
-from .paxos import Acceptor, Ballot, Proposer
 from .primary_backup import PBClient, PBReplica, PrimaryBackupCluster
 from .quorum import (
     DynamoClient,
@@ -89,9 +87,6 @@ __all__ = [
     "build_tree",
     "differing_leaves",
     "keys_in_buckets",
-    "Proposer",
-    "Acceptor",
-    "Ballot",
     "MultiPaxosCluster",
     "PaxosClient",
     "PaxosReplica",

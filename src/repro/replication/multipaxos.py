@@ -21,7 +21,11 @@ from typing import Any, Hashable
 from ..errors import NotLeaderError
 from ..sim import Future, Network, Simulator
 from .common import RecordingClient, ReplicaGroup, ServerNode
-from .paxos import NO_BALLOT, Ballot
+
+# Ballots are ``(round, proposer_id)`` tuples, totally ordered.
+Ballot = tuple[int, str]
+
+NO_BALLOT: Ballot = (0, "")
 
 
 # -- commands -----------------------------------------------------------------
@@ -137,7 +141,9 @@ class PaxosReplica(ServerNode):
         # with both empty.
         self._accept_votes: dict[int, set] = {}   # slot -> acceptor ids
         self._proposals: dict[int, Any] = {}
-        self._slot_futures: dict[int, Future] = {}
+        # slot -> (the command this node proposed there, its client's
+        # future); the future resolves only if that command commits.
+        self._slot_futures: dict[int, tuple[Any, Future]] = {}
         self._promises: list[tuple[Hashable, MPPromise]] = []
         self._preparing = False
         self._catching_up = False
@@ -281,9 +287,17 @@ class PaxosReplica(ServerNode):
             command = self.committed[slot]
             result = self._apply(command)
             self.applied_through = slot
-            future = self._slot_futures.pop(slot, None)
-            if future is not None and not future.done:
+            proposed, future = self._slot_futures.pop(slot, (None, None))
+            if future is None or future.done:
+                continue
+            # Another leader's command won the slot: this node's client
+            # was never logged.  Commands travel by reference, so
+            # identity says whose command it is.
+            if command is proposed:
                 future.resolve(result)
+            else:
+                future.fail(NotLeaderError(
+                    f"{self.node_id!r} lost slot {slot} to another leader"))
 
     def _apply(self, command: Any) -> Any:
         if isinstance(command, PutCmd):
@@ -303,7 +317,7 @@ class PaxosReplica(ServerNode):
         slot = self.next_slot
         self.next_slot += 1
         future = Future(self.sim, label=f"slot#{slot}")
-        self._slot_futures[slot] = future
+        self._slot_futures[slot] = (payload.command, future)
         self._propose_in_slot(slot, payload.command)
         return future
 

@@ -72,7 +72,7 @@ class Node:
 
     #: Offset of this node's physical clock from simulated true time
     #: (ms).  Injected by the chaos nemesis's ``clock_skew`` fault;
-    #: anything deriving wall-clock-flavored timestamps (HLCs, LWW
+    #: anything deriving wall-clock-flavored timestamps (LWW
     #: arbitration) should read :meth:`local_time`, never ``sim.now``.
     clock_offset: float = 0.0
 

@@ -1,9 +1,5 @@
 """Transaction-side relaxations of one-copy serializability.
 
-* :class:`LockManager` + :class:`TwoPhaseCoordinator` — the classical
-  strict-2PL + 2PC baseline.
-* :class:`SnapshotStore` — snapshot isolation and an SSI-style
-  serializable mode.
 * :class:`RedBlueBank` — RedBlue consistency (blue = commutative local
   ops, red = globally serialized ops).
 * :class:`EscrowCounter` — escrow transactions for bounded counters,
@@ -16,26 +12,9 @@ from .escrow import (
     EscrowCounter,
     EscrowSite,
 )
-from .locks import LockManager, LockMode
 from .redblue import RedBlueBank, RedBlueSite, RedCoordinator
-from .snapshot import SnapshotStore, SnapshotTransaction, TxnStatus
-from .two_phase import (
-    Partition,
-    Transaction,
-    TwoPhaseCoordinator,
-    make_partitioned_store,
-)
 
 __all__ = [
-    "LockManager",
-    "LockMode",
-    "Partition",
-    "Transaction",
-    "TwoPhaseCoordinator",
-    "make_partitioned_store",
-    "SnapshotStore",
-    "SnapshotTransaction",
-    "TxnStatus",
     "RedBlueBank",
     "RedBlueSite",
     "RedCoordinator",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.clocks import (
     DottedValueSet,
-    HybridLogicalClock,
     LamportClock,
     LamportStamp,
     Ordering,
@@ -212,44 +211,3 @@ def test_dvv_blind_writes_legitimately_accumulate():
         s = s.put("r1", i, VectorClock())
     assert len(s.values()) == 5
 
-
-# ----------------------------------------------------------------------
-# Hybrid logical clocks
-# ----------------------------------------------------------------------
-
-def test_hlc_tracks_physical_time_when_it_advances():
-    t = {"now": 0.0}
-    clock = HybridLogicalClock("n", lambda: t["now"])
-    t["now"] = 5.0
-    s1 = clock.now()
-    assert (s1.physical, s1.logical) == (5.0, 0)
-    t["now"] = 9.0
-    s2 = clock.now()
-    assert (s2.physical, s2.logical) == (9.0, 0)
-    assert s1 < s2
-
-
-def test_hlc_logical_component_breaks_same_instant():
-    clock = HybridLogicalClock("n", lambda: 3.0)
-    s1, s2 = clock.now(), clock.now()
-    assert s1.physical == s2.physical == 3.0
-    assert s2.logical == s1.logical + 1
-    assert s1 < s2
-
-
-def test_hlc_observe_respects_happened_before_despite_skew():
-    fast = HybridLogicalClock("fast", lambda: 100.0)
-    slow = HybridLogicalClock("slow", lambda: 1.0)  # 99ms behind
-    sent = fast.now()
-    received = slow.observe(sent)
-    assert received > sent  # causality preserved despite slow's clock
-    assert slow.drift > 0
-
-
-def test_hlc_observe_stale_stamp_just_ticks():
-    clock = HybridLogicalClock("n", lambda: 50.0)
-    current = clock.now()
-    stale = HybridLogicalClock("old", lambda: 1.0).now()
-    received = clock.observe(stale)
-    assert received > current
-    assert received.physical == 50.0

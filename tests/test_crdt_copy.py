@@ -13,10 +13,8 @@ from repro.crdt import (
     GCounter,
     GSet,
     LWWElementSet,
-    LWWMap,
     LWWRegister,
     MVRegister,
-    ORMap,
     ORSet,
     PNCounter,
     RGA,
@@ -125,28 +123,6 @@ def test_mv_register_copy_independent_siblings():
     assert b.values == ["z"]
 
 
-def test_lww_map_copy_independent():
-    a = LWWMap("a")
-    a.put("k", 1)
-    b = a.copy()
-    b.put("k", 2)
-    b.delete("k2")
-    assert a.get("k") == 1
-    assert b.get("k") == 2
-
-
-def test_ormap_copy_deep_copies_value_crdts():
-    a = ORMap("a", GCounter)
-    a.update("k", lambda c: c.increment(5))
-    b = a.copy()
-    assert b.value == {"k": 5}
-    b.update("k", lambda c: c.increment(1))
-    assert a.value == {"k": 5}
-    assert b.value == {"k": 6}
-    b.remove("k")
-    assert "k" in a
-
-
 def test_rga_copy_independent():
     a = RGA("a")
     a.append("h")
@@ -196,11 +172,11 @@ def test_delta_orset_copy_carries_pending_delta():
     lambda: LWWElementSet("r"),
     lambda: LWWRegister("r"),
     lambda: MVRegister("r"),
-    lambda: LWWMap("r"),
-    lambda: ORMap("r", GCounter),
+    lambda: LWWElementSet("r", bias="remove"),
+    lambda: GCounter(("dc", 1)),            # a non-string replica id
     lambda: RGA("r"),
     lambda: ORSet("r").remove("ghost"),     # the empty delta
-    lambda: ORMap("r", ORSet),
+    lambda: ORSet(("dc", 1)),
 ])
 def test_copy_of_empty_instance_matches(factory):
     original = factory()

@@ -37,10 +37,8 @@ from repro.crdt import (
     GCounter,
     GSet,
     LWWElementSet,
-    LWWMap,
     LWWRegister,
     MVRegister,
-    ORMap,
     ORSet,
     PNCounter,
     TwoPSet,
@@ -71,24 +69,6 @@ def _apply_set(crdt, op):
     return crdt.remove(element)
 
 
-def _apply_lww_map(crdt, op):
-    kind, arg = op
-    key = f"k{arg % 4}"
-    if kind == 0:
-        crdt.put(key, arg)
-    else:
-        crdt.delete(key)
-
-
-def _apply_ormap(crdt, op):
-    kind, arg = op
-    key = f"k{arg % 4}"
-    if kind == 0:
-        crdt.update(key, lambda c: c.increment(arg % 3 + 1))
-    else:
-        crdt.remove(key)
-
-
 def _apply_rga(crdt, op):
     kind, arg = op
     if kind == 0 or len(crdt) == 0:
@@ -106,8 +86,6 @@ CRDT_SPECS = {
     "TwoPSet": (TwoPSet, _apply_set),
     "ORSet": (ORSet, _apply_set),
     "LWWElementSet": (LWWElementSet, _apply_set),
-    "LWWMap": (LWWMap, _apply_lww_map),
-    "ORMap": (lambda r: ORMap(r, PNCounter), _apply_ormap),
     "RGA": (RGA, _apply_rga),
 }
 #: Types whose mutators return deltas get a second row, ``Delta<Type>``:
@@ -121,8 +99,6 @@ def observed(crdt):
     value = crdt.value
     if isinstance(value, list):
         return tuple(value)
-    if isinstance(value, dict):
-        return tuple(sorted(value.items(), key=lambda kv: repr(kv)))
     return value
 
 

@@ -7,10 +7,8 @@ from repro.crdt import (
     GCounter,
     GSet,
     LWWElementSet,
-    LWWMap,
     LWWRegister,
     MVRegister,
-    ORMap,
     ORSet,
     PNCounter,
     TwoPSet,
@@ -227,10 +225,9 @@ def test_orset_counter_survives_merge_of_own_tags():
 
 @pytest.mark.xfail(strict=True, reason=(
     "ORSet.add does `dots | single`: an element re-added N times without a "
-    "remove holds N live dots and every add copies them (every ORMap.update "
-    "re-adds its key).  Almeida's add replaces the element's dots and puts "
-    "them in the delta's context — not state- or delta-identical, E6c moves: "
-    "ROADMAP item 5, pinned in PR 23."
+    "remove holds N live dots and every add copies them.  Almeida's add "
+    "replaces the element's dots and puts them in the delta's context — not "
+    "state- or delta-identical, E6c moves: ROADMAP item 5."
 ))
 def test_readd_keeps_one_live_dot():
     a = ORSet("a")
@@ -272,97 +269,6 @@ def test_lww_element_set_converges():
     x.merge(y.copy())
     y.merge(x.copy())
     assert x.value == y.value
-
-
-# ----------------------------------------------------------------------
-# Maps
-# ----------------------------------------------------------------------
-
-def test_lww_map_put_get_delete():
-    m = LWWMap("a")
-    m.put("k", 1)
-    assert m.get("k") == 1 and "k" in m
-    m.delete("k")
-    assert m.get("k") is None and "k" not in m
-    assert m.get("k", "default") == "default"
-
-
-def test_lww_map_merge_per_key():
-    a, b = LWWMap("a"), LWWMap("b")
-    a.put("x", 1)
-    b.put("y", 2)
-    a.merge(b)
-    b.merge(a)
-    assert a.value == b.value == {"x": 1, "y": 2}
-    assert len(a) == 2 and set(a) == {"x", "y"}
-
-
-def test_lww_map_delete_vs_concurrent_put_converges():
-    a, b = LWWMap("a"), LWWMap("b")
-    a.put("k", "old")
-    b.merge(a.copy())
-    b.delete("k")
-    a.put("k", "new")
-    a.merge(b.copy())
-    b.merge(a.copy())
-    assert a.value == b.value
-
-
-def test_ormap_counter_values_merge():
-    a = ORMap("a", PNCounter)
-    b = ORMap("b", PNCounter)
-    a.update("hits", lambda c: c.increment(3))
-    b.update("hits", lambda c: c.increment(4))
-    a.merge(b)
-    b.merge(a)
-    assert a.value == b.value == {"hits": 7}
-
-
-def test_ormap_remove_key():
-    a = ORMap("a", PNCounter)
-    a.update("k", lambda c: c.increment())
-    a.remove("k")
-    assert "k" not in a
-    assert a.value == {}
-
-
-def test_ormap_concurrent_update_keeps_key_alive():
-    a = ORMap("a", PNCounter)
-    b = ORMap("b", PNCounter)
-    a.update("k", lambda c: c.increment(2))
-    b.merge(a.copy())
-    b.remove("k")
-    a.update("k", lambda c: c.increment(5))  # concurrent with remove
-    a.merge(b)
-    b.merge(a.copy())
-    assert "k" in a and "k" in b
-    assert a.value == b.value == {"k": 7}
-
-
-def test_ormap_no_increment_regression_after_remove_update_cycle():
-    # Regression guard for the reset trap: remove, update again, and
-    # merge with a replica holding the old state must not lose the new
-    # increment.
-    a = ORMap("a", PNCounter)
-    a.update("k", lambda c: c.increment(3))
-    b = ORMap("b", PNCounter)
-    b.merge(a.copy())           # b holds a's old contribution (3)
-    a.remove("k")
-    a.update("k", lambda c: c.increment(1))  # a's entry must exceed 3+1
-    a.merge(b)
-    b.merge(a.copy())
-    assert a.value == b.value == {"k": 4}
-
-
-def test_ormap_nested_orset_values():
-    a = ORMap("a", ORSet)
-    a.update("tags", lambda s: s.add("red"))
-    b = ORMap("b", ORSet)
-    b.update("tags", lambda s: s.add("blue"))
-    a.merge(b)
-    assert a.value == {"tags": frozenset({"red", "blue"})}
-    assert a.get("tags") is not None
-    assert a.get("missing") is None
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,10 @@ user that is itself an orphan does not count.  Tests are not users, and
 neither is ``repro selftest``'s import-everything loop (it goes through
 ``importlib``, which an AST scan does not see — on purpose).
 
-The known orphans are listed below, each with the ROADMAP item that
-decides it.  The test fails when a new orphan appears **and** when a
-listed one gains a user or disappears, so the list can only shrink.
+Known orphans would be listed below, each with the ROADMAP item that
+decides it; the list is empty and should stay so.  The test fails when
+a new orphan appears **and** when a listed one gains a user or
+disappears, so the list can only shrink.
 """
 
 import ast
@@ -23,14 +24,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 USER_DIRS = ("src", "benchmarks", "examples", "bench")
 
-KNOWN_ORPHANS = {
-    "repro.txn.two_phase": "ROADMAP item 4: wire the transaction layer in, or delete it",
-    "repro.txn.snapshot": "ROADMAP item 4",
-    "repro.txn.locks": "ROADMAP item 4 (only two_phase imports it)",
-    "repro.storage.mvstore": "ROADMAP item 4 (only txn/snapshot imports it)",
-    "repro.clocks.hlc": "ROADMAP item 5: the last duplicates",
-    "repro.crdt.maps": "ROADMAP item 5: the last duplicates",
-}
+KNOWN_ORPHANS: dict[str, str] = {}
 
 
 def _module_name(path):

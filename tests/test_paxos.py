@@ -1,4 +1,4 @@
-"""Tests for single-decree Paxos and the Multi-Paxos KV cluster."""
+"""Tests for the Multi-Paxos KV cluster."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.checkers import check_convergence, check_linearizability
 from repro.errors import NotLeaderError, TimeoutError as ReproTimeoutError
-from repro.replication import Acceptor, MultiPaxosCluster, Proposer
+from repro.replication import MultiPaxosCluster
 from repro.replication.multipaxos import (
     CatchupReply,
     CatchupRequest,
@@ -21,101 +21,6 @@ from repro.sim import (
     Tracer,
     spawn,
 )
-
-
-# ----------------------------------------------------------------------
-# Single-decree Paxos
-# ----------------------------------------------------------------------
-
-def make_synod(n_acceptors=3, n_proposers=1, seed=0, latency=None):
-    sim = Simulator(seed=seed)
-    net = Network(sim, latency=latency or FixedLatency(2.0))
-    acceptor_ids = [f"acc{i}" for i in range(n_acceptors)]
-    acceptors = [Acceptor(sim, net, a) for a in acceptor_ids]
-    decided = []
-    proposers = [
-        Proposer(
-            sim, net, f"prop{i}", acceptor_ids,
-            on_decided=lambda v, i=i: decided.append((i, v)),
-        )
-        for i in range(n_proposers)
-    ]
-    return sim, net, acceptors, proposers, decided
-
-
-def test_single_proposer_decides_its_value():
-    sim, _net, _acceptors, proposers, decided = make_synod()
-    proposers[0].propose("alpha")
-    sim.run()
-    assert decided == [(0, "alpha")]
-    assert proposers[0].decided_value == "alpha"
-
-
-def test_decision_survives_minority_acceptor_crash():
-    sim, _net, acceptors, proposers, decided = make_synod(n_acceptors=5)
-    acceptors[0].crash()
-    acceptors[1].crash()
-    proposers[0].propose("beta")
-    sim.run()
-    assert decided == [(0, "beta")]
-
-
-def test_no_decision_without_majority():
-    sim, _net, acceptors, proposers, decided = make_synod(n_acceptors=3)
-    acceptors[0].crash()
-    acceptors[1].crash()
-    proposers[0].propose("gamma")
-    sim.run(until=10_000.0)
-    assert decided == []
-
-
-def test_dueling_proposers_agree_on_one_value():
-    sim, _net, _acceptors, proposers, decided = make_synod(
-        n_proposers=2, seed=3, latency=ExponentialLatency(base=1.0, mean=3.0),
-    )
-    proposers[0].propose("left")
-    proposers[1].propose("right")
-    sim.run()
-    values = {value for _proposer, value in decided}
-    assert len(values) == 1
-    assert values.pop() in ("left", "right")
-
-
-@pytest.mark.parametrize("seed", [1, 2, 5, 8, 13])
-def test_safety_across_seeds_with_three_proposers(seed):
-    sim, _net, _acceptors, proposers, decided = make_synod(
-        n_acceptors=5, n_proposers=3, seed=seed,
-        latency=ExponentialLatency(base=0.5, mean=4.0),
-    )
-    for index, proposer in enumerate(proposers):
-        sim.schedule(index * 1.0, proposer.propose, f"value-{index}")
-    sim.run()
-    assert len({value for _p, value in decided}) == 1
-
-
-def test_late_proposer_adopts_chosen_value():
-    sim, _net, _acceptors, proposers, decided = make_synod(n_proposers=2)
-    proposers[0].propose("first")
-    sim.run()
-    # Now a second proposer arrives with its own value; it must learn
-    # and re-propose "first", not override it.
-    proposers[1].propose("second")
-    sim.run()
-    values = {value for _p, value in decided}
-    assert values == {"first"}
-
-
-def test_acceptor_crash_recovery_keeps_promises():
-    sim, _net, acceptors, proposers, decided = make_synod()
-    proposers[0].propose("durable")
-    sim.run()
-    acceptor = acceptors[0]
-    promised_before = acceptor.promised
-    accepted_before = acceptor.accepted_value
-    acceptor.crash()
-    acceptor.recover()
-    assert acceptor.promised == promised_before
-    assert acceptor.accepted_value == accepted_before
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +214,67 @@ def test_uncommitted_writes_recovered_or_dropped_safely():
     spawn(sim, script2())
     sim.run()
     assert out["read"] == ("after", out["v"])
+
+
+# ----------------------------------------------------------------------
+# Leader churn: a new election every 7 ms while clients write and read
+# ----------------------------------------------------------------------
+
+def churn(seed):
+    """Three clients each run 30 put+get pairs over 4 keys on 5 replicas
+    while ``elect`` starts at a random replica every 7 ms, 39 times.
+    Returns the cluster, caught up, and the puts acknowledged."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, latency=ExponentialLatency(base=0.5, mean=4.0))
+    cluster = MultiPaxosCluster(sim, net, nodes=5)
+    cluster.elect()
+    sim.run()
+    acked = []
+
+    def client_loop(index):
+        client = cluster.connect()
+        for n in range(30):
+            key, value = f"k{n % 4}", f"c{index}-{n}"
+            try:
+                yield client.put(key, value, timeout=50.0)
+                acked.append(PutCmd(key, value))
+            except (NotLeaderError, ReproTimeoutError):
+                pass
+            try:
+                yield client.get(key, timeout=50.0)
+            except (NotLeaderError, ReproTimeoutError):
+                pass
+
+    def elect_often():
+        for _ in range(39):
+            yield 7.0
+            cluster.elect(cluster.replicas[sim.rng.randrange(5)])
+
+    for index in range(3):
+        spawn(sim, client_loop(index))
+    spawn(sim, elect_often())
+    sim.run()
+    cluster.catch_up()
+    return cluster, acked
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_leader_churn_loses_no_ack_and_replicas_agree(seed):
+    # Regression: a deposed leader kept its slot futures and resolved
+    # each with whatever command won the slot — another leader's.  A put
+    # was acked that no log holds, and a get was handed a put's version
+    # (its extract raised TypeError inside sim.run).
+    cluster, acked = churn(seed)
+    logged = [command for replica in cluster.replicas
+              for command in replica.committed.values()]
+    assert [put for put in acked if put not in logged] == []
+    # Safety under dueling leaders: one command per slot everywhere.
+    slots = set().union(*(replica.committed for replica in cluster.replicas))
+    for slot in slots:
+        held = [replica.committed[slot] for replica in cluster.replicas
+                if slot in replica.committed]
+        assert all(command == held[0] for command in held), slot
+    assert check_convergence(cluster.snapshots()).ok
 
 
 # ----------------------------------------------------------------------

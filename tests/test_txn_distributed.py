@@ -1,160 +1,15 @@
-"""Tests for 2PL+2PC, RedBlue, and escrow on the simulator."""
+"""Tests for RedBlue and escrow on the simulator."""
 
 import pytest
 
-from repro.errors import InvariantViolation, TransactionAborted
+from repro.errors import InvariantViolation
 from repro.sim import FixedLatency, Network, Simulator, spawn
 from repro.txn import (
     CentralCounterClient,
     CentralCounterServer,
     EscrowCounter,
     RedBlueBank,
-    TwoPhaseCoordinator,
-    make_partitioned_store,
 )
-
-
-# ----------------------------------------------------------------------
-# 2PL + 2PC
-# ----------------------------------------------------------------------
-
-def make_2pc(seed=0, latency=5.0, partitions=3, lock_timeout=200.0):
-    sim = Simulator(seed=seed)
-    net = Network(sim, latency=FixedLatency(latency))
-    parts = make_partitioned_store(sim, net, partitions=partitions,
-                                   lock_timeout=lock_timeout)
-    coordinator = TwoPhaseCoordinator(sim, net, "coord", parts)
-    return sim, net, parts, coordinator
-
-
-def test_transaction_read_write_commit():
-    sim, _net, parts, coord = make_2pc()
-    out = {}
-
-    def body(txn):
-        yield txn.write("a", 10)
-        yield txn.write("b", 20)
-        value = yield txn.read("a")
-        out["read_own"] = value
-        return "done"
-
-    result = coord.run(body)
-    sim.run()
-    assert result.value == "done"
-    assert out["read_own"] == 10
-    merged = {}
-    for part in parts:
-        merged.update(part.data)
-    assert merged == {"a": 10, "b": 20}
-    assert coord.commits == 1
-
-
-def test_uncommitted_writes_invisible():
-    sim, _net, parts, coord = make_2pc()
-    started = {}
-
-    def slow_writer(txn):
-        yield txn.write("x", "dirty")
-        started["locked"] = True
-        yield 500.0  # hold the lock; commit later
-        return True
-
-    result = coord.run(slow_writer)
-    sim.run(until=100.0)
-    assert started.get("locked")
-    for part in parts:
-        assert "x" not in part.data  # nothing installed before commit
-    sim.run()
-    assert result.value is True
-
-
-def test_conflicting_transactions_serialize():
-    sim, _net, parts, coord = make_2pc()
-    order = []
-
-    def incr(txn, tag):
-        value = yield txn.read("counter")
-        yield 10.0  # think time while holding the S lock... upgrade next
-        yield txn.write("counter", (value or 0) + 1)
-        order.append(tag)
-        return True
-
-    r1 = coord.run(lambda t: incr(t, "t1"))
-    r2 = coord.run(lambda t: incr(t, "t2"))
-    sim.run()
-    results = [r1, r2]
-    committed = [r for r in results if r.done and r.error is None]
-    aborted = [r for r in results if r.done and r.error is not None]
-    # Either both serialized (lost-update prevented: counter == 2) or
-    # the upgrade deadlock killed one (counter == 1, one abort).
-    part = coord.partition_of("counter")
-    value = next(p for p in parts if p.node_id == part).data.get("counter")
-    if len(committed) == 2:
-        assert value == 2
-    else:
-        assert len(aborted) == 1
-        assert isinstance(aborted[0].error, TransactionAborted)
-        assert value == 1
-
-
-def test_cross_partition_atomic_commit():
-    sim, _net, parts, coord = make_2pc(partitions=4)
-
-    def transfer(txn):
-        yield txn.write("alpha", 50)
-        yield txn.write("beta", 150)
-        return True
-
-    result = coord.run(transfer)
-    sim.run()
-    assert result.value is True
-    merged = {}
-    for part in parts:
-        merged.update(part.data)
-    assert merged == {"alpha": 50, "beta": 150}
-    # The two keys genuinely live on different partitions.
-    assert coord.partition_of("alpha") != coord.partition_of("beta")
-
-
-def test_abort_releases_locks_and_discards_writes():
-    sim, _net, parts, coord = make_2pc()
-
-    def failing(txn):
-        yield txn.write("k", "ghost")
-        raise TransactionAborted("application rollback")
-
-    result = coord.run(failing)
-    sim.run()
-    assert isinstance(result.error, TransactionAborted)
-    assert coord.aborts == 1
-    for part in parts:
-        assert "k" not in part.data
-
-    def retry(txn):
-        yield txn.write("k", "real")
-        return True
-
-    result2 = coord.run(retry)
-    sim.run()
-    assert result2.value is True
-
-
-def test_lock_wait_timeout_breaks_stalemate():
-    sim, _net, parts, coord = make_2pc(lock_timeout=100.0)
-
-    def holder(txn):
-        yield txn.write("hot", 1)
-        yield 10_000.0
-        return True
-
-    def contender(txn):
-        yield txn.write("hot", 2)
-        return True
-
-    coord.run(holder)
-    result = coord.run(contender)
-    sim.run(until=5_000.0)
-    assert isinstance(result.error, TransactionAborted)
 
 
 # ----------------------------------------------------------------------
@@ -415,87 +270,3 @@ def test_central_baseline_pays_rtt_every_time():
     assert timing["overdraft"] == "rejected"
     assert server.headroom == 90.0
 
-
-# ----------------------------------------------------------------------
-# 2PC under faults
-# ----------------------------------------------------------------------
-
-def test_2pc_partition_during_body_times_out_and_aborts():
-    sim, net, parts, coord = make_2pc(lock_timeout=100.0)
-    out = {}
-
-    def body(txn):
-        yield txn.write("alpha", 1)
-        # Partition the coordinator away from everything mid-txn.
-        net.partition([coord.node_id])
-        try:
-            yield txn.write("beta", 2)
-            out["r"] = "wrote"
-        except TransactionAborted:
-            out["r"] = "aborted"
-            raise
-
-    # The write to the unreachable partition never acks; there is no
-    # client-level timeout on lock requests, so emulate one by healing
-    # after a while and letting the lock-wait timeout fire server-side.
-    result = coord.run(body)
-    sim.run(until=2_000.0)
-    net.heal()
-    sim.run()
-    # Either the lock request died server-side (timeout -> abort) or
-    # it completed after healing; in both cases the system is not
-    # wedged and data is consistent with the outcome.
-    merged = {}
-    for part in parts:
-        merged.update(part.data)
-    if result.done and result.error is None:
-        assert merged.get("alpha") == 1 and merged.get("beta") == 2
-    else:
-        assert "beta" not in merged
-
-
-def test_2pc_participant_crash_before_prepare_blocks_commit():
-    sim, _net, parts, coord = make_2pc()
-    victim_key = "alpha"
-    victim = next(
-        p for p in parts if p.node_id == coord.partition_of(victim_key)
-    )
-
-    def body(txn):
-        yield txn.write(victim_key, 1)
-        victim.crash()
-        return True
-
-    result = coord.run(body)
-    sim.run(until=3_000.0)
-    # Prepare can never be acknowledged: the transaction must not have
-    # installed anything anywhere.
-    assert not (result.done and result.error is None)
-    for part in parts:
-        assert victim_key not in part.data
-
-
-def test_2pc_sequential_transactions_reuse_partitions_cleanly():
-    sim, _net, parts, coord = make_2pc()
-    results = []
-
-    def make_body(i):
-        def body(txn):
-            value = yield txn.read("counter")
-            yield txn.write("counter", (value or 0) + 1)
-            return True
-        return body
-
-    def driver():
-        for i in range(5):
-            outcome = coord.run(make_body(i))
-            yield outcome
-            results.append(outcome.value)
-
-    from repro.sim import spawn as _spawn
-    _spawn(sim, driver())
-    sim.run()
-    assert results == [True] * 5
-    part = next(p for p in parts if p.node_id == coord.partition_of("counter"))
-    assert part.data["counter"] == 5
-    assert coord.commits == 5
