@@ -27,9 +27,10 @@ Six families of checks guard the raw-speed machinery:
   has ``src == dst``.
 * **Fingerprint cost** — ``HashingTracer`` builds almost no
   ``TraceEvent``, encodes almost nothing through ``json.dumps`` and
-  feeds SHA-256 in batches, and its caches grow with the distinct
-  strings traced, not with the records.  Counts, not timings: timing
-  gates flake on a shared host, counts do not.
+  feeds SHA-256 in batches, takes ``round`` for almost no tick's time
+  text, and its caches grow with the distinct strings traced, not with
+  the records.  Counts, not timings: timing gates flake on a shared
+  host, counts do not.
 """
 
 import ast
@@ -245,7 +246,9 @@ def test_fingerprint_touches_slow_paths_on_few_records(monkeypatch):
     """On a traced quick ``quorum_ycsb`` run, ``TraceEvent``
     constructions, ``json.dumps`` calls from ``repro.sim.trace`` and
     ``sha256.update`` calls are each at most 5 % of the record count
-    (one of each *per record* is what made the fingerprint cost 3x)."""
+    (one of each *per record* is what made the fingerprint cost 3x), and
+    ``round`` — the time text's fallback from ``%.6f`` — is called for at
+    most 5 % of the ticks (tick 0.0 is one: below 1e-4)."""
     reference = HashingTracer()
     SCENARIOS["quorum_ycsb"].run(42, True, reference)
 
@@ -269,34 +272,44 @@ def test_fingerprint_touches_slow_paths_on_few_records(monkeypatch):
         dumps=counted("json.dumps", json.dumps), loads=json.loads))
     monkeypatch.setattr(trace, "hashlib",
                         types.SimpleNamespace(sha256=CountedSha256))
+    monkeypatch.setattr(trace, "round", counted("round", round), raising=False)
+    monkeypatch.setattr(trace, "_time_text", counted("ticks", trace._time_text))
     tracer = HashingTracer()
     SCENARIOS["quorum_ycsb"].run(42, True, tracer)
 
     # The counting shims are wired in and changed no byte.
     assert tracer.hexdigest() == reference.hexdigest()
-    assert calls["json.dumps"] > 0 and calls["sha256.update"] > 0
+    assert calls["json.dumps"] > 0 and calls["sha256.update"] > 0 and calls["round"] > 0
     # Enough records for the ratios to mean something: ~8,450 since a
     # coordinator stopped messaging itself (a quarter of the messages,
-    # and their events, went; above 10,000 before).
-    assert tracer.count > 8_000
+    # and their events, went; above 10,000 before), over ~2,430 ticks.
+    assert tracer.count > 8_000 and calls["ticks"] > 2_000
     for name in ("TraceEvent", "json.dumps", "sha256.update"):
         assert calls[name] <= 0.05 * tracer.count, (name, calls[name])
+    assert calls["round"] <= 0.05 * calls["ticks"], calls
 
 
 def test_fingerprint_caches_grow_with_distinct_strings_not_records():
-    """Doubling ``quorum_ycsb``'s ops doubles the records and leaves
-    the fragment cache within a few entries (node ids, message types,
-    callback names, annotation values) — keyed by exact strings, never
-    by callables (a per-op closure each) or by record."""
+    """Doubling ``quorum_ycsb``'s ops doubles the records and leaves each
+    cache within a few entries: the fragments (node ids, message types,
+    callback names, annotation values), the ``event_executed`` prefixes
+    (callback names) and the message bodies (links × kinds × types) —
+    keyed by exact strings or tuples of them, never by callables (a per-op
+    closure each), by a non-``str`` equal to one, or by record."""
     traced = []
     for ops in (400, 800):
         tracer = HashingTracer()
         _ycsb(_QUORUM, 500, quick=(ops, 8), full=(ops, 8))(42, True, tracer)
+        caches = (tracer._frags, tracer._prefixes, tracer._bodies)
         assert all(type(key) is str for key in tracer._frags)
-        traced.append((tracer.count, len(tracer._frags)))
-    (records, cached), (more_records, more_cached) = traced
+        assert all(type(key) is str for key in tracer._prefixes)
+        assert all(type(key) is tuple and all(type(part) is str for part in key)
+                   for key in tracer._bodies)
+        traced.append((tracer.count, [len(cache) for cache in caches]))
+    (records, sizes), (more_records, more_sizes) = traced
     assert more_records > 1.9 * records
-    assert cached <= more_cached <= cached + 8 < 100
+    for cached, more_cached, bound in zip(sizes, more_sizes, (100, 20, 1_000)):
+        assert cached <= more_cached <= cached + 8 < bound
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import pathlib
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
@@ -31,7 +33,7 @@ from repro.perf import (
     run_suite,
 )
 from repro.sim import Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, _time_text
 
 
 def test_scenario_registry_names():
@@ -111,10 +113,14 @@ _COLLIDING = [1, True, 1.0, 0, False, 0.0, -0.0]
 #: encode differently, and two that round to the same 6 d.p.
 _TWIN_TIMES = [[0.0, 0], [0, 0.0, -0.0, 0.0], [1.0, True, 1, 1.0],
                [0.1234561, 0.1234564]]
+#: The ``%.6f`` time text's range edges, values that look like halfway
+#: cases at 6 d.p., and short and integral floats.
+_EDGE_TIMES = [1e-4, math.nextafter(1e-4, 0), 1e9, math.nextafter(1e9, 0),
+               999999999.9999996, 0.1234565, 123.4565, 0.0000995, 5.0, 1e8 + 0.5]
 _TIMES = st.one_of(
     st.sampled_from(_TWIN_TIMES),
     st.lists(st.one_of(
-        st.sampled_from([1e22, float("inf"), float("-inf"), float("nan")]),
+        st.sampled_from([1e22, float("inf"), float("-inf"), float("nan")] + _EDGE_TIMES),
         st.floats(min_value=0.0, max_value=1e6),
     ), min_size=1, max_size=1),
 )
@@ -165,7 +171,11 @@ def _dumped_digest(tracer):
 
 @settings(max_examples=100, deadline=None)
 @given(_STEPS)
+@example([([1.0], [("message", "msg_drop", "a", "b", "T", "loss"),
+                   ("message", "msg_drop", "a", "b", "T", None)], 2, False)])
 def test_hashing_tracer_matches_dumped_jsonl_on_any_stream(steps):
+    # The example: a drop's body holds its reason, so it must never be the
+    # cached body a reason-less record on the same link reuses.
     stored, hashing = Tracer(), HashingTracer()
     for times, calls, repeat, digest_now in steps:
         for time, (hook, *args) in itertools.product(times, calls * repeat):
@@ -182,19 +192,40 @@ def test_hashing_tracer_matches_dumped_jsonl_on_any_stream(steps):
     assert hashing.count == len(stored.events)  # ... and after the flush
 
 
-@pytest.mark.parametrize("name", ["quorum_chaos", "multipaxos"])
+def test_time_text_is_repr_of_round_to_6_places():
+    """A line's time text equals ``repr(round(t, 6))`` — what ``to_json``
+    writes — on a seeded sweep of every decade from 1e-6 to 1e10, past
+    each edge of the ``%.6f`` range (further out, both sides only compare
+    the fallback with itself), and on dyadic values, including the exact
+    6-d.p. ties ``15625 * odd / 128`` that both must round half-even."""
+    rng = random.Random(2013)
+    times = itertools.chain(  # generated lazily: 1.8 M floats, never held at once
+        (rng.uniform(10.0 ** exp, 10.0 ** (exp + 1))
+         for exp in range(-6, 10) for _ in range(100_000)),
+        (rng.randrange(1, 2 ** 40) / 2 ** n for n in range(64) for _ in range(2_000)),
+        (15625 * odd / 128 for odd in range(1, 100_000, 2)))
+    assert [t for t in times if _time_text(t) != repr(round(t, 6))] == []
+
+
+@pytest.mark.parametrize("name", ["quorum_chaos", "multipaxos", "openloop_overload",
+                                  "sharded_ring"])
 def test_hashing_tracer_matches_dumped_jsonl_on_real_runs(monkeypatch, name):
     """The same equality on whole runs — drops, crashes and annotations
-    in ``quorum_chaos`` — with the storing half dispatched by ``run()``
-    and the hashing half by a ``step()`` loop, so both hook sites of
-    the simulator are held to it."""
+    in ``quorum_chaos``, 500 sessions' worth of distinct links through the
+    message-body cache in ``openloop_overload`` — with the storing half
+    dispatched by ``run()`` and the hashing half by a ``step()`` loop, so
+    both hook sites of the simulator are held to it."""
     stored, hashing = Tracer(), HashingTracer()
     SCENARIOS[name].run(9, True, stored)
 
     def run_by_stepping(sim, until=None, max_events=None):
-        assert until is None and max_events is None
-        while sim.step(daemons=False):
-            pass
+        assert max_events is None
+        next_time = sim._queue.peek_time  # run(until) steps daemons too
+        while until is None or (next_time() is not None and next_time() <= until):
+            if not sim.step(daemons=until is not None):
+                break
+        if until is not None and sim.now < until:
+            sim.now = until
 
     monkeypatch.setattr(Simulator, "run", run_by_stepping)
     SCENARIOS[name].run(9, True, hashing)

@@ -238,3 +238,19 @@ def test_cli_trace_summarizes(tmp_path, capsys):
 def test_cli_trace_missing_file(capsys):
     assert cli_main(["trace", "/nonexistent/x.jsonl"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_line", [
+    "[1, 2]",                                    # valid JSON, not an object
+    '{"time": null, "kind": "annotation"}',      # a time that is no number
+    '"msg_send"',
+    '{"time": [1], "kind": "annotation"}',
+    '{"time": 1.0, "kind": ',                    # not JSON at all
+    '{"time": ' + "9" * 400 + "}",               # an int no float can hold
+], ids=["array", "null_time", "string", "array_time", "truncated", "huge_int_time"])
+def test_cli_trace_rejects_a_malformed_line_by_number(tmp_path, capsys, bad_line):
+    path = tmp_path / "bad.trace.jsonl"
+    path.write_text('{"time": 1.0, "kind": "annotation"}\n\n' + bad_line + "\n")
+    assert cli_main(["trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read trace" in err and "line 3: " in err
