@@ -64,6 +64,7 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._latencies: dict[str, LatencyStats] = {}
+        self._groups: dict[tuple, dict[str, Counter]] = {}
 
     # -- handles -------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -71,6 +72,15 @@ class MetricsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
+
+    def counter_group(self, prefix: str, names: tuple[str, ...]) -> dict[str, Counter]:
+        """``{name: counter(f"{prefix}.{name}")}``, built once: for a
+        publisher connected many times (a client per session)."""
+        group = self._groups.get((prefix, names))
+        if group is None:
+            group = self._groups[prefix, names] = {
+                name: self.counter(f"{prefix}.{name}") for name in names}
+        return group
 
     def gauge(self, name: str) -> Gauge:
         gauge = self._gauges.get(name)

@@ -130,7 +130,7 @@ class SessionClient:
         self.stats.writes += 1
         handle = self.recorder.begin("write", key, self.session_id)
         inner = self.write_fn(key, value)
-        outer = Future(self.sim, label=f"session-write({key!r})")
+        outer = Future(self.sim, label=("session-write({!r})", key))
 
         def done(future: Future) -> None:
             if future.error is not None:
@@ -150,7 +150,7 @@ class SessionClient:
         self.stats.reads += 1
         floor = self.state.required_version(key, self.guarantees)
         handle = self.recorder.begin("read", key, self.session_id)
-        outer = Future(self.sim, label=f"session-read({key!r})")
+        outer = Future(self.sim, label=("session-read({!r})", key))
 
         def attempt_read(attempt: int):
             if self._accepts_attempt:

@@ -10,14 +10,14 @@ by last-writer-wins registers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Hashable
 
 
-@total_ordering
 @dataclass(frozen=True)
 class LamportStamp:
-    """A (counter, node) pair; totally ordered, counter-major."""
+    """A (counter, node) pair, ordered by ``(counter, str(node))``: ``str``
+    runs on a counter tie only.  ``>``, ``<=``, ``>=`` are ``<`` swapped or
+    negated, never ``==``: ids that differ but print alike tie."""
 
     counter: int
     node: Hashable
@@ -25,7 +25,18 @@ class LamportStamp:
     def __lt__(self, other: "LamportStamp") -> bool:
         if not isinstance(other, LamportStamp):
             return NotImplemented
-        return (self.counter, str(self.node)) < (other.counter, str(other.node))
+        if self.counter != other.counter:
+            return self.counter < other.counter
+        return str(self.node) < str(other.node)
+
+    def __gt__(self, other: "LamportStamp") -> bool:
+        return other.__lt__(self) if isinstance(other, LamportStamp) else NotImplemented
+
+    def __le__(self, other: "LamportStamp") -> bool:
+        return not other.__lt__(self) if isinstance(other, LamportStamp) else NotImplemented
+
+    def __ge__(self, other: "LamportStamp") -> bool:
+        return not self.__lt__(other) if isinstance(other, LamportStamp) else NotImplemented
 
     def __str__(self) -> str:
         return f"{self.counter}@{self.node}"

@@ -82,7 +82,7 @@ class ChainReplica(VersionedReplica):
             return version
         self._write_ids += 1
         write_id = self._write_ids
-        future = Future(self.sim, label=f"chain-write#{write_id}")
+        future = Future(self.sim, label=("chain-write#{}", write_id))
         self._pending[write_id] = (future, version)
         self.send(
             self.successor.node_id,

@@ -126,7 +126,7 @@ class ClientNode(Node):
     ) -> tuple[int, Future]:
         self._next_request += 1
         request_id = self._next_request
-        future = Future(self.sim, label=f"req#{request_id}->{dst}")
+        future = Future(self.sim, label=("req#{}->{}", request_id, dst))
         if self.locality is not None:
             # Locality accounting only exists for region-placed clients;
             # the counters are created lazily, so region-blind scenarios
@@ -214,7 +214,7 @@ class ClientNode(Node):
             endpoints = self.locality.order(endpoints)
         policy = policy if policy is not None else self.retry
         if policy is None:
-            return self.request(endpoints[0], payload, timeout)
+            return self._issue(endpoints[0], payload, timeout)[1]
         key = None
         if idempotent:
             self._next_idem += 1

@@ -279,7 +279,9 @@ class PaxosReplica(ServerNode):
                 self._last_committed = slot
             self._accept_votes.pop(slot, None)
             self._proposals.pop(slot, None)
-        self._apply_ready()
+            # Only the slot after the applied prefix can extend that prefix.
+            if slot == self.applied_through + 1:
+                self._apply_ready()
 
     def _apply_ready(self) -> None:
         while self.applied_through + 1 in self.committed:
@@ -316,7 +318,7 @@ class PaxosReplica(ServerNode):
             raise NotLeaderError(f"{self.node_id!r} is not the leader")
         slot = self.next_slot
         self.next_slot += 1
-        future = Future(self.sim, label=f"slot#{slot}")
+        future = Future(self.sim, label=("slot#{}", slot))
         self._slot_futures[slot] = (payload.command, future)
         self._propose_in_slot(slot, payload.command)
         return future
@@ -398,10 +400,8 @@ class MultiPaxosCluster(ReplicaGroup):
         super().__init__(sim, network, nodes, node_ids)
         self._leader: PaxosReplica | None = None
         self._round = 0
-
-    @property
-    def majority(self) -> int:
-        return len(self.replicas) // 2 + 1
+        #: Votes that decide a ballot or a slot; membership is fixed.
+        self.majority = len(self.replicas) // 2 + 1
 
     @property
     def leader(self) -> PaxosReplica:

@@ -86,7 +86,7 @@ class PBReplica(VersionedReplica):
         )
         if acks_needed == 0:
             return version
-        future = Future(self.sim, label=f"pb-write#{write_id}")
+        future = Future(self.sim, label=("pb-write#{}", write_id))
         self._pending[write_id] = (future, version, acks_needed)
         return future
 

@@ -347,7 +347,7 @@ class DynamoNode(ServerNode):
         )
         targets = cluster.ring.preference_list(key, cluster.n)
         op_id = self._next_op()
-        future = Future(self.sim, label=f"qput#{op_id}")
+        future = Future(self.sim, label=("qput#{}", op_id))
         op = _CoordinatorOp(
             "write", key, future, cluster.w, set(targets), state
         )
@@ -373,7 +373,7 @@ class DynamoNode(ServerNode):
         cluster, key = self.cluster, payload.key
         targets = cluster.ring.preference_list(key, cluster.n)
         op_id = self._next_op()
-        future = Future(self.sim, label=f"qget#{op_id}")
+        future = Future(self.sim, label=("qget#{}", op_id))
         op = _CoordinatorOp("read", key, future, cluster.r, set(targets))
         self._ops[op_id] = op
         fetch = FetchMsg(op_id, key)
@@ -623,7 +623,7 @@ class DynamoClient(ClientNode):
             self._endpoints(coordinator), message,
             timeout or cluster.client_timeout, idempotent=write,
         )
-        outer = Future(self.sim, label=f"d{kind}({key!r})")
+        outer = Future(self.sim, label=("d{}({!r})", kind, key))
 
         def finish(future: Future) -> None:
             if future.error is not None:

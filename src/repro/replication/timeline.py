@@ -92,7 +92,7 @@ class TimelineReplica(VersionedReplica):
 
     def _forwarded_write(self, payload: TWrite) -> Future:
         master = self.cluster.master_of(payload.key)
-        future = Future(self.sim, label=f"fwd-write({payload.key!r})")
+        future = Future(self.sim, label=("fwd-write({!r})", payload.key))
         proxy = self.cluster._forwarder
         proxy.request(master, payload).add_callback(
             lambda inner: (
@@ -111,7 +111,7 @@ class TimelineReplica(VersionedReplica):
         value, version = self.read(payload.key)
         if version >= payload.min_version:
             return (value, version)
-        future = Future(self.sim, label=f"critical({payload.key!r})")
+        future = Future(self.sim, label=("critical({!r})", payload.key))
         self._waiters.setdefault(payload.key, []).append(
             (payload.min_version, future)
         )

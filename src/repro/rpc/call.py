@@ -39,8 +39,8 @@ RPC_COUNTERS = (
 
 
 def rpc_counters(metrics) -> dict:
-    """Get-or-create the shared ``rpc.*`` counters on a registry."""
-    return {name: metrics.counter(f"rpc.{name}") for name in RPC_COUNTERS}
+    """The shared ``rpc.*`` counters of a registry, built once per registry."""
+    return metrics.counter_group("rpc", RPC_COUNTERS)
 
 
 class RpcCall:
@@ -76,9 +76,7 @@ class RpcCall:
         self.idempotency_key = idempotency_key
         deadline = policy.deadline if policy.deadline is not None else timeout
         self.deadline_at = None if deadline is None else self.sim.now + deadline
-        self.future = Future(
-            self.sim, label=f"rpc({type(payload).__name__})"
-        )
+        self.future = Future(self.sim, label=("rpc({})", type(payload).__name__))
         self.attempts = 0           # sequential attempts launched
         self.hedges = 0             # speculative duplicates launched
         self._pending: dict[int, Hashable] = {}   # request_id -> endpoint

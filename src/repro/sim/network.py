@@ -13,6 +13,7 @@ a node's own id is allowed (loopback) and uses ``loopback_latency``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
+from heapq import heappush
 from math import isfinite, log
 from typing import Any, Callable, Hashable, Iterable, Protocol
 
@@ -297,6 +298,8 @@ class Network:
         # one ``(src, message)`` pair, or a list of them — which share
         # one scheduled dispatch until _deliver pops them.
         self._ports: dict[NodeId, tuple[Any, dict[float, Any]]] = {}
+        #: The bound ``_deliver`` every delivery entry carries, built once.
+        self._dispatch = self._deliver
         self._partition: dict[NodeId, int] | None = None
         # Group index late-registered nodes fall into while partitioned.
         self._partition_leftover = 0
@@ -601,7 +604,13 @@ class Network:
             batch = inbox.get(when)
             if batch is None:
                 inbox[when] = (src, message)
-                sim._push_fn(when, self._deliver, port)
+                # EventQueue.push_fn's entry and bookkeeping, minus its frame.
+                queue = sim._queue
+                seq = queue._seq
+                queue._seq = seq + 1
+                heappush(queue._heap, (when, seq, self._dispatch, port))
+                queue._live += 1
+                queue._foreground += 1
             elif type(batch) is tuple:
                 inbox[when] = [batch, (src, message)]
             else:
@@ -629,8 +638,8 @@ class Network:
         tracing = trace.enabled
         msg_name = type(message).__name__
         sent = stats._messages_sent
-        now, rng, push, deliver = sim.now, sim.rng, sim._push_fn, self._deliver
-        samplers = self._samplers
+        now, rng, queue, dispatch = sim.now, sim.rng, sim._queue, self._dispatch
+        heap, samplers = queue._heap, self._samplers
         pair = (src, message)
         for dst in dsts:
             port = ports.get(dst)
@@ -652,7 +661,11 @@ class Network:
             batch = inbox.get(when)
             if batch is None:
                 inbox[when] = pair
-                push(when, deliver, port)
+                seq = queue._seq
+                queue._seq = seq + 1
+                heappush(heap, (when, seq, dispatch, port))
+                queue._live += 1
+                queue._foreground += 1
             elif type(batch) is tuple:
                 inbox[when] = [batch, pair]
             else:

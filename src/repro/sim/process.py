@@ -38,18 +38,26 @@ class Future:
 
     Futures may resolve with a value (:meth:`resolve`) or an exception
     (:meth:`fail`).  Callbacks added after resolution run immediately
-    via ``sim.call_soon`` so ordering stays deterministic.
+    via ``sim.call_soon`` so ordering stays deterministic.  ``label`` is
+    a string or a ``(template, *args)`` tuple, formatted only when read.
     """
 
-    __slots__ = ("sim", "done", "value", "error", "_callbacks", "label")
+    __slots__ = ("sim", "done", "value", "error", "_callbacks", "_label")
 
-    def __init__(self, sim: Simulator, label: str = "") -> None:
+    def __init__(self, sim: Simulator, label: str | tuple = "") -> None:
         self.sim = sim
         self.done = False
         self.value: Any = None
         self.error: BaseException | None = None
         self._callbacks: list[Callable[["Future"], None]] = []
-        self.label = label
+        self._label = label
+
+    @property
+    def label(self) -> str:
+        label = self._label
+        if type(label) is tuple:
+            return label[0].format(*label[1:])
+        return label
 
     def resolve(self, value: Any = None) -> None:
         """Complete the future successfully.  Resolving twice is an error."""
@@ -57,7 +65,9 @@ class Future:
             raise SimulationError(f"future {self.label!r} resolved twice")
         self.done = True
         self.value = value
-        self._fire()
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            self.sim.call_soon(fn, self)
 
     def fail(self, error: BaseException) -> None:
         """Complete the future with an exception."""
@@ -65,7 +75,9 @@ class Future:
             raise SimulationError(f"future {self.label!r} resolved twice")
         self.done = True
         self.error = error
-        self._fire()
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            self.sim.call_soon(fn, self)
 
     def try_resolve(self, value: Any = None) -> bool:
         """Resolve unless already done.  Returns whether it resolved.
@@ -102,11 +114,6 @@ class Future:
         if self.error is not None:
             raise self.error
         return self.value
-
-    def _fire(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            self.sim.call_soon(fn, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.done:
@@ -181,7 +188,7 @@ class Process:
     def _wait_on(self, yielded: Any) -> None:
         if isinstance(yielded, Future):
             yielded.add_callback(self._on_future)
-        elif isinstance(yielded, (int, float)):
+        elif isinstance(yielded, (int, float)) and type(yielded) is not bool:
             self.sim.schedule(float(yielded), self._advance)
         elif isinstance(yielded, (list, tuple)):
             all_of(self.sim, yielded).add_callback(self._on_future)

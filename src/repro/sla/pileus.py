@@ -169,7 +169,7 @@ class SLAClient:
     ) -> Future:
         self._last_write_time[key] = self.sim.now
         inner = self.client.write(key, value, timeout)
-        outer = Future(self.sim, label=f"sla-write({key!r})")
+        outer = Future(self.sim, label=("sla-write({!r})", key))
         started = self.sim.now
 
         def done(future: Future) -> None:
@@ -251,7 +251,7 @@ class SLAClient:
         self, key: Hashable, sla: SLA, timeout: float | None = None
     ) -> Future:
         """SLA-driven read; resolves with a :class:`ReadOutcome`."""
-        outer = Future(self.sim, label=f"sla-read({key!r})")
+        outer = Future(self.sim, label=("sla-read({!r})", key))
         target, target_rank = self.select_target(key, sla)
         started = self.sim.now
 

@@ -79,7 +79,7 @@ class EscrowSite(Node):
         """
         if amount < 0:
             raise InvariantViolation("debit must be non-negative")
-        future = Future(self.sim, label=f"debit({amount})")
+        future = Future(self.sim, label=("debit({})", amount))
         if self.local_escrow >= amount:
             self.local_escrow -= amount
             self.local_commits += 1
@@ -220,13 +220,13 @@ class CentralCounterClient(Node):
         self._waiting: list[Future] = []
 
     def debit(self, amount: float) -> Future:
-        future = Future(self.sim, label=f"central-debit({amount})")
+        future = Future(self.sim, label=("central-debit({})", amount))
         self._waiting.append(future)
         self.send(self.server_id, CentralDebit(amount))
         return future
 
     def credit(self, amount: float) -> Future:
-        future = Future(self.sim, label=f"central-credit({amount})")
+        future = Future(self.sim, label=("central-credit({})", amount))
         self._waiting.append(future)
         self.send(self.server_id, CentralCredit(amount))
         return future

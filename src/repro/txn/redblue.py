@@ -83,7 +83,7 @@ class RedBlueSite(Node):
         """Blue: applies locally now, propagates asynchronously."""
         if amount < 0:
             raise InvariantViolation("deposit must be non-negative")
-        future = Future(self.sim, label=f"deposit({account})")
+        future = Future(self.sim, label=("deposit({})", account))
         op = ShadowOp(self._fresh_op_id(), account, amount, red=False)
         self._apply(op)
         self.blue_ops += 1
@@ -102,7 +102,7 @@ class RedBlueSite(Node):
         invariant and assigns a global order."""
         if amount < 0:
             raise InvariantViolation("withdrawal must be non-negative")
-        future = Future(self.sim, label=f"withdraw({account})")
+        future = Future(self.sim, label=("withdraw({})", account))
         op_id = self._fresh_op_id()
         self._pending[op_id] = future
         self.red_ops += 1

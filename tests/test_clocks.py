@@ -1,7 +1,7 @@
 """Unit + property tests for logical clocks."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clocks import (
@@ -42,6 +42,42 @@ def test_lamport_peek_does_not_advance():
     clock = LamportClock("a")
     clock.tick()
     assert clock.peek() == clock.peek() == LamportStamp(1, "a")
+
+
+def _lamport_key(stamp):
+    return stamp.counter, str(stamp.node)
+
+
+#: Few counters (ties), int and str node ids that can print alike (1, "1").
+_STAMPS = st.builds(
+    LamportStamp,
+    st.integers(0, 3),
+    st.one_of(st.integers(-2, 12), st.text(alphabet="01ab", max_size=2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STAMPS, min_size=1, max_size=8))
+@example([LamportStamp(1, 1), LamportStamp(1, "1"), LamportStamp(1, 1)])
+def test_lamport_order_is_the_counter_then_node_text_key(stamps):
+    """Every comparison, ``sorted``, ``min`` and ``max`` agree with the
+    ``(counter, str(node))`` key, equal stamps and look-alike ids included."""
+    for a in stamps:
+        for b in stamps:
+            ka, kb = _lamport_key(a), _lamport_key(b)
+            assert ((a < b), (a > b), (a <= b), (a >= b)) == (
+                (ka < kb), (ka > kb), (ka <= kb), (ka >= kb))
+    assert [id(s) for s in sorted(stamps)] == [
+        id(s) for s in sorted(stamps, key=_lamport_key)]
+    assert max(stamps) is max(stamps, key=_lamport_key)
+    assert min(stamps) is min(stamps, key=_lamport_key)
+
+
+def test_lamport_stamp_does_not_order_against_other_types():
+    with pytest.raises(TypeError):
+        LamportStamp(1, "a") < (1, "a")  # noqa: B015
+    with pytest.raises(TypeError):
+        LamportStamp(1, "a") >= 1  # noqa: B015
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Hot-path invariants: slotted structs, handle-free ``call_soon``,
 batched dispatch, fingerprint cost.
 
-Six families of checks guard the raw-speed machinery:
+Seven families of checks guard the raw-speed machinery:
 
 * **Slots audit** — the structs on the per-event/per-message hot path
   (:class:`Event`, the network/RPC/replication message dataclasses,
@@ -12,11 +12,18 @@ Six families of checks guard the raw-speed machinery:
 * **Handle-free ``call_soon``** — it allocates no :class:`Event` and
   returns ``None``; an AST scan insists every call site is a bare
   expression statement, so nothing can come to depend on a handle.
+* **Who touches the queue** — the queue's ``_seq`` / ``_live`` /
+  ``_foreground`` / ``_heap`` are written in ``sim/events.py``,
+  ``sim/core.py`` and the network's two enqueue sites only; ``Future``
+  callbacks are queued through ``call_soon`` and messages reach handlers
+  through ``Node.deliver`` (nothing outside ``sim/node.py`` reads the
+  handler cache), the two points ``bench/spans.py`` hooks.
 * **Batched dispatch** — ``Simulator.run``'s batched inner loop must
   be observationally identical to popping one event at a time: a
   property test drives random schedules (same-tick cascades,
-  cancellations, daemons) through ``run()`` and a ``step()`` loop and
-  requires byte-identical trace hashes.
+  cancellations, daemons, same-instant sends and fan-outs) through
+  ``run()`` and a ``step()`` loop and requires byte-identical trace
+  hashes, ``events_processed`` and queue length.
 * **The message path** — a message costs one send and one dispatch:
   Python frames per message, counted with ``sys.setprofile``, stay at
   the handful the path needs, and no protocol sends one loop-invariant
@@ -50,7 +57,15 @@ from repro.perf import SCENARIOS, HashingTracer
 from repro.perf.scenarios import _QUORUM, _ycsb
 from repro.replication.common import Reply, Request
 from repro.replication.quorum import FetchMsg, FetchReply, QGet, QPut, StoreAck, StoreMsg
-from repro.sim import ExponentialLatency, Network, Node, Simulator, trace
+from repro.sim import (
+    ExponentialLatency,
+    FixedLatency,
+    Future,
+    Network,
+    Node,
+    Simulator,
+    trace,
+)
 from repro.sim.events import Event
 from repro.sim.network import LinkFault
 from repro.sim.node import Deadline, _Lane
@@ -178,15 +193,125 @@ def test_call_soon_returns_no_handle():
 
 
 # ---------------------------------------------------------------------------
+# Who touches the queue, and the two points the span hooks see
+# ---------------------------------------------------------------------------
+
+_QUEUE_FIELDS = frozenset({"_seq", "_live", "_foreground", "_heap"})
+_QUEUE_MODULES = frozenset({("sim", "events.py"), ("sim", "core.py")})
+#: The network's enqueue sites: ``push_fn``'s five lines, written out.
+_ENQUEUE_SITES = frozenset({"send", "send_many"})
+
+
+class _QueueFieldUses(ast.NodeVisitor):
+    """``(function, line, field)`` for every write of ``x._seq`` /
+    ``_live`` / ``_foreground`` and every use of ``x._heap`` (a heap is
+    written by handing it to ``heapq``), ``x`` not ``self``: an object's
+    own ``self._seq`` is its business, not the event queue's."""
+
+    def __init__(self):
+        self.functions, self.found = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def visit_Attribute(self, node):
+        if (node.attr in _QUEUE_FIELDS
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+                and (node.attr == "_heap" or isinstance(node.ctx, ast.Store))):
+            self.found.append((self.functions[-1], node.lineno, node.attr))
+        self.generic_visit(node)
+
+
+def test_only_the_queue_the_simulator_and_two_enqueue_sites_write_the_queue():
+    offenders, sites = [], set()
+    for path in _py_files():
+        where = (path.parent.name, path.name)
+        if where in _QUEUE_MODULES:
+            continue
+        uses = _QueueFieldUses()
+        uses.visit(ast.parse(path.read_text(), filename=str(path)))
+        for function, lineno, field in uses.found:
+            if where == ("sim", "network.py") and function in _ENQUEUE_SITES:
+                sites.add(function)
+            else:
+                offenders.append(f"{path.relative_to(SRC)}:{lineno} {function} "
+                                 f"touches the event queue's {field}")
+    assert offenders == []
+    assert sites == _ENQUEUE_SITES   # the scan sees the writes it allows
+
+
+def _attribute_uses(attrs, allowed):
+    """``path:line`` of every ``x.<attr>`` in ``src/`` outside ``allowed``
+    (``(package, file)`` pairs)."""
+    return [
+        f"{path.relative_to(SRC)}:{node.lineno} uses .{node.attr}"
+        for path in _py_files() if (path.parent.name, path.name) not in allowed
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in attrs
+    ]
+
+
+def test_handlers_are_reached_through_node_deliver_only():
+    """``bench/spans.py`` times a handler by wrapping ``Node.deliver``: a
+    dispatch that read the handler cache itself would hide the handler."""
+    assert _attribute_uses({"_handler_cache"}, {("sim", "node.py")}) == []
+
+
+def test_future_callbacks_are_queued_through_call_soon(monkeypatch):
+    """``bench/spans.py`` files a callback under its owner's layer by
+    wrapping ``call_soon``: every callback of a settling future goes
+    through it, in the order added, and nothing outside the simulator
+    and the queue can push a handle-free entry."""
+    assert _attribute_uses({"push_fn", "_push_fn"}, _QUEUE_MODULES) == []
+    queued = []
+    call_soon = Simulator.call_soon
+
+    def counting(self, fn, *args):
+        queued.append((fn, args))
+        call_soon(self, fn, *args)
+
+    monkeypatch.setattr(Simulator, "call_soon", counting)
+    sim = Simulator()
+    first, second, late = (lambda f: None), (lambda f: None), (lambda f: None)
+    resolved, failed = Future(sim), Future(sim)
+    for future in (resolved, failed):
+        future.add_callback(first)
+        future.add_callback(second)
+    resolved.resolve(1)
+    failed.fail(ValueError("x"))
+    resolved.add_callback(late)
+    assert queued == [(first, (resolved,)), (second, (resolved,)),
+                      (first, (failed,)), (second, (failed,)), (late, (resolved,))]
+
+
+# ---------------------------------------------------------------------------
 # Batched dispatch == sequential dispatch (property)
 # ---------------------------------------------------------------------------
 
 
+class _Logger(Node):
+    """Logs each message it handles into ``log``."""
+
+    log = None
+
+    def handle_FetchMsg(self, src, msg):
+        self.log.append((self.sim.now, self.node_id, src, msg.op_id))
+
+
 def _drive(sim, plan):
-    """Schedule a workload exercising same-tick cascades, daemons and
-    cross-cancellation, entirely determined by ``plan``."""
+    """Schedule a workload exercising same-tick cascades, daemons,
+    cross-cancellation and same-instant sends and fan-outs (under a fixed
+    latency, so they land together and share dispatches), entirely
+    determined by ``plan``."""
     handles = []
     out = []
+    net = Network(sim, latency=FixedLatency(1.0))
+    nodes = [_Logger(sim, net, name) for name in "abc"]
+    ids = [node.node_id for node in nodes]
+    for node in nodes:
+        node.log = out
 
     def leaf(tag):
         out.append((sim.now, tag))
@@ -208,15 +333,27 @@ def _drive(sim, plan):
             sim.schedule(when, fanout, index)
         elif kind == 2:
             sim.schedule(when, canceller, index)
-        else:
+        elif kind == 3:
             sim.schedule_daemon(when, leaf, index)
+        elif kind == 4:
+            sim.schedule(when, nodes[index % 3].send, ids[(index + 1) % 3],
+                         FetchMsg(index, "k"))
+        else:
+            sim.schedule(when, nodes[index % 3].send_many, ids, FetchMsg(index, "k"))
     return out
 
 
-@settings(max_examples=40, deadline=None)
+def _recount(queue):
+    """``(live, foreground)`` entries, counted in the heap itself."""
+    live = [entry for entry in queue._heap
+            if len(entry) == 4 or not entry[2].cancelled]
+    return len(live), sum(len(entry) == 4 or not entry[2].daemon for entry in live)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.lists(
     st.tuples(st.integers(min_value=0, max_value=4),
-              st.integers(min_value=0, max_value=3)),
+              st.integers(min_value=0, max_value=5)),
     max_size=25,
 ))
 def test_batched_run_trace_equals_step_loop_trace(plan):
@@ -233,6 +370,9 @@ def test_batched_run_trace_equals_step_loop_trace(plan):
 
     assert batched_out == stepped_out
     assert batched.events_processed == stepped.events_processed
+    assert len(batched._queue) == len(stepped._queue)
+    for sim in (batched, stepped):   # the counters tell the heap's truth
+        assert (len(sim._queue), sim._queue.foreground_live) == _recount(sim._queue)
     assert batched.now == stepped.now
     assert batched_tracer.hexdigest() == stepped_tracer.hexdigest()
 
@@ -343,11 +483,11 @@ def _python_frames(fn):
 
 
 def test_frames_per_message_from_send_to_handler():
-    """Node.send -> Network.send -> sampler -> push_fn -> _deliver ->
-    Node.deliver -> handler is 7 frames (12 before the counters, the
-    ``expovariate`` call and ``on_message`` left the path); a five-way
+    """Node.send -> Network.send -> sampler -> _deliver -> Node.deliver ->
+    handler is 6 frames (12 before the counters, the ``expovariate``
+    call, ``on_message`` and ``push_fn`` left the path); a five-way
     fan-out with one loopback shares the first two and draws four delays
-    (5.2 per message; 11.8 before)."""
+    (4.2 per message; 11.8 before)."""
     sim = Simulator(seed=3)
     net = Network(sim, latency=ExponentialLatency(0.3, 1.0))
     nodes = [_Echo(sim, net, f"n{i}") for i in range(5)]
@@ -368,13 +508,14 @@ def test_frames_per_message_from_send_to_handler():
     fan_out()
     rounds = 40
     delivered = sim.metrics.counter("net.messages_delivered")
-    for drive, per_round, ceiling in ((unicast, 4, 8), (fan_out, 5, 6)):
+    for drive, per_round, ceiling in ((unicast, 4, 6), (fan_out, 5, 4.2)):
         before = delivered.value
         frames = _python_frames(lambda: [drive() for _ in range(rounds)])
         messages = delivered.value - before
         assert messages == rounds * per_round
-        # Not the path's: ``drive`` and ``Simulator.run`` once per round.
-        assert frames - 2 * rounds <= ceiling * messages, (drive.__name__, frames)
+        # Not the path's: the lambda and its comprehension once, ``drive``
+        # and ``Simulator.run`` once per round.
+        assert frames - 2 - 2 * rounds <= ceiling * messages, (drive.__name__, frames)
 
 
 def _invariant_send_loops(tree):

@@ -2,6 +2,8 @@
 
 from repro.analysis import Counter, Gauge, MetricsRegistry
 from repro.replication import DynamoCluster, GossipCluster
+from repro.replication.common import ClientNode
+from repro.rpc import rpc_counters
 from repro.sim import FixedLatency, Network, Simulator, spawn
 
 
@@ -18,6 +20,20 @@ def test_handles_are_get_or_create():
     assert registry.gauge("x.level").value == 2.5
     stats = registry.latency("x.ms")
     assert registry.latency("x.ms") is stats
+
+
+def test_counter_group_is_built_once_from_the_registrys_handles():
+    registry = MetricsRegistry()
+    group = registry.counter_group("rpc", ("calls", "retries"))
+    assert group == {"calls": registry.counter("rpc.calls"),
+                     "retries": registry.counter("rpc.retries")}
+    assert registry.counter_group("rpc", ("calls", "retries")) is group
+    assert registry.counter_group("rpc", ("calls",)) is not group
+    sim = Simulator()
+    net = Network(sim)
+    clients = [ClientNode(sim, net, f"c{i}") for i in range(2)]
+    assert clients[0]._rpc_counters is clients[1]._rpc_counters
+    assert rpc_counters(sim.metrics) is clients[0]._rpc_counters
 
 
 def test_prefix_filtering_and_membership():

@@ -1,6 +1,8 @@
 """Tests for the request/reply layer, the protocol skeleton the five
 single-group protocols share, and the hash ring."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 from repro.errors import (
     NotLeaderError,
     OverloadedError,
+    SimulationError,
     TimeoutError as ReproTimeoutError,
 )
 from repro.replication import (
     CausalCluster,
     ChainCluster,
+    DynamoCluster,
     HashRing,
     MultiPaxosCluster,
     PrimaryBackupCluster,
@@ -20,6 +24,8 @@ from repro.replication import (
     stable_hash,
 )
 from repro.replication.common import ClientNode, ServerNode, VersionedReplica
+from repro.replication.multipaxos import PutCmd, SubmitCmd
+from repro.replication.quorum import QGet, QPut
 from repro.rpc import RetryPolicy
 from repro.sim import FixedLatency, Future, Network, Simulator
 
@@ -470,3 +476,32 @@ def test_ring_requires_nodes_and_vnodes():
         HashRing([])
     with pytest.raises(ValueError):
         HashRing(["a"], vnodes=0)
+
+
+# ----------------------------------------------------------------------
+# Op futures' labels
+# ----------------------------------------------------------------------
+
+def test_op_futures_name_their_op_in_repr_and_errors():
+    """A label is formatted only when read, and reads as it did when every
+    op formatted its own: an RPC request, a quorum op, the Dynamo client's
+    outer future and a Multi-Paxos slot."""
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=FixedLatency(1.0))
+    dynamo = DynamoCluster(sim, net, nodes=3)
+    paxos = MultiPaxosCluster(sim, net, nodes=3)
+    paxos.elect()
+    sim.run()
+    client = dynamo.connect()
+    _request_id, request = client._issue("dyn0", QGet("k"))
+    qput = dynamo.node("dyn0").serve_QPut(client.node_id, QPut("k", "v"))
+    outer = client.put("k", "w")
+    slot = paxos.leader.serve_SubmitCmd(client.node_id, SubmitCmd(PutCmd("k", 1)))
+    sim.run()
+    for future, label in ((request, "req#1->dyn0"), (qput, "qput#1"),
+                          (outer, "dwrite('k')"), (slot, "slot#0")):
+        assert future.done and future.label == label
+        assert repr(future).startswith(f"<Future {label!r} done(")
+        with pytest.raises(SimulationError,
+                           match=f"^future {re.escape(repr(label))} resolved twice$"):
+            future.resolve(None)

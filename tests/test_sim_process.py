@@ -37,6 +37,15 @@ def test_double_resolve_rejected_but_try_resolve_tolerated():
     assert future.value == 1
 
 
+def test_template_label_is_formatted_on_read():
+    sim = Simulator()
+    future = Future(sim, ("req#{}->{}", 7, "dyn0"))
+    assert future.label == "req#7->dyn0"
+    assert repr(future) == "<Future 'req#7->dyn0' pending>"
+    assert Future(sim, ("d{}({!r})", "write", "k")).label == "dwrite('k')"
+    assert Future(sim, "plain").label == "plain" and Future(sim).label == ""
+
+
 def test_result_reraises_failure():
     sim = Simulator()
     future = Future(sim)
@@ -171,6 +180,25 @@ def test_yielding_garbage_kills_process_with_simulation_error():
     process = spawn(sim, proc())
     sim.run()
     assert isinstance(process.error, SimulationError)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_yielding_a_bool_is_unsupported_not_a_sleep(flag):
+    """``bool`` is an ``int``: ``yield True`` used to sleep 1 ms in silence."""
+    sim = Simulator()
+    marks = []
+
+    def proc():
+        try:
+            yield flag
+        except SimulationError as err:
+            marks.append((sim.now, str(err)))
+            raise
+
+    process = spawn(sim, proc(), name="flagger")
+    sim.run()
+    assert isinstance(process.error, SimulationError)
+    assert marks == [(0.0, f"process 'flagger' yielded unsupported {flag!r}")]
 
 
 def test_yield_none_reschedules_at_same_instant():
