@@ -64,7 +64,7 @@ def test_e11_checker_cost(benchmark, capsys):
         _, t_causal = timed(check_causal, history)
         _, t_lin = timed(check_linearizability, history)
         # The sequential search memoizes ~(ops/2)^2/2 interleavings of
-        # the two sessions and recurses once per op: charted to 800.
+        # the two sessions: charted to 800.
         t_seq = timed(check_sequential, history)[1] if ops <= 800 else None
         timings[ops] = {
             "session": t_session, "causal": t_causal,

@@ -12,6 +12,18 @@ what keeps the checker usable on multi-key workloads, and E11 measures
 the residual exponential worst case on adversarial single-key
 histories.
 
+The search runs on bit sets.  A key's ops are numbered in response
+order (no response = last), so a state is ``(remaining mask, version)``
+and the earliest-responding remaining op — the *frontier* — is the
+mask's lowest set bit.  The ops that may be linearized next are the
+remaining ones invoked no later than the frontier responded, one
+precomputed mask per op.  A candidate read of the current version is
+linearized at once, with no sibling branches: a read changes no state
+and no remaining op must precede it.  The depth-first search keeps an
+explicit stack, so a key with thousands of ops does not recurse, and a
+benign history costs O(n·c), c being the ops concurrent with the
+frontier.
+
 Semantics: writes install distinct versions of a key; a read returns
 the version of the most recent linearized write (0 = initial state).
 Operations with ``end is None`` (no response observed) may have taken
@@ -57,61 +69,70 @@ def _check_single_key(
     key: Hashable, ops: Sequence[Operation], max_states: int
 ) -> str | None:
     """None if linearizable, else a violation description."""
-    if not ops:
+    # A read with no response constrains nothing.  Bit i is the op with
+    # the i-th earliest response, no response counting as last.
+    candidates = sorted([
+        (_INFINITY if op.end is None else op.end, index, op)
+        for index, op in enumerate(ops)
+        if op.end is not None or op.kind == "write"
+    ])
+    if not candidates:
         return None
-    # A read with no response constrains nothing.
-    reads = [op for op in ops if op.is_read and op.completed]
-    writes = [op for op in ops if op.is_write]
+    invoked = sorted([(op.start, i) for i, (_, _, op) in enumerate(candidates)])
+    startable = []    # startable[i]: the ops invoked by op i's response
+    reads_of: dict[int, int] = {}     # version -> mask of reads returning it
+    versions, writes, pending, mask, j = [], 0, 0, 0, 0
+    for i, (end, _, op) in enumerate(candidates):
+        while j < len(invoked) and invoked[j][0] <= end:
+            mask |= 1 << invoked[j][1]
+            j += 1
+        startable.append(mask)
+        versions.append(op.version)
+        if op.kind == "write":
+            writes |= 1 << i
+            if op.end is None:
+                pending |= 1 << i
+        else:
+            reads_of[op.version] = reads_of.get(op.version, 0) | 1 << i
 
-    candidates = reads + writes
-    id_to_op = {op.op_id: op for op in candidates}
-    end_of = {
-        op.op_id: (op.end if op.completed else _INFINITY) for op in candidates
-    }
-    start_of = {op.op_id: op.start for op in candidates}
-    pending_write_ids = frozenset(
-        op.op_id for op in writes if not op.completed
-    )
-
-    all_ids = frozenset(id_to_op)
-    seen_states: set[tuple[frozenset, int]] = set()
-    budget = [max_states]
-
-    def dfs(remaining: frozenset, version: int) -> bool:
-        if not remaining:
-            return True
+    seen: set[tuple[int, int]] = set()
+    budget = max_states
+    stack = [((1 << len(candidates)) - 1, 0)]
+    while stack:
+        remaining, version = stack.pop()
+        # Linearize every candidate read of the current version first.
+        matching = reads_of.get(version, 0)
+        while True:
+            frontier = (remaining & -remaining).bit_length() - 1
+            ready = remaining & startable[frontier]
+            matched = ready & matching
+            if not matched:
+                break
+            remaining ^= matched
+            if not remaining:
+                return None
         state = (remaining, version)
-        if state in seen_states:
-            return False
-        if budget[0] <= 0:
-            return False
-        budget[0] -= 1
-        seen_states.add(state)
-        # An op may be linearized first among `remaining` iff no other
-        # remaining op responded before it was invoked.
-        frontier = min(end_of[op_id] for op_id in remaining)
-        for op_id in remaining:
-            if start_of[op_id] > frontier:
-                continue
-            op = id_to_op[op_id]
-            rest = remaining - {op_id}
-            if op.is_read:
-                if op.version == version and dfs(rest, version):
-                    return True
-            else:
-                if dfs(rest, op.version):
-                    return True
-                # A write with no response may also never take effect.
-                if op_id in pending_write_ids and dfs(rest, version):
-                    return True
-        return False
-
-    ok = dfs(all_ids, 0)
-    if ok:
-        return None
-    if budget[0] <= 0:
-        return (
-            f"key {key!r}: undecided — state budget exhausted "
-            f"({max_states} states)"
-        )
+        if state in seen:
+            continue
+        if budget <= 0:
+            return (
+                f"key {key!r}: undecided — state budget exhausted "
+                f"({max_states} states)"
+            )
+        budget -= 1
+        seen.add(state)
+        # Pushed in reverse, so the earliest-responding write runs first.
+        children = []
+        ready &= writes
+        while ready:
+            bit = ready & -ready
+            ready ^= bit
+            rest = remaining ^ bit
+            if not rest:
+                return None
+            children.append((rest, versions[bit.bit_length() - 1]))
+            # A write with no response may also never take effect.
+            if bit & pending:
+                children.append((rest, version))
+        stack.extend(reversed(children))
     return f"key {key!r}: no linearization of {len(candidates)} ops exists"

@@ -29,23 +29,29 @@ def check_sequential(history: History, max_states: int = 2_000_000) -> Verdict:
     # Register state: one version per key, at the key's position in the
     # history's key order, so a write step is one tuple splice.
     slot = {key: index for index, key in enumerate(history.keys)}
+    lengths = tuple(len(session) for session in sessions)
     seen: set[tuple] = set()
-    budget = [max_states]
-
-    def dfs(positions: tuple[int, ...], versions: tuple[int, ...]) -> bool:
-        if all(
-            position == len(session)
-            for position, session in zip(positions, sessions)
-        ):
-            return True
-        state = (positions, versions)
-        if state in seen or budget[0] <= 0:
-            return False
-        budget[0] -= 1
+    budget = max_states
+    # Depth-first on an explicit stack: a history of any length takes
+    # no recursion.  Children are pushed in reverse, so session 0's next
+    # op is tried first.
+    stack = [((0,) * len(sessions), (0,) * len(slot))]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        if budget <= 0:
+            verdict.add(
+                f"undecided — state budget exhausted ({max_states} states)"
+            )
+            return verdict
+        budget -= 1
         seen.add(state)
+        positions, versions = state
+        children = []
         for index, session in enumerate(sessions):
             position = positions[index]
-            if position == len(session):
+            if position == lengths[index]:
                 continue
             op: Operation = session[position]
             next_positions = (
@@ -53,21 +59,14 @@ def check_sequential(history: History, max_states: int = 2_000_000) -> Verdict:
             )
             at = slot[op.key]
             if op.is_read:
-                if versions[at] == op.version:
-                    if dfs(next_positions, versions):
-                        return True
+                if versions[at] != op.version:
+                    continue
+                written = versions
             else:
                 written = versions[:at] + (op.version,) + versions[at + 1:]
-                if dfs(next_positions, written):
-                    return True
-        return False
-
-    ok = dfs((0,) * len(sessions), (0,) * len(slot))
-    if not ok:
-        if budget[0] <= 0:
-            verdict.add(
-                f"undecided — state budget exhausted ({max_states} states)"
-            )
-        else:
-            verdict.add("no sequentially consistent total order exists")
+            if next_positions == lengths:
+                return verdict
+            children.append((next_positions, written))
+        stack.extend(reversed(children))
+    verdict.add("no sequentially consistent total order exists")
     return verdict
