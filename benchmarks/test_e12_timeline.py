@@ -8,18 +8,21 @@ forks); (c) ``read_critical`` converts staleness into bounded waiting;
 against remote-read freshness.
 """
 
+import itertools
+
 import pytest
 
 from common import emit
-from repro import Network, Simulator, spawn
-from repro.analysis import LatencyStats, render_table
+from repro import Network, Simulator
+from repro.analysis import render_table
+from repro.api import FnSession, mapped_future, registry
 from repro.checkers import (
     check_convergence,
     check_monotonic_reads,
     stale_read_fraction,
 )
-from repro.replication import TimelineCluster
 from repro.sim import FixedLatency
+from repro.workload import OpSpec, WorkloadDriver
 
 ROUNDS = 20
 
@@ -27,45 +30,46 @@ ROUNDS = 20
 def run_lag(propagation_delay, critical=False, seed=3):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(3.0))
-    cluster = TimelineCluster(sim, net, nodes=3,
-                              propagation_delay=propagation_delay)
-    master = cluster.master_of("rec")
-    replica = next(n for n in cluster.node_ids if n != master)
-    writer = cluster.connect(session="writer")
-    reader = cluster.connect(session="reader", home=replica)
-    read_latency = LatencyStats()
+    store = registry.build("timeline", sim, net, nodes=3,
+                           propagation_delay=propagation_delay)
+    master = store.cluster.master_of("rec")
+    replica = next(n for n in store.cluster.node_ids if n != master)
+    writer = store.session("writer")
+    reader = store.session("reader", home=replica)
+    mode = "any"
+    if critical:
+        # The reader demands a version it knows exists (round i ⇒ the
+        # writer has committed at least version i) — how PNUTS apps use
+        # read_critical after out-of-band notification.  The replica
+        # blocks until propagation delivers it.  The store API has no
+        # min_version, so the read is a session mode over the client.
+        client, rounds = reader.client, itertools.count()
 
-    def write_loop():
-        for i in range(ROUNDS):
-            yield writer.write("rec", f"v{i}")
-            yield 12.0
+        def read_critical(key, timeout):
+            read = client.read_critical(
+                key, min_version=max(1, next(rounds)), timeout=timeout)
+            return mapped_future(sim, read, lambda r: (r[0], r[1] or None))
 
-    def read_loop():
-        yield 6.0
-        for i in range(ROUNDS):
-            start = sim.now
-            if critical:
-                # The reader demands a version it knows exists (round
-                # i ⇒ the writer has committed at least version i) —
-                # how PNUTS apps use read_critical after out-of-band
-                # notification.  The replica blocks until propagation
-                # delivers it.
-                yield reader.read_critical("rec", min_version=max(1, i))
-            else:
-                yield reader.read_any("rec")
-            read_latency.record(sim.now - start)
-            yield 12.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
+        reader = FnSession(reader.name, put_fn=reader.put,
+                           read_fns={"critical": read_critical},
+                           default_mode="critical",
+                           client_id=reader.client_id, client=client)
+        mode = "critical"
+    driver = WorkloadDriver(sim)
+    writes = [OpSpec("update", "rec", f"v{i}") for i in range(ROUNDS)]
+    driver.add_session(writer, writes, think_time=12.0)
+    driver.add_session(reader,
+                       [OpSpec("sleep", "", 6.0)]
+                       + [OpSpec("read", "rec")] * ROUNDS,
+                       think_time=12.0, read_mode=mode)
+    result = driver.run()
     sim.run(until=sim.now + 5 * propagation_delay + 100.0)
-    history = cluster.recorder.history()
+    history = result.history
     return {
         "stale": stale_read_fraction(history),
         "monotonic": check_monotonic_reads(history).ok,
-        "read_ms": read_latency.mean,
-        "converged": check_convergence(cluster.snapshots()).ok,
+        "read_ms": result.read_latency.mean,
+        "converged": check_convergence(store.snapshots()).ok,
     }
 
 
@@ -85,21 +89,14 @@ def run_mastership(master_site_is_writer, seed=4):
         jitter=0.0,
     )
     net = Network(sim, latency=latency)
-    cluster = TimelineCluster(sim, net, nodes=3, propagation_delay=10.0)
-    cluster.set_master("rec", "tl1" if master_site_is_writer else "tl0")
-    writer = cluster.connect(session="w", home="tl1")
-    write_latency = LatencyStats()
-
-    def script():
-        for i in range(10):
-            start = sim.now
-            yield writer.write("rec", i)
-            write_latency.record(sim.now - start)
-            yield 5.0
-
-    spawn(sim, script())
-    sim.run()
-    return write_latency.mean
+    store = registry.build("timeline", sim, net, nodes=3,
+                           propagation_delay=10.0)
+    store.cluster.set_master("rec", "tl1" if master_site_is_writer else "tl0")
+    driver = WorkloadDriver(sim)
+    driver.add_session(store.session("w", home="tl1"),
+                       [OpSpec("update", "rec", i) for i in range(10)],
+                       think_time=5.0)
+    return driver.run().write_latency.mean
 
 
 def test_e12_timeline(benchmark, capsys):

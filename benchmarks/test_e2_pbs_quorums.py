@@ -10,15 +10,16 @@ shape.
 import pytest
 
 from common import emit
-from repro import Network, Simulator, spawn
+from repro import Network, Simulator
 from repro.analysis import (
     WARSModel,
     render_table,
     simulate_t_visibility,
 )
+from repro.api import registry
 from repro.checkers import stale_read_fraction
-from repro.replication import DynamoCluster
 from repro.sim import ExponentialLatency
+from repro.workload import OpSpec, WorkloadDriver
 
 CONFIGS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)]
 T_VALUES = (0.0, 1.0, 5.0, 20.0)
@@ -42,26 +43,15 @@ def measured_stale_fraction(r, w, seed=5):
     """End-to-end measurement on the Dynamo simulator."""
     sim = Simulator(seed=seed)
     net = Network(sim, latency=ExponentialLatency(base=0.3, mean=6.0))
-    cluster = DynamoCluster(sim, net, nodes=5, n=3, r=r, w=w,
-                            coordinator_policy="random", read_repair=False)
-    writer = cluster.connect(session="w")
-    reader = cluster.connect(session="r")
-
-    def write_loop():
-        for i in range(60):
-            yield writer.put("hot", i)
-            yield 3.0
-
-    def read_loop():
-        yield 1.5
-        for _ in range(80):
-            yield reader.get("hot")
-            yield 2.2
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-    return stale_read_fraction(cluster.history())
+    store = registry.build("quorum", sim, net, nodes=5, n=3, r=r, w=w,
+                           coordinator_policy="random", read_repair=False)
+    driver = WorkloadDriver(sim)
+    driver.add_session(store.session("w"),
+                       [OpSpec("update", "hot", i) for i in range(60)],
+                       think_time=3.0)
+    reads = [OpSpec("sleep", "", 1.5)] + [OpSpec("read", "hot")] * 80
+    driver.add_session(store.session("r"), reads, think_time=2.2)
+    return stale_read_fraction(driver.run().history)
 
 
 def test_e2_pbs(benchmark, capsys):

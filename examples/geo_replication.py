@@ -26,21 +26,12 @@ the dump is summarized with ``python -m repro trace geo.trace.jsonl``.
 import os
 import sys
 
-from repro import Network, Simulator, spawn
-from repro.analysis import LatencyStats, print_table
-from repro.checkers import (
-    check_linearizability,
-    check_read_your_writes,
-    stale_read_fraction,
-)
-from repro.client import timeline_session
-from repro.replication import (
-    ChainCluster,
-    DynamoCluster,
-    MultiPaxosCluster,
-    TimelineCluster,
-)
+from repro import Network, Simulator
+from repro.analysis import print_table
+from repro.api import registry
+from repro.checkers import check_linearizability, stale_read_fraction
 from repro.sim import THREE_CONTINENTS
+from repro.workload import OpSpec, WorkloadDriver
 
 SITES = ("us-east", "eu", "asia")
 CLIENT_SITE = "eu"
@@ -60,24 +51,30 @@ def geo_network(sim, node_ids, client_ids, extra=()):
     )
 
 
-def measure(history):
-    reads = LatencyStats()
-    writes = LatencyStats()
-    for op in history.completed:
-        (reads if op.is_read else writes).record(op.end - op.start)
-    return reads, writes
+def writes(rounds=ROUNDS):
+    return [OpSpec("update", f"key-{i % 3}", f"v{i}") for i in range(rounds)]
 
 
-def drive(sim, write_fn, read_fn, rounds=ROUNDS):
-    def script():
-        for i in range(rounds):
-            yield write_fn(f"key-{i % 3}", f"v{i}")
-            yield 5.0
-            yield read_fn(f"key-{i % 3}")
-            yield 5.0
+def reads(rounds=ROUNDS):
+    return [OpSpec("read", f"key-{i % 3}") for i in range(rounds)]
 
-    spawn(sim, script())
-    sim.run()
+
+def drive(sim, session, rounds=ROUNDS):
+    """Write a key, read it back, 5 ms apart; returns the history the
+    workload driver recorded."""
+    ops = [spec for pair in zip(writes(rounds), reads(rounds))
+           for spec in pair]
+    driver = WorkloadDriver(sim)
+    driver.add_session(session, ops, think_time=5.0)
+    return driver.run()
+
+
+def row(label, result):
+    history = result.history
+    return [label, round(result.read_latency.mean, 1),
+            round(result.write_latency.mean, 1),
+            round(stale_read_fraction(history), 3),
+            check_linearizability(history).ok]
 
 
 def run_dynamo(r, w, label, seed=1, remote_reader=False, tracer=None):
@@ -88,97 +85,50 @@ def run_dynamo(r, w, label, seed=1, remote_reader=False, tracer=None):
     if remote_reader:
         extra.append(("dclient-2", "asia"))
     net = geo_network(sim, ids, client_ids, extra=extra)
-    cluster = DynamoCluster(sim, net, nodes=3, n=3, r=r, w=w, node_ids=ids,
-                            op_deadline=2_000.0, client_timeout=4_000.0)
-    client = cluster.connect(coordinator="dyn1")  # the EU node is local
+    store = registry.build("quorum", sim, net, nodes=3, n=3, r=r, w=w,
+                           node_ids=ids, op_deadline=2_000.0,
+                           client_timeout=4_000.0)
+    session = store.session(coordinator="dyn1")  # the EU node is local
     if remote_reader:
         # A second user in Asia reads through their local node while
         # the EU user writes: the eventual-consistency anomaly is in
         # *their* reads, racing the asynchronous replication.
-        reader = cluster.connect(coordinator="dyn2")
-
-        def script():
-            def eu_writer():
-                for i in range(ROUNDS):
-                    yield client.put(f"key-{i % 3}", f"v{i}")
-                    yield 10.0
-
-            def asia_reader():
-                yield 2.0
-                for i in range(ROUNDS):
-                    yield reader.get(f"key-{i % 3}")
-                    yield 10.0
-
-            spawn(sim, eu_writer())
-            spawn(sim, asia_reader())
-            yield 0.0
-
-        spawn(sim, script())
-        sim.run()
+        driver = WorkloadDriver(sim)
+        driver.add_session(session, writes(), think_time=10.0)
+        driver.add_session(store.session(coordinator="dyn2"),
+                           [OpSpec("sleep", "", 2.0)] + reads(),
+                           think_time=10.0)
+        result = driver.run()
     else:
-        drive(sim, client.put, client.get)
-    history = cluster.history()
-    reads, writes = measure(history)
+        result = drive(sim, session)
     if tracer is not None:
         # Show what the observability layer collected for this run.
         print("metrics registry for the traced run "
               f"({label}):\n{sim.metrics.render(prefix='quorum')}\n")
-    return [label, round(reads.mean, 1), round(writes.mean, 1),
-            round(stale_read_fraction(history), 3),
-            check_linearizability(history).ok]
+    return row(label, result)
 
 
 def run_timeline(with_session, label, seed=1):
     sim = Simulator(seed=seed)
     ids = [f"tl{i}" for i in range(3)]
     net = geo_network(sim, ids, ["tlclient-1"], extra=[("tl0-fwd", "us-east")])
-    cluster = TimelineCluster(sim, net, nodes=3, propagation_delay=20.0,
-                              node_ids=ids)
+    store = registry.build("timeline", sim, net, nodes=3,
+                           propagation_delay=20.0, node_ids=ids)
     for i in range(3):
-        cluster.set_master(f"key-{i}", "tl0")   # mastered in us-east
-    raw = cluster.connect(home="tl1")           # EU reads local
-    if with_session:
-        session = timeline_session(raw, guarantees=("ryw", "mr"),
-                                   retry_delay=10.0)
-        drive(sim, session.write, session.read)
-        history = session.history()
-    else:
-        drive(sim, raw.write, raw.read_any)
-        history = cluster.recorder.history()
-    reads, writes = measure(history)
-    return [label, round(reads.mean, 1), round(writes.mean, 1),
-            round(stale_read_fraction(history), 3),
-            check_linearizability(history).ok]
+        store.cluster.set_master(f"key-{i}", "tl0")   # mastered in us-east
+    # EU reads local; the session layer adds read-your-writes and
+    # monotonic-read floors over the same local reads.
+    guarantees = dict(guarantees=("ryw", "mr"), retry_delay=10.0) \
+        if with_session else {}
+    return row(label, drive(sim, store.session(home="tl1", **guarantees)))
 
 
-def run_paxos(seed=1):
+def run_strong(name, label, node_prefix, client_id, seed=1):
     sim = Simulator(seed=seed)
-    ids = [f"px{i}" for i in range(3)]
-    net = geo_network(sim, ids, ["pxclient-1"])
-    cluster = MultiPaxosCluster(sim, net, nodes=3, node_ids=ids)
-    cluster.elect()
-    sim.run()
-    client = cluster.connect()
-    drive(sim, client.put, client.get)
-    history = cluster.recorder.history()
-    reads, writes = measure(history)
-    return ["strong (paxos)", round(reads.mean, 1), round(writes.mean, 1),
-            round(stale_read_fraction(history), 3),
-            check_linearizability(history).ok]
-
-
-def run_chain(seed=1):
-    sim = Simulator(seed=seed)
-    ids = [f"ch{i}" for i in range(3)]
-    net = geo_network(sim, ids, ["chclient-1"])
-    cluster = ChainCluster(sim, net, nodes=3, node_ids=ids)
-    client = cluster.connect()
-    drive(sim, client.put, client.get)
-    history = cluster.recorder.history()
-    reads, writes = measure(history)
-    return ["strong (chain)", round(reads.mean, 1), round(writes.mean, 1),
-            round(stale_read_fraction(history), 3),
-            check_linearizability(history).ok]
+    ids = [f"{node_prefix}{i}" for i in range(3)]
+    net = geo_network(sim, ids, [client_id])
+    store = registry.build(name, sim, net, nodes=3, node_ids=ids)
+    return row(label, drive(sim, store.session()))
 
 
 def main(trace_path=None) -> None:
@@ -194,8 +144,8 @@ def main(trace_path=None) -> None:
         run_dynamo(2, 2, "quorum (R=W=2)"),
         run_timeline(False, "timeline (read local)"),
         run_timeline(True, "session RYW+MR"),
-        run_paxos(),
-        run_chain(),
+        run_strong("multipaxos", "strong (paxos)", "px", "pxclient-1"),
+        run_strong("chain", "strong (chain)", "ch", "chclient-1"),
     ]
     print_table(
         ["protocol", "read ms", "write ms", "stale reads", "linearizable"],

@@ -7,47 +7,45 @@ recorded history verdicts.
 Run:  python examples/quickstart.py
 """
 
-from repro import Network, Simulator, spawn
+from repro import Network, Simulator
 from repro.analysis import print_table
+from repro.api import registry
 from repro.checkers import check_linearizability, stale_read_fraction
-from repro.replication import DynamoCluster
 from repro.sim import ExponentialLatency
+from repro.workload import OpSpec, WorkloadDriver
 
 
 def run_quorum_config(r: int, w: int, seed: int = 42):
     """One writer + one reader racing on a hot key."""
     sim = Simulator(seed=seed)
     net = Network(sim, latency=ExponentialLatency(base=0.5, mean=8.0))
-    cluster = DynamoCluster(
-        sim, net, nodes=5, n=3, r=r, w=w, coordinator_policy="random",
-        read_repair=False,
+    store = registry.build(
+        "quorum", sim, net, nodes=5, n=3, r=r, w=w,
+        coordinator_policy="random", read_repair=False,
     )
-    writer = cluster.connect(session="writer")
-    reader = cluster.connect(session="reader")
+    # The driver runs each session's ops closed-loop and records every
+    # op once, at the store boundary: that history is what the
+    # checkers read.
+    driver = WorkloadDriver(sim)
+    driver.add_session(
+        store.session("writer"),
+        [OpSpec("update", "hot-key", f"value-{i}") for i in range(25)],
+        think_time=4.0,
+    )
+    driver.add_session(
+        store.session("reader"),
+        [OpSpec("sleep", "", 2.0)] + [OpSpec("read", "hot-key")] * 30,
+        think_time=3.5,
+    )
+    history = driver.run().history
 
-    def write_loop():
-        for i in range(25):
-            yield writer.put("hot-key", f"value-{i}")
-            yield 4.0
-
-    def read_loop():
-        yield 2.0
-        for _ in range(30):
-            yield reader.get("hot-key")
-            yield 3.5
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-
-    history = cluster.history()
     lin = check_linearizability(history)
     latencies = [op.end - op.start for op in history.completed]
     mean_latency = sum(latencies) / len(latencies)
     return {
         "r": r,
         "w": w,
-        "overlap": "yes" if r + w > cluster.n else "no",
+        "overlap": "yes" if r + w > store.cluster.n else "no",
         "mean_latency_ms": round(mean_latency, 2),
         "stale_read_frac": round(stale_read_fraction(history), 3),
         "linearizable": lin.ok,

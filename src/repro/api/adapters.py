@@ -201,11 +201,6 @@ class ClusterStore(ConsistentStore):
     def server_ids(self) -> list[Hashable]:
         return [server.node_id for server in self._servers()]
 
-    def history(self):
-        if not self.capabilities.has_history:
-            return super().history()
-        return self.cluster.recorder.history()
-
     def snapshots(self) -> list[dict]:
         return [server.snapshot() for server in self._servers()]
 
@@ -281,7 +276,6 @@ def _context_token(context: dict):
     description="partial quorums keeping concurrent siblings (DVV contexts)",
     read_modes=("quorum",),
     multi_value_reads=True,
-    has_history=False,
     failover_reads=True,
     failover_writes=True,
 ))
@@ -441,7 +435,6 @@ class TimelineStore(ClusterStore):
     read_modes=("tentative", "committed"),
     tentative_reads=True,
     networked=False,
-    has_history=False,
     retry_safe_reads=False,
     retry_safe_writes=False,
 ))

@@ -22,9 +22,9 @@ Contract
   ``(value, token)``.  ``mode`` must be one of
   ``store.capabilities.read_modes``.
 * Failures surface as :class:`repro.errors.ReproError` on the future.
-* ``store.history()`` returns the store-side recorded history when the
-  protocol keeps one (``capabilities.has_history``); the driver keeps
-  its own client-side history either way.
+* A store keeps no history of its own: the workload driver
+  (:mod:`repro.workload.driver`) records one entry per op at this
+  boundary, the same way for every store.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
-from ..histories import History
 from ..sim import Future, Network, Simulator
 
 #: The read preferences a region-aware session may request.
@@ -66,8 +65,6 @@ class StoreCapabilities:
     #: Clients reach the store over the simulated network (False for
     #: Bayou's direct-attach replicas).
     networked: bool = True
-    #: Keeps a store-side history (``store.history()`` works).
-    has_history: bool = True
     #: Client ops keep succeeding when one non-coordinator replica
     #: crashes (chain replication famously does not, without
     #: reconfiguration).
@@ -239,13 +236,6 @@ class ConsistentStore(ABC):
     @abstractmethod
     def server_ids(self) -> list[Hashable]:
         """Ids of the server/replica nodes (for fault injection)."""
-
-    def history(self) -> History:
-        """The store-side recorded history (when kept)."""
-        raise NotImplementedError(
-            f"{self.capabilities.name} keeps no store-side history; "
-            "use the workload driver's history instead"
-        )
 
     def snapshots(self) -> list[dict]:
         """Per-replica state snapshots (for convergence checks)."""

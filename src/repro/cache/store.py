@@ -304,9 +304,6 @@ class CachedStore(ConsistentStore):
     def server_ids(self) -> list[Hashable]:
         return self.inner.server_ids()
 
-    def history(self):
-        return self.inner.history()
-
     def snapshots(self) -> list[dict]:
         return self.inner.snapshots()
 

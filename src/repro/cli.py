@@ -119,13 +119,11 @@ def cmd_protocols(_args: argparse.Namespace) -> int:
             spec.name,
             ",".join(caps.read_modes),
             ",".join(caps.session_guarantees) or "-",
-            "yes" if caps.has_history else "no",
             ",".join(flags) or "-",
             caps.description,
         ])
     print_table(
-        ["protocol", "read modes", "session", "history", "flags",
-         "description"],
+        ["protocol", "read modes", "session", "flags", "description"],
         rows,
         title=f"{len(rows)} registered protocols (repro.api.registry)",
     )
@@ -630,25 +628,18 @@ def cmd_selftest(_args: argparse.Namespace) -> int:
         count += 1
     print(f"imported {count} modules")
 
-    from repro import Network, Simulator, spawn
+    from repro import Simulator
+    from repro.api import registry
     from repro.checkers import check_linearizability
-    from repro.replication import DynamoCluster
+    from repro.workload import OpSpec, run_workload
 
     sim = Simulator(seed=1)
-    net = Network(sim)
-    cluster = DynamoCluster(sim, net, nodes=5, n=3, r=2, w=2)
-    client = cluster.connect()
-    result = {}
-
-    def script():
-        yield client.put("k", "ok")
-        value, _stamp = yield client.get("k")
-        result["value"] = value
-
-    spawn(sim, script())
-    sim.run()
-    assert result["value"] == "ok"
-    assert check_linearizability(cluster.history()).ok
+    store = registry.build("quorum", sim, nodes=5, n=3, r=2, w=2)
+    history = run_workload(
+        store, [OpSpec("update", "k", "ok"), OpSpec("read", "k")]
+    ).history
+    assert [op.value for op in history] == ["ok", "ok"]
+    assert check_linearizability(history).ok
     print("smoke simulation ok (write/read/check on a 5-node quorum store)")
     return 0
 

@@ -11,7 +11,7 @@ the *store* to order writes after a floor; single-master stores
 why this layer only needs the two read-side floors.
 
 :class:`SessionClient` is store-agnostic: it wraps any pair of
-``read_fn(key) -> Future[(value, version)]`` and
+``read_fn(key, attempt) -> Future[(value, version)]`` and
 ``write_fn(key, value) -> Future[version]`` callables — see
 :func:`timeline_session` for the PNUTS adapter used in E3.
 """
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable
 
 from ..errors import TimeoutError as ReproTimeoutError
-from ..histories import HistoryRecorder
 from ..sim import Future, Simulator, spawn
 
 GUARANTEES = ("ryw", "mr", "mw", "wfr")
@@ -72,9 +71,9 @@ class SessionClient:
     sim:
         The simulator (for retry timers).
     read_fn / write_fn:
-        The underlying store operations.  ``read_fn`` may optionally
-        accept an ``attempt`` keyword (used to spread retries across
-        replicas); plain single-argument callables work too.
+        The underlying store operations.  ``read_fn(key, attempt)``
+        gets the 1-based attempt number (used to spread retries across
+        replicas).
     guarantees:
         Any subset of ``{"ryw", "mr", "mw", "wfr"}``.  The read-side
         pair drives the retry loop; ``mw``/``wfr`` are recorded for
@@ -88,12 +87,11 @@ class SessionClient:
     def __init__(
         self,
         sim: Simulator,
-        read_fn: Callable[..., Future],
+        read_fn: Callable[[Hashable, int], Future],
         write_fn: Callable[[Hashable, Any], Future],
         guarantees: Iterable[str] = (),
         retry_delay: float = 10.0,
         max_retries: int = 50,
-        session_id: Hashable = "session",
     ) -> None:
         guarantees = frozenset(guarantees)
         unknown = guarantees - set(GUARANTEES)
@@ -107,39 +105,20 @@ class SessionClient:
         self.max_retries = max_retries
         self.state = SessionState()
         self.stats = SessionStats()
-        self.session_id = session_id
-        #: Client-observed history: only *accepted* replies appear, so
-        #: checkers see what the application saw (raw store histories
-        #: include the stale replies the floors rejected).
-        self.recorder = HistoryRecorder(sim)
-        self._accepts_attempt = self._probe_attempt_kwarg(read_fn)
-
-    @staticmethod
-    def _probe_attempt_kwarg(read_fn: Callable) -> bool:
-        import inspect
-
-        try:
-            signature = inspect.signature(read_fn)
-        except (TypeError, ValueError):  # pragma: no cover - builtins
-            return False
-        return "attempt" in signature.parameters
 
     # ------------------------------------------------------------------
     def write(self, key: Hashable, value: Any) -> Future:
         """Write through the store; floors advance on success."""
         self.stats.writes += 1
-        handle = self.recorder.begin("write", key, self.session_id)
         inner = self.write_fn(key, value)
         outer = Future(self.sim, label=("session-write({!r})", key))
 
         def done(future: Future) -> None:
             if future.error is not None:
-                self.recorder.fail(handle)
                 outer.fail(future.error)
                 return
             version = future.value
             self.state.note_write(key, version)
-            self.recorder.complete(handle, version, value)
             outer.resolve(version)
 
         inner.add_callback(done)
@@ -149,28 +128,20 @@ class SessionClient:
         """Read honoring the session's floors; resolves (value, version)."""
         self.stats.reads += 1
         floor = self.state.required_version(key, self.guarantees)
-        handle = self.recorder.begin("read", key, self.session_id)
         outer = Future(self.sim, label=("session-read({!r})", key))
 
         def attempt_read(attempt: int):
-            if self._accepts_attempt:
-                inner = self.read_fn(key, attempt=attempt)
-            else:
-                inner = self.read_fn(key)
             try:
-                value, version = yield inner
+                value, version = yield self.read_fn(key, attempt)
             except Exception as exc:  # noqa: BLE001 - surface to caller
-                self.recorder.fail(handle)
                 outer.fail(exc)
                 return
             if version >= floor:
                 self.state.note_read(key, version)
-                self.recorder.complete(handle, version, value)
                 outer.resolve((value, version))
                 return
             self.stats.reads_rejected_stale += 1
             if attempt >= self.max_retries:
-                self.recorder.fail(handle)
                 outer.fail(
                     ReproTimeoutError(
                         f"read of {key!r} below floor v{floor} after "
@@ -184,10 +155,6 @@ class SessionClient:
 
         spawn(self.sim, attempt_read(1), name="session-read")
         return outer
-
-    def history(self):
-        """The session-level (client-observed) history."""
-        return self.recorder.history()
 
 
 def timeline_session(
@@ -206,7 +173,7 @@ def timeline_session(
     """
     cluster = client.cluster
 
-    def read_fn(key, attempt: int = 1) -> Future:
+    def read_fn(key, attempt: int) -> Future:
         if spread_replicas and attempt > 1:
             nodes = cluster.node_ids
             client.home = nodes[(attempt - 1) % len(nodes)]
@@ -221,5 +188,4 @@ def timeline_session(
         write_fn,
         guarantees=guarantees,
         retry_delay=retry_delay,
-        session_id=client.session,
     )

@@ -3,13 +3,13 @@
 A :class:`History` is a set of client-observed operations — key, kind
 (read/write), value/version, session, invocation and response times.
 The checkers in :mod:`repro.checkers` are predicates over histories;
-the replication protocols record histories via :class:`HistoryRecorder`
-so every experiment's consistency claims are machine-checked rather
-than asserted.
+the workload drivers record one per run, at the client boundary, via
+:class:`TokenHistoryRecorder` — so every experiment's consistency
+claims are machine-checked rather than asserted.
 """
 
 from .events import History, Operation, make_read, make_write
-from .recorder import HistoryRecorder, TokenHistoryRecorder
+from .recorder import TokenHistoryRecorder
 
 #: Aliases that read naturally at call sites.
 ReadOp = make_read
@@ -20,7 +20,6 @@ __all__ = [
     "ReadOp",
     "WriteOp",
     "History",
-    "HistoryRecorder",
     "TokenHistoryRecorder",
     "make_read",
     "make_write",

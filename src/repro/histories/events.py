@@ -37,7 +37,6 @@ class Operation:
     end: float | None
     value: Any = None
     op_id: int = field(default_factory=lambda: next(_op_ids))
-    replica: Hashable = None  # which replica served it (diagnostics)
     #: Which serving tier answered: ``"cache"`` for a cache hit,
     #: ``"store"`` for a read/write that reached the backing store,
     #: ``None`` when the history was recorded below any cache.  Lets
@@ -73,12 +72,11 @@ def make_write(
     start: float = 0.0,
     end: float | None = 0.0,
     value: Any = None,
-    replica: Hashable = None,
     tier: Hashable = None,
 ) -> Operation:
     """Test/bench helper: a completed write operation."""
     return Operation("write", key, version, session, start, end, value,
-                     replica=replica, tier=tier)
+                     tier=tier)
 
 
 def make_read(
@@ -88,12 +86,11 @@ def make_read(
     start: float = 0.0,
     end: float | None = 0.0,
     value: Any = None,
-    replica: Hashable = None,
     tier: Hashable = None,
 ) -> Operation:
     """Test/bench helper: a completed read operation."""
     return Operation("read", key, version, session, start, end, value,
-                     replica=replica, tier=tier)
+                     tier=tier)
 
 
 class _Index(NamedTuple):

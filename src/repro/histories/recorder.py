@@ -1,8 +1,8 @@
 """Recording histories from live simulations.
 
-The recorder is deliberately dumb: protocols call ``begin`` when a
-client operation is invoked and ``complete``/``fail`` when it returns.
-Everything clever happens later, in the checkers.
+The recorder is deliberately dumb: the workload driver calls ``begin``
+when a client operation is invoked and ``complete_token``/``fail`` when
+it returns.  Everything clever happens later, in the checkers.
 """
 
 from __future__ import annotations
@@ -14,100 +14,7 @@ from ..sim import Simulator
 from .events import History, Operation
 
 
-@dataclass
-class _PendingOp:
-    kind: str
-    key: Hashable
-    session: Hashable
-    start: float
-    replica: Hashable
-
-
-class HistoryRecorder:
-    """Accumulates operations as they complete."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._pending: dict[int, _PendingOp] = {}
-        self._next_handle = 0
-        self._ops: list[Operation] = []
-
-    def begin(
-        self,
-        kind: str,
-        key: Hashable,
-        session: Hashable,
-        replica: Hashable = None,
-    ) -> int:
-        """Record an invocation; returns a handle for completion."""
-        self._next_handle += 1
-        self._pending[self._next_handle] = _PendingOp(
-            kind, key, session, self.sim.now, replica
-        )
-        return self._next_handle
-
-    def complete(
-        self,
-        handle: int,
-        version: int,
-        value: Any = None,
-        replica: Hashable = None,
-        tier: Hashable = None,
-    ) -> Operation:
-        """Record a successful response for ``handle``.
-
-        ``tier`` names the serving tier that answered (``"cache"`` /
-        ``"store"``) when the history is recorded at a cache boundary.
-        """
-        pending = self._pending.pop(handle)
-        op = Operation(
-            kind=pending.kind,
-            key=pending.key,
-            version=version,
-            session=pending.session,
-            start=pending.start,
-            end=self.sim.now,
-            value=value,
-            replica=replica if replica is not None else pending.replica,
-            tier=tier,
-        )
-        self._ops.append(op)
-        return op
-
-    def fail(self, handle: int, value: Any = None) -> Operation:
-        """Record an operation that never produced a response.
-
-        ``value`` is the value a write *attempted* — kept on the op so
-        checkers can tie a later read of that value back to this
-        maybe-applied write."""
-        pending = self._pending.pop(handle)
-        op = Operation(
-            kind=pending.kind,
-            key=pending.key,
-            version=0,
-            session=pending.session,
-            start=pending.start,
-            end=None,
-            value=value,
-            replica=pending.replica,
-        )
-        self._ops.append(op)
-        return op
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def history(self) -> History:
-        """Snapshot the history recorded so far."""
-        return History(self._ops)
-
-    def record(self, op: Operation) -> None:
-        """Append an externally built operation (for composition)."""
-        self._ops.append(op)
-
-
-@dataclass
+@dataclass(slots=True)
 class _TokenOp:
     kind: str
     key: Hashable
@@ -116,15 +23,14 @@ class _TokenOp:
     end: float | None
     token: Any
     value: Any
-    replica: Hashable
     tier: Hashable = None
 
 
 def _observation(raw: _TokenOp) -> tuple | None:
     """``(key, value)`` as a dict key for tying values to versions;
-    ``None`` when there is no value or it is unhashable (the cluster
-    clients record whatever value the application wrote, e.g. a list)
-    and so cannot be tied back."""
+    ``None`` when there is no value or it is unhashable (the
+    application may write any value, e.g. a list) and so cannot be
+    tied back."""
     if raw.value is None:
         return None
     try:
@@ -134,61 +40,56 @@ def _observation(raw: _TokenOp) -> tuple | None:
     return raw.key, raw.value
 
 
-class TokenHistoryRecorder(HistoryRecorder):
-    """A recorder for version *tokens* instead of integer versions.
+class TokenHistoryRecorder:
+    """Accumulates client operations, versioned by *tokens*.
 
     The protocols stamp operations with heterogeneous version metadata
     — Lamport stamps, causal ranks, per-record sequence numbers —
     whose only shared property is a total order *within a key*.  This
     recorder accepts those tokens directly (:meth:`complete_token`)
     and densifies them into per-key integer versions at
-    :meth:`history` time.  It is the one densifier: the workload
-    driver records through it against any store behind the
-    :mod:`repro.api` interface, and the quorum and causal clusters
-    record their own client-side histories through it too.
+    :meth:`history` time.  The workload drivers are its only writers
+    (:class:`repro.workload.driver.OpCore`): one record per op, taken
+    at the client boundary of any store behind the :mod:`repro.api`
+    interface.
 
     Falsy tokens (``None``, ``0``, empty context) mean "nothing
     observed" and map to version 0, the checkers' initial state.
+    Operations are kept in completion order.
     """
 
     def __init__(self, sim: Simulator) -> None:
-        super().__init__(sim)
+        self.sim = sim
         self._token_ops: list[_TokenOp] = []
+
+    def begin(self, kind: str, key: Hashable, session: Hashable) -> tuple:
+        """Record an invocation; returns the handle to complete."""
+        return kind, key, session, self.sim.now
 
     def complete_token(
         self,
-        handle: int,
+        handle: tuple,
         token: Any,
         value: Any = None,
-        replica: Hashable = None,
         tier: Hashable = None,
     ) -> None:
         """Record a successful response carrying a version token.
 
         ``tier`` tags the op with the serving tier (``"cache"`` /
         ``"store"``) when the caller drives a cache-fronted store."""
-        pending = self._pending.pop(handle)
-        self._token_ops.append(
-            _TokenOp(
-                pending.kind, pending.key, pending.session, pending.start,
-                self.sim.now, token if token else None, value,
-                replica if replica is not None else pending.replica,
-                tier,
-            )
-        )
+        kind, key, session, start = handle
+        self._token_ops.append(_TokenOp(
+            kind, key, session, start, self.sim.now,
+            token if token else None, value, tier,
+        ))
 
-    def fail(  # type: ignore[override]
-        self, handle: int, value: Any = None
-    ) -> None:
+    def fail(self, handle: tuple, value: Any = None) -> None:
         """Record an operation that never produced a response.
         ``value`` is a write's attempted value (see below)."""
-        pending = self._pending.pop(handle)
-        self._token_ops.append(
-            _TokenOp(
-                pending.kind, pending.key, pending.session, pending.start,
-                None, None, value, pending.replica,
-            )
-        )
+        kind, key, session, start = handle
+        self._token_ops.append(_TokenOp(
+            kind, key, session, start, None, None, value,
+        ))
 
     def history(self) -> History:
         """Densify tokens into per-key versions; reads contribute their
@@ -219,7 +120,7 @@ class TokenHistoryRecorder(HistoryRecorder):
             version = rank[(raw.key, raw.token)]
             if seen_versions.setdefault(observed, version) != version:
                 seen_versions[observed] = ambiguous
-        ops = list(self._ops)
+        ops = []
         for raw in self._token_ops:
             version = 0
             if raw.token is not None:
@@ -237,7 +138,6 @@ class TokenHistoryRecorder(HistoryRecorder):
                     start=raw.start,
                     end=raw.end,
                     value=raw.value,
-                    replica=raw.replica,
                     tier=raw.tier,
                 )
             )

@@ -18,8 +18,8 @@ The five single-group networked protocols (primary–backup, chain,
 timeline, causal, Multi-Paxos) differ only in mechanism: each writes
 its wire messages, its replica's handlers and its client's verbs over
 the skeleton in :mod:`repro.replication.common` —
-:class:`RecordingClient` (the recorded client call),
-:class:`ReplicaGroup` (ids, replicas, recorder, ``connect``,
+:class:`GroupClient` (the session-bound client node),
+:class:`ReplicaGroup` (ids, replicas, ``connect``,
 ``snapshots``) and, under primary–backup, chain and timeline,
 :class:`VersionedReplica` (the highest-version-wins store) with
 :class:`VersionedGroup` (its catch-up sweep).
@@ -31,7 +31,7 @@ from .causal_store import CausalClient, CausalCluster, CausalReplica
 from .chain import ChainClient, ChainCluster, ChainReplica
 from .common import (
     ClientNode,
-    RecordingClient,
+    GroupClient,
     ReplicaGroup,
     Reply,
     Request,
@@ -63,7 +63,7 @@ __all__ = [
     "CausalClient",
     "CausalReplica",
     "ServerNode",
-    "RecordingClient",
+    "GroupClient",
     "ReplicaGroup",
     "VersionedGroup",
     "VersionedReplica",

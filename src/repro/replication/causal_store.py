@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..crdt.opbased import CausalBuffer, OpEnvelope
-from ..histories import History, TokenHistoryRecorder
 from ..sim import Future, Network, Simulator
-from .common import RecordingClient, ReplicaGroup, ServerNode
+from .common import GroupClient, ReplicaGroup, ServerNode
 
 #: Arbitration rank of a write: grows along causality (vector-clock
 #: sum strictly increases on causal successors) and breaks concurrent
@@ -117,7 +116,7 @@ class CausalReplica(ServerNode):
         return {key: value for key, (value, _rank) in self.data.items()}
 
 
-class CausalClient(RecordingClient):
+class CausalClient(GroupClient):
     """A client pinned to one replica (its 'local datacenter')."""
 
     def __init__(
@@ -141,22 +140,12 @@ class CausalClient(RecordingClient):
 
     def put(self, key: Hashable, value: Any, timeout: float | None = None) -> Future:
         """Local write; resolves with the write's arbitration rank."""
-        inner = self.call(self._endpoints(), CPutLocal(key, value), timeout,
-                          idempotent=True)
-        return self._recorded(
-            "write", key, self.home, inner, lambda rank: (tuple(rank), value)
-        )
+        return self.call(self._endpoints(), CPutLocal(key, value), timeout,
+                         idempotent=True)
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
         """Local read; resolves with ``(value, rank-or-None)``."""
-        inner = self.call(self._endpoints(), CGetLocal(key), timeout)
-        return self._recorded(
-            "read", key, self.home, inner,
-            lambda reply: (
-                tuple(reply[1]) if reply[1] is not None else None,
-                reply[0],
-            ),
-        )
+        return self.call(self._endpoints(), CGetLocal(key), timeout)
 
 
 class CausalCluster(ReplicaGroup):
@@ -164,7 +153,6 @@ class CausalCluster(ReplicaGroup):
 
     replica_class = CausalReplica
     client_class = CausalClient
-    recorder_class = TokenHistoryRecorder
     replica_prefix = "cc"
     client_prefix = "ccclient"
 
@@ -181,11 +169,6 @@ class CausalCluster(ReplicaGroup):
         self._c_ops_applied = metrics.counter("causal.ops_applied")
         self._g_pending = metrics.gauge("causal.pending")
         super().__init__(sim, network, nodes, node_ids)
-
-    def history(self) -> History:
-        """The clients' operations, arbitration ranks densified into
-        per-key integer versions."""
-        return self.recorder.history()
 
     def anti_entropy_sweep(self) -> None:
         """Instantaneous pairwise exchange of applied logs until a

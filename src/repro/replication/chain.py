@@ -16,7 +16,7 @@ from typing import Any, Hashable
 
 from ..errors import NotLeaderError
 from ..sim import Future, Network, Simulator
-from .common import RecordingClient, VersionedGroup, VersionedReplica
+from .common import GroupClient, VersionedGroup, VersionedReplica
 
 
 @dataclass
@@ -113,19 +113,16 @@ class ChainReplica(VersionedReplica):
             future.resolve(version)
 
 
-class ChainClient(RecordingClient):
+class ChainClient(GroupClient):
     def put(self, key: Hashable, value: Any, timeout: float | None = None) -> Future:
         # Chain roles are fixed (writes at head, reads at tail), so
         # there are no failover endpoints — retries re-ask the same
         # node, deduped by the idempotency key.
         head = self.cluster.head.node_id
-        inner = self.call(head, CPut(key, value), timeout, idempotent=True)
-        return self._recorded("write", key, head, inner, lambda v: (v, value))
+        return self.call(head, CPut(key, value), timeout, idempotent=True)
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
-        tail = self.cluster.tail.node_id
-        inner = self.call(tail, CGet(key), timeout)
-        return self._recorded("read", key, tail, inner, lambda v: (v[1], v[0]))
+        return self.call(self.cluster.tail.node_id, CGet(key), timeout)
 
 
 class ChainCluster(VersionedGroup):

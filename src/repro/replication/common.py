@@ -33,7 +33,6 @@ from typing import Any, Hashable
 from .. import errors
 from ..errors import OverloadedError, ReproError, SimulationError
 from ..errors import TimeoutError as ReproTimeoutError
-from ..histories import HistoryRecorder
 from ..rpc import RetryPolicy, RpcCall, rpc_counters
 from ..sim import Future, Network, Node, Simulator
 from ..sim.trace import MSG_DROP
@@ -529,12 +528,14 @@ class ServerNode(Node):
 # ----------------------------------------------------------------------
 # The protocol skeleton: everything about a single-group protocol that
 # is not mechanism.  A protocol writes its wire messages, its replica's
-# handlers and its client's verbs; the bases below supply the recorded
-# client call, the cluster scaffold and the versioned store + sweep.
+# handlers and its client's verbs; the bases below supply the
+# session-bound client, the cluster scaffold and the versioned store +
+# sweep.
 # ----------------------------------------------------------------------
-class RecordingClient(ClientNode):
-    """A client node bound to one session of one :class:`ReplicaGroup`,
-    recording every operation into the group's history."""
+class GroupClient(ClientNode):
+    """A client node bound to one session of one :class:`ReplicaGroup`.
+    Its verbs return their RPC futures; the workload driver records
+    the history at the store boundary."""
 
     def __init__(
         self,
@@ -548,35 +549,6 @@ class RecordingClient(ClientNode):
         self.cluster = cluster
         self.session = session
 
-    def _recorded(
-        self, kind: str, key: Hashable, target: Hashable, inner: Future,
-        extract,
-    ) -> Future:
-        """Record one operation around its RPC future ``inner``.
-
-        ``target`` is the replica the operation was addressed to;
-        ``extract(reply)`` gives ``(version, value)`` for the history —
-        an integer version, or an orderable token when the group
-        records through a :class:`~repro.histories
-        .TokenHistoryRecorder`.  The returned future settles as
-        ``inner`` does, after the history entry is written."""
-        recorder = self.cluster.recorder
-        handle = recorder.begin(kind, key, self.session, target)
-        complete = getattr(recorder, "complete_token", recorder.complete)
-        outer = Future(self.sim)
-
-        def done(future: Future) -> None:
-            if future.error is not None:
-                recorder.fail(handle)
-                outer.fail(future.error)
-            else:
-                version, value = extract(future.value)
-                complete(handle, version, value)
-                outer.resolve(future.value)
-
-        inner.add_callback(done)
-        return outer
-
 
 class ReplicaGroup:
     """One group of replicas over a shared network, plus its clients.
@@ -588,7 +560,6 @@ class ReplicaGroup:
 
     replica_class: type
     client_class: type
-    recorder_class: type = HistoryRecorder
     #: Default replica ids are ``<replica_prefix><i>``, default client
     #: ids ``<client_prefix>-<n>`` (sessions: ``session-<n>``).
     replica_prefix: str
@@ -613,7 +584,6 @@ class ReplicaGroup:
         self.sim = sim
         self.network = network
         self.node_ids = ids
-        self.recorder = self.recorder_class(sim)
         self._clients = 0
         self.replicas = [
             self.replica_class(sim, network, node_id, self) for node_id in ids
@@ -624,7 +594,7 @@ class ReplicaGroup:
         session: Hashable | None = None,
         client_id: Hashable | None = None,
         **opts: Any,
-    ) -> RecordingClient:
+    ) -> GroupClient:
         """Attach a new client node (one session) to the network;
         ``opts`` go to the protocol's client class."""
         self._clients += 1

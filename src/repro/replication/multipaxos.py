@@ -20,7 +20,7 @@ from typing import Any, Hashable
 
 from ..errors import NotLeaderError
 from ..sim import Future, Network, Simulator
-from .common import RecordingClient, ReplicaGroup, ServerNode
+from .common import GroupClient, ReplicaGroup, ServerNode
 
 # Ballots are ``(round, proposer_id)`` tuples, totally ordered.
 Ballot = tuple[int, str]
@@ -341,8 +341,8 @@ class PaxosReplica(ServerNode):
         return {key: value for key, (value, _version) in self.store.items()}
 
 
-class PaxosClient(RecordingClient):
-    """Client handle with history recording."""
+class PaxosClient(GroupClient):
+    """Client handle bound to one session."""
 
     def put(
         self, key: Hashable, value: Any, timeout: float | None = None
@@ -351,19 +351,13 @@ class PaxosClient(RecordingClient):
         # Commands must go through the leader; a retried submit dedups
         # there so a slow commit is not proposed twice.
         leader = self.cluster.leader.node_id
-        inner = self.call(leader, SubmitCmd(PutCmd(key, value)), timeout,
-                          idempotent=True)
-        return self._recorded(
-            "write", key, leader, inner, lambda v: (v, value)
-        )
+        return self.call(leader, SubmitCmd(PutCmd(key, value)), timeout,
+                         idempotent=True)
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
         """Linearizable read through the log; resolves (value, version)."""
         leader = self.cluster.leader.node_id
-        inner = self.call(leader, SubmitCmd(GetCmd(key)), timeout)
-        return self._recorded(
-            "read", key, leader, inner, lambda v: (v[1], v[0])
-        )
+        return self.call(leader, SubmitCmd(GetCmd(key)), timeout)
 
     def local_get(
         self,
@@ -376,10 +370,7 @@ class PaxosClient(RecordingClient):
         endpoints = [target] + [
             node for node in self.cluster.node_ids if node != target
         ]
-        inner = self.call(endpoints, LocalRead(key), timeout)
-        return self._recorded(
-            "read", key, target, inner, lambda v: (v[1], v[0])
-        )
+        return self.call(endpoints, LocalRead(key), timeout)
 
 
 class MultiPaxosCluster(ReplicaGroup):

@@ -24,7 +24,7 @@ from typing import Any, Hashable
 
 from ..errors import NotLeaderError, UnavailableError
 from ..sim import Future, Network, Simulator
-from .common import RecordingClient, VersionedGroup, VersionedReplica
+from .common import GroupClient, VersionedGroup, VersionedReplica
 
 VALID_MODES = ("async", "sync", "quorum")
 
@@ -112,8 +112,8 @@ class PBReplica(VersionedReplica):
         self._pending.clear()
 
 
-class PBClient(RecordingClient):
-    """Client handle bound to one session, recording history."""
+class PBClient(GroupClient):
+    """Client handle bound to one session."""
 
     def put(
         self, key: Hashable, value: Any, timeout: float | None = None
@@ -122,10 +122,8 @@ class PBClient(RecordingClient):
         primary = self.cluster.primary.node_id
         # Writes only the primary can accept: no failover endpoints,
         # but retried writes dedup at the primary.
-        inner = self.call(primary, PutPayload(key, value), timeout,
-                          idempotent=True)
-        return self._recorded("write", key, primary, inner,
-                              lambda v: (v, value))
+        return self.call(primary, PutPayload(key, value), timeout,
+                         idempotent=True)
 
     def get(
         self,
@@ -141,9 +139,7 @@ class PBClient(RecordingClient):
         endpoints = [target.node_id] + [
             r.node_id for r in self.cluster.replicas if r is not target
         ]
-        inner = self.call(endpoints, GetPayload(key), timeout)
-        return self._recorded("read", key, target.node_id, inner,
-                              lambda v: (v[1], v[0]))
+        return self.call(endpoints, GetPayload(key), timeout)
 
 
 class PrimaryBackupCluster(VersionedGroup):

@@ -50,7 +50,6 @@ from ..clocks import (
     VectorClock,
 )
 from ..errors import QuorumError
-from ..histories import History, TokenHistoryRecorder
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
 from .ring import HashRing
@@ -140,9 +139,6 @@ class LWWStamps:
 
     #: Metric-name prefix and default node / client id prefixes.
     metrics, node_prefix, client_prefix = "quorum", "dyn", "dclient"
-    #: Stamps are totally ordered, so a client history densifies into
-    #: per-key integer versions (:meth:`DynamoCluster.history`).
-    total_order = True
     #: A minted write is detached from the coordinator's own state and
     #: is stored there as at any other home replica: by ``_store``.
     mints_in_place = False
@@ -201,9 +197,6 @@ class DottedSiblings:
     """Keep concurrent writes: one :class:`DottedValueSet` per key."""
 
     metrics, node_prefix, client_prefix = "sibling_quorum", "sib", "sclient"
-    #: Contexts are vector clocks — partially ordered, nothing to
-    #: densify; the store adapter maps them to tokens for the driver.
-    total_order = False
     #: The coordinator applies the write against its FULL local sibling
     #: set — not a detached delta — so the new dot is contiguous with
     #: this node's causal history.  (Minting dots from a bare counter
@@ -585,7 +578,7 @@ class DynamoClient(ClientNode):
         if context is None:
             context = self.conflicts.recall(key)
         inner, outer, finish = self._operate(
-            "write", key, value, QPut(key, value, context), timeout
+            "write", key, QPut(key, value, context), timeout
         )
 
         def done(future: Future) -> None:
@@ -597,9 +590,7 @@ class DynamoClient(ClientNode):
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
         """Read; resolves with ``(value, stamp)``, or with
         ``(sibling_values, context)``."""
-        inner, outer, finish = self._operate(
-            "read", key, None, QGet(key), timeout
-        )
+        inner, outer, finish = self._operate("read", key, QGet(key), timeout)
 
         def done(future: Future) -> None:
             finish(future)
@@ -608,17 +599,14 @@ class DynamoClient(ClientNode):
         return outer
 
     def _operate(
-        self, kind: str, key: Hashable, value: Any, message: Any,
-        timeout: float | None,
+        self, kind: str, key: Hashable, message: Any, timeout: float | None,
     ) -> tuple[Future, Future, Any]:
         """Send one operation; returns the RPC future, the future the
         caller gets, and the completion step linking the two."""
-        cluster, recorder = self.cluster, self.cluster.recorder
+        cluster = self.cluster
         write = kind == "write"
         coordinator = self._coordinator_for(key)
         start = self.sim.now
-        if recorder is not None:
-            handle = recorder.begin(kind, key, self.session, coordinator)
         inner = self.call(
             self._endpoints(coordinator), message,
             timeout or cluster.client_timeout, idempotent=write,
@@ -627,15 +615,10 @@ class DynamoClient(ClientNode):
 
         def finish(future: Future) -> None:
             if future.error is not None:
-                if recorder is not None:
-                    recorder.fail(handle, value)
                 outer.fail(future.error)
                 return
             reply = future.value
-            seen, context = (value, reply) if write else reply
-            self.conflicts.learn(key, context)
-            if recorder is not None:
-                recorder.complete_token(handle, context, seen)
+            self.conflicts.learn(key, reply if write else reply[1])
             latency = cluster._lat_writes if write else cluster._lat_reads
             latency.record(self.sim.now - start)
             outer.resolve(reply)
@@ -709,11 +692,6 @@ class DynamoCluster:
         self.nodes = [
             DynamoNode(sim, network, node_id, self) for node_id in ids
         ]
-        #: Client-side history, kept when the strategy's contexts are
-        #: totally ordered tokens (``None`` otherwise).
-        self.recorder = (
-            TokenHistoryRecorder(sim) if conflicts.total_order else None
-        )
         self._clients = 0
 
     def node(self, node_id: Hashable) -> DynamoNode:
@@ -739,16 +717,6 @@ class DynamoCluster:
         )
 
     # ------------------------------------------------------------------
-    def history(self) -> History:
-        """The clients' operations, Lamport stamps densified into
-        per-key integer versions."""
-        if self.recorder is None:
-            raise NotImplementedError(
-                "sibling contexts are partially ordered: there are no "
-                "per-key versions to densify"
-            )
-        return self.recorder.history()
-
     def snapshots(self) -> list[dict]:
         return [node.snapshot() for node in self.nodes]
 

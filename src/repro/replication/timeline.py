@@ -24,7 +24,7 @@ from typing import Any, Hashable
 
 from ..errors import UnavailableError
 from ..sim import Future, Network, Simulator
-from .common import ClientNode, RecordingClient, VersionedGroup, VersionedReplica
+from .common import ClientNode, GroupClient, VersionedGroup, VersionedReplica
 from .ring import HashRing
 
 
@@ -141,7 +141,7 @@ class TimelineReplica(VersionedReplica):
             del self._waiters[key]
 
 
-class TimelineClient(RecordingClient):
+class TimelineClient(GroupClient):
     """Client with per-session read floors (for critical reads)."""
 
     def __init__(
@@ -178,22 +178,20 @@ class TimelineClient(RecordingClient):
         # Writes are mastered: there is no useful failover target (a
         # non-master would only forward back to the same master), but
         # retries still dedup server-side via the idempotency key.
-        inner = self.call(master, TWrite(key, value), timeout,
-                          idempotent=True)
-        outer = self._recorded("write", key, master, inner, lambda v: (v, value))
+        written = self.call(master, TWrite(key, value), timeout,
+                            idempotent=True)
 
         def bump_floor(future: Future) -> None:
             if future.error is None:
                 self.floors[key] = max(self.floors.get(key, 0), future.value)
 
-        outer.add_callback(bump_floor)
-        return outer
+        written.add_callback(bump_floor)
+        return written
 
     def read_any(self, key: Hashable, timeout: float | None = None) -> Future:
         """Fast read from the home replica; may be stale."""
         target = self._reader(key)
-        inner = self.call(self._read_endpoints(target), TReadAny(key), timeout)
-        return self._recorded("read", key, target, inner, lambda v: (v[1], v[0]))
+        return self.call(self._read_endpoints(target), TReadAny(key), timeout)
 
     def read_critical(
         self, key: Hashable, min_version: int | None = None,
@@ -207,22 +205,19 @@ class TimelineClient(RecordingClient):
             else self.floors.get(key, 0)
         )
         target = self._reader(key)
-        inner = self.call(self._read_endpoints(target),
-                          TReadCritical(key, floor), timeout)
-        outer = self._recorded("read", key, target, inner, lambda v: (v[1], v[0]))
+        read = self.call(self._read_endpoints(target),
+                         TReadCritical(key, floor), timeout)
 
         def bump_floor(future: Future) -> None:
             if future.error is None:
                 self.floors[key] = max(self.floors.get(key, 0), future.value[1])
 
-        outer.add_callback(bump_floor)
-        return outer
+        read.add_callback(bump_floor)
+        return read
 
     def read_latest(self, key: Hashable, timeout: float | None = None) -> Future:
         """Read from the record master (up-to-date)."""
-        master = self.cluster.master_of(key)
-        inner = self.call(master, TReadAny(key), timeout)
-        return self._recorded("read", key, master, inner, lambda v: (v[1], v[0]))
+        return self.call(self.cluster.master_of(key), TReadAny(key), timeout)
 
 
 class TimelineCluster(VersionedGroup):

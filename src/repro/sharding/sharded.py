@@ -42,7 +42,6 @@ from typing import Any, Hashable
 from ..api import registry
 from ..api.store import ConsistentStore, StoreSession, resolved
 from ..errors import OverloadedError, SimulationError
-from ..histories import History
 from ..replication import HashRing
 from ..sim import Future, Network, Simulator, spawn
 from .handoff import DRAIN, JOIN, RingMove
@@ -163,8 +162,6 @@ class ShardedStore(ConsistentStore):
         self.shards: dict[Hashable, ConsistentStore] = {}
         for shard_id in self.shard_ids:
             self.shards[shard_id] = self._build_cluster(shard_id)
-        #: Decommissioned clusters, kept for history()/forensics.
-        self._retired: list[tuple[Hashable, ConsistentStore]] = []
         self._move: RingMove | None = None
         #: Optional :class:`repro.membership.MembershipService` kept in
         #: sync with ring moves (see :meth:`attach_membership`).
@@ -382,7 +379,6 @@ class ShardedStore(ConsistentStore):
             self.ring.remove_node(move.subject)
             cluster = self.shards.pop(move.subject)
             self.shard_ids.remove(move.subject)
-            self._retired.append((move.subject, cluster))
             for node_id in cluster.server_ids():
                 if self.membership is not None:
                     self.membership.forget(node_id)
@@ -416,16 +412,6 @@ class ShardedStore(ConsistentStore):
             for shard_id in self.shard_ids
             for node_id in self.shards[shard_id].server_ids()
         ]
-
-    def history(self) -> History:
-        """Union of the per-shard histories — including retired shards,
-        whose pre-drain operations are part of the record."""
-        ops = []
-        for shard_id in self.shard_ids:
-            ops.extend(self.shards[shard_id].history())
-        for _shard_id, cluster in self._retired:
-            ops.extend(cluster.history())
-        return History(ops)
 
     def snapshots(self) -> list[dict]:
         """Ownership-filtered replica views, merged across shards.

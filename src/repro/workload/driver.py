@@ -38,7 +38,7 @@ This driver and the open-loop one (:mod:`.openloop`) are two
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..analysis import LatencyStats
@@ -163,9 +163,7 @@ class OpCore:
         """Record the invocation and issue the call (``kind`` is
         ``"read"`` or ``"write"``).  A call that raises synchronously
         leaves ``op.future`` unset and the error on the op."""
-        op = _Op(kind,
-                 self.recorder.begin(kind, key, session.name,
-                                     replica=session.client_id),
+        op = _Op(kind, self.recorder.begin(kind, key, session.name),
                  self.sim.now, value)
         try:
             # Hold the future itself: cache-fronted stores stamp it

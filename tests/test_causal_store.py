@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import registry
 from repro.checkers import (
     check_all_session_guarantees,
     check_causal,
@@ -10,6 +11,7 @@ from repro.checkers import (
 )
 from repro.replication import CausalCluster
 from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
+from repro.workload import OpSpec, WorkloadDriver
 
 
 def make_cluster(seed=0, latency=None, nodes=3):
@@ -127,48 +129,34 @@ def test_history_is_causal_but_not_linearizable():
         site_of=lambda n: site_of[n], jitter=0.0,
     )
     net = Network(sim, latency=latency)
-    cluster = CausalCluster(sim, net, nodes=3)
-    writer = cluster.connect(home="cc0", session="writer")
-    reader = cluster.connect(home="cc1", session="reader")
-
-    def write_loop():
-        for i in range(8):
-            yield writer.put("k", i)
-            yield 10.0
-
-    def read_loop():
-        yield 5.0
-        for _ in range(10):
-            yield reader.get("k")
-            yield 10.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-    sim.run(until=sim.now + 500.0)
-    history = cluster.history()
+    store = registry.build("causal", sim, net, nodes=3)
+    driver = WorkloadDriver(sim)
+    driver.add_session(store.session("writer", home="cc0"),
+                       [OpSpec("update", "k", i) for i in range(8)],
+                       think_time=10.0)
+    driver.add_session(store.session("reader", home="cc1"),
+                       [OpSpec("sleep", "", 5.0)] + [OpSpec("read", "k")] * 10,
+                       think_time=10.0)
+    history = driver.run().history
     assert check_causal(history).ok
     assert not check_linearizability(history).ok  # stale remote reads
 
 
 def test_session_guarantees_hold_for_pinned_clients():
-    sim, _net, cluster = make_cluster(seed=5)
-    clients = [
-        cluster.connect(home=f"cc{i}", session=f"s{i}") for i in range(3)
-    ]
-
-    def script(client, index):
-        for i in range(6):
-            yield client.put(f"key-{index}", i)
-            yield client.get(f"key-{index}")
-            yield client.get(f"key-{(index + 1) % 3}")
-            yield 8.0
-
-    for index, client in enumerate(clients):
-        spawn(sim, script(client, index))
-    sim.run()
-    sim.run(until=sim.now + 500.0)
-    history = cluster.history()
+    sim = Simulator(seed=5)
+    store = registry.build("causal", sim,
+                           Network(sim, latency=FixedLatency(10.0)), nodes=3)
+    driver = WorkloadDriver(sim)
+    for index in range(3):
+        own, next_ = f"key-{index}", f"key-{(index + 1) % 3}"
+        driver.add_session(
+            store.session(f"s{index}", home=f"cc{index}"),
+            [spec
+             for i in range(6)
+             for spec in (OpSpec("update", own, i), OpSpec("read", own),
+                          OpSpec("read", next_), OpSpec("sleep", "", 8.0))],
+        )
+    history = driver.run().history
     for name, verdict in check_all_session_guarantees(history).items():
         assert verdict.ok, f"{name}: {verdict.violations[:2]}"
     assert check_causal(history).ok

@@ -3,7 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.histories import History, HistoryRecorder, make_read, make_write
+from repro.histories import (
+    History,
+    TokenHistoryRecorder,
+    make_read,
+    make_write,
+)
 from repro.sim import Simulator
 
 
@@ -149,14 +154,14 @@ def test_add_and_extend_return_new_histories():
 
 def test_recorder_tracks_invocation_and_response_times():
     sim = Simulator()
-    recorder = HistoryRecorder(sim)
+    recorder = TokenHistoryRecorder(sim)
     handles = {}
 
     def invoke():
-        handles["h"] = recorder.begin("read", "k", "s1", replica="r1")
+        handles["h"] = recorder.begin("read", "k", "s1")
 
     def respond():
-        recorder.complete(handles["h"], version=4, value="v")
+        recorder.complete_token(handles["h"], ("stamp", 4), value="v")
 
     sim.schedule(1.0, invoke)
     sim.schedule(5.0, respond)
@@ -165,22 +170,14 @@ def test_recorder_tracks_invocation_and_response_times():
     assert len(history) == 1
     op = history[0]
     assert (op.start, op.end) == (1.0, 5.0)
-    assert op.version == 4 and op.value == "v" and op.replica == "r1"
-    assert recorder.pending_count == 0
+    # The only token of the key densifies to version 1.
+    assert op.version == 1 and op.value == "v" and op.session == "s1"
 
 
 def test_recorder_fail_records_incomplete_op():
     sim = Simulator()
-    recorder = HistoryRecorder(sim)
+    recorder = TokenHistoryRecorder(sim)
     handle = recorder.begin("write", "k", "s1")
     recorder.fail(handle)
     op = recorder.history()[0]
     assert not op.completed and op.end is None
-
-
-def test_recorder_replica_override_on_complete():
-    sim = Simulator()
-    recorder = HistoryRecorder(sim)
-    handle = recorder.begin("read", "k", "s1", replica="guess")
-    op = recorder.complete(handle, version=1, replica="actual")
-    assert op.replica == "actual"

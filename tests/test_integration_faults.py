@@ -7,6 +7,7 @@ package's core reproducibility promise: same seed ⇒ same trace.
 
 import pytest
 
+from repro.api import registry
 from repro.checkers import check_convergence
 from repro.replication import (
     CausalCluster,
@@ -15,6 +16,7 @@ from repro.replication import (
     MultiPaxosCluster,
 )
 from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
+from repro.workload import OpSpec, run_workload
 
 
 # ----------------------------------------------------------------------
@@ -27,25 +29,17 @@ def dynamo_trace(seed):
         sim, latency=ExponentialLatency(base=0.5, mean=9.0),
         loss_rate=0.05, duplicate_rate=0.05,
     )
-    cluster = DynamoCluster(sim, net, nodes=5, n=3, r=2, w=2,
-                            coordinator_policy="random")
-    client = cluster.connect()
-
-    def script():
-        for i in range(15):
-            try:
-                yield client.put(f"key-{i % 4}", i)
-            except Exception:  # noqa: BLE001 - loss may fail some ops
-                pass
-            try:
-                yield client.get(f"key-{(i + 1) % 4}")
-            except Exception:  # noqa: BLE001
-                pass
-            yield 6.0
-
-    spawn(sim, script())
-    sim.run()
-    history = cluster.history()
+    store = registry.build("quorum", sim, net, nodes=5, n=3, r=2, w=2,
+                           coordinator_policy="random")
+    # Loss may fail some ops; the driver records them and goes on.
+    ops = [
+        spec
+        for i in range(15)
+        for spec in (OpSpec("update", f"key-{i % 4}", i),
+                     OpSpec("read", f"key-{(i + 1) % 4}"),
+                     OpSpec("sleep", "", 6.0))
+    ]
+    history = run_workload(store, ops).history
     return [
         (op.kind, op.key, op.version, round(op.start, 9),
          None if op.end is None else round(op.end, 9))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import registry
 from repro.checkers import check_convergence, check_linearizability
 from repro.errors import NotLeaderError, TimeoutError as ReproTimeoutError
 from repro.replication import MultiPaxosCluster
@@ -21,6 +22,7 @@ from repro.sim import (
     Tracer,
     spawn,
 )
+from repro.workload import OpSpec, WorkloadDriver
 
 
 # ----------------------------------------------------------------------
@@ -76,25 +78,19 @@ def test_log_applies_in_order_on_all_replicas():
 
 
 def test_multipaxos_history_linearizable():
-    sim, _net, cluster = make_mp(nodes=5, seed=4)
-    writer = cluster.connect(session="w")
-    reader = cluster.connect(session="r")
-
-    def write_loop():
-        for i in range(6):
-            yield writer.put("k", i)
-            yield 3.0
-
-    def read_loop():
-        yield 2.0
-        for _ in range(8):
-            yield reader.get("k")
-            yield 4.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-    assert check_linearizability(cluster.recorder.history()).ok
+    sim = Simulator(seed=4)
+    net = Network(sim, latency=FixedLatency(2.0))
+    store = registry.build("multipaxos", sim, net, nodes=5)
+    driver = WorkloadDriver(sim)
+    driver.add_session(store.session("w"),
+                       [OpSpec("update", "k", i) for i in range(6)],
+                       think_time=3.0)
+    driver.add_session(store.session("r"),
+                       [OpSpec("sleep", "", 2.0)] + [OpSpec("read", "k")] * 8,
+                       think_time=4.0)
+    history = driver.run().history
+    assert len(history.completed) == 14
+    assert check_linearizability(history).ok
 
 
 def test_local_read_can_be_stale_but_timeline_consistent():

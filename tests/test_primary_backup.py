@@ -2,15 +2,18 @@
 
 import pytest
 
+from repro.api import registry
 from repro.checkers import (
     check_convergence,
     check_linearizability,
     check_read_your_writes,
 )
 from repro.errors import NotLeaderError, TimeoutError as ReproTimeoutError
+from repro.histories import TokenHistoryRecorder
 from repro.replication import PrimaryBackupCluster
 from repro.replication.primary_backup import PutPayload
 from repro.sim import FixedLatency, Network, Simulator, spawn
+from repro.workload import OpSpec, WorkloadDriver
 
 
 def make_cluster(mode="async", n=3, latency=5.0, seed=0):
@@ -18,6 +21,15 @@ def make_cluster(mode="async", n=3, latency=5.0, seed=0):
     net = Network(sim, latency=FixedLatency(latency))
     cluster = PrimaryBackupCluster(sim, net, n=n, mode=mode)
     return sim, net, cluster
+
+
+def make_store(mode="async", latency=5.0, seed=0):
+    """The cluster behind its store adapter, for runs whose history the
+    workload driver records."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, latency=FixedLatency(latency))
+    store = registry.build("primary_backup", sim, net, nodes=3, mode=mode)
+    return sim, net, store
 
 
 def test_put_get_roundtrip_through_primary():
@@ -129,58 +141,43 @@ def test_backup_read_is_stale_until_replication_arrives():
 
 
 def test_stale_backup_read_violates_ryw_and_linearizability():
-    sim, net, cluster = make_cluster(mode="async", latency=20.0)
-    client = cluster.connect()
-    net.partition([cluster.primary.node_id, client.node_id])  # isolate backups
-    observed = {}
+    sim, net, store = make_store(mode="async", latency=20.0)
+    session = store.session()
+    recorder = TokenHistoryRecorder(sim)
 
-    def script():
-        yield client.put("k", "v1")
-        value, version = yield client.get("k", replica=cluster.backups[0],
-                                          timeout=300.0)
-        observed["read"] = (value, version)
+    def run(ops):
+        # "backup" reads go to the first backup.
+        driver = WorkloadDriver(sim, recorder)
+        driver.add_session(session, ops, read_mode="backup", timeout=300.0)
+        return driver.run()
 
-    spawn(sim, script())
-    sim.run()
-    # The backup never saw the write (partitioned) -> read timed out.
-    history = cluster.recorder.history()
-    assert observed.get("read") is None
-    # Now heal and do a stale read: backup still behind until hints...
-    # (no hints in PB; replication messages were dropped by partition)
+    # Isolate the backups: the write is acked, the backup read times out.
+    net.partition([store.cluster.primary.node_id, session.client_id])
+    assert run([OpSpec("update", "k", "v1"),
+                OpSpec("read", "k")]).ops_failed == 1
+    # Heal: the backup is still behind (PB has no hints, and the
+    # replication message was dropped by the partition).
     net.heal()
-    reads = {}
-
-    def script2():
-        value, version = yield client.get("k", replica=cluster.backups[0])
-        reads["r"] = (value, version)
-
-    spawn(sim, script2())
-    sim.run()
-    assert reads["r"] == (None, 0)  # stale: lost replication, no repair
-    history = cluster.recorder.history()
+    assert run([OpSpec("read", "k")]).ops_ok == 1
+    history = recorder.history()
+    write, lost, stale = history
+    assert write.is_write and write.completed
+    assert lost.is_read and not lost.completed
+    assert (stale.value, stale.version) == (None, 0)  # stale: no repair
     assert not check_read_your_writes(history).ok
     assert not check_linearizability(history).ok
 
 
 def test_primary_reads_linearizable_under_concurrency():
-    sim, _net, cluster = make_cluster(mode="sync", latency=3.0, seed=7)
-    writer = cluster.connect(session="writer")
-    reader = cluster.connect(session="reader")
-
-    def write_loop():
-        for i in range(10):
-            yield writer.put("k", f"v{i}")
-            yield 5.0
-
-    def read_loop():
-        for _ in range(15):
-            yield reader.get("k")
-            yield 4.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-    history = cluster.recorder.history()
+    sim, _net, store = make_store(mode="sync", latency=3.0, seed=7)
+    driver = WorkloadDriver(sim)
+    driver.add_session(store.session("writer"),
+                       [OpSpec("update", "k", f"v{i}") for i in range(10)],
+                       think_time=5.0)
+    driver.add_session(store.session("reader"),
+                       [OpSpec("read", "k")] * 15, think_time=4.0)
+    history = driver.run().history
+    assert len(history.completed) == 25
     assert check_linearizability(history).ok
 
 

@@ -23,7 +23,7 @@ from repro.sim import (
     Tracer,
     spawn,
 )
-from repro.workload import YCSBWorkload, run_workload
+from repro.workload import OpSpec, WorkloadDriver, YCSBWorkload, run_workload
 
 BOTH = pytest.mark.parametrize(
     "cluster_cls", [DynamoCluster, SiblingDynamoCluster],
@@ -484,27 +484,33 @@ def test_a_coordinator_off_the_homes_keeps_its_own_hint(cluster_cls):
 # ---------------------------------------------------------------------------
 
 
+def quorum_store(protocol="quorum", seed=0, latency=None, **kwargs):
+    """A partial-quorum store behind its adapter, for runs whose history
+    the workload driver records."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, latency=latency or FixedLatency(2.0))
+    kwargs.setdefault("nodes", 5)
+    kwargs.setdefault("n", 3)
+    return sim, net, registry.build(protocol, sim, net, **kwargs)
+
+
+def write_ops(key, values):
+    return [OpSpec("update", key, value) for value in values]
+
+
+def read_ops(key, count, delay=0.0):
+    return [OpSpec("sleep", "", delay)] + [OpSpec("read", key)] * count
+
+
 def test_rw_quorum_overlap_yields_linearizable_history():
     # R + W > N on a healthy cluster: overlapping quorums.
-    sim, _net, cluster = make_cluster(r=2, w=2, seed=3)
-    client_a = cluster.connect(session="a")
-    client_b = cluster.connect(session="b")
-
-    def writer(out, client):
-        for i in range(8):
-            yield client.put("k", i)
-            yield 10.0
-
-    def reader(out, client):
-        yield 5.0
-        for _ in range(10):
-            yield client.get("k")
-            yield 9.0
-
-    spawn(sim, writer({}, client_a))
-    spawn(sim, reader({}, client_b))
-    sim.run()
-    history = cluster.history()
+    sim, _net, store = quorum_store(r=2, w=2, seed=3)
+    driver = WorkloadDriver(sim)
+    driver.add_session(store.session("a"), write_ops("k", range(8)),
+                       think_time=10.0)
+    driver.add_session(store.session("b"), read_ops("k", 10, delay=5.0),
+                       think_time=9.0)
+    history = driver.run().history
     assert len(history.completed) == 18
     assert check_linearizability(history).ok
 
@@ -519,45 +525,24 @@ def test_r1_w1_reads_can_be_stale():
     # somewhere.  E2 quantifies the distribution properly.
     fractions = []
     for seed in (1, 6, 13, 14, 16):
-        sim = Simulator(seed=seed)
-        net = Network(sim, latency=ExponentialLatency(base=0.5, mean=15.0))
-        cluster = DynamoCluster(
-            sim, net, nodes=5, n=3, r=1, w=1,
-            coordinator_policy="random", read_repair=False,
+        sim, _net, store = quorum_store(
+            seed=seed, latency=ExponentialLatency(base=0.5, mean=15.0),
+            r=1, w=1, coordinator_policy="random", read_repair=False,
         )
-        writer = cluster.connect(session="w")
-        reader = cluster.connect(session="r")
-
-        def write_loop(client):
-            for i in range(30):
-                yield client.put("hot", i)
-                yield 5.0
-
-        def read_loop(client):
-            yield 3.0
-            for _ in range(40):
-                yield client.get("hot")
-                yield 4.0
-
-        spawn(sim, write_loop(writer))
-        spawn(sim, read_loop(reader))
-        sim.run()
-        fractions.append(stale_read_fraction(cluster.history()))
+        driver = WorkloadDriver(sim)
+        driver.add_session(store.session("w"),
+                           write_ops("hot", range(30)), think_time=5.0)
+        driver.add_session(store.session("r"),
+                           read_ops("hot", 40, delay=3.0), think_time=4.0)
+        fractions.append(stale_read_fraction(driver.run().history))
     assert sum(fractions) > 0.0
     assert max(fractions) < 0.5  # mostly fresh, as PBS predicts
 
 
 def test_history_densifies_stamps_to_versions():
-    sim, _net, cluster = make_cluster(r=2, w=2)
-    client = cluster.connect()
-
-    def script(out, client):
-        for i in range(3):
-            yield client.put("k", f"v{i}")
-        out["read"] = yield client.get("k")
-
-    run_script(sim, client, script)
-    history = cluster.history()
+    sim, _net, store = quorum_store(r=2, w=2)
+    ops = write_ops("k", ["v0", "v1", "v2"]) + [OpSpec("read", "k")]
+    history = run_workload(store, ops).history
     writes = [op for op in history.writes()]
     assert sorted(op.version for op in writes) == [1, 2, 3]
     reads = history.reads()
@@ -565,44 +550,42 @@ def test_history_densifies_stamps_to_versions():
 
 
 def test_history_accepts_unhashable_values_and_failed_writes():
-    # Cluster histories record whatever the application wrote; a list
-    # cannot be tied back to a maybe-applied write, and must not break
-    # the densifier either.
-    sim, net, cluster = make_cluster(r=2, w=2, seed=5)
-    client = cluster.connect()
+    # The driver records whatever the application wrote; a list cannot
+    # be tied back to a maybe-applied write, and must not break the
+    # densifier either.
+    sim, net, store = quorum_store(r=2, w=2, seed=5)
+    session = store.session()
 
-    def script(out, client):
-        yield client.put("k", ["milk"])
-        yield client.get("k")
-        cut_homes_but_first(net, cluster, client, keep_fallbacks=False)
-        try:
-            yield client.put("k", ["eggs"])
-        except QuorumError:
-            out["failed"] = True
+    def cut_after_read(spec, _ok):
+        if spec.op == "read":
+            cut_homes_but_first(net, store.cluster, session.client,
+                                keep_fallbacks=False)
 
-    out = run_script(sim, client, script)
-    assert out["failed"]
+    driver = WorkloadDriver(sim)
+    driver.add_session(
+        session,
+        [OpSpec("update", "k", ["milk"]), OpSpec("read", "k"),
+         OpSpec("update", "k", ["eggs"])],
+        on_op=cut_after_read,
+    )
+    result = driver.run()
+    assert result.ops_failed == 1
     assert [(op.kind, op.version, op.end is None)
-            for op in cluster.history()] == [
+            for op in result.history] == [
         ("write", 1, False), ("read", 1, False), ("write", 0, True),
     ]
 
 
 def test_lamport_stamps_give_total_order_across_coordinators():
-    sim, _net, cluster = make_cluster(
+    sim, _net, store = quorum_store(
         r=2, w=2, coordinator_policy="random", seed=9,
     )
-    clients = [cluster.connect(session=f"s{i}") for i in range(3)]
-
-    def script(out, client):
-        for i in range(4):
-            yield client.put("shared", (client.session, i))
-            yield 7.0
-
-    for client in clients:
-        spawn(sim, script({}, client))
-    sim.run()
-    history = cluster.history()
+    driver = WorkloadDriver(sim)
+    for i in range(3):
+        values = [(f"s{i}", n) for n in range(4)]
+        driver.add_session(store.session(f"s{i}"),
+                           write_ops("shared", values), think_time=7.0)
+    history = driver.run().history
     versions = [op.version for op in history.writes()]
     assert len(versions) == len(set(versions)) == 12
 
@@ -613,9 +596,17 @@ def test_lamport_stamps_give_total_order_across_coordinators():
 
 
 def test_sibling_cluster_keeps_no_versioned_history():
-    _sim, _net, cluster = make_cluster(SiblingDynamoCluster)
-    with pytest.raises(NotImplementedError):
-        cluster.history()
+    # Vector-clock contexts are only partially ordered, and the cluster
+    # keeps no history: its adapter maps each context to a token the
+    # driver densifies (chained writes supersede, so versions rise).
+    sim, _net, store = quorum_store("quorum_siblings")
+    assert not hasattr(store.cluster, "history")
+    history = run_workload(
+        store, write_ops("k", ["v1", "v2"]) + [OpSpec("read", "k")]
+    ).history
+    assert [(op.kind, op.version) for op in history] == [
+        ("write", 1), ("write", 2), ("read", 2),
+    ]
 
 
 def test_chained_writes_supersede_no_siblings():

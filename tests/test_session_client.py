@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.api import registry
 from repro.checkers import check_monotonic_reads, check_read_your_writes
 from repro.client import SessionClient, timeline_session
 from repro.errors import TimeoutError as ReproTimeoutError
 from repro.replication import TimelineCluster
 from repro.sim import FixedLatency, Future, Network, Simulator, spawn
+from repro.workload import OpSpec, WorkloadDriver
 
 
 def make_timeline(seed=0, propagation_delay=100.0, latency=3.0):
@@ -22,10 +24,27 @@ def non_master_home(cluster, key="k"):
     return next(n for n in cluster.node_ids if n != master)
 
 
+def drive_timeline(ops, guarantees, seed=0, propagation_delay=100.0,
+                   **session_opts):
+    """Run ``ops`` through a timeline store session enforcing
+    ``guarantees`` from a non-master home; returns the driver's history
+    and the session layer's stats."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, latency=FixedLatency(3.0))
+    store = registry.build("timeline", sim, net, nodes=3,
+                           propagation_delay=propagation_delay)
+    session = store.session("s", guarantees=guarantees,
+                            home=non_master_home(store.cluster),
+                            **session_opts)
+    driver = WorkloadDriver(sim)
+    driver.add_session(session, ops)
+    return driver.run().history, session.session_client.stats
+
+
 def test_unknown_guarantee_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
-        SessionClient(sim, lambda k: None, lambda k, v: None,
+        SessionClient(sim, lambda k, attempt: None, lambda k, v: None,
                       guarantees=["ryw", "linearizable"])
 
 
@@ -48,43 +67,38 @@ def test_ryw_enforced_by_retry():
 
 
 def test_without_guarantees_stale_read_accepted():
-    sim, _net, cluster = make_timeline()
-    raw = cluster.connect(home=non_master_home(cluster))
-    session = timeline_session(raw, guarantees=())
-    out = {}
-
-    def script():
-        yield session.write("k", "mine")
-        out["read"] = yield session.read("k")
-
-    spawn(sim, script())
-    sim.run()
-    assert out["read"] == (None, 0)  # stale accepted, no retries
-    assert session.stats.read_retries == 0
-    history = cluster.recorder.history()
+    history, stats = drive_timeline(
+        [OpSpec("update", "k", "mine"), OpSpec("read", "k")], guarantees=(),
+    )
+    (read,) = history.reads()
+    assert (read.value, read.version) == (None, 0)  # stale accepted
+    assert stats.read_retries == 0
     assert not check_read_your_writes(history).ok
 
 
 def test_session_history_passes_checkers_with_guarantees():
-    sim, _net, cluster = make_timeline(seed=2, propagation_delay=60.0)
-    raw = cluster.connect(home=non_master_home(cluster))
-    session = timeline_session(raw, guarantees=("ryw", "mr"), retry_delay=10.0)
+    ops = [
+        spec
+        for i in range(5)
+        for spec in (OpSpec("update", "k", i), OpSpec("read", "k"),
+                     OpSpec("sleep", "", 20.0))
+    ]
 
-    def script():
-        for i in range(5):
-            yield session.write("k", i)
-            yield session.read("k")
-            yield 20.0
+    def run(guarantees):
+        return drive_timeline(ops, guarantees, seed=2,
+                              propagation_delay=60.0, retry_delay=10.0)
 
-    spawn(sim, script())
-    sim.run()
-    # The *session-level* history (accepted replies only) is clean...
-    history = session.history()
+    # The driver records what the application saw — accepted replies
+    # only — and that history is clean...
+    history, stats = run(("ryw", "mr"))
     assert check_read_your_writes(history).ok
     assert check_monotonic_reads(history).ok
-    # ...while the raw store history shows the stale replies the
-    # floors rejected — the enforcement is real work, not luck.
-    assert not check_read_your_writes(cluster.recorder.history()).ok
+    # ...because the floors refused stale replies: the same ops with no
+    # guarantees break read-your-writes.  The enforcement is real
+    # work, not luck.
+    assert stats.reads_rejected_stale > 0
+    unguarded, _stats = run(())
+    assert not check_read_your_writes(unguarded).ok
 
 
 def test_monotonic_reads_floor_advances():
@@ -155,7 +169,7 @@ def test_write_failure_propagates():
         future.fail(ReproTimeoutError("store down"))
         return future
 
-    def read_fn(key):
+    def read_fn(key, attempt):
         future = Future(sim)
         future.resolve((None, 0))
         return future

@@ -14,7 +14,10 @@ from repro import Network, RetryPolicy, Simulator, spawn
 from repro.api import ConsistentStore, registry
 from repro.errors import ReproError
 from repro.errors import TimeoutError as ReproTimeoutError
+from repro.histories import TokenHistoryRecorder
+from repro.sharding import ShardedStore
 from repro.sim import FixedLatency
+from repro.workload import YCSBWorkload, run_workload
 
 #: Adapter-specific knobs so the same conformance script runs
 #: everywhere: session options, a settle pause before reading, and a
@@ -333,15 +336,28 @@ def test_idempotent_retry_applies_once(name):
         assert seen["read_token"] == seen["put_token"]
 
 
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_history_or_driver_history(name):
-    """Stores either keep a checkable server-side history or declare
-    they do not (the driver's client-side history covers the rest)."""
+@pytest.mark.parametrize("name", ALL_PROTOCOLS + ["sharded"])
+def test_history_or_driver_history(name, monkeypatch):
+    """No store keeps a history of its own: the driver's is the only
+    one, with exactly one record per op.  ``cached`` fronts a quorum
+    store; ``sharded`` routes over two ``quorum_siblings`` shards."""
     sim = Simulator(seed=2)
-    store = build_store(name, sim)
-    if store.capabilities.has_history:
-        history = store.history()
-        assert len(history) == 0
+    if name == "sharded":
+        store = ShardedStore(sim, Network(sim, latency=FixedLatency(2.0)),
+                             protocol="quorum_siblings", shards=2,
+                             nodes_per_shard=3)
     else:
-        with pytest.raises(NotImplementedError):
-            store.history()
+        store = build_store(name, sim)
+    assert not hasattr(store, "history")
+    begun = []
+    begin = TokenHistoryRecorder.begin
+
+    def counting_begin(self, *args, **kwargs):
+        begun.append(args)
+        return begin(self, *args, **kwargs)
+
+    monkeypatch.setattr(TokenHistoryRecorder, "begin", counting_begin)
+    ops = YCSBWorkload("A", records=8, seed=3).take(40)
+    result = run_workload(store, ops, clients=3, timeout=2_000.0)
+    assert result.ops_total == 40
+    assert len(begun) == len(result.history) == 40

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import registry
 from repro.checkers import (
     check_convergence,
     check_linearizability,
@@ -12,6 +13,7 @@ from repro.checkers import (
 from repro.errors import NotLeaderError
 from repro.replication import ChainCluster, TimelineCluster
 from repro.sim import FixedLatency, Network, Simulator, spawn
+from repro.workload import OpSpec, WorkloadDriver
 
 
 def make_timeline(seed=0, latency=3.0, **kwargs):
@@ -19,6 +21,30 @@ def make_timeline(seed=0, latency=3.0, **kwargs):
     net = Network(sim, latency=FixedLatency(latency))
     cluster = TimelineCluster(sim, net, **kwargs)
     return sim, net, cluster
+
+
+def store_and_driver(name, seed=0, latency=3.0, **build):
+    """Store ``name`` behind its adapter, and a driver to record its
+    history."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, latency=FixedLatency(latency))
+    return registry.build(name, sim, net, **build), WorkloadDriver(sim)
+
+
+def write_read_rounds(rounds, pause):
+    """Per round: write ``rec``, read it back, pause."""
+    return [
+        spec
+        for i in range(rounds)
+        for spec in (OpSpec("update", "rec", i), OpSpec("read", "rec"),
+                     OpSpec("sleep", "", pause))
+    ]
+
+
+def remote_home(store):
+    """A replica that is not ``rec``'s master."""
+    master = store.cluster.master_of("rec")
+    return next(n for n in store.cluster.node_ids if n != master)
 
 
 # ----------------------------------------------------------------------
@@ -114,59 +140,38 @@ def test_read_critical_waits_for_session_floor():
 
 
 def test_read_critical_gives_ryw_and_monotonic_reads():
-    sim, _net, cluster = make_timeline(propagation_delay=60.0, seed=2)
-    master = cluster.master_of("rec")
-    others = [n for n in cluster.node_ids if n != master]
-    client = cluster.connect(home=others[0])
-
-    def script():
-        for i in range(5):
-            yield client.write("rec", i)
-            yield client.read_critical("rec")
-            yield 10.0
-
-    spawn(sim, script())
-    sim.run()
-    history = cluster.recorder.history()
+    store, driver = store_and_driver("timeline", seed=2,
+                                     propagation_delay=60.0)
+    driver.add_session(store.session(home=remote_home(store)),
+                       write_read_rounds(5, pause=10.0), read_mode="critical")
+    history = driver.run().history
     assert check_read_your_writes(history).ok
     assert check_monotonic_reads(history).ok
 
 
 def test_read_any_violates_ryw_under_lag():
-    sim, _net, cluster = make_timeline(propagation_delay=150.0, seed=3)
-    master = cluster.master_of("rec")
-    others = [n for n in cluster.node_ids if n != master]
-    client = cluster.connect(home=others[0])
-
-    def script():
-        for i in range(4):
-            yield client.write("rec", i)
-            yield client.read_any("rec")
-            yield 5.0
-
-    spawn(sim, script())
-    sim.run()
-    history = cluster.recorder.history()
+    store, driver = store_and_driver("timeline", seed=3,
+                                     propagation_delay=150.0)
+    driver.add_session(store.session(home=remote_home(store)),
+                       write_read_rounds(4, pause=5.0), read_mode="any")
+    history = driver.run().history
     assert not check_read_your_writes(history).ok
     assert stale_read_fraction(history) > 0
 
 
 def test_timeline_never_forks_replicas_converge():
-    sim, _net, cluster = make_timeline(propagation_delay=30.0, seed=4)
-    clients = [cluster.connect(session=f"s{i}") for i in range(3)]
-
-    def script(client, base):
-        for i in range(5):
-            yield client.write("rec", f"{client.session}-{i}")
-            yield 7.0
-
-    for index, client in enumerate(clients):
-        spawn(sim, script(client, index))
-    sim.run()
-    sim.run(until=sim.now + 500.0)
-    assert check_convergence(cluster.snapshots()).ok
+    store, driver = store_and_driver("timeline", seed=4,
+                                     propagation_delay=30.0)
+    for n in range(3):
+        driver.add_session(
+            store.session(f"s{n}"),
+            [OpSpec("update", "rec", f"s{n}-{i}") for i in range(5)],
+            think_time=7.0,
+        )
+    history = driver.run().history
+    store.sim.run(until=store.sim.now + 500.0)
+    assert check_convergence(store.snapshots()).ok
     # All versions 1..15 were assigned exactly once (single master).
-    history = cluster.recorder.history()
     versions = sorted(op.version for op in history.writes())
     assert versions == list(range(1, 16))
 
@@ -251,25 +256,16 @@ def test_chain_reads_only_at_tail_writes_only_at_head():
 
 
 def test_chain_history_linearizable():
-    sim, _net, cluster = make_chain(seed=5, latency=4.0, nodes=4)
-    writer = cluster.connect(session="w")
-    reader = cluster.connect(session="r")
-
-    def write_loop():
-        for i in range(6):
-            yield writer.put("k", i)
-            yield 6.0
-
-    def read_loop():
-        yield 3.0
-        for _ in range(8):
-            yield reader.get("k")
-            yield 5.0
-
-    spawn(sim, write_loop())
-    spawn(sim, read_loop())
-    sim.run()
-    assert check_linearizability(cluster.recorder.history()).ok
+    store, driver = store_and_driver("chain", seed=5, latency=4.0, nodes=4)
+    driver.add_session(store.session("w"),
+                       [OpSpec("update", "k", i) for i in range(6)],
+                       think_time=6.0)
+    driver.add_session(store.session("r"),
+                       [OpSpec("sleep", "", 3.0)] + [OpSpec("read", "k")] * 8,
+                       think_time=5.0)
+    history = driver.run().history
+    assert len(history.completed) == 14
+    assert check_linearizability(history).ok
 
 
 def test_single_node_chain_works():
