@@ -15,7 +15,7 @@ from common import emit
 from repro import Network, Simulator
 from repro.analysis import render_table
 from repro.api import registry
-from repro.checkers import ALL_SESSION_GUARANTEES
+from repro.checkers import ALL_SESSION_GUARANTEES, check_all_session_guarantees
 from repro.sim import ExponentialLatency
 from repro.workload import OpSpec, WorkloadDriver
 
@@ -53,11 +53,7 @@ def run_sessions(guarantees, seed=2, propagation_delay=80.0):
         driver.add_session(session, session_ops(key))
     result = driver.run()
 
-    combined = result.history
-    verdicts = {
-        name: check(combined)
-        for name, check in ALL_SESSION_GUARANTEES.items()
-    }
+    verdicts = check_all_session_guarantees(result.history)
     return verdicts, result.read_latency.mean
 
 

@@ -18,8 +18,7 @@ Run:  python examples/consistency_sla.py
 from repro import Network, Simulator, spawn
 from repro.analysis import print_table
 from repro.replication import TimelineCluster
-from repro.sim import Topology
-from repro.sim.topology import _sym
+from repro.sim import THREE_CONTINENTS
 from repro.sla import (
     PASSWORD_CHECKING,
     SHOPPING_CART,
@@ -28,16 +27,6 @@ from repro.sla import (
     Consistency,
     SLAClient,
     SubSLA,
-)
-
-GEO = Topology(
-    name="sla-geo",
-    sites=("us-east", "eu", "asia"),
-    delays=_sym({
-        ("us-east", "eu"): 40.0,
-        ("us-east", "asia"): 110.0,
-        ("eu", "asia"): 120.0,
-    }),
 )
 
 ALWAYS_MASTER = SLA(
@@ -61,7 +50,7 @@ def build_world(seed=0):
         "tl0": "us-east", "tl1": "eu", "tl2": "asia",
         "tlclient-1": "eu", "tl0-fwd": "us-east",
     }
-    net = Network(sim, latency=GEO.latency_model(placement, jitter=0.05))
+    net = Network(sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05))
     cluster = TimelineCluster(sim, net, nodes=3, propagation_delay=30.0)
     cluster.set_master("data", "tl0")  # record mastered in us-east
     raw = cluster.connect(home="tl1")  # EU client reads its local replica

@@ -1,6 +1,6 @@
 """Analysis tooling: latency stats, metrics registry, PBS, tables."""
 
-from .metrics import LatencyStats, throughput
+from .metrics import LatencyStats
 from .registry import Counter, Gauge, MetricsRegistry
 from .pbs import (
     PBSResult,
@@ -13,7 +13,6 @@ from .tables import print_table, render_table
 
 __all__ = [
     "LatencyStats",
-    "throughput",
     "MetricsRegistry",
     "Counter",
     "Gauge",

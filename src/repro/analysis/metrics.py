@@ -1,4 +1,4 @@
-"""Latency/throughput metrics for experiment harnesses."""
+"""Latency metrics for experiment harnesses."""
 
 from __future__ import annotations
 
@@ -31,14 +31,6 @@ class LatencyStats:
             return 0.0
         return sum(self.samples) / len(self.samples)
 
-    @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
     def percentile(self, p: float) -> float:
         """Linear-interpolated percentile, p in [0, 100]."""
         if not 0 <= p <= 100:
@@ -56,15 +48,6 @@ class LatencyStats:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-    @property
-    def stddev(self) -> float:
-        if len(self.samples) < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(
-            sum((x - mu) ** 2 for x in self.samples) / (len(self.samples) - 1)
-        )
 
     def summary(self) -> dict:
         ordered = sorted(self.samples)  # once, for all four order statistics
@@ -88,10 +71,3 @@ def _percentile_of(ordered: list[float], p: float) -> float:
         return ordered[low]
     frac = rank - low
     return ordered[low] * (1 - frac) + ordered[high] * frac
-
-
-def throughput(operations: int, duration_ms: float) -> float:
-    """Ops per (simulated) second."""
-    if duration_ms <= 0:
-        return 0.0
-    return operations / (duration_ms / 1000.0)

@@ -157,13 +157,3 @@ class MetricsRegistry:
             return "(no metrics)"
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
-
-    def reset(self) -> None:
-        """Zero every counter/gauge and drop latency samples (handles
-        stay valid — publishers keep their references)."""
-        for counter in self._counters.values():
-            counter.value = 0
-        for gauge in self._gauges.values():
-            gauge.value = 0.0
-        for stats in self._latencies.values():
-            stats.samples.clear()

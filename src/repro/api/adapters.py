@@ -435,7 +435,6 @@ class TimelineStore(ClusterStore):
     read_modes=("tentative", "committed"),
     tentative_reads=True,
     networked=False,
-    retry_safe_reads=False,
     retry_safe_writes=False,
 ))
 class BayouStore(ClusterStore):

@@ -69,10 +69,6 @@ class StoreCapabilities:
     #: crashes (chain replication famously does not, without
     #: reconfiguration).
     survives_replica_crash: bool = True
-    #: Reads may be safely re-issued under a :class:`repro.rpc
-    #: .RetryPolicy` (reads are naturally idempotent for every
-    #: networked store).
-    retry_safe_reads: bool = True
     #: Writes may be safely retried: the client attaches idempotency
     #: keys, so a re-sent write is applied at most once per server.
     retry_safe_writes: bool = True

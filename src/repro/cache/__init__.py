@@ -1,10 +1,8 @@
-"""The caching and derived-data tier.
+"""The caching tier.
 
 ``repro.cache`` puts a deterministic TTL+LRU cache
 (:class:`CachedStore`, four policies) in front of any registered
-:class:`~repro.api.ConsistentStore`, tails its write path into a
-change-data-capture stream (:mod:`repro.cache.cdc`) feeding
-invalidation buses and materialized views.  The conformance engine
+:class:`~repro.api.ConsistentStore`.  The conformance engine
 (:func:`repro.chaos.run_cell` with a ``policy``) grades it with the
 same checkers and the same rule as a bare adapter, on histories
 recorded at the cache boundary.
@@ -15,7 +13,6 @@ Importing :mod:`repro.api` registers the ``"cached"`` adapter::
                            policy="write_through", ttl=200.0)
 """
 
-from .cdc import ChangeEvent, ChangeLog, InvalidationFeed, MaterializedView
 from .store import (
     POLICIES,
     CachedSession,
@@ -32,8 +29,4 @@ __all__ = [
     "TierFuture",
     "build_cached",
     "derive_capabilities",
-    "ChangeEvent",
-    "ChangeLog",
-    "InvalidationFeed",
-    "MaterializedView",
 ]

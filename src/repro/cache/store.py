@@ -59,7 +59,6 @@ from ..api import registry as _registry
 from ..api.store import ConsistentStore, StoreCapabilities, StoreSession
 from ..errors import ReproError
 from ..sim import Future
-from .cdc import ChangeLog
 
 #: The four supported write policies.
 POLICIES = ("cache_aside", "read_through", "write_through", "write_behind")
@@ -267,9 +266,10 @@ class CachedStore(ConsistentStore):
         self._rng = random.Random(seed)
         self._shards: dict[Hashable, _CacheShard] = {}
         #: Change-data-capture: every *acked backing write* (direct or
-        #: flushed), in commit-ack order, for invalidation feeds and
-        #: materialized views.
-        self.cdc = ChangeLog(self.sim)
+        #: flushed) is counted and annotated ``cdc`` with a dense
+        #: per-store sequence number, in commit-ack order.
+        self._cdc_events = self.sim.metrics.counter("cache.cdc_events")
+        self._cdc_seq = 0
         self.capabilities = derive_capabilities(
             inner.capabilities, policy, ttl,
             flush_delay if policy == "write_behind" else 0.0,
@@ -522,13 +522,18 @@ class CachedStore(ConsistentStore):
                 self._invalidate(shard, key, token)
             elif self.policy == "write_through":
                 self._install(shard, key, value, token)
-            self.cdc.append(key, value, token)
+            self._cdc_append(key)
             self.sim.annotate("cache", op="write", key=key,
                               policy=self.policy)
             outer.resolve(token)
 
         inner_future.add_callback(done)
         return outer
+
+    def _cdc_append(self, key: Hashable) -> None:
+        self._cdc_seq += 1
+        self._cdc_events.inc()
+        self.sim.annotate("cdc", op="append", key=key, seq=self._cdc_seq)
 
     def _wb_put(self, shard: _CacheShard, key: Hashable,
                 value: Any) -> Future:
@@ -587,7 +592,7 @@ class CachedStore(ConsistentStore):
             self._wb_flushes.inc()
             self.sim.annotate("cache", op="flush", key=key,
                               policy=self.policy, seq=pend.seq)
-            self.cdc.append(key, pend.value, pend.token)
+            self._cdc_append(key)
             current = shard.pending.get(key)
             if current is pend:
                 del shard.pending[key]

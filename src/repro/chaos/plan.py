@@ -138,32 +138,6 @@ class FaultPlan:
         inner = " ".join(s.canonical() for s in self.steps)
         return f"plan[{self.name} seed={self.seed} {inner}]"
 
-    @property
-    def horizon(self) -> float:
-        """The last scheduled time the plan names (repeating steps
-        without ``until`` contribute their first firing)."""
-        times = [s.at if s.at is not None else (s.until or s.every)
-                 for s in self.steps]
-        return max(times) if times else 0.0
-
-    def ends_partitioned(self) -> bool:
-        """True when no ``heal`` follows the final one-shot
-        ``partition`` — the history ends mid-partition and convergence
-        is not assessable without an explicit final heal."""
-        last_partition = last_heal = None
-        for s in self.steps:
-            if s.at is None:
-                continue
-            if s.fault == "partition":
-                last_partition = s.at if last_partition is None \
-                    else max(last_partition, s.at)
-            elif s.fault == "heal":
-                last_heal = s.at if last_heal is None \
-                    else max(last_heal, s.at)
-        if last_partition is None:
-            return False
-        return last_heal is None or last_heal < last_partition
-
     @classmethod
     def from_steps(
         cls,

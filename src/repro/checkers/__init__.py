@@ -8,9 +8,9 @@ consistency claims are machine-verified.
 
 from .base import Verdict, Violation
 from .causal import check_causal
-from .convergence import check_convergence, divergence, stale_keys
+from .convergence import check_convergence
 from .elastic import MISSING, check_no_lost_writes, read_back
-from .linearizability import check_linearizability, check_linearizability_key
+from .linearizability import check_linearizability
 from .sequential import check_sequential
 from .session import (
     ALL_SESSION_GUARANTEES,
@@ -28,14 +28,12 @@ from .staleness import (
     measure_staleness,
     stale_read_fraction,
     staleness_by_tier,
-    staleness_distribution,
 )
 
 __all__ = [
     "Verdict",
     "Violation",
     "check_linearizability",
-    "check_linearizability_key",
     "check_sequential",
     "check_causal",
     "check_read_your_writes",
@@ -45,8 +43,6 @@ __all__ = [
     "check_all_session_guarantees",
     "ALL_SESSION_GUARANTEES",
     "check_convergence",
-    "divergence",
-    "stale_keys",
     "check_no_lost_writes",
     "read_back",
     "MISSING",
@@ -57,5 +53,4 @@ __all__ = [
     "check_bounded_staleness",
     "stale_read_fraction",
     "staleness_by_tier",
-    "staleness_distribution",
 ]

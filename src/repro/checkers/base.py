@@ -3,7 +3,6 @@
 Checkers never raise on a violation — they return a :class:`Verdict`
 listing every violation found, because the experiments *count*
 violations (e.g. "stale-read rate under R=W=1").
-:meth:`Verdict.raise_if_violated` is for callers that want hard failure.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..errors import ConsistencyViolation
 from ..histories import Operation
 
 
@@ -43,12 +41,6 @@ class Verdict:
     def violation_count(self) -> int:
         return len(self.violations)
 
-    def violation_rate(self) -> float:
-        """Violations per checked operation (0 when nothing checked)."""
-        if self.checked_ops == 0:
-            return 0.0
-        return len(self.violations) / self.checked_ops
-
     def add(
         self,
         description: str,
@@ -58,15 +50,6 @@ class Verdict:
         self.violations.append(
             Violation(guarantee or self.guarantee, description, tuple(ops))
         )
-
-    def raise_if_violated(self) -> "Verdict":
-        if not self.ok:
-            first = self.violations[0]
-            raise ConsistencyViolation(
-                f"{len(self.violations)} violation(s) of {self.guarantee}; "
-                f"first: {first}"
-            )
-        return self
 
     def __str__(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} violations"

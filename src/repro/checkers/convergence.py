@@ -2,10 +2,8 @@
 
 The liveness half of eventual consistency: once updates stop and
 replicas keep exchanging state, all replicas expose the same data.
-These helpers compare replica snapshots (any ``snapshot()``-providing
-store or a plain dict) and quantify divergence while a run is still
-in flight, which is what the anti-entropy experiment (E4) plots over
-time.
+:func:`check_convergence` compares replica snapshots (any
+``snapshot()``-providing store or a plain dict).
 """
 
 from __future__ import annotations
@@ -45,43 +43,6 @@ def check_convergence(replicas: Sequence[Any]) -> Verdict:
                     f"{_show(left)} vs {_show(right)}"
                 )
     return verdict
-
-
-def divergence(replicas: Sequence[Any]) -> float:
-    """Fraction of (key, replica-pair) combinations that disagree.
-
-    0.0 means fully converged; 1.0 means no key agrees anywhere.
-    """
-    snapshots = [_as_snapshot(replica) for replica in replicas]
-    if len(snapshots) < 2:
-        return 0.0
-    all_keys = set()
-    for snapshot in snapshots:
-        all_keys |= set(snapshot)
-    if not all_keys:
-        return 0.0
-    disagreements = 0
-    comparisons = 0
-    for i in range(len(snapshots)):
-        for j in range(i + 1, len(snapshots)):
-            for key in all_keys:
-                comparisons += 1
-                if snapshots[i].get(key, _MISSING) != snapshots[j].get(
-                    key, _MISSING
-                ):
-                    disagreements += 1
-    return disagreements / comparisons
-
-
-def stale_keys(reference: Any, replica: Any) -> set:
-    """Keys where ``replica`` differs from ``reference``."""
-    ref = _as_snapshot(reference)
-    snap = _as_snapshot(replica)
-    return {
-        key
-        for key in set(ref) | set(snap)
-        if ref.get(key, _MISSING) != snap.get(key, _MISSING)
-    }
 
 
 class _Missing:

@@ -58,13 +58,6 @@ def check_linearizability(
     return verdict
 
 
-def check_linearizability_key(
-    history: History, key: Hashable, max_states: int = 2_000_000
-) -> bool:
-    """Convenience: is the sub-history of ``key`` linearizable?"""
-    return _check_single_key(key, history.by_key(key), max_states) is None
-
-
 def _check_single_key(
     key: Hashable, ops: Sequence[Operation], max_states: int
 ) -> str | None:

@@ -126,18 +126,6 @@ def stale_read_fraction(history: History, tier: Any = ANY_TIER) -> float:
     return sum(1 for m in measurements if not m.fresh) / len(measurements)
 
 
-def staleness_distribution(
-    history: History, tier: Any = ANY_TIER
-) -> dict[int, int]:
-    """Histogram: k-staleness → number of reads."""
-    histogram: dict[int, int] = {}
-    for measurement in measure_staleness(history, tier=tier):
-        histogram[measurement.versions_behind] = (
-            histogram.get(measurement.versions_behind, 0) + 1
-        )
-    return histogram
-
-
 @dataclass(frozen=True)
 class TierStaleness:
     """Aggregate staleness of the reads one serving tier answered."""

@@ -10,14 +10,13 @@
 
 from .dvv import Dot, DottedValueSet, DottedVersion
 from .lamport import LamportClock, LamportStamp
-from .vector import EMPTY_CLOCK, Ordering, VectorClock
+from .vector import Ordering, VectorClock
 
 __all__ = [
     "LamportClock",
     "LamportStamp",
     "VectorClock",
     "Ordering",
-    "EMPTY_CLOCK",
     "Dot",
     "DottedVersion",
     "DottedValueSet",

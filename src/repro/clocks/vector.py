@@ -128,6 +128,3 @@ class VectorClock(Mapping[Hashable, int]):
             for node, count in sorted(self._counts.items(), key=lambda kv: str(kv[0]))
         )
         return f"VC({inner})"
-
-
-EMPTY_CLOCK = VectorClock()

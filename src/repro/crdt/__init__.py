@@ -1,12 +1,10 @@
 """Conflict-free replicated data types.
 
 State-based: :class:`GCounter`, :class:`PNCounter`,
-:class:`LWWRegister`, :class:`MVRegister`, :class:`GSet`,
-:class:`TwoPSet`, :class:`ORSet`, :class:`LWWElementSet`,
-:class:`RGA`.
+:class:`LWWRegister`, :class:`MVRegister`, :class:`TwoPSet`,
+:class:`ORSet`, :class:`RGA`.
 
-Op-based (with causal delivery): :class:`OpCounter`, :class:`OpORSet`,
-:class:`CausalBuffer`.
+Op-based (with causal delivery): :class:`OpORSet`, :class:`CausalBuffer`.
 
 Delta-state is a property, not a second family: ``ORSet.add`` /
 ``remove`` and ``GCounter.increment`` return the small state a peer
@@ -15,10 +13,10 @@ joins with the same ``merge`` as a full one.
 
 from .base import StateCRDT
 from .counters import GCounter, PNCounter
-from .opbased import CausalBuffer, OpCounter, OpEnvelope, OpORSet
+from .opbased import CausalBuffer, OpEnvelope, OpORSet
 from .registers import LWWRegister, MVRegister
 from .rga import RGA, RGANode
-from .sets import GSet, LWWElementSet, ORSet, TwoPSet
+from .sets import ORSet, TwoPSet
 
 __all__ = [
     "StateCRDT",
@@ -26,13 +24,10 @@ __all__ = [
     "PNCounter",
     "LWWRegister",
     "MVRegister",
-    "GSet",
     "TwoPSet",
     "ORSet",
-    "LWWElementSet",
     "RGA",
     "RGANode",
-    "OpCounter",
     "OpORSet",
     "OpEnvelope",
     "CausalBuffer",

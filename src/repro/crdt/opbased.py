@@ -5,12 +5,8 @@ pairwise contact, op-based CRDTs ship small operations but demand a
 **reliable causal broadcast**: every op delivered exactly once, after
 the ops that causally precede it.  :class:`CausalBuffer` implements
 that delivery discipline with vector clocks (dedup + causal hold-back
-queue), and the two op-based types here — counter and OR-Set — show
-the two levels of ordering need:
-
-* counter ops commute unconditionally (causal order unnecessary),
-* OR-Set ``remove`` must not arrive before the ``add`` it observed —
-  the canonical example of why op-based CRDTs need causal delivery.
+queue), and the op-based OR-Set here shows why it is needed: a
+``remove`` must not arrive before the ``add`` it observed.
 """
 
 from __future__ import annotations
@@ -107,33 +103,6 @@ class CausalBuffer:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-
-class OpCounter:
-    """Op-based PN-counter.  Ops: ``("add", amount)``.
-
-    Increments and decrements commute, so this type is correct even
-    under plain reliable delivery; we still run it through
-    :class:`CausalBuffer` for exactly-once.
-    """
-
-    def __init__(self, replica_id: Hashable) -> None:
-        self.replica_id = replica_id
-        self.buffer = CausalBuffer(replica_id, self._apply)
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> OpEnvelope:
-        return self.buffer.stamp_local(("add", amount))
-
-    def decrement(self, amount: int = 1) -> OpEnvelope:
-        return self.buffer.stamp_local(("add", -amount))
-
-    def receive(self, envelope: OpEnvelope) -> None:
-        self.buffer.receive(envelope)
-
-    def _apply(self, envelope: OpEnvelope) -> None:
-        _op, amount = envelope.payload
-        self.value += amount
 
 
 class OpORSet:

@@ -1,11 +1,10 @@
-"""Set CRDTs: G-Set, 2P-Set, OR-Set, LWW-Element-Set.
+"""Set CRDTs: 2P-Set, OR-Set.
 
 Sets expose the add/remove conflict the tutorial uses to show why
 "merge" needs application semantics: what should ``{add(x) ∥
 remove(x)}`` converge to?  Each type here answers differently —
-G-Set forbids removal, 2P-Set makes removal permanent, OR-Set is
-add-wins (an add not yet seen by the remove survives), and the
-LWW-Element-Set arbitrates by timestamp with a configurable bias.
+2P-Set makes removal permanent, OR-Set is add-wins (an add not yet
+seen by the remove survives).
 """
 
 from __future__ import annotations
@@ -14,43 +13,6 @@ from operator import itemgetter
 from typing import Any, Hashable, Iterator
 
 from .base import StateCRDT
-
-
-class GSet(StateCRDT):
-    """Grow-only set: merge is union; removal is impossible."""
-
-    def __init__(self, replica_id: Hashable) -> None:
-        self.replica_id = replica_id
-        self._items: set = set()
-
-    def add(self, item: Any) -> None:
-        self._items.add(item)
-
-    def __contains__(self, item: Any) -> bool:
-        return item in self._items
-
-    def __iter__(self) -> Iterator:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def value(self) -> frozenset:
-        return frozenset(self._items)
-
-    def merge(self, other: "GSet") -> "GSet":
-        self._require_same_type(other)
-        self._items |= other._items
-        return self
-
-    def copy(self) -> "GSet":
-        clone = self._blank_copy()
-        clone._items = set(self._items)
-        return clone
-
-    def state(self) -> list:
-        return sorted(self._items, key=repr)
 
 
 class TwoPSet(StateCRDT):
@@ -334,86 +296,3 @@ class ORSet(StateCRDT):
         if self._cloud:
             out["cloud"] = sorted(self._cloud)
         return out
-
-
-class LWWElementSet(StateCRDT):
-    """Set arbitrated per element by (timestamp, replica) pairs.
-
-    ``bias`` chooses the winner when add and remove carry the same
-    stamp: ``"add"`` (default) or ``"remove"``.  Timestamps come from an
-    internal per-instance Lamport counter advanced on merge, so a
-    replica that saw a remove and then re-adds always wins locally.
-    """
-
-    def __init__(self, replica_id: Hashable, bias: str = "add") -> None:
-        if bias not in ("add", "remove"):
-            raise ValueError("bias must be 'add' or 'remove'")
-        self.replica_id = replica_id
-        self.bias = bias
-        self._seen = 0
-        self._adds: dict[Any, tuple[int, str]] = {}
-        self._removes: dict[Any, tuple[int, str]] = {}
-
-    def _next_stamp(self) -> tuple[int, str]:
-        self._seen += 1
-        return (self._seen, str(self.replica_id))
-
-    def add(self, item: Any) -> None:
-        self._adds[item] = max(
-            self._adds.get(item, (0, "")), self._next_stamp()
-        )
-
-    def remove(self, item: Any) -> None:
-        self._removes[item] = max(
-            self._removes.get(item, (0, "")), self._next_stamp()
-        )
-
-    def __contains__(self, item: Any) -> bool:
-        add = self._adds.get(item)
-        if add is None:
-            return False
-        remove = self._removes.get(item)
-        if remove is None:
-            return True
-        if add == remove:  # pragma: no cover - distinct replicas differ
-            return self.bias == "add"
-        if add[0] == remove[0]:
-            # Same logical instant at different replicas: bias decides.
-            return self.bias == "add"
-        return add > remove
-
-    @property
-    def value(self) -> frozenset:
-        return frozenset(item for item in self._adds if item in self)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.value)
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-    def merge(self, other: "LWWElementSet") -> "LWWElementSet":
-        self._require_same_type(other)
-        for item, stamp in other._adds.items():
-            self._seen = max(self._seen, stamp[0])
-            if stamp > self._adds.get(item, (0, "")):
-                self._adds[item] = stamp
-        for item, stamp in other._removes.items():
-            self._seen = max(self._seen, stamp[0])
-            if stamp > self._removes.get(item, (0, "")):
-                self._removes[item] = stamp
-        return self
-
-    def copy(self) -> "LWWElementSet":
-        clone = self._blank_copy()
-        clone.bias = self.bias
-        clone._seen = self._seen
-        clone._adds = dict(self._adds)
-        clone._removes = dict(self._removes)
-        return clone
-
-    def state(self) -> dict:
-        return {
-            "adds": {repr(k): v for k, v in self._adds.items()},
-            "removes": {repr(k): v for k, v in self._removes.items()},
-        }

@@ -57,13 +57,5 @@ class InvariantViolation(ReproError):
     violated by the requested operation."""
 
 
-class ConsistencyViolation(ReproError):
-    """A checker found a history that violates the claimed model.
-
-    Raised only by ``Verdict.raise_if_violated``; the checkers
-    themselves return structured verdicts instead of raising.
-    """
-
-
 class NotLeaderError(ReproError):
     """A request requiring the leader/master was sent to a non-leader."""

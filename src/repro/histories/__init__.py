@@ -11,14 +11,8 @@ claims are machine-checked rather than asserted.
 from .events import History, Operation, make_read, make_write
 from .recorder import TokenHistoryRecorder
 
-#: Aliases that read naturally at call sites.
-ReadOp = make_read
-WriteOp = make_write
-
 __all__ = [
     "Operation",
-    "ReadOp",
-    "WriteOp",
     "History",
     "TokenHistoryRecorder",
     "make_read",

@@ -1,20 +1,18 @@
-"""First-class geo-placement: regions, zones, and locality routing.
+"""First-class geo-placement: regions and locality routing.
 
 The tutorial's consistency spectrum is an *operator's* menu: which
 replica a read may touch, and at what distance, is a per-read choice.
 That choice only exists if the stack knows where everything is.  This
 package makes placement explicit:
 
-* :class:`Region` — a named region with availability zones (failure
-  domains for replica spread; latency inside a region is the
-  topology's ``intra_site``).
-* :class:`Placement` — a registry mapping node ids to regions/zones on
-  top of a :class:`~repro.sim.topology.Topology`, with a deterministic
-  spread policy, a live WAN latency model, and per-region
-  :class:`LocalityMap` views used by clients to order endpoints.
+* :class:`Placement` — a registry mapping node ids to regions (the
+  sites of a :class:`~repro.sim.topology.Topology`), with a
+  deterministic spread policy, a live WAN latency model, and
+  per-region :class:`LocalityMap` views used by clients to order
+  endpoints.
 * :func:`spread_placement` — the pure placement policy (round-robin
-  over regions, then zones), kept free of state so its invariants can
-  be property-tested directly.
+  over regions), kept free of state so its invariants can be
+  property-tested directly.
 
 Everything is deterministic: placement is a pure function of the node
 id list and the region list, never of hashing or RNG state.
@@ -28,22 +26,6 @@ from typing import Hashable, Iterable, Sequence
 from ..errors import NetworkError
 from ..sim.network import MatrixLatency
 from ..sim.topology import Topology
-
-
-@dataclass(frozen=True)
-class Region:
-    """A named region with its availability zones.
-
-    Zones are failure domains for replica spread; two nodes in
-    different zones of one region still talk at ``intra_site`` delay.
-    """
-
-    name: str
-    zones: tuple[str, ...] = ()
-
-    def zone_names(self) -> tuple[str, ...]:
-        """Zone names, defaulting to a single implicit zone."""
-        return self.zones if self.zones else (f"{self.name}-a",)
 
 
 def spread_placement(
@@ -114,24 +96,12 @@ class Placement:
     """
 
     topology: Topology
-    regions: tuple[Region, ...] = ()
     default_region: str | None = None
     _region_of: dict = field(default_factory=dict, repr=False)
-    _zone_of: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.regions:
-            self.regions = tuple(
-                Region(name) for name in self.topology.region_names
-            )
-        names = self.region_names
-        for region in self.regions:
-            if region.name not in self.topology.region_names:
-                raise NetworkError(
-                    f"region {region.name!r} not in topology "
-                    f"{self.topology.name!r}"
-                )
-        if self.default_region is not None and self.default_region not in names:
+        if (self.default_region is not None
+                and self.default_region not in self.region_names):
             raise NetworkError(
                 f"default region {self.default_region!r} not declared"
             )
@@ -139,37 +109,18 @@ class Placement:
     # -- declaration ---------------------------------------------------
     @property
     def region_names(self) -> tuple[str, ...]:
-        return tuple(region.name for region in self.regions)
-
-    def region(self, name: str) -> Region:
-        for region in self.regions:
-            if region.name == name:
-                return region
-        raise NetworkError(f"unknown region {name!r}")
+        return self.topology.sites
 
     # -- assignment ----------------------------------------------------
-    def place(
-        self, node_id: Hashable, region: str, zone: str | None = None
-    ) -> None:
-        """Pin a node to a region (and optionally a zone).
+    def place(self, node_id: Hashable, region: str) -> None:
+        """Pin a node to a region.
 
         Re-placing an already-placed node is allowed and overrides —
         elasticity moves replicas between regions.
         """
-        descriptor = self.region(region)
-        zones = descriptor.zone_names()
-        if zone is None:
-            # Deterministic zone fill: count prior placements in the
-            # region so consecutive nodes alternate failure domains.
-            occupied = sum(
-                1 for n, r in self._region_of.items()
-                if r == region and n != node_id
-            )
-            zone = zones[occupied % len(zones)]
-        elif zone not in zones:
-            raise NetworkError(f"unknown zone {zone!r} in region {region!r}")
+        if region not in self.region_names:
+            raise NetworkError(f"unknown region {region!r}")
         self._region_of[node_id] = region
-        self._zone_of[node_id] = zone
 
     def spread(self, node_ids: Sequence[Hashable], start: int = 0) -> None:
         """Place a replica set with :func:`spread_placement`."""
@@ -187,9 +138,6 @@ class Placement:
             )
         return region
 
-    def zone_of(self, node_id: Hashable) -> str | None:
-        return self._zone_of.get(node_id)
-
     def is_placed(self, node_id: Hashable) -> bool:
         return node_id in self._region_of
 
@@ -206,17 +154,8 @@ class Placement:
         return [n for n, r in members if r == region]
 
     def delay(self, region_a: str, region_b: str) -> float:
-        """One-way delay between two regions.
-
-        Regions that group several sites resolve through their primary
-        (first-listed) site; same-region traffic — across zones too —
-        runs at the topology's ``intra_site`` delay.
-        """
-        if region_a == region_b:
-            return self.topology.intra_site
-        site_a = self.topology.sites_in(region_a)[0]
-        site_b = self.topology.sites_in(region_b)[0]
-        return self.topology.delay(site_a, site_b)
+        """One-way delay between two regions (the topology's)."""
+        return self.topology.delay(region_a, region_b)
 
     # -- derived views -------------------------------------------------
     def latency_model(self, jitter: float = 0.1) -> MatrixLatency:
@@ -243,6 +182,5 @@ class Placement:
 __all__ = [
     "LocalityMap",
     "Placement",
-    "Region",
     "spread_placement",
 ]

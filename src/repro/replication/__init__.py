@@ -39,7 +39,7 @@ from .common import (
     VersionedGroup,
     VersionedReplica,
 )
-from .merkle import MerkleTree, build_tree, differing_leaves, keys_in_buckets
+from .merkle import MerkleTree, build_tree, keys_in_buckets
 from .multipaxos import (
     GetCmd,
     MultiPaxosCluster,
@@ -85,7 +85,6 @@ __all__ = [
     "BayouWrite",
     "MerkleTree",
     "build_tree",
-    "differing_leaves",
     "keys_in_buckets",
     "MultiPaxosCluster",
     "PaxosClient",

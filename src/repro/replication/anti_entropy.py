@@ -26,12 +26,10 @@ from ..errors import TimeoutError as ReproTimeoutError
 from ..sim import Network, Node, Simulator
 from .merkle import MerkleTree, build_tree, keys_in_buckets
 
-Entry = tuple[Hashable, Any, LamportStamp]
-
 
 @dataclass
 class FullState:
-    entries: list  # list[Entry]
+    entries: list  # [(key, value, LamportStamp)]
     reply_expected: bool
 
 
@@ -50,7 +48,7 @@ class BucketRequest:
 
 @dataclass
 class BucketEntries:
-    entries: list  # list[Entry]
+    entries: list  # [(key, value, LamportStamp)]
     buckets_wanted: list  # buckets the sender wants back (pull half)
 
 

@@ -36,10 +36,6 @@ class MerkleTree:
     leaf_hashes: tuple[int, ...]
     root: int
 
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaf_hashes)
-
 
 def bucket_of(key: Hashable, depth: int) -> int:
     return stable_hash(key) % (1 << depth)
@@ -66,25 +62,6 @@ def build_tree(entries: dict[Hashable, object], depth: int = 6) -> MerkleTree:
             _combine(level[i], level[i + 1]) for i in range(0, len(level), 2)
         ]
     return MerkleTree(depth, tuple(leaf_hashes), level[0])
-
-
-def differing_leaves(mine: MerkleTree, theirs: MerkleTree) -> list[int]:
-    """Leaf bucket indices where the trees disagree.
-
-    Simulates the recursive descent: identical roots short-circuit to
-    nothing; otherwise only differing subtrees are opened.  (The
-    returned set equals the pointwise leaf comparison; the descent
-    matters for the *message* cost, which callers account separately.)
-    """
-    if mine.depth != theirs.depth:
-        raise ValueError("cannot diff trees of different depth")
-    if mine.root == theirs.root:
-        return []
-    return [
-        index
-        for index, (a, b) in enumerate(zip(mine.leaf_hashes, theirs.leaf_hashes))
-        if a != b
-    ]
 
 
 def keys_in_buckets(

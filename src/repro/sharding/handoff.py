@@ -26,10 +26,8 @@ for a node that cannot own it yet is staged and forwarded, and the
    re-written (the straggler lost the race and LWW would resolve the
    same way).
 
-Version tokens are threaded donor → recipient where the protocol
-client supports causal observation (``client._observe``), so e.g.
-quorum Lamport stamps stay monotonic across the transfer and a copied
-value can never shadow a newer write on the recipient.
+Donor version tokens are not carried across: the recipient stamps
+each copy itself, as it would any client write.
 
 Every operation retries on failure with deterministic backoff — a
 move started mid-partition simply stalls until the network heals.
@@ -305,7 +303,6 @@ class RingMove:
         previous = copied.get(key)
         if previous is not None and previous[0] == token:
             return 0
-        self._thread_token(recip_s, token)
         yield from self._call(
             lambda: recip_s.put(key, value, timeout=self.op_timeout),
             f"write {key!r}",
@@ -340,7 +337,6 @@ class RingMove:
                 # A post-flip client write superseded the straggler.
                 copied[key] = (token, value)
                 continue
-            self._thread_token(recip_s, token)
             yield from self._call(
                 lambda k=key, v=value: recip_s.put(
                     k, v, timeout=self.op_timeout),
@@ -354,17 +350,6 @@ class RingMove:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _thread_token(self, session, token) -> None:
-        """Feed the donor-side version token into the recipient
-        client's causal context when the protocol supports it."""
-        observe = getattr(getattr(session, "client", None), "_observe", None)
-        if observe is None or token is None:
-            return
-        try:
-            observe(token)
-        except (TypeError, ValueError):
-            pass  # foreign token shape; recipient stamps stand alone
-
     def _call(self, make_future, label: str):
         """Await ``make_future()`` with bounded deterministic retries."""
         attempt = 0

@@ -231,23 +231,6 @@ class ShardedStore(ConsistentStore):
             return None
         return move.write_blocked(key)
 
-    def routing_table(self, region: str) -> dict:
-        """Per-region routing: shard id -> locality-ordered server ids.
-
-        A pure function of shard membership and placement — vnode
-        layout and ring version bumps do not perturb it (pinned by the
-        property tests), so region-local routers can cache it across
-        rebalances that keep membership unchanged.
-        """
-        if self.placement is None:
-            raise ValueError("routing_table needs a store built with "
-                             "placement=")
-        locality = self.placement.locality(region)
-        return {
-            shard_id: locality.order(self.shards[shard_id].server_ids())
-            for shard_id in self.shard_ids
-        }
-
     def _count_route(self, shard_id: Hashable) -> None:
         counter = self._per_shard_ops.get(shard_id)
         if counter is None:

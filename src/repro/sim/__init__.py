@@ -18,7 +18,6 @@ from .network import (
     MatrixLatency,
     Network,
     NetworkStats,
-    UniformLatency,
     estimate_size,
 )
 from .node import Node
@@ -31,17 +30,7 @@ from .trace import (
     Tracer,
     metrics_digest,
 )
-from .topology import (
-    SINGLE_DC,
-    THREE_CONTINENTS,
-    TOPOLOGIES,
-    US_TRIANGLE,
-    WORLD5,
-    Topology,
-    asymmetric_delays,
-    round_robin_placement,
-    symmetric_delays,
-)
+from .topology import THREE_CONTINENTS, Topology, symmetric_delays
 
 __all__ = [
     "Simulator",
@@ -52,7 +41,6 @@ __all__ = [
     "LinkFault",
     "LatencyModel",
     "FixedLatency",
-    "UniformLatency",
     "ExponentialLatency",
     "LogNormalLatency",
     "MatrixLatency",
@@ -69,12 +57,6 @@ __all__ = [
     "NULL_TRACER",
     "TraceEvent",
     "Topology",
-    "TOPOLOGIES",
-    "SINGLE_DC",
-    "US_TRIANGLE",
-    "WORLD5",
     "THREE_CONTINENTS",
-    "asymmetric_delays",
-    "round_robin_placement",
     "symmetric_delays",
 ]

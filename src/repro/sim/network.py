@@ -57,23 +57,6 @@ class FixedLatency:
         return lambda rng: delay
 
 
-class UniformLatency:
-    """Delay uniform in ``[low, high]`` ms."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise NetworkError(f"invalid uniform range [{low}, {high}]")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng, src: NodeId, dst: NodeId) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def link_sampler(self, src: NodeId, dst: NodeId) -> Callable[[Any], float]:
-        low, high = self.low, self.high
-        return lambda rng: rng.uniform(low, high)
-
-
 class ExponentialLatency:
     """``base`` plus an exponential tail with the given ``mean`` — the
     standard model for LAN latencies with occasional stragglers."""
@@ -495,12 +478,6 @@ class Network:
             self._link_faults[key] = fault
         self._update_healthy()
 
-    def link_fault(self, a: NodeId, b: NodeId) -> LinkFault | None:
-        """The pair's current fault, or ``None`` when healthy."""
-        if not self._link_faults:
-            return None
-        return self._link_faults.get(frozenset((a, b)))
-
     def clear_link_fault(self, a: NodeId, b: NodeId) -> None:
         self._link_faults.pop(frozenset((a, b)), None)
         self._update_healthy()
@@ -509,10 +486,6 @@ class Network:
         """Restore every degraded link (the nemesis ``heal``)."""
         self._link_faults.clear()
         self._update_healthy()
-
-    @property
-    def faulted_links(self) -> int:
-        return len(self._link_faults)
 
     # ------------------------------------------------------------------
     # Sending

@@ -23,6 +23,7 @@ from ..errors import SimulationError
 from .core import Simulator
 from .events import Event
 from .network import Network
+from .trace import NODE_CRASH, NODE_RECOVER
 
 
 class Deadline:
@@ -256,7 +257,7 @@ class Node:
             return
         self.crashed = True
         if self.sim.trace.enabled:
-            self.sim.trace.record(self.sim.now, "node_crash",
+            self.sim.trace.record(self.sim.now, NODE_CRASH,
                                   node=self.node_id)
         for timer in self._timers:
             timer.cancel()
@@ -274,7 +275,7 @@ class Node:
             return
         self.crashed = False
         if self.sim.trace.enabled:
-            self.sim.trace.record(self.sim.now, "node_recover",
+            self.sim.trace.record(self.sim.now, NODE_RECOVER,
                                   node=self.node_id)
         self.on_recover()
 

@@ -3,7 +3,7 @@
 The tutorial's motivating setting is geo-replication: replicas in
 multiple datacenters, clients near one of them, and WAN round trips
 dominating latency.  This module provides a :class:`Topology` value
-object plus presets with realistic inter-datacenter one-way delays
+object plus a preset with realistic inter-datacenter one-way delays
 (derived from published RTT tables; all values in milliseconds).
 """
 
@@ -25,18 +25,12 @@ class Topology:
     ``(a, b)`` and a different one for ``(b, a)`` model an asymmetric
     link; a single entry serves both directions (the symmetric common
     case).
-
-    ``regions`` optionally groups sites into named regions (e.g. a
-    region with several availability zones).  When omitted, every site
-    is its own singleton region — the geo presets below all behave
-    that way.
     """
 
     name: str
     sites: tuple[str, ...]
     delays: dict[tuple[str, str], float] = field(hash=False)
     intra_site: float = 0.5
-    regions: dict[str, tuple[str, ...]] | None = field(default=None, hash=False)
 
     def delay(self, a: str, b: str) -> float:
         """One-way delay between sites ``a`` and ``b``."""
@@ -46,31 +40,6 @@ class Topology:
         if value is None:
             raise NetworkError(f"no delay between {a!r} and {b!r} in {self.name}")
         return value
-
-    @property
-    def region_names(self) -> tuple[str, ...]:
-        """Region names, in declaration order (sites when ungrouped)."""
-        if self.regions is None:
-            return self.sites
-        return tuple(self.regions)
-
-    def region_of(self, site: str) -> str:
-        """The region a site belongs to (itself when ungrouped)."""
-        if self.regions is not None:
-            for region, sites in self.regions.items():
-                if site in sites:
-                    return region
-        if site in self.sites:
-            return site
-        raise NetworkError(f"unknown site {site!r} in {self.name}")
-
-    def sites_in(self, region: str) -> tuple[str, ...]:
-        """The sites grouped under ``region`` (a singleton when ungrouped)."""
-        if self.regions is not None and region in self.regions:
-            return self.regions[region]
-        if region in self.sites:
-            return (region,)
-        raise NetworkError(f"unknown region {region!r} in {self.name}")
 
     def latency_model(
         self,
@@ -92,21 +61,6 @@ class Topology:
         mapping = dict(site_of)
         return MatrixLatency(matrix, site_of=lambda n: mapping[n], jitter=jitter)
 
-    def nearest_site(self, origin: str, candidates: list[str]) -> str:
-        """The candidate site with the lowest delay from ``origin``.
-
-        Ties break deterministically on candidate order: among
-        equidistant sites the one listed *first* wins, regardless of
-        name.  Callers therefore control tie preference by ordering
-        the candidate list.
-        """
-        if not candidates:
-            raise NetworkError("no candidate sites")
-        return min(
-            enumerate(candidates),
-            key=lambda pair: (self.delay(origin, pair[1]), pair[0]),
-        )[1]
-
 
 def symmetric_delays(
     pairs: dict[tuple[str, str], float],
@@ -119,80 +73,11 @@ def symmetric_delays(
     return out
 
 
-def asymmetric_delays(
-    forward: dict[tuple[str, str], float],
-    reverse: dict[tuple[str, str], float] | None = None,
-    skew: float = 1.0,
-) -> dict[tuple[str, str], float]:
-    """Build a directed delay table for asymmetric WAN links.
-
-    Each ``forward`` entry ``(a, b) -> v`` also gets a reverse entry
-    ``(b, a) -> v * skew`` (real WAN paths are rarely symmetric:
-    transit routing and congestion differ per direction).  Explicit
-    ``reverse`` entries override the skewed default, so individual
-    links can be pinned precisely::
-
-        asymmetric_delays({("us", "eu"): 40.0}, skew=1.15)
-        # {("us","eu"): 40.0, ("eu","us"): 46.0}
-    """
-    out = dict(forward)
-    for (a, b), v in forward.items():
-        out.setdefault((b, a), v * skew)
-    if reverse:
-        out.update(reverse)
-    return out
-
-
-#: Backwards-compatible short alias used internally.
-_sym = symmetric_delays
-
-
-#: Single datacenter: every node ~0.5 ms from every other.
-SINGLE_DC = Topology(
-    name="single-dc",
-    sites=("dc",),
-    delays={},
-    intra_site=0.5,
-)
-
-#: Three US regions — the "cheap" geo case.
-US_TRIANGLE = Topology(
-    name="us-triangle",
-    sites=("us-east", "us-central", "us-west"),
-    delays=_sym(
-        {
-            ("us-east", "us-central"): 16.0,
-            ("us-east", "us-west"): 36.0,
-            ("us-central", "us-west"): 22.0,
-        }
-    ),
-)
-
-#: Five continents — the tutorial's worst-case wide-area deployment.
-WORLD5 = Topology(
-    name="world-5",
-    sites=("us-east", "us-west", "eu", "asia", "brazil"),
-    delays=_sym(
-        {
-            ("us-east", "us-west"): 36.0,
-            ("us-east", "eu"): 40.0,
-            ("us-east", "asia"): 110.0,
-            ("us-east", "brazil"): 60.0,
-            ("us-west", "eu"): 70.0,
-            ("us-west", "asia"): 85.0,
-            ("us-west", "brazil"): 95.0,
-            ("eu", "asia"): 120.0,
-            ("eu", "brazil"): 95.0,
-            ("asia", "brazil"): 160.0,
-        }
-    ),
-)
-
 #: Three sites, one per continent — used by the Paxos scaling experiment.
 THREE_CONTINENTS = Topology(
     name="three-continents",
     sites=("us-east", "eu", "asia"),
-    delays=_sym(
+    delays=symmetric_delays(
         {
             ("us-east", "eu"): 40.0,
             ("us-east", "asia"): 110.0,
@@ -200,14 +85,3 @@ THREE_CONTINENTS = Topology(
         }
     ),
 )
-
-TOPOLOGIES: dict[str, Topology] = {
-    t.name: t for t in (SINGLE_DC, US_TRIANGLE, WORLD5, THREE_CONTINENTS)
-}
-
-
-def round_robin_placement(node_ids: list, sites: tuple[str, ...]) -> dict:
-    """Assign nodes to sites round-robin — the default replica layout."""
-    if not sites:
-        raise NetworkError("cannot place nodes: no sites given")
-    return {node: sites[i % len(sites)] for i, node in enumerate(node_ids)}

@@ -61,15 +61,6 @@ class EscrowSite(Node):
     # ------------------------------------------------------------------
     # Client API
     # ------------------------------------------------------------------
-    def credit(self, amount: float) -> Future:
-        """Add headroom locally (e.g. restock); always local."""
-        if amount < 0:
-            raise InvariantViolation("credit must be non-negative")
-        self.local_escrow += amount
-        future = Future(self.sim)
-        future.resolve(self.local_escrow)
-        return future
-
     def debit(self, amount: float) -> Future:
         """Consume ``amount`` of the global headroom.
 
@@ -181,11 +172,6 @@ class CentralDebit:
     amount: float
 
 
-@dataclass
-class CentralCredit:
-    amount: float
-
-
 class CentralCounterServer(Node):
     """All updates serialized at one server — correct and slow."""
 
@@ -205,10 +191,6 @@ class CentralCounterServer(Node):
             self.aborts += 1
             self.send(src, ("insufficient", self.headroom))
 
-    def handle_CentralCredit(self, src: Hashable, msg: CentralCredit) -> None:
-        self.headroom += msg.amount
-        self.send(src, ("ok", self.headroom))
-
 
 class CentralCounterClient(Node):
     """Blocking-style client for the central counter."""
@@ -223,12 +205,6 @@ class CentralCounterClient(Node):
         future = Future(self.sim, label=("central-debit({})", amount))
         self._waiting.append(future)
         self.send(self.server_id, CentralDebit(amount))
-        return future
-
-    def credit(self, amount: float) -> Future:
-        future = Future(self.sim, label=("central-credit({})", amount))
-        self._waiting.append(future)
-        self.send(self.server_id, CentralCredit(amount))
         return future
 
     def handle_tuple(self, src: Hashable, msg: tuple) -> None:

@@ -230,6 +230,3 @@ class RedBlueBank:
                 f"sites diverge on {account!r}: {sorted(values)}"
             )
         return values[0]
-
-    def total_in_flight(self) -> int:
-        return sum(len(site._pending) for site in self.sites)

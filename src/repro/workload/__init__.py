@@ -5,20 +5,13 @@ engine that run them against any :mod:`repro.api` store."""
 from .bank import BankOp, BankWorkload, DebitOp, DebitWorkload
 from .cart import CartOp, CartWorkload
 from .driver import DriverResult, LaneStats, WorkloadDriver, run_workload
-from .keyspace import (
-    HotspotKeys,
-    LatestKeys,
-    UniformKeys,
-    ZipfianKeys,
-    make_chooser,
-)
+from .keyspace import LatestKeys, UniformKeys, ZipfianKeys
 from .openloop import (
     DiurnalArrivals,
     FlashCrowdArrivals,
     OpenLoopDriver,
     OpenLoopResult,
     PoissonArrivals,
-    ReplayArrivals,
 )
 from .ycsb import PRESETS, MixSpec, OpSpec, YCSBWorkload
 
@@ -26,8 +19,6 @@ __all__ = [
     "UniformKeys",
     "ZipfianKeys",
     "LatestKeys",
-    "HotspotKeys",
-    "make_chooser",
     "YCSBWorkload",
     "MixSpec",
     "OpSpec",
@@ -45,7 +36,6 @@ __all__ = [
     "PoissonArrivals",
     "DiurnalArrivals",
     "FlashCrowdArrivals",
-    "ReplayArrivals",
     "OpenLoopDriver",
     "OpenLoopResult",
 ]

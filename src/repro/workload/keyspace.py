@@ -1,15 +1,14 @@
 """Key-choice distributions for workload generators.
 
 YCSB's standard menu: uniform, Zipfian (Gray et al.'s generator, the
-same one YCSB uses), latest (Zipfian over recency), and hotspot.  All
-are driven by an externally supplied ``random.Random`` so whole
-workloads replay from a seed.
+same one YCSB uses) and latest (Zipfian over recency).  All are driven
+by an externally supplied ``random.Random`` so whole workloads replay
+from a seed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
 
 
 class UniformKeys:
@@ -76,38 +75,3 @@ class LatestKeys:
     def choose(self, rng: random.Random) -> int:
         offset = self._zipf.choose(rng)
         return max(0, self.insert_point - offset)
-
-
-class HotspotKeys:
-    """A fraction of ops hit a small hot set; the rest are uniform."""
-
-    def __init__(self, n: int, hot_fraction: float = 0.2,
-                 hot_op_fraction: float = 0.8) -> None:
-        if n < 1:
-            raise ValueError("need at least one key")
-        if not 0 < hot_fraction <= 1 or not 0 <= hot_op_fraction <= 1:
-            raise ValueError("fractions must be within (0,1] / [0,1]")
-        self.n = n
-        self.hot_count = max(1, int(n * hot_fraction))
-        self.hot_op_fraction = hot_op_fraction
-
-    def choose(self, rng: random.Random) -> int:
-        if rng.random() < self.hot_op_fraction:
-            return rng.randrange(self.hot_count)
-        return rng.randrange(self.n)
-
-
-KeyChooser = Callable[[random.Random], int]
-
-
-def make_chooser(kind: str, n: int, **kwargs) -> object:
-    """Factory: ``uniform`` | ``zipfian`` | ``latest`` | ``hotspot``."""
-    kinds = {
-        "uniform": UniformKeys,
-        "zipfian": ZipfianKeys,
-        "latest": LatestKeys,
-        "hotspot": HotspotKeys,
-    }
-    if kind not in kinds:
-        raise ValueError(f"unknown key distribution {kind!r}")
-    return kinds[kind](n, **kwargs)

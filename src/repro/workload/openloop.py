@@ -23,8 +23,9 @@ replays a byte-identical trace.
 * :class:`FlashCrowdArrivals` — baseline rate, a sudden spike at
   ``spike_at`` held for ``hold`` ms, then exponential decay back to
   baseline (thinning again).
-* :class:`ReplayArrivals` — replay an explicit list of arrival times
-  (a recorded production trace, or a hand-built worst case).
+
+Any other iterable of ascending offsets works as well: a list replays
+a recorded production trace, or a hand-built worst case.
 
 Shape::
 
@@ -57,7 +58,6 @@ __all__ = [
     "PoissonArrivals",
     "DiurnalArrivals",
     "FlashCrowdArrivals",
-    "ReplayArrivals",
     "OpenLoopDriver",
     "OpenLoopResult",
 ]
@@ -164,18 +164,6 @@ class FlashCrowdArrivals(_ThinnedArrivals):
         return self.base + (self.spike - self.base) * math.exp(
             -elapsed / self.decay
         )
-
-
-class ReplayArrivals:
-    """Replay an explicit arrival-time trace (ms offsets, sorted)."""
-
-    def __init__(self, times: Iterable[float]) -> None:
-        self.times = sorted(float(t) for t in times)
-        if self.times and self.times[0] < 0:
-            raise ValueError("arrival times must be >= 0")
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.times)
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,13 @@
-"""CDC stream tests: ChangeLog, InvalidationFeed, MaterializedView.
+"""Change-data-capture off the cache's write path.
 
-The cache's change-data-capture log is the derived-data backbone:
-invalidation feeds keep peer caches coherent (nemesis-safe — delivery
-rides the sim clock, not the faulty network), and materialized views
-must equal a from-scratch rebuild at any quiescent point.
+Every acked backing write — a direct write for the synchronous
+policies, a flush ack for write-behind — bumps ``cache.cdc_events`` and
+leaves one ``cdc`` trace annotation carrying a dense per-store
+sequence number.
 """
 
 from repro.api import registry
-from repro.cache import (
-    ChangeLog,
-    InvalidationFeed,
-    MaterializedView,
-)
-from repro.chaos import PLANS, Nemesis
-from repro.sim import FixedLatency, Network, Simulator, spawn
-from repro.workload import YCSBWorkload, run_workload
+from repro.sim import FixedLatency, Network, Simulator, Tracer, spawn
 
 
 def build_cached(sim, net, policy="write_through", **kwargs):
@@ -30,42 +23,13 @@ def drive(sim, script):
         raise process.error
 
 
-# ----------------------------------------------------------------------
-# ChangeLog
-# ----------------------------------------------------------------------
-
-def test_changelog_dense_seqs_and_fingerprint():
-    sim = Simulator(seed=3)
-    log = ChangeLog(sim)
-    for i in range(5):
-        event = log.append(f"k{i % 2}", f"v{i}", token=i)
-        assert event.seq == i + 1
-    assert len(log) == 5
-    assert [e.seq for e in log.replay()] == [1, 2, 3, 4, 5]
-    assert sim.metrics.counter("cache.cdc_events").value == 5
-
-    # Same appends => same fingerprint; any difference changes it.
-    sim2 = Simulator(seed=3)
-    log2 = ChangeLog(sim2)
-    for i in range(5):
-        log2.append(f"k{i % 2}", f"v{i}", token=i)
-    assert log.fingerprint() == log2.fingerprint()
-    log2.append("k0", "extra", token=9)
-    assert log.fingerprint() != log2.fingerprint()
-
-
-def test_changelog_notifies_subscribers():
-    sim = Simulator(seed=3)
-    log = ChangeLog(sim)
-    seen = []
-    log.subscribe(lambda event: seen.append((event.seq, event.key)))
-    log.append("a", 1, token=1)
-    log.append("b", 2, token=2)
-    assert seen == [(1, "a"), (2, "b")]
+def cdc_annotations(tracer):
+    return tracer.filter(kind="annotation", category="cdc")
 
 
 def test_cache_writes_feed_the_cdc_log():
-    sim = Simulator(seed=5)
+    tracer = Tracer()
+    sim = Simulator(seed=5, tracer=tracer)
     net = Network(sim, latency=FixedLatency(2.0))
     store = build_cached(sim, net)
     session = store.session("alice")
@@ -75,12 +39,16 @@ def test_cache_writes_feed_the_cdc_log():
             yield session.put(f"k{i}", f"v{i}")
 
     drive(sim, script())
-    assert len(store.cdc) == 4
-    assert [e.key for e in store.cdc.replay()] == ["k0", "k1", "k2", "k3"]
+    assert sim.metrics.counter("cache.cdc_events").value == 4
+    events = cdc_annotations(tracer)
+    assert [(e.data["op"], e.data["key"], e.data["seq"]) for e in events] == [
+        ("append", f"k{i}", i + 1) for i in range(4)
+    ]
 
 
 def test_write_behind_cdc_appends_on_flush_ack():
-    sim = Simulator(seed=5)
+    tracer = Tracer()
+    sim = Simulator(seed=5, tracer=tracer)
     net = Network(sim, latency=FixedLatency(2.0))
     store = build_cached(sim, net, policy="write_behind",
                          flush_delay=10.0)
@@ -92,139 +60,12 @@ def test_write_behind_cdc_appends_on_flush_ack():
     drive(sim, script())
     store.settle()
     sim.run()
-    assert len(store.cdc) == 1
-    event = next(store.cdc.replay())
-    assert (event.key, event.value, event.token) == ("k", "v1", ("wb", 1))
+    # One write, one flush: one backing write, one CDC event.
+    metrics = sim.metrics
+    assert metrics.counter("cache.wb_flushes").value == 1
+    assert metrics.counter("cache.cdc_events").value == 1
+    assert all(snap.get("k") == "v1" for snap in store.snapshots())
+    (event,) = cdc_annotations(tracer)
+    assert (event.data["key"], event.data["seq"]) == ("k", 1)
     # The CDC event lands at the flush ack, not the cache ack at t=0.
     assert event.time > 0.0
-
-
-# ----------------------------------------------------------------------
-# InvalidationFeed
-# ----------------------------------------------------------------------
-
-def test_invalidation_feed_keeps_peer_cache_coherent():
-    sim = Simulator(seed=9)
-    # Each peer gets its own backing store on its own network; the
-    # feed couples them through the sim clock alone.
-    writer = build_cached(sim, Network(sim, latency=FixedLatency(2.0)))
-    reader = build_cached(sim, Network(sim, latency=FixedLatency(2.0)))
-    InvalidationFeed(writer.cdc).attach(reader)
-    tiers = []
-
-    def script():
-        r = reader.session("bob")
-        yield r.put("k", "old")
-        future = r.get("k")
-        yield future
-        tiers.append(future.served_tier)    # warm hit
-        w = writer.session("alice")
-        yield w.put("k", "new")             # invalidates the peer
-        future = r.get("k")
-        yield future
-        tiers.append(future.served_tier)    # must go to backing
-
-    drive(sim, script())
-    assert tiers == ["cache", "store"]
-    assert sim.metrics.counter("cache.invalidations").value >= 1
-
-
-def test_invalidation_feed_delay_rides_sim_clock():
-    sim = Simulator(seed=9)
-    writer = build_cached(sim, Network(sim, latency=FixedLatency(2.0)))
-    reader = build_cached(sim, Network(sim, latency=FixedLatency(2.0)))
-    feed = InvalidationFeed(writer.cdc, delay=30.0)
-    feed.attach(reader)
-    tiers = []
-
-    def script():
-        r = reader.session("bob")
-        yield r.put("k", "old")
-        yield r.get("k")
-        w = writer.session("alice")
-        yield w.put("k", "new")
-        future = r.get("k")                 # before delivery: still hits
-        yield future
-        tiers.append(future.served_tier)
-        yield 35.0                          # past the feed delay
-        future = r.get("k")
-        yield future
-        tiers.append(future.served_tier)
-
-    drive(sim, script())
-    assert tiers == ["cache", "store"]
-    assert feed.delivered >= 1
-
-
-def test_invalidation_feed_flows_during_partition():
-    """The feed delivers while the nemesis partitions the backing
-    replicas — invalidation is nemesis-safe by construction."""
-    sim = Simulator(seed=13)
-    store = build_cached(sim, Network(sim, latency=FixedLatency(2.0)),
-                         ttl=500.0)
-    peer = build_cached(sim, Network(sim, latency=FixedLatency(2.0)),
-                        ttl=500.0)
-    feed = InvalidationFeed(store.cdc)
-    feed.attach(peer)
-    workload = YCSBWorkload("A", records=8, seed=13)
-    nemesis = Nemesis(PLANS["partitions"], seed=13)
-    run_workload(store, workload.take(40), clients=2, timeout=250.0,
-                 think_time=2.0, read_mode="cached", nemesis=nemesis)
-    nemesis.heal_all()
-    sim.run()
-    store.settle()
-    sim.run()
-    # Every acked write was fanned out despite the partitions.
-    assert feed.delivered == len(store.cdc) > 0
-
-
-# ----------------------------------------------------------------------
-# MaterializedView
-# ----------------------------------------------------------------------
-
-def test_view_follow_equals_rebuild():
-    sim = Simulator(seed=21)
-    log = ChangeLog(sim)
-    live = MaterializedView("live").follow(log)
-    for i in range(10):
-        log.append(f"k{i % 3}", i, token=i)
-    rebuild = MaterializedView.rebuild(log)
-    assert live.state == rebuild.state
-    assert live.fingerprint() == rebuild.fingerprint()
-
-
-def test_view_apply_is_replay_safe():
-    sim = Simulator(seed=21)
-    log = ChangeLog(sim)
-    first = log.append("k", "v1", token=1)
-    log.append("k", "v2", token=2)
-    view = MaterializedView.rebuild(log)
-    view.apply(first)  # stale replay: at/below the watermark
-    assert view.state == {"k": "v2"}
-    assert view.applied_seq == 2
-    # Following after a rebuild must not double-apply the backlog.
-    view.follow(log)
-    assert view.state == {"k": "v2"}
-
-
-def test_view_projection_and_backlog():
-    sim = Simulator(seed=21)
-    log = ChangeLog(sim)
-    log.append("k1", 10, token=1)
-    log.append("k2", 20, token=2)
-    view = MaterializedView("doubled",
-                            project=lambda key, value: value * 2)
-    view.follow(log)       # backlog applied through the projection
-    log.append("k1", 15, token=3)
-    assert view.state == {"k1": 30, "k2": 40}
-    assert len(view) == 2
-
-
-def test_view_fingerprint_order_insensitive():
-    a = MaterializedView("a")
-    b = MaterializedView("b")
-    a.state = {"x": 1, "y": 2}
-    b.state = {"y": 2, "x": 1}
-    assert a.fingerprint() == b.fingerprint()
-    b.state["x"] = 3
-    assert a.fingerprint() != b.fingerprint()

@@ -6,8 +6,8 @@ Three load-bearing invariants, each checked over random op sequences:
   observationally equivalent to the uncached store — byte-identical
   observation-trace hashes;
 * the LRU never exceeds its configured capacity, at any point;
-* a CDC-fed materialized view equals a from-scratch rebuild of the
-  log at every quiescent point.
+* at every quiescent point each backing replica holds each key's
+  last-written value, and every acked backing write is one CDC event.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import registry
-from repro.cache import MaterializedView, POLICIES
+from repro.cache import POLICIES
 from repro.sim import FixedLatency, Network, Simulator, spawn
 
 
@@ -119,13 +119,14 @@ def test_lru_never_exceeds_capacity(ops, capacity):
     policy=st.sampled_from(POLICIES),
 )
 @settings(max_examples=40, deadline=None)
-def test_cdc_view_equals_rebuild_at_quiescence(batches, policy):
-    """At every quiescent point the live (incrementally maintained)
-    view and a from-scratch replay of the CDC log agree exactly."""
+def test_backing_replicas_hold_last_writes_at_quiescence(batches, policy):
+    """After ``settle()`` every backing replica holds each key's
+    last-written value, and the CDC counter counts one event per acked
+    backing write (for write-behind, one per flush)."""
     sim, store = build_store(7, cached=True, policy=policy,
                              flush_delay=5.0)
-    live = MaterializedView("live").follow(store.cdc)
     session = store.session("writer")
+    final = {}
 
     for batch in batches:
         def script(batch=batch):
@@ -135,21 +136,17 @@ def test_cdc_view_equals_rebuild_at_quiescence(batches, policy):
         drive(sim, script())
         store.settle()
         sim.run()   # quiescent: every write acked and flushed
-        rebuild = MaterializedView.rebuild(store.cdc)
-        assert live.state == rebuild.state
-        assert live.fingerprint() == rebuild.fingerprint()
-
-    total_writes = sum(len(batch) for batch in batches)
-    written_keys = {f"k{k}" for batch in batches for k, _ in batch}
-    if policy == "write_behind":
-        # Coalescing may collapse rapid same-key writes into one
-        # flush, but every key's final write reaches the log.
-        assert len(written_keys) <= len(store.cdc) <= total_writes
-    else:
-        assert len(store.cdc) == total_writes
-    # Quiescence means the view holds each key's last-written value.
-    final = {}
-    for batch in batches:
         for key_index, value_index in batch:
             final[f"k{key_index}"] = f"v{value_index}"
-    assert live.state == final
+        for snapshot in store.snapshots():
+            assert {key: snapshot.get(key) for key in final} == final
+
+    total_writes = sum(len(batch) for batch in batches)
+    cdc_events = sim.metrics.counter("cache.cdc_events").value
+    if policy == "write_behind":
+        # Coalescing may collapse rapid same-key writes into one
+        # flush, but every key's final write is flushed.
+        assert len(final) <= cdc_events <= total_writes
+        assert cdc_events == sim.metrics.counter("cache.wb_flushes").value
+    else:
+        assert cdc_events == total_writes

@@ -62,29 +62,18 @@ def test_from_steps_accepts_dicts_and_steps():
     assert plan.steps[1].fault == "heal"
 
 
-def test_horizon_and_ends_partitioned():
-    open_ended = FaultPlan.from_steps("open", [
-        {"at": 40, "fault": "partition"},
-        {"at": 10, "fault": "crash", "target": "random"},
-    ])
-    assert open_ended.horizon == 40
-    assert open_ended.ends_partitioned()
-
-    healed = FaultPlan.from_steps("healed", [
-        {"at": 40, "fault": "partition"},
-        {"at": 90, "fault": "heal"},
-    ])
-    assert not healed.ends_partitioned()
-    assert not FaultPlan("empty", ()).ends_partitioned()
-
-
 def test_builtin_plans_validate_and_heal():
     for name, plan in PLANS.items():
         assert plan.name == name
         assert plan.steps
         # Every built-in plan is safe as a conformance default: it must
         # not leave the network partitioned at the end of its schedule.
-        assert not plan.ends_partitioned(), name
+        heal, partition = (
+            max((s.at for s in plan.steps
+                 if s.fault == fault and s.at is not None), default=-1)
+            for fault in ("heal", "partition")
+        )
+        assert heal >= partition, name
 
 
 def test_canonical_is_stable_identity():
@@ -121,7 +110,6 @@ def test_random_plan_is_deterministic_and_well_formed(seed, intensity):
     # Always closes with heal + recover, so it never ends partitioned.
     assert plan.steps[-2].fault == "heal"
     assert plan.steps[-1].fault == "recover"
-    assert not plan.ends_partitioned()
 
 
 def test_random_plan_seeds_differ():

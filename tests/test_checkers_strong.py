@@ -3,7 +3,6 @@
 from repro.checkers import (
     check_causal,
     check_linearizability,
-    check_linearizability_key,
     check_sequential,
 )
 from repro.histories import History, make_read, make_write
@@ -92,8 +91,8 @@ def test_lin_locality_per_key():
     ])
     verdict = check_linearizability(h)
     assert verdict.violation_count == 1
-    assert check_linearizability_key(h, "a")
-    assert not check_linearizability_key(h, "b")
+    assert check_linearizability(History(h.by_key("a"))).ok
+    assert not check_linearizability(History(h.by_key("b"))).ok
 
 
 def test_lin_interleaved_writers_classic_ok_case():

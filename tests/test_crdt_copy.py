@@ -11,8 +11,6 @@ import pytest
 
 from repro.crdt import (
     GCounter,
-    GSet,
-    LWWElementSet,
     LWWRegister,
     MVRegister,
     ORSet,
@@ -46,15 +44,6 @@ def test_pncounter_copy_independent():
     assert b.value == 7
 
 
-def test_gset_copy_independent():
-    a = GSet("a")
-    a.add("x")
-    b = a.copy()
-    b.add("y")
-    assert a.value == frozenset({"x"})
-    assert b.value == frozenset({"x", "y"})
-
-
 def test_twopset_copy_independent():
     a = TwoPSet("a")
     a.add("x")
@@ -85,16 +74,6 @@ def test_orset_copy_independent_and_tag_safe():
     before = a.live_tags("y")
     b.add("z")
     assert ("a", max(c for _r, c in before)) != next(iter(b.live_tags("z")))
-
-
-def test_lww_element_set_copy_keeps_bias_and_clock():
-    a = LWWElementSet("a", bias="remove")
-    a.add("x")
-    b = a.copy()
-    assert b.bias == "remove"
-    b.remove("x")
-    assert "x" in a
-    assert "x" not in b
 
 
 def test_lww_register_copy_shares_immutable_stamp():
@@ -166,13 +145,13 @@ def test_delta_orset_copy_carries_pending_delta():
 @pytest.mark.parametrize("factory", [
     lambda: GCounter("r"),
     lambda: PNCounter("r"),
-    lambda: GSet("r"),
+    lambda: PNCounter(("dc", 1)),
     lambda: TwoPSet("r"),
     lambda: ORSet("r"),
-    lambda: LWWElementSet("r"),
+    lambda: TwoPSet(("dc", 1)),
     lambda: LWWRegister("r"),
     lambda: MVRegister("r"),
-    lambda: LWWElementSet("r", bias="remove"),
+    lambda: MVRegister(("dc", 1)),
     lambda: GCounter(("dc", 1)),            # a non-string replica id
     lambda: RGA("r"),
     lambda: ORSet("r").remove("ghost"),     # the empty delta

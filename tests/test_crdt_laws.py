@@ -35,8 +35,6 @@ from repro.clocks import DottedValueSet
 from repro.crdt import (
     RGA,
     GCounter,
-    GSet,
-    LWWElementSet,
     LWWRegister,
     MVRegister,
     ORSet,
@@ -82,10 +80,8 @@ CRDT_SPECS = {
     "PNCounter": (PNCounter, _apply_counter),
     "LWWRegister": (LWWRegister, _apply_register),
     "MVRegister": (MVRegister, _apply_register),
-    "GSet": (GSet, _apply_set),
     "TwoPSet": (TwoPSet, _apply_set),
     "ORSet": (ORSet, _apply_set),
-    "LWWElementSet": (LWWElementSet, _apply_set),
     "RGA": (RGA, _apply_rga),
 }
 #: Types whose mutators return deltas get a second row, ``Delta<Type>``:

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crdt import CausalBuffer, OpCounter, OpEnvelope, OpORSet
+from repro.crdt import CausalBuffer, OpEnvelope, OpORSet
 
 
 def broadcast(source, targets, envelope):
@@ -82,30 +82,6 @@ def test_buffer_duplicate_in_pending_queue_dropped():
     receiver.receive(e2)  # duplicate while pending
     receiver.receive(e1)
     assert log == ["one", "two"]
-
-
-# ----------------------------------------------------------------------
-# OpCounter
-# ----------------------------------------------------------------------
-
-def test_op_counter_converges():
-    a, b, c = OpCounter("a"), OpCounter("b"), OpCounter("c")
-    nodes = [a, b, c]
-    broadcast(a, nodes, a.increment(5))
-    broadcast(b, nodes, b.decrement(2))
-    broadcast(c, nodes, c.increment(1))
-    assert a.value == b.value == c.value == 4
-
-
-def test_op_counter_tolerates_duplicates_and_reordering():
-    a, b = OpCounter("a"), OpCounter("b")
-    e1 = a.increment(1)
-    e2 = a.increment(10)
-    b.receive(e2)
-    b.receive(e1)
-    b.receive(e2)
-    b.receive(e1)
-    assert b.value == 11
 
 
 # ----------------------------------------------------------------------

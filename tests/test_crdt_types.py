@@ -5,8 +5,6 @@ import pytest
 from repro.crdt import (
     RGA,
     GCounter,
-    GSet,
-    LWWElementSet,
     LWWRegister,
     MVRegister,
     ORSet,
@@ -147,15 +145,6 @@ def test_mv_register_duplicate_merge_no_sibling_duplication():
 # Sets
 # ----------------------------------------------------------------------
 
-def test_gset_union_merge():
-    a, b = GSet("a"), GSet("b")
-    a.add(1)
-    b.add(2)
-    a.merge(b)
-    assert a.value == frozenset({1, 2})
-    assert 1 in a and len(a) == 2 and set(a) == {1, 2}
-
-
 def test_2pset_remove_is_permanent():
     a = TwoPSet("a")
     a.add("x")
@@ -234,41 +223,6 @@ def test_readd_keeps_one_live_dot():
     for _ in range(3):
         a.add("x")
     assert len(a.live_tags("x")) == 1
-
-
-def test_lww_element_set_add_remove():
-    s = LWWElementSet("a")
-    s.add("x")
-    s.remove("x")
-    assert "x" not in s
-    s.add("x")
-    assert "x" in s
-
-
-def test_lww_element_set_bias():
-    add_biased = LWWElementSet("a", bias="add")
-    rem_biased = LWWElementSet("b", bias="remove")
-    with pytest.raises(ValueError):
-        LWWElementSet("c", bias="maybe")
-    # Same-instant conflict from two replicas.
-    x, y = LWWElementSet("x"), LWWElementSet("y")
-    x.add("k")
-    y.remove("k")
-    add_biased.merge(x); add_biased.merge(y)
-    rem_biased.merge(x); rem_biased.merge(y)
-    assert "k" in add_biased
-    assert "k" not in rem_biased
-
-
-def test_lww_element_set_converges():
-    x, y = LWWElementSet("x"), LWWElementSet("y")
-    x.add("k")
-    y.merge(x.copy())
-    y.remove("k")
-    x.add("j")
-    x.merge(y.copy())
-    y.merge(x.copy())
-    assert x.value == y.value
 
 
 # ----------------------------------------------------------------------

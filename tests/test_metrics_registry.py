@@ -69,18 +69,6 @@ def test_render_aligns_and_handles_empty():
     assert lines[0].index("7") == lines[1].index("1")  # aligned values
 
 
-def test_reset_zeroes_but_keeps_handles():
-    registry = MetricsRegistry()
-    counter = registry.counter("a")
-    counter.inc(9)
-    registry.latency("b").record(5.0)
-    registry.reset()
-    assert counter.value == 0
-    assert registry.latency("b").count == 0
-    counter.inc()
-    assert registry.counter("a").value == 1  # same handle still wired
-
-
 def test_every_simulator_owns_a_registry():
     sim1, sim2 = Simulator(), Simulator()
     assert isinstance(sim1.metrics, MetricsRegistry)

@@ -12,7 +12,6 @@ from repro.workload import (
     OpenLoopDriver,
     OpSpec,
     PoissonArrivals,
-    ReplayArrivals,
     YCSBWorkload,
     run_workload,
 )
@@ -71,13 +70,6 @@ def test_flash_crowd_spikes_then_decays():
     assert 50 < arrivals.rate_at(2500.0) < 2000
 
 
-def test_replay_arrivals():
-    arrivals = ReplayArrivals([5.0, 1.0, 3.0])
-    assert take(arrivals, 10) == [1.0, 3.0, 5.0]
-    with pytest.raises(ValueError):
-        ReplayArrivals([-1.0])
-
-
 def test_arrival_process_validation():
     with pytest.raises(ValueError):
         PoissonArrivals(rate=0)
@@ -96,7 +88,7 @@ def test_open_loop_runs_ops_and_records_history():
     ops = [OpSpec("insert", "a", 1), OpSpec("sleep", "", 99.0),
            OpSpec("read", "a"), OpSpec("update", "a", 2),
            OpSpec("read", "a")]
-    driver = OpenLoopDriver(store, ReplayArrivals([0.0, 10.0, 20.0, 30.0]),
+    driver = OpenLoopDriver(store, [0.0, 10.0, 20.0, 30.0],
                             ops, sessions=4, timeout=500.0, seed=2)
     result = driver.run()
     # 4 arrivals, sleeps skipped: insert, read, update, read all ran.
@@ -112,7 +104,7 @@ def test_open_loop_rmw_composes_read_then_write():
     sim, store = build(seed=4)
     ops = [OpSpec("insert", "k", "1"), OpSpec("rmw", "k", "2")]
     driver = OpenLoopDriver(
-        store, ReplayArrivals([0.0, 50.0]), ops, sessions=1,
+        store, [0.0, 50.0], ops, sessions=1,
         timeout=500.0, rmw_fn=lambda old, fresh: f"{old}+{fresh}",
     )
     result = driver.run()
@@ -163,7 +155,7 @@ def test_open_loop_does_not_self_throttle():
 
 def test_queue_depth_metrics_under_saturating_burst():
     sim, store = build(seed=2, service_time=2.0)
-    burst = ReplayArrivals([0.0] * 200)           # all at once
+    burst = [0.0] * 200  # all at once
     driver = OpenLoopDriver(store, burst, YCSBWorkload("B", records=10, seed=2),
                             sessions=100, timeout=5000.0, seed=2)
     result = driver.run()
@@ -175,7 +167,7 @@ def test_queue_depth_metrics_under_saturating_burst():
 
 def test_bounded_queue_sheds_and_counts():
     sim, store = build(seed=2, service_time=2.0, queue_limit=8)
-    burst = ReplayArrivals([0.0] * 200)
+    burst = [0.0] * 200
     driver = OpenLoopDriver(store, burst, YCSBWorkload("B", records=10, seed=2),
                             sessions=100, timeout=5000.0, seed=2)
     result = driver.run()

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.placement import LocalityMap, Placement, Region, spread_placement
+from repro.placement import LocalityMap, Placement, spread_placement
 from repro.sim import THREE_CONTINENTS, Simulator
-from repro.sim.topology import Topology, symmetric_delays
 
 
 def three_region_placement(**kwargs):
@@ -32,13 +31,8 @@ def test_spread_with_no_regions_rejected():
 
 
 # ----------------------------------------------------------------------
-# Region / Placement declaration
+# Placement declaration
 # ----------------------------------------------------------------------
-
-def test_region_default_zone_is_implicit():
-    assert Region("eu").zone_names() == ("eu-a",)
-    assert Region("eu", zones=("z1", "z2")).zone_names() == ("z1", "z2")
-
 
 def test_placement_defaults_regions_from_topology():
     placement = three_region_placement()
@@ -47,7 +41,7 @@ def test_placement_defaults_regions_from_topology():
 
 def test_placement_rejects_region_not_in_topology():
     with pytest.raises(NetworkError):
-        Placement(THREE_CONTINENTS, regions=(Region("mars"),))
+        three_region_placement().place("n0", "mars")
 
 
 def test_placement_rejects_undeclared_default_region():
@@ -85,23 +79,6 @@ def test_unplaced_node_without_default_raises():
     placement = three_region_placement()
     with pytest.raises(NetworkError, match="no region"):
         placement.region_of("stray-client")
-
-
-def test_zone_fill_alternates_failure_domains():
-    topology = Topology(
-        name="t", sites=("a", "b"),
-        delays=symmetric_delays({("a", "b"): 10.0}),
-    )
-    placement = Placement(
-        topology, regions=(Region("a", zones=("a1", "a2")), Region("b")),
-    )
-    placement.place("n0", "a")
-    placement.place("n1", "a")
-    placement.place("n2", "a")
-    assert [placement.zone_of(n) for n in ("n0", "n1", "n2")] == \
-        ["a1", "a2", "a1"]
-    with pytest.raises(NetworkError):
-        placement.place("n3", "a", zone="a9")
 
 
 def test_nodes_in_preserves_placement_order_and_filters():

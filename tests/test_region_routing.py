@@ -1,13 +1,9 @@
-"""Property tests: region spread invariants + routing table stability.
+"""Property tests: region spread invariants.
 
-Two invariants the multi-region stack leans on (ISSUE 8 satellite):
-
-* any ``k`` consecutively-spread replicas span ``min(k, regions)``
-  regions, whatever the stagger — one region's loss can never take
-  out a whole replica set of size >= 2;
-* a region's routing table is a pure function of shard membership and
-  placement, so ring *version* bumps (vnode churn, add+remove of the
-  same shard) never perturb it and region-local routers may cache it.
+The invariant the multi-region stack leans on: any ``k``
+consecutively-spread replicas span ``min(k, regions)`` regions,
+whatever the stagger — one region's loss can never take out a whole
+replica set of size >= 2.
 """
 
 from hypothesis import given, settings
@@ -91,46 +87,3 @@ def test_shard_leads_are_staggered_across_regions(shards):
         for i in range(shards)
     ]
     assert leads == expected
-
-
-def test_routing_table_puts_local_replica_first():
-    store, placement = build_store(shards=3)
-    for region in placement.region_names:
-        for shard_id, endpoints in store.routing_table(region).items():
-            assert placement.region_of(endpoints[0]) == region
-            assert sorted(map(str, endpoints)) == sorted(
-                map(str, store.shards[shard_id].server_ids())
-            )
-
-
-@given(seed=st.integers(0, 50), vnodes=st.sampled_from([16, 64, 128]))
-@settings(max_examples=10, deadline=None)
-def test_routing_table_stable_under_ring_version_bumps(seed, vnodes):
-    store, placement = build_store(shards=3, vnodes=vnodes)
-    before = {
-        region: store.routing_table(region)
-        for region in placement.region_names
-    }
-    version = store.ring.version
-    # Bump the ring version without changing shard membership: the
-    # rebalance-cancelled / add-then-remove case.
-    store.ring.add_node("ghost")
-    store.ring.remove_node("ghost")
-    assert store.ring.version > version
-    after = {
-        region: store.routing_table(region)
-        for region in placement.region_names
-    }
-    assert after == before
-
-
-def test_routing_table_needs_placement():
-    sim = Simulator(seed=1)
-    network = Network(sim, latency=FixedLatency(1.0))
-    store = ShardedStore(sim, network, protocol="quorum", shards=2)
-    try:
-        store.routing_table("eu")
-    except ValueError as exc:
-        assert "placement" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("expected ValueError without placement")

@@ -17,7 +17,6 @@ from repro.sim import (
     Network,
     Simulator,
     Tracer,
-    UniformLatency,
     estimate_size,
 )
 from repro.sim.topology import Topology, symmetric_delays
@@ -269,11 +268,6 @@ def _samples(model, n=500, seed=1):
     return [model.sample(sim.rng, "a", "b") for _ in range(n)]
 
 
-def test_uniform_latency_bounds():
-    values = _samples(UniformLatency(2.0, 4.0))
-    assert all(2.0 <= v <= 4.0 for v in values)
-
-
 def test_exponential_latency_floor_and_mean():
     values = _samples(ExponentialLatency(base=1.0, mean=2.0), n=4000)
     assert all(v >= 1.0 for v in values)
@@ -314,8 +308,6 @@ def test_matrix_latency_site_mapping_and_jitter():
 def test_invalid_latency_parameters_rejected():
     with pytest.raises(NetworkError):
         FixedLatency(-1.0)
-    with pytest.raises(NetworkError):
-        UniformLatency(5.0, 2.0)
     with pytest.raises(NetworkError):
         ExponentialLatency(mean=0.0)
     with pytest.raises(NetworkError):
@@ -414,7 +406,6 @@ SITE_TOPOLOGY = Topology("three", SITES, symmetric_delays(
     {("us", "eu"): 40.0, ("us", "ap"): 70.0, ("eu", "ap"): 110.0}))
 LATENCY_MODELS = {
     "fixed": FixedLatency(2.5),
-    "uniform": UniformLatency(0.5, 3.0),
     "exponential": ExponentialLatency(base=0.3, mean=1.7),
     "lognormal": LogNormalLatency(median=2.0, sigma=0.7),
     "matrix": MatrixLatency({("us", "eu"): 40.0, ("us", "ap"): 70.0,

@@ -5,18 +5,13 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import NetworkError, SimulationError
-from repro.sim.topology import Topology, symmetric_delays
+from repro.sim.topology import Topology
 from repro.sim import (
-    SINGLE_DC,
     THREE_CONTINENTS,
-    TOPOLOGIES,
-    US_TRIANGLE,
-    WORLD5,
     FixedLatency,
     Network,
     Node,
     Simulator,
-    round_robin_placement,
 )
 
 
@@ -215,20 +210,15 @@ def test_missing_handler_raises_every_time_and_crashed_deliver_is_a_noop():
 # Topologies
 # ----------------------------------------------------------------------
 
-def test_topology_registry_contains_presets():
-    assert set(TOPOLOGIES) == {
-        "single-dc", "us-triangle", "world-5", "three-continents",
-    }
-
-
 def test_delays_symmetric_and_intra_site():
-    assert WORLD5.delay("us-east", "eu") == WORLD5.delay("eu", "us-east") == 40.0
-    assert WORLD5.delay("asia", "asia") == WORLD5.intra_site
+    topology = THREE_CONTINENTS
+    assert topology.delay("us-east", "eu") == topology.delay("eu", "us-east") == 40.0
+    assert topology.delay("asia", "asia") == topology.intra_site
 
 
 def test_unknown_site_pair_rejected():
     with pytest.raises(NetworkError):
-        US_TRIANGLE.delay("us-east", "mars")
+        THREE_CONTINENTS.delay("us-east", "mars")
 
 
 def test_latency_model_from_placement():
@@ -244,90 +234,15 @@ def test_latency_model_rejects_unknown_site():
         THREE_CONTINENTS.latency_model({"n0": "atlantis"})
 
 
-def test_nearest_site():
-    assert WORLD5.nearest_site("us-east", ["eu", "asia"]) == "eu"
-    assert WORLD5.nearest_site("asia", ["us-west", "brazil"]) == "us-west"
-    with pytest.raises(NetworkError):
-        WORLD5.nearest_site("eu", [])
-
-
-def test_nearest_site_breaks_ties_on_candidate_order():
-    topology = Topology(
-        name="tie", sites=("o", "x", "y"),
-        delays=symmetric_delays({("o", "x"): 10.0, ("o", "y"): 10.0,
-                                 ("x", "y"): 1.0}),
-    )
-    # x and y are equidistant from o: first-listed wins, regardless of
-    # name, so callers control preference by ordering candidates.
-    assert topology.nearest_site("o", ["y", "x"]) == "y"
-    assert topology.nearest_site("o", ["x", "y"]) == "x"
-    # The origin itself is always nearest (intra_site beats any link).
-    assert topology.nearest_site("o", ["x", "o"]) == "o"
-
-
-def test_nearest_site_duplicate_candidates_are_harmless():
-    assert WORLD5.nearest_site("eu", ["asia", "asia", "us-east"]) == "us-east"
-
-
-def test_asymmetric_delays_skew_and_overrides():
-    from repro.sim.topology import asymmetric_delays
-
-    table = asymmetric_delays({("us", "eu"): 40.0}, skew=1.15)
-    assert table[("us", "eu")] == 40.0
-    assert table[("eu", "us")] == pytest.approx(46.0)
-    pinned = asymmetric_delays(
-        {("us", "eu"): 40.0}, reverse={("eu", "us"): 55.0}, skew=1.15
-    )
-    assert pinned[("eu", "us")] == 55.0
-
-
 def test_asymmetric_topology_resolves_per_direction():
-    from repro.sim.topology import asymmetric_delays
-
     topology = Topology(
         name="asym", sites=("us", "eu"),
-        delays=asymmetric_delays({("us", "eu"): 40.0}, skew=1.5),
+        delays={("us", "eu"): 40.0, ("eu", "us"): 60.0},
     )
     assert topology.delay("us", "eu") == 40.0
     assert topology.delay("eu", "us") == 60.0
 
 
-def test_topology_region_grouping():
-    topology = Topology(
-        name="zoned", sites=("us-1", "us-2", "eu-1"),
-        delays=symmetric_delays({("us-1", "us-2"): 2.0,
-                                 ("us-1", "eu-1"): 40.0,
-                                 ("us-2", "eu-1"): 41.0}),
-        regions={"us": ("us-1", "us-2"), "eu": ("eu-1",)},
-    )
-    assert topology.region_names == ("us", "eu")
-    assert topology.region_of("us-2") == "us"
-    assert topology.sites_in("us") == ("us-1", "us-2")
-    with pytest.raises(NetworkError):
-        topology.region_of("mars")
-    with pytest.raises(NetworkError):
-        topology.sites_in("mars")
-
-
-def test_ungrouped_topology_sites_are_singleton_regions():
-    assert THREE_CONTINENTS.region_names == THREE_CONTINENTS.sites
-    assert THREE_CONTINENTS.region_of("eu") == "eu"
-    assert THREE_CONTINENTS.sites_in("eu") == ("eu",)
-
-
-def test_round_robin_placement_covers_sites():
-    placement = round_robin_placement(list(range(5)), US_TRIANGLE.sites)
-    assert placement[0] == "us-east"
-    assert placement[3] == "us-east"
-    assert set(placement.values()) == set(US_TRIANGLE.sites)
-
-
-def test_round_robin_placement_rejects_empty_sites():
-    with pytest.raises(NetworkError):
-        round_robin_placement(["n0"], ())
-    assert round_robin_placement([], US_TRIANGLE.sites) == {}
-
-
 def test_single_dc_has_one_site():
-    assert SINGLE_DC.sites == ("dc",)
-    assert SINGLE_DC.delay("dc", "dc") == 0.5
+    single_dc = Topology(name="single-dc", sites=("dc",), delays={})
+    assert single_dc.delay("dc", "dc") == 0.5

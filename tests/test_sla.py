@@ -3,8 +3,7 @@
 import pytest
 
 from repro.replication import TimelineCluster
-from repro.sim import Network, Simulator, Topology, spawn
-from repro.sim.topology import _sym
+from repro.sim import THREE_CONTINENTS, Network, Simulator, spawn
 from repro.sla import (
     PASSWORD_CHECKING,
     SHOPPING_CART,
@@ -20,19 +19,10 @@ from repro.sla import (
 def make_geo(seed=0, client_site="eu", propagation_delay=50.0):
     """Timeline cluster with the master near us-east and a client at
     ``client_site``: nearby replica is laggy, master is far."""
-    topo = Topology(
-        name="test-geo",
-        sites=("us-east", "eu", "asia"),
-        delays=_sym({
-            ("us-east", "eu"): 40.0,
-            ("us-east", "asia"): 110.0,
-            ("eu", "asia"): 120.0,
-        }),
-    )
     sim = Simulator(seed=seed)
     placement = {"tl0": "us-east", "tl1": "eu", "tl2": "asia",
                  "tlclient-1": client_site, "tl0-fwd": "us-east"}
-    net = Network(sim, latency=topo.latency_model(placement, jitter=0.05))
+    net = Network(sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05))
     cluster = TimelineCluster(sim, net, nodes=3,
                               propagation_delay=propagation_delay)
     client = cluster.connect(home="tl1")

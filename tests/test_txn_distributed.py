@@ -204,18 +204,6 @@ def test_debit_beyond_global_headroom_aborts():
     assert counter.global_headroom() == pytest.approx(90.0)
 
 
-def test_credit_restores_headroom():
-    sim, _net, counter = make_escrow(total=30.0)
-
-    def script():
-        yield counter.site(1).credit(70.0)
-        yield counter.site(1).debit(75.0)
-
-    spawn(sim, script())
-    sim.run()
-    assert counter.global_headroom() == pytest.approx(25.0)
-
-
 def test_invariant_holds_under_concurrent_debits():
     sim, _net, counter = make_escrow(total=200.0, seed=3)
     failures = []

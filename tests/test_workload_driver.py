@@ -9,7 +9,6 @@ from repro.sim import FixedLatency
 from repro.workload import (
     OpenLoopDriver,
     OpSpec,
-    ReplayArrivals,
     WorkloadDriver,
     YCSBWorkload,
     run_workload,
@@ -217,7 +216,7 @@ def test_closed_and_open_loop_record_identical_history_entries():
     closed = driver.run()
 
     _sim, store = cached_store_losing_its_replicas_at_30ms()
-    opened = OpenLoopDriver(store, ReplayArrivals([0.0, 15.0, 50.0]),
+    opened = OpenLoopDriver(store, [0.0, 15.0, 50.0],
                             [write, read, rmw], sessions=1,
                             timeout=20.0).run()
 
