@@ -144,8 +144,8 @@ def _run_crdt_merge_storm(seed: int, quick: bool, tracer: Any = None) -> Scenari
     replicas = 8
     rounds = 25 if quick else 150
     mutations_per_round = 3
-    # Distinct elements; tags still accrue per add (pinned, not fixed:
-    # tests/test_crdt_types.py::test_readd_keeps_one_live_dot).
+    # Distinct elements; a re-add replaces the element's live dots, so
+    # only concurrent adds leave more than one.
     universe = 64
 
     sim = Simulator(seed=seed, tracer=tracer)

@@ -11,6 +11,7 @@ from repro.crdt import (
     PNCounter,
     TwoPSet,
 )
+from repro.sim import estimate_size
 
 
 # ----------------------------------------------------------------------
@@ -212,17 +213,31 @@ def test_orset_counter_survives_merge_of_own_tags():
     assert all(tag not in a.live_tags("x") for tag in tags)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ORSet.add does `dots | single`: an element re-added N times without a "
-    "remove holds N live dots and every add copies them.  Almeida's add "
-    "replaces the element's dots and puts them in the delta's context — not "
-    "state- or delta-identical, E6c moves: ROADMAP item 5."
-))
 def test_readd_keeps_one_live_dot():
+    """Almeida's add: the fresh dot replaces the element's live ones, so
+    the state does not grow with re-adds, and the delta names the dots
+    it retires."""
+    for readds in (3, 16_000):
+        a = ORSet("a")
+        for _ in range(readds):
+            a.add("x")
+        assert a.live_tags("x") == frozenset({("a", readds)})
+        assert estimate_size(a.state()) < 100
     a = ORSet("a")
-    for _ in range(3):
-        a.add("x")
-    assert len(a.live_tags("x")) == 1
+    a.add("x")
+    assert a.add("x").state()["cloud"] == [("a", 1), ("a", 2)]
+
+
+def test_orset_readd_delta_retires_the_replaced_dot():
+    """``add, add, remove`` shipped as deltas, in order: the observer
+    ends without ``x``, like the source.  The remove's delta names only
+    the live dot; the earlier one is retired by the re-add's delta."""
+    source, observer = ORSet("a"), ORSet("b")
+    for delta in (source.add("x"), source.add("x"), source.remove("x")):
+        observer.merge(delta)
+    assert "x" not in source
+    assert "x" not in observer
+    assert observer.state() == source.state()
 
 
 # ----------------------------------------------------------------------
