@@ -143,12 +143,12 @@ def simulate_k_staleness(
     r: int,
     w: int,
     k: int,
-    model: WARSModel | None = None,
     trials: int = 5_000,
     seed: int = 0,
 ) -> float:
     """P[a read returns a value at most k versions stale] when reads
-    race an unbounded stream of back-to-back writes (t = 0).
+    race an unbounded stream of back-to-back writes (t = 0), under the
+    default :class:`WARSModel`.
 
     The PBS paper's approximation: k-staleness ≈ 1 - (1 - p_incons)^k
     where p_incons is the per-version inconsistency probability; we
@@ -156,7 +156,6 @@ def simulate_k_staleness(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = simulate_t_visibility(n, r, w, t=0.0, model=model, trials=trials,
-                                 seed=seed)
+    base = simulate_t_visibility(n, r, w, t=0.0, trials=trials, seed=seed)
     p_inconsistent = 1.0 - base.p_consistent
     return 1.0 - p_inconsistent ** k

@@ -113,6 +113,17 @@ class ClusterStore(ConsistentStore):
         **kwargs: Any,
     ) -> None:
         super().__init__(sim, network)
+        knobs = [name for name, given in (
+            ("service_time", service_time > 0),
+            ("queue_limit", queue_limit is not None),
+            ("admission_rate", admission_rate is not None),
+            ("admission_burst", admission_burst is not None),
+        ) if given]
+        if knobs and not self.capabilities.networked:
+            raise ValueError(
+                f"{self.capabilities.name} replicas are direct-attach: "
+                f"{', '.join(knobs)} would have nothing to act on"
+            )
         self.retry = retry
         self.placement = placement
         self.cluster = self._build_cluster(
@@ -386,7 +397,6 @@ class TimelineStore(ClusterStore):
         name: Hashable | None = None,
         guarantees: tuple[str, ...] | None = None,
         retry_delay: float = 10.0,
-        spread_replicas: bool = False,
         retry: RetryPolicy | None = None,
         **opts: Any,
     ) -> StoreSession:
@@ -401,7 +411,6 @@ class TimelineStore(ClusterStore):
         if guarantees is not None:
             wrapped = timeline_session(
                 client, guarantees=guarantees, retry_delay=retry_delay,
-                spread_replicas=spread_replicas,
             )
             put_fn = lambda k, v, t: wrapped.write(k, v)
             read_any = lambda k, timeout: wrapped.read(k)
@@ -439,11 +448,11 @@ class TimelineStore(ClusterStore):
 ))
 class BayouStore(ClusterStore):
     """Direct-attach replicas: there is no service queue and no RPC
-    path, so the capacity and ``retry`` knobs every adapter accepts
-    have nothing to act on here."""
+    path, so the capacity knobs are refused and ``retry`` has nothing
+    to act on here."""
 
     cluster_class = BayouCluster
-    #: Round-robin cursor for sessions opened without ``replica=``.
+    #: Round-robin cursor over the replicas sessions attach to.
     _next_replica = 0
     _sessions = 0
 
@@ -456,19 +465,13 @@ class BayouStore(ClusterStore):
     def session(
         self,
         name: Hashable | None = None,
-        replica: Hashable | None = None,
         retry: RetryPolicy | None = None,  # noqa: ARG002 - no RPC path
         **opts: Any,
     ) -> StoreSession:
         _session_region(self, opts)     # direct-attach: rejects both
-        if replica is None:
-            index = self._next_replica % len(self.cluster.replicas)
-            self._next_replica += 1
-            node = self.cluster.replicas[index]
-        else:
-            node = next(
-                r for r in self.cluster.replicas if r.node_id == replica
-            )
+        index = self._next_replica % len(self.cluster.replicas)
+        self._next_replica += 1
+        node = self.cluster.replicas[index]
         self._sessions += 1
         name = name if name is not None else f"bayou-session-{self._sessions}"
         sim = self.sim
@@ -618,13 +621,11 @@ class MultiPaxosStore(ClusterStore):
     cluster_class = MultiPaxosCluster
 
     def __init__(
-        self, sim: Simulator, network: Network, elect: bool = True,
-        **kwargs: Any,
+        self, sim: Simulator, network: Network, **kwargs: Any,
     ) -> None:
         super().__init__(sim, network, **kwargs)
-        if elect:
-            self.cluster.elect()
-            sim.run()
+        self.cluster.elect()
+        sim.run()
 
     def session(
         self,
@@ -659,8 +660,8 @@ class FixedTargetSLAClient(SLAClient):
     """An SLA client pinned to one replica — the fixed-strategy
     baseline Pileus is compared against in E7."""
 
-    def __init__(self, client, target: Hashable, monitor=None) -> None:
-        super().__init__(client, monitor)
+    def __init__(self, client, target: Hashable) -> None:
+        super().__init__(client)
         self._target = target
 
     def select_target(self, key, sla):

@@ -43,14 +43,13 @@ Futures returned by a :class:`CachedSession` carry ``served_tier``
 recorded history ops so the staleness checkers can attribute staleness
 to the tier that caused it.
 
-Everything is deterministic: TTLs and jitter come from a dedicated
-``random.Random(seed)``, flushes ride the simulator clock, and all
-``cache.*`` metrics/trace annotations are pure functions of the run.
+Everything is deterministic: expiry and flushes ride the simulator
+clock, and all ``cache.*`` metrics/trace annotations are pure functions
+of the run.
 """
 
 from __future__ import annotations
 
-import random
 from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Hashable
@@ -62,6 +61,11 @@ from ..sim import Future
 
 #: The four supported write policies.
 POLICIES = ("cache_aside", "read_through", "write_through", "write_behind")
+
+#: Per-attempt timeout (ms) of a write-behind flush.
+FLUSH_TIMEOUT = 500.0
+#: Failed flushes of one entry retried before it waits for ``settle()``.
+MAX_FLUSH_RETRIES = 8
 
 #: Session guarantees a policy can preserve *when the backing adapter
 #: declares them*.  Everything else the inner store claims is waived
@@ -138,8 +142,8 @@ class TierFuture(Future):
 
     __slots__ = ("served_tier",)
 
-    def __init__(self, sim, tier: str | None = None, label: str = "") -> None:
-        super().__init__(sim, label)
+    def __init__(self, sim, tier: str) -> None:
+        super().__init__(sim)
         self.served_tier = tier
 
 
@@ -221,9 +225,9 @@ class CachedStore(ConsistentStore):
 
     ``capacity`` bounds *clean* entries per shard (write-behind dirty
     entries are tracked separately and flushed, never evicted).
-    ``ttl=None`` disables expiry.  ``seed`` drives TTL jitter only —
-    with ``ttl_jitter=0`` (default) the cache is trivially
-    deterministic; with jitter it is deterministic per seed.
+    ``ttl=None`` disables expiry.  Hits are served in the same event.
+    ``seed`` is ignored: the cache draws no random numbers, and the
+    parameter stays only because the host benchmark passes one.
 
     When the backing store exposes ``shard_of`` (the elastic sharded
     router), the cache keeps one independent shard-local cache per
@@ -237,13 +241,8 @@ class CachedStore(ConsistentStore):
         ttl: float | None = 200.0,
         capacity: int = 512,
         flush_delay: float = 25.0,
-        flush_timeout: float = 500.0,
-        max_flush_retries: int = 8,
-        hit_latency: float = 0.0,
-        ttl_jitter: float = 0.0,
         seed: int = 0,
         miss_mode: str | None = None,
-        staleness_bound_ms: float | None | str = "auto",
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(
@@ -257,13 +256,7 @@ class CachedStore(ConsistentStore):
         self.ttl = ttl
         self.capacity = capacity
         self.flush_delay = flush_delay
-        self.flush_timeout = flush_timeout
-        self.max_flush_retries = max_flush_retries
-        self.hit_latency = hit_latency
-        self.ttl_jitter = ttl_jitter
-        self.seed = seed
         self.miss_mode = miss_mode
-        self._rng = random.Random(seed)
         self._shards: dict[Hashable, _CacheShard] = {}
         #: Change-data-capture: every *acked backing write* (direct or
         #: flushed) is counted and annotated ``cdc`` with a dense
@@ -273,7 +266,6 @@ class CachedStore(ConsistentStore):
         self.capabilities = derive_capabilities(
             inner.capabilities, policy, ttl,
             flush_delay if policy == "write_behind" else 0.0,
-            staleness_bound_ms,
         )
         # Created eagerly so traces do not depend on first-write time.
         self._flusher = (inner.session("cache-flusher")
@@ -354,9 +346,7 @@ class CachedStore(ConsistentStore):
     def _expiry(self) -> float:
         if self.ttl is None:
             return float("inf")
-        jitter = (self._rng.uniform(0.0, self.ttl_jitter)
-                  if self.ttl_jitter > 0 else 0.0)
-        return self.sim.now + self.ttl + jitter
+        return self.sim.now + self.ttl
 
     def _update_gauges(self) -> None:
         self._size_gauge.set(
@@ -380,11 +370,7 @@ class CachedStore(ConsistentStore):
 
     def _hit_future(self, value: Any, token: Any) -> TierFuture:
         future = TierFuture(self.sim, "cache")
-        if self.hit_latency > 0:
-            self.sim.schedule(self.hit_latency, future.resolve,
-                              (value, token))
-        else:
-            future.resolve((value, token))
+        future.resolve((value, token))
         return future
 
     def _install(self, shard: _CacheShard, key: Hashable, value: Any,
@@ -432,10 +418,6 @@ class CachedStore(ConsistentStore):
             self.sim.annotate("cache", op="invalidate", key=key,
                               policy=self.policy)
             self._update_gauges()
-
-    def invalidate(self, key: Hashable, token: Any = None) -> None:
-        """Externally invalidate ``key`` (CDC invalidation feeds)."""
-        self._invalidate(self._shard_for(key), key, token)
 
     # ------------------------------------------------------------------
     # Read path
@@ -567,7 +549,7 @@ class CachedStore(ConsistentStore):
         shard.flushing.add(key)
         try:
             inner_future = self._flusher.put(key, pend.value,
-                                             timeout=self.flush_timeout)
+                                             timeout=FLUSH_TIMEOUT)
         except ReproError as exc:
             # A store that refuses at issue (no leader mid-crash, say)
             # is a failed flush like any other: same retry path.
@@ -579,7 +561,7 @@ class CachedStore(ConsistentStore):
             if future.error is not None:
                 self._wb_retries.inc()
                 pend.retries += 1
-                if pend.retries <= self.max_flush_retries:
+                if pend.retries <= MAX_FLUSH_RETRIES:
                     self.sim.schedule(
                         self.flush_delay * pend.retries,
                         self._wb_flush, shard, key, pend.seq,
@@ -637,16 +619,15 @@ def derive_capabilities(
     policy: str,
     ttl: float | None,
     flush_delay: float,
-    staleness_bound_ms: float | None | str = "auto",
 ) -> StoreCapabilities:
     """The honest capability record for a cache over ``inner``.
 
     Session-guarantee claims are the intersection of what the backing
     adapter declares and what the policy preserves; every dropped
-    guarantee becomes a documented waiver.  ``staleness_bound_ms``
-    defaults to ``"auto"``: TTL + flush lag when the backing store's
-    default reads are fresh (its default mode is linearizable), else
-    no declared bound — a weak backing read can exceed any TTL.
+    guarantee becomes a documented waiver.  ``staleness_bound_ms`` is
+    TTL + flush lag when the backing store's default reads are fresh
+    (its default mode is linearizable), else no declared bound — a
+    weak backing read can exceed any TTL.
     """
     claimed = tuple(g for g in inner.session_guarantees
                     if g in _PRESERVED[policy])
@@ -658,15 +639,13 @@ def derive_capabilities(
                 f"the {policy} policy does not preserve {guarantee}",
             )
             waivers.append((guarantee, reason))
-    if staleness_bound_ms == "auto":
-        backing_fresh = (
-            inner.default_read_mode in inner.linearizable_read_modes
-            or inner.name == "quorum"  # R+W>N at the default tuning
-        )
-        if ttl is not None and backing_fresh:
-            staleness_bound_ms = ttl + flush_delay
-        else:
-            staleness_bound_ms = None
+    backing_fresh = (
+        inner.default_read_mode in inner.linearizable_read_modes
+        or inner.name == "quorum"  # R+W>N at the default tuning
+    )
+    staleness_bound_ms = None
+    if ttl is not None and backing_fresh:
+        staleness_bound_ms = ttl + flush_delay
     # Everything else the backing adapter declares carries through.
     return replace(
         inner,
@@ -712,16 +691,11 @@ _REGISTRY_CAPS = StoreCapabilities(
 def build_cached(sim, network, protocol: str = "quorum",
                  policy: str = "write_through", ttl: float | None = 200.0,
                  capacity: int = 512, flush_delay: float = 25.0,
-                 flush_timeout: float = 500.0, hit_latency: float = 0.0,
-                 ttl_jitter: float = 0.0, cache_seed: int = 0,
                  miss_mode: str | None = None,
-                 staleness_bound_ms: float | None | str = "auto",
                  **inner_kwargs: Any) -> CachedStore:
     """Registry factory: build ``protocol`` and wrap it in a cache."""
     inner = _registry.build(protocol, sim, network, **inner_kwargs)
     return CachedStore(
         inner, policy=policy, ttl=ttl, capacity=capacity,
-        flush_delay=flush_delay, flush_timeout=flush_timeout,
-        hit_latency=hit_latency, ttl_jitter=ttl_jitter, seed=cache_seed,
-        miss_mode=miss_mode, staleness_bound_ms=staleness_bound_ms,
+        flush_delay=flush_delay, miss_mode=miss_mode,
     )

@@ -161,14 +161,17 @@ class FaultPlan:
         return cls(name, tuple(steps), seed=seed)
 
 
+#: Simulated ms a random plan spans.
+HORIZON = 600.0
+
+
 def random_plan(
     seed: int,
     intensity: float = 0.5,
-    horizon: float = 600.0,
 ) -> FaultPlan:
     """A seeded random plan: ``intensity`` in (0, 1] scales how many
-    faults land inside ``horizon`` ms.  Always ends with a heal and a
-    recover so histories close cleanly (the runner re-heals anyway)."""
+    faults land inside :data:`HORIZON` ms.  Always ends with a heal and
+    a recover so histories close cleanly (the runner re-heals anyway)."""
     if not 0 < intensity <= 1:
         raise ValueError("intensity must be in (0, 1]")
     rng = random.Random(seed)
@@ -178,7 +181,7 @@ def random_plan(
         "clock_skew", "slow_link", "drop",
     )
     steps = []
-    times = sorted(rng.uniform(10.0, horizon * 0.8) for _ in range(count))
+    times = sorted(rng.uniform(10.0, HORIZON * 0.8) for _ in range(count))
     for when in times:
         fault = rng.choice(kinds)
         if fault == "partition":
@@ -202,8 +205,8 @@ def random_plan(
                               duration=rng.uniform(40.0, 120.0)))
         else:
             steps.append(step("heal", at=when))
-    steps.append(step("heal", at=horizon * 0.9))
-    steps.append(step("recover", at=horizon * 0.9, target="all"))
+    steps.append(step("heal", at=HORIZON * 0.9))
+    steps.append(step("recover", at=HORIZON * 0.9, target="all"))
     return FaultPlan(f"random-{seed}", tuple(steps), seed=seed)
 
 

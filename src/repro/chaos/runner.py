@@ -42,6 +42,11 @@ from ..workload import YCSBWorkload, run_workload
 from .nemesis import Nemesis
 from .plan import FaultPlan, resolve_plan
 
+#: Per-op timeout (ms) and think time between a client's ops.
+OP_TIMEOUT, THINK_TIME = 250.0, 2.0
+#: Clean entries a cell's cache holds.
+CACHE_CAPACITY = 64
+
 #: Statuses a conformance check can land on.
 PASS, FAIL, UNKNOWN, WAIVED = "pass", "fail", "unknown", "waived"
 
@@ -158,23 +163,19 @@ def run_cell(
     nodes: int = 5,
     clients: int = 3,
     ops: int = 120,
-    op_timeout: float = 250.0,
-    think_time: float = 2.0,
     preset: str = "A",
     records: int = 24,
     ttl: float = 60.0,
-    capacity: int = 64,
     flush_delay: float = 10.0,
-    heal: bool = True,
 ) -> CellReport:
     """One conformance cell, isolated in a fresh simulator.
 
     ``policy=None`` runs the bare adapter; a cache policy wraps it in
-    ``registry.build("cached", protocol=...)`` (``ttl`` / ``capacity``
-    / ``flush_delay`` tune that cache) and records the history at the
+    ``registry.build("cached", protocol=...)`` (``ttl`` /
+    ``flush_delay`` tune that cache) and records the history at the
     cache boundary.  ``plan`` (a :class:`FaultPlan`, a built-in name,
-    ``"random"`` or None) runs for the duration of the workload; with
-    ``heal`` the run ends with heal + two settle rounds before grading.
+    ``"random"`` or None) runs for the duration of the workload; the
+    run ends with heal + two settle rounds before grading.
     """
     plan = resolve_plan(plan, seed)
     tracer = HashingTracer()
@@ -186,7 +187,7 @@ def run_cell(
     else:
         store = registry.build(
             "cached", sim, network, protocol=protocol, policy=policy,
-            nodes=nodes, ttl=ttl, capacity=capacity,
+            nodes=nodes, ttl=ttl, capacity=CACHE_CAPACITY,
             flush_delay=flush_delay, miss_mode=READ_MODES.get(protocol),
         )
         read_mode = READ_MODES["cached"]
@@ -194,31 +195,25 @@ def run_cell(
     nemesis = Nemesis(plan, seed=seed) if plan is not None else None
     workload = YCSBWorkload(preset, records=records, seed=seed)
     result = run_workload(
-        store, workload.take(ops), clients=clients, timeout=op_timeout,
-        think_time=think_time, read_mode=read_mode, nemesis=nemesis,
+        store, workload.take(ops), clients=clients, timeout=OP_TIMEOUT,
+        think_time=THINK_TIME, read_mode=read_mode, nemesis=nemesis,
     )
-    if heal:
-        if nemesis is not None:
-            nemesis.heal_all()
+    if nemesis is not None:
+        nemesis.heal_all()
+    sim.run()
+    # Two settle rounds: the first syncs data (and drains write-behind),
+    # the second lets derived state (commit orders, cascaded installs)
+    # close.
+    for _round in range(2):
+        store.settle()
         sim.run()
-        # Two settle rounds: the first syncs data (and drains
-        # write-behind), the second lets derived state (commit orders,
-        # cascaded installs) close.
-        for _round in range(2):
-            store.settle()
-            sim.run()
 
     history = result.history
     caps = store.capabilities
-    assessable = heal or plan is None or not any(
-        s.fault in ("crash", "partition", "drop", "slow_link")
-        for s in plan.steps)
     checks = [_grade(
         caps, "convergence", caps.eventually_convergent,
-        check_convergence(store.snapshots()) if assessable else None,
-        reason="not claimed by capabilities" if assessable else
-        "run ended mid-fault without a final heal; convergence is not "
-        "assessable",
+        check_convergence(store.snapshots()),
+        reason="not claimed by capabilities",
     )]
     if (read_mode or caps.default_read_mode) in caps.linearizable_read_modes:
         checks.append(_grade(caps, "linearizable", True,
@@ -238,7 +233,7 @@ def run_cell(
         # that took the full timeout carries state up to that much
         # older than its install time (plus any in-flight write acked
         # after the fetch).
-        bound = caps.staleness_bound_ms + op_timeout
+        bound = caps.staleness_bound_ms + OP_TIMEOUT
         checks.append(_grade(
             caps, "bounded-staleness", True,
             check_bounded_staleness(history, max_time=bound),

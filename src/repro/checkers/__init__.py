@@ -21,7 +21,6 @@ from .session import (
     check_writes_follow_reads,
 )
 from .staleness import (
-    ANY_TIER,
     ReadStaleness,
     TierStaleness,
     check_bounded_staleness,
@@ -49,7 +48,6 @@ __all__ = [
     "measure_staleness",
     "ReadStaleness",
     "TierStaleness",
-    "ANY_TIER",
     "check_bounded_staleness",
     "stale_read_fraction",
     "staleness_by_tier",

@@ -45,10 +45,9 @@ class Verdict:
         self,
         description: str,
         ops: Iterable[Operation] = (),
-        guarantee: str | None = None,
     ) -> None:
         self.violations.append(
-            Violation(guarantee or self.guarantee, description, tuple(ops))
+            Violation(self.guarantee, description, tuple(ops))
         )
 
     def __str__(self) -> str:

@@ -32,15 +32,14 @@ MISSING = object()
 def read_back(
     store: Any,
     keys: Iterable[Hashable],
-    mode: str | None = None,
     timeout: float = 400.0,
-    session_name: str = "verify",
 ) -> dict:
-    """Read every key through one fresh session and run the simulator
-    until the reads settle.  Returns ``key -> value`` with
-    :data:`MISSING` for keys that failed or returned nothing."""
+    """Read every key through one fresh session (``"verify"``), in the
+    store's default read mode, and run the simulator until the reads
+    settle.  Returns ``key -> value`` with :data:`MISSING` for keys
+    that failed or returned nothing."""
     sim = store.sim
-    session = store.session(session_name)
+    session = store.session("verify")
     results: dict = {}
     for key in sorted(set(keys), key=repr):
         future = session.get(key, timeout=timeout)

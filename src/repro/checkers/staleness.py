@@ -3,17 +3,16 @@
 Bounded staleness is the tutorial's "quantified eventual consistency":
 a read may be stale, but by at most *k* versions (k-staleness) or *t*
 milliseconds (t-visibility / Δ-atomicity).  These functions measure
-both quantities for every read in a history and check declared bounds;
-the PBS experiment (E2) aggregates them into the staleness
-distributions the quorum sweep reports.
+both quantities for every read in a history and check a declared
+t-visibility bound; the PBS experiment (E2) aggregates them into the
+staleness distributions the quorum sweep reports.
 
 Histories recorded at a cache boundary tag each op with the serving
 tier (``Operation.tier``: ``"cache"`` hit vs ``"store"`` backing
 read).  Staleness is always measured against *all* completed writes —
-the authoritative timeline — but every function here accepts a
-``tier=`` filter so staleness can be attributed to the tier that
-caused it, and :func:`staleness_by_tier` breaks the whole history down
-per tier in one pass.
+the authoritative timeline — and :func:`staleness_by_tier` attributes
+it to the tier that caused it, breaking the whole history down per
+tier in one pass.
 """
 
 from __future__ import annotations
@@ -21,14 +20,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Hashable
+from typing import Hashable
 
 from ..histories import History, Operation
 from .base import Verdict
-
-#: Sentinel for "no tier filter" — ``None`` is itself a meaningful
-#: tier value (ops recorded below any cache).
-ANY_TIER = object()
 
 
 @dataclass(frozen=True)
@@ -44,23 +39,16 @@ class ReadStaleness:
         return self.versions_behind == 0
 
 
-def measure_staleness(
-    history: History, tier: Any = ANY_TIER
-) -> list[ReadStaleness]:
+def measure_staleness(history: History) -> list[ReadStaleness]:
     """Per-read staleness relative to writes completed before the read
     *started* (writes concurrent with the read never count as missed).
-
-    ``tier`` restricts which *reads* are measured (e.g. ``"cache"``
-    for hits only); the write timeline stays authoritative — every
-    completed write counts regardless of the tier that recorded it.
+    Every completed write counts, whichever tier recorded it.
     """
     out: list[ReadStaleness] = []
     # Per key, over its completed writes in completion order: end times,
     # versions, running maximum version (non-decreasing, so bisectable).
     timelines: dict = {}
     for read in history.reads():
-        if tier is not ANY_TIER and read.tier != tier:
-            continue
         if read.key not in timelines:
             writes = history.writes_by_end(read.key)
             versions = [w.version for w in writes]
@@ -77,38 +65,13 @@ def measure_staleness(
     return out
 
 
-def check_bounded_staleness(
-    history: History,
-    max_versions: int | None = None,
-    max_time: float | None = None,
-    tier: Any = ANY_TIER,
-) -> Verdict:
-    """Check every read against a k-staleness and/or t-visibility bound.
-
-    ``tier`` narrows the check to reads served by one tier — e.g. a
-    cache declares a TTL bound for its hits while the backing store
-    declares its own."""
-    if max_versions is None and max_time is None:
-        raise ValueError("provide max_versions and/or max_time")
-    bound_bits = []
-    if max_versions is not None:
-        bound_bits.append(f"k<={max_versions}")
-    if max_time is not None:
-        bound_bits.append(f"t<={max_time}ms")
-    verdict = Verdict(f"bounded-staleness({','.join(bound_bits)})")
-    for measurement in measure_staleness(history, tier=tier):
+def check_bounded_staleness(history: History, max_time: float) -> Verdict:
+    """Check every read against a t-visibility bound of ``max_time``
+    ms."""
+    verdict = Verdict(f"bounded-staleness(t<={max_time}ms)")
+    for measurement in measure_staleness(history):
         verdict.checked_ops += 1
-        if (
-            max_versions is not None
-            and measurement.versions_behind > max_versions
-        ):
-            verdict.add(
-                f"read of {measurement.op.key!r} was "
-                f"{measurement.versions_behind} versions behind "
-                f"(bound {max_versions})",
-                ops=(measurement.op,),
-            )
-        elif max_time is not None and measurement.time_behind > max_time:
+        if measurement.time_behind > max_time:
             verdict.add(
                 f"read of {measurement.op.key!r} returned a value "
                 f"superseded {measurement.time_behind:.2f}ms earlier "
@@ -118,9 +81,9 @@ def check_bounded_staleness(
     return verdict
 
 
-def stale_read_fraction(history: History, tier: Any = ANY_TIER) -> float:
+def stale_read_fraction(history: History) -> float:
     """Fraction of reads that missed at least one completed write."""
-    measurements = measure_staleness(history, tier=tier)
+    measurements = measure_staleness(history)
     if not measurements:
         return 0.0
     return sum(1 for m in measurements if not m.fresh) / len(measurements)

@@ -500,7 +500,8 @@ def cmd_load(args: argparse.Namespace) -> int:
     Exit status: 0 on success; for ``--storm``, 1 when the collapse /
     prevention / convergence verdicts fail or (with
     ``--check-determinism``) the fingerprint drifts between two runs;
-    2 on an unknown ``--protocol`` / ``--preset``.
+    2 on an unknown ``--protocol`` / ``--preset`` or a protocol that
+    refuses the capacity knobs (a direct-attach store).
     """
     from .api import registry
     from .workload import PRESETS
@@ -511,9 +512,13 @@ def cmd_load(args: argparse.Namespace) -> int:
     if args.storm:
         from .scenarios import format_storm, run_storm
 
-        return _story(args, "storm", lambda: run_storm(
-            seed=args.seed, protocol=args.protocol, nodes=args.nodes,
-        ), format_storm)
+        try:
+            return _story(args, "storm", lambda: run_storm(
+                seed=args.seed, protocol=args.protocol, nodes=args.nodes,
+            ), format_storm)
+        except ValueError as exc:   # the first leg's build refused
+            print(exc, file=sys.stderr)
+            return 2
 
     from .analysis import print_table
     from .sim import FixedLatency, Network, Simulator
@@ -541,12 +546,16 @@ def cmd_load(args: argparse.Namespace) -> int:
 
     sim = Simulator(seed=args.seed)
     network = Network(sim, latency=FixedLatency(2.0))
-    store = registry.build(
-        args.protocol, sim, network, nodes=args.nodes,
-        service_time=args.service_time,
-        queue_limit=args.queue_limit,
-        admission_rate=args.admission_rate,
-    )
+    try:
+        store = registry.build(
+            args.protocol, sim, network, nodes=args.nodes,
+            service_time=args.service_time,
+            queue_limit=args.queue_limit,
+            admission_rate=args.admission_rate,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     ops = YCSBWorkload(args.preset, records=args.records, seed=args.seed)
     driver = OpenLoopDriver(store, arrivals, ops, sessions=args.sessions,
                             timeout=args.timeout, seed=args.seed)

@@ -25,6 +25,8 @@ from ..errors import TimeoutError as ReproTimeoutError
 from ..sim import Future, Simulator, spawn
 
 GUARANTEES = ("ryw", "mr", "mw", "wfr")
+#: Stale replies a read accepts before its future fails.
+MAX_RETRIES = 50
 
 
 @dataclass
@@ -80,8 +82,9 @@ class SessionClient:
         introspection (single-master stores enforce them server-side).
     retry_delay:
         Backoff between stale-read retries, in ms.
-    max_retries:
-        Give up (fail the read future) after this many stale replies.
+
+    A read gives up (fails its future) after :data:`MAX_RETRIES` stale
+    replies.
     """
 
     def __init__(
@@ -91,7 +94,6 @@ class SessionClient:
         write_fn: Callable[[Hashable, Any], Future],
         guarantees: Iterable[str] = (),
         retry_delay: float = 10.0,
-        max_retries: int = 50,
     ) -> None:
         guarantees = frozenset(guarantees)
         unknown = guarantees - set(GUARANTEES)
@@ -102,7 +104,6 @@ class SessionClient:
         self.write_fn = write_fn
         self.guarantees = guarantees
         self.retry_delay = retry_delay
-        self.max_retries = max_retries
         self.state = SessionState()
         self.stats = SessionStats()
 
@@ -141,7 +142,7 @@ class SessionClient:
                 outer.resolve((value, version))
                 return
             self.stats.reads_rejected_stale += 1
-            if attempt >= self.max_retries:
+            if attempt >= MAX_RETRIES:
                 outer.fail(
                     ReproTimeoutError(
                         f"read of {key!r} below floor v{floor} after "
@@ -161,22 +162,15 @@ def timeline_session(
     client,
     guarantees: Iterable[str] = ("ryw", "mr"),
     retry_delay: float = 10.0,
-    spread_replicas: bool = False,
 ) -> SessionClient:
     """Session layer over a :class:`~repro.replication.TimelineClient`.
 
     Reads use ``read_any`` (cheap, possibly stale) and let the floor
     loop enforce the guarantees — the tutorial's point that session
     guarantees are purchasable *on top of* an eventually consistent
-    read path.  With ``spread_replicas`` retries rotate the home
-    replica, converting waiting into shopping around.
+    read path.
     """
-    cluster = client.cluster
-
     def read_fn(key, attempt: int) -> Future:
-        if spread_replicas and attempt > 1:
-            nodes = cluster.node_ids
-            client.home = nodes[(attempt - 1) % len(nodes)]
         return client.read_any(key)
 
     def write_fn(key, value) -> Future:

@@ -52,9 +52,9 @@ class LamportClock:
     True
     """
 
-    def __init__(self, node: Hashable, start: int = 0) -> None:
+    def __init__(self, node: Hashable) -> None:
         self.node = node
-        self.counter = start
+        self.counter = 0
 
     def tick(self) -> LamportStamp:
         """Local event: advance and stamp."""

@@ -36,7 +36,7 @@ class Operation:
     start: float
     end: float | None
     value: Any = None
-    op_id: int = field(default_factory=lambda: next(_op_ids))
+    op_id: int = field(default_factory=lambda: next(_op_ids), init=False)
     #: Which serving tier answered: ``"cache"`` for a cache hit,
     #: ``"store"`` for a read/write that reached the backing store,
     #: ``None`` when the history was recorded below any cache.  Lets
@@ -71,12 +71,9 @@ def make_write(
     session: Hashable = "s0",
     start: float = 0.0,
     end: float | None = 0.0,
-    value: Any = None,
-    tier: Hashable = None,
 ) -> Operation:
-    """Test/bench helper: a completed write operation."""
-    return Operation("write", key, version, session, start, end, value,
-                     tier=tier)
+    """Test/bench helper: a completed write operation (no value)."""
+    return Operation("write", key, version, session, start, end)
 
 
 def make_read(
@@ -85,12 +82,9 @@ def make_read(
     session: Hashable = "s0",
     start: float = 0.0,
     end: float | None = 0.0,
-    value: Any = None,
-    tier: Hashable = None,
 ) -> Operation:
-    """Test/bench helper: a completed read operation."""
-    return Operation("read", key, version, session, start, end, value,
-                     tier=tier)
+    """Test/bench helper: a completed read operation (no value)."""
+    return Operation("read", key, version, session, start, end)
 
 
 class _Index(NamedTuple):

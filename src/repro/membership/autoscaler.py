@@ -11,11 +11,7 @@ Deliberately boring policy, deliberately careful actuation:
 
 * never acts while a ring move is already in flight
   (``store.rebalancing``);
-* respects ``min_shards`` / ``max_shards``;
-* optionally holds off while a :class:`~repro.membership
-  .MembershipService` reports suspected nodes — queue spikes during a
-  partition mean *unreachable*, not *undersized*, and scaling into a
-  partition doubles the damage.
+* respects ``min_shards`` / ``max_shards``.
 
 Ticks are daemon events (the autoscaler never keeps ``sim.run()``
 alive) and every decision is trace-annotated and counted under
@@ -35,7 +31,6 @@ class Autoscaler:
 
     def __init__(
         self,
-        store: Any = None,
         interval: float = 50.0,
         high_depth: float = 4.0,
         low_depth: float = 0.5,
@@ -43,10 +38,9 @@ class Autoscaler:
         cooldown: float = 400.0,
         min_shards: int = 1,
         max_shards: int = 8,
-        membership: Any = None,
         move_opts: dict | None = None,
     ) -> None:
-        self.store = store
+        self.store: Any = None
         self.interval = interval
         self.high_depth = high_depth
         self.low_depth = low_depth
@@ -54,7 +48,6 @@ class Autoscaler:
         self.cooldown = cooldown
         self.min_shards = min_shards
         self.max_shards = max_shards
-        self.membership = membership
         #: Extra kwargs for every ring move this policy starts — e.g. a
         #: longer ``op_timeout`` so handoff ops survive the very queues
         #: that triggered the scale-out.
@@ -67,12 +60,9 @@ class Autoscaler:
         self.decisions: list[tuple[float, str, int]] = []
 
     # ------------------------------------------------------------------
-    def install(self, store: Any = None) -> None:
+    def install(self, store: Any) -> None:
         """Attach to ``store`` and start the policy tick."""
-        if store is not None:
-            self.store = store
-        if self.store is None:
-            raise ValueError("autoscaler needs a store")
+        self.store = store
         if self._running:
             return
         self._running = True
@@ -101,8 +91,6 @@ class Autoscaler:
         self._g_signal.set(round(per_node, 4))
         shards = len(self.store.shard_ids)
         busy = bool(getattr(self.store, "rebalancing", False))
-        held = self.membership is not None and bool(
-            self.membership.suspected())
         if per_node >= self.high_depth:
             self._high_ticks += 1
             self._low_ticks = 0
@@ -112,7 +100,7 @@ class Autoscaler:
         else:
             self._high_ticks = self._low_ticks = 0
         cooled = sim.now - self._last_action >= self.cooldown
-        if not busy and not held and cooled:
+        if not busy and cooled:
             if self._high_ticks >= self.sustain and shards < self.max_shards:
                 self._act(sim, "scale_out", per_node)
             elif self._low_ticks >= self.sustain and shards > self.min_shards:

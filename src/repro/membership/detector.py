@@ -25,30 +25,25 @@ from collections import deque
 
 #: log10(e) — converts the exponential survival exponent to phi.
 _LOG10_E = 0.4342944819032518
+#: Inter-arrival intervals kept per peer.
+WINDOW = 32
+#: Intervals needed before the detector suspects anything.
+MIN_SAMPLES = 3
+#: Floor on the estimated mean interval (ms), so a burst of
+#: back-to-back heartbeats cannot make phi explode afterwards.
+MIN_INTERVAL_FLOOR = 1.0
 
 
 class PhiAccrualDetector:
     """Suspicion level for one monitored peer.
 
     ``heartbeat(now)`` records an arrival; ``phi(now)`` reads the
-    current suspicion.  Before ``min_samples`` arrivals the detector
-    answers 0.0 — it refuses to suspect on no evidence.
+    current suspicion.  Before :data:`MIN_SAMPLES` intervals the
+    detector answers 0.0 — it refuses to suspect on no evidence.
     """
 
-    def __init__(
-        self,
-        window: int = 32,
-        min_samples: int = 3,
-        min_interval_floor: float = 1.0,
-    ) -> None:
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        self.window = window
-        self.min_samples = min_samples
-        #: Floor on the estimated mean interval, so a burst of
-        #: back-to-back heartbeats cannot make phi explode afterwards.
-        self.min_interval_floor = min_interval_floor
-        self._intervals: deque[float] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._intervals: deque[float] = deque(maxlen=WINDOW)
         self._last: float | None = None
 
     def heartbeat(self, now: float) -> None:
@@ -62,11 +57,11 @@ class PhiAccrualDetector:
         return self._last
 
     def mean_interval(self) -> float | None:
-        """Mean observed inter-arrival, or None before min_samples."""
-        if len(self._intervals) < self.min_samples:
+        """Mean observed inter-arrival, or None before MIN_SAMPLES."""
+        if len(self._intervals) < MIN_SAMPLES:
             return None
         mean = sum(self._intervals) / len(self._intervals)
-        return max(mean, self.min_interval_floor)
+        return max(mean, MIN_INTERVAL_FLOOR)
 
     def phi(self, now: float) -> float:
         """Current suspicion level; 0.0 while under-sampled."""

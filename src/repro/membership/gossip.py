@@ -1,15 +1,16 @@
 """Gossip-based membership with phi-accrual failure detection.
 
 Every monitored node keeps a heartbeat counter and a local view of its
-peers' counters.  Each gossip round a node bumps its own counter and
-pushes its whole view to ``fanout`` random peers; receivers merge by
-max counter, and each *new* counter value feeds that observer's
-:class:`~repro.membership.PhiAccrualDetector` for the peer.  A peer's
+peers' counters.  Each gossip round (every :data:`INTERVAL` ms) a node
+bumps its own counter and pushes its whole view to :data:`FANOUT`
+random peers; receivers merge by max counter, and each *new* counter
+value feeds that observer's :class:`~repro.membership.PhiAccrualDetector`
+for the peer.  A peer's
 status in an observer's view is then a pure function of phi:
 
-    phi < suspect_phi   → ``alive``
-    phi < dead_phi      → ``suspect``
-    otherwise           → ``dead``
+    phi < SUSPECT_PHI (2)   → ``alive``
+    phi < DEAD_PHI (5)      → ``suspect``
+    otherwise               → ``dead``
 
 The service is driven by a central pacemaker rather than per-node
 ``every()`` timers: node timers die on crash and are not re-armed on
@@ -35,6 +36,12 @@ from ..sim import Node, Simulator
 from .detector import PhiAccrualDetector
 
 ALIVE, SUSPECT, DEAD = "alive", "suspect", "dead"
+
+#: Gossip round period (ms) and peers pushed to per round.
+INTERVAL, FANOUT = 20.0, 2
+#: Phi thresholds: suspect at or above the first, dead at or above
+#: the second.
+SUSPECT_PHI, DEAD_PHI = 2.0, 5.0
 
 
 @dataclass
@@ -72,17 +79,9 @@ class MembershipService:
     def __init__(
         self,
         sim: Simulator,
-        interval: float = 20.0,
-        fanout: int = 2,
-        suspect_phi: float = 2.0,
-        dead_phi: float = 5.0,
         seed: int = 0,
     ) -> None:
         self.sim = sim
-        self.interval = interval
-        self.fanout = fanout
-        self.suspect_phi = suspect_phi
-        self.dead_phi = dead_phi
         self.rng = random.Random(seed)
         self._nodes: dict[Hashable, Node] = {}
         self._counters: dict[Hashable, int] = {}
@@ -135,7 +134,7 @@ class MembershipService:
         if self._running:
             return
         self._running = True
-        self.sim.schedule_daemon(self.interval, self._tick)
+        self.sim.schedule_daemon(INTERVAL, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -155,12 +154,12 @@ class MembershipService:
             peers = [p for p in self._nodes if p != node_id]
             if not peers:
                 continue
-            targets = self.rng.sample(peers, min(self.fanout, len(peers)))
+            targets = self.rng.sample(peers, min(FANOUT, len(peers)))
             for target in targets:
                 node.send(target, GossipMsg(dict(heartbeats)))
                 self._m_sent.inc()
         self._sweep()
-        self.sim.schedule_daemon(self.interval, self._tick)
+        self.sim.schedule_daemon(INTERVAL, self._tick)
 
     # ------------------------------------------------------------------
     # Receive path (via ServerNode.handle_GossipMsg)
@@ -185,9 +184,9 @@ class MembershipService:
     # Views
     # ------------------------------------------------------------------
     def _classify(self, phi: float) -> str:
-        if phi >= self.dead_phi:
+        if phi >= DEAD_PHI:
             return DEAD
-        if phi >= self.suspect_phi:
+        if phi >= SUSPECT_PHI:
             return SUSPECT
         return ALIVE
 

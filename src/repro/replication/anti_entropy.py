@@ -26,6 +26,9 @@ from ..errors import TimeoutError as ReproTimeoutError
 from ..sim import Network, Node, Simulator
 from .merkle import MerkleTree, build_tree, keys_in_buckets
 
+#: Merkle summaries hash ``2**MERKLE_DEPTH`` leaf buckets.
+MERKLE_DEPTH = 6
+
 
 @dataclass
 class FullState:
@@ -131,7 +134,7 @@ class GossipReplica(Node):
 
     def _tree(self) -> MerkleTree:
         versions = {key: stamp for key, (_value, stamp) in self.data.items()}
-        return build_tree(versions, depth=self.cluster.merkle_depth)
+        return build_tree(versions, depth=MERKLE_DEPTH)
 
     # -- handlers: full-state strategy -------------------------------------
     def handle_FullState(self, src: Hashable, msg: FullState) -> None:
@@ -176,7 +179,7 @@ class GossipReplica(Node):
 
     def _entries_in_buckets(self, buckets: set) -> list:
         versions = {key: stamp for key, (_value, stamp) in self.data.items()}
-        keys = keys_in_buckets(versions, buckets, self.cluster.merkle_depth)
+        keys = keys_in_buckets(versions, buckets, MERKLE_DEPTH)
         return [(key, self.data[key][0], self.data[key][1]) for key in keys]
 
 
@@ -191,7 +194,6 @@ class GossipCluster:
         interval: float | None = 20.0,
         fanout: int = 1,
         strategy: str = "full",
-        merkle_depth: int = 6,
         node_ids: list[Hashable] | None = None,
     ) -> None:
         if strategy not in ("full", "merkle"):
@@ -203,7 +205,6 @@ class GossipCluster:
         self.interval = interval
         self.fanout = fanout
         self.strategy = strategy
-        self.merkle_depth = merkle_depth
         ids = node_ids or [f"g{i}" for i in range(nodes)]
         self.node_ids = list(ids)
         self._c_rounds_started = sim.metrics.counter("gossip.rounds_started")

@@ -31,6 +31,9 @@ from typing import Any, Hashable
 from ..clocks import LamportClock, LamportStamp
 from ..sim import Network, Node, Simulator
 
+#: Anti-entropy period (ms) of every replica.
+INTERVAL = 25.0
+
 
 @dataclass(frozen=True)
 class BayouWrite:
@@ -70,8 +73,7 @@ class BayouReplica(Node):
         self._next_csn = 0                              # primary only
         self._c_rollbacks = sim.metrics.counter(f"bayou.{node_id}.rollbacks")
         self._c_commits = sim.metrics.counter("bayou.commits")
-        if cluster.interval is not None:
-            self.every(cluster.interval, self.anti_entropy_once, jitter=0.5)
+        self.every(INTERVAL, self.anti_entropy_once, jitter=0.5)
 
     # ------------------------------------------------------------------
     # Client API
@@ -195,15 +197,13 @@ class BayouReplica(Node):
 
 
 class BayouCluster:
-    """N Bayou replicas, one of them the commit primary."""
+    """N Bayou replicas, the first of them the commit primary."""
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         nodes: int = 4,
-        interval: float | None = 25.0,
-        primary_index: int = 0,
         node_ids: list[Hashable] | None = None,
     ) -> None:
         if nodes < 1:
@@ -211,11 +211,10 @@ class BayouCluster:
         ids = node_ids or [f"by{i}" for i in range(nodes)]
         self.sim = sim
         self.network = network
-        self.interval = interval
         self.node_ids = list(ids)
         self.replicas = [
             BayouReplica(sim, network, node_id, self,
-                         is_primary=(index == primary_index))
+                         is_primary=(index == 0))
             for index, node_id in enumerate(ids)
         ]
 

@@ -106,15 +106,11 @@ class ClientNode(Node):
         self,
         dst: Hashable,
         payload: Any,
-        timeout: float | None = None,
-        idempotency_key: Hashable | None = None,
     ) -> Future:
         """Send ``payload`` to ``dst``; the future resolves with the
-        reply payload (or fails with the server's error / a timeout)."""
-        _request_id, future = self._issue(
-            dst, payload, timeout, idempotency_key
-        )
-        return future
+        reply payload (or fails with the server's error).  No timeout:
+        :meth:`call` is the primitive with one."""
+        return self._issue(dst, payload, None)[1]
 
     def _issue(
         self,
@@ -197,10 +193,9 @@ class ClientNode(Node):
 
         ``dst`` is one endpoint or a failover-ordered list (preferred
         endpoint first).  The effective policy is ``policy`` or
-        :attr:`retry`; with neither, this is exactly :meth:`request`
-        against the preferred endpoint — one attempt, one optional
-        timeout.  Under a policy, ``timeout`` acts as the overall
-        deadline when the policy does not set its own.
+        :attr:`retry`; with neither, this is one attempt against the
+        preferred endpoint, failing after ``timeout`` ms when given.
+        Under a policy, ``timeout`` is the overall deadline.
 
         ``idempotent=True`` attaches a fresh idempotency key so
         server-side dedup makes retried writes apply at most once per

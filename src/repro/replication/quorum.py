@@ -648,7 +648,6 @@ class DynamoCluster:
         w: int = 2,
         sloppy: bool = False,
         read_repair: bool = True,
-        vnodes: int = 16,
         replica_timeout: float = 25.0,
         op_deadline: float = 200.0,
         client_timeout: float = 400.0,
@@ -676,7 +675,7 @@ class DynamoCluster:
         self.client_timeout = client_timeout
         self.hint_interval = hint_interval
         self.coordinator_policy = coordinator_policy
-        self.ring = HashRing(ids, vnodes=vnodes)
+        self.ring = HashRing(ids)
         # Counters the experiments read — published into the sim-wide
         # metrics registry (two clusters on one sim share them).
         metrics, prefix = sim.metrics, conflicts.metrics

@@ -74,8 +74,7 @@ class RpcCall:
         self.payload = payload
         self.policy = policy
         self.idempotency_key = idempotency_key
-        deadline = policy.deadline if policy.deadline is not None else timeout
-        self.deadline_at = None if deadline is None else self.sim.now + deadline
+        self.deadline_at = None if timeout is None else self.sim.now + timeout
         self.future = Future(self.sim, label=("rpc({})", type(payload).__name__))
         self.attempts = 0           # sequential attempts launched
         self.hedges = 0             # speculative duplicates launched
@@ -140,7 +139,7 @@ class RpcCall:
         if (
             not hedge
             and self.policy.hedge_after is not None
-            and self.hedges < self.policy.max_hedges
+            and not self.hedges
         ):
             self._hedge_timer = self.client.set_deadline(
                 self.policy.hedge_after, self._fire_hedge
@@ -148,9 +147,7 @@ class RpcCall:
 
     def _fire_hedge(self) -> None:
         self._hedge_timer = None
-        if self.future.done or not self._pending:
-            return
-        if self.hedges >= self.policy.max_hedges:
+        if self.future.done or not self._pending or self.hedges:
             return
         self._launch(hedge=True)
 

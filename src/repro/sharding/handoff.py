@@ -31,7 +31,7 @@ each copy itself, as it would any client write.
 
 Every operation retries on failure with deterministic backoff — a
 move started mid-partition simply stalls until the network heals.
-Retries are bounded (``max_attempts``): exhaustion raises a loud
+Retries are bounded (:data:`MAX_ATTEMPTS`): exhaustion raises a loud
 :class:`~repro.errors.SimulationError` and parks the move in a failed
 state (flipped ranges stay flipped, pending ranges keep routing to
 their donor) rather than hanging the simulation or silently dropping
@@ -56,6 +56,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 JOIN, DRAIN = "join", "drain"
 
+#: How long a frozen range lets in-flight writes drain before each
+#: delta pass and each tail sweep (ms); also the ``retry_after`` a
+#: write to the frozen range is told.
+DRAIN_MS = 30.0
+#: Attempts per copy operation before the move fails loudly.
+MAX_ATTEMPTS = 64
+#: Retry ``i`` of a copy operation waits ``min(200, 10 * i)`` ms.
+RETRY_BASE, RETRY_CAP = 10.0, 200.0
+#: Delta passes (and tail sweeps) per range before giving up.
+MAX_DELTA_PASSES = 32
+
 
 def transfer_fingerprint(copied: dict) -> str:
     """Canonical digest of a transferred range: blake2b over the
@@ -77,11 +88,6 @@ class RingMove:
         kind: str,
         subject: Hashable,
         op_timeout: float = 250.0,
-        drain_ms: float = 30.0,
-        max_attempts: int = 64,
-        retry_base: float = 10.0,
-        retry_cap: float = 200.0,
-        max_delta_passes: int = 32,
         parallelism: int = 8,
     ) -> None:
         if kind not in (JOIN, DRAIN):
@@ -94,11 +100,6 @@ class RingMove:
         #: The shard joining (``join``) or leaving (``drain``).
         self.subject = subject
         self.op_timeout = op_timeout
-        self.drain_ms = drain_ms
-        self.max_attempts = max_attempts
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
-        self.max_delta_passes = max_delta_passes
         #: Keys copied concurrently per pass.  Sequential copy is
         #: correct but far too slow when the move races live load —
         #: every key's RTT would stack on top of the service queues.
@@ -164,7 +165,7 @@ class RingMove:
         if self.counterpart(key) != self.frozen:
             return None
         self._m_rejected.inc()
-        return self.drain_ms
+        return DRAIN_MS
 
     # ------------------------------------------------------------------
     # Transfer process
@@ -235,7 +236,7 @@ class RingMove:
         self.frozen = counterpart
         store.sim.annotate("handoff", phase="freeze", donor=donor,
                            recipient=recipient)
-        yield self.drain_ms
+        yield DRAIN_MS
         passes = 0
         while True:
             passes += 1
@@ -245,7 +246,7 @@ class RingMove:
             )
             if changed == 0:
                 break
-            if passes >= self.max_delta_passes:
+            if passes >= MAX_DELTA_PASSES:
                 raise SimulationError(
                     f"handoff {donor}->{recipient} never quiesced after "
                     f"{passes} delta passes"
@@ -262,11 +263,11 @@ class RingMove:
         passes = 0
         while True:
             passes += 1
-            yield self.drain_ms
+            yield DRAIN_MS
             swept = yield from self._tail_sweep(
                 donor, counterpart, donor_s, recip_s, copied
             )
-            if swept == 0 or passes >= self.max_delta_passes:
+            if swept == 0 or passes >= MAX_DELTA_PASSES:
                 break
 
     def _copy_pass(self, keys, donor_s, recip_s, copied: dict):
@@ -359,10 +360,10 @@ class RingMove:
                 return result
             except ReproError as exc:
                 attempt += 1
-                if attempt >= self.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     raise SimulationError(
                         f"handoff gave up on {label} after "
                         f"{attempt} attempts: {exc}"
                     ) from exc
                 self._m_retries.inc()
-                yield min(self.retry_cap, self.retry_base * attempt)
+                yield min(RETRY_CAP, RETRY_BASE * attempt)

@@ -46,6 +46,9 @@ from ..replication import HashRing
 from ..sim import Future, Network, Simulator, spawn
 from .handoff import DRAIN, JOIN, RingMove
 
+#: Ring tokens per shard.
+VNODES = 64
+
 
 class ShardedSession(StoreSession):
     """Routes each op to the owning shard's session (created lazily).
@@ -133,7 +136,6 @@ class ShardedStore(ConsistentStore):
         protocol: str = "quorum",
         shards: int = 2,
         nodes_per_shard: int = 3,
-        vnodes: int = 64,
         service_time: float = 0.0,
         placement: Any = None,
         **cluster_kwargs: Any,
@@ -144,14 +146,13 @@ class ShardedStore(ConsistentStore):
         spec = registry.get(protocol)
         self.protocol = protocol
         self.spec = spec
-        self.vnodes = vnodes
         self._nodes_per_shard = nodes_per_shard
         self._service_time = service_time
         self.placement = placement
         self._cluster_kwargs = dict(cluster_kwargs)
         self.shard_ids = [f"shard{i}" for i in range(shards)]
         self._next_shard = shards
-        self.ring = HashRing(self.shard_ids, vnodes=vnodes)
+        self.ring = HashRing(self.shard_ids, vnodes=VNODES)
         #: Bumped on every routing change a session could have cached
         #: across: per-range flips and ring membership changes.
         self.ring_epoch = 0

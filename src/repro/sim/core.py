@@ -36,10 +36,10 @@ class Simulator:
         Optional :class:`repro.sim.trace.Tracer`.  Defaults to the
         shared no-op tracer, so untraced runs pay only an ``enabled``
         check at each hook point.
-    metrics:
-        Optional :class:`repro.analysis.registry.MetricsRegistry`;
-        one is created per simulator by default.  The network and the
-        replication protocols publish their counters here.
+
+    Each simulator owns a :class:`repro.analysis.registry.MetricsRegistry`
+    (``metrics``); the network and the replication protocols publish
+    their counters there.
 
     Examples
     --------
@@ -58,13 +58,12 @@ class Simulator:
         self,
         seed: int = 0,
         tracer=None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
         self.now: float = 0.0
         self.trace = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._queue = EventQueue()
         self._push = self._queue.push  # bound once: scheduling is hot
         self._push_fn = self._queue.push_fn  # handle-free fast path

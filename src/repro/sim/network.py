@@ -7,20 +7,23 @@ distinguishes the replication protocols in :mod:`repro.replication`.
 
 Messages between distinct nodes are delivered by scheduling
 ``dst.deliver(src_id, message)`` on the owning simulator.  Delivery to
-a node's own id is allowed (loopback) and uses ``loopback_latency``.
+a node's own id is allowed (loopback) and takes :data:`LOOPBACK_LATENCY`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from heapq import heappush
-from math import isfinite, log
+from math import log
 from typing import Any, Callable, Hashable, Iterable, Protocol
 
 from ..analysis.registry import MetricsRegistry
 from ..errors import NetworkError
 from .core import Simulator
 from .trace import MSG_DELIVER, MSG_DROP, MSG_SEND
+
+#: Delay (ms) for a node sending to itself.
+LOOPBACK_LATENCY = 0.01
 
 NodeId = Hashable
 
@@ -101,8 +104,9 @@ class MatrixLatency:
     """Per-pair base latency plus a multiplicative jitter factor.
 
     ``matrix`` maps ``(src, dst)`` (or the node's *site*, see
-    ``site_of``) to a one-way base delay.  Jitter multiplies the base by
-    ``uniform(1, 1 + jitter)``.
+    ``site_of``) to a one-way base delay; an entry serves both
+    directions unless the reverse has its own, and a pair with neither
+    raises.  Jitter multiplies the base by ``uniform(1, 1 + jitter)``.
     """
 
     def __init__(
@@ -110,18 +114,16 @@ class MatrixLatency:
         matrix: dict[tuple[Hashable, Hashable], float],
         site_of: Callable[[NodeId], Hashable] | None = None,
         jitter: float = 0.1,
-        default: float | None = None,
     ) -> None:
         self.matrix = dict(matrix)
         self.site_of = site_of or (lambda node: node)
         self.jitter = jitter
-        self.default = default
 
     def _base_for(self, src: NodeId, dst: NodeId) -> float:
         key = (self.site_of(src), self.site_of(dst))
         base = self.matrix.get(key)
         if base is None:
-            base = self.matrix.get((key[1], key[0]), self.default)
+            base = self.matrix.get((key[1], key[0]))
         if base is None:
             raise NetworkError(f"no latency entry for {key}")
         return base
@@ -197,11 +199,10 @@ class NetworkStats:
         "bytes_sent",
     )
 
-    def __init__(self, registry: MetricsRegistry, prefix: str = "net") -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._registry = registry
-        self._prefix = prefix
         for name in self._COUNTERS:
-            setattr(self, "_" + name, registry.counter(f"{prefix}.{name}"))
+            setattr(self, "_" + name, registry.counter(f"net.{name}"))
         # Hot-path cache keyed by message *class*: one dict hit per
         # send instead of re-formatting "<prefix>.by_type.<name>" and
         # re-hashing the name string.  Distinct classes sharing a
@@ -213,7 +214,7 @@ class NetworkStats:
         counter = self._class_counters.get(cls)
         if counter is None:
             counter = self._class_counters[cls] = self._registry.counter(
-                f"{self._prefix}.by_type.{cls.__name__}"
+                f"net.by_type.{cls.__name__}"
             )
         return counter
 
@@ -253,8 +254,6 @@ class Network:
         Probability a message is silently dropped (checked per copy).
     duplicate_rate:
         Probability a message is delivered twice.
-    loopback_latency:
-        Delay for a node sending to itself.
     track_bytes:
         When true, every payload is passed through
         :func:`estimate_size` (costs CPU; off by default).
@@ -266,14 +265,10 @@ class Network:
         latency: LatencyModel | None = None,
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
-        loopback_latency: float = 0.01,
         track_bytes: bool = False,
     ) -> None:
-        if not (isfinite(loopback_latency) and loopback_latency >= 0):
-            raise NetworkError("loopback_latency must be finite and non-negative")
         self.sim = sim
         self._latency = latency or FixedLatency(1.0)
-        self.loopback_latency = loopback_latency
         self.track_bytes = track_bytes
         self.stats = NetworkStats(sim.metrics)
         # node id -> port ``(node, inbox)``.  The inbox maps a delivery
@@ -563,7 +558,7 @@ class Network:
                 self._drop("link_loss", src, dst, msg_name)
                 continue
             if src == dst:
-                delay = self.loopback_latency
+                delay = LOOPBACK_LATENCY
             else:
                 sampler = self._samplers.get((src, dst))
                 if sampler is None:
@@ -623,7 +618,7 @@ class Network:
             if tracing:
                 trace.message(now, MSG_SEND, src, dst, msg_name)
             if src == dst:
-                delay = self.loopback_latency
+                delay = LOOPBACK_LATENCY
             else:
                 sampler = samplers.get((src, dst))
                 if sampler is None:
@@ -653,13 +648,11 @@ class Network:
         if msg_name is not None:
             self.sim.trace.message(self.sim.now, MSG_DROP, src, dst, msg_name, reason)
 
-    def broadcast(self, src: NodeId, message: Any, include_self: bool = False) -> None:
+    def broadcast(self, src: NodeId, message: Any) -> None:
         # The list snapshots the membership: a callback reached from a
         # send (e.g. a latency model or future dynamic-membership hook
         # registering a node) must not blow up the iteration.
-        self.send_many(
-            src, [dst for dst in self._ports if include_self or dst != src], message
-        )
+        self.send_many(src, [dst for dst in self._ports if dst != src], message)
 
     def _deliver(self, node: Any, inbox: dict[float, Any]) -> None:
         """Dispatch the messages landing on ``node`` now (called with its

@@ -16,12 +16,16 @@ from ..errors import NetworkError
 from .network import MatrixLatency
 
 
+#: One-way delay (ms) between two nodes in the same datacenter.
+INTRA_SITE = 0.5
+
+
 @dataclass(frozen=True)
 class Topology:
     """A set of named sites and one-way delays between them.
 
-    ``intra_site`` is the one-way delay between two nodes in the same
-    datacenter.  Delays are looked up directed first, so an entry for
+    :data:`INTRA_SITE` is the one-way delay between two nodes in the
+    same datacenter.  Delays are looked up directed first, so an entry for
     ``(a, b)`` and a different one for ``(b, a)`` model an asymmetric
     link; a single entry serves both directions (the symmetric common
     case).
@@ -30,12 +34,11 @@ class Topology:
     name: str
     sites: tuple[str, ...]
     delays: dict[tuple[str, str], float] = field(hash=False)
-    intra_site: float = 0.5
 
     def delay(self, a: str, b: str) -> float:
         """One-way delay between sites ``a`` and ``b``."""
         if a == b:
-            return self.intra_site
+            return INTRA_SITE
         value = self.delays.get((a, b), self.delays.get((b, a)))
         if value is None:
             raise NetworkError(f"no delay between {a!r} and {b!r} in {self.name}")

@@ -101,33 +101,36 @@ WEB_CONTENT = SLA(
 )
 
 
+#: EWMA weight of a new latency or lag sample.
+ALPHA = 0.3
+#: What the monitor predicts for a replica it has no sample of (ms).
+DEFAULT_LATENCY, DEFAULT_LAG = 50.0, 200.0
+
+
 @dataclass
 class ReplicaMonitor:
     """Latency and lag estimates the selector plans with."""
 
-    alpha: float = 0.3                       # EWMA weight for new samples
-    default_latency: float = 50.0
-    default_lag: float = 200.0
     latency: dict = field(default_factory=dict)   # replica -> ms (RTT)
     lag: dict = field(default_factory=dict)       # replica -> ms behind master
 
     def observe_latency(self, replica: Hashable, rtt: float) -> None:
         old = self.latency.get(replica)
         self.latency[replica] = (
-            rtt if old is None else (1 - self.alpha) * old + self.alpha * rtt
+            rtt if old is None else (1 - ALPHA) * old + ALPHA * rtt
         )
 
     def observe_lag(self, replica: Hashable, lag_ms: float) -> None:
         old = self.lag.get(replica)
         self.lag[replica] = (
-            lag_ms if old is None else (1 - self.alpha) * old + self.alpha * lag_ms
+            lag_ms if old is None else (1 - ALPHA) * old + ALPHA * lag_ms
         )
 
     def predicted_latency(self, replica: Hashable) -> float:
-        return self.latency.get(replica, self.default_latency)
+        return self.latency.get(replica, DEFAULT_LATENCY)
 
     def predicted_lag(self, replica: Hashable) -> float:
-        return self.lag.get(replica, self.default_lag)
+        return self.lag.get(replica, DEFAULT_LAG)
 
 
 @dataclass
@@ -151,11 +154,11 @@ class SLAClient:
     :class:`ReplicaMonitor`, and per-SLA utility accounting.
     """
 
-    def __init__(self, client, monitor: ReplicaMonitor | None = None) -> None:
+    def __init__(self, client) -> None:
         self.client = client
         self.cluster = client.cluster
         self.sim: Simulator = client.sim
-        self.monitor = monitor or ReplicaMonitor()
+        self.monitor = ReplicaMonitor()
         self.write_floor: dict[Hashable, int] = {}
         self.read_floor: dict[Hashable, int] = {}
         self.outcomes: list[ReadOutcome] = []

@@ -21,6 +21,9 @@ from typing import Hashable
 from ..errors import InvariantViolation
 from ..sim import Future, Network, Node, Simulator
 
+#: How long (ms) a site waits for a peer's grant before asking the next.
+TRANSFER_TIMEOUT = 300.0
+
 
 @dataclass
 class EscrowRequest:
@@ -46,12 +49,10 @@ class EscrowSite(Node):
         node_id: Hashable,
         peers: list[Hashable],
         initial_escrow: float,
-        transfer_timeout: float = 300.0,
     ) -> None:
         super().__init__(sim, network, node_id)
         self.peers = [p for p in peers if p != node_id]
         self.local_escrow = float(initial_escrow)
-        self.transfer_timeout = transfer_timeout
         self._request_ids = 0
         self._pending: dict[int, Future] = {}
         self.local_commits = 0
@@ -109,7 +110,7 @@ class EscrowSite(Node):
 
         reply_future.add_callback(on_reply)
         self.set_timer(
-            self.transfer_timeout,
+            TRANSFER_TIMEOUT,
             lambda: reply_future.try_resolve(0.0),
         )
 
@@ -128,7 +129,7 @@ class EscrowSite(Node):
 
 
 class EscrowCounter:
-    """N sites sharing one bounded counter's headroom."""
+    """N sites sharing one bounded counter's headroom, split evenly."""
 
     def __init__(
         self,
@@ -136,21 +137,13 @@ class EscrowCounter:
         network: Network,
         total: float,
         sites: int = 3,
-        site_ids: list[Hashable] | None = None,
-        split: list[float] | None = None,
     ) -> None:
         if total < 0:
             raise InvariantViolation("total headroom must be non-negative")
-        ids = site_ids or [f"esc{i}" for i in range(sites)]
-        if split is None:
-            split = [total / len(ids)] * len(ids)
-        if len(split) != len(ids):
-            raise ValueError("split length must match site count")
-        if abs(sum(split) - total) > 1e-9:
-            raise ValueError("split must sum to total")
+        ids = [f"esc{i}" for i in range(sites)]
         self.sites = [
-            EscrowSite(sim, network, node_id, ids, allowance)
-            for node_id, allowance in zip(ids, split)
+            EscrowSite(sim, network, node_id, ids, total / sites)
+            for node_id in ids
         ]
 
     def site(self, index: int) -> EscrowSite:

@@ -26,6 +26,9 @@ from ..errors import InvariantViolation
 from ..replication.ring import stable_hash
 from ..sim import Future, Network, Node, Simulator
 
+#: Node id of the red-op sequencer.
+COORDINATOR_ID = "red-seq"
+
 
 @dataclass(frozen=True)
 class ShadowOp:
@@ -204,28 +207,26 @@ class RedBlueBank:
         sim: Simulator,
         network: Network,
         sites: int = 3,
-        site_ids: list[Hashable] | None = None,
-        coordinator_id: Hashable = "red-seq",
     ) -> None:
-        ids = site_ids or [f"site{i}" for i in range(sites)]
-        self.coordinator = RedCoordinator(sim, network, coordinator_id, ids)
+        ids = [f"site{i}" for i in range(sites)]
+        self.coordinator = RedCoordinator(sim, network, COORDINATOR_ID, ids)
         self.sites = [
-            RedBlueSite(sim, network, node_id, coordinator_id, ids)
+            RedBlueSite(sim, network, node_id, COORDINATOR_ID, ids)
             for node_id in ids
         ]
 
     def site(self, index: int) -> RedBlueSite:
         return self.sites[index]
 
-    def converged_balance(self, account: Hashable, tol: float = 1e-6) -> float:
+    def converged_balance(self, account: Hashable) -> float:
         """The common balance across sites.
 
         Blue deltas are floats applied in different orders at different
-        sites, so equality is up to ``tol`` (float addition is not
+        sites, so equality is up to 1e-6 (float addition is not
         associative); a genuine divergence raises.
         """
         values = [site.balance(account) for site in self.sites]
-        if max(values) - min(values) > tol:
+        if max(values) - min(values) > 1e-6:
             raise InvariantViolation(
                 f"sites diverge on {account!r}: {sorted(values)}"
             )

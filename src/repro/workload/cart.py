@@ -12,6 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+#: The op mix: adds, removes, views; the remainder are checkouts.
+ADD_FRACTION, REMOVE_FRACTION, VIEW_FRACTION = 0.5, 0.2, 0.25
+
 
 @dataclass(frozen=True)
 class CartOp:
@@ -30,29 +33,22 @@ class CartWorkload:
         Number of concurrent customers (each owns one cart).
     catalog:
         Number of distinct items.
-    add_fraction / remove_fraction / view_fraction:
-        Op mix; the remainder are checkouts (which view-then-clear).
+
+    The op mix is :data:`ADD_FRACTION` adds, :data:`REMOVE_FRACTION`
+    removes and :data:`VIEW_FRACTION` views; the remainder are
+    checkouts (which view-then-clear).
     """
 
     def __init__(
         self,
         customers: int = 10,
         catalog: int = 50,
-        add_fraction: float = 0.5,
-        remove_fraction: float = 0.2,
-        view_fraction: float = 0.25,
         seed: int = 0,
     ) -> None:
-        total = add_fraction + remove_fraction + view_fraction
-        if total > 1.0 + 1e-9:
-            raise ValueError("fractions exceed 1.0")
         if customers < 1 or catalog < 1:
             raise ValueError("need at least one customer and one item")
         self.customers = customers
         self.catalog = catalog
-        self.add_fraction = add_fraction
-        self.remove_fraction = remove_fraction
-        self.view_fraction = view_fraction
         self.rng = random.Random(seed)
         # Track (approximate) cart contents so removes target items
         # that were actually added.
@@ -67,17 +63,17 @@ class CartWorkload:
         session = f"customer-{customer}"
         contents = self._contents.setdefault(cart, set())
         roll = self.rng.random()
-        if roll < self.add_fraction or not contents:
+        if roll < ADD_FRACTION or not contents:
             item = f"item-{self.rng.randrange(self.catalog)}"
             contents.add(item)
             return CartOp(session, "add", cart, item)
-        roll -= self.add_fraction
-        if roll < self.remove_fraction:
+        roll -= ADD_FRACTION
+        if roll < REMOVE_FRACTION:
             item = self.rng.choice(sorted(contents))
             contents.discard(item)
             return CartOp(session, "remove", cart, item)
-        roll -= self.remove_fraction
-        if roll < self.view_fraction:
+        roll -= REMOVE_FRACTION
+        if roll < VIEW_FRACTION:
             return CartOp(session, "view", cart)
         contents.clear()
         return CartOp(session, "checkout", cart)

@@ -104,7 +104,6 @@ class _Lane:
     read_mode: str | None = None
     timeout: float | None = None
     rmw_fn: Callable[[Any, Any], Any] | None = None
-    on_op: Callable[[OpSpec, bool], None] | None = None
 
 
 def first_call(spec: OpSpec) -> tuple[str, Any]:
@@ -227,18 +226,14 @@ class WorkloadDriver(OpCore):
         read_mode: str | None = None,
         timeout: float | None = None,
         rmw_fn: Callable[[Any, Any], Any] | None = None,
-        on_op: Callable[[OpSpec, bool], None] | None = None,
-        label: Any = None,
     ) -> LaneStats:
         """Add one lane: ``session`` works through ``ops`` closed-loop.
-
-        ``on_op(spec, ok)`` is called after each spec finishes — the
-        hook benches use for phase-dependent accounting.
-        """
-        stats = LaneStats(label if label is not None else session.name)
+        The lane asks ``ops`` for its next spec only once the previous
+        one has finished."""
+        stats = LaneStats(session.name)
         self._lanes.append(
             _Lane(session, ops, stats, think_time, read_mode, timeout,
-                  rmw_fn, on_op)
+                  rmw_fn)
         )
         return stats
 
@@ -247,7 +242,6 @@ class WorkloadDriver(OpCore):
         store: Any,
         clients: int,
         ops: Iterable[OpSpec],
-        session_opts: dict | None = None,
         retry: Any = None,
         **lane_opts: Any,
     ) -> list[LaneStats]:
@@ -258,9 +252,7 @@ class WorkloadDriver(OpCore):
         session it opens; the lanes' ``timeout`` then bounds each op's
         retrying call end-to-end (the policy's deadline).
         """
-        opts = dict(session_opts or {})
-        if retry is not None:
-            opts["retry"] = retry
+        opts = {} if retry is None else {"retry": retry}
         shared = iter(ops)
         return [
             self.add_session(store.session(**opts), shared, **lane_opts)
@@ -340,8 +332,6 @@ class WorkloadDriver(OpCore):
                 stats.ok += 1
             else:
                 stats.failed += 1
-            if lane.on_op is not None:
-                lane.on_op(spec, op.ok)
             if lane.think_time > 0:
                 yield lane.think_time
         self._active -= 1
@@ -368,8 +358,6 @@ def run_workload(
     store: Any,
     ops: Iterable[OpSpec],
     clients: int = 1,
-    session_opts: dict | None = None,
-    recorder: TokenHistoryRecorder | None = None,
     until: float | None = None,
     retry: Any = None,
     nemesis: Any = None,
@@ -403,14 +391,12 @@ def run_workload(
         from .openloop import OpenLoopDriver
 
         driver: Any = OpenLoopDriver(
-            store, arrivals, ops, sessions=clients,
-            session_opts=session_opts, recorder=recorder, retry=retry,
+            store, arrivals, ops, sessions=clients, retry=retry,
             **lane_opts,
         )
     else:
-        driver = WorkloadDriver(store.sim, recorder=recorder)
-        driver.add_clients(store, clients, ops, session_opts=session_opts,
-                           retry=retry, **lane_opts)
+        driver = WorkloadDriver(store.sim)
+        driver.add_clients(store, clients, ops, retry=retry, **lane_opts)
     if nemesis is not None:
         nemesis.install(store)
     if autoscaler is not None:

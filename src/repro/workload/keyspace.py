@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import random
 
+#: Zipfian skew (YCSB's default; higher = more skew).
+THETA = 0.99
+
 
 class UniformKeys:
     """Keys 0..n-1, uniformly."""
@@ -24,34 +27,29 @@ class UniformKeys:
 
 
 class ZipfianKeys:
-    """Zipfian distribution over 0..n-1 (Gray's rejection method).
-
-    ``theta`` is the skew (YCSB default 0.99; higher = more skew).
-    Item 0 is the most popular.
+    """Zipfian distribution over 0..n-1 (Gray's rejection method) with
+    skew :data:`THETA`.  Item 0 is the most popular.
     """
 
-    def __init__(self, n: int, theta: float = 0.99) -> None:
+    def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError("need at least one key")
-        if not 0 < theta < 1:
-            raise ValueError("theta must be in (0, 1)")
         self.n = n
-        self.theta = theta
-        self.zetan = self._zeta(n, theta)
-        self.zeta2 = self._zeta(2, theta)
-        self.alpha = 1.0 / (1.0 - theta)
-        self.eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - self.zeta2 / self.zetan)
+        self.zetan = self._zeta(n)
+        self.zeta2 = self._zeta(2)
+        self.alpha = 1.0 / (1.0 - THETA)
+        self.eta = (1 - (2.0 / n) ** (1 - THETA)) / (1 - self.zeta2 / self.zetan)
 
     @staticmethod
-    def _zeta(n: int, theta: float) -> float:
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+    def _zeta(n: int) -> float:
+        return sum(1.0 / (i ** THETA) for i in range(1, n + 1))
 
     def choose(self, rng: random.Random) -> int:
         u = rng.random()
         uz = u * self.zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < 1.0 + 0.5 ** THETA:
             return 1
         return int(self.n * (self.eta * u - self.eta + 1) ** self.alpha)
 
@@ -63,14 +61,15 @@ class LatestKeys:
     :meth:`advance` as the keyspace grows.
     """
 
-    def __init__(self, n: int, theta: float = 0.99) -> None:
+    def __init__(self, n: int) -> None:
         self.insert_point = n - 1
-        self._zipf = ZipfianKeys(max(n, 1), theta)
+        self._zipf = ZipfianKeys(max(n, 1))
 
-    def advance(self, count: int = 1) -> None:
-        self.insert_point += count
+    def advance(self) -> None:
+        """One more key was inserted."""
+        self.insert_point += 1
         if self.insert_point >= self._zipf.n:
-            self._zipf = ZipfianKeys(self.insert_point + 1, self._zipf.theta)
+            self._zipf = ZipfianKeys(self.insert_point + 1)
 
     def choose(self, rng: random.Random) -> int:
         offset = self._zipf.choose(rng)

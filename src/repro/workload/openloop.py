@@ -37,8 +37,9 @@ Shape::
 
 Ops come from the same generators the closed-loop driver consumes
 (``sleep`` specs are skipped — pacing is the arrival process's job);
-every completed op lands in a :class:`TokenHistoryRecorder` history,
-so the checkers run unchanged on open-loop runs.
+every completed op lands in a
+:class:`~repro.histories.TokenHistoryRecorder` history, so the checkers
+run unchanged on open-loop runs.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..analysis import LatencyStats
 from ..errors import OverloadedError
-from ..histories import History, TokenHistoryRecorder
-from .driver import OpCore, first_call, rmw_value
+from ..histories import History
+from .driver import OpCore, first_call
 from .ycsb import OpSpec
 
 __all__ = [
@@ -240,34 +241,26 @@ class OpenLoopDriver(OpCore):
         arrivals: Iterable[float],
         ops: Iterable[OpSpec],
         sessions: int = 1000,
-        session_opts: dict | None = None,
-        recorder: TokenHistoryRecorder | None = None,
         retry: Any = None,
         timeout: float | None = 1000.0,
-        read_mode: str | None = None,
-        rmw_fn: Callable[[Any, Any], Any] | None = None,
         max_ops: int | None = None,
         seed: int = 0,
     ) -> None:
         if sessions < 1:
             raise ValueError("need at least one session")
-        super().__init__(store.sim, recorder)
+        super().__init__(store.sim)
         self.store = store
         self.arrivals = arrivals
         self.ops = ops
         self.sessions = sessions
         self.timeout = timeout
-        self.read_mode = read_mode
-        self.rmw_fn = rmw_fn
         self.max_ops = max_ops
         self.offered = 0
         self.ok = 0
         self.failed = 0
         self.shed = 0
         self.in_flight = 0
-        self._session_opts = dict(session_opts or {})
-        if retry is not None:
-            self._session_opts["retry"] = retry
+        self._session_opts = {} if retry is None else {"retry": retry}
         self._pool: dict[int, Any] = {}
         self._session_rng = random.Random(seed)
         self._started = False
@@ -368,7 +361,7 @@ class OpenLoopDriver(OpCore):
     # ------------------------------------------------------------------
     def _start(self, session: Any, spec: OpSpec, kind: str,
                value: Any) -> None:
-        op = self._begin_op(session, kind, spec.key, value, self.read_mode,
+        op = self._begin_op(session, kind, spec.key, value, None,
                             self.timeout)
         self.in_flight += 1
         if op.future is None:
@@ -385,7 +378,7 @@ class OpenLoopDriver(OpCore):
             if isinstance(op.error, OverloadedError):
                 self.shed += 1
         elif spec.op == "rmw" and op.kind == "read":
-            self._start(session, spec, "write",
-                        rmw_value(self.rmw_fn, op.value, spec))
+            # An rmw writes its spec's value back after the read.
+            self._start(session, spec, "write", spec.value)
         else:
             self.ok += 1

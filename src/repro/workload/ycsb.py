@@ -72,34 +72,26 @@ class YCSBWorkload:
 
     def __init__(
         self,
-        preset: str | None = "A",
+        preset: str = "A",
         records: int = 1000,
         seed: int = 0,
-        mix: MixSpec | None = None,
         distribution: str | None = None,
-        theta: float = 0.99,
     ) -> None:
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ValueError(
-                    f"unknown preset {preset!r}; have {sorted(PRESETS)}"
-                )
-            preset_mix, preset_dist = PRESETS[preset]
-            mix = mix or preset_mix
-            distribution = distribution or preset_dist
-        if mix is None:
-            raise ValueError("provide a preset or an explicit mix")
-        distribution = distribution or "zipfian"
-        self.mix = mix
+        if preset not in PRESETS:
+            raise ValueError(
+                f"unknown preset {preset!r}; have {sorted(PRESETS)}"
+            )
+        self.mix, preset_dist = PRESETS[preset]
+        distribution = distribution or preset_dist
         self.records = records
         self.rng = random.Random(seed)
         self._value_counter = 0
         if distribution == "uniform":
             self.keys = UniformKeys(records)
         elif distribution == "zipfian":
-            self.keys = ZipfianKeys(records, theta)
+            self.keys = ZipfianKeys(records)
         elif distribution == "latest":
-            self.keys = LatestKeys(records, theta)
+            self.keys = LatestKeys(records)
         else:
             raise ValueError(f"unknown distribution {distribution!r}")
         self.distribution = distribution

@@ -6,10 +6,10 @@ from repro.replication import BayouCluster
 from repro.sim import FixedLatency, Network, Simulator
 
 
-def make_cluster(seed=0, nodes=4, interval=25.0, latency=5.0):
+def make_cluster(seed=0, nodes=4, latency=5.0):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(latency))
-    cluster = BayouCluster(sim, net, nodes=nodes, interval=interval)
+    cluster = BayouCluster(sim, net, nodes=nodes)
     return sim, net, cluster
 
 
@@ -42,7 +42,7 @@ def test_commit_propagates_via_anti_entropy():
 
 
 def test_tentative_view_may_reorder_but_committed_never_does():
-    sim, _net, cluster = make_cluster(seed=2, nodes=3, interval=40.0)
+    sim, _net, cluster = make_cluster(seed=2, nodes=3)
     a, b = cluster.replica(1), cluster.replica(2)
     # Both write the same key concurrently; b's clock is behind so its
     # write carries a lower stamp despite happening "later" here.
@@ -62,12 +62,13 @@ def test_tentative_view_may_reorder_but_committed_never_does():
 
 
 def test_rollback_counted_when_earlier_write_arrives():
-    sim, _net, cluster = make_cluster(seed=3, nodes=3, interval=None)
+    sim, _net, cluster = make_cluster(seed=3, nodes=3)
     a, b = cluster.replica(1), cluster.replica(2)
     b.write("k", "early")       # stamp (1, b-node)
     a.write("other", "x")       # stamp (1, a-node)
     a.write("k", "late")        # stamp (2, a-node)
-    # Deliver b's earlier write into a manually (no gossip timers).
+    # Deliver b's earlier write into a manually (the simulator never
+    # runs, so no gossip round fires).
     a.handle_WriteSet("peer", b._write_set(reply_expected=False))
     assert sim.metrics.counter(f"bayou.{a.node_id}.rollbacks").value >= 1
     # Replay puts 'late' after 'early': the tentative value is 'late'.
@@ -75,7 +76,7 @@ def test_rollback_counted_when_earlier_write_arrives():
 
 
 def test_committed_prefix_only_grows():
-    sim, _net, cluster = make_cluster(seed=4, nodes=4, interval=20.0)
+    sim, _net, cluster = make_cluster(seed=4, nodes=4)
     prefixes = {r.node_id: [] for r in cluster.replicas}
 
     def snapshot_prefixes():
@@ -93,7 +94,7 @@ def test_committed_prefix_only_grows():
 
 
 def test_all_views_converge_under_many_writers():
-    sim, _net, cluster = make_cluster(seed=5, nodes=5, interval=15.0)
+    sim, _net, cluster = make_cluster(seed=5, nodes=5)
     for i in range(20):
         cluster.replica(i % 5).write(f"key-{i % 3}", f"v{i}")
         sim.run(until=sim.now + 7.0)
@@ -104,7 +105,7 @@ def test_all_views_converge_under_many_writers():
 
 
 def test_primary_down_tentative_still_flows_commits_stall():
-    sim, _net, cluster = make_cluster(seed=6, nodes=4, interval=20.0)
+    sim, _net, cluster = make_cluster(seed=6, nodes=4)
     cluster.primary.crash()
     writer = cluster.replica(2)
     writer.write("k", "v")

@@ -33,6 +33,8 @@ def test_cell_trace_is_byte_identical_per_seed(policy, seed):
 
 
 def test_ttl_jitter_is_seeded_not_wallclock():
+    """Entries expire mid-run (ttl=40): expiry rides the simulator
+    clock, so two runs of one seed agree."""
     plan = random_plan(3, intensity=0.4)
     runs = [
         run_cache_cell("quorum", "read_through", seed=3, plan=plan,

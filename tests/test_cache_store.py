@@ -194,27 +194,32 @@ def test_lru_capacity_bound_and_eviction_order():
 # ----------------------------------------------------------------------
 
 def test_floor_guard_rejects_stale_fill():
-    sim, store = build_cached(policy="cache_aside")
-    session = store.session("alice")
+    # R = W = 1 and a partition let alice's coordinator keep v1 after
+    # bob's acked v2 raised the key's floor through the cache.
+    sim, store = build_cached(policy="cache_aside", r=1, w=1,
+                              sloppy=False, miss_mode=None)
+    alice = store.session("alice", coordinator="dyn0")
+    bob = store.session("bob", coordinator="dyn1")
     seen = {}
 
     def script():
-        future = session.put("k", "v1")
-        token = yield future
-        seen["token"] = token
-        # An invalidation with a far-future token fences the key: the
-        # next miss returns backing state older than the floor, which
-        # is served but must not be cached.
-        fence = type(token)(counter=10**9, node="zz")
-        store.invalidate("k", token=fence)
-        future = session.get("k")
+        yield alice.put("k", "v1")
+        yield 50.0                          # v1 reaches every replica
+        sim_net.partition(["dyn0", alice.client_id],
+                          ["dyn1", "dyn2", bob.client_id])
+        # The acked write invalidates with its token: the next miss
+        # returns backing state older than the floor, which is served
+        # but must not be cached.
+        yield bob.put("k", "v2")
+        future = alice.get("k")
         value, _ = yield future
         seen["value"] = value
         seen["tier1"] = future.served_tier
-        future = session.get("k")
+        future = alice.get("k")
         yield future
         seen["tier2"] = future.served_tier
 
+    sim_net = store.network
     drive(sim, script())
     assert seen["value"] == "v1"        # still served to the caller
     assert seen["tier1"] == "store"
@@ -223,19 +228,20 @@ def test_floor_guard_rejects_stale_fill():
 
 
 def test_invalidate_drops_entry():
-    sim, store = build_cached(policy="write_through")
+    sim, store = build_cached(policy="cache_aside")
     session = store.session("alice")
-    tiers = []
+    seen = []
 
     def script():
-        yield session.put("k", "v")
-        store.invalidate("k")
+        yield session.put("k", "v1")
+        yield session.get("k")              # the miss fills the cache
+        yield session.put("k", "v2")        # the acked write invalidates
         future = session.get("k")
-        yield future
-        tiers.append(future.served_tier)
+        value, _ = yield future
+        seen.append((value, future.served_tier))
 
     drive(sim, script())
-    assert tiers == ["store"]
+    assert seen == [("v2", "store")]
     assert sim.metrics.counter("cache.invalidations").value == 1
 
 

@@ -12,11 +12,9 @@ from repro.chaos import (
     READ_MODES,
     UNKNOWN,
     WAIVED,
-    FaultPlan,
     format_reports,
     run_cell,
     run_grid,
-    step,
 )
 from repro.checkers import check_convergence, check_linearizability
 from repro.errors import InvariantViolation
@@ -68,18 +66,6 @@ def test_single_op_history_checks_cleanly():
                        ops=1)
     for report in reports:
         assert report.ok, statuses(report)
-
-
-def test_history_ending_mid_partition_is_unknown_not_fail():
-    plan = FaultPlan("split", (step("partition", at=30.0, shape="halves"),))
-    reports = run_grid(["quorum", "causal"], seed=2, plan=plan, ops=60,
-                       heal=False)
-    for report in reports:
-        verdicts = statuses(report)
-        # Convergence cannot be assessed without a heal — UNKNOWN, and
-        # nothing may be reported as a violation.
-        assert verdicts["convergence"] == UNKNOWN
-        assert report.ok
 
 
 def test_checkers_accept_empty_history_directly():

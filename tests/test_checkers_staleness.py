@@ -1,5 +1,7 @@
 """Tests for staleness metrics and convergence checking."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,14 +96,6 @@ def test_stale_read_fraction_and_distribution():
     assert stale_read_fraction(History()) == 0.0
 
 
-def test_bounded_staleness_k_bound():
-    verdict = check_bounded_staleness(three_version_history(1), max_versions=1)
-    assert verdict.violation_count == 1
-    assert check_bounded_staleness(
-        three_version_history(2), max_versions=1
-    ).ok
-
-
 def test_bounded_staleness_t_bound():
     verdict = check_bounded_staleness(three_version_history(1), max_time=5.0)
     assert not verdict.ok
@@ -111,7 +105,7 @@ def test_bounded_staleness_t_bound():
 
 
 def test_bounded_staleness_requires_a_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         check_bounded_staleness(History())
 
 
@@ -119,63 +113,62 @@ def test_bounded_staleness_requires_a_bound():
 # Per-tier attribution (cache-boundary histories)
 # ----------------------------------------------------------------------
 
+def tiered(op, tier):
+    return dataclasses.replace(op, tier=tier)
+
+
 def tiered_history():
     """Writes are authoritative; reads split across cache/store tiers.
     The cache hit at t=10 is 1 version behind; the store reads are
     fresh."""
     return History([
-        make_write("k", 1, start=0, end=1, tier="store"),
-        make_write("k", 2, start=4, end=5, tier="store"),
-        make_read("k", 1, start=10, end=10.5, tier="cache"),
-        make_read("k", 2, start=12, end=13, tier="store"),
-        make_read("k", 2, start=14, end=14.5, tier="cache"),
+        tiered(make_write("k", 1, start=0, end=1), "store"),
+        tiered(make_write("k", 2, start=4, end=5), "store"),
+        tiered(make_read("k", 1, start=10, end=10.5), "cache"),
+        tiered(make_read("k", 2, start=12, end=13), "store"),
+        tiered(make_read("k", 2, start=14, end=14.5), "cache"),
     ])
 
 
 def test_tier_filter_restricts_measured_reads():
     h = tiered_history()
     assert len(measure_staleness(h)) == 3
-    cache = measure_staleness(h, tier="cache")
-    assert len(cache) == 2
-    assert [m.fresh for m in cache] == [False, True]
-    store = measure_staleness(h, tier="store")
-    assert len(store) == 1 and store[0].fresh
+    by_tier = staleness_by_tier(h)
+    assert (by_tier["cache"].reads, by_tier["cache"].stale) == (2, 1)
+    assert (by_tier["store"].reads, by_tier["store"].stale) == (1, 0)
 
 
 def test_tier_filter_keeps_writes_authoritative():
-    """A hit-only view still measures against *all* writes: filtering
-    reads to the cache tier must not hide the store-tier writes they
+    """A hit-only view still measures against *all* writes: grouping
+    reads by the cache tier must not hide the store-tier writes they
     missed."""
-    h = tiered_history()
-    stale = measure_staleness(h, tier="cache")[0]
-    assert stale.versions_behind == 1
-    assert stale.time_behind == pytest.approx(5.0)
-    assert stale_read_fraction(h, tier="cache") == pytest.approx(0.5)
-    assert sorted(m.versions_behind for m in measure_staleness(h, tier="cache")) \
-        == [0, 1]
+    cache = staleness_by_tier(tiered_history())["cache"]
+    assert cache.max_versions_behind == 1
+    assert cache.max_time_behind == pytest.approx(5.0)
+    assert cache.stale_fraction == pytest.approx(0.5)
 
 
 def test_bounded_staleness_per_tier():
     h = tiered_history()
-    assert not check_bounded_staleness(h, max_versions=0).ok
-    assert check_bounded_staleness(h, max_versions=0, tier="store").ok
-    cache_only = check_bounded_staleness(h, max_versions=0, tier="cache")
-    assert cache_only.violation_count == 1
-    assert cache_only.checked_ops == 2
+    verdict = check_bounded_staleness(h, max_time=4.0)
+    assert verdict.violation_count == 1 and verdict.checked_ops == 3
+    assert verdict.violations[0].ops[0].tier == "cache"
+    by_tier = staleness_by_tier(h)
+    assert by_tier["store"].max_time_behind == 0.0
+    assert by_tier["cache"].max_time_behind > 4.0
 
 
 def test_hit_only_history():
     """Every read served by the cache: the store tier has no reads to
-    measure and the empty filter result stays well-behaved."""
+    measure and the attribution stays well-behaved."""
     h = History([
-        make_write("k", 1, start=0, end=1, tier="store"),
-        make_read("k", 1, start=2, end=3, tier="cache"),
-        make_read("k", 1, start=4, end=5, tier="cache"),
+        tiered(make_write("k", 1, start=0, end=1), "store"),
+        tiered(make_read("k", 1, start=2, end=3), "cache"),
+        tiered(make_read("k", 1, start=4, end=5), "cache"),
     ])
-    assert measure_staleness(h, tier="store") == []
-    assert stale_read_fraction(h, tier="store") == 0.0
-    verdict = check_bounded_staleness(h, max_time=1.0, tier="store")
-    assert verdict.ok and verdict.checked_ops == 0
+    assert stale_read_fraction(h) == 0.0
+    verdict = check_bounded_staleness(h, max_time=1.0)
+    assert verdict.ok and verdict.checked_ops == 2
     by_tier = staleness_by_tier(h)
     assert set(by_tier) == {"cache"}
     assert by_tier["cache"].reads == 2
@@ -186,11 +179,10 @@ def test_miss_only_history():
     """Every read fell through to the backing store: the cache tier
     contributes nothing and attribution lands on 'store' alone."""
     h = History([
-        make_write("k", 1, start=0, end=1, tier="store"),
-        make_write("k", 2, start=2, end=3, tier="store"),
-        make_read("k", 1, start=6, end=7, tier="store"),
+        tiered(make_write("k", 1, start=0, end=1), "store"),
+        tiered(make_write("k", 2, start=2, end=3), "store"),
+        tiered(make_read("k", 1, start=6, end=7), "store"),
     ])
-    assert measure_staleness(h, tier="cache") == []
     by_tier = staleness_by_tier(h)
     assert set(by_tier) == {"store"}
     assert by_tier["store"].stale == 1
@@ -208,9 +200,6 @@ def test_untier_ops_land_under_none():
     by_tier = staleness_by_tier(h)
     assert set(by_tier) == {None}
     assert by_tier[None].reads == 1
-    # None is a real tier value, distinct from "no filter".
-    assert len(measure_staleness(h, tier=None)) == 1
-    assert measure_staleness(h, tier="cache") == []
     assert len(measure_staleness(h)) == 1
 
 

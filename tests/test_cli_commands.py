@@ -20,6 +20,11 @@ from repro.cli import main
     (["load", "--protocol", "nope"], "unknown protocol(s): nope"),
     (["load", "--preset", "Z"], "unknown preset(s): Z"),
     (["multiregion", "--protocol", "nope"], "unknown protocol(s): nope"),
+    (["load", "--protocol", "bayou"],
+     "bayou replicas are direct-attach: service_time would"),
+    (["load", "--storm", "--protocol", "bayou"],
+     "bayou replicas are direct-attach: service_time, queue_limit, "
+     "admission_rate, admission_burst would"),
 ])
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, cause):
     assert main(argv) == 2

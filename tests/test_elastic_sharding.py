@@ -12,6 +12,7 @@ from repro.errors import OverloadedError, SimulationError
 from repro.histories import TokenHistoryRecorder
 from repro.scenarios import run_scale_demo
 from repro.sharding import RingMove, ShardedStore
+from repro.sharding.handoff import DRAIN_MS
 from repro.sim import FixedLatency, HashingTracer, Network, Simulator, spawn
 
 
@@ -137,7 +138,7 @@ def test_frozen_range_rejects_writes_with_retry_after():
     seed_keys(sim, store, 10)
     # Freeze shard0's moving range by hand: put() must fail fast with
     # a retryable overload carrying the drain as retry_after.
-    move = RingMove(store, "join", "shard2", drain_ms=25.0)
+    move = RingMove(store, "join", "shard2")
     store.shards["shard2"] = store._build_cluster("shard2")
     store.shard_ids.append("shard2")
     store._move = move
@@ -149,7 +150,7 @@ def test_frozen_range_rejects_writes_with_retry_after():
     future = store.session("w").put(frozen_key, 1)
     sim.run()
     assert isinstance(future.error, OverloadedError)
-    assert future.error.retry_after == 25.0
+    assert future.error.retry_after == DRAIN_MS
     assert sim.metrics.counter("handoff.writes_rejected").value == 1
     # Reads on the frozen range keep working against the donor.
     read = store.session("r").get(frozen_key)

@@ -8,6 +8,7 @@ from repro.membership import (
     MembershipService,
     PhiAccrualDetector,
 )
+from repro.membership.detector import MIN_INTERVAL_FLOOR
 from repro.sharding import ShardedStore
 from repro.sim import FixedLatency, HashingTracer, Network, Simulator
 
@@ -17,7 +18,7 @@ from repro.sim import FixedLatency, HashingTracer, Network, Simulator
 # ----------------------------------------------------------------------
 
 def test_detector_refuses_to_suspect_before_min_samples():
-    det = PhiAccrualDetector(min_samples=3)
+    det = PhiAccrualDetector()
     det.heartbeat(0.0)
     det.heartbeat(10.0)
     # Two arrivals = one interval < min_samples: no evidence, no phi.
@@ -26,7 +27,7 @@ def test_detector_refuses_to_suspect_before_min_samples():
 
 
 def test_detector_phi_grows_with_silence():
-    det = PhiAccrualDetector(min_samples=3)
+    det = PhiAccrualDetector()
     for t in range(0, 100, 10):
         det.heartbeat(float(t))
     assert det.mean_interval() == pytest.approx(10.0)
@@ -40,14 +41,14 @@ def test_detector_phi_grows_with_silence():
 def test_detector_interval_floor_caps_burst_paranoia():
     # Back-to-back heartbeats would estimate a ~0 mean interval and
     # make any later silence look fatal; the floor prevents that.
-    det = PhiAccrualDetector(min_samples=3, min_interval_floor=5.0)
+    det = PhiAccrualDetector()
     for t in (0.0, 0.001, 0.002, 0.003):
         det.heartbeat(t)
-    assert det.mean_interval() == 5.0
+    assert det.mean_interval() == MIN_INTERVAL_FLOOR
 
 
 def test_detector_reset_forgets_history():
-    det = PhiAccrualDetector(min_samples=3)
+    det = PhiAccrualDetector()
     for t in range(0, 50, 10):
         det.heartbeat(float(t))
     det.reset()

@@ -73,8 +73,6 @@ def test_every_simulator_owns_a_registry():
     sim1, sim2 = Simulator(), Simulator()
     assert isinstance(sim1.metrics, MetricsRegistry)
     assert sim1.metrics is not sim2.metrics
-    shared = MetricsRegistry()
-    assert Simulator(metrics=shared).metrics is shared
 
 
 def test_network_publishes_into_registry():

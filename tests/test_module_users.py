@@ -18,7 +18,9 @@ disappears, so the list can only shrink.
 
 The same rule holds one level down, for every public top-level name
 (``def``, ``class`` or assignment) of a module: see
-``test_every_public_name_has_a_user_outside_its_own_tests``.
+``test_every_public_name_has_a_user_outside_its_own_tests``; and for
+every option (defaulted parameter or frozen-dataclass field): see
+``test_every_option_has_a_user_outside_its_own_tests``.
 """
 
 import ast
@@ -348,3 +350,335 @@ def test_the_scan_sees_the_ways_a_name_is_used():
         "repro.api.adapters", "QuorumStore"]
     # a package __init__ re-exporting it is not a user
     assert "repro.crdt" not in orset
+
+
+# -- the same rule for options --------------------------------------------
+#
+# A defaulted parameter of a top-level ``def`` or of a method of a
+# top-level class under ``src/repro``, or a defaulted field of a frozen
+# dataclass (a parameter of its generated ``__init__``), is an option.
+# An option needs a user: a call in a user file that passes it by
+# keyword or by position to a callable with that name.  A class name
+# stands for its ``__init__`` (inherited ones followed by base name);
+# ``super().__init__(…)`` and ``Base.__init__(self, …)`` stand for the
+# bases'.  Calls are matched by name, not resolved: ``x.get(key,
+# timeout=…)`` sets ``timeout`` of every ``def get``.  A keyword passed
+# to a callable that forwards ``**kwargs``, or to one that no ``def``
+# or class under ``src/repro`` is named after (``dict(op_timeout=…)``,
+# ``factory(n=…)``), and a string key of a dict literal, set that name
+# for every option.  A call that forwards the enclosing ``def``'s own
+# option (``CachedStore(ttl=ttl)`` in ``build_cached``) sets the
+# callee's option only when the enclosing one is set, so a chain of
+# forwards with no outside user is reported whole.  Tests are not
+# users.
+#
+# ``KNOWN_KNOBS`` may hold only safety bounds and test seams that
+# inject a fault or substitute a fake, each with the test that needs
+# it; a forward of a known knob counts as a setting.  Like the lists
+# above it can only shrink.
+
+KNOWN_KNOBS: dict[str, str] = {
+    "repro.replication.anti_entropy.GossipCluster.run_until_converged"
+    "(deadline)": "safety bound: a run that never converges raises "
+                  "instead of spinning",
+    "repro.replication.bayou.BayouCluster.run_until_converged(deadline)":
+        "safety bound: a run that never converges raises instead of "
+        "spinning",
+    "repro.sim.network.Network(loss_rate)": "fault seam: "
+        "test_gossip_converges_despite_heavy_loss drops 30 % of messages",
+    "repro.sim.network.Network(duplicate_rate)": "fault seam: "
+        "test_paxos_applies_each_duplicated_submit_once (strict xfail) "
+        "and the other duplication tests",
+    "repro.workload.driver.WorkloadDriver(recorder)": "test seam: "
+        "test_group_records_completed_and_timed_out_ops shares one "
+        "recorder across drivers",
+    "repro.replication.multipaxos.MultiPaxosCluster.elect(replica)":
+        "fault seam: test_failover_preserves_committed_writes elects a "
+        "chosen replica after crashing the leader",
+}
+
+#: ``(WILDCARD, name)`` is set when ``name`` is set for every option.
+WILDCARD = "*"
+
+_DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+class _Signature:
+    """What a call to one callable can set: its positional parameter
+    names in order, its options (parameter name -> option id), and
+    whether it forwards ``**kwargs``."""
+
+    def __init__(self, positional, options, forwards=False):
+        self.positional = positional
+        self.options = options
+        self.forwards = forwards
+
+
+def _decorator_name(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", ""))
+
+
+def _function_signature(fn, label, method):
+    args = fn.args
+    ordered = args.posonlyargs + args.args
+    positional = [arg.arg for arg in ordered]
+    if method and "staticmethod" not in map(_decorator_name,
+                                            fn.decorator_list):
+        positional = positional[1:]
+    defaulted = [arg.arg for arg in ordered[len(ordered)
+                                            - len(args.defaults):]]
+    defaulted += [
+        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return _Signature(
+        positional, {name: f"{label}({name})" for name in defaulted},
+        args.kwarg is not None,
+    )
+
+
+def _frozen(cls):
+    return any(
+        keyword.arg == "frozen" and getattr(keyword.value, "value", False)
+        for decorator in cls.decorator_list
+        if isinstance(decorator, ast.Call)
+        and _decorator_name(decorator) == "dataclass"
+        for keyword in decorator.keywords
+    )
+
+
+def _dataclass_fields(cls):
+    """``(name, has a default)`` per ``__init__`` field of ``cls``."""
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and _decorator_name(value) == "field":
+            if any(keyword.arg == "init"
+                   and getattr(keyword.value, "value", True) is False
+                   for keyword in value.keywords):
+                continue
+        yield stmt.target.id, value is not None
+
+
+def _label(module, cls, fn):
+    """The option-id prefix of ``fn``, a top-level def or (with
+    ``cls``) a method; ``__init__`` is labelled by its class."""
+    if cls is None:
+        return f"{module}.{fn.name}"
+    if fn.name == "__init__":
+        return f"{module}.{cls.name}"
+    return f"{module}.{cls.name}.{fn.name}"
+
+
+def _defs(module, tree):
+    """``(class or None, def)`` per top-level def and method."""
+    for stmt in tree.body:
+        if isinstance(stmt, _DEF):
+            yield None, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, _DEF):
+                    yield stmt, item
+
+
+CLASSES = {}
+for _module, _tree in TREES.items():
+    for _stmt in _tree.body:
+        if isinstance(_stmt, ast.ClassDef):
+            CLASSES.setdefault(_stmt.name, []).append((_module, _stmt))
+
+
+def _base_classes(cls):
+    """``(module, ClassDef)`` of each base of ``cls`` under src/repro."""
+    for base in cls.bases:
+        name = getattr(base, "id", getattr(base, "attr", None))
+        yield from CLASSES.get(name, ())
+
+
+def _init(module, cls):
+    """The signature ``cls(…)`` calls, or None (``object.__init__``)."""
+    for item in cls.body:
+        if isinstance(item, _DEF) and item.name == "__init__":
+            return _function_signature(item, _label(module, cls, item),
+                                       method=True)
+    inherited = [_init(*base) for base in _base_classes(cls)]
+    inherited = [signature for signature in inherited if signature]
+    if not any(_decorator_name(d) == "dataclass"
+               for d in cls.decorator_list):
+        return inherited[0] if inherited else None
+    positional, options = [], {}
+    for signature in reversed(inherited):
+        positional += signature.positional
+        options.update(signature.options)
+    for name, defaulted in _dataclass_fields(cls):
+        if name not in positional:
+            positional.append(name)
+        if defaulted and _frozen(cls):
+            options[name] = f"{module}.{cls.name}({name})"
+    return _Signature(positional, options)
+
+
+def _callables():
+    """callable name -> [_Signature]: every top-level def, method
+    (bar ``__init__``) and class."""
+    by_name = {}
+    for module, tree in TREES.items():
+        for cls, fn in _defs(module, tree):
+            if fn.name != "__init__":
+                by_name.setdefault(fn.name, []).append(_function_signature(
+                    fn, _label(module, cls, fn), method=cls is not None))
+    for name, classes in CLASSES.items():
+        for module, cls in classes:
+            signature = _init(module, cls)
+            if signature is not None:
+                by_name.setdefault(name, []).append(signature)
+    return by_name
+
+
+CALLABLES = _callables()
+OPTIONS = {
+    option
+    for signatures in CALLABLES.values() for signature in signatures
+    for option in signature.options.values()
+}
+
+
+def _callees(call, cls):
+    """``(signatures, leading positionals to skip)`` for ``call`` made
+    inside class ``cls`` (or None); no signatures = unresolved."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "__init__":
+        owner = func.value
+        if (isinstance(owner, ast.Call)
+                and getattr(owner.func, "id", "") == "super"):
+            bases = _base_classes(cls) if cls is not None else ()
+            return [s for s in (_init(*base) for base in bases) if s], 0
+        classes = CLASSES.get(getattr(owner, "id", None), ())
+        return [s for s in (_init(*c) for c in classes) if s], 1
+    name = getattr(func, "id", getattr(func, "attr", None))
+    return CALLABLES.get(name, []), 0
+
+
+def _contexts(module, tree):
+    """node id -> (options of the def around it, its class or None)."""
+    around = {}
+    for cls, fn in _defs(module, tree):
+        options = _function_signature(
+            fn, _label(module, cls, fn), method=cls is not None).options
+        for inner in ast.walk(fn):
+            around[id(inner)] = options, cls
+    return around
+
+
+def _option_sets():
+    """``(what is set, condition, user)`` per setting in a user file:
+    what is an option id or ``(WILDCARD, name)``; the condition is the
+    enclosing option a forward depends on, or None; the user is the
+    file's path under the repo root."""
+    module_of = {path: module for module, path in FILES.items()}
+    for path in USER_FILES:
+        user = str(path.relative_to(ROOT))
+        module = module_of.get(path)
+        tree = TREES[module] if module in TREES else _parse(path)
+        contexts = _contexts(module, tree) if module else {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                for key in node.keys:
+                    if isinstance(key, ast.Constant) and isinstance(
+                            key.value, str):
+                        yield (WILDCARD, key.value), None, user
+            if not isinstance(node, ast.Call):
+                continue
+            enclosing, cls = contexts.get(id(node), ({}, None))
+
+            def condition(value):
+                return enclosing.get(getattr(value, "id", None))
+
+            signatures, skip = _callees(node, cls)
+            keywords = [k for k in node.keywords if k.arg is not None]
+            if not signatures or any(s.forwards for s in signatures):
+                for keyword in keywords:
+                    yield ((WILDCARD, keyword.arg), condition(keyword.value),
+                           user)
+            for signature in signatures:
+                options = signature.options
+                for keyword in keywords:
+                    if keyword.arg in options:
+                        yield (options[keyword.arg], condition(keyword.value),
+                               user)
+                for index, arg in enumerate(node.args[skip:]):
+                    names = signature.positional[index:]
+                    if isinstance(arg, ast.Starred):
+                        for name in names:
+                            if name in options:
+                                yield options[name], None, user
+                        break
+                    if names and names[0] in options:
+                        yield options[names[0]], condition(arg), user
+
+
+SETTINGS = list(_option_sets())
+
+
+def _unset_options(assumed_set=()):
+    """Options nothing sets, forwards followed to a fixpoint; a forward
+    of an ``assumed_set`` option counts as a setting."""
+    done = set(assumed_set)
+    while True:
+        more = {
+            what for what, condition, _ in SETTINGS
+            if what not in done and (condition is None or condition in done)
+        }
+        if not more:
+            break
+        done |= more
+    wildcards = {what[1] for what in done if isinstance(what, tuple)}
+    return {
+        option for option in OPTIONS - done
+        if option.rpartition("(")[2][:-1] not in wildcards
+    }
+
+
+def test_every_option_has_a_user_outside_its_own_tests():
+    assert len(KNOWN_KNOBS) <= 8
+    new = sorted(_unset_options(KNOWN_KNOBS) - set(KNOWN_KNOBS))
+    assert new == [], (
+        f"options no user sets (one value in use): {new} — make each "
+        "a constant, or give it a caller that needs another value"
+    )
+    gone = sorted(set(KNOWN_KNOBS) - _unset_options())
+    assert gone == [], (
+        f"{gone} gained a user or no longer exist — "
+        "remove them from KNOWN_KNOBS"
+    )
+
+
+def test_the_scan_sees_the_ways_an_option_is_set():
+    settings = {(what, condition, user) for what, condition, user in SETTINGS}
+    bench = "bench/workloads.py"
+    # by keyword, to a class (its __init__) and to a dataclass
+    assert ("repro.cache.store.CachedStore(ttl)", None, bench) in settings
+    assert ("repro.rpc.policy.RetryPolicy(jitter)", None, bench) in settings
+    # by position
+    assert ("repro.workload.ycsb.YCSBWorkload(preset)", None,
+            bench) in settings
+    # through super().__init__, as a forward of the subclass's option
+    assert ("repro.workload.driver.OpCore(recorder)",
+            "repro.workload.driver.WorkloadDriver(recorder)",
+            "src/repro/workload/driver.py") in settings
+    # a forward of the enclosing def's own option
+    assert ("repro.cache.store.CachedStore(policy)",
+            "repro.cache.store.build_cached(policy)",
+            "src/repro/cache/store.py") in settings
+    # for every option: a keyword to an unresolved callee, a dict key
+    assert ((WILDCARD, "parallelism"), None,
+            "benchmarks/test_e17_elastic.py") in settings
+    assert ((WILDCARD, "fault"), None, bench) in settings
+    # a keyword to a **kwargs forwarder (the registry's build)
+    assert ((WILDCARD, "admission_burst"), None, bench) in settings

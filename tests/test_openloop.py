@@ -105,14 +105,14 @@ def test_open_loop_rmw_composes_read_then_write():
     ops = [OpSpec("insert", "k", "1"), OpSpec("rmw", "k", "2")]
     driver = OpenLoopDriver(
         store, [0.0, 50.0], ops, sessions=1,
-        timeout=500.0, rmw_fn=lambda old, fresh: f"{old}+{fresh}",
+        timeout=500.0,
     )
     result = driver.run()
     assert result.ok == 2
     assert result.read_latency.count == 1
     assert result.write_latency.count == 2
-    assert any(op.kind == "write" and op.value == "1+2"
-               for op in result.history)
+    assert [(op.kind, op.value) for op in result.history] == [
+        ("write", "1"), ("read", "1"), ("write", "2")]
 
 
 def test_open_loop_matches_closed_loop_at_low_load():

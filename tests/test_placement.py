@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NetworkError
 from repro.placement import LocalityMap, Placement, spread_placement
 from repro.sim import THREE_CONTINENTS, Simulator
+from repro.sim.topology import INTRA_SITE
 
 
 def three_region_placement(**kwargs):
@@ -90,7 +91,7 @@ def test_nodes_in_preserves_placement_order_and_filters():
 
 def test_delay_resolves_through_topology():
     placement = three_region_placement()
-    assert placement.delay("eu", "eu") == THREE_CONTINENTS.intra_site
+    assert placement.delay("eu", "eu") == INTRA_SITE
     assert placement.delay("us-east", "eu") == 40.0
     assert placement.delay("eu", "asia") == 120.0
 

@@ -323,7 +323,7 @@ def test_pending_op_table_is_empty_after_chaos_heals():
     store = CachedStore(
         ShardedStore(sim, net, protocol="quorum_siblings", shards=4,
                      nodes_per_shard=3, service_time=0.5),
-        policy="write_through", ttl=200.0, capacity=256, seed=47)
+        policy="write_through", ttl=200.0, capacity=256)
     samples = []
     nodes = _sample_pending(sim, net, samples)
     nemesis = Nemesis(PLANS["mixed"], seed=46)
@@ -556,18 +556,16 @@ def test_history_accepts_unhashable_values_and_failed_writes():
     sim, net, store = quorum_store(r=2, w=2, seed=5)
     session = store.session()
 
-    def cut_after_read(spec, _ok):
-        if spec.op == "read":
-            cut_homes_but_first(net, store.cluster, session.client,
-                                keep_fallbacks=False)
+    def ops():
+        yield OpSpec("update", "k", ["milk"])
+        yield OpSpec("read", "k")
+        # The lane asks for its next op once the read has finished.
+        cut_homes_but_first(net, store.cluster, session.client,
+                            keep_fallbacks=False)
+        yield OpSpec("update", "k", ["eggs"])
 
     driver = WorkloadDriver(sim)
-    driver.add_session(
-        session,
-        [OpSpec("update", "k", ["milk"]), OpSpec("read", "k"),
-         OpSpec("update", "k", ["eggs"])],
-        on_op=cut_after_read,
-    )
+    driver.add_session(session, ops())
     result = driver.run()
     assert result.ops_failed == 1
     assert [(op.kind, op.version, op.end is None)

@@ -49,13 +49,13 @@ def test_any_consecutive_window_spans_min_k_regions(
         assert len(window) == min(k, len(regions))
 
 
-def build_store(shards, vnodes=64):
+def build_store(shards):
     sim = Simulator(seed=11)
     network = Network(sim, latency=FixedLatency(1.0))
     placement = Placement(THREE_CONTINENTS, default_region="eu")
     store = ShardedStore(
         sim, network, protocol="quorum", shards=shards,
-        nodes_per_shard=3, vnodes=vnodes, placement=placement,
+        nodes_per_shard=3, placement=placement,
     )
     return store, placement
 

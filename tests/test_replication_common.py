@@ -94,7 +94,7 @@ def test_async_server_failure_propagates():
 def test_timeout_fires_when_server_unreachable():
     sim, net, _server, client = setup()
     net.partition(["client"], ["server"])
-    future = client.request("server", "hello", timeout=10.0)
+    future = client.call("server", "hello", timeout=10.0)
     sim.run()
     assert isinstance(future.error, ReproTimeoutError)
     assert sim.now == 10.0
@@ -103,7 +103,7 @@ def test_timeout_fires_when_server_unreachable():
 def test_late_reply_after_timeout_is_ignored():
     sim, _net, server, client = setup()
     # Deferred reply takes 7ms; timeout at 3ms.
-    future = client.request("server", 21, timeout=3.0)
+    future = client.call("server", 21, timeout=3.0)
     sim.run()
     assert isinstance(future.error, ReproTimeoutError)  # no double-resolve crash
 
@@ -111,7 +111,7 @@ def test_late_reply_after_timeout_is_ignored():
 def test_crashed_server_never_replies():
     sim, _net, server, client = setup()
     server.crash()
-    future = client.request("server", "hello", timeout=50.0)
+    future = client.call("server", "hello", timeout=50.0)
     sim.run()
     assert isinstance(future.error, ReproTimeoutError)
 
@@ -137,6 +137,12 @@ class CountingServer(ServerNode):
         return future
 
 
+def keyed(client, payload, key):
+    """A request carrying idempotency key ``key`` (what a retrying
+    ``call(idempotent=True)`` sends on every attempt)."""
+    return client._issue("server", payload, 100.0, key)[1]
+
+
 def test_trim_dedup_never_evicts_pending_entry():
     # Regression: eviction pressure while an idempotent op is still
     # in flight must not drop its entry — the retry already on the
@@ -147,13 +153,13 @@ def test_trim_dedup_never_evicts_pending_entry():
     server.dedup_capacity = 2
     client = ClientNode(sim, net, "client")
 
-    slow = client.request("server", 7, idempotency_key="slow", timeout=100.0)
+    slow = keyed(client, 7, "slow")
     sim.run(5.0)                 # handler running, future still pending
     for i, key in enumerate(("f1", "f2", "f3")):
-        client.request("server", f"v{i}", idempotency_key=key, timeout=100.0)
+        keyed(client, f"v{i}", key)
     sim.run(15.0)                # trim ran twice under capacity pressure
 
-    retry = client.request("server", 7, idempotency_key="slow", timeout=100.0)
+    retry = keyed(client, 7, "slow")
     sim.run()
     assert slow.value == 14 and retry.value == 14
     assert server.executions == 1        # the retry attached, not re-ran
@@ -166,14 +172,14 @@ def test_trim_dedup_evicts_oldest_completed_first():
     server.dedup_capacity = 2
     client = ClientNode(sim, net, "client")
     for i, key in enumerate(("f1", "f2", "f3")):
-        client.request("server", f"v{i}", idempotency_key=key, timeout=100.0)
+        keyed(client, f"v{i}", key)
         sim.run()
     hits = sim.metrics.counter("rpc.dedup_hits")
     # f1 was evicted (oldest completion); f3 survived and replays.
-    client.request("server", "changed", idempotency_key="f3", timeout=100.0)
+    keyed(client, "changed", "f3")
     sim.run()
     assert hits.value == 1
-    client.request("server", "changed", idempotency_key="f1", timeout=100.0)
+    keyed(client, "changed", "f1")
     sim.run()
     assert hits.value == 1               # re-executed, no replay
 
@@ -182,7 +188,7 @@ def test_bounded_queue_sheds_with_retry_after():
     sim, _net, server, client = setup()
     server.service_time = 5.0
     server.queue_limit = 2
-    futures = [client.request("server", f"m{i}", timeout=200.0)
+    futures = [client.call("server", f"m{i}", timeout=200.0)
                for i in range(5)]
     sim.run()
     ok = [f for f in futures if f.error is None]
@@ -197,14 +203,14 @@ def test_token_bucket_admission():
     sim, _net, server, client = setup()
     server.admission_rate = 100.0        # 0.1 tokens/ms
     server.admission_burst = 2.0
-    futures = [client.request("server", f"m{i}", timeout=500.0)
+    futures = [client.call("server", f"m{i}", timeout=500.0)
                for i in range(4)]
     sim.run(10.0)
     rejected = [f for f in futures if isinstance(f.error, OverloadedError)]
     assert len(rejected) == 2            # burst admitted two
     assert all(f.error.retry_after > 0 for f in rejected)
     # The bucket refills: a later request is admitted again.
-    late = client.request("server", "later", timeout=500.0)
+    late = client.call("server", "later", timeout=500.0)
     sim.run()
     assert late.value == "LATER"
 
@@ -213,7 +219,7 @@ def test_crash_resets_queue_depth_gauge():
     sim, _net, server, client = setup()
     server.service_time = 10.0
     for i in range(4):
-        client.request("server", f"m{i}", timeout=50.0)
+        client.call("server", f"m{i}", timeout=50.0)
     sim.run(5.0)
     gauge = sim.metrics.gauge("server.queue_depth")
     assert gauge.value > 0
@@ -225,7 +231,7 @@ def test_retry_layer_honors_retry_after_hint():
     sim, _net, server, client = setup()
     server.admission_rate = 100.0
     server.admission_burst = 1.0
-    first = client.request("server", "one", timeout=100.0)  # drains the bucket
+    first = client.call("server", "one", timeout=100.0)  # drains the bucket
     policy = RetryPolicy(max_attempts=5, backoff_base=1.0, jitter=0.0,
                          request_timeout=100.0)
     second = client.call("server", "two", policy=policy)

@@ -19,6 +19,8 @@ from repro.sim import (
     Tracer,
     estimate_size,
 )
+from repro.sim import network as network_module
+from repro.sim.network import LOOPBACK_LATENCY
 from repro.sim.topology import Topology, symmetric_delays
 
 
@@ -52,10 +54,10 @@ def test_fixed_latency_delivery():
 
 
 def test_loopback_uses_loopback_latency():
-    sim, net, nodes = make_net(latency=FixedLatency(50.0), loopback_latency=0.25)
+    sim, net, nodes = make_net(latency=FixedLatency(50.0))
     net.send("a", "a", "self")
     sim.run()
-    assert nodes["a"].received[0][0] == 0.25
+    assert nodes["a"].received[0][0] == LOOPBACK_LATENCY
 
 
 def test_unknown_destination_rejected():
@@ -230,9 +232,6 @@ def test_broadcast_excludes_self_by_default():
     assert len(nodes["a"].received) == 0
     assert len(nodes["b"].received) == 1
     assert len(nodes["c"].received) == 1
-    net.broadcast("a", "all2", include_self=True)
-    sim.run()
-    assert len(nodes["a"].received) == 1
 
 
 def test_stats_by_type_counts_message_classes():
@@ -282,11 +281,14 @@ def test_lognormal_latency_positive_with_median_near_parameter():
 
 
 def test_matrix_latency_symmetric_fallback_and_default():
-    model = MatrixLatency({("x", "y"): 5.0}, jitter=0.0, default=99.0)
+    model = MatrixLatency({("x", "y"): 5.0, ("y", "z"): 7.0,
+                           ("z", "y"): 9.0}, jitter=0.0)
     sim = Simulator()
     assert model.sample(sim.rng, "x", "y") == 5.0
     assert model.sample(sim.rng, "y", "x") == 5.0  # reverse direction
-    assert model.sample(sim.rng, "x", "z") == 99.0
+    # A direction with its own entry keeps it.
+    assert model.sample(sim.rng, "z", "y") == 9.0
+    assert model.sample(sim.rng, "y", "z") == 7.0
 
 
 def test_matrix_latency_missing_entry_without_default_raises():
@@ -383,25 +385,12 @@ def test_reachable_iff_send_is_not_blocked(early, groups, faults):
             assert net.reachable(src, dst) == (not blocked), (src, dst)
 
 
-def test_loopback_latency_validated_at_construction():
-    # Regression: -1.0 / NaN constructed fine and killed sim.run() at the
-    # first self-send with "event queue yielded an event in the past".
-    sim = Simulator()
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(NetworkError, match="loopback_latency"):
-            Network(sim, loopback_latency=bad)
-    net = Network(sim, loopback_latency=0.0)
-    node = Sink(sim, net, "a")
-    net.send("a", "a", "now")
-    sim.run()
-    assert node.received == [(0.0, "a", "now")]
-
-
 # ----------------------------------------------------------------------
 # link_sampler(a, b)(rng) is sample(rng, a, b), draw for draw
 # ----------------------------------------------------------------------
 
 SITES = ("us", "eu", "ap")
+SAME_SITE = {(site, site): 1.0 for site in SITES}
 SITE_TOPOLOGY = Topology("three", SITES, symmetric_delays(
     {("us", "eu"): 40.0, ("us", "ap"): 70.0, ("eu", "ap"): 110.0}))
 LATENCY_MODELS = {
@@ -409,9 +398,10 @@ LATENCY_MODELS = {
     "exponential": ExponentialLatency(base=0.3, mean=1.7),
     "lognormal": LogNormalLatency(median=2.0, sigma=0.7),
     "matrix": MatrixLatency({("us", "eu"): 40.0, ("us", "ap"): 70.0,
-                             ("eu", "ap"): 110.0}, jitter=0.2, default=1.0),
-    "matrix-no-jitter": MatrixLatency({("us", "eu"): 40.0}, jitter=0.0,
-                                       default=1.0),
+                             ("eu", "ap"): 110.0, **SAME_SITE}, jitter=0.2),
+    "matrix-no-jitter": MatrixLatency(
+        {("us", "eu"): 40.0, ("us", "ap"): 1.0, ("eu", "ap"): 1.0,
+         **SAME_SITE}, jitter=0.0),
     "topology": SITE_TOPOLOGY.latency_model(
         {site: site for site in SITES}, jitter=0.1),
 }
@@ -560,7 +550,8 @@ def test_send_many_script_meets_fast_path_grouping_and_every_fault():
     assert counters["counters"]["net.messages_duplicated"] >= 1
 
 
-def test_grouped_delivery_is_one_event_with_per_message_credit_and_crash_check():
+def test_grouped_delivery_is_one_event_with_per_message_credit_and_crash_check(
+        monkeypatch):
     tracer = Tracer()
     sim = Simulator(tracer=tracer)
     net = Network(sim, latency=FixedLatency(1.0))
@@ -589,7 +580,7 @@ def test_grouped_delivery_is_one_event_with_per_message_credit_and_crash_check()
         ("msg_deliver", "a"), ("msg_deliver", "a"), ("msg_drop", "c"), ("msg_drop", "c")]
     # A message landing at the same instant after the batch ran is a new event.
     b.crashed = False
-    net.loopback_latency = 0.0
+    monkeypatch.setattr(network_module, "LOOPBACK_LATENCY", 0.0)
     net.send("b", "b", "again")
     sim.run()
     assert b.received[-1] == (1.0, "b", "again") and sim.events_processed == 5
@@ -616,8 +607,7 @@ def test_send_many_to_nobody_registers_no_counter():
     assert sim.pending_events == 0
 
 
-@pytest.mark.parametrize("include_self", [False, True])
-def test_broadcast_is_send_in_registration_order(include_self):
+def test_broadcast_is_send_in_registration_order():
     def world():
         tracer = Tracer()
         sim = Simulator(seed=4, tracer=tracer)
@@ -628,15 +618,14 @@ def test_broadcast_is_send_in_registration_order(include_self):
     sim, net, nodes, tracer = world()
     ref_sim, ref_net, ref_nodes, ref_tracer = world()
     for round_ in range(3):
-        net.broadcast("a", f"all-{round_}", include_self=include_self)
+        net.broadcast("a", f"all-{round_}")
         for dst in ref_net.node_ids:
-            if dst != "a" or include_self:
+            if dst != "a":
                 ref_net.send("a", dst, f"all-{round_}")
     sim.run()
     ref_sim.run()
     sends = [e.data["dst"] for e in tracer.events if e.kind == "msg_send"]
-    assert sends[:4 if include_self else 3] == (
-        ["c", "a", "d", "b"] if include_self else ["c", "d", "b"])
+    assert sends[:3] == ["c", "d", "b"]
     assert tracer.dumps_jsonl() == ref_tracer.dumps_jsonl()
     assert ({n: s.received for n, s in nodes.items()}
             == {n: s.received for n, s in ref_nodes.items()})

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import NetworkError, SimulationError
-from repro.sim.topology import Topology
+from repro.sim.topology import INTRA_SITE, Topology
 from repro.sim import (
     THREE_CONTINENTS,
     FixedLatency,
@@ -213,7 +213,7 @@ def test_missing_handler_raises_every_time_and_crashed_deliver_is_a_noop():
 def test_delays_symmetric_and_intra_site():
     topology = THREE_CONTINENTS
     assert topology.delay("us-east", "eu") == topology.delay("eu", "us-east") == 40.0
-    assert topology.delay("asia", "asia") == topology.intra_site
+    assert topology.delay("asia", "asia") == INTRA_SITE
 
 
 def test_unknown_site_pair_rejected():
@@ -226,7 +226,7 @@ def test_latency_model_from_placement():
     model = THREE_CONTINENTS.latency_model(placement, jitter=0.0)
     sim = Simulator()
     assert model.sample(sim.rng, "n0", "n1") == 40.0
-    assert model.sample(sim.rng, "n0", "n0") == THREE_CONTINENTS.intra_site
+    assert model.sample(sim.rng, "n0", "n0") == INTRA_SITE
 
 
 def test_latency_model_rejects_unknown_site():

@@ -14,6 +14,7 @@ from repro.sla import (
     SLAClient,
     SubSLA,
 )
+from repro.sla.pileus import ALPHA, DEFAULT_LAG, DEFAULT_LATENCY
 
 
 def make_geo(seed=0, client_site="eu", propagation_delay=50.0):
@@ -59,17 +60,18 @@ def test_builtin_slas_are_well_formed():
 # ----------------------------------------------------------------------
 
 def test_monitor_ewma_converges_toward_samples():
-    monitor = ReplicaMonitor(alpha=0.5)
-    assert monitor.predicted_latency("r") == monitor.default_latency
+    monitor = ReplicaMonitor()
+    assert monitor.predicted_latency("r") == DEFAULT_LATENCY
     monitor.observe_latency("r", 100.0)
     monitor.observe_latency("r", 100.0)
     assert monitor.predicted_latency("r") == pytest.approx(100.0)
     monitor.observe_latency("r", 0.0)
-    assert monitor.predicted_latency("r") == pytest.approx(50.0)
+    assert monitor.predicted_latency("r") == pytest.approx(100.0 * (1 - ALPHA))
 
 
 def test_monitor_lag_tracking():
-    monitor = ReplicaMonitor(alpha=1.0)
+    monitor = ReplicaMonitor()
+    assert monitor.predicted_lag("r") == DEFAULT_LAG
     monitor.observe_lag("r", 80.0)
     assert monitor.predicted_lag("r") == 80.0
 

@@ -74,6 +74,16 @@ def test_registry_is_complete():
         registry.get("no-such-protocol")
 
 
+def test_direct_attach_store_refuses_capacity_knobs():
+    # Bayou's replicas have no service queue: a knob that cannot act
+    # is an error, not a silently ignored setting.
+    sim = Simulator(seed=1)
+    with pytest.raises(ValueError, match="service_time, admission_rate "):
+        build_store("bayou", sim, service_time=1.0, admission_rate=10.0)
+    assert not registry.get("bayou").capabilities.networked
+    build_store("bayou", sim, service_time=0.0)     # no knob in effect
+
+
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 def test_round_trip(name):
     """put then get returns the written value with an ordered token."""

@@ -146,10 +146,10 @@ def test_blue_ops_from_all_sites_commute():
 # Escrow
 # ----------------------------------------------------------------------
 
-def make_escrow(total, seed=0, latency=30.0, sites=3, split=None):
+def make_escrow(total, seed=0, latency=30.0, sites=3):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(latency))
-    counter = EscrowCounter(sim, net, total=total, sites=sites, split=split)
+    counter = EscrowCounter(sim, net, total=total, sites=sites)
     return sim, net, counter
 
 
@@ -227,10 +227,7 @@ def test_invariant_holds_under_concurrent_debits():
 def test_uneven_split_validation():
     sim = Simulator()
     net = Network(sim)
-    with pytest.raises(ValueError):
-        EscrowCounter(sim, net, total=100.0, sites=2, split=[10.0, 20.0])
-    with pytest.raises(ValueError):
-        EscrowCounter(sim, net, total=100.0, sites=2, split=[100.0])
+    # The split is even; only the total can be invalid.
     with pytest.raises(InvariantViolation):
         EscrowCounter(sim, net, total=-5.0)
 

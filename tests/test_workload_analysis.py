@@ -38,7 +38,7 @@ def test_uniform_keys_in_range_and_roughly_flat():
 
 def test_zipfian_skews_to_low_keys():
     rng = random.Random(2)
-    keys = ZipfianKeys(1000, theta=0.99)
+    keys = ZipfianKeys(1000)
     samples = [keys.choose(rng) for _ in range(8000)]
     assert all(0 <= s < 1000 for s in samples)
     head = sum(1 for s in samples if s < 100)
@@ -48,8 +48,6 @@ def test_zipfian_skews_to_low_keys():
 def test_zipfian_validation():
     with pytest.raises(ValueError):
         ZipfianKeys(0)
-    with pytest.raises(ValueError):
-        ZipfianKeys(10, theta=1.5)
 
 
 def test_latest_keys_follow_insert_point():
@@ -57,7 +55,8 @@ def test_latest_keys_follow_insert_point():
     keys = LatestKeys(100)
     early = [keys.choose(rng) for _ in range(2000)]
     assert max(early) == 99
-    keys.advance(100)
+    for _ in range(100):
+        keys.advance()
     late = [keys.choose(rng) for _ in range(2000)]
     assert max(late) == 199
     assert sum(1 for s in late if s > 150) / len(late) > 0.5
@@ -102,10 +101,6 @@ def test_ycsb_custom_mix_and_validation():
         YCSBWorkload("Z")
     with pytest.raises(ValueError):
         YCSBWorkload(None)
-    wl = YCSBWorkload(None, mix=MixSpec(read=0.3, update=0.7), records=10)
-    ops = wl.take(300)
-    updates = sum(1 for op in ops if op.op == "update")
-    assert updates > 150
 
 
 def test_ycsb_values_unique():
@@ -129,8 +124,6 @@ def test_cart_removes_only_added_items():
 
 
 def test_cart_validation():
-    with pytest.raises(ValueError):
-        CartWorkload(add_fraction=0.9, remove_fraction=0.3)
     with pytest.raises(ValueError):
         CartWorkload(customers=0)
 

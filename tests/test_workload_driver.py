@@ -31,7 +31,7 @@ def test_lane_stats_and_history():
         OpSpec("read", "a"),
         OpSpec("read", "b"),
     ]
-    stats = driver.add_session(store.session("s1"), ops, label="lane-1")
+    stats = driver.add_session(store.session("lane-1"), ops)
     result = driver.run()
 
     assert stats.name == "lane-1"
