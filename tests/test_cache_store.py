@@ -205,8 +205,8 @@ def test_floor_guard_rejects_stale_fill():
     def script():
         yield alice.put("k", "v1")
         yield 50.0                          # v1 reaches every replica
-        sim_net.partition(["dyn0", alice.client_id],
-                          ["dyn1", "dyn2", bob.client_id])
+        store.network.partition(["dyn0", alice.client_id],
+                                ["dyn1", "dyn2", bob.client_id])
         # The acked write invalidates with its token: the next miss
         # returns backing state older than the floor, which is served
         # but must not be cached.
@@ -219,7 +219,6 @@ def test_floor_guard_rejects_stale_fill():
         yield future
         seen["tier2"] = future.served_tier
 
-    sim_net = store.network
     drive(sim, script())
     assert seen["value"] == "v1"        # still served to the caller
     assert seen["tier1"] == "store"
