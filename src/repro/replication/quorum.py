@@ -570,13 +570,12 @@ class DynamoClient(ClientNode):
         key: Hashable,
         value: Any,
         timeout: float | None = None,
-        context: Any = None,
     ) -> Future:
-        """Write; resolves with the write's context — its arbitration
-        stamp, or the vector-clock entries that now cover it.
-        ``context`` defaults to what this session has observed."""
-        if context is None:
-            context = self.conflicts.recall(key)
+        """Write under the context this session last observed for
+        ``key`` (a read of siblings then a write resolves them);
+        resolves with the write's context — its arbitration stamp, or
+        the vector-clock entries that now cover it."""
+        context = self.conflicts.recall(key)
         inner, outer, finish = self._operate(
             "write", key, QPut(key, value, context), timeout
         )

@@ -656,9 +656,9 @@ def test_read_then_write_resolves_siblings():
         yield alice.put("k", "a")
         yield bob.put("k", "b")      # concurrent: bob has no context
         yield 50.0
-        values, context = yield alice.get("k")
+        values, _context = yield alice.get("k")
         out["siblings"] = sorted(values)
-        yield alice.put("k", "merged", context=context)
+        yield alice.put("k", "merged")     # under the context just read
         yield 50.0
         out["resolved"] = (yield alice.get("k"))[0]
 
@@ -676,20 +676,21 @@ def test_cart_merge_no_lost_adds():
     west = cluster.connect(session="west")
     out = {}
 
+    # A session writes under the context it last read.
     def east_script():
-        values, ctx = yield east.get("cart")
-        yield east.put("cart", ("milk",), context=ctx)
+        yield east.get("cart")
+        yield east.put("cart", ("milk",))
 
     def west_script():
-        values, ctx = yield west.get("cart")
-        yield west.put("cart", ("laptop",), context=ctx)
+        yield west.get("cart")
+        yield west.put("cart", ("laptop",))
 
     def check_script():
         yield 100.0
-        values, ctx = yield east.get("cart")
+        values, _ctx = yield east.get("cart")
         # Application-level merge of siblings:
         merged = sorted(item for sibling in values for item in sibling)
-        yield east.put("cart", tuple(merged), context=ctx)
+        yield east.put("cart", tuple(merged))
         yield 50.0
         out["final"] = (yield east.get("cart"))[0]
 
