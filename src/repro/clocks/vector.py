@@ -29,21 +29,21 @@ class Ordering(enum.Enum):
 class VectorClock(Mapping[Hashable, int]):
     """An immutable vector clock.
 
-    >>> v = VectorClock().tick("a").tick("a").tick("b")
+    >>> v = VectorClock({}).tick("a").tick("a").tick("b")
     >>> v["a"], v["b"], v["c"]
     (2, 1, 0)
     >>> w = v.tick("c")
     >>> v.compare(w) is Ordering.BEFORE
     True
-    >>> x, y = VectorClock().tick("a"), VectorClock().tick("b")
+    >>> x, y = VectorClock({}).tick("a"), VectorClock({}).tick("b")
     >>> x.compare(y) is Ordering.CONCURRENT
     True
     """
 
     __slots__ = ("_counts", "_hash")
 
-    def __init__(self, counts: Mapping[Hashable, int] | None = None) -> None:
-        source = dict(counts or {})
+    def __init__(self, counts: Mapping[Hashable, int]) -> None:
+        source = dict(counts)
         for node, count in source.items():
             if not isinstance(count, int) or count < 0:
                 raise ValueError(f"invalid count {count!r} for {node!r}")

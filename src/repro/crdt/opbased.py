@@ -41,7 +41,7 @@ class CausalBuffer:
     def __init__(self, replica_id: Hashable, apply: Callable[[OpEnvelope], None]):
         self.replica_id = replica_id
         self.apply = apply
-        self.clock = VectorClock()
+        self.clock = VectorClock({})
         self._pending: list[OpEnvelope] = []
         self.delivered = 0
         self.duplicates = 0
@@ -108,10 +108,12 @@ class CausalBuffer:
 class OpORSet:
     """Op-based observed-remove set.
 
-    Ops carry unique tags: ``("add", element, tag)`` and
-    ``("remove", element, frozenset_of_tags)``.  With causal delivery a
-    remove always follows the adds it observed, so applying ops in
-    delivery order is enough; concurrent adds survive (add-wins).
+    Ops carry unique tags: ``("add", element, (tag, replaced))`` and
+    ``("remove", element, frozenset_of_tags)``.  An add retires the
+    element's tags its origin had observed (Almeida's δ-ORSet add), so
+    an element re-added N times holds one tag.  With causal delivery an
+    add or remove always follows the adds it observed, so applying ops
+    in delivery order is enough; concurrent adds survive (add-wins).
     """
 
     def __init__(self, replica_id: Hashable) -> None:
@@ -124,7 +126,8 @@ class OpORSet:
     def add(self, element: Any) -> OpEnvelope:
         self._op_counter += 1
         tag = (self.replica_id, self._op_counter)
-        return self.buffer.stamp_local(("add", element, tag))
+        replaced = frozenset(self._tags.get(element, ()))
+        return self.buffer.stamp_local(("add", element, (tag, replaced)))
 
     def remove(self, element: Any) -> OpEnvelope:
         observed = frozenset(self._tags.get(element, ()))
@@ -137,7 +140,10 @@ class OpORSet:
     def _apply(self, envelope: OpEnvelope) -> None:
         kind, element, detail = envelope.payload
         if kind == "add":
-            self._tags.setdefault(element, set()).add(detail)
+            tag, replaced = detail
+            live = self._tags.setdefault(element, set())
+            live -= replaced
+            live.add(tag)
         else:
             live = self._tags.get(element)
             if live is not None:

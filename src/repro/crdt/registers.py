@@ -6,6 +6,9 @@ lossy); the MV-register keeps both as siblings (lossless, pushes
 resolution to the reader) — the same design fork as the quorum
 engine's ``LWWStamps`` vs ``DottedSiblings`` conflict strategies
 (:mod:`repro.replication.quorum`), but packaged as mergeable values.
+The MV-register is a :class:`~repro.clocks.dvv.DottedValueSet`: a dot →
+value map under one causal context, merged by the dot-store join that
+``ORSet`` runs too.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class MVRegister(StateCRDT):
 
     def assign(self, value: Any) -> None:
         siblings = self._siblings
-        self._siblings = siblings.put(self.replica_id, value, siblings.context())
+        self._siblings = siblings.put(self.replica_id, value, siblings.clock)
 
     @property
     def values(self) -> list[Any]:
@@ -129,9 +132,6 @@ class MVRegister(StateCRDT):
     def state(self) -> dict:
         siblings = self._siblings
         return {
-            "siblings": [
-                ((v.dot.replica, v.dot.counter), v.value)
-                for v in siblings.versions
-            ],
-            "context": siblings.context().entries(),
+            "siblings": list(siblings.siblings.items()),
+            "context": dict(siblings.clock),
         }

@@ -9,9 +9,9 @@ seen by the remove survives).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Hashable, Iterator
 
+from ..clocks.dvv import join
 from .base import StateCRDT
 
 
@@ -86,18 +86,19 @@ class ORSet(StateCRDT):
     it live, or one side holds it and the other has never seen it
     (add-wins for concurrent adds).
 
-    The context is *prefixes + a dot cloud*: ``_maxc[r]`` says every dot
-    ``1..maxc[r]`` of replica *r* was seen, ``_cloud`` holds the seen
-    dots beyond those prefixes.  A replica mints its dots sequentially,
-    so a state that travels whole is all prefix and its cloud is empty;
-    the cloud is what lets a **delta** — the small state :meth:`add` and
-    :meth:`remove` return — name exactly the dots it touched instead of
-    claiming every earlier dot of its replica.  A delta is an ``ORSet``
-    like any other: ship it instead of ``copy()``, or join several into
-    a fresh ``ORSet`` and ship that; :meth:`merge` takes full states and
-    deltas alike, in any order, any number of times, and folds cloud
-    dots into the prefixes as the gaps close.  (A delta is a state to
-    join, not a replica to mutate further.)
+    The context is *prefixes + a dot cloud* (:mod:`repro.clocks.dvv`):
+    ``_prefix[r]`` says every dot ``1..prefix[r]`` of replica *r* was
+    seen, ``_cloud`` holds the seen dots beyond those prefixes.  A
+    replica mints its dots sequentially, so a state that travels whole
+    is all prefix and its cloud is empty; the cloud is what lets a
+    **delta** — the small state :meth:`add` and :meth:`remove` return —
+    name exactly the dots it touched instead of claiming every earlier
+    dot of its replica.  A delta is an ``ORSet`` like any other: ship it
+    instead of ``copy()``, or join several into a fresh ``ORSet`` and
+    ship that; :meth:`merge` takes full states and deltas alike, in any
+    order, any number of times.  (A delta is a state to join, not a
+    replica to mutate further.)  Merge is :func:`repro.clocks.dvv.join`,
+    the dot-store join the quorum store's sibling sets run too.
 
     Dot sets are immutable (``frozenset``): :meth:`copy` — the gossip
     wire snapshot — is a shallow dict copy sharing them, and merge
@@ -115,27 +116,31 @@ class ORSet(StateCRDT):
 
     def __init__(self, replica_id: Hashable) -> None:
         self.replica_id = replica_id
-        self._counter = 0
         self._dots: dict[Any, frozenset] = {}   # element -> live dots only
-        self._maxc: dict[Hashable, int] = {}    # context: replica -> seen prefix
+        self._prefix: dict[Hashable, int] = {}  # context: replica -> seen prefix
         self._cloud: frozenset = _NO_TAGS       # context: seen dots past the prefixes
 
     def _fresh_tag(self) -> tuple:
+        """A dot one past every dot of ours seen here, recorded as seen:
+        it extends our prefix unless it lands past a gap (own dots seen
+        out of order, as from joined deltas)."""
         me = self.replica_id
-        self._counter = count = self._counter + 1
-        dot = (me, count)
-        if self._maxc.get(me, 0) == count - 1:
-            self._maxc[me] = count
-        else:  # own dots seen out of order (joined deltas): not a prefix
+        count = start = self._prefix.get(me, 0)
+        for replica, counter in self._cloud:
+            if replica == me and counter > count:
+                count = counter
+        dot = (me, count + 1)
+        if count == start:
+            self._prefix[me] = count + 1
+        else:
             self._cloud |= {dot}
         return dot
 
     def _delta(self, dots: dict, context: frozenset) -> "ORSet":
         """A state holding ``dots`` that has seen exactly ``context``."""
         delta = self._blank_copy()
-        delta._counter = self._counter
         delta._dots = dots
-        delta._maxc = {}
+        delta._prefix = {}
         delta._cloud = context
         return delta
 
@@ -174,112 +179,16 @@ class ORSet(StateCRDT):
 
     def merge(self, other: "ORSet") -> "ORSet":
         self._require_same_type(other)
-        cloud, ocloud = self._cloud, other._cloud
-        self._join_dots(other)
-        ctx = self._maxc
-        for replica, count in other._maxc.items():
-            if count > ctx.get(replica, 0):
-                ctx[replica] = count
-        # Keep our dot counter ahead of every dot seen from ourselves,
-        # so dots stay unique even after state restore.
-        seen = ctx.get(self.replica_id, 0)
-        if cloud or ocloud:
-            # Join the clouds, then compact: in counter order, a dot
-            # that extends its replica's prefix joins it, one the
-            # prefix already covers is dropped, the rest stay.
-            beyond = []
-            for dot in sorted(cloud | ocloud, key=itemgetter(1)):
-                replica, count = dot
-                have = ctx.get(replica, 0)
-                if count == have + 1:
-                    ctx[replica] = count
-                elif count > have:
-                    beyond.append(dot)
-                if replica == self.replica_id and count > seen:
-                    seen = count
-            self._cloud = frozenset(beyond)
-        if seen > self._counter:
-            self._counter = seen
+        self._cloud = join(self._dots, self._prefix, self._cloud,
+                           other._dots, other._prefix, other._cloud)
         return self
-
-    def _join_dots(self, other: "ORSet") -> None:
-        """The dot-store join, ``(s ∩ s′) ∪ (s ∖ c′) ∪ (s′ ∖ c)``: keep
-        a dot iff both sides hold it live, or its only holder is the
-        side the other has not seen it from.  Per element, each side's
-        dots are walked once and a dot the other side also holds is
-        skipped; only the dots one side holds alone meet a context
-        (prefix, then cloud).  Three outcomes: nothing dropped and
-        nothing taken leaves our object in place; everything dropped and
-        everything taken adopts *their* object, so the next exchange
-        between these replicas skips the element on identity; anything
-        else rebuilds.  An element one side lacks is the same rule with
-        that side empty.  Plain loops, two flags, a list only on the
-        first hit: a dot set holds one or two dots, where building a
-        difference or a comprehension's frame costs more than the walk."""
-        mine, theirs = self._dots, other._dots
-        ctx, cloud = self._maxc, self._cloud
-        octx, ocloud = other._maxc, other._cloud
-        # Theirs first, in their order: new elements land in it.
-        for item, odots in theirs.items():
-            cur = mine.get(item, _NO_TAGS)
-            if cur is odots or cur == odots:
-                continue
-            drop = add = ()
-            kept = left = False
-            for d in cur:
-                if d in odots:
-                    continue
-                if d[1] <= octx.get(d[0], 0) or d in ocloud:
-                    if drop:
-                        drop.append(d)
-                    else:
-                        drop = [d]
-                else:
-                    kept = True
-            for d in odots:
-                if d in cur:
-                    continue
-                if d[1] > ctx.get(d[0], 0) and d not in cloud:
-                    if add:
-                        add.append(d)
-                    else:
-                        add = [d]
-                else:
-                    left = True
-            if not (kept or left):
-                mine[item] = odots
-            elif drop or add:
-                merged = cur.difference(drop).union(add)
-                if merged:
-                    mine[item] = merged
-                else:
-                    del mine[item]
-        # Then the elements only we hold: nothing to take, and what the
-        # other side has seen (and so removed) goes.
-        for item in [i for i in mine if i not in theirs]:
-            cur = mine[item]
-            drop = ()
-            kept = False
-            for d in cur:
-                if d[1] <= octx.get(d[0], 0) or d in ocloud:
-                    if drop:
-                        drop.append(d)
-                    else:
-                        drop = [d]
-                else:
-                    kept = True
-            if not kept:
-                del mine[item]
-            elif drop:
-                mine[item] = cur.difference(drop)
 
     def copy(self) -> "ORSet":
         clone = self._blank_copy()
-        clone._counter = self._counter
         # Immutable dot sets: sharing them is safe, so the snapshot a
         # gossip round ships is O(live elements), not O(history).
         clone._dots = dict(self._dots)
-        clone._maxc = dict(self._maxc)
+        clone._prefix = dict(self._prefix)
         clone._cloud = self._cloud
         return clone
 
@@ -290,7 +199,7 @@ class ORSet(StateCRDT):
             "dots": {repr(k): sorted(v) for k, v in self._dots.items()},
             "context": {
                 repr(r): c
-                for r, c in sorted(self._maxc.items(), key=lambda kv: repr(kv[0]))
+                for r, c in sorted(self._prefix.items(), key=lambda kv: repr(kv[0]))
             },
         }
         if self._cloud:

@@ -41,14 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from ..clocks import (
-    DottedValueSet,
-    DottedVersion,
-    Dot,
-    LamportClock,
-    LamportStamp,
-    VectorClock,
-)
+from ..clocks import DottedValueSet, LamportClock, LamportStamp
 from ..errors import QuorumError
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, ServerNode
@@ -215,7 +208,7 @@ class DottedSiblings:
     def mint(
         self, held: DottedValueSet, value: Any, context: dict
     ) -> DottedValueSet:
-        return held.put(self.owner, value, VectorClock(context))
+        return held.put(self.owner, value, context)
 
     def witness(self, state: DottedValueSet) -> None:
         """Dots are minted against the key's own state; there is no
@@ -224,37 +217,26 @@ class DottedSiblings:
     @staticmethod
     def behind(held: DottedValueSet, other: DottedValueSet) -> bool:
         """For ``other`` a merge that includes ``held``: equal clocks
-        and equally many versions mean equal sets."""
-        return held.clock != other.clock or len(held.versions) != len(
-            other.versions
+        and equally many siblings mean equal sets."""
+        return held.clock != other.clock or len(held.siblings) != len(
+            other.siblings
         )
 
     merge = staticmethod(DottedValueSet.sync)
 
     @staticmethod
     def encode(state: DottedValueSet) -> tuple[tuple, dict]:
-        versions = tuple(
-            ((v.dot.replica, v.dot.counter), v.context.entries(), v.value)
-            for v in state.versions
-        )
-        return versions, state.clock.entries()
+        """``(((dot, value), …), clock)``: one clock per key."""
+        return tuple(state.siblings.items()), dict(state.clock)
 
     @staticmethod
-    def decode(versions: tuple, clock: dict) -> DottedValueSet:
-        decoded = tuple(
-            DottedVersion(
-                dot=Dot(replica, counter),
-                context=VectorClock(context),
-                value=value,
-            )
-            for (replica, counter), context, value in versions
-        )
-        return DottedValueSet(decoded, VectorClock(clock))
+    def decode(siblings: tuple, clock: dict) -> DottedValueSet:
+        return DottedValueSet(dict(siblings), dict(clock))
 
     @staticmethod
     def reply(state: DottedValueSet) -> tuple[list, dict]:
         """``(sibling_values, context)``."""
-        return state.values(), state.clock.entries()
+        return state.values(), dict(state.clock)
 
     @staticmethod
     def snapshot(data: dict) -> dict:

@@ -148,24 +148,9 @@ class Tracer(TraceHooks):
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def filter(
-        self,
-        kind: str | Iterable[str] | None = None,
-        since: float | None = None,
-        until: float | None = None,
-        **match: Any,
-    ) -> list[TraceEvent]:
-        """Events matching a kind (or kinds), a time window, and exact
-        field values (e.g. ``filter(kind="msg_drop", reason="crash")``)."""
-        return filter_events(self.events, kind=kind, since=since,
-                             until=until, **match)
-
     def message_summary(self) -> dict[str, dict[str, int]]:
         """Per-message-type sent/delivered/dropped counts."""
         return message_summary(self.events)
-
-    def kind_counts(self) -> dict[str, int]:
-        return kind_counts(self.events)
 
     # -- export --------------------------------------------------------
     def dump_jsonl(self, path) -> int:
@@ -329,8 +314,8 @@ def metrics_digest(snapshot: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Free functions shared by Tracer and the `repro trace` CLI (which
-# operates on events loaded back from JSONL).
+# Free functions over events: a `Tracer`'s in-process list, or the ones
+# the `repro trace` CLI loads back from JSONL.
 # ---------------------------------------------------------------------------
 
 
@@ -341,6 +326,9 @@ def filter_events(
     until: float | None = None,
     **match: Any,
 ) -> list[TraceEvent]:
+    """Events matching a kind (or kinds), a time window, and exact field
+    values (e.g. ``filter_events(events, kind="msg_drop",
+    reason="crash")``)."""
     kinds: set[str] | None
     if kind is None:
         kinds = None

@@ -8,6 +8,7 @@ sequence number.
 
 from repro.api import registry
 from repro.sim import FixedLatency, Network, Simulator, Tracer, spawn
+from repro.sim.trace import filter_events
 
 
 def build_cached(sim, net, policy="write_through", **kwargs):
@@ -24,7 +25,7 @@ def drive(sim, script):
 
 
 def cdc_annotations(tracer):
-    return tracer.filter(kind="annotation", category="cdc")
+    return filter_events(tracer.events, kind="annotation", category="cdc")
 
 
 def test_cache_writes_feed_the_cdc_log():

@@ -11,6 +11,7 @@ from repro.clocks import (
     Ordering,
     VectorClock,
 )
+from repro.clocks.dvv import join, join_context
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_lamport_stamp_does_not_order_against_other_types():
 # ----------------------------------------------------------------------
 
 def test_vector_clock_basic_ordering():
-    v = VectorClock().tick("a")
+    v = VectorClock({}).tick("a")
     w = v.tick("b")
     assert v.compare(w) is Ordering.BEFORE
     assert w.compare(v) is Ordering.AFTER
@@ -93,7 +94,7 @@ def test_vector_clock_basic_ordering():
 
 
 def test_vector_clock_concurrency():
-    base = VectorClock().tick("a")
+    base = VectorClock({}).tick("a")
     left = base.tick("b")
     right = base.tick("c")
     assert left.compare(right) is Ordering.CONCURRENT
@@ -103,12 +104,12 @@ def test_vector_clock_concurrency():
 
 
 def test_vector_clock_zero_entries_normalized_away():
-    assert VectorClock({"a": 0}) == VectorClock()
+    assert VectorClock({"a": 0}) == VectorClock({})
     assert len(VectorClock({"a": 0, "b": 2})) == 1
 
 
 def test_vector_clock_immutable_and_hashable():
-    v = VectorClock().tick("a")
+    v = VectorClock({}).tick("a")
     w = v.tick("a")
     assert v["a"] == 1 and w["a"] == 2
     assert len({v, w, VectorClock({"a": 1})}) == 2
@@ -192,7 +193,7 @@ def test_tick_strictly_advances(v, node):
 
 def test_dvv_blind_writes_become_siblings():
     s = DottedValueSet()
-    empty = s.context()
+    empty = s.clock
     s = s.put("r1", "a", empty)
     s = s.put("r1", "b", empty)
     assert sorted(s.values()) == ["a", "b"]
@@ -200,16 +201,16 @@ def test_dvv_blind_writes_become_siblings():
 
 def test_dvv_read_modify_write_collapses_siblings():
     s = DottedValueSet()
-    s = s.put("r1", "a", s.context())
-    s = s.put("r2", "b", VectorClock())  # concurrent via other replica
+    s = s.put("r1", "a", s.clock)
+    s = s.put("r2", "b", {})  # concurrent via other replica
     assert len(s.values()) == 2
-    s = s.put("r1", "winner", s.context())
+    s = s.put("r1", "winner", s.clock)
     assert s.values() == ["winner"]
 
 
 def test_dvv_sync_is_idempotent_commutative():
-    s1 = DottedValueSet().put("r1", "a", VectorClock())
-    s2 = DottedValueSet().put("r2", "b", VectorClock())
+    s1 = DottedValueSet().put("r1", "a", {})
+    s2 = DottedValueSet().put("r2", "b", {})
     merged_a = s1.sync(s2)
     merged_b = s2.sync(s1)
     assert sorted(map(repr, merged_a.values())) == sorted(map(repr, merged_b.values()))
@@ -218,8 +219,8 @@ def test_dvv_sync_is_idempotent_commutative():
 
 
 def test_dvv_sync_drops_versions_other_side_saw_and_superseded():
-    s1 = DottedValueSet().put("r1", "old", VectorClock())
-    s2 = s1.put("r1", "new", s1.context())  # r1 advanced locally
+    s1 = DottedValueSet().put("r1", "old", {})
+    s2 = s1.put("r1", "new", s1.clock)  # r1 advanced locally
     # s1 still has "old"; sync with s2 (which saw and superseded it)
     merged = s1.sync(s2)
     assert merged.values() == ["new"]
@@ -232,8 +233,8 @@ def test_dvv_no_sibling_explosion_through_one_coordinator():
     # growing with the number of writes (the classic VV explosion).
     s = DottedValueSet()
     for i in range(10):
-        stale_ctx = s.context()                   # client 1 reads
-        s = s.put("r1", f"c2-{i}", s.context())   # client 2 read+write
+        stale_ctx = s.clock                   # client 1 reads
+        s = s.put("r1", f"c2-{i}", s.clock)   # client 2 read+write
         s = s.put("r1", f"c1-{i}", stale_ctx)     # client 1 writes stale
         assert len(s.values()) <= 2
     assert len(s.values()) == 2
@@ -244,6 +245,67 @@ def test_dvv_blind_writes_legitimately_accumulate():
     # concurrent, so a correct DVV store must keep them all.
     s = DottedValueSet()
     for i in range(5):
-        s = s.put("r1", i, VectorClock())
+        s = s.put("r1", i, {})
     assert len(s.values()) == 5
 
+
+
+# ----------------------------------------------------------------------
+# The dot kernel against the set formula
+# ----------------------------------------------------------------------
+
+dots_st = st.frozensets(st.tuples(st.sampled_from("ab"), st.integers(1, 6)),
+                        max_size=8)
+#: A state: a dot store, an explicit finite set of seen dots, and how
+#: far short of the longest run from 1 its prefix is cut.
+state_st = st.tuples(
+    st.dictionaries(st.sampled_from("xyz"), dots_st.filter(bool), max_size=3),
+    dots_st,
+    st.integers(0, 3),
+)
+
+
+def _represent(seen, cut):
+    """``seen`` as ``(prefix, cloud)`` with each replica's prefix cut
+    ``cut`` dots short of its longest run from 1, so the cloud holds
+    dots that extend the prefix, as a delta's cloud does."""
+    prefix = {}
+    for replica in "ab":
+        run = 0
+        while (replica, run + 1) in seen:
+            run += 1
+        if run > cut:
+            prefix[replica] = run - cut
+    return prefix, frozenset(d for d in seen if d[1] > prefix.get(d[0], 0))
+
+
+def _expand(prefix, cloud):
+    return cloud | {
+        (replica, n) for replica, top in prefix.items()
+        for n in range(1, top + 1)
+    }
+
+
+@given(ours=state_st, theirs=state_st)
+@settings(max_examples=300, deadline=None)
+def test_dot_join_is_the_set_formula(ours, theirs):
+    """Per key ``(s ∩ s′) ∪ (s ∖ c′) ∪ (s′ ∖ c)``, empty keys gone, ours
+    in place and new keys after in their order; the context becomes
+    ``c ∪ c′``, compacted: no cloud dot its prefix covers or extends.
+    ``join_context`` alone does the same to the contexts."""
+    (store, seen, cut), (other, oseen, ocut) = ours, theirs
+    expected = {}
+    for key in {**store, **other}:
+        mine, theirs_ = store.get(key, frozenset()), other.get(key, frozenset())
+        dots = (mine & theirs_) | (mine - oseen) | (theirs_ - seen)
+        if dots:
+            expected[key] = dots
+    order = [key for key in {**store, **other} if key in expected]
+    (prefix, cloud), (oprefix, ocloud) = _represent(seen, cut), _represent(oseen, ocut)
+    alone = dict(prefix)
+    alone_cloud = join_context(alone, cloud, oprefix, ocloud)
+    cloud = join(store, prefix, cloud, other, oprefix, ocloud)
+    assert store == expected and list(store) == order
+    assert (alone, alone_cloud) == (prefix, cloud)
+    assert _expand(prefix, cloud) == seen | oseen
+    assert all(n > prefix.get(r, 0) + 1 for r, n in cloud)

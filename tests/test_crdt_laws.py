@@ -31,7 +31,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.clocks import DottedValueSet
+from repro.clocks import DottedValueSet, VectorClock
+from repro.clocks.dvv import join
 from repro.crdt import (
     RGA,
     GCounter,
@@ -365,11 +366,11 @@ _NONE = frozenset()
 
 
 def _has_seen(orset, dot):
-    return dot[1] <= orset._maxc.get(dot[0], 0) or dot in orset._cloud
+    return dot[1] <= orset._prefix.get(dot[0], 0) or dot in orset._cloud
 
 
 def _join_oracle(ours, theirs):
-    """``_join_dots``'s docstring, read literally: keep a dot iff both
+    """``join``'s docstring, read literally: keep a dot iff both
     hold it live, or its only holder is the side the other has not seen
     it from.  Our elements keep their places; new ones follow in their
     order."""
@@ -389,7 +390,8 @@ def _join_oracle(ours, theirs):
 
 def _assert_join_is_the_definition(ours, theirs):
     expected = _join_oracle(ours, theirs)
-    ours._join_dots(theirs)
+    join(ours._dots, ours._prefix, ours._cloud,
+         theirs._dots, theirs._prefix, theirs._cloud)
     assert ours._dots == expected
     assert list(ours._dots) == list(expected)
 
@@ -407,7 +409,7 @@ join_script_st = st.lists(
 def _run_join_script(script):
     """Every pull — a peer's full state, one earlier delta out of order,
     or several joined into a fresh ``ORSet`` — goes through
-    ``_join_dots`` against the oracle, then through ``merge``.  Returns
+    ``join`` against the oracle, then through ``merge``.  Returns
     the (cloud on our side, cloud on theirs) combinations it met."""
     replicas = [ORSet(r) for r in REPLICAS]
     deltas, met = [], set()
@@ -453,7 +455,7 @@ def test_orset_join_is_the_definition_under_every_cloud_combination():
 def _hand_built(replica, dots, context):
     orset = ORSet(replica)
     orset._dots = {"x": frozenset(dots)}
-    orset._maxc = dict(context)
+    orset._prefix = dict(context)
     return orset
 
 
@@ -607,16 +609,16 @@ def test_mv_register_is_a_dotted_value_set(script):
         if kind < 2:
             value = f"v{len(writes)}"
             registers[who].assign(value)
-            bare[who] = bare[who].put(REPLICAS[who], value, bare[who].context())
-            dot = bare[who].versions[-1].dot
-            writes.append((dot.replica, dot.counter, bare[who].context(), value))
+            bare[who] = bare[who].put(REPLICAS[who], value, bare[who].clock)
+            replica, counter = list(bare[who].siblings)[-1]
+            writes.append((replica, counter, VectorClock(bare[who].clock), value))
         elif arg % 3 != who:
             registers[who].merge(registers[arg % 3].copy())
             bare[who] = bare[who].sync(bare[arg % 3])
         assert registers[who].values == bare[who].values()
         seen = [
             (clock, value) for replica, counter, clock, value in writes
-            if bare[who].context()[replica] >= counter
+            if bare[who].clock.get(replica, 0) >= counter
         ]
         maximal = [
             value for clock, value in seen

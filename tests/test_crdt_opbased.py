@@ -121,6 +121,21 @@ def test_op_orset_concurrent_add_wins():
     assert a.value == b.value == frozenset({"x"})
 
 
+def test_op_orset_readd_keeps_one_tag():
+    """The δ-ORSet add: a re-add ships the tags it replaces and every
+    replica that applies it retires them, so an element re-added N times
+    holds one tag; a concurrent add's tag is not among them."""
+    for readds in (3, 16_000):
+        a, b = OpORSet("a"), OpORSet("b")
+        for _ in range(readds):
+            b.receive(a.add("x"))
+        assert a._tags == b._tags == {"x": {("a", readds)}}
+    concurrent = b.add("x")
+    b.receive(a.add("x"))
+    a.receive(concurrent)
+    assert a._tags == b._tags == {"x": {("a", 16_001), ("b", 1)}}
+
+
 @given(
     script=st.lists(
         st.tuples(

@@ -23,6 +23,7 @@ from repro.perf.scenarios import _QUORUM
 from repro.replication.common import ClientNode
 from repro.replication.quorum import DynamoNode
 from repro.sim import ExponentialLatency, Network, Node, Simulator, Tracer
+from repro.sim.trace import filter_events
 from repro.workload import YCSBWorkload, run_workload
 
 
@@ -126,7 +127,7 @@ def test_callback_may_set_a_deadline_on_its_own_lane():
     node.set_deadline(4.0, again, 3)
     sim.run()
     assert fired == [4.0, 8.0, 12.0, 16.0]
-    assert len(tracer.filter(kind="event_executed")) == 4
+    assert len(filter_events(tracer.events, kind="event_executed")) == 4
     assert node._lanes == {} and sim.pending_events == 0
 
 
@@ -190,7 +191,7 @@ def test_closed_loop_traffic_costs_one_wake_up_per_period_not_per_op():
         handle = node.set_deadline(400.0, lambda: None)
         sim.run(until=sim.now + 1.0)
         handle.cancel()
-    assert len(tracer.filter(kind="event_executed")) == 2   # t=400, t=799
+    assert len(filter_events(tracer.events, kind="event_executed")) == 2   # t=400, t=799
     assert len(node._lanes[400.0].entries) < 410
 
 
@@ -239,7 +240,7 @@ def test_cancelled_deadline_drops_its_callback_and_args_at_once():
     "Node.every stops at crash() and nothing re-arms it at recover(): a "
     "recovered DynamoNode never pushes a hint again, a Bayou or "
     "anti-entropy node never gossips again.  Re-arming draws jitter from "
-    "the RNG on every crash scenario, so it is ROADMAP item 1's fix."
+    "the RNG on every crash scenario, so it is ROADMAP item 5's fix."
 ))
 def test_periodic_timers_resume_after_recover():
     sim, node = make_node()
@@ -286,7 +287,8 @@ def test_healthy_quorum_run_executes_no_timeout(monkeypatch):
                           clients=8, timeout=60_000.0)
     assert result.ops_ok == ops
     assert calls == []
-    executed = [event.data["fn"] for event in tracer.filter(kind="event_executed")]
+    executed = [event.data["fn"]
+                for event in filter_events(tracer.events, kind="event_executed")]
     assert not [fn for fn in executed
                 if any(name in fn for name in ("_timeout", "_expire", "_write_fallback"))]
     # 1,000 timeouts were armed (2.5 per op); what is left of them is one

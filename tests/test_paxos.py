@@ -22,6 +22,7 @@ from repro.sim import (
     Tracer,
     spawn,
 )
+from repro.sim.trace import filter_events
 from repro.workload import OpSpec, WorkloadDriver
 
 
@@ -415,7 +416,7 @@ def test_single_node_group_elects_and_commits_without_replica_messages():
     spawn(sim, script())
     sim.run()
     assert out == {"version": 1, "read": ("v", 1)}
-    sent = {event.data["msg_type"] for event in tracer.filter(kind="msg_send")}
+    sent = {event.data["msg_type"] for event in filter_events(tracer.events, kind="msg_send")}
     assert sent == {"Request", "Reply"}
 
 
@@ -431,8 +432,8 @@ def test_leader_sends_accepts_to_its_peers_only():
     spawn(sim, script())
     sim.run()
     for kind in ("MPPrepare", "MPAccept"):
-        destinations = [event.data["dst"]
-                        for event in tracer.filter(kind="msg_send", msg_type=kind)]
+        sends = filter_events(tracer.events, kind="msg_send", msg_type=kind)
+        destinations = [event.data["dst"] for event in sends]
         assert sorted(destinations) == sorted(leader._peers)
     assert leader.store == {"k": ("v", 1)}
 

@@ -33,7 +33,7 @@ from repro.perf import (
     run_suite,
 )
 from repro.sim import Simulator
-from repro.sim.trace import Tracer, _time_text
+from repro.sim.trace import Tracer, _time_text, kind_counts
 
 
 def test_scenario_registry_names():
@@ -229,7 +229,7 @@ def test_hashing_tracer_matches_dumped_jsonl_on_real_runs(monkeypatch, name):
 
     monkeypatch.setattr(Simulator, "run", run_by_stepping)
     SCENARIOS[name].run(9, True, hashing)
-    kinds = stored.kind_counts()
+    kinds = kind_counts(stored.events)
     assert kinds["msg_send"] > 1000 and kinds["event_executed"] > 1000
     if name == "quorum_chaos":
         assert kinds["msg_drop"] and kinds["node_crash"] and kinds["annotation"]

@@ -13,7 +13,7 @@ from repro.chaos import PLANS, Nemesis
 from repro.checkers import check_linearizability, stale_read_fraction
 from repro.errors import QuorumError, TimeoutError as ReproTimeoutError
 from repro.replication import DynamoCluster, SiblingDynamoCluster
-from repro.replication.quorum import DynamoNode
+from repro.replication.quorum import DottedSiblings, DynamoNode
 from repro.sharding import ShardedStore
 from repro.sim import (
     ExponentialLatency,
@@ -23,6 +23,7 @@ from repro.sim import (
     Tracer,
     spawn,
 )
+from repro.sim.trace import filter_events
 from repro.workload import OpSpec, WorkloadDriver, YCSBWorkload, run_workload
 
 BOTH = pytest.mark.parametrize(
@@ -274,10 +275,10 @@ def test_coordinator_forgets_pending_ops_at_crash(cluster_cls):
     sim.schedule(10.0, coordinator.crash)
     sim.schedule(20.0, coordinator.recover)
     out = run_script(sim, client, try_put)
-    acks = tracer.filter(kind="msg_deliver", msg_type="StoreAck",
+    acks = filter_events(tracer.events, kind="msg_deliver", msg_type="StoreAck",
                          dst=coordinator.node_id, since=20.0)
     assert len(acks) == 2 and not coordinator.crashed  # they did arrive
-    assert tracer.filter(kind="msg_send", msg_type="Reply") == []
+    assert filter_events(tracer.events, kind="msg_send", msg_type="Reply") == []
     assert out["result"] == "TimeoutError"
     assert counted(cluster, "writes_succeeded") == 0
     assert coordinator._ops == {}
@@ -359,7 +360,7 @@ def test_cluster_parameter_validation(cluster_cls):
 
 
 def loopback_sends(tracer):
-    return [event for event in tracer.filter(kind="msg_send")
+    return [event for event in filter_events(tracer.events, kind="msg_send")
             if event.data["src"] == event.data["dst"]]
 
 
@@ -390,7 +391,7 @@ def test_r1_get_and_w1_put_at_a_home_coordinator_decide_in_process(cluster_cls):
     assert (out["put"], out["get"]) == (4.0, 8.0)
     assert out["value"] == shown(cluster, "v")
     assert loopback_sends(tracer) == []
-    stores = tracer.filter(kind="msg_send", msg_type="StoreMsg")
+    stores = filter_events(tracer.events, kind="msg_send", msg_type="StoreMsg")
     assert len(stores) == cluster.n - 1   # the other homes still get the write
 
 
@@ -407,7 +408,7 @@ def test_r2_read_fetches_from_the_other_homes_only(cluster_cls):
 
     out = run_script(sim, client, script)
     assert out["value"] == ([] if cluster_cls is SiblingDynamoCluster else None)
-    fetches = tracer.filter(kind="msg_send", msg_type="FetchMsg")
+    fetches = filter_events(tracer.events, kind="msg_send", msg_type="FetchMsg")
     assert len(fetches) == cluster.n - 1
     assert loopback_sends(tracer) == []
 
@@ -644,6 +645,20 @@ def test_concurrent_blind_writes_become_siblings():
     sim.run()
     values, _context = out["read"]
     assert sorted(values) == ["from-alice", "from-bob"]
+
+
+def test_sibling_wire_ships_one_clock_per_key():
+    """A sibling is its dot and its value: a two-sibling state goes on
+    the wire as ``(dot, value)`` pairs plus the key's one clock, and
+    decodes to the same siblings in the same order."""
+    a, b = DottedSiblings("n1"), DottedSiblings("n2")
+    state = b.mint(a.mint(DottedSiblings.EMPTY, "x", {}), "y", {})
+    siblings, clock = DottedSiblings.encode(state)
+    assert siblings == ((("n1", 1), "x"), (("n2", 1), "y"))
+    assert clock == {"n1": 1, "n2": 1}
+    decoded = DottedSiblings.decode(siblings, clock)
+    assert decoded.values() == ["x", "y"]
+    assert not DottedSiblings.behind(decoded, state)
 
 
 def test_read_then_write_resolves_siblings():

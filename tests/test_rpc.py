@@ -6,6 +6,7 @@ from repro.errors import NotLeaderError, TimeoutError as ReproTimeoutError
 from repro.replication.common import ClientNode, ServerNode
 from repro.rpc import DEFAULT_RETRYABLE, RetryPolicy
 from repro.sim import FixedLatency, Future, Network, Simulator, Tracer
+from repro.sim.trace import filter_events
 
 
 class EchoServer(ServerNode):
@@ -118,7 +119,7 @@ def test_failover_to_second_endpoint():
     sim.run()
     assert future.value == "HELLO"
     assert counter(sim, "failovers") == 1
-    annotations = sim.trace.filter(kind="annotation", category="rpc_failover")
+    annotations = filter_events(sim.trace.events, kind="annotation", category="rpc_failover")
     assert len(annotations) == 1
     assert annotations[0].data["endpoint"] == "s1"
 
@@ -203,7 +204,7 @@ def test_hedge_win_cancels_slow_attempt():
     assert counter(sim, "hedges") == 1
     assert counter(sim, "hedge_wins") == 1
     # The losing attempt is traced as a hedge_cancel drop on its Reply…
-    drops = sim.trace.filter(kind="msg_drop", reason="hedge_cancel")
+    drops = filter_events(sim.trace.events, kind="msg_drop", reason="hedge_cancel")
     assert len(drops) == 1
     assert drops[0].data["src"] == "s0"
     # …and the summary counts it under its own reason, not "loss".

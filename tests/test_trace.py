@@ -49,7 +49,7 @@ def test_executed_events_recorded():
     sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.run()
-    executed = tracer.filter(kind="event_executed")
+    executed = filter_events(tracer.events, kind="event_executed")
     assert [event.time for event in executed] == [1.0, 2.0]
     assert all("fn" in event.data for event in executed)
 
@@ -89,8 +89,8 @@ def test_send_and_deliver_traced():
     sim, _net, tracer, _a, _b = traced_pair()
     _a.send("b", "ping")
     sim.run()
-    sends = tracer.filter(kind="msg_send")
-    delivers = tracer.filter(kind="msg_deliver")
+    sends = filter_events(tracer.events, kind="msg_send")
+    delivers = filter_events(tracer.events, kind="msg_deliver")
     assert len(sends) == 2  # ping + pong
     assert len(delivers) == 2
     assert sends[0].data == {"src": "a", "dst": "b", "msg_type": "str"}
@@ -103,20 +103,20 @@ def test_drop_reasons_traced():
     for _ in range(20):
         net.send("a", "b", "lossy")
     sim.run()
-    assert tracer.filter(kind="msg_drop", reason="loss")
+    assert filter_events(tracer.events, kind="msg_drop", reason="loss")
     # partition
     tracer.clear()
     net.loss_rate = 0.0
     net.partition(["a"], ["b"])
     net.send("a", "b", "blocked")
-    assert tracer.filter(kind="msg_drop", reason="partition")
+    assert filter_events(tracer.events, kind="msg_drop", reason="partition")
     # crash (destination)
     tracer.clear()
     net.heal()
     b.crash()
     net.send("a", "b", "to-the-dead")
     sim.run()
-    drops = tracer.filter(kind="msg_drop", reason="crash")
+    drops = filter_events(tracer.events, kind="msg_drop", reason="crash")
     assert drops and drops[0].data["dst"] == "b"
 
 
@@ -125,8 +125,8 @@ def test_node_crash_and_recover_traced():
     a.crash()
     sim.run(until=5.0)
     a.recover()
-    crashes = tracer.filter(kind="node_crash")
-    recovers = tracer.filter(kind="node_recover")
+    crashes = filter_events(tracer.events, kind="node_crash")
+    recovers = filter_events(tracer.events, kind="node_recover")
     assert [event.data["node"] for event in crashes] == ["a"]
     assert [event.data["node"] for event in recovers] == ["a"]
     assert recovers[0].time == 5.0
@@ -136,7 +136,7 @@ def test_sim_annotate_records_annotation():
     tracer = Tracer()
     sim = Simulator(tracer=tracer)
     sim.annotate("my_category", key="k", extra=7)
-    notes = tracer.filter(kind="annotation", category="my_category")
+    notes = filter_events(tracer.events, kind="annotation", category="my_category")
     assert len(notes) == 1
     assert notes[0].data["extra"] == 7
 
@@ -152,11 +152,11 @@ def test_filter_by_time_window_and_field():
     for t in (1.0, 2.0, 3.0):
         tracer.record(t, "msg_send", src="a", dst="b", msg_type="Ping")
     tracer.record(2.0, "msg_send", src="b", dst="a", msg_type="Pong")
-    assert len(tracer.filter(since=2.0)) == 3
-    assert len(tracer.filter(until=2.0)) == 3
-    assert len(tracer.filter(since=2.0, until=2.0)) == 2
-    assert len(tracer.filter(src="b")) == 1
-    assert len(tracer.filter(kind=["msg_send"], msg_type="Ping")) == 3
+    assert len(filter_events(tracer.events, since=2.0)) == 3
+    assert len(filter_events(tracer.events, until=2.0)) == 3
+    assert len(filter_events(tracer.events, since=2.0, until=2.0)) == 2
+    assert len(filter_events(tracer.events, src="b")) == 1
+    assert len(filter_events(tracer.events, kind=["msg_send"], msg_type="Ping")) == 3
 
 
 def test_message_summary_counts_by_type():
