@@ -40,13 +40,20 @@ def digest(target: str, seed: int = 42, scale: str = "quick") -> tuple[str, str,
             crdt.merge = merge  # an instance attribute: copies do not carry it
         return crdt
 
-    for cls in (module.ORSet, module.GCounter):  # record the replicas the run builds
-        setattr(module, cls.__name__, lambda rid, cls=cls: build(cls, rid))
-    if catalogue == "bench":
-        workload = workloads.WORKLOADS[name]
-        workload.run(workload.build(seed, workload.ops, None))
-    else:
-        scenarios.SCENARIOS[name].run(seed, scale != "full", None)
+    originals = {"ORSet": module.ORSet, "GCounter": module.GCounter}
+    for attr, cls in originals.items():  # record the replicas the run builds
+        setattr(module, attr, lambda rid, cls=cls: build(cls, rid))
+    try:
+        if catalogue == "bench":
+            workload = workloads.WORKLOADS[name]
+            workload.run(workload.build(seed, workload.ops, None))
+        else:
+            scenarios.SCENARIOS[name].run(seed, scale != "full", None)
+    finally:
+        for attr, cls in originals.items():
+            setattr(module, attr, cls)
+    if not values:
+        raise RuntimeError(f"{target}: the run recorded no ORSet merge")
     payload = [[crdt.state(), list(getattr(crdt, "_dots", ()))] for crdt in made]
     return (hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest(),
             hashlib.sha256(json.dumps(values).encode()).hexdigest(), len(values))

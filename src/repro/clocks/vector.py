@@ -14,7 +14,7 @@ histories without defensive copying.
 from __future__ import annotations
 
 import enum
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterator, Mapping, ValuesView
 
 
 class Ordering(enum.Enum):
@@ -71,6 +71,9 @@ class VectorClock(Mapping[Hashable, int]):
     def __len__(self) -> int:
         return len(self._counts)
 
+    def values(self) -> ValuesView[int]:
+        return self._counts.values()  # a view, not a copy: never mutated
+
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(frozenset(self._counts.items()))
@@ -111,6 +114,23 @@ class VectorClock(Mapping[Hashable, int]):
     def dominates(self, other: "VectorClock") -> bool:
         """True when ``self >= other`` pointwise (EQUAL or AFTER)."""
         return all(self[n] >= c for n, c in other._counts.items())
+
+    def delivery(self, stamp: "VectorClock", origin: Hashable) -> bool | None:
+        """Causal-broadcast delivery of an op stamped ``stamp`` at
+        ``origin``, read against this receiver's clock: ``None`` when
+        already delivered, ``True`` when it is ``origin``'s next op and
+        every dependency is delivered (then ``self.tick(origin)`` equals
+        ``self.merge(stamp)``), ``False`` when it must wait."""
+        ours, theirs = self._counts, stamp._counts
+        mine, count = ours.get(origin, 0), theirs.get(origin, 0)
+        if count <= mine:
+            return None
+        if count != mine + 1:
+            return False
+        for node, seen in theirs.items():
+            if seen > ours.get(node, 0) and node != origin:
+                return False
+        return True
 
     def strictly_dominates(self, other: "VectorClock") -> bool:
         return self.dominates(other) and self._counts != other._counts

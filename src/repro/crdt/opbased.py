@@ -57,48 +57,40 @@ class CausalBuffer:
 
     def receive(self, envelope: OpEnvelope) -> None:
         """Accept a (possibly duplicate / early) envelope from the network."""
-        if self._already_seen(envelope):
+        ready = self.clock.delivery(envelope.clock, envelope.origin)
+        if ready is None:
             self.duplicates += 1
-            return
-        if self._deliverable(envelope):
+        elif ready:
             self._deliver(envelope)
-            self._drain()
+            if self._pending:
+                self._drain()
         else:
             self.held_back += 1
             self._pending.append(envelope)
 
-    def _already_seen(self, envelope: OpEnvelope) -> bool:
-        return self.clock[envelope.origin] >= envelope.clock[envelope.origin]
-
-    def _deliverable(self, envelope: OpEnvelope) -> bool:
-        """Next-in-sequence from its origin, and all its causal
-        dependencies already delivered."""
-        if envelope.clock[envelope.origin] != self.clock[envelope.origin] + 1:
-            return False
-        return all(
-            envelope.clock[node] <= self.clock[node]
-            for node in envelope.clock
-            if node != envelope.origin
-        )
-
     def _deliver(self, envelope: OpEnvelope) -> None:
-        self.clock = self.clock.merge(envelope.clock)
+        # Only ever called for a deliverable envelope: its clock is at
+        # most ours except at its origin, one ahead, so the tick is the merge.
+        self.clock = self.clock.tick(envelope.origin)
         self.apply(envelope)
         self.delivered += 1
 
     def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for envelope in list(self._pending):
-                if self._already_seen(envelope):
-                    self._pending.remove(envelope)
+        """Deliver held-back envelopes, in queue order, until a pass
+        delivers none; drop the ones that turn out duplicates."""
+        delivered = True
+        while delivered:
+            delivered, waiting = False, []
+            for envelope in self._pending:
+                ready = self.clock.delivery(envelope.clock, envelope.origin)
+                if ready is None:
                     self.duplicates += 1
-                    progressed = True
-                elif self._deliverable(envelope):
-                    self._pending.remove(envelope)
+                elif ready:
                     self._deliver(envelope)
-                    progressed = True
+                    delivered = True
+                else:
+                    waiting.append(envelope)
+            self._pending = waiting
 
     @property
     def pending_count(self) -> int:

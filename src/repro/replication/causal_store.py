@@ -62,7 +62,7 @@ class _WritePayload:
 
 
 def _rank_of(envelope: OpEnvelope) -> Rank:
-    return (sum(envelope.clock.entries().values()), str(envelope.origin))
+    return (sum(envelope.clock.values()), str(envelope.origin))
 
 
 class CausalReplica(ServerNode):
@@ -129,23 +129,20 @@ class CausalClient(GroupClient):
         home: Hashable,
     ) -> None:
         super().__init__(sim, network, node_id, cluster, session)
-        self.home = home
-
-    def _endpoints(self) -> list:
-        """Failover order: the home replica, then every other replica —
-        any COPS replica accepts local reads and writes."""
-        return [self.home] + [
-            node for node in self.cluster.node_ids if node != self.home
+        #: Failover order: the home replica, then every other replica —
+        #: any COPS replica accepts local reads and writes.
+        self._endpoints = [home] + [
+            node for node in cluster.node_ids if node != home
         ]
 
     def put(self, key: Hashable, value: Any, timeout: float | None = None) -> Future:
         """Local write; resolves with the write's arbitration rank."""
-        return self.call(self._endpoints(), CPutLocal(key, value), timeout,
+        return self.call(self._endpoints, CPutLocal(key, value), timeout,
                          idempotent=True)
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
         """Local read; resolves with ``(value, rank-or-None)``."""
-        return self.call(self._endpoints(), CGetLocal(key), timeout)
+        return self.call(self._endpoints, CGetLocal(key), timeout)
 
 
 class CausalCluster(ReplicaGroup):

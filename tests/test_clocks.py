@@ -170,6 +170,22 @@ def test_tick_and_merge_equal_publicly_constructed_clocks(v, w, node):
     assert v == VectorClock(v.entries())             # operands untouched
 
 
+@given(clock_st, clock_st, nodes_st)
+def test_delivery_classifies_like_the_mapping_rule(v, w, origin):
+    # ``w`` is an arbitrary stamp; ``ready`` is built to be deliverable:
+    # at most ``v`` everywhere, then ticked one past ``v`` at its origin.
+    lower = {n: min(v[n], w[n]) for n in set(v) | set(w)}
+    lower[origin] = v[origin]
+    ready = VectorClock(lower).tick(origin)
+    for stamp in (w, ready):
+        next_op = stamp[origin] == v[origin] + 1 and all(
+            stamp[n] <= v[n] for n in stamp if n != origin)
+        expected = None if stamp[origin] <= v[origin] else next_op
+        assert v.delivery(stamp, origin) is expected
+    assert v.merge(ready) == v.tick(origin)
+    assert list(v.merge(ready)) == list(v.tick(origin))   # same key order
+
+
 @given(clock_st, clock_st)
 def test_compare_antisymmetric(v, w):
     cv, cw = v.compare(w), w.compare(v)

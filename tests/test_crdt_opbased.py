@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clocks import VectorClock
 from repro.crdt import CausalBuffer, OpEnvelope, OpORSet
 
 
@@ -82,6 +83,128 @@ def test_buffer_duplicate_in_pending_queue_dropped():
     receiver.receive(e2)  # duplicate while pending
     receiver.receive(e1)
     assert log == ["one", "two"]
+
+
+class ReferenceBuffer:
+    """The delivery rule read through the Mapping protocol, with
+    ``merge`` as the join: the oracle :class:`CausalBuffer` must match.
+    It also checks, for every envelope it delivers, that the merge is
+    the receiver's clock ticked at the envelope's origin."""
+
+    def __init__(self, replica_id):
+        self.replica_id = replica_id
+        self.log = []
+        self.clock = VectorClock({})
+        self.pending = []
+        self.delivered = self.duplicates = self.held_back = 0
+
+    def stamp_local(self, payload):
+        self.clock = self.clock.tick(self.replica_id)
+        self.log.append(payload)
+        self.delivered += 1
+        return OpEnvelope(self.replica_id, self.clock, payload)
+
+    def receive(self, envelope):
+        if self._already_seen(envelope):
+            self.duplicates += 1
+        elif self._deliverable(envelope):
+            self._deliver(envelope)
+            self._drain()
+        else:
+            self.held_back += 1
+            self.pending.append(envelope)
+
+    def _already_seen(self, envelope):
+        return self.clock[envelope.origin] >= envelope.clock[envelope.origin]
+
+    def _deliverable(self, envelope):
+        if envelope.clock[envelope.origin] != self.clock[envelope.origin] + 1:
+            return False
+        return all(envelope.clock[node] <= self.clock[node]
+                   for node in envelope.clock if node != envelope.origin)
+
+    def _deliver(self, envelope):
+        merged = self.clock.merge(envelope.clock)
+        ticked = self.clock.tick(envelope.origin)
+        assert merged == ticked and list(merged) == list(ticked)
+        self.clock = merged
+        self.log.append(envelope.payload)
+        self.delivered += 1
+
+    def _drain(self):
+        progressed = True
+        while progressed:
+            progressed = False
+            for envelope in list(self.pending):
+                if self._already_seen(envelope):
+                    self.pending.remove(envelope)
+                    self.duplicates += 1
+                    progressed = True
+                elif self._deliverable(envelope):
+                    self.pending.remove(envelope)
+                    self._deliver(envelope)
+                    progressed = True
+
+
+@given(
+    replicas=st.integers(3, 5),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["stamp", "deliver", "replay"]),
+            st.integers(0, 4),            # acting / receiving replica
+            st.integers(0, 2**16),        # which envelope
+        ),
+        max_size=60,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_buffer_agrees_with_the_mapping_rule(replicas, steps, seed):
+    """Stamps interleaved with shuffled, duplicated and replayed
+    deliveries: every replica applies the same ops in the same order,
+    and ends with the same clock (key order too) and counters, as the
+    reference rule."""
+    rng = random.Random(seed)
+    logs = [[] for _ in range(replicas)]
+    buffers = [CausalBuffer(i, lambda e, log=log: log.append(e.payload))
+               for i, log in enumerate(logs)]
+    references = [ReferenceBuffer(i) for i in range(replicas)]
+    stamped, in_flight = [], []      # envelopes; (receiver, envelope)
+
+    def check():
+        for buffer, reference, log in zip(buffers, references, logs):
+            assert log == reference.log
+            assert buffer.clock == reference.clock
+            assert list(buffer.clock) == list(reference.clock)
+            assert (buffer.delivered, buffer.duplicates, buffer.held_back,
+                    buffer.pending_count) == (
+                reference.delivered, reference.duplicates,
+                reference.held_back, len(reference.pending))
+
+    def receive(target, envelope):
+        buffers[target].receive(envelope)
+        references[target].receive(envelope)
+
+    for kind, actor, pick in steps:
+        actor %= replicas
+        if kind == "stamp":
+            payload = (actor, len(stamped))
+            envelope = buffers[actor].stamp_local(payload)
+            assert references[actor].stamp_local(payload) == envelope
+            stamped.append(envelope)
+            for target in range(replicas):
+                if target != actor:
+                    in_flight += [(target, envelope)] * rng.choice((1, 1, 2))
+        elif kind == "deliver" and in_flight:
+            receive(*in_flight.pop(pick % len(in_flight)))
+        elif kind == "replay" and stamped:
+            receive(actor, stamped[pick % len(stamped)])
+        check()
+    rng.shuffle(in_flight)
+    for target, envelope in in_flight:
+        receive(target, envelope)
+        check()
+    assert all(buffer.pending_count == 0 for buffer in buffers)
 
 
 # ----------------------------------------------------------------------
