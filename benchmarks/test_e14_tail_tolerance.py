@@ -63,8 +63,7 @@ def run_tail(hedged, seed=3, tracer=None):
 
     policy = RetryPolicy(
         max_attempts=2, request_timeout=120.0, backoff_base=5.0,
-        jitter=0.25, failover=True,
-        hedge_after=HEDGE_AFTER if hedged else None,
+        jitter=0.25, hedge_after=HEDGE_AFTER if hedged else None,
     )
     driver = WorkloadDriver(sim)
     for index, node in enumerate(nodes):
@@ -93,8 +92,7 @@ def run_failover(protected, seed=3):
     store = build_quorum(sim, FixedLatency(2.0))
     nodes = store.server_ids()
     policy = RetryPolicy(
-        max_attempts=4, request_timeout=30.0, backoff_base=5.0,
-        jitter=0.25, failover=True,
+        max_attempts=4, request_timeout=30.0, backoff_base=5.0, jitter=0.25,
     ) if protected else None
     session = store.session("pinned", coordinator=nodes[0], retry=policy)
 

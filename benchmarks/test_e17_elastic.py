@@ -47,8 +47,8 @@ def flash_run(autoscale, seed=3, tracer=None):
         # Handoff ops must survive the very queues that triggered the
         # scale-out, hence the longer per-op timeout and wide copy.
         scaler = Autoscaler(
-            interval=50.0, high_depth=2.0, low_depth=0.3, sustain=2,
-            cooldown=300.0, min_shards=2, max_shards=6,
+            high_depth=2.0, low_depth=0.3, sustain=2, cooldown=300.0,
+            min_shards=2, max_shards=6,
             move_opts=dict(op_timeout=2000.0, parallelism=16),
         )
     result = run_workload(store, ops, clients=400, arrivals=arrivals,

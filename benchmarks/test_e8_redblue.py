@@ -23,10 +23,9 @@ WAN = 40.0
 def run_blue_fraction(blue_fraction, seed=4):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(WAN))
-    bank = RedBlueBank(sim, net, sites=3)
-    workload = BankWorkload(sites=3, accounts=4,
-                            blue_fraction=blue_fraction,
-                            mean_amount=10.0, seed=seed)
+    bank = RedBlueBank(sim, net)
+    workload = BankWorkload(accounts=4, blue_fraction=blue_fraction,
+                            seed=seed)
     ops = workload.take(OPS)
     latency = LatencyStats()
     rejected = [0]

@@ -25,7 +25,7 @@ WAN = 35.0
 def run_escrow(demand_fraction, seed=6, skew=False):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(WAN))
-    counter = EscrowCounter(sim, net, total=TOTAL, sites=3)
+    counter = EscrowCounter(sim, net, total=TOTAL)
     workload = DebitWorkload(
         sites=3, total_headroom=TOTAL, operations=OPS,
         demand_fraction=demand_fraction,

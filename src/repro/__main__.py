@@ -1,6 +1,6 @@
 """``python -m repro`` — see :mod:`repro.cli`."""
 
-from .cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
     raise SystemExit(main())

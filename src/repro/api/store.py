@@ -83,10 +83,6 @@ class StoreCapabilities:
     #: conformance suite runs the linearizability checker on histories
     #: recorded in these modes (empty = no linearizability claim).
     linearizable_read_modes: tuple[str, ...] = ()
-    #: Replicas converge once faults heal and :meth:`ConsistentStore
-    #: .settle` quiesces the store — the liveness half of eventual
-    #: consistency, asserted by the chaos convergence check.
-    eventually_convergent: bool = True
     #: Topology is live: the store supports ``resize()`` /
     #: ``add_shard()`` / ``decommission_shard()`` mid-run (the elastic
     #: sharded router; fixed single clusters say False).

@@ -678,7 +678,6 @@ _REGISTRY_CAPS = StoreCapabilities(
                 "write_through|write_behind)",
     read_modes=("cached",),
     session_guarantees=(),
-    eventually_convergent=True,
     chaos_waivers=(
         ("session", "session-guarantee claims depend on the cache "
                     "policy and backing adapter; see the instance "

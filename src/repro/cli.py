@@ -1,29 +1,5 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-Commands
---------
-``examples``            list the runnable examples
-``run <example>``       run one example by name (e.g. ``run quickstart``)
-``pbs``                 print a quick PBS t-visibility grid
-``protocols``           list registered store adapters + capabilities
-``spectrum``            print the E1-style consistency spectrum table
-                        (built through the registry + workload driver)
-``trace <file.jsonl>``  print a filtered timeline + summary of a sim trace
-``bench``               run the seeded macro perf suite (BENCH_CORE.json)
-``chaos``               run the nemesis conformance suite: every adapter
-                        under a seeded fault plan, checker verdict table
-``cache``               run the cache conformance grid: every cache
-                        policy over every adapter, histories recorded at
-                        the cache boundary, checker verdict per cell
-``load``                open-loop load generator (Poisson/diurnal/flash
-                        arrivals); ``--storm`` runs the hot-key storm demo
-``scale``               elastic-scaling demo: live ring moves under
-                        open-loop load, durability + convergence verdicts
-``multiregion``         flagship multi-region scenario: sharded clusters
-                        spread over three continents, follower reads,
-                        region loss + failover, RTO/RPO per protocol
-``selftest``            import every module and run a smoke simulation
-
 The heavyweight experiment tables live in ``benchmarks/`` (run with
 ``pytest benchmarks/ --benchmark-only``); the CLI is for quick looks.
 """
@@ -35,6 +11,41 @@ import importlib
 import pathlib
 import runpy
 import sys
+from typing import Any, Callable
+
+#: ``(name, help, flags, handler)`` per command, in ``--help`` order.
+_COMMANDS: list[tuple[str, str, tuple, Callable[[argparse.Namespace], int]]] = []
+
+
+def _register(name: str, help: str, *flags: tuple) -> Callable:
+    """Declare the command ``name`` on its handler: the ``--help`` line
+    and the flags (:func:`_flag` each) that :func:`main` parses for it."""
+    def declare(handler):
+        _COMMANDS.append((name, help, flags, handler))
+        return handler
+    return declare
+
+
+def _flag(*names: str, **options: Any) -> tuple:
+    """One ``add_argument(*names, **options)`` call of a command."""
+    return names, options
+
+
+def _switch(name: str, help: str) -> tuple:
+    return _flag(name, action="store_true", help=help)
+
+
+def _each(name: str, help: str) -> tuple:
+    """A repeatable flag; an empty list means the command's default."""
+    return _flag(name, action="append", default=[], help=help)
+
+
+def _check(help: str) -> tuple:
+    return _switch("--check-determinism", help)
+
+
+_SEED = _flag("--seed", type=int, default=42)
+_REPLAY = _check("run twice, fail on trace fingerprint drift")
 
 
 def _examples_dir() -> pathlib.Path:
@@ -48,19 +59,18 @@ def _examples_dir() -> pathlib.Path:
 
 
 def list_examples() -> list[str]:
-    return sorted(
-        path.stem
-        for path in _examples_dir().glob("*.py")
-        if not path.stem.startswith("_")
-    )
+    return sorted(path.stem for path in _examples_dir().glob("*.py")
+                  if not path.stem.startswith("_"))
 
 
+@_register("examples", "list runnable examples")
 def cmd_examples(_args: argparse.Namespace) -> int:
     for name in list_examples():
         print(name)
     return 0
 
 
+@_register("run", "run one example", _flag("example"))
 def cmd_run(args: argparse.Namespace) -> int:
     name = args.example
     path = _examples_dir() / f"{name}.py"
@@ -72,6 +82,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@_register(
+    "pbs", "quick PBS grid",
+    _flag("--n", type=int, default=3),
+    _flag("--t", type=float, default=0.0),
+    _flag("--trials", type=int, default=4000),
+    _flag("--wan", action="store_true"),
+)
 def cmd_pbs(args: argparse.Namespace) -> int:
     from .analysis import WARSModel, print_table, simulate_t_visibility
 
@@ -80,9 +97,8 @@ def cmd_pbs(args: argparse.Namespace) -> int:
     n = args.n
     for r in range(1, n + 1):
         for w in range(1, n + 1):
-            result = simulate_t_visibility(
-                n, r, w, args.t, model=model, trials=args.trials,
-            )
+            result = simulate_t_visibility(n, r, w, args.t, model=model,
+                                           trials=args.trials)
             rows.append([
                 f"R={r} W={w}" + (" *" if r + w > n else ""),
                 round(result.p_consistent, 4),
@@ -94,38 +110,6 @@ def cmd_pbs(args: argparse.Namespace) -> int:
         rows,
         title=f"PBS t-visibility, N={n} "
               f"({'WAN' if args.wan else 'LAN'} profile; * = R+W>N)",
-    )
-    return 0
-
-
-def cmd_protocols(_args: argparse.Namespace) -> int:
-    """List every registered store adapter with its capability flags."""
-    from .analysis import print_table
-    from .api import registry
-
-    rows = []
-    for spec in registry.specs():
-        caps = spec.capabilities
-        flags = []
-        if caps.tentative_reads:
-            flags.append("tentative")
-        if caps.multi_value_reads:
-            flags.append("siblings")
-        if not caps.networked:
-            flags.append("direct")
-        if not caps.survives_replica_crash:
-            flags.append("fragile")
-        rows.append([
-            spec.name,
-            ",".join(caps.read_modes),
-            ",".join(caps.session_guarantees) or "-",
-            ",".join(flags) or "-",
-            caps.description,
-        ])
-    print_table(
-        ["protocol", "read modes", "session", "flags", "description"],
-        rows,
-        title=f"{len(rows)} registered protocols (repro.api.registry)",
     )
     return 0
 
@@ -149,6 +133,11 @@ _SPECTRUM_RUNGS = [
 ]
 
 
+@_register(
+    "spectrum", "print the consistency spectrum table",
+    _flag("--rounds", type=int, default=15),
+    _flag("--seed", type=int, default=1),
+)
 def cmd_spectrum(args: argparse.Namespace) -> int:
     """The E1-style spectrum table, produced through the store registry
     and the protocol-agnostic workload driver."""
@@ -160,9 +149,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     sites = ("us-east", "eu", "asia")
     node_ids = ["n0", "n1", "n2"]
-    rounds = args.rounds
     ops = []
-    for i in range(rounds):
+    for i in range(args.rounds):
         key = f"key-{i % 3}"
         ops += [OpSpec("update", key, f"v{i}"), OpSpec("sleep", "", 5.0),
                 OpSpec("read", key), OpSpec("sleep", "", 5.0)]
@@ -204,6 +192,49 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+@_register("protocols", "list registered store adapters + capabilities")
+def cmd_protocols(_args: argparse.Namespace) -> int:
+    """List every registered store adapter with its capability flags."""
+    from .analysis import print_table
+    from .api import registry
+
+    rows = []
+    for spec in registry.specs():
+        caps = spec.capabilities
+        flags = [flag for flag, shown in (
+            ("tentative", caps.tentative_reads),
+            ("siblings", caps.multi_value_reads),
+            ("direct", not caps.networked),
+            ("fragile", not caps.survives_replica_crash),
+        ) if shown]
+        rows.append([
+            spec.name,
+            ",".join(caps.read_modes),
+            ",".join(caps.session_guarantees) or "-",
+            ",".join(flags) or "-",
+            caps.description,
+        ])
+    print_table(
+        ["protocol", "read modes", "session", "flags", "description"],
+        rows,
+        title=f"{len(rows)} registered protocols (repro.api.registry)",
+    )
+    return 0
+
+
+@_register(
+    "trace", "summarize a JSONL trace dumped by repro.sim.Tracer",
+    _flag("path", help="trace file (.jsonl)"),
+    _each("--kind", "keep only this event kind (repeatable), e.g. msg_drop"),
+    _flag("--type", help="keep only messages of this payload type"),
+    _flag("--since", type=float, default=None,
+          help="keep events at/after this sim time (ms)"),
+    _flag("--until", type=float, default=None,
+          help="keep events at/before this sim time (ms)"),
+    _flag("--limit", type=int, default=40,
+          help="timeline lines to print (0 = all)"),
+    _switch("--summary-only", "skip the timeline, print only summaries"),
+)
 def cmd_trace(args: argparse.Namespace) -> int:
     from .analysis import print_table
     from .sim.trace import filter_events, kind_counts, load_jsonl, message_summary
@@ -215,15 +246,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"cannot read trace {args.path!r}: {exc}", file=sys.stderr)
         return 2
     selected = filter_events(
-        events,
-        kind=args.kind or None,
-        since=args.since,
-        until=args.until,
+        events, kind=args.kind or None, since=args.since, until=args.until,
+        **({"msg_type": args.type} if args.type else {}),
     )
-    if args.type:
-        selected = [
-            ev for ev in selected if ev.data.get("msg_type") == args.type
-        ]
 
     if not args.summary_only:
         limit = args.limit if args.limit > 0 else len(selected)
@@ -243,11 +268,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if summary:
         # One column per drop reason actually seen, so client-side
         # hedge cancellations are not lumped in with network loss.
-        reasons = sorted({
-            reason
-            for row in summary.values()
-            for reason in row["drop_reasons"]
-        })
+        reasons = sorted({reason for row in summary.values()
+                          for reason in row["drop_reasons"]})
         print()
         print_table(
             ["message type", "sent", "delivered", "dropped", *reasons],
@@ -268,6 +290,39 @@ def _perf_failed(command: str, exc) -> int:
     return 2 if exc.bad_input else 1
 
 
+def _write_json(path: str, doc: dict) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"\nwrote {path}")
+
+
+@_register(
+    "bench", "run the seeded macro perf suite (BENCH_CORE.json)",
+    _switch("--quick", "CI smoke scale (seconds, not minutes)"),
+    _SEED,
+    _each("--scenario", "run only this scenario (repeatable; default: all)"),
+    _flag("--output", metavar="PATH",
+          help="write the BENCH_CORE.json document here"),
+    _flag("--compare", metavar="BASELINE",
+          help="gate against a baseline BENCH_CORE.json (exit 1 on "
+               "regression or behavior-fingerprint change)"),
+    _flag("--tolerance", type=float, default=0.30,
+          help="allowed fractional events/sec drop for --compare "
+               "(default 0.30)"),
+    _flag("--repeat", type=int, default=1, metavar="N",
+          help="time each scenario N times and keep the best wall time "
+               "(defense against machine noise; default 1)"),
+    _switch("--no-verify",
+            "skip the traced verification pass (no trace hashes)"),
+    _flag("--workers", type=int, default=1, metavar="N",
+          help="fan scenarios across N worker processes (default 1: "
+               "serial — use serial for baseline regeneration, parallel "
+               "for fast comparative runs)"),
+    _switch("--list", "list scenarios and exit"),
+)
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run the macro perf scenarios; optionally write BENCH_CORE.json
     and/or gate against a committed baseline."""
@@ -282,11 +337,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     try:
         doc = run_suite(
-            scenarios=args.scenario or None,
-            seed=args.seed,
-            quick=args.quick,
-            verify=not args.no_verify,
-            repeats=args.repeat,
+            scenarios=args.scenario or None, seed=args.seed, quick=args.quick,
+            verify=not args.no_verify, repeats=args.repeat,
             workers=args.workers,
         )
     except PerfError as exc:
@@ -294,10 +346,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(render_report(doc))
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
+        _write_json(args.output, doc)
 
     if args.compare:
         try:
@@ -318,22 +367,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@_register(
+    "sweep", "run one scenario across many seeds on a process pool",
+    _flag("--scenario", default="quorum_ycsb",
+          help="scenario to sweep (default quorum_ycsb; see bench --list)"),
+    _flag("--seeds", default="1-8", metavar="SPEC",
+          help="seed spec: N, N-M, or comma list e.g. 1,2,5-7 "
+               "(default 1-8)"),
+    _flag("--workers", type=int, default=1, metavar="N",
+          help="worker processes (default 1: serial in-process)"),
+    _switch("--quick", "quick per-seed scale (same meaning as bench --quick)"),
+    _check("also run serially and fail unless both runs produce the "
+           "identical per-seed (trace_hash, metrics_digest) set"),
+    _flag("--output", metavar="PATH", help="write the sweep report JSON here"),
+)
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Fan one scenario's seeds across worker processes; optionally
     prove parallel == serial via the per-seed fingerprint set."""
-    import json
-
     from .analysis import render_table
-    from .perf import (
-        PerfError,
-        check_parallel_determinism,
-        parse_seeds,
-        run_sweep,
-    )
+    from .perf import (PerfError, check_parallel_determinism, parse_seeds,
+                       run_sweep)
 
     try:
         seeds = parse_seeds(args.seeds)
-        if args.check_determinism and args.workers > 1:
+        if args.check_determinism:
             serial, report = check_parallel_determinism(
                 args.scenario, seeds, workers=args.workers, quick=args.quick,
             )
@@ -370,10 +427,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"{speedup:.2f}x over the serial sweep")
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nwrote {args.output}")
+        _write_json(args.output, report.to_json())
     return 0
 
 
@@ -447,6 +501,29 @@ def _story(args: argparse.Namespace, name: str, run, render) -> int:
     return 0 if report.ok else 1
 
 
+#: The flags ``chaos`` and ``cache`` share: one engine, two grids.
+_GRID_FLAGS = (
+    _SEED,
+    _flag("--plan", default="partitions",
+          help="fault plan name, or 'random' for a seeded random plan "
+               "(default: partitions; see chaos --list)"),
+    _check("run the whole grid twice and fail on any trace fingerprint "
+           "drift"),
+)
+
+
+@_register(
+    "chaos", "nemesis conformance suite: fault plan + checkers",
+    *_GRID_FLAGS,
+    _each("--protocol",
+          "run only this adapter (repeatable; default: all registered)"),
+    _flag("--nodes", type=int, default=5),
+    _flag("--clients", type=int, default=3),
+    _flag("--ops", type=int, default=120, help="workload length per protocol"),
+    _flag("--intensity", type=float, default=0.5,
+          help="fault density for --plan random (0..1, default 0.5)"),
+    _switch("--list", "list built-in fault plans and exit"),
+)
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos conformance suite and print the verdict table.
 
@@ -459,9 +536,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     if args.list:
         for name, plan in sorted(PLANS.items()):
-            faults = ", ".join(
-                sorted({plan_step.fault for plan_step in plan.steps})
-            )
+            faults = ", ".join(sorted({step.fault for step in plan.steps}))
             print(f"{name:<12} {len(plan.steps)} steps: {faults}")
         return 0
 
@@ -472,6 +547,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                         clients=args.clients)
 
 
+@_register(
+    "cache", "cache conformance grid: policy x adapter + checkers",
+    *_GRID_FLAGS,
+    _each("--adapter", "backing adapter (repeatable; default: all registered)"),
+    _each("--policy", "cache policy (repeatable; default: all four; "
+                      "'uncached' runs the bare adapter baseline)"),
+    _flag("--ops", type=int, default=60, help="workload length per cell"),
+)
 def cmd_cache(args: argparse.Namespace) -> int:
     """Run the cache conformance grid: the engine and grading rule of
     ``repro chaos`` one tier up — each adapter behind each cache policy
@@ -493,6 +576,43 @@ def cmd_cache(args: argparse.Namespace) -> int:
     )
 
 
+@_register(
+    "load", "open-loop load generator + hot-key storm demo",
+    _flag("--protocol", default="quorum"),
+    _flag("--nodes", type=int, default=3),
+    _SEED,
+    _flag("--arrivals", default="poisson",
+          choices=("poisson", "diurnal", "flash"),
+          help="arrival process (default: poisson)"),
+    _flag("--rate", type=float, default=2000.0,
+          help="peak offered rate, ops/sec"),
+    _flag("--base", type=float, default=200.0,
+          help="baseline rate for diurnal/flash"),
+    _flag("--period", type=float, default=60_000.0,
+          help="diurnal cycle length (ms)"),
+    _flag("--spike-at", type=float, default=500.0,
+          help="flash-crowd spike start (ms)"),
+    _flag("--hold", type=float, default=2000.0,
+          help="flash-crowd spike hold (ms)"),
+    _flag("--decay", type=float, default=1000.0,
+          help="flash-crowd decay constant (ms)"),
+    _flag("--duration", type=float, default=4000.0,
+          help="offered-traffic window (ms)"),
+    _flag("--sessions", type=int, default=1000),
+    _flag("--timeout", type=float, default=250.0,
+          help="per-op client timeout (ms)"),
+    _flag("--preset", default="B", help="YCSB preset for the op mix (default B)"),
+    _flag("--records", type=int, default=100,
+          help="keyspace size (small = hotter keys)"),
+    _flag("--service-time", type=float, default=1.0,
+          help="per-node service time (ms/request)"),
+    _flag("--queue-limit", type=int, default=None,
+          help="bounded service queue (default: off)"),
+    _flag("--admission-rate", type=float, default=None,
+          help="token-bucket ops/sec/node (default: off)"),
+    _switch("--storm", "run the three-leg hot-key storm demo instead"),
+    _check("with --storm: run twice, fail on fingerprint drift"),
+)
 def cmd_load(args: argparse.Namespace) -> int:
     """Open-loop load generator (``repro load``), plus the hot-key
     storm demo (``repro load --storm``).
@@ -500,8 +620,9 @@ def cmd_load(args: argparse.Namespace) -> int:
     Exit status: 0 on success; for ``--storm``, 1 when the collapse /
     prevention / convergence verdicts fail or (with
     ``--check-determinism``) the fingerprint drifts between two runs;
-    2 on an unknown ``--protocol`` / ``--preset`` or a protocol that
-    refuses the capacity knobs (a direct-attach store).
+    2 on an unknown ``--protocol`` / ``--preset``, a protocol that
+    refuses the capacity knobs (a direct-attach store), or
+    ``--check-determinism`` without ``--storm``.
     """
     from .api import registry
     from .workload import PRESETS
@@ -519,15 +640,19 @@ def cmd_load(args: argparse.Namespace) -> int:
         except ValueError as exc:   # the first leg's build refused
             print(exc, file=sys.stderr)
             return 2
+    if args.check_determinism:
+        print("--check-determinism replays the --storm demo; a plain load "
+              "run has nothing to replay", file=sys.stderr)
+        return 2
 
     from .analysis import print_table
     from .sim import FixedLatency, Network, Simulator
     from .workload import (
         DiurnalArrivals,
         FlashCrowdArrivals,
-        OpenLoopDriver,
         PoissonArrivals,
         YCSBWorkload,
+        run_workload,
     )
 
     if args.arrivals == "poisson":
@@ -535,31 +660,28 @@ def cmd_load(args: argparse.Namespace) -> int:
     elif args.arrivals == "diurnal":
         arrivals = DiurnalArrivals(low=args.base, high=args.rate,
                                    period=args.period, seed=args.seed)
-    elif args.arrivals == "flash":
+    else:   # flash, the last of the flag's choices
         arrivals = FlashCrowdArrivals(
             base=args.base, spike=args.rate, spike_at=args.spike_at,
             hold=args.hold, decay=args.decay, seed=args.seed,
         )
-    else:
-        print(f"unknown arrival process {args.arrivals!r}", file=sys.stderr)
-        return 2
 
     sim = Simulator(seed=args.seed)
     network = Network(sim, latency=FixedLatency(2.0))
     try:
         store = registry.build(
             args.protocol, sim, network, nodes=args.nodes,
-            service_time=args.service_time,
-            queue_limit=args.queue_limit,
+            service_time=args.service_time, queue_limit=args.queue_limit,
             admission_rate=args.admission_rate,
         )
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    ops = YCSBWorkload(args.preset, records=args.records, seed=args.seed)
-    driver = OpenLoopDriver(store, arrivals, ops, sessions=args.sessions,
-                            timeout=args.timeout, seed=args.seed)
-    result = driver.run(args.duration)
+    result = run_workload(
+        store, YCSBWorkload(args.preset, records=args.records, seed=args.seed),
+        clients=args.sessions, until=args.duration, arrivals=arrivals,
+        timeout=args.timeout, seed=args.seed,
+    )
     metrics = sim.metrics
     print_table(
         ["metric", "value"],
@@ -586,6 +708,18 @@ def cmd_load(args: argparse.Namespace) -> int:
     return 0
 
 
+@_register(
+    "scale", "elastic-scaling demo: ring moves under live load",
+    _SEED,
+    _flag("--protocol", default="quorum"),
+    _flag("--shards", type=int, default=2,
+          help="starting (and final) shard count"),
+    _flag("--peak", type=int, default=4, help="shard count to scale out to"),
+    _flag("--rate", type=float, default=600.0, help="offered load, ops/sec"),
+    _flag("--duration", type=float, default=3000.0,
+          help="offered-traffic window (ms)"),
+    _REPLAY,
+)
 def cmd_scale(args: argparse.Namespace) -> int:
     """Run the elastic-scaling demo (``repro scale``).
 
@@ -605,6 +739,14 @@ def cmd_scale(args: argparse.Namespace) -> int:
     ), format_scale)
 
 
+@_register(
+    "multiregion", "multi-region flagship: region loss, failover, RTO/RPO",
+    _SEED,
+    _each("--protocol", "run only this protocol leg (repeatable; default: "
+                        "timeline, primary_backup, quorum)"),
+    _switch("--quick", "CI smoke scale: fewer shards and keys"),
+    _REPLAY,
+)
 def cmd_multiregion(args: argparse.Namespace) -> int:
     """Run the multi-region flagship scenario (``repro multiregion``).
 
@@ -626,6 +768,7 @@ def cmd_multiregion(args: argparse.Namespace) -> int:
     ), format_multiregion)
 
 
+@_register("selftest", "import everything + smoke simulation")
 def cmd_selftest(_args: argparse.Namespace) -> int:
     import pkgutil
 
@@ -653,273 +796,21 @@ def cmd_selftest(_args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("examples", help="list runnable examples")
-
-    run_parser = sub.add_parser("run", help="run one example")
-    run_parser.add_argument("example")
-
-    pbs_parser = sub.add_parser("pbs", help="quick PBS grid")
-    pbs_parser.add_argument("--n", type=int, default=3)
-    pbs_parser.add_argument("--t", type=float, default=0.0)
-    pbs_parser.add_argument("--trials", type=int, default=4000)
-    pbs_parser.add_argument("--wan", action="store_true")
-
-    spectrum_parser = sub.add_parser(
-        "spectrum", help="print the consistency spectrum table"
-    )
-    spectrum_parser.add_argument("--rounds", type=int, default=15)
-    spectrum_parser.add_argument("--seed", type=int, default=1)
-
-    sub.add_parser(
-        "protocols", help="list registered store adapters + capabilities"
-    )
-
-    trace_parser = sub.add_parser(
-        "trace", help="summarize a JSONL trace dumped by repro.sim.Tracer"
-    )
-    trace_parser.add_argument("path", help="trace file (.jsonl)")
-    trace_parser.add_argument(
-        "--kind", action="append", default=[],
-        help="keep only this event kind (repeatable), e.g. msg_drop",
-    )
-    trace_parser.add_argument(
-        "--type", help="keep only messages of this payload type"
-    )
-    trace_parser.add_argument("--since", type=float, default=None,
-                              help="keep events at/after this sim time (ms)")
-    trace_parser.add_argument("--until", type=float, default=None,
-                              help="keep events at/before this sim time (ms)")
-    trace_parser.add_argument("--limit", type=int, default=40,
-                              help="timeline lines to print (0 = all)")
-    trace_parser.add_argument("--summary-only", action="store_true",
-                              help="skip the timeline, print only summaries")
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the seeded macro perf suite (BENCH_CORE.json)"
-    )
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="CI smoke scale (seconds, not minutes)")
-    bench_parser.add_argument("--seed", type=int, default=42)
-    bench_parser.add_argument(
-        "--scenario", action="append", default=[],
-        help="run only this scenario (repeatable; default: all)",
-    )
-    bench_parser.add_argument("--output", metavar="PATH",
-                              help="write the BENCH_CORE.json document here")
-    bench_parser.add_argument(
-        "--compare", metavar="BASELINE",
-        help="gate against a baseline BENCH_CORE.json (exit 1 on "
-             "regression or behavior-fingerprint change)",
-    )
-    bench_parser.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional events/sec drop for --compare "
-             "(default 0.30)",
-    )
-    bench_parser.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="time each scenario N times and keep the best wall time "
-             "(defense against machine noise; default 1)",
-    )
-    bench_parser.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the traced verification pass (no trace hashes)",
-    )
-    bench_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fan scenarios across N worker processes (default 1: "
-             "serial — use serial for baseline regeneration, parallel "
-             "for fast comparative runs)",
-    )
-    bench_parser.add_argument("--list", action="store_true",
-                              help="list scenarios and exit")
-
-    sweep_parser = sub.add_parser(
-        "sweep",
-        help="run one scenario across many seeds on a process pool",
-    )
-    sweep_parser.add_argument(
-        "--scenario", default="quorum_ycsb",
-        help="scenario to sweep (default quorum_ycsb; see bench --list)",
-    )
-    sweep_parser.add_argument(
-        "--seeds", default="1-8", metavar="SPEC",
-        help="seed spec: N, N-M, or comma list e.g. 1,2,5-7 "
-             "(default 1-8)",
-    )
-    sweep_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes (default 1: serial in-process)",
-    )
-    sweep_parser.add_argument(
-        "--quick", action="store_true",
-        help="quick per-seed scale (same meaning as bench --quick)",
-    )
-    sweep_parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="also run serially and fail unless both runs produce the "
-             "identical per-seed (trace_hash, metrics_digest) set",
-    )
-    sweep_parser.add_argument("--output", metavar="PATH",
-                              help="write the sweep report JSON here")
-
-    chaos_parser = sub.add_parser(
-        "chaos", help="nemesis conformance suite: fault plan + checkers"
-    )
-    cache_parser = sub.add_parser(
-        "cache", help="cache conformance grid: policy x adapter + checkers"
-    )
-    for grid_parser in (chaos_parser, cache_parser):    # one engine
-        grid_parser.add_argument("--seed", type=int, default=42)
-        grid_parser.add_argument(
-            "--plan", default="partitions",
-            help="fault plan name, or 'random' for a seeded random plan "
-                 "(default: partitions; see chaos --list)",
-        )
-        grid_parser.add_argument(
-            "--check-determinism", action="store_true",
-            help="run the whole grid twice and fail on any trace "
-                 "fingerprint drift",
-        )
-    chaos_parser.add_argument(
-        "--protocol", action="append", default=[],
-        help="run only this adapter (repeatable; default: all registered)",
-    )
-    chaos_parser.add_argument("--nodes", type=int, default=5)
-    chaos_parser.add_argument("--clients", type=int, default=3)
-    chaos_parser.add_argument("--ops", type=int, default=120,
-                              help="workload length per protocol")
-    chaos_parser.add_argument(
-        "--intensity", type=float, default=0.5,
-        help="fault density for --plan random (0..1, default 0.5)",
-    )
-    chaos_parser.add_argument("--list", action="store_true",
-                              help="list built-in fault plans and exit")
-    cache_parser.add_argument(
-        "--adapter", action="append", default=[],
-        help="backing adapter (repeatable; default: all registered)",
-    )
-    cache_parser.add_argument(
-        "--policy", action="append", default=[],
-        help="cache policy (repeatable; default: all four; "
-             "'uncached' runs the bare adapter baseline)",
-    )
-    cache_parser.add_argument("--ops", type=int, default=60,
-                              help="workload length per cell")
-
-    load_parser = sub.add_parser(
-        "load", help="open-loop load generator + hot-key storm demo"
-    )
-    load_parser.add_argument("--protocol", default="quorum")
-    load_parser.add_argument("--nodes", type=int, default=3)
-    load_parser.add_argument("--seed", type=int, default=42)
-    load_parser.add_argument(
-        "--arrivals", default="poisson",
-        choices=("poisson", "diurnal", "flash"),
-        help="arrival process (default: poisson)",
-    )
-    load_parser.add_argument("--rate", type=float, default=2000.0,
-                             help="peak offered rate, ops/sec")
-    load_parser.add_argument("--base", type=float, default=200.0,
-                             help="baseline rate for diurnal/flash")
-    load_parser.add_argument("--period", type=float, default=60_000.0,
-                             help="diurnal cycle length (ms)")
-    load_parser.add_argument("--spike-at", type=float, default=500.0,
-                             help="flash-crowd spike start (ms)")
-    load_parser.add_argument("--hold", type=float, default=2000.0,
-                             help="flash-crowd spike hold (ms)")
-    load_parser.add_argument("--decay", type=float, default=1000.0,
-                             help="flash-crowd decay constant (ms)")
-    load_parser.add_argument("--duration", type=float, default=4000.0,
-                             help="offered-traffic window (ms)")
-    load_parser.add_argument("--sessions", type=int, default=1000)
-    load_parser.add_argument("--timeout", type=float, default=250.0,
-                             help="per-op client timeout (ms)")
-    load_parser.add_argument("--preset", default="B",
-                             help="YCSB preset for the op mix (default B)")
-    load_parser.add_argument("--records", type=int, default=100,
-                             help="keyspace size (small = hotter keys)")
-    load_parser.add_argument("--service-time", type=float, default=1.0,
-                             help="per-node service time (ms/request)")
-    load_parser.add_argument("--queue-limit", type=int, default=None,
-                             help="bounded service queue (default: off)")
-    load_parser.add_argument("--admission-rate", type=float, default=None,
-                             help="token-bucket ops/sec/node (default: off)")
-    load_parser.add_argument(
-        "--storm", action="store_true",
-        help="run the three-leg hot-key storm demo instead",
-    )
-    load_parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="with --storm: run twice, fail on fingerprint drift",
-    )
-
-    scale_parser = sub.add_parser(
-        "scale", help="elastic-scaling demo: ring moves under live load"
-    )
-    scale_parser.add_argument("--seed", type=int, default=42)
-    scale_parser.add_argument("--protocol", default="quorum")
-    scale_parser.add_argument("--shards", type=int, default=2,
-                              help="starting (and final) shard count")
-    scale_parser.add_argument("--peak", type=int, default=4,
-                              help="shard count to scale out to")
-    scale_parser.add_argument("--rate", type=float, default=600.0,
-                              help="offered load, ops/sec")
-    scale_parser.add_argument("--duration", type=float, default=3000.0,
-                              help="offered-traffic window (ms)")
-    scale_parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="run twice, fail on trace fingerprint drift",
-    )
-
-    multiregion_parser = sub.add_parser(
-        "multiregion",
-        help="multi-region flagship: region loss, failover, RTO/RPO",
-    )
-    multiregion_parser.add_argument("--seed", type=int, default=42)
-    multiregion_parser.add_argument(
-        "--protocol", action="append", default=[],
-        help="run only this protocol leg (repeatable; default: "
-             "timeline, primary_backup, quorum)",
-    )
-    multiregion_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke scale: fewer shards and keys",
-    )
-    multiregion_parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="run twice, fail on trace fingerprint drift",
-    )
-
-    sub.add_parser("selftest", help="import everything + smoke simulation")
-
-    args = parser.parse_args(argv)
-    handlers = {
-        "examples": cmd_examples,
-        "run": cmd_run,
-        "pbs": cmd_pbs,
-        "protocols": cmd_protocols,
-        "spectrum": cmd_spectrum,
-        "trace": cmd_trace,
-        "bench": cmd_bench,
-        "sweep": cmd_sweep,
-        "chaos": cmd_chaos,
-        "cache": cmd_cache,
-        "load": cmd_load,
-        "scale": cmd_scale,
-        "multiregion": cmd_multiregion,
-        "selftest": cmd_selftest,
-    }
-    return handlers[args.command](args)
+    for name, help, flags, handler in _COMMANDS:
+        command = sub.add_parser(name, help=help)
+        for names, options in flags:
+            command.add_argument(*names, **options)
+        command.set_defaults(handler=handler)
+    return parser
 
 
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return args.handler(args)

@@ -85,7 +85,7 @@ class PNCounter(StateCRDT):
     def increment(self, amount: int = 1) -> None:
         self._p.increment(amount)
 
-    def decrement(self, amount: int = 1) -> None:
+    def decrement(self, amount: int) -> None:
         self._n.increment(amount)
 
     @property

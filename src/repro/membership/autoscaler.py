@@ -24,6 +24,9 @@ from typing import Any
 
 from ..sim import Simulator
 
+#: Sim-ms between two samples of the queue-depth gauges.
+_INTERVAL = 50.0
+
 
 class Autoscaler:
     """Watches queue-depth gauges; calls ``store.add_shard()`` /
@@ -31,7 +34,6 @@ class Autoscaler:
 
     def __init__(
         self,
-        interval: float = 50.0,
         high_depth: float = 4.0,
         low_depth: float = 0.5,
         sustain: int = 3,
@@ -41,7 +43,6 @@ class Autoscaler:
         move_opts: dict | None = None,
     ) -> None:
         self.store: Any = None
-        self.interval = interval
         self.high_depth = high_depth
         self.low_depth = low_depth
         self.sustain = sustain
@@ -70,7 +71,7 @@ class Autoscaler:
         self._m_out = sim.metrics.counter("autoscaler.scale_out")
         self._m_in = sim.metrics.counter("autoscaler.scale_in")
         self._g_signal = sim.metrics.gauge("autoscaler.depth_per_node")
-        sim.schedule_daemon(self.interval, self._tick)
+        sim.schedule_daemon(_INTERVAL, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -105,7 +106,7 @@ class Autoscaler:
                 self._act(sim, "scale_out", per_node)
             elif self._low_ticks >= self.sustain and shards > self.min_shards:
                 self._act(sim, "scale_in", per_node)
-        sim.schedule_daemon(self.interval, self._tick)
+        sim.schedule_daemon(_INTERVAL, self._tick)
 
     def _act(self, sim: Simulator, action: str, per_node: float) -> None:
         if action == "scale_out":

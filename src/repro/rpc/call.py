@@ -90,8 +90,6 @@ class RpcCall:
     # Launching attempts
     # ------------------------------------------------------------------
     def _next_endpoint(self) -> Hashable:
-        if not self.policy.failover or len(self.endpoints) == 1:
-            return self.endpoints[0]
         endpoint = self.endpoints[self._cursor % len(self.endpoints)]
         self._cursor += 1
         return endpoint

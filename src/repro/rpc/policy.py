@@ -1,9 +1,9 @@
 """Retry policies: the declarative half of the RPC layer.
 
 A :class:`RetryPolicy` says *when* a call may be re-issued — how many
-sequential attempts, how long each may run, how retries back off,
-whether retries rotate across failover endpoints, and whether a
-speculative hedge is launched while the first attempt is still
+sequential attempts, how long each may run, how retries back off
+(every call rotates its retries across its failover endpoints), and
+whether a speculative hedge is launched while the first attempt is still
 pending.  The call's ``timeout`` bounds the whole call.  The engine
 that executes a policy lives in :mod:`repro.rpc.call`.
 """
@@ -43,9 +43,6 @@ class RetryPolicy:
         Multiplies each backoff by ``1 + jitter * rng.random()`` using
         the *simulator's* seeded RNG — randomized spacing that is still
         a deterministic function of the sim seed.
-    failover:
-        Rotate retries (and hedges) across the call's endpoint list
-        instead of hammering the preferred endpoint.
     hedge_after:
         When set, launch a speculative duplicate attempt after this
         many ms without a response (pick it near the expected p9x
@@ -61,7 +58,6 @@ class RetryPolicy:
     backoff_base: float = 10.0
     backoff_max: float = 2_000.0
     jitter: float = 0.5
-    failover: bool = True
     hedge_after: float | None = None
 
     def __post_init__(self) -> None:

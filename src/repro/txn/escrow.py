@@ -128,21 +128,24 @@ class EscrowSite(Node):
             future.try_resolve(float(msg.amount))
 
 
+#: Sites an :class:`EscrowCounter` splits its headroom across.
+_SITES = 3
+
+
 class EscrowCounter:
-    """N sites sharing one bounded counter's headroom, split evenly."""
+    """Three sites sharing one bounded counter's headroom, split evenly."""
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         total: float,
-        sites: int = 3,
     ) -> None:
         if total < 0:
             raise InvariantViolation("total headroom must be non-negative")
-        ids = [f"esc{i}" for i in range(sites)]
+        ids = [f"esc{i}" for i in range(_SITES)]
         self.sites = [
-            EscrowSite(sim, network, node_id, ids, total / sites)
+            EscrowSite(sim, network, node_id, ids, total / _SITES)
             for node_id in ids
         ]
 

@@ -199,16 +199,15 @@ class RedCoordinator(Node):
         self.send(msg.origin, RedReply(msg.op_id, True))
 
 
-class RedBlueBank:
-    """Factory wiring N sites + the sequencer onto a network."""
+#: Sites a :class:`RedBlueBank` wires onto the network.
+_SITES = 3
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        sites: int = 3,
-    ) -> None:
-        ids = [f"site{i}" for i in range(sites)]
+
+class RedBlueBank:
+    """Factory wiring three sites + the sequencer onto a network."""
+
+    def __init__(self, sim: Simulator, network: Network) -> None:
+        ids = [f"site{i}" for i in range(_SITES)]
         self.coordinator = RedCoordinator(sim, network, COORDINATOR_ID, ids)
         self.sites = [
             RedBlueSite(sim, network, node_id, COORDINATOR_ID, ids)

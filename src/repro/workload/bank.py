@@ -24,31 +24,34 @@ class BankOp:
     amount: float
 
 
+#: Sites a :class:`BankWorkload` spreads its ops over (a
+#: :class:`~repro.txn.RedBlueBank`'s three).
+_SITES = 3
+#: Mean of the exponential op amount.
+_MEAN_AMOUNT = 10.0
+
+
 class BankWorkload:
     """Deposits (blue) vs withdrawals (red) at random sites."""
 
     def __init__(
         self,
-        sites: int = 3,
         accounts: int = 5,
         blue_fraction: float = 0.9,
-        mean_amount: float = 10.0,
         seed: int = 0,
     ) -> None:
         if not 0 <= blue_fraction <= 1:
             raise ValueError("blue_fraction must be in [0, 1]")
-        if sites < 1 or accounts < 1:
-            raise ValueError("need sites and accounts")
-        self.sites = sites
+        if accounts < 1:
+            raise ValueError("need accounts")
         self.accounts = accounts
         self.blue_fraction = blue_fraction
-        self.mean_amount = mean_amount
         self.rng = random.Random(seed)
 
     def next_op(self) -> BankOp:
-        site = self.rng.randrange(self.sites)
+        site = self.rng.randrange(_SITES)
         account = f"acct-{self.rng.randrange(self.accounts)}"
-        amount = round(self.rng.expovariate(1.0 / self.mean_amount), 2)
+        amount = round(self.rng.expovariate(1.0 / _MEAN_AMOUNT), 2)
         if self.rng.random() < self.blue_fraction:
             return BankOp(site, "deposit", account, amount)
         return BankOp(site, "withdraw", account, amount)

@@ -60,9 +60,9 @@ def assert_cell_conforms(report: CellReport) -> None:
     staleness = report.check("bounded-staleness")
     assert staleness is not None
     assert staleness.status in (PASS, UNKNOWN)
-    assert caps.eventually_convergent  # registry-level claim checked below
     convergence = report.check("convergence")
     assert convergence is not None
+    assert convergence.claimed  # every store claims it
 
 
 @pytest.mark.parametrize("adapter", cacheable_protocols())

@@ -66,10 +66,7 @@ def test_every_builtin_plan_replays_identically(name):
 # Heal + quiesce restores convergence (satellite)
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("protocol", [
-    name for name in registry.names()
-    if registry.get(name).capabilities.eventually_convergent
-])
+@pytest.mark.parametrize("protocol", registry.names())
 def test_heal_and_settle_restore_convergence(protocol):
     _sim, _net, store, _nem, _res, _tr = chaos_run(
         protocol=protocol, plan=PLANS["mixed"], ops=40)

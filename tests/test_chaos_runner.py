@@ -171,7 +171,7 @@ def test_cli_chaos_rejects_unknown_plan_and_protocol(capsys):
 def test_escrow_invariant_holds_under_partition():
     sim = Simulator(seed=5)
     net = Network(sim, latency=FixedLatency(10.0))
-    counter = EscrowCounter(sim, net, total=300.0, sites=3)  # 100 each
+    counter = EscrowCounter(sim, net, total=300.0)  # 100 each
     outcomes = []
 
     def debits(i):
@@ -209,7 +209,7 @@ def test_escrow_invariant_holds_under_partition():
 def test_redblue_partition_blue_stays_available_red_stays_safe():
     sim = Simulator(seed=6)
     net = Network(sim, latency=FixedLatency(10.0))
-    bank = RedBlueBank(sim, net, sites=3)
+    bank = RedBlueBank(sim, net)
 
     def script():
         yield bank.site(0).deposit("acct", 100.0)

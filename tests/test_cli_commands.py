@@ -1,12 +1,25 @@
 """``repro bench`` / ``sweep`` / ``load`` / ``scale`` / ``multiregion``
 through ``main([...])``: bad input is one line on stderr and exit 2,
 never a traceback; the scenario-script commands print their report and
-replay it under ``--check-determinism``.
+replay it under ``--check-determinism``.  Every ``python -m repro``
+command line in the docs and CI parses, and every command has a
+``--help``.
 """
+
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md",
+        ".github/workflows/ci.yml")
+COMMANDS = ["examples", "run", "pbs", "spectrum", "protocols", "trace",
+            "bench", "sweep", "chaos", "cache", "load", "scale",
+            "multiregion", "selftest"]
 
 
 @pytest.mark.parametrize("argv, cause", [
@@ -25,6 +38,8 @@ from repro.cli import main
     (["load", "--storm", "--protocol", "bayou"],
      "bayou replicas are direct-attach: service_time, queue_limit, "
      "admission_rate, admission_burst would"),
+    (["load", "--check-determinism"],
+     "--check-determinism replays the --storm demo"),
 ])
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, cause):
     assert main(argv) == 2
@@ -57,3 +72,78 @@ def test_cli_multiregion_replays_its_fingerprint(capsys):
     out = capsys.readouterr().out
     assert "quorum" in out and "PASS" in out
     assert "determinism: identical fingerprints on a second run" in out
+
+
+def _logical_lines(text):
+    """The lines of ``text``, each shell ``\\`` continuation and each
+    YAML ``>`` folded block joined into one."""
+    lines = text.splitlines()
+    index = 0
+    while index < len(lines):
+        line = lines[index]
+        index += 1
+        if line.rstrip().endswith(": >"):
+            indent = len(line) - len(line.lstrip())
+            folded = []
+            while (index < len(lines) and lines[index].strip()
+                   and len(lines[index]) - len(lines[index].lstrip()) > indent):
+                folded.append(lines[index].strip())
+                index += 1
+            yield " ".join(folded)
+            continue
+        while line.endswith("\\") and index < len(lines):
+            line = line[:-1] + " " + lines[index].strip()
+            index += 1
+        yield line
+
+
+def _documented_argvs():
+    """``(where, argv)`` per ``python -m repro`` (or ``repro.cli``)
+    command line in the docs and CI.  A ``$name`` takes the value of the
+    last ``name="..."`` line above it; a bare mention with no command
+    is not a command line."""
+    for doc in DOCS:
+        variables = {}
+        for line in _logical_lines((ROOT / doc).read_text(encoding="utf-8")):
+            variables.update(re.findall(r'^\s*(\w+)="([^"]*)"', line))
+            for match in re.finditer(r"python -m repro(?:\.cli)?\b([^`#]*)",
+                                     line):
+                words = re.sub(r"\$(\w+)", lambda m: variables[m.group(1)],
+                               match.group(1))
+                argv = shlex.split(words)
+                if argv:
+                    yield doc, argv
+
+
+DOCUMENTED = list(_documented_argvs())
+
+
+def test_the_docs_hold_command_lines():
+    assert len(DOCUMENTED) >= 32
+    assert {doc for doc, _argv in DOCUMENTED} >= {
+        "README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"}
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _doc, argv in DOCUMENTED],
+    ids=[f"{doc}:{' '.join(argv)}" for doc, argv in DOCUMENTED],
+)
+def test_documented_command_lines_parse(argv):
+    assert _parser().parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_has_help(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        f"usage: python -m repro {command}")
+
+
+def test_help_lists_the_commands_in_order(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    listed = re.findall(r"^    (\w+) +\S", capsys.readouterr().out, re.M)
+    assert listed == COMMANDS

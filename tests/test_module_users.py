@@ -369,8 +369,10 @@ def test_the_scan_sees_the_ways_a_name_is_used():
 # for every option.  A call that forwards the enclosing ``def``'s own
 # option (``CachedStore(ttl=ttl)`` in ``build_cached``) sets the
 # callee's option only when the enclosing one is set, so a chain of
-# forwards with no outside user is reported whole.  Tests are not
-# users.
+# forwards with no outside user is reported whole.  Passing a literal
+# equal to the option's literal default (``ttl=200.0`` where the
+# default is ``200.0``) is not a second value, so it sets nothing.
+# Tests are not users.
 #
 # ``KNOWN_KNOBS`` may hold only safety bounds and test seams that
 # inject a fault or substitute a fake, each with the test that needs
@@ -405,13 +407,24 @@ _DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 class _Signature:
     """What a call to one callable can set: its positional parameter
-    names in order, its options (parameter name -> option id), and
-    whether it forwards ``**kwargs``."""
+    names in order, its options (parameter name -> option id), each
+    option's default expression, and whether it forwards ``**kwargs``."""
 
-    def __init__(self, positional, options, forwards=False):
+    def __init__(self, positional, options, defaults, forwards=False):
         self.positional = positional
         self.options = options
+        self.defaults = defaults
         self.forwards = forwards
+
+    def passes_default(self, name, value):
+        """Whether ``value`` is a literal equal to ``name``'s literal
+        default: passing it sets nothing."""
+        try:
+            given = ast.literal_eval(value)
+            default = ast.literal_eval(self.defaults[name])
+        except (ValueError, TypeError, SyntaxError):
+            return False
+        return type(given) is type(default) and given == default
 
 
 def _decorator_name(decorator):
@@ -427,15 +440,19 @@ def _function_signature(fn, label, method):
     if method and "staticmethod" not in map(_decorator_name,
                                             fn.decorator_list):
         positional = positional[1:]
-    defaulted = [arg.arg for arg in ordered[len(ordered)
-                                            - len(args.defaults):]]
-    defaulted += [
-        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+    defaults = {
+        arg.arg: default
+        for arg, default in zip(ordered[len(ordered) - len(args.defaults):],
+                                args.defaults)
+    }
+    defaults.update(
+        (arg.arg, default)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
         if default is not None
-    ]
+    )
     return _Signature(
-        positional, {name: f"{label}({name})" for name in defaulted},
-        args.kwarg is not None,
+        positional, {name: f"{label}({name})" for name in defaults},
+        defaults, args.kwarg is not None,
     )
 
 
@@ -450,7 +467,8 @@ def _frozen(cls):
 
 
 def _dataclass_fields(cls):
-    """``(name, has a default)`` per ``__init__`` field of ``cls``."""
+    """``(name, default expression or None)`` per ``__init__`` field of
+    ``cls``."""
     for stmt in cls.body:
         if not (isinstance(stmt, ast.AnnAssign)
                 and isinstance(stmt.target, ast.Name)):
@@ -463,7 +481,10 @@ def _dataclass_fields(cls):
                    and getattr(keyword.value, "value", True) is False
                    for keyword in value.keywords):
                 continue
-        yield stmt.target.id, value is not None
+        if isinstance(value, ast.Call):
+            value = next((keyword.value for keyword in value.keywords
+                          if keyword.arg == "default"), value)
+        yield stmt.target.id, value
 
 
 def _label(module, cls, fn):
@@ -512,16 +533,18 @@ def _init(module, cls):
     if not any(_decorator_name(d) == "dataclass"
                for d in cls.decorator_list):
         return inherited[0] if inherited else None
-    positional, options = [], {}
+    positional, options, defaults = [], {}, {}
     for signature in reversed(inherited):
         positional += signature.positional
         options.update(signature.options)
-    for name, defaulted in _dataclass_fields(cls):
+        defaults.update(signature.defaults)
+    for name, default in _dataclass_fields(cls):
         if name not in positional:
             positional.append(name)
-        if defaulted and _frozen(cls):
+        if default is not None and _frozen(cls):
             options[name] = f"{module}.{cls.name}({name})"
-    return _Signature(positional, options)
+            defaults[name] = default
+    return _Signature(positional, options, defaults)
 
 
 def _callables():
@@ -609,7 +632,8 @@ def _option_sets():
             for signature in signatures:
                 options = signature.options
                 for keyword in keywords:
-                    if keyword.arg in options:
+                    if keyword.arg in options and not signature.passes_default(
+                            keyword.arg, keyword.value):
                         yield (options[keyword.arg], condition(keyword.value),
                                user)
                 for index, arg in enumerate(node.args[skip:]):
@@ -619,7 +643,8 @@ def _option_sets():
                             if name in options:
                                 yield options[name], None, user
                         break
-                    if names and names[0] in options:
+                    if (names and names[0] in options
+                            and not signature.passes_default(names[0], arg)):
                         yield options[names[0]], condition(arg), user
 
 
@@ -663,8 +688,10 @@ def test_the_scan_sees_the_ways_an_option_is_set():
     settings = {(what, condition, user) for what, condition, user in SETTINGS}
     bench = "bench/workloads.py"
     # by keyword, to a class (its __init__) and to a dataclass
-    assert ("repro.cache.store.CachedStore(ttl)", None, bench) in settings
-    assert ("repro.rpc.policy.RetryPolicy(jitter)", None, bench) in settings
+    assert ("repro.cache.store.CachedStore(capacity)", None,
+            bench) in settings
+    assert ("repro.rpc.policy.RetryPolicy(backoff_max)", None,
+            bench) in settings
     # by position
     assert ("repro.workload.ycsb.YCSBWorkload(preset)", None,
             bench) in settings
@@ -682,3 +709,5 @@ def test_the_scan_sees_the_ways_an_option_is_set():
     assert ((WILDCARD, "fault"), None, bench) in settings
     # a keyword to a **kwargs forwarder (the registry's build)
     assert ((WILDCARD, "admission_burst"), None, bench) in settings
+    # not: a literal equal to the literal default (``ttl=200.0``)
+    assert ("repro.cache.store.CachedStore(ttl)", None, bench) not in settings

@@ -134,6 +134,16 @@ def test_cli_sweep_check_determinism(capsys):
     assert "parallel fingerprint set == serial" in capsys.readouterr().out
 
 
+def test_cli_sweep_check_determinism_at_one_worker(capsys):
+    # The default --workers 1 still checks: the sweep runs serially twice.
+    code = main([
+        "sweep", "--scenario", SCENARIO, "--seeds", "1-2", "--quick",
+        "--check-determinism",
+    ])
+    assert code == 0
+    assert "parallel fingerprint set == serial" in capsys.readouterr().out
+
+
 def test_cli_sweep_bad_seed_spec_exits_nonzero(capsys):
     assert main(["sweep", "--scenario", SCENARIO, "--seeds", "8-1"]) == 2
     assert "sweep failed" in capsys.readouterr().err

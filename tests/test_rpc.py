@@ -113,7 +113,7 @@ def test_retry_then_success_after_recovery():
 def test_failover_to_second_endpoint():
     sim, _net, (s0, _s1), client = setup(traced=True, servers=2)
     policy = RetryPolicy(max_attempts=2, request_timeout=10.0,
-                         backoff_base=5.0, jitter=0.0, failover=True)
+                         backoff_base=5.0, jitter=0.0)
     s0.crash()
     future = client.call(["s0", "s1"], "hello", timeout=200.0, policy=policy)
     sim.run()
@@ -125,11 +125,12 @@ def test_failover_to_second_endpoint():
 
 
 def test_no_failover_when_disabled():
+    # One endpoint disables failover: every retry goes back to it.
     sim, _net, (s0, s1), client = setup(servers=2)
     policy = RetryPolicy(max_attempts=2, request_timeout=10.0,
-                         backoff_base=5.0, jitter=0.0, failover=False)
+                         backoff_base=5.0, jitter=0.0)
     s0.crash()
-    future = client.call(["s0", "s1"], "hello", timeout=200.0, policy=policy)
+    future = client.call("s0", "hello", timeout=200.0, policy=policy)
     sim.run()
     assert isinstance(future.error, ReproTimeoutError)
     assert s1.applied == 0  # never contacted

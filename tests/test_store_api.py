@@ -308,10 +308,11 @@ def test_idempotent_retry_applies_once(name):
     through), let the retry hit the same server: the write must apply
     exactly once, the retry replaying the original result."""
     sim = Simulator(seed=23)
-    # failover=False pins retries to the server that already applied
-    # the write — dedup is a per-server guarantee.
-    policy = RetryPolicy(max_attempts=3, request_timeout=20.0,
-                         backoff_base=15.0, jitter=0.0, failover=False)
+    # Retries rotate across the call's endpoints (one, or all three
+    # replicas), so the fourth attempt is back at the server that
+    # already applied the write — dedup is a per-server guarantee.
+    policy = RetryPolicy(max_attempts=4, request_timeout=20.0,
+                         backoff_base=15.0, jitter=0.0)
     store = build_store(name, sim, retry=policy)
     caps = store.capabilities
     if not caps.networked:
@@ -324,10 +325,11 @@ def test_idempotent_retry_applies_once(name):
     pause = TUNING[name].get("pause", 100.0)
     # The put's request is on the wire at t=0 and in-flight messages
     # survive a partition (drops are decided at send time), so cutting
-    # the client off at t=1 loses only the reply — sent at t>=2.  Heal
-    # before the second retry (t=35) reaches the server's dedup table.
+    # the client off at t=1 loses only the reply — sent at t>=2.  The
+    # retries at t=35 and t=85 are dropped; heal before the third
+    # (t=165) reaches the first server's dedup table.
     sim.schedule(1.0, store.network.partition, [session.client_id])
-    sim.schedule(30.0, store.network.heal)
+    sim.schedule(150.0, store.network.heal)
     seen = {}
 
     def script():

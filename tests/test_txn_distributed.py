@@ -16,10 +16,10 @@ from repro.txn import (
 # RedBlue
 # ----------------------------------------------------------------------
 
-def make_redblue(seed=0, latency=40.0, sites=3):
+def make_redblue(seed=0, latency=40.0):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(latency))
-    bank = RedBlueBank(sim, net, sites=sites)
+    bank = RedBlueBank(sim, net)
     return sim, net, bank
 
 
@@ -146,10 +146,10 @@ def test_blue_ops_from_all_sites_commute():
 # Escrow
 # ----------------------------------------------------------------------
 
-def make_escrow(total, seed=0, latency=30.0, sites=3):
+def make_escrow(total, seed=0, latency=30.0):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(latency))
-    counter = EscrowCounter(sim, net, total=total, sites=sites)
+    counter = EscrowCounter(sim, net, total=total)
     return sim, net, counter
 
 
