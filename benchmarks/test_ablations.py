@@ -32,9 +32,9 @@ def run_read_repair(enabled, seed=3):
     store = registry.build("quorum", sim, net, nodes=5, n=3, r=3, w=1,
                            read_repair=enabled, hint_interval=None)
     session = store.session()
-    homes = store.cluster.ring.preference_list("k", 3)
+    homes = store.ring.preference_list("k", 3)
     victim_id = homes[1]
-    victim = store.cluster.node(victim_id)
+    victim = store.replica(victim_id)
     healed = {}
 
     def script():
@@ -89,7 +89,7 @@ def run_partition_severity(sloppy, cut_size, seed=7, attempts=6):
     store = registry.build("quorum", sim, net, nodes=6, n=3, r=2, w=2,
                            sloppy=sloppy, replica_timeout=20.0,
                            op_deadline=150.0, client_timeout=300.0)
-    nodes = store.cluster.ring.nodes
+    nodes = store.ring.nodes
     far_side = nodes[:cut_size]
     session = store.session(coordinator=nodes[-1])
     net.partition(far_side)  # everyone else (incl. client) together

@@ -28,8 +28,6 @@ def run_group(replicas, seed=2, rounds=10):
         sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05)
     )
     cluster = MultiPaxosCluster(sim, net, nodes=replicas, node_ids=ids)
-    cluster.elect()
-    sim.run()
     client = cluster.connect()
     commit = LatencyStats()
     log_read = LatencyStats()

@@ -32,8 +32,8 @@ def run_lag(propagation_delay, critical=False, seed=3):
     net = Network(sim, latency=FixedLatency(3.0))
     store = registry.build("timeline", sim, net, nodes=3,
                            propagation_delay=propagation_delay)
-    master = store.cluster.master_of("rec")
-    replica = next(n for n in store.cluster.node_ids if n != master)
+    master = store.master_of("rec")
+    replica = next(n for n in store.node_ids if n != master)
     writer = store.session("writer")
     reader = store.session("reader", home=replica)
     mode = "any"
@@ -91,7 +91,7 @@ def run_mastership(master_site_is_writer, seed=4):
     net = Network(sim, latency=latency)
     store = registry.build("timeline", sim, net, nodes=3,
                            propagation_delay=10.0)
-    store.cluster.set_master("rec", "tl1" if master_site_is_writer else "tl0")
+    store.set_master("rec", "tl1" if master_site_is_writer else "tl0")
     driver = WorkloadDriver(sim)
     driver.add_session(store.session("w", home="tl1"),
                        [OpSpec("update", "rec", i) for i in range(10)],

@@ -51,7 +51,7 @@ def run_tail(hedged, seed=3, tracer=None):
     sim = Simulator(seed=seed, tracer=tracer)
     store = build_quorum(sim, LogNormalLatency(median=2.0, sigma=0.6))
     nodes = store.server_ids()
-    store.cluster.node(nodes[-1]).service_time = STRAGGLER_SERVICE
+    store.replica(nodes[-1]).service_time = STRAGGLER_SERVICE
 
     loader = store.session("load", coordinator=nodes[0])
     preload = WorkloadDriver(sim)
@@ -104,7 +104,7 @@ def run_failover(protected, seed=3):
                      OpSpec("sleep", "", 20.0))
     ]
     stats = driver.add_session(session, ops, timeout=400.0)
-    sim.schedule(CRASH_AT, store.cluster.node(nodes[0]).crash)
+    sim.schedule(CRASH_AT, store.replica(nodes[0]).crash)
     driver.run()
     return stats, sim
 

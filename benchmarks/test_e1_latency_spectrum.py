@@ -93,7 +93,7 @@ def run_protocol(name, seed=1, read_heavy=False):
                            **build_kwargs)
     if spec_name == "timeline":
         for i in range(3):
-            store.cluster.set_master(f"key-{i}", f"{prefix}0")
+            store.set_master(f"key-{i}", f"{prefix}0")
     driver = WorkloadDriver(sim)
     driver.add_session(store.session("session-1", **session_opts),
                        rw_rounds(read_heavy=read_heavy))

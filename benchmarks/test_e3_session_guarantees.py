@@ -42,12 +42,11 @@ def run_sessions(guarantees, seed=2, propagation_delay=80.0):
     net = Network(sim, latency=ExponentialLatency(base=1.0, mean=3.0))
     store = registry.build("timeline", sim, net, nodes=4,
                            propagation_delay=propagation_delay)
-    cluster = store.cluster
     driver = WorkloadDriver(sim)
     for index in range(SESSIONS):
         key = f"key-{index}"
-        master = cluster.master_of(key)
-        home = next(n for n in cluster.node_ids if n != master)
+        master = store.master_of(key)
+        home = next(n for n in store.node_ids if n != master)
         session = store.session(f"s{index}", home=home,
                                 guarantees=guarantees, retry_delay=8.0)
         driver.add_session(session, session_ops(key))

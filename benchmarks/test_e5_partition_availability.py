@@ -40,7 +40,7 @@ def run_dynamo_partition(sloppy, seed=2):
                            sloppy=sloppy, replica_timeout=20.0,
                            op_deadline=150.0, client_timeout=300.0,
                            hint_interval=30.0)
-    nodes = store.cluster.ring.nodes
+    nodes = store.ring.nodes
     majority, minority = nodes[:3], nodes[3:]
     major = store.session("major", coordinator=majority[0])
     minor = store.session("minor", coordinator=minority[0])
@@ -65,10 +65,9 @@ def run_paxos_partition(minority_side, seed=2):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(2.0))
     store = registry.build("multipaxos", sim, net, nodes=3)
-    cluster = store.cluster
     session = store.session("px")
-    leader = cluster.leader.node_id
-    others = [n for n in cluster.node_ids if n != leader]
+    leader = store.leader.node_id
+    others = [n for n in store.node_ids if n != leader]
     if minority_side:
         net.partition([session.client_id, leader])          # leader alone
     else:

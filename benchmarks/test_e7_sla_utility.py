@@ -35,7 +35,7 @@ def run_position(client_site, strategy, seed=3, reads=15):
     )
     store = registry.build("pileus", sim, net, nodes=3,
                            propagation_delay=25.0)
-    store.cluster.set_master("data", "tl0")
+    store.set_master("data", "tl0")
     if strategy == "sla":
         target = None
     elif strategy == "master":

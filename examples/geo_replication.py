@@ -115,7 +115,7 @@ def run_timeline(with_session, label, seed=1):
     store = registry.build("timeline", sim, net, nodes=3,
                            propagation_delay=20.0, node_ids=ids)
     for i in range(3):
-        store.cluster.set_master(f"key-{i}", "tl0")   # mastered in us-east
+        store.set_master(f"key-{i}", "tl0")   # mastered in us-east
     # EU reads local; the session layer adds read-your-writes and
     # monotonic-read floors over the same local reads.
     guarantees = dict(guarantees=("ryw", "mr"), retry_delay=10.0) \

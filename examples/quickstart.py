@@ -45,7 +45,7 @@ def run_quorum_config(r: int, w: int, seed: int = 42):
     return {
         "r": r,
         "w": w,
-        "overlap": "yes" if r + w > store.cluster.n else "no",
+        "overlap": "yes" if r + w > store.n else "no",
         "mean_latency_ms": round(mean_latency, 2),
         "stale_read_frac": round(stale_read_fraction(history), 3),
         "linearizable": lin.ok,

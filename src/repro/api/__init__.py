@@ -26,8 +26,10 @@ from .store import (
     resolved,
 )
 
-# Importing the adapters module registers every protocol.
-from . import adapters  # noqa: E402,F401
+# Importing the protocol packages registers every store: each
+# protocol's replica group carries its own ``@registry.register``, and
+# the cache tier comes last so it can wrap any of them.
+from .. import replication, sla, cache  # noqa: E402,F401
 
 __all__ = [
     "READ_PREFERENCES",
@@ -38,5 +40,4 @@ __all__ = [
     "registry",
     "mapped_future",
     "resolved",
-    "adapters",
 ]

@@ -8,9 +8,11 @@ The taxonomy's mechanism axis as a lookup table::
     store = spec.build(sim, network, nodes=5, n=3, r=2, w=2)
     session = store.session("alice")
 
-Adapters self-register at import time (see :mod:`repro.api.adapters`);
-``registry.names()`` is the authoritative list the CLI's
-``repro protocols`` command prints.
+Each protocol's store class — its replica group in
+:mod:`repro.replication` or :mod:`repro.sla`, or the cache tier's
+factory — registers itself where it is defined, when :mod:`repro.api`
+imports those packages; ``registry.names()`` is the authoritative list
+the CLI's ``repro protocols`` command prints.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ class StoreSpec:
         """Construct a ready-to-use store on ``sim``.
 
         ``network`` defaults to a fresh loss-free :class:`Network`.
-        Common kwargs every adapter accepts: ``nodes`` (cluster size),
-        ``node_ids`` (explicit ids), ``service_time`` (per-node
-        request-processing ms, see
-        :class:`repro.replication.common.ServerNode`), and ``retry``
-        (a store-wide :class:`repro.rpc.RetryPolicy` applied to every
-        session; sessions can override with ``session(retry=...)``).
-        Remaining kwargs pass through to the underlying cluster class.
+        Common kwargs every replica group accepts (see
+        :class:`repro.replication.ReplicaGroup`): ``nodes`` (group
+        size), ``node_ids`` (explicit ids), the capacity knobs
+        (``service_time`` …, see
+        :class:`repro.replication.common.ServerNode`), ``retry`` (a
+        store-wide :class:`repro.rpc.RetryPolicy` applied to every
+        session; sessions can override with ``session(retry=...)``) and
+        ``placement``.  The rest are the protocol's own.
         """
         if network is None:
             network = Network(sim)
@@ -57,7 +60,7 @@ class StoreSpec:
 def register(
     capabilities: StoreCapabilities,
 ) -> Callable[[Callable[..., ConsistentStore]], Callable[..., ConsistentStore]]:
-    """Class/factory decorator adding an adapter to the registry."""
+    """Class/factory decorator adding a store to the registry."""
 
     def wrap(factory: Callable[..., ConsistentStore]):
         if capabilities.name in _REGISTRY:

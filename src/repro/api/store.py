@@ -3,7 +3,7 @@
 The tutorial's taxonomy has one axis of consistency guarantees and one
 axis of mechanisms — but a *client* only ever sees a key-value store.
 :class:`ConsistentStore` is that client surface, one per replication
-mechanism: ``put``/``get`` sessions plus a declared
+mechanism — each protocol's replica group is its store: ``put``/``get`` sessions plus a declared
 :class:`StoreCapabilities` record saying which read modes, session
 guarantees, and failure behaviors the mechanism offers.  Everything
 above this layer — the workload driver, the sharded router, the CLI,
@@ -90,9 +90,9 @@ class StoreCapabilities:
     #: Read preferences honoured by ``session(read_preference=...,
     #: region=...)`` when the store was built with a
     #: :class:`~repro.placement.Placement` (subset of
-    #: :data:`READ_PREFERENCES`; empty = region-blind adapter).
+    #: :data:`READ_PREFERENCES`; empty = region-blind store).
     read_preferences: tuple[str, ...] = ()
-    #: Guarantees this adapter explicitly does *not* defend under
+    #: Guarantees this store explicitly does *not* defend under
     #: injected faults, as ``(guarantee, reason)`` pairs.  The chaos
     #: runner reports them as WAIVED instead of failing — a waiver is
     #: a documented design limitation, not a free pass: the reason is
@@ -150,7 +150,7 @@ class StoreSession(ABC):
 class FnSession(StoreSession):
     """A session assembled from per-mode read callables.
 
-    Most adapters are exactly this: a wrapped protocol client, one
+    Most stores' sessions are exactly this: a protocol client, one
     ``put`` callable, and a dict of read-mode callables — each taking
     ``(key, timeout)`` and returning a future already normalized to
     the contract above.
@@ -200,16 +200,17 @@ class FnSession(StoreSession):
 class ConsistentStore(ABC):
     """A replicated KV store behind one client surface.
 
-    Adapters wrap the concrete cluster classes in
-    :mod:`repro.replication` / :mod:`repro.sla`; the wrapped cluster
-    stays reachable as ``store.cluster`` for protocol-specific
-    experimentation.
+    Each protocol's replica group (:class:`repro.replication
+    .ReplicaGroup` and its subclasses) *is* its store, so
+    protocol-specific surfaces — a Paxos ``leader``, a timeline's
+    ``set_master`` — sit on the store itself; the sharded router and
+    the cache tier are stores over other stores.
     """
 
     capabilities: StoreCapabilities
 
     #: The :class:`~repro.placement.Placement` the store was built
-    #: with, when region-aware (adapters accepting ``placement=`` set
+    #: with, when region-aware (stores accepting ``placement=`` set
     #: it; the nemesis and routing layers read it duck-typed).
     placement = None
 
@@ -219,9 +220,9 @@ class ConsistentStore(ABC):
 
     @abstractmethod
     def session(self, name: Hashable | None = None, **opts: Any) -> StoreSession:
-        """Create a client session (``opts`` are adapter-specific:
+        """Create a client session (``opts`` are protocol-specific:
         ``coordinator=``, ``home=``, ``guarantees=``, ``sla=`` …).  On a
-        store built with ``placement=``, every networked adapter also
+        store built with ``placement=``, every networked store also
         takes ``region=`` (where the session's client node lives) and
         the ``read_preference=`` values its capabilities declare."""
 

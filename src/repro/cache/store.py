@@ -324,7 +324,7 @@ class CachedStore(ConsistentStore):
         return self.inner.placement
 
     def __getattr__(self, name: str):
-        # Protocol-specific surfaces (cluster, ring, shards, shard_of,
+        # Protocol-specific surfaces (leader, ring, shards, shard_of,
         # add_shard, ...) delegate so the nemesis, autoscaler, and
         # tests poke the backing store through the cache transparently.
         inner = self.__dict__.get("inner")

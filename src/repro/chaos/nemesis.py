@@ -117,12 +117,11 @@ class Nemesis:
 
     def _coordinator(self) -> Hashable | None:
         """The store's distinguished node, where the protocol has one:
-        probes the wrapped cluster for a Paxos leader, a primary, or a
-        chain head.  ``None`` for leaderless protocols."""
-        cluster = getattr(self.store, "cluster", None)
+        probes the store for a Paxos leader, a primary, or a chain
+        head.  ``None`` for leaderless protocols."""
         for attr in ("leader", "primary", "head"):
             try:
-                node = getattr(cluster, attr, None)
+                node = getattr(self.store, attr, None)
             except Exception:
                 # e.g. MultiPaxosCluster.leader raises when leaderless.
                 node = None

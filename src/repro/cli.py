@@ -165,9 +165,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
         store = registry.build(name, sim, network, nodes=3,
                                node_ids=node_ids, **build_kwargs)
-        if hasattr(store.cluster, "set_master"):
+        if hasattr(store, "set_master"):
             for i in range(3):
-                store.cluster.set_master(f"key-{i}", "n0")
+                store.set_master(f"key-{i}", "n0")
         session_kwargs = dict(session_kwargs)
         if store.capabilities.networked:
             session_kwargs["client_id"] = "client-eu"

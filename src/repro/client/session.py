@@ -11,8 +11,8 @@ the *store* to order writes after a floor; single-master stores
 why this layer only needs the two read-side floors.
 
 :class:`SessionClient` is store-agnostic: it wraps any pair of
-``read_fn(key, attempt) -> Future[(value, version)]`` and
-``write_fn(key, value) -> Future[version]`` callables — see
+``read_fn(key, attempt, timeout) -> Future[(value, version)]`` and
+``write_fn(key, value, timeout) -> Future[version]`` callables — see
 :func:`timeline_session` for the PNUTS adapter used in E3.
 """
 
@@ -73,9 +73,10 @@ class SessionClient:
     sim:
         The simulator (for retry timers).
     read_fn / write_fn:
-        The underlying store operations.  ``read_fn(key, attempt)``
-        gets the 1-based attempt number (used to spread retries across
-        replicas).
+        The underlying store operations.  ``read_fn(key, attempt,
+        timeout)`` gets the 1-based attempt number (used to spread
+        retries across replicas); both get the op's remaining time
+        budget in ms, or None for no deadline.
     guarantees:
         Any subset of ``{"ryw", "mr", "mw", "wfr"}``.  The read-side
         pair drives the retry loop; ``mw``/``wfr`` are recorded for
@@ -84,14 +85,15 @@ class SessionClient:
         Backoff between stale-read retries, in ms.
 
     A read gives up (fails its future) after :data:`MAX_RETRIES` stale
-    replies.
+    replies, or when its ``timeout`` — which bounds the whole read,
+    stale-read retries included — would expire before the next retry.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        read_fn: Callable[[Hashable, int], Future],
-        write_fn: Callable[[Hashable, Any], Future],
+        read_fn: Callable[[Hashable, int, float | None], Future],
+        write_fn: Callable[[Hashable, Any, float | None], Future],
         guarantees: Iterable[str] = (),
         retry_delay: float = 10.0,
     ) -> None:
@@ -108,10 +110,12 @@ class SessionClient:
         self.stats = SessionStats()
 
     # ------------------------------------------------------------------
-    def write(self, key: Hashable, value: Any) -> Future:
+    def write(
+        self, key: Hashable, value: Any, timeout: float | None = None
+    ) -> Future:
         """Write through the store; floors advance on success."""
         self.stats.writes += 1
-        inner = self.write_fn(key, value)
+        inner = self.write_fn(key, value, timeout)
         outer = Future(self.sim, label=("session-write({!r})", key))
 
         def done(future: Future) -> None:
@@ -125,15 +129,17 @@ class SessionClient:
         inner.add_callback(done)
         return outer
 
-    def read(self, key: Hashable) -> Future:
+    def read(self, key: Hashable, timeout: float | None = None) -> Future:
         """Read honoring the session's floors; resolves (value, version)."""
         self.stats.reads += 1
         floor = self.state.required_version(key, self.guarantees)
         outer = Future(self.sim, label=("session-read({!r})", key))
+        deadline = None if timeout is None else self.sim.now + timeout
 
         def attempt_read(attempt: int):
+            remaining = None if deadline is None else deadline - self.sim.now
             try:
-                value, version = yield self.read_fn(key, attempt)
+                value, version = yield self.read_fn(key, attempt, remaining)
             except Exception as exc:  # noqa: BLE001 - surface to caller
                 outer.fail(exc)
                 return
@@ -147,6 +153,15 @@ class SessionClient:
                     ReproTimeoutError(
                         f"read of {key!r} below floor v{floor} after "
                         f"{attempt} retries"
+                    )
+                )
+                return
+            if deadline is not None and \
+                    self.sim.now + self.retry_delay >= deadline:
+                outer.fail(
+                    ReproTimeoutError(
+                        f"read of {key!r} below floor v{floor} at its "
+                        "deadline"
                     )
                 )
                 return
@@ -170,11 +185,11 @@ def timeline_session(
     guarantees are purchasable *on top of* an eventually consistent
     read path.
     """
-    def read_fn(key, attempt: int) -> Future:
-        return client.read_any(key)
+    def read_fn(key, attempt: int, timeout: float | None) -> Future:
+        return client.read_any(key, timeout=timeout)
 
-    def write_fn(key, value) -> Future:
-        return client.write(key, value)
+    def write_fn(key, value, timeout: float | None) -> Future:
+        return client.write(key, value, timeout=timeout)
 
     return SessionClient(
         client.sim,

@@ -14,17 +14,21 @@
 * :class:`CausalCluster` — COPS-style causal broadcast KV.
 * :class:`ChainCluster` — chain replication.
 
-The five single-group networked protocols (primary–backup, chain,
-timeline, causal, Multi-Paxos) differ only in mechanism: each writes
-its wire messages, its replica's handlers and its client's verbs over
-the skeleton in :mod:`repro.replication.common` —
-:class:`GroupClient` (the session-bound client node),
-:class:`ReplicaGroup` (ids, replicas, ``connect``,
-``snapshots``) and, under primary–backup, chain and timeline,
+Every protocol but gossip is one :class:`ReplicaGroup` — the skeleton
+in :mod:`repro.replication.common` — and that group *is* the
+protocol's registered :class:`~repro.api.ConsistentStore`: the base
+supplies ids, replicas, capacity knobs, region placement, ``connect``,
+``snapshots`` and the session plumbing, and :class:`GroupClient` is
+the session-bound client node.  A protocol writes its wire messages,
+its replica's handlers, its client's verbs, its ``session()`` and its
+``settle()`` sweep; under primary–backup, chain and timeline,
 :class:`VersionedReplica` (the highest-version-wins store) with
-:class:`VersionedGroup` (its catch-up sweep).
+:class:`VersionedGroup` (its catch-up sweep) are shared too.
 """
 
+# repro.api registers every store by importing this package; load it
+# first, so that no protocol module is half-imported when it does.
+from .. import api as _api  # noqa: F401
 from .anti_entropy import GossipCluster, GossipReplica
 from .bayou import BayouCluster, BayouReplica, BayouWrite
 from .causal_store import CausalClient, CausalCluster, CausalReplica

@@ -28,8 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+from ..api import registry
+from ..api.store import FnSession, StoreCapabilities, StoreSession, resolved
 from ..clocks import LamportClock, LamportStamp
+from ..rpc import RetryPolicy
 from ..sim import Network, Node, Simulator
+from .common import ReplicaGroup
 
 #: Anti-entropy period (ms) of every replica.
 INTERVAL = 25.0
@@ -62,11 +66,10 @@ class BayouReplica(Node):
         network: Network,
         node_id: Hashable,
         cluster: "BayouCluster",
-        is_primary: bool = False,
     ) -> None:
         super().__init__(sim, network, node_id)
         self.cluster = cluster
-        self.is_primary = is_primary
+        self.is_primary = False
         self.clock = LamportClock(node_id)
         self._writes: dict[LamportStamp, BayouWrite] = {}
         self._commits: dict[LamportStamp, int] = {}     # stamp -> CSN
@@ -196,34 +199,36 @@ class BayouReplica(Node):
         return [record.stamp for record in self._committed_order()]
 
 
-class BayouCluster:
-    """N Bayou replicas, the first of them the commit primary."""
+@registry.register(StoreCapabilities(
+    name="bayou",
+    description="Bayou tentative/committed writes, primary commit order",
+    read_modes=("tentative", "committed"),
+    tentative_reads=True,
+    networked=False,
+    retry_safe_writes=False,
+))
+class BayouCluster(ReplicaGroup):
+    """N Bayou replicas, the first of them the commit primary.
+
+    Direct-attach replicas: there is no service queue and no RPC path,
+    so the capacity knobs are refused and ``retry`` has nothing to act
+    on here."""
+
+    replica_class = BayouReplica
+    replica_prefix = "by"
+    #: Round-robin cursor over the replicas sessions attach to.
+    _next_replica = 0
+    _sessions = 0
 
     def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 4,
-        node_ids: list[Hashable] | None = None,
+        self, sim: Simulator, network: Network, nodes: int = 4, **group: Any,
     ) -> None:
-        if nodes < 1:
-            raise ValueError("need at least one replica")
-        ids = node_ids or [f"by{i}" for i in range(nodes)]
-        self.sim = sim
-        self.network = network
-        self.node_ids = list(ids)
-        self.replicas = [
-            BayouReplica(sim, network, node_id, self,
-                         is_primary=(index == 0))
-            for index, node_id in enumerate(ids)
-        ]
+        super().__init__(sim, network, nodes=nodes, **group)
+        self.replicas[0].is_primary = True
 
     @property
     def primary(self) -> BayouReplica:
         return next(r for r in self.replicas if r.is_primary)
-
-    def replica(self, index: int) -> BayouReplica:
-        return self.replicas[index]
 
     def converged(self) -> bool:
         snapshots = [r.snapshot() for r in self.replicas]
@@ -243,3 +248,47 @@ class BayouCluster:
                 return self.sim.now
             self.sim.run(until=self.sim.now + poll)
         raise ReproTimeoutError(f"not converged within {deadline}ms")
+
+    def session(
+        self,
+        name: Hashable | None = None,
+        retry: RetryPolicy | None = None,  # noqa: ARG002 - no RPC path
+        **opts: Any,
+    ) -> StoreSession:
+        self._region(opts)     # direct-attach: rejects both
+        index = self._next_replica % len(self.replicas)
+        self._next_replica += 1
+        node = self.replicas[index]
+        self._sessions += 1
+        name = name if name is not None else f"bayou-session-{self._sessions}"
+        sim = self.sim
+
+        def put_fn(key, value, _timeout):
+            record = node.write(key, value)
+            return resolved(sim, record.stamp)
+
+        return FnSession(
+            name,
+            put_fn=put_fn,
+            read_fns={
+                "tentative": lambda k, t: resolved(
+                    sim, (node.read_tentative(k), None)
+                ),
+                "committed": lambda k, t: resolved(
+                    sim, (node.read_committed(k), None)
+                ),
+            },
+            default_mode="tentative",
+            client_id=node.node_id,
+            client=node,
+        )
+
+    def settle(self) -> None:
+        """Instantaneous pairwise anti-entropy, twice: once to flood
+        writes to the primary, once to flood commit orders back."""
+        for _round in range(2):
+            for source in self.replicas:
+                write_set = source._write_set(reply_expected=False)
+                for target in self.replicas:
+                    if target is not source:
+                        target.handle_WriteSet(source.node_id, write_set)

@@ -29,7 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+from ..api import registry
+from ..api.store import FnSession, StoreCapabilities, StoreSession, mapped_future
 from ..crdt.opbased import CausalBuffer, OpEnvelope
+from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
 from .common import GroupClient, ReplicaGroup, ServerNode
 
@@ -145,6 +148,14 @@ class CausalClient(GroupClient):
         return self.call(self._endpoints, CGetLocal(key), timeout)
 
 
+@registry.register(StoreCapabilities(
+    name="causal",
+    description="COPS-style causal broadcast KV; local reads/writes",
+    read_modes=("local",),
+    session_guarantees=("ryw", "mr", "mw", "wfr"),
+    failover_reads=True,
+    failover_writes=True,
+))
 class CausalCluster(ReplicaGroup):
     """COPS-style causal KV: local ops + causal broadcast."""
 
@@ -152,22 +163,52 @@ class CausalCluster(ReplicaGroup):
     client_class = CausalClient
     replica_prefix = "cc"
     client_prefix = "ccclient"
+    #: Round-robin cursor for sessions opened without ``home=``.
+    _next_home = 0
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, network: Network, **group: Any) -> None:
         metrics = sim.metrics
         self._c_writes_local = metrics.counter("causal.writes_local")
         self._c_reads_local = metrics.counter("causal.reads_local")
         self._c_ops_applied = metrics.counter("causal.ops_applied")
         self._g_pending = metrics.gauge("causal.pending")
-        super().__init__(sim, network, nodes, node_ids)
+        super().__init__(sim, network, **group)
 
-    def anti_entropy_sweep(self) -> None:
+    def session(
+        self,
+        name: Hashable | None = None,
+        home: Hashable | None = None,
+        retry: RetryPolicy | None = None,
+        **opts: Any,
+    ) -> StoreSession:
+        if home is None:
+            ids = self.node_ids
+            home = ids[self._next_home % len(ids)]
+            self._next_home += 1
+        client, _pref, region = self._open(
+            name, retry, {**opts, "home": home}
+        )
+        return FnSession(
+            client.session,
+            put_fn=lambda k, v, t: mapped_future(
+                self.sim, client.put(k, v, timeout=t), tuple,
+            ),
+            read_fns={
+                "local": lambda k, t: mapped_future(
+                    self.sim, client.get(k, timeout=t),
+                    lambda reply: (
+                        reply[0],
+                        tuple(reply[1]) if reply[1] is not None else None,
+                    ),
+                ),
+            },
+            default_mode="local",
+            client_id=client.node_id,
+            client=client,
+            region=region,
+        )
+
+    def settle(self) -> None:
         """Instantaneous pairwise exchange of applied logs until a
         fixpoint: each live replica replays everything it has applied
         into every other live replica's causal buffer (duplicates are

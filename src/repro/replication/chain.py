@@ -14,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+from ..api import registry
+from ..api.store import FnSession, StoreCapabilities, StoreSession
 from ..errors import NotLeaderError
+from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
 from .common import GroupClient, VersionedGroup, VersionedReplica
 
@@ -125,6 +128,13 @@ class ChainClient(GroupClient):
         return self.call(self.cluster.tail.node_id, CGet(key), timeout)
 
 
+@registry.register(StoreCapabilities(
+    name="chain",
+    description="chain replication: writes at head, linearizable tail reads",
+    read_modes=("tail",),
+    survives_replica_crash=False,
+    linearizable_read_modes=("tail",),
+))
 class ChainCluster(VersionedGroup):
     """A static chain of replicas: head = replicas[0], tail = last."""
 
@@ -140,3 +150,20 @@ class ChainCluster(VersionedGroup):
     @property
     def tail(self) -> ChainReplica:
         return self.replicas[-1]
+
+    def session(
+        self,
+        name: Hashable | None = None,
+        retry: RetryPolicy | None = None,
+        **opts: Any,
+    ) -> StoreSession:
+        client, _pref, region = self._open(name, retry, opts)
+        return FnSession(
+            client.session,
+            put_fn=lambda k, v, t: client.put(k, v, timeout=t),
+            read_fns={"tail": self._versioned(client.get)},
+            default_mode="tail",
+            client_id=client.node_id,
+            client=client,
+            region=region,
+        )

@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from .. import errors
+from ..api.store import ConsistentStore, mapped_future
 from ..errors import OverloadedError, ReproError, SimulationError
 from ..errors import TimeoutError as ReproTimeoutError
+from ..placement import Placement
 from ..rpc import RetryPolicy, RpcCall, rpc_counters
 from ..sim import Future, Network, Node, Simulator
 from ..sim.trace import MSG_DROP
@@ -90,7 +92,7 @@ class ClientNode(Node):
         # request_id -> (future, timeout deadline or None)
         self._outstanding: dict[int, tuple[Future, Any]] = {}
         #: Default policy applied by :meth:`call` when none is passed
-        #: explicitly (set by the store adapters' ``retry=`` option).
+        #: explicitly (set by the stores' ``retry=`` option).
         self.retry: RetryPolicy | None = None
         #: Optional :class:`~repro.placement.LocalityMap` set by
         #: region-aware sessions.  When present, :meth:`call` orders
@@ -521,11 +523,12 @@ class ServerNode(Node):
 
 
 # ----------------------------------------------------------------------
-# The protocol skeleton: everything about a single-group protocol that
-# is not mechanism.  A protocol writes its wire messages, its replica's
-# handlers and its client's verbs; the bases below supply the
-# session-bound client, the cluster scaffold and the versioned store +
-# sweep.
+# The protocol skeleton: everything about a replication protocol that is
+# not mechanism.  A protocol writes its wire messages, its replica's
+# handlers, its client's verbs and its ``session()``; the bases below
+# supply the session-bound client, the group that is the store (ids,
+# replicas, capacity knobs, region placement, sessions' clients) and
+# the versioned store + sweep.
 # ----------------------------------------------------------------------
 class GroupClient(ClientNode):
     """A client node bound to one session of one :class:`ReplicaGroup`.
@@ -545,12 +548,27 @@ class GroupClient(ClientNode):
         self.session = session
 
 
-class ReplicaGroup:
-    """One group of replicas over a shared network, plus its clients.
+def _norm_versioned(pair):
+    """(value, int-version) -> (value, token) with 0 meaning 'nothing'."""
+    value, version = pair
+    return value, (version or None)
 
-    Subclasses name the replica and client classes and the id prefixes;
-    replicas are built in id order as ``replica_class(sim, network,
-    node_id, cluster)``.
+
+class ReplicaGroup(ConsistentStore):
+    """One group of replicas over a shared network, plus its clients:
+    a registered protocol's store.
+
+    Subclasses name the replica and client classes and the id prefixes,
+    register their :class:`~repro.api.store.StoreCapabilities` and
+    write ``session()``; replicas are built in id order as
+    ``replica_class(sim, network, node_id, cluster)``.
+
+    ``service_time``, ``queue_limit``, ``admission_rate`` and
+    ``admission_burst`` set every replica's capacity knobs (see
+    :class:`ServerNode`); ``retry`` is the store-wide
+    :class:`~repro.rpc.RetryPolicy` every session's client runs
+    (``session(retry=...)`` overrides it); ``placement`` makes the
+    store region-aware.
     """
 
     replica_class: type
@@ -566,7 +584,25 @@ class ReplicaGroup:
         network: Network,
         nodes: int = 3,
         node_ids: list[Hashable] | None = None,
+        service_time: float = 0.0,
+        queue_limit: int | None = None,
+        admission_rate: float | None = None,
+        admission_burst: float | None = None,
+        retry: RetryPolicy | None = None,
+        placement: Placement | None = None,
     ) -> None:
+        super().__init__(sim, network)
+        knobs = {name: value for name, value, given in (
+            ("service_time", service_time, service_time > 0),
+            ("queue_limit", queue_limit, queue_limit is not None),
+            ("admission_rate", admission_rate, admission_rate is not None),
+            ("admission_burst", admission_burst, admission_burst is not None),
+        ) if given}
+        if knobs and not self.capabilities.networked:
+            raise ValueError(
+                f"{self.capabilities.name} replicas are direct-attach: "
+                f"{', '.join(knobs)} would have nothing to act on"
+            )
         if nodes < 1:
             raise ValueError("need at least one replica")
         ids = list(node_ids) if node_ids else [
@@ -576,13 +612,24 @@ class ReplicaGroup:
             raise ValueError(
                 f"node_ids has {len(ids)} entries for {nodes} replicas"
             )
-        self.sim = sim
-        self.network = network
         self.node_ids = ids
+        self.retry = retry
+        self.placement = placement
         self._clients = 0
         self.replicas = [
             self.replica_class(sim, network, node_id, self) for node_id in ids
         ]
+        if placement is not None:
+            # Region-spread the replicas no one placed yet: the sharded
+            # router pre-places each shard's replicas with a per-shard
+            # stagger before building the group; a standalone store
+            # built with ``placement=`` gets the round-robin spread.
+            unplaced = [n for n in ids if not placement.is_placed(n)]
+            if unplaced:
+                placement.spread(unplaced)
+        for replica in self.replicas:
+            for name, value in knobs.items():
+                setattr(replica, name, value)
 
     def connect(
         self,
@@ -607,8 +654,96 @@ class ReplicaGroup:
                 return replica
         raise KeyError(node_id)
 
+    def server_ids(self) -> list[Hashable]:
+        return [replica.node_id for replica in self.replicas]
+
     def snapshots(self) -> list[dict]:
         return [replica.snapshot() for replica in self.replicas]
+
+    def _region(self, opts: dict):
+        """Pop and validate the region contract — ``read_preference=``
+        and ``region=`` — out of a session's ``opts``.
+
+        Returns ``(None, None)`` for region-blind sessions.  Otherwise
+        the store must be networked (a direct-attach session has no
+        client node to place) and built with ``placement=``, and the
+        preference must be declared in its capabilities; ``region``
+        falls back to the placement's ``default_region``."""
+        read_preference = opts.pop("read_preference", None)
+        region = opts.pop("region", None)
+        if read_preference is None and region is None:
+            return None, None
+        placement, capabilities = self.placement, self.capabilities
+        if placement is None or not capabilities.networked:
+            raise ValueError(
+                f"{capabilities.name}: read_preference=/region= need a "
+                "networked store built with placement="
+            )
+        supported = capabilities.read_preferences
+        if read_preference is not None and read_preference not in supported:
+            raise ValueError(
+                f"{capabilities.name} does not support read preference "
+                f"{read_preference!r}; have {supported or '()'}"
+            )
+        region = region if region is not None else placement.default_region
+        if region is None:
+            raise ValueError(
+                "session needs region= (placement has no default_region)"
+            )
+        if region not in placement.region_names:
+            raise ValueError(f"unknown region {region!r}")
+        return read_preference, region
+
+    def _near(self, read_preference, region, candidates) -> Hashable:
+        """The one locality rule, over candidate node ids:
+        ``local_follower`` takes the first candidate in ``region``;
+        with none there — and for ``nearest`` — the candidate cheapest
+        to reach from it."""
+        if read_preference == "local_follower":
+            locals_ = self.placement.nodes_in(region, within=candidates)
+            if locals_:
+                return locals_[0]
+        return self.placement.locality(region).nearest(candidates)
+
+    def _open(self, name, retry: RetryPolicy | None, opts: dict,
+              pin: str | None = None, candidates=()):
+        """One session's protocol client — what every networked
+        ``session()`` starts with; returns ``(client, read_preference,
+        region)``.
+
+        Resolves the region contract in ``opts`` (:meth:`_region`);
+        under the follower and nearest preferences defaults the connect
+        option ``pin`` (a coordinator, a home replica) to the
+        :meth:`_near` one of ``candidates``;
+        connects with the effective :class:`RetryPolicy` (the
+        session-level override wins over the store-wide default); and
+        places the client node in its region."""
+        read_preference, region = self._region(opts)
+        local = read_preference in ("local_follower", "nearest")
+        if pin is not None and local:
+            opts.setdefault(
+                pin, self._near(read_preference, region, candidates)
+            )
+        client = self.connect(session=name, **opts)
+        policy = retry if retry is not None else self.retry
+        if policy is not None:
+            client.retry = policy
+        if region is not None:
+            self.placement.place(client.node_id, region)
+            if local:
+                # The locality view makes :meth:`ClientNode.call` order
+                # endpoints nearest-first.  ``primary`` deliberately
+                # gets none: the authoritative replica must stay first
+                # in failover lists even when it is the remote endpoint.
+                client.locality = self.placement.locality(region)
+        return client, read_preference, region
+
+    def _versioned(self, read):
+        """A read fn over a client call resolving ``(value, version)``,
+        normalized to ``(value, token)``."""
+        return lambda k, t: mapped_future(
+            self.sim, read(k, timeout=t), _norm_versioned
+        )
 
 
 class VersionedReplica(ServerNode):
@@ -642,7 +777,7 @@ class VersionedReplica(ServerNode):
 class VersionedGroup(ReplicaGroup):
     """A group of :class:`VersionedReplica`."""
 
-    def anti_entropy_sweep(self) -> None:
+    def settle(self) -> None:
         """Instantaneous catch-up between live replicas: every record
         flows to every other replica through ``install``, so the
         per-key highest version wins everywhere.  These protocols ship

@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+from ..api import registry
+from ..api.store import FnSession, StoreCapabilities, StoreSession
 from ..errors import NotLeaderError
+from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
 from .common import GroupClient, ReplicaGroup, ServerNode
 
@@ -373,26 +376,38 @@ class PaxosClient(GroupClient):
         return self.call(endpoints, LocalRead(key), timeout)
 
 
+@registry.register(StoreCapabilities(
+    name="multipaxos",
+    description="consensus-replicated KV log; linearizable log reads",
+    read_modes=("log", "local"),
+    linearizable_read_modes=("log",),
+))
 class MultiPaxosCluster(ReplicaGroup):
-    """A Multi-Paxos group replicating a KV state machine."""
+    """A Multi-Paxos group replicating a KV state machine.
+
+    Construction starts the first leader election and, on an idle
+    simulator, runs it to completion (``sim.run()``) so sessions are
+    immediately usable — build groups before spawning workload
+    processes.  Built mid-run (a shard added to a live ring), the
+    election runs alongside the workload, and ops refused with
+    :class:`~repro.errors.NotLeaderError` until it completes are the
+    caller's to retry.
+    """
 
     replica_class = PaxosReplica
     client_class = PaxosClient
     replica_prefix = "px"
     client_prefix = "pxclient"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        nodes: int = 3,
-        node_ids: list[Hashable] | None = None,
-    ) -> None:
-        super().__init__(sim, network, nodes, node_ids)
+    def __init__(self, sim: Simulator, network: Network, **group: Any) -> None:
+        super().__init__(sim, network, **group)
         self._leader: PaxosReplica | None = None
         self._round = 0
         #: Votes that decide a ballot or a slot; membership is fixed.
         self.majority = len(self.replicas) // 2 + 1
+        self.elect()
+        if not sim.running:
+            sim.run()
 
     @property
     def leader(self) -> PaxosReplica:
@@ -413,7 +428,7 @@ class MultiPaxosCluster(ReplicaGroup):
                 other.is_leader = False
         self._leader = replica
 
-    def catch_up(self) -> None:
+    def settle(self) -> None:
         """Instantaneous log repair: union every replica's committed
         slots (crashed replicas included — the commit log is durable)
         and feed the union to each live replica via ``_commit``, which
@@ -430,3 +445,23 @@ class MultiPaxosCluster(ReplicaGroup):
                 if slot not in replica.committed:
                     replica._commit(slot, union[slot])
             replica._apply_ready()
+
+    def session(
+        self,
+        name: Hashable | None = None,
+        retry: RetryPolicy | None = None,
+        **opts: Any,
+    ) -> StoreSession:
+        client, _pref, region = self._open(name, retry, opts)
+        return FnSession(
+            client.session,
+            put_fn=lambda k, v, t: client.put(k, v, timeout=t),
+            read_fns={
+                "log": self._versioned(client.get),
+                "local": self._versioned(client.local_get),
+            },
+            default_mode="log",
+            client_id=client.node_id,
+            client=client,
+            region=region,
+        )

@@ -22,7 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+from ..api import registry
+from ..api.store import READ_PREFERENCES, FnSession, StoreCapabilities, StoreSession
 from ..errors import NotLeaderError, UnavailableError
+from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
 from .common import GroupClient, VersionedGroup, VersionedReplica
 
@@ -142,8 +145,19 @@ class PBClient(GroupClient):
         return self.call(endpoints, GetPayload(key), timeout)
 
 
+@registry.register(StoreCapabilities(
+    name="primary_backup",
+    description="single primary, async/sync/quorum backup acks",
+    read_modes=("primary", "backup"),
+    failover_reads=True,
+    # Linearizable only while every op funnels through the one
+    # primary: holds for single-attempt primary reads, not for reads
+    # that failed over to a possibly-stale backup.
+    linearizable_read_modes=("primary",),
+    read_preferences=READ_PREFERENCES,
+))
 class PrimaryBackupCluster(VersionedGroup):
-    """A primary plus ``n - 1`` backups over a shared network."""
+    """A primary plus ``nodes - 1`` backups over a shared network."""
 
     replica_class = PBReplica
     client_class = PBClient
@@ -154,13 +168,12 @@ class PrimaryBackupCluster(VersionedGroup):
         self,
         sim: Simulator,
         network: Network,
-        n: int = 3,
         mode: str = "async",
-        node_ids: list[Hashable] | None = None,
+        **group: Any,
     ) -> None:
         if mode not in VALID_MODES:
             raise ValueError(f"mode must be one of {VALID_MODES}")
-        super().__init__(sim, network, n, node_ids)
+        super().__init__(sim, network, **group)
         self.mode = mode
         self.replicas[0].is_primary = True
 
@@ -190,3 +203,44 @@ class PrimaryBackupCluster(VersionedGroup):
         for r in self.replicas:
             r.is_primary = False
         replica.is_primary = True
+
+    def session(
+        self,
+        name: Hashable | None = None,
+        retry: RetryPolicy | None = None,
+        **opts: Any,
+    ) -> StoreSession:
+        client, read_preference, region = self._open(name, retry, opts)
+        default_mode = "primary"
+
+        if read_preference in ("local_follower", "nearest"):
+            default_mode = "backup"
+
+            def backup():
+                # Re-resolved per read so a promotion (region failover)
+                # re-routes follower reads without reopening sessions.
+                return self.replica(self._near(
+                    read_preference, region, self.server_ids()
+                ))
+        else:
+            def backup():
+                backups = self.backups
+                return backups[0] if backups else self.primary
+
+        read_backup = self._versioned(
+            lambda k, timeout: client.get(k, replica=backup(), timeout=timeout)
+        )
+
+        return FnSession(
+            client.session,
+            put_fn=lambda k, v, t: client.put(k, v, timeout=t),
+            read_fns={
+                "primary": self._versioned(client.get),
+                "backup": read_backup,
+            },
+            default_mode=default_mode,
+            client_id=client.node_id,
+            client=client,
+            read_preference=read_preference,
+            region=region,
+        )

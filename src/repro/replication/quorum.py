@@ -41,10 +41,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
+from ..api import registry
+from ..api.store import (
+    READ_PREFERENCES,
+    FnSession,
+    StoreCapabilities,
+    StoreSession,
+    mapped_future,
+)
 from ..clocks import DottedValueSet, LamportClock, LamportStamp
 from ..errors import QuorumError
+from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
-from .common import ClientNode, ServerNode
+from .common import GroupClient, ReplicaGroup, ServerNode
 from .ring import HashRing
 
 # ---------------------------------------------------------------------------
@@ -130,8 +139,8 @@ class FetchReply:
 class LWWStamps:
     """Last writer wins: one ``(value, stamp)`` pair per key."""
 
-    #: Metric-name prefix and default node / client id prefixes.
-    metrics, node_prefix, client_prefix = "quorum", "dyn", "dclient"
+    #: Metric-name prefix.
+    metrics = "quorum"
     #: A minted write is detached from the coordinator's own state and
     #: is stored there as at any other home replica: by ``_store``.
     mints_in_place = False
@@ -189,7 +198,7 @@ class LWWStamps:
 class DottedSiblings:
     """Keep concurrent writes: one :class:`DottedValueSet` per key."""
 
-    metrics, node_prefix, client_prefix = "sibling_quorum", "sib", "sclient"
+    metrics = "sibling_quorum"
     #: The coordinator applies the write against its FULL local sibling
     #: set — not a detached delta — so the new dot is contiguous with
     #: this node's causal history.  (Minting dots from a bare counter
@@ -507,9 +516,9 @@ class DynamoNode(ServerNode):
 # ---------------------------------------------------------------------------
 
 
-class DynamoClient(ClientNode):
-    """Session-scoped client; tracks the session's causal context and
-    (under a totally ordered strategy) records its history."""
+class DynamoClient(GroupClient):
+    """Session-scoped client; remembers what its session has observed
+    (the conflict strategy's context for its next write)."""
 
     def __init__(
         self,
@@ -520,9 +529,7 @@ class DynamoClient(ClientNode):
         session: Hashable,
         coordinator: Hashable | None = None,
     ) -> None:
-        super().__init__(sim, network, node_id)
-        self.cluster = cluster
-        self.session = session
+        super().__init__(sim, network, node_id, cluster, session)
         #: Pinned coordinator (e.g. the nearest node), overriding the
         #: cluster policy — how real deployments route via a local node.
         self.coordinator = coordinator
@@ -607,9 +614,28 @@ class DynamoClient(ClientNode):
         return inner, outer, finish
 
 
-class DynamoCluster:
-    """Configuration + node factory for a partial-quorum store with
-    last-writer-wins conflicts.
+def _context_token(context: dict):
+    """A total order over DVV contexts compatible with causality:
+    (vector sum, canonicalized entries) — concurrent contexts tie-break
+    deterministically."""
+    if not context:
+        return None
+    return (
+        sum(context.values()),
+        tuple(sorted((str(node), counter) for node, counter in context.items())),
+    )
+
+
+@registry.register(StoreCapabilities(
+    name="quorum",
+    description="Dynamo partial quorums, LWW, read repair, sloppy option",
+    read_modes=("quorum",),
+    failover_reads=True,
+    failover_writes=True,
+    read_preferences=READ_PREFERENCES,
+))
+class DynamoCluster(ReplicaGroup):
+    """A partial-quorum store with last-writer-wins conflicts.
 
     Parameters mirror Dynamo's: ``n`` replicas per key, ``r``/``w``
     quorum sizes, ``sloppy`` quorums with hinted handoff, and
@@ -618,12 +644,15 @@ class DynamoCluster:
 
     #: The conflict strategy: how writes are minted and merged.
     conflicts: type = LWWStamps
+    replica_class = DynamoNode
+    client_class = DynamoClient
+    replica_prefix = "dyn"
+    client_prefix = "dclient"
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
-        nodes: int = 5,
         n: int = 3,
         r: int = 2,
         w: int = 2,
@@ -633,8 +662,8 @@ class DynamoCluster:
         op_deadline: float = 200.0,
         client_timeout: float = 400.0,
         hint_interval: float | None = 50.0,
-        node_ids: list[Hashable] | None = None,
         coordinator_policy: str = "first",
+        **group: Any,
     ) -> None:
         if not 1 <= n:
             raise ValueError("n must be >= 1")
@@ -642,12 +671,6 @@ class DynamoCluster:
             raise ValueError("need 1 <= r,w <= n")
         if coordinator_policy not in ("first", "random"):
             raise ValueError("coordinator_policy must be 'first' or 'random'")
-        conflicts = self.conflicts
-        ids = node_ids or [f"{conflicts.node_prefix}{i}" for i in range(nodes)]
-        if n > len(ids):
-            raise ValueError("replication factor exceeds node count")
-        self.sim = sim
-        self.network = network
         self.n, self.r, self.w = n, r, w
         self.sloppy = sloppy
         self.read_repair = read_repair
@@ -656,10 +679,9 @@ class DynamoCluster:
         self.client_timeout = client_timeout
         self.hint_interval = hint_interval
         self.coordinator_policy = coordinator_policy
-        self.ring = HashRing(ids)
         # Counters the experiments read — published into the sim-wide
         # metrics registry (two clusters on one sim share them).
-        metrics, prefix = sim.metrics, conflicts.metrics
+        metrics, prefix = sim.metrics, self.conflicts.metrics
         self._c_read_repairs = metrics.counter(f"{prefix}.read_repairs")
         self._c_hinted_writes = metrics.counter(f"{prefix}.hinted_writes")
         self._c_hints_delivered = metrics.counter(f"{prefix}.hints_delivered")
@@ -669,50 +691,78 @@ class DynamoCluster:
         self._c_reads_failed = metrics.counter(f"{prefix}.reads_failed")
         self._lat_reads = metrics.latency(f"{prefix}.read_ms")
         self._lat_writes = metrics.latency(f"{prefix}.write_ms")
-        self.nodes = [
-            DynamoNode(sim, network, node_id, self) for node_id in ids
-        ]
-        self._clients = 0
+        super().__init__(sim, network, **group)
+        if n > len(self.node_ids):
+            raise ValueError("replication factor exceeds node count")
+        self.ring = HashRing(self.node_ids)
 
-    def node(self, node_id: Hashable) -> DynamoNode:
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
-
-    def connect(
-        self,
-        session: Hashable | None = None,
-        client_id: Hashable | None = None,
-        coordinator: Hashable | None = None,
-    ) -> DynamoClient:
-        self._clients += 1
-        if session is None:
-            session = f"session-{self._clients}"
-        if client_id is None:
-            client_id = f"{self.conflicts.client_prefix}-{self._clients}"
-        return DynamoClient(
-            self.sim, self.network, client_id, self, session,
-            coordinator=coordinator,
-        )
-
-    # ------------------------------------------------------------------
-    def snapshots(self) -> list[dict]:
-        return [node.snapshot() for node in self.nodes]
-
-    def anti_entropy_sweep(self) -> None:
+    def settle(self) -> None:
         """Instantaneous full pairwise sync (test/bench convenience for
         'run to quiescence' without waiting for gossip)."""
-        for a in self.nodes:
-            for b in self.nodes:
+        for a in self.replicas:
+            for b in self.replicas:
                 if a is b:
                     continue
                 for key, state in b.data.items():
                     a.merge_in(a.data, key, state)
 
+    def session(
+        self,
+        name: Hashable | None = None,
+        retry: RetryPolicy | None = None,
+        **opts: Any,
+    ) -> StoreSession:
+        # Quorum reads still touch R replicas wherever they live; what
+        # locality buys is a same-region *coordinator*, so the
+        # client<->coordinator hop stays off the WAN.
+        client, read_preference, region = self._open(
+            name, retry, opts, pin="coordinator", candidates=self.ring.nodes,
+        )
+        put_fn, get_fn = self._token_fns(client)
+        return FnSession(
+            client.session,
+            put_fn=put_fn,
+            read_fns={"quorum": get_fn},
+            default_mode="quorum",
+            client_id=client.node_id,
+            client=client,
+            read_preference=read_preference,
+            region=region,
+        )
 
+    def _token_fns(self, client):
+        """``(put_fn, get_fn)`` resolving with version tokens: Lamport
+        stamps are totally ordered within a key as they are."""
+        return (
+            lambda k, v, t: client.put(k, v, timeout=t),
+            lambda k, t: client.get(k, timeout=t),
+        )
+
+
+@registry.register(StoreCapabilities(
+    name="quorum_siblings",
+    description="partial quorums keeping concurrent siblings (DVV contexts)",
+    read_modes=("quorum",),
+    multi_value_reads=True,
+    failover_reads=True,
+    failover_writes=True,
+))
 class SiblingDynamoCluster(DynamoCluster):
     """The same partial-quorum store keeping concurrent writes as
     siblings; use it when the application can merge (carts, sets)."""
 
     conflicts = DottedSiblings
+    replica_prefix = "sib"
+    client_prefix = "sclient"
+
+    def _token_fns(self, client):
+        put_fn, get_fn = super()._token_fns(client)
+        return (
+            lambda k, v, t: mapped_future(
+                self.sim, put_fn(k, v, t), _context_token
+            ),
+            lambda k, t: mapped_future(
+                self.sim, get_fn(k, t),
+                lambda reply: (tuple(reply[0]), _context_token(reply[1])),
+            ),
+        )

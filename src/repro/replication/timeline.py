@@ -22,7 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+from ..api import registry
+from ..api.store import READ_PREFERENCES, FnSession, StoreCapabilities, StoreSession
+from ..client import timeline_session
 from ..errors import UnavailableError
+from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
 from .common import ClientNode, GroupClient, VersionedGroup, VersionedReplica
 from .ring import HashRing
@@ -220,6 +224,14 @@ class TimelineClient(GroupClient):
         return self.call(self.cluster.master_of(key), TReadAny(key), timeout)
 
 
+@registry.register(StoreCapabilities(
+    name="timeline",
+    description="PNUTS per-record mastership; any/critical/latest reads",
+    read_modes=("any", "critical", "latest"),
+    session_guarantees=("ryw", "mr", "mw", "wfr"),
+    failover_reads=True,
+    read_preferences=READ_PREFERENCES,
+))
 class TimelineCluster(VersionedGroup):
     """Replicas with ring-assigned per-record mastership."""
 
@@ -232,16 +244,23 @@ class TimelineCluster(VersionedGroup):
         self,
         sim: Simulator,
         network: Network,
-        nodes: int = 3,
         propagation_delay: float = 0.0,
-        node_ids: list[Hashable] | None = None,
+        **group: Any,
     ) -> None:
-        super().__init__(sim, network, nodes, node_ids)
+        super().__init__(sim, network, **group)
         self.propagation_delay = propagation_delay
         self.ring = HashRing(self.node_ids, vnodes=16)
         self._masters: dict[Hashable, Hashable] = {}
         # Internal client node used for write forwarding between replicas.
         self._forwarder = ClientNode(sim, network, f"{self.node_ids[0]}-fwd")
+        if self.placement is not None:
+            # The write-forwarding proxy lives with the first replica,
+            # so forwarded writes pay one WAN hop, not a mystery-region
+            # hop.
+            self.placement.place(
+                self._forwarder.node_id,
+                self.placement.region_of(self.node_ids[0]),
+            )
 
     def master_of(self, key: Hashable) -> Hashable:
         master = self._masters.get(key)
@@ -255,3 +274,43 @@ class TimelineCluster(VersionedGroup):
         if node_id not in self.node_ids:
             raise UnavailableError(f"unknown node {node_id!r}")
         self._masters[key] = node_id
+
+    def session(
+        self,
+        name: Hashable | None = None,
+        guarantees: tuple[str, ...] | None = None,
+        retry_delay: float = 10.0,
+        retry: RetryPolicy | None = None,
+        **opts: Any,
+    ) -> StoreSession:
+        client, read_preference, region = self._open(
+            name, retry, opts, pin="home", candidates=self.node_ids,
+        )
+        # Authoritative reads: the record master, wherever it is.
+        default_mode = "latest" if read_preference == "primary" else "any"
+        put_fn = lambda k, v, t: client.write(k, v, timeout=t)
+        read_any = client.read_any
+        wrapped = None
+        if guarantees is not None:
+            wrapped = timeline_session(
+                client, guarantees=guarantees, retry_delay=retry_delay,
+            )
+            put_fn = lambda k, v, t: wrapped.write(k, v, timeout=t)
+            read_any = wrapped.read
+        session = FnSession(
+            client.session,
+            put_fn=put_fn,
+            read_fns={
+                "any": self._versioned(read_any),
+                "critical": self._versioned(client.read_critical),
+                "latest": self._versioned(client.read_latest),
+            },
+            default_mode=default_mode,
+            client_id=client.node_id,
+            client=client,
+            read_preference=read_preference,
+            region=region,
+        )
+        if wrapped is not None:
+            session.session_client = wrapped
+        return session

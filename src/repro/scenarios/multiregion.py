@@ -377,7 +377,7 @@ def _fail_over(store, placement, protocol, keys) -> None:
     if protocol == "quorum":
         return
     for shard_id in store.shard_ids:
-        cluster = store.shards[shard_id].cluster
+        cluster = store.shards[shard_id]
         if protocol == "primary_backup":
             primary = cluster.primary
             if placement.region_of(primary.node_id) != LOST_REGION:

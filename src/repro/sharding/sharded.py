@@ -162,7 +162,7 @@ class ShardedStore(ConsistentStore):
         self._built = 0
         self.shards: dict[Hashable, ConsistentStore] = {}
         for shard_id in self.shard_ids:
-            self.shards[shard_id] = self._build_cluster(shard_id)
+            self.shards[shard_id] = self._build_shard(shard_id)
         self._move: RingMove | None = None
         #: Optional :class:`repro.membership.MembershipService` kept in
         #: sync with ring moves (see :meth:`attach_membership`).
@@ -193,7 +193,7 @@ class ShardedStore(ConsistentStore):
         self._sessions = 0
         self._clients = 0
 
-    def _build_cluster(self, shard_id: Hashable) -> ConsistentStore:
+    def _build_shard(self, shard_id: Hashable) -> ConsistentStore:
         node_ids = [
             f"{shard_id}-n{j}" for j in range(self._nodes_per_shard)
         ]
@@ -286,7 +286,7 @@ class ShardedStore(ConsistentStore):
             self._next_shard += 1
         if shard_id in self.shards:
             raise ValueError(f"shard {shard_id!r} already exists")
-        self.shards[shard_id] = self._build_cluster(shard_id)
+        self.shards[shard_id] = self._build_shard(shard_id)
         self.shard_ids.append(shard_id)
         self._g_shards.set(len(self.shards))
         if self.membership is not None:

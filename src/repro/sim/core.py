@@ -272,6 +272,12 @@ class Simulator:
         self._stopped = True
 
     @property
+    def running(self) -> bool:
+        """Whether :meth:`run` or :meth:`step` is executing events (a
+        nested ``run()`` would raise)."""
+        return self._running
+
+    @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue)

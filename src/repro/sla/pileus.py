@@ -10,7 +10,8 @@ client→replica latencies change.
 
 This implementation targets the :class:`~repro.replication.TimelineCluster`
 (single master per record, async propagation — the same regime Pileus
-assumes), with:
+assumes), and registers :class:`PileusStore` — a timeline group whose
+sessions read through an :class:`SLAClient` — with:
 
 * :class:`ReplicaMonitor` — EWMA latency estimates per replica plus a
   propagation-lag estimate, learned from observed replies,
@@ -25,7 +26,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
+from ..api import registry
+from ..api.store import FnSession, StoreCapabilities, StoreSession, mapped_future
 from ..errors import ReproError
+from ..replication.timeline import TimelineCluster
+from ..rpc import RetryPolicy
 from ..sim import Future, Simulator, spawn
 
 
@@ -366,3 +371,75 @@ class SLAClient:
         if not self.outcomes:
             return 0.0
         return sum(o.utility for o in self.outcomes) / len(self.outcomes)
+
+
+class FixedTargetSLAClient(SLAClient):
+    """An SLA client pinned to one replica — the fixed-strategy
+    baseline Pileus is compared against in E7."""
+
+    def __init__(self, client, target: Hashable) -> None:
+        super().__init__(client)
+        self._target = target
+
+    def select_target(self, key, sla):
+        return self._target, 0
+
+
+@registry.register(StoreCapabilities(
+    name="pileus",
+    description="per-read consistency SLAs over a timeline store",
+    read_modes=("sla",),
+    session_guarantees=("ryw", "mr"),
+    chaos_waivers=(
+        ("ryw", "SLA reads degrade to the eventual subclause by design "
+         "when stronger targets are partitioned away, so read-my-writes "
+         "is best-effort under faults (Pileus trades it for latency)"),
+        ("mr", "same SLA degradation: a read served by a laggard "
+         "replica after the preferred target drops out may move the "
+         "session backwards"),
+    ),
+))
+class PileusStore(TimelineCluster):
+    """A timeline group whose sessions pick a replica per read by SLA
+    (``target=`` pins one instead)."""
+
+    def session(
+        self,
+        name: Hashable | None = None,
+        sla: SLA = SHOPPING_CART,
+        target: Hashable | None = None,
+        retry: RetryPolicy | None = None,
+        **opts: Any,
+    ) -> StoreSession:
+        client, _pref, region = self._open(name, retry, opts)
+        if target is not None:
+            sla_client = FixedTargetSLAClient(client, target)
+        else:
+            sla_client = SLAClient(client)
+        if region is not None:
+            # Per-tenant region origin: the session's client node lives
+            # in its region and the monitor starts from the *real* WAN
+            # round trips instead of the flat default, so sub-SLA
+            # selection reflects geography from the first read.
+            for node_id in self.node_ids:
+                sla_client.monitor.latency[node_id] = 2 * self.placement.delay(
+                    region, self.placement.region_of(node_id)
+                )
+
+        session = FnSession(
+            client.session,
+            put_fn=lambda k, v, t: sla_client.write(k, v, timeout=t),
+            read_fns={
+                "sla": lambda k, t: mapped_future(
+                    self.sim,
+                    sla_client.read(k, sla, timeout=t),
+                    lambda outcome: (outcome.value, outcome.version or None),
+                ),
+            },
+            default_mode="sla",
+            client_id=client.node_id,
+            client=client,
+            region=region,
+        )
+        session.sla_client = sla_client
+        return session

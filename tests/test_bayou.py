@@ -15,7 +15,7 @@ def make_cluster(seed=0, nodes=4, latency=5.0):
 
 def test_write_visible_tentatively_immediately():
     sim, _net, cluster = make_cluster()
-    replica = cluster.replica(2)
+    replica = cluster.replicas[2]
     replica.write("k", "v")
     assert replica.read_tentative("k") == "v"
     # Not committed yet: the primary hasn't even heard of it.
@@ -33,7 +33,7 @@ def test_primary_commits_its_own_writes_instantly():
 
 def test_commit_propagates_via_anti_entropy():
     sim, _net, cluster = make_cluster(seed=1)
-    replica = cluster.replica(3)
+    replica = cluster.replicas[3]
     replica.write("k", "v")
     cluster.run_until_converged()
     for r in cluster.replicas:
@@ -43,7 +43,7 @@ def test_commit_propagates_via_anti_entropy():
 
 def test_tentative_view_may_reorder_but_committed_never_does():
     sim, _net, cluster = make_cluster(seed=2, nodes=3)
-    a, b = cluster.replica(1), cluster.replica(2)
+    a, b = cluster.replicas[1], cluster.replicas[2]
     # Both write the same key concurrently; b's clock is behind so its
     # write carries a lower stamp despite happening "later" here.
     a.write("k", "from-a")
@@ -63,7 +63,7 @@ def test_tentative_view_may_reorder_but_committed_never_does():
 
 def test_rollback_counted_when_earlier_write_arrives():
     sim, _net, cluster = make_cluster(seed=3, nodes=3)
-    a, b = cluster.replica(1), cluster.replica(2)
+    a, b = cluster.replicas[1], cluster.replicas[2]
     b.write("k", "early")       # stamp (1, b-node)
     a.write("other", "x")       # stamp (1, a-node)
     a.write("k", "late")        # stamp (2, a-node)
@@ -84,7 +84,7 @@ def test_committed_prefix_only_grows():
             prefixes[r.node_id].append(r.committed_stamps())
 
     for round_index in range(6):
-        writer = cluster.replica(round_index % 4)
+        writer = cluster.replicas[round_index % 4]
         writer.write(f"key-{round_index}", round_index)
         sim.run(until=sim.now + 60.0)
         snapshot_prefixes()
@@ -96,7 +96,7 @@ def test_committed_prefix_only_grows():
 def test_all_views_converge_under_many_writers():
     sim, _net, cluster = make_cluster(seed=5, nodes=5)
     for i in range(20):
-        cluster.replica(i % 5).write(f"key-{i % 3}", f"v{i}")
+        cluster.replicas[i % 5].write(f"key-{i % 3}", f"v{i}")
         sim.run(until=sim.now + 7.0)
     cluster.run_until_converged()
     snapshots = [r.snapshot() for r in cluster.replicas]
@@ -107,7 +107,7 @@ def test_all_views_converge_under_many_writers():
 def test_primary_down_tentative_still_flows_commits_stall():
     sim, _net, cluster = make_cluster(seed=6, nodes=4)
     cluster.primary.crash()
-    writer = cluster.replica(2)
+    writer = cluster.replicas[2]
     writer.write("k", "v")
     sim.run(until=sim.now + 400.0)
     others = [r for r in cluster.replicas if not r.is_primary]

@@ -357,7 +357,7 @@ def test_per_shard_caches_over_sharded_store():
 def test_delegation_exposes_inner_surfaces():
     sim, store = build_cached()
     assert store.server_ids() == store.inner.server_ids()
-    assert store.cluster is store.inner.cluster
+    assert store.ring is store.inner.ring
     with pytest.raises(AttributeError):
         store.no_such_surface
 

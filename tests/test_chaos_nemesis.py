@@ -123,7 +123,7 @@ def test_coordinator_crash_targets_the_leader():
         step("crash", at=5.0, target="coordinator"),
     ))
     nemesis = Nemesis(plan)
-    primary = store.cluster.primary.node_id
+    primary = store.primary.node_id
     nemesis.install(store)
     # Nemesis events are daemons; keep the sim alive past the fault.
     sim.schedule(10.0, lambda: None)
@@ -169,8 +169,8 @@ def test_region_partition_cuts_the_whole_region_off():
     sim.run()
     assert network.partitioned
     lost = placement.nodes_in("us-east",
-                              within=store.cluster.ring.nodes)
-    survivors = [n for n in store.cluster.ring.nodes if n not in lost]
+                              within=store.ring.nodes)
+    survivors = [n for n in store.ring.nodes if n not in lost]
     for gone in lost:
         for alive in survivors:
             assert not network.reachable(gone, alive)
@@ -226,8 +226,8 @@ def test_region_partition_picks_a_region_deterministically_when_unset():
         sim.run()
         groups = [
             tuple(sorted(
-                n for n in store.cluster.ring.nodes
-                if not network.reachable(n, store.cluster.ring.nodes[0])
+                n for n in store.ring.nodes
+                if not network.reachable(n, store.ring.nodes[0])
             ))
         ]
         digests.append(tuple(groups))

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.api import registry
-from repro.api.adapters import PileusStore
+from repro.sla.pileus import PileusStore
 from repro.chaos import (
     FAIL,
     PASS,

@@ -14,6 +14,7 @@ from repro.scenarios import run_scale_demo
 from repro.sharding import RingMove, ShardedStore
 from repro.sharding.handoff import DRAIN_MS
 from repro.sim import FixedLatency, HashingTracer, Network, Simulator, spawn
+from repro.workload import YCSBWorkload, run_workload
 
 
 def build(seed=7, shards=2, tracer=None, **kwargs):
@@ -129,6 +130,27 @@ def test_writes_racing_a_scale_out_survive_it():
     assert check_convergence(store.snapshots()).ok
 
 
+def test_a_multipaxos_shard_set_resizes_under_load():
+    # The new shard's group is built mid-run: its election cannot run
+    # to completion in a nested ``sim.run()``, so it runs alongside the
+    # workload and the handoff retries past NotLeaderError until it is
+    # done.
+    sim = Simulator(seed=3)
+    net = Network(sim, latency=FixedLatency(2.0))
+    store = ShardedStore(sim, net, protocol="multipaxos", shards=2,
+                         nodes_per_shard=3)
+    resized = []
+    sim.schedule(50.0, lambda: resized.append(store.resize(3)))
+    ops = list(YCSBWorkload("A", records=50, seed=3).take(400))
+    result = run_workload(store, ops, clients=4, timeout=2_000.0)
+    future, = resized
+    assert future.value == 3 and len(store.shard_ids) == 3
+    assert result.ops_ok >= 390
+    keys = sorted({op.key for op in ops})
+    verdict = check_no_lost_writes(result.history, read_back(store, keys))
+    assert verdict.ok, verdict.violations[:3]
+
+
 # ----------------------------------------------------------------------
 # Router mechanics
 # ----------------------------------------------------------------------
@@ -139,7 +161,7 @@ def test_frozen_range_rejects_writes_with_retry_after():
     # Freeze shard0's moving range by hand: put() must fail fast with
     # a retryable overload carrying the drain as retry_after.
     move = RingMove(store, "join", "shard2")
-    store.shards["shard2"] = store._build_cluster("shard2")
+    store.shards["shard2"] = store._build_shard("shard2")
     store.shard_ids.append("shard2")
     store._move = move
     move.frozen = "shard0"

@@ -106,8 +106,6 @@ def _paxos_under_duplication(seed):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(2.0), duplicate_rate=0.5)
     cluster = MultiPaxosCluster(sim, net, nodes=3)
-    cluster.elect()
-    sim.run()
     client = cluster.connect()
     out = {}
 
@@ -174,8 +172,6 @@ def test_paxos_majority_survives_one_crash_mid_stream():
     sim = Simulator(seed=11)
     net = Network(sim, latency=FixedLatency(3.0))
     cluster = MultiPaxosCluster(sim, net, nodes=5)
-    cluster.elect()
-    sim.run()
     client = cluster.connect()
     committed = []
 
@@ -211,7 +207,7 @@ def test_dynamo_node_crash_recovery_with_read_repair():
                             read_repair=True)
     client = cluster.connect()
     homes = cluster.ring.preference_list("k", 3)
-    victim = cluster.node(homes[1])
+    victim = cluster.replica(homes[1])
     out = {}
 
     def script():

@@ -6,8 +6,11 @@ under ``src/``, ``benchmarks/``, ``examples/`` or ``bench/`` other than
 itself and its own package ``__init__`` — directly, through a name that
 ``__init__`` re-exports (``from repro.crdt import ORSet`` uses
 ``crdt/sets.py``), or by side-effect import from that ``__init__``
-(``from . import adapters`` is how ``api/adapters.py`` registers).  A
-user that is itself an orphan does not count.  Tests are not users, and
+(``from . import registry`` in ``api/__init__.py``) — or must register
+a top-level class or function with a ``…register`` decorator: the
+registry is how such a module is reached (``registry.build("chain",
+…)`` runs ``replication/chain.py``).  A user that is itself an orphan
+does not count.  Tests are not users, and
 neither is ``repro selftest``'s import-everything loop (it goes through
 ``importlib``, which an AST scan does not see — on purpose).
 
@@ -116,8 +119,24 @@ USER_FILES = [
 ]
 
 
+TREES = {module: _parse(path) for module, path in FILES.items()}
+
+
+def _registered(stmt):
+    for decorator in getattr(stmt, "decorator_list", ()):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        name = getattr(decorator, "attr", getattr(decorator, "id", ""))
+        if name.endswith("register"):
+            return True
+    return False
+
+
 def _users():
     users = {module: set() for module in MODULES}
+    for module in MODULES:
+        if any(_registered(stmt) for stmt in TREES[module].body):
+            users[module].add(f"{module} (registered)")
     for path in USER_FILES:
         own = own_package = None
         if SRC in path.parents:
@@ -173,9 +192,18 @@ def test_the_scan_sees_the_three_ways_a_module_is_used():
     # through a name the package __init__ re-exports
     assert "repro.replication.quorum" in users["repro.clocks.dvv"]
     # by side-effect import from its package __init__
-    assert users["repro.api.adapters"] >= {"repro.api"}
+    assert users["repro.api.registry"] >= {"repro.api"}
     # directly, from outside src/
     assert any(user.startswith("bench") for user in users["repro.crdt.sets"])
+
+
+def test_the_scan_counts_a_registering_module_as_used():
+    users = _users()
+    assert users["repro.replication.chain"] == {
+        "repro.replication.chain (registered)"}
+    assert "repro.sla.pileus (registered)" in users["repro.sla.pileus"]
+    assert not any(user.endswith("(registered)")
+                   for user in users["repro.replication.ring"])
 
 
 # -- the same rule for top-level names ------------------------------------
@@ -194,8 +222,6 @@ def test_the_scan_sees_the_three_ways_a_module_is_used():
 # scanned: an attribute name alone does not say whose attribute it is.
 
 KNOWN_ORPHAN_NAMES: dict[str, str] = {}
-
-TREES = {module: _parse(path) for module, path in FILES.items()}
 
 
 def _top_level(tree):
@@ -277,16 +303,6 @@ def _references(stmt, own, bindings):
                     yield found
 
 
-def _registered(stmt):
-    for decorator in getattr(stmt, "decorator_list", ()):
-        if isinstance(decorator, ast.Call):
-            decorator = decorator.func
-        name = getattr(decorator, "attr", getattr(decorator, "id", ""))
-        if name.endswith("register"):
-            return True
-    return False
-
-
 def _name_users():
     """``(module, name) -> users``.  A user is another top-level
     ``(module, name)``, or a string for what is used whenever it runs:
@@ -346,8 +362,8 @@ def test_the_scan_sees_the_ways_a_name_is_used():
     assert ("repro.api.registry", "build") in users[
         "repro.api.registry", "get"]
     # by a register decorator
-    assert "repro.api.adapters (registered)" in users[
-        "repro.api.adapters", "QuorumStore"]
+    assert "repro.replication.quorum (registered)" in users[
+        "repro.replication.quorum", "DynamoCluster"]
     # a package __init__ re-exporting it is not a user
     assert "repro.crdt" not in orset
 

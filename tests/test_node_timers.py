@@ -293,11 +293,10 @@ def test_healthy_quorum_run_executes_no_timeout(monkeypatch):
                 if any(name in fn for name in ("_timeout", "_expire", "_write_fallback"))]
     # 1,000 timeouts were armed (2.5 per op); what is left of them is one
     # wake-up per lane per period, however many ops the period held.
-    cluster = store.cluster
     periods = sum(sim.now / delay + 1
-                  for delay in (cluster.replica_timeout, cluster.op_deadline))
+                  for delay in (store.replica_timeout, store.op_deadline))
     wake_ups = executed.count("Node._wake")
-    assert 0 < wake_ups <= len(cluster.nodes) * periods and wake_ups < ops / 8
+    assert 0 < wake_ups <= len(store.replicas) * periods and wake_ups < ops / 8
     # The run started at 0, so ``duration`` is when the last op completed.
-    assert cluster.replica_timeout < cluster.op_deadline
-    assert 0.0 <= sim.now - result.duration <= cluster.replica_timeout
+    assert store.replica_timeout < store.op_deadline
+    assert 0.0 <= sim.now - result.duration <= store.replica_timeout

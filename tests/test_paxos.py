@@ -34,8 +34,6 @@ def make_mp(nodes=3, seed=0, latency=2.0, tracer=None):
     sim = Simulator(seed=seed, tracer=tracer)
     net = Network(sim, latency=FixedLatency(latency))
     cluster = MultiPaxosCluster(sim, net, nodes=nodes)
-    cluster.elect()
-    sim.run()
     return sim, net, cluster
 
 
@@ -224,8 +222,6 @@ def churn(seed):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=ExponentialLatency(base=0.5, mean=4.0))
     cluster = MultiPaxosCluster(sim, net, nodes=5)
-    cluster.elect()
-    sim.run()
     acked = []
 
     def client_loop(index):
@@ -251,7 +247,7 @@ def churn(seed):
         spawn(sim, client_loop(index))
     spawn(sim, elect_often())
     sim.run()
-    cluster.catch_up()
+    cluster.settle()
     return cluster, acked
 
 

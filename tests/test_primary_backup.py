@@ -19,7 +19,7 @@ from repro.workload import OpSpec, WorkloadDriver
 def make_cluster(mode="async", n=3, latency=5.0, seed=0):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(latency))
-    cluster = PrimaryBackupCluster(sim, net, n=n, mode=mode)
+    cluster = PrimaryBackupCluster(sim, net, nodes=n, mode=mode)
     return sim, net, cluster
 
 
@@ -152,7 +152,7 @@ def test_stale_backup_read_violates_ryw_and_linearizability():
         return driver.run()
 
     # Isolate the backups: the write is acked, the backup read times out.
-    net.partition([store.cluster.primary.node_id, session.client_id])
+    net.partition([store.primary.node_id, session.client_id])
     assert run([OpSpec("update", "k", "v1"),
                 OpSpec("read", "k")]).ops_failed == 1
     # Heal: the backup is still behind (PB has no hints, and the
@@ -246,20 +246,20 @@ def test_cluster_validations():
     with pytest.raises(ValueError):
         PrimaryBackupCluster(sim, net, mode="bogus")
     with pytest.raises(ValueError):
-        PrimaryBackupCluster(sim, net, n=0)
+        PrimaryBackupCluster(sim, net, nodes=0)
     with pytest.raises(ValueError):
-        PrimaryBackupCluster(sim, net, n=2, node_ids=["only-one"])
+        PrimaryBackupCluster(sim, net, nodes=2, node_ids=["only-one"])
 
 
 def test_acks_needed_math():
     sim = Simulator()
     net = Network(sim)
-    quorum = PrimaryBackupCluster(sim, net, n=5, mode="quorum",
+    quorum = PrimaryBackupCluster(sim, net, nodes=5, mode="quorum",
                                   node_ids=[f"q{i}" for i in range(5)])
     assert quorum.acks_needed(4) == 2  # majority of 5 incl. primary
-    sync = PrimaryBackupCluster(sim, net, n=3, mode="sync",
+    sync = PrimaryBackupCluster(sim, net, nodes=3, mode="sync",
                                 node_ids=[f"s{i}" for i in range(3)])
     assert sync.acks_needed(2) == 2
-    async_ = PrimaryBackupCluster(sim, net, n=3, mode="async",
+    async_ = PrimaryBackupCluster(sim, net, nodes=3, mode="async",
                                   node_ids=[f"a{i}" for i in range(3)])
     assert async_.acks_needed(2) == 0

@@ -60,7 +60,7 @@ def counted(cluster, name):
 
 
 def held(cluster, node_id, key):
-    return cluster.node(node_id).local_read(key)[0]
+    return cluster.replica(node_id).local_read(key)[0]
 
 
 def try_put(out, client):
@@ -199,7 +199,7 @@ def test_anti_entropy_sweep_converges_snapshots(cluster_cls):
             yield client.put(f"key-{i}", i)
 
     run_script(sim, client, script)
-    cluster.anti_entropy_sweep()
+    cluster.settle()
     snapshots = cluster.snapshots()
     reference = snapshots[0]
     assert all(snapshot == reference for snapshot in snapshots)
@@ -222,7 +222,7 @@ def test_concurrent_writers_converge_after_sweep(cluster_cls):
         spawn(sim, script(client))
     sim.run()
     assert counted(cluster, "writes_succeeded") == 12
-    cluster.anti_entropy_sweep()
+    cluster.settle()
     snapshots = cluster.snapshots()
     assert all(s == snapshots[0] for s in snapshots)
 
@@ -240,7 +240,7 @@ def test_duplicated_acks_count_once_per_replica(cluster_cls):
     client = cluster.connect()
     coordinator = cluster.ring.coordinator("k")
     victim = next(n for n in cluster.ring.nodes if n != coordinator)
-    cluster.node(victim).crash()
+    cluster.replica(victim).crash()
     out = run_script(sim, client, try_put)
     assert out["result"] == "QuorumError"
     assert "write quorum not met" in out["error"] and "(2/3)" in out["error"]
@@ -268,7 +268,7 @@ def test_coordinator_forgets_pending_ops_at_crash(cluster_cls):
     net = Network(sim, latency=FixedLatency(1.0))
     cluster = cluster_cls(sim, net, nodes=3, n=3, r=2, w=2, hint_interval=None)
     client = cluster.connect()
-    coordinator = cluster.node(cluster.ring.coordinator("k"))
+    coordinator = cluster.replica(cluster.ring.coordinator("k"))
     for other in cluster.ring.nodes:
         if other != coordinator.node_id:
             net.set_link_fault(coordinator.node_id, other, extra_delay=50.0)
@@ -374,7 +374,7 @@ def test_r1_get_and_w1_put_at_a_home_coordinator_decide_in_process(cluster_cls):
     net = Network(sim, latency=FixedLatency(2.0))
     cluster = cluster_cls(sim, net, nodes=5, n=3, r=1, w=1, hint_interval=None)
     client = cluster.connect()
-    coordinator = cluster.node(cluster.ring.coordinator("k"))
+    coordinator = cluster.replica(cluster.ring.coordinator("k"))
     out = {}
 
     def script(out, client):
@@ -446,7 +446,7 @@ def test_a_write_arms_the_fallback_deadline_only_when_sloppy(cluster_cls, sloppy
     sim, _net, cluster = make_cluster(cluster_cls, r=2, w=2, sloppy=sloppy,
                                       hint_interval=None)
     client = cluster.connect()
-    coordinator = cluster.node(cluster.ring.coordinator("k"))
+    coordinator = cluster.replica(cluster.ring.coordinator("k"))
     spawn(sim, try_put({}, client))
     sim.run(until=2.5)   # the request is in; the replicas' acks are not
     (op,) = coordinator._ops.values()
@@ -466,7 +466,7 @@ def test_a_coordinator_off_the_homes_keeps_its_own_hint(cluster_cls):
                           hint_interval=30.0)
     homes = cluster.ring.preference_list("k", cluster.n)
     stand_ins = cluster.ring.fallbacks("k", exclude=set(homes))
-    coordinator = cluster.node(stand_ins[0])
+    coordinator = cluster.replica(stand_ins[0])
     client = cluster.connect(coordinator=coordinator.node_id)
     net.partition([client.node_id, *stand_ins])
     out = run_script(sim, client, try_put)
@@ -561,7 +561,7 @@ def test_history_accepts_unhashable_values_and_failed_writes():
         yield OpSpec("update", "k", ["milk"])
         yield OpSpec("read", "k")
         # The lane asks for its next op once the read has finished.
-        cut_homes_but_first(net, store.cluster, session.client,
+        cut_homes_but_first(net, store, session.client,
                             keep_fallbacks=False)
         yield OpSpec("update", "k", ["eggs"])
 
@@ -599,7 +599,7 @@ def test_sibling_cluster_keeps_no_versioned_history():
     # keeps no history: its adapter maps each context to a token the
     # driver densifies (chained writes supersede, so versions rise).
     sim, _net, store = quorum_store("quorum_siblings")
-    assert not hasattr(store.cluster, "history")
+    assert not hasattr(store, "history")
     history = run_workload(
         store, write_ops("k", ["v1", "v2"]) + [OpSpec("read", "k")]
     ).history

@@ -200,10 +200,10 @@ def test_pb_follower_reads_survive_promotion_without_reopening():
     # Fail over to the EU replica: the same session keeps reading (the
     # serving replica is re-resolved per read, not baked in at open).
     eu_replica = next(
-        r for r in store.cluster.replicas
+        r for r in store.replicas
         if placement.region_of(r.node_id) == EU
     )
-    store.cluster.promote(eu_replica)
+    store.promote(eu_replica)
     (value, _), elapsed = run_op(sim, follower.get("k"))
     assert value == "v1"
     assert elapsed < 10.0

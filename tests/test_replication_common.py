@@ -15,12 +15,14 @@ from repro.errors import (
     TimeoutError as ReproTimeoutError,
 )
 from repro.replication import (
+    BayouCluster,
     CausalCluster,
     ChainCluster,
     DynamoCluster,
     HashRing,
     MultiPaxosCluster,
     PrimaryBackupCluster,
+    SiblingDynamoCluster,
     TimelineCluster,
     stable_hash,
 )
@@ -246,26 +248,23 @@ def test_retry_layer_honors_retry_after_hint():
 # ----------------------------------------------------------------------
 
 class Proto:
-    """How to drive one single-group protocol through the skeleton."""
+    """How to drive one protocol's replica group through the skeleton."""
 
-    def __init__(self, cluster_cls, name, replica_prefix, client_prefix,
-                 size_kw="nodes", write="put", homed=False, elects=False):
+    def __init__(self, cluster_cls, replica_prefix, client_prefix,
+                 write="put", homed=False, **options):
         self.cluster_cls = cluster_cls
-        self.name = name            # its store adapter in the registry
+        self.options = options      # protocol options valid at any size
+        self.name = cluster_cls.capabilities.name   # its registry name
         self.replica_prefix = replica_prefix
         self.client_prefix = client_prefix
-        self.size_kw = size_kw
         self.write = write
         self.homed = homed
-        self.elects = elects
 
     def build(self, size=3, **kwargs):
         sim = Simulator(seed=5)
         net = Network(sim, latency=FixedLatency(1.0))
-        cluster = self.cluster_cls(sim, net, **{self.size_kw: size}, **kwargs)
-        if self.elects:
-            cluster.elect()
-            sim.run()
+        cluster = self.cluster_cls(sim, net, nodes=size,
+                                   **{**self.options, **kwargs})
         return sim, net, cluster
 
     def connect(self, cluster, **kwargs):
@@ -277,17 +276,19 @@ class Proto:
         return getattr(client, self.write)(key, value, timeout=timeout)
 
 
-PB = Proto(PrimaryBackupCluster, "primary_backup", "pb", "client",
-           size_kw="n")
-CHAIN = Proto(ChainCluster, "chain", "ch", "chclient")
-TIMELINE = Proto(TimelineCluster, "timeline", "tl", "tlclient", write="write")
-CAUSAL = Proto(CausalCluster, "causal", "cc", "ccclient", homed=True)
-PAXOS = Proto(MultiPaxosCluster, "multipaxos", "px", "pxclient", elects=True)
+PB = Proto(PrimaryBackupCluster, "pb", "client")
+CHAIN = Proto(ChainCluster, "ch", "chclient")
+TIMELINE = Proto(TimelineCluster, "tl", "tlclient", write="write")
+CAUSAL = Proto(CausalCluster, "cc", "ccclient", homed=True)
+PAXOS = Proto(MultiPaxosCluster, "px", "pxclient")
+QUORUM = Proto(DynamoCluster, "dyn", "dclient", n=1, r=1, w=1)
+SIBLINGS = Proto(SiblingDynamoCluster, "sib", "sclient", n=1, r=1, w=1)
+BAYOU = Proto(BayouCluster, "by", None)
 
-GROUPS = pytest.mark.parametrize(
-    "proto", [PB, CHAIN, TIMELINE, CAUSAL, PAXOS],
-    ids=["primary_backup", "chain", "timeline", "causal", "multipaxos"],
-)
+NETWORKED = [PB, CHAIN, TIMELINE, CAUSAL, PAXOS, QUORUM, SIBLINGS]
+NETWORKED_IDS = ["primary_backup", "chain", "timeline", "causal",
+                 "multipaxos", "quorum", "quorum_siblings"]
+GROUPS = pytest.mark.parametrize("proto", NETWORKED, ids=NETWORKED_IDS)
 VERSIONED = pytest.mark.parametrize(
     "proto", [PB, CHAIN, TIMELINE],
     ids=["primary_backup", "chain", "timeline"],
@@ -311,10 +312,12 @@ def test_group_default_ids_and_connect_naming(proto):
     assert (named.node_id, named.session) == ("me", "s")
 
 
-@GROUPS
+@pytest.mark.parametrize("proto", NETWORKED + [BAYOU],
+                         ids=NETWORKED_IDS + ["bayou"])
 def test_group_rejects_bad_sizes(proto):
     # Before the shared base only primary_backup checked the id count
-    # and timeline / causal accepted an empty group.
+    # and timeline / causal accepted an empty group; before Dynamo and
+    # Bayou joined it, both took a node_ids list of any length.
     with pytest.raises(ValueError):
         proto.build(size=0)
     with pytest.raises(ValueError):
@@ -330,7 +333,6 @@ def test_group_records_completed_and_timed_out_ops(proto):
     sim = Simulator(seed=5)
     net = Network(sim, latency=FixedLatency(1.0))
     store = registry.build(proto.name, sim, net, nodes=3)
-    cluster = store.cluster
     session = store.session("s")
     recorder = TokenHistoryRecorder(sim)
 
@@ -342,10 +344,12 @@ def test_group_records_completed_and_timed_out_ops(proto):
         return lane
 
     assert write("v1").ok == 1
-    # One {key: value} mapping per replica, in replica order.
-    assert cluster.snapshots() == [{"k": "v1"}] * 3
+    # One {key: value} mapping per replica, in replica order (a sibling
+    # store's value is its tuple of siblings).
+    held = ("v1",) if store.capabilities.multi_value_reads else "v1"
+    assert store.snapshots() == [{"k": held}] * 3
 
-    net.partition([session.client_id], cluster.node_ids)
+    net.partition([session.client_id], store.node_ids)
     assert write("v2", timeout=20.0).failed == 1
     ok, failed = recorder.history()
     assert (ok.kind, ok.key, ok.session, ok.completed) == (
@@ -379,12 +383,12 @@ def test_sweep_floods_highest_version_and_skips_crashed(proto):
     dead.install("ghost", "unseen", 9)
 
     net.heal()
-    cluster.anti_entropy_sweep()
+    cluster.settle()
     assert writer.data == follower.data == {"k": ("v2", 2)}
     # A crashed replica neither receives nor contributes records.
     assert dead.data == {"k": ("v1", 1), "ghost": ("unseen", 9)}
     dead.recover()
-    cluster.anti_entropy_sweep()
+    cluster.settle()
     assert writer.data == follower.data == dead.data
     assert cluster.snapshots() == [{"k": "v2", "ghost": "unseen"}] * 3
 
@@ -510,11 +514,9 @@ def test_op_futures_name_their_op_in_repr_and_errors():
     net = Network(sim, latency=FixedLatency(1.0))
     dynamo = DynamoCluster(sim, net, nodes=3)
     paxos = MultiPaxosCluster(sim, net, nodes=3)
-    paxos.elect()
-    sim.run()
     client = dynamo.connect()
     _request_id, request = client._issue("dyn0", QGet("k"))
-    qput = dynamo.node("dyn0").serve_QPut(client.node_id, QPut("k", "v"))
+    qput = dynamo.replica("dyn0").serve_QPut(client.node_id, QPut("k", "v"))
     outer = client.put("k", "w")
     slot = paxos.leader.serve_SubmitCmd(client.node_id, SubmitCmd(PutCmd("k", 1)))
     sim.run()

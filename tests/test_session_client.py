@@ -35,7 +35,7 @@ def drive_timeline(ops, guarantees, seed=0, propagation_delay=100.0,
     store = registry.build("timeline", sim, net, nodes=3,
                            propagation_delay=propagation_delay)
     session = store.session("s", guarantees=guarantees,
-                            home=non_master_home(store.cluster),
+                            home=non_master_home(store),
                             **session_opts)
     driver = WorkloadDriver(sim)
     driver.add_session(session, ops)
@@ -138,15 +138,37 @@ def test_read_gives_up_after_max_retries():
     assert session.stats.reads_rejected_stale == MAX_RETRIES
 
 
+def test_read_timeout_bounds_its_stale_retries():
+    sim, _net, cluster = make_timeline(propagation_delay=10_000.0)
+    raw = cluster.connect(home=non_master_home(cluster))
+    session = timeline_session(raw, guarantees=("ryw",), retry_delay=5.0)
+    out = {}
+
+    def script():
+        yield session.write("k", "v")
+        start = sim.now
+        try:
+            yield session.read("k", timeout=40.0)
+        except ReproTimeoutError:
+            out["elapsed"] = sim.now - start
+
+    spawn(sim, script())
+    sim.run()
+    # Each stale reply costs a round trip and a 5 ms pause: the read
+    # gives up inside its 40 ms, well before MAX_RETRIES replies.
+    assert 0 < out["elapsed"] <= 40.0
+    assert 1 < session.stats.reads_rejected_stale < MAX_RETRIES
+
+
 def test_write_failure_propagates():
     sim = Simulator()
 
-    def failing_write(key, value):
+    def failing_write(key, value, timeout=None):
         future = Future(sim)
         future.fail(ReproTimeoutError("store down"))
         return future
 
-    def read_fn(key, attempt):
+    def read_fn(key, attempt, timeout=None):
         future = Future(sim)
         future.resolve((None, 0))
         return future

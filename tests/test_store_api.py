@@ -122,20 +122,35 @@ def test_default_read_mode_and_unknown_mode(name):
         session.get("k", mode="definitely-not-a-mode")
 
 
-@pytest.mark.parametrize("name", ALL_PROTOCOLS)
-def test_partition_times_out(name):
+#: Every store's put, plus a session-guarantee timeline session's put
+#: and get: its session layer must hand the op's timeout down.
+PARTITION_CASES = [
+    pytest.param(name, {}, "put", id=name) for name in ALL_PROTOCOLS
+] + [
+    pytest.param("timeline", {"guarantees": ("ryw", "mr")}, op,
+                 id=f"timeline-guarantees-{op}")
+    for op in ("put", "get")
+]
+
+
+@pytest.mark.parametrize("name, session_opts, op", PARTITION_CASES)
+def test_partition_times_out(name, session_opts, op):
     """A client cut off from every server observes a clean timeout."""
     sim = Simulator(seed=7)
     store = build_store(name, sim)
     if not store.capabilities.networked:
         pytest.skip("direct-attach store: no network to partition")
-    session = store.session("lonely", **TUNING[name].get("session", {}))
+    session = store.session("lonely", **TUNING[name].get("session", {}),
+                            **session_opts)
     store.network.partition([session.client_id])
     outcome = {}
 
     def script():
         try:
-            yield session.put("pk", "pv", timeout=100.0)
+            if op == "put":
+                yield session.put("pk", "pv", timeout=100.0)
+            else:
+                yield session.get("pk", timeout=100.0)
         except ReproTimeoutError as exc:
             outcome["error"] = exc
 
@@ -193,10 +208,10 @@ def test_non_coordinator_replica_crash(name):
     mode = TUNING[name].get("read_mode")
     victim = servers[-1]
     if name == "multipaxos":
-        leader = store.cluster.leader.node_id
+        leader = store.leader.node_id
         victim = [n for n in servers if n != leader][-1]
     if name in ("timeline", "pileus"):
-        store.cluster.set_master("ck", servers[0])
+        store.set_master("ck", servers[0])
     store.crash(victim)
     seen = {}
 
@@ -245,7 +260,7 @@ def _pin_session(name, store, servers):
     if name == "pileus":
         opts.update(home=servers[0], target=servers[0])
     if name in ("timeline", "pileus"):
-        store.cluster.set_master("ck", servers[0])
+        store.set_master("ck", servers[0])
     return opts
 
 
@@ -266,7 +281,7 @@ def test_retry_failover_on_coordinator_crash(name):
     # Timeline reads must not pin to the master for failover to apply.
     mode = "any" if name == "timeline" else TUNING[name].get("read_mode")
     victim = FAILOVER_VICTIM[name]
-    victim = (store.cluster.leader.node_id if victim == "leader"
+    victim = (store.leader.node_id if victim == "leader"
               else servers[victim])
     seen = {}
 

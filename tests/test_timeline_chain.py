@@ -43,8 +43,8 @@ def write_read_rounds(rounds, pause):
 
 def remote_home(store):
     """A replica that is not ``rec``'s master."""
-    master = store.cluster.master_of("rec")
-    return next(n for n in store.cluster.node_ids if n != master)
+    master = store.master_of("rec")
+    return next(n for n in store.node_ids if n != master)
 
 
 # ----------------------------------------------------------------------
