@@ -34,15 +34,24 @@ class ZipfianKeys:
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError("need at least one key")
-        self.n = n
-        self.zetan = self._zeta(n)
-        self.zeta2 = self._zeta(2)
-        self.alpha = 1.0 / (1.0 - THETA)
-        self.eta = (1 - (2.0 / n) ** (1 - THETA)) / (1 - self.zeta2 / self.zetan)
+        self.n, self.zetan = n, self._zeta(n)
+        self._grow(n)
 
     @staticmethod
     def _zeta(n: int) -> float:
         return sum(1.0 / (i ** THETA) for i in range(1, n + 1))
+
+    zeta2 = _zeta(2)                # the same for every keyspace
+    alpha = 1.0 / (1.0 - THETA)
+
+    def _grow(self, n: int) -> None:
+        """Widen to 0..n-1: zeta gains the new terms as a running sum
+        (YCSB's incremental zeta), not a re-sum over all n keys."""
+        zetan = self.zetan
+        for i in range(self.n + 1, n + 1):
+            zetan += 1.0 / (i ** THETA)
+        self.n, self.zetan = n, zetan
+        self.eta = (1 - (2.0 / n) ** (1 - THETA)) / (1 - self.zeta2 / zetan)
 
     def choose(self, rng: random.Random) -> int:
         u = rng.random()
@@ -54,23 +63,15 @@ class ZipfianKeys:
         return int(self.n * (self.eta * u - self.eta + 1) ** self.alpha)
 
 
-class LatestKeys:
-    """Skewed toward recently inserted keys (YCSB 'latest').
-
-    ``insert_point`` tracks the newest key; callers bump it with
-    :meth:`advance` as the keyspace grows.
+class LatestKeys(ZipfianKeys):
+    """Skewed toward recently inserted keys (YCSB 'latest'): Zipfian over
+    recency, so the newest key, n-1, is the most popular.  Callers
+    :meth:`advance` it as the keyspace grows.
     """
-
-    def __init__(self, n: int) -> None:
-        self.insert_point = n - 1
-        self._zipf = ZipfianKeys(max(n, 1))
 
     def advance(self) -> None:
         """One more key was inserted."""
-        self.insert_point += 1
-        if self.insert_point >= self._zipf.n:
-            self._zipf = ZipfianKeys(self.insert_point + 1)
+        self._grow(self.n + 1)
 
     def choose(self, rng: random.Random) -> int:
-        offset = self._zipf.choose(rng)
-        return max(0, self.insert_point - offset)
+        return self.n - 1 - super().choose(rng)

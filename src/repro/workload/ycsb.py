@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .keyspace import LatestKeys, UniformKeys, ZipfianKeys
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(NamedTuple):
     """One generated operation."""
 
     op: str           # "read" | "update" | "insert" | "rmw"
@@ -85,7 +85,6 @@ class YCSBWorkload:
         distribution = distribution or preset_dist
         self.records = records
         self.rng = random.Random(seed)
-        self._value_counter = 0
         if distribution == "uniform":
             self.keys = UniformKeys(records)
         elif distribution == "zipfian":
@@ -95,40 +94,40 @@ class YCSBWorkload:
         else:
             raise ValueError(f"unknown distribution {distribution!r}")
         self.distribution = distribution
-        self._inserted = records
+        self._stream = self._ops(self.rng, self.keys, self.mix, records)
 
-    def _next_value(self) -> str:
-        self._value_counter += 1
-        return f"v{self._value_counter}"
-
-    def _pick_op(self) -> str:
-        roll = self.rng.random()
-        if roll < self.mix.read:
-            return "read"
-        roll -= self.mix.read
-        if roll < self.mix.update:
-            return "update"
-        roll -= self.mix.update
-        if roll < self.mix.insert:
-            return "insert"
-        return "rmw"
+    @staticmethod
+    def _ops(rng: random.Random, keys: UniformKeys | ZipfianKeys,
+             mix: MixSpec, inserted: int) -> Iterator[OpSpec]:
+        """The op stream, state in locals (none on the workload: no cycle).
+        Each op draws its roll, then its key; seeded streams rely on it."""
+        roll_dice, choose, new = rng.random, keys.choose, tuple.__new__
+        advance = keys.advance if isinstance(keys, LatestKeys) else None
+        read, update, insert = mix.read, mix.update, mix.insert
+        values = 0
+        while True:
+            roll = roll_dice()
+            if roll < read:
+                yield new(OpSpec, ("read", f"user{choose(rng)}", None))
+                continue
+            roll -= read
+            values += 1
+            if roll < update:
+                yield new(OpSpec, ("update", f"user{choose(rng)}", f"v{values}"))
+            elif roll - update < insert:
+                if advance is not None:
+                    advance()
+                inserted += 1
+                yield new(OpSpec, ("insert", f"user{inserted - 1}", f"v{values}"))
+            else:
+                yield new(OpSpec, ("rmw", f"user{choose(rng)}", f"v{values}"))
 
     def next_op(self) -> OpSpec:
-        op = self._pick_op()
-        if op == "insert":
-            key_index = self._inserted
-            self._inserted += 1
-            if isinstance(self.keys, LatestKeys):
-                self.keys.advance()
-            return OpSpec("insert", f"user{key_index}", self._next_value())
-        key = f"user{self.keys.choose(self.rng)}"
-        if op == "read":
-            return OpSpec("read", key)
-        return OpSpec(op, key, self._next_value())
+        """The next op: the one per-op entry ``take`` and iteration share."""
+        return next(self._stream)
 
     def take(self, count: int) -> list[OpSpec]:
-        return [self.next_op() for _ in range(count)]
+        return list(islice(iter(self.next_op, None), count))
 
     def __iter__(self) -> Iterator[OpSpec]:
-        while True:
-            yield self.next_op()
+        return iter(self.next_op, None)

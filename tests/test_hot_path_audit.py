@@ -42,6 +42,7 @@ Seven families of checks guard the raw-speed machinery:
 
 import ast
 import collections
+import gc
 import hashlib
 import importlib
 import json
@@ -465,7 +466,9 @@ class _Echo(Node):
 def _python_frames(fn):
     """Python-level calls made while ``fn()`` runs (``"call"`` events only:
     which built-ins a path touches differs across 3.10-3.12, its frames
-    do not)."""
+    do not), with the collector off: a collection would add the frames
+    of ``gc.callbacks`` (hypothesis installs one) and of any generator it
+    finalises."""
     calls = 0
 
     def profiler(frame, event, arg):
@@ -473,12 +476,15 @@ def _python_frames(fn):
         if event == "call":
             calls += 1
 
+    gc.collect()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(previous)
+        gc.enable()
     return calls
 
 

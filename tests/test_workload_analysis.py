@@ -48,6 +48,8 @@ def test_zipfian_skews_to_low_keys():
 def test_zipfian_validation():
     with pytest.raises(ValueError):
         ZipfianKeys(0)
+    with pytest.raises(ValueError):
+        LatestKeys(0)
 
 
 def test_latest_keys_follow_insert_point():
