@@ -110,7 +110,7 @@ def run_failover(protected, seed=3):
 
 
 # ---------------------------------------------------------------------------
-# determinism probe (also used by benchmarks/determinism_check.py)
+# determinism probe (its seed-7 hash is pinned in the golden)
 # ---------------------------------------------------------------------------
 
 def e14_trace_hash(seed=7):
@@ -186,5 +186,9 @@ def test_e14_tail_tolerance(benchmark, capsys):
     benchmark.pedantic(run_tail, args=(True,), rounds=2, iterations=1)
 
 
-def test_e14_fixed_seed_trace_is_deterministic():
-    assert e14_trace_hash(seed=7) == e14_trace_hash(seed=7)
+def test_e14_fixed_seed_trace_is_deterministic(capsys):
+    """Equal within one process here; equal across commits and hash
+    seeds through the golden."""
+    trace_hash = e14_trace_hash(seed=7)
+    assert trace_hash == e14_trace_hash(seed=7)
+    emit(capsys, f"E14: hedged tail trace SHA-256, seed 7: {trace_hash}")

@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-The heavyweight experiment tables live in ``benchmarks/`` (run with
-``pytest benchmarks/ --benchmark-only``); the CLI is for quick looks.
+The heavyweight experiment tables live in ``benchmarks/`` (``pytest
+benchmarks`` checks each against its golden); the CLI is for quick looks.
 """
 
 from __future__ import annotations

@@ -51,7 +51,8 @@ class ZipfianKeys:
         for i in range(self.n + 1, n + 1):
             zetan += 1.0 / (i ** THETA)
         self.n, self.zetan = n, zetan
-        self.eta = (1 - (2.0 / n) ** (1 - THETA)) / (1 - self.zeta2 / zetan)
+        if n > 2:   # below that `choose` returns before it reads eta
+            self.eta = (1 - (2.0 / n) ** (1 - THETA)) / (1 - self.zeta2 / zetan)
 
     def choose(self, rng: random.Random) -> int:
         u = rng.random()

@@ -204,3 +204,24 @@ def test_opspec_is_an_immutable_hashable_record():
         spec.key = "user2"
     generated = YCSBWorkload("A", records=10, seed=1).next_op()
     assert type(generated) is OpSpec
+
+
+@pytest.mark.parametrize("records", [1, 2])
+@pytest.mark.parametrize("preset,distribution", [
+    ("A", "zipfian"), ("D", "zipfian"), ("A", "latest"), ("D", "latest"),
+])
+def test_one_and_two_key_keyspaces_draw_keys_in_range(preset, distribution,
+                                                      records):
+    """Zipfian's eta divides by zero at two keys; `choose` never reads it
+    below three, so a keyspace that small (or a latest keyspace growing
+    through two by inserts) must not compute it."""
+    existing = records
+    for op in YCSBWorkload(preset, records=records, seed=3,
+                           distribution=distribution).take(500):
+        index = int(op.key.removeprefix("user"))
+        if op.op == "insert":
+            assert index == existing
+            existing += 1
+        else:
+            assert 0 <= index < existing
+    assert existing > records if preset == "D" else existing == records
