@@ -11,7 +11,8 @@ from repro.checkers import (
 )
 from repro.replication import CausalCluster
 from repro.sim import ExponentialLatency, FixedLatency, Network, Simulator, spawn
-from repro.workload import OpSpec, WorkloadDriver
+from repro.sim.trace import HashingTracer, metrics_digest
+from repro.workload import OpSpec, WorkloadDriver, YCSBWorkload, run_workload
 
 
 def make_cluster(seed=0, latency=None, nodes=3):
@@ -191,6 +192,51 @@ def test_read_of_missing_key():
     spawn(sim, script())
     sim.run()
     assert out["read"] == (None, None)
+
+
+# ----------------------------------------------------------------------
+# The causal store's fingerprint, pinned across commits
+# ----------------------------------------------------------------------
+
+def test_causal_store_fingerprint_is_pinned():
+    """One seeded run's trace hash, metrics digest and verdicts, checked
+    in.  Four clients on 100 keys over a duplicating network; cc0 is cut
+    off from its peers for 5 ms, so the writes it broadcasts then are
+    lost, later ones wait behind them (206 held back at the end of the
+    run), and ``settle()`` delivers them, dropping the replays a replica
+    has already applied.  So the run takes the buffer's hold-back and
+    duplicate paths, and any change to what the store delivers, or when,
+    moves a pinned string.  ``causal`` is False under ROADMAP item 1:
+    ``check_causal`` reads the arbitration order as causality, which
+    flags every partitioned run."""
+    tracer = HashingTracer()
+    sim = Simulator(seed=1, tracer=tracer)
+    net = Network(sim, latency=ExponentialLatency(base=0.3, mean=1.0),
+                  duplicate_rate=0.2)
+    store = registry.build("causal", sim, net, nodes=3)
+    for peer in ("cc1", "cc2"):
+        sim.schedule(15.0, net.set_link_fault, "cc0", peer, True)
+    sim.schedule(20.0, net.clear_link_faults)
+    ops = YCSBWorkload("A", records=100, seed=2).take(240)
+    history = run_workload(store, ops, clients=4, timeout=60_000.0).history
+    held_back = store.pending_total()
+    store.settle()
+    sim.run()
+    verdicts = {name: v.ok
+                for name, v in check_all_session_guarantees(history).items()}
+    verdicts["causal"] = check_causal(history).ok
+    verdicts["convergence"] = check_convergence(store.snapshots()).ok
+    assert (held_back, store.pending_total()) == (206, 0)
+    assert verdicts == {
+        "read-your-writes": True, "monotonic-reads": True,
+        "monotonic-writes": True, "writes-follow-reads": True,
+        "causal": False, "convergence": True,
+    }
+    assert tracer.count == 3225
+    assert tracer.hexdigest() == (
+        "f730c6cc0d25bb16d926f23c9e4fc273b4f918ca705259d7ebb8949b5d3c3bf0")
+    assert metrics_digest(sim.metrics.snapshot()) == (
+        "4f2538b6876e2c8ca01b64af07948499e518efa914b448941226f8666bfd2f3f")
 
 
 # ----------------------------------------------------------------------
