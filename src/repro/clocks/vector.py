@@ -1,150 +1,120 @@
-"""Vector clocks and the causal partial order.
+"""Causal broadcast on version vectors.
 
-A vector clock maps node id → event count.  Comparison yields one of
-four :class:`Ordering` outcomes; ``CONCURRENT`` is the case that makes
-eventual consistency interesting — two updates neither of which saw
-the other, which a replica must either arbitrate (LWW), keep as
-siblings (MV-register), or merge (CRDT).
+A version vector here is a plain dict, replica → how many of its ops
+have been seen: a causal context of the dot kernel
+(:mod:`repro.clocks.dvv`) whose cloud is empty.  An op stamped with
+its origin's vector ``s`` is the dot ``(origin, s[origin])``, and it
+had seen exactly the dots ``s`` covers.  Reliable causal broadcast —
+every op applied exactly once, after every op it had seen — is what
+the op-based CRDTs and the causal store need from the network, and
+:class:`CausalBuffer` gives it: it drops duplicates, delivers in
+causal order and holds back an op that arrives early.
 
-Vector clocks here are immutable value objects: every mutation returns
-a new clock.  That keeps them safe to embed in messages and recorded
-histories without defensive copying.
+Nothing writes an envelope's clock once it is stamped: the buffer
+ticks its own dict in place and ships a copy.
+
+>>> seen = []
+>>> a = CausalBuffer("a", lambda envelope: None)
+>>> b = CausalBuffer("b", lambda envelope: seen.append(envelope.payload))
+>>> first, second = a.stamp_local("x"), a.stamp_local("y")
+>>> b.receive(second)                     # early: it waits for "x"
+>>> b.receive(first); b.receive(first)    # the replay is dropped
+>>> seen, b.clock, first.clock
+(['x', 'y'], {'a': 2}, {'a': 1})
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Hashable, Iterator, Mapping, ValuesView
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Mapping
 
 
-class Ordering(enum.Enum):
-    """Outcome of comparing two vector clocks under happened-before."""
+def delivery(
+    ours: Mapping[Hashable, int], stamp: Mapping[Hashable, int], origin: Hashable
+) -> bool | None:
+    """Causal-broadcast delivery of an op stamped ``stamp`` at
+    ``origin``, read against the receiver's clock ``ours`` in one pass:
+    ``None`` when already delivered, ``True`` when it is ``origin``'s
+    next op and every dependency is delivered (then ticking ``ours`` at
+    ``origin`` is the join with ``stamp``), ``False`` when it must wait."""
+    mine, count = ours.get(origin, 0), stamp.get(origin, 0)
+    if count <= mine:
+        return None
+    if count != mine + 1:
+        return False
+    for node, seen in stamp.items():
+        if seen > ours.get(node, 0) and node != origin:
+            return False
+    return True
 
-    BEFORE = "before"          # self < other
-    AFTER = "after"            # self > other
-    EQUAL = "equal"
-    CONCURRENT = "concurrent"  # incomparable
 
+@dataclass(frozen=True)
+class OpEnvelope:
+    """A broadcast operation, stamped for causal delivery.
 
-class VectorClock(Mapping[Hashable, int]):
-    """An immutable vector clock.
-
-    >>> v = VectorClock({}).tick("a").tick("a").tick("b")
-    >>> v["a"], v["b"], v["c"]
-    (2, 1, 0)
-    >>> w = v.tick("c")
-    >>> v.compare(w) is Ordering.BEFORE
-    True
-    >>> x, y = VectorClock({}).tick("a"), VectorClock({}).tick("b")
-    >>> x.compare(y) is Ordering.CONCURRENT
-    True
+    ``clock`` is the sender's version vector *after* ticking for this
+    op, so the op's own slot is ``clock[origin]``.
     """
 
-    __slots__ = ("_counts", "_hash")
+    origin: Hashable
+    clock: dict[Hashable, int]
+    payload: Any
 
-    def __init__(self, counts: Mapping[Hashable, int]) -> None:
-        source = dict(counts)
-        for node, count in source.items():
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"invalid count {count!r} for {node!r}")
-        self._counts: dict[Hashable, int] = {
-            k: v for k, v in source.items() if v > 0
-        }
-        self._hash: int | None = None
 
-    @classmethod
-    def _adopt(cls, counts: dict[Hashable, int]) -> "VectorClock":
-        """Wrap a dict this module just built (fresh, positive ints
-        only) without the copy and checks untrusted input gets."""
-        clock = cls.__new__(cls)
-        clock._counts = counts
-        clock._hash = None
-        return clock
+class CausalBuffer:
+    """Per-replica causal delivery: dedup, order, hold back early ops.
 
-    # -- Mapping protocol ------------------------------------------------
-    def __getitem__(self, node: Hashable) -> int:
-        return self._counts.get(node, 0)
+    ``receive`` is called with every received envelope (duplicates and
+    reordering allowed); ``apply`` fires exactly once per op, in causal
+    order.
+    """
 
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._counts)
+    def __init__(self, replica_id: Hashable, apply: Callable[[OpEnvelope], None]):
+        self.replica_id = replica_id
+        self.apply = apply
+        self.clock: dict[Hashable, int] = {}
+        self._pending: list[OpEnvelope] = []
 
-    def __len__(self) -> int:
-        return len(self._counts)
+    def stamp_local(self, payload: Any) -> OpEnvelope:
+        """Stamp (and locally apply) an op originated at this replica."""
+        clock, me = self.clock, self.replica_id
+        clock[me] = clock.get(me, 0) + 1
+        envelope = OpEnvelope(me, dict(clock), payload)
+        self.apply(envelope)
+        return envelope
 
-    def values(self) -> ValuesView[int]:
-        return self._counts.values()  # a view, not a copy: never mutated
+    def receive(self, envelope: OpEnvelope) -> None:
+        """Accept a (possibly duplicate / early) envelope from the network."""
+        ready = delivery(self.clock, envelope.clock, envelope.origin)
+        if ready:
+            self._deliver(envelope)
+            if self._pending:
+                self._drain()
+        elif ready is not None:
+            self._pending.append(envelope)
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._counts.items()))
-        return self._hash
+    def _deliver(self, envelope: OpEnvelope) -> None:
+        # Only ever called for a deliverable envelope: its clock is at
+        # most ours except at its origin, one ahead, so the tick is the join.
+        origin = envelope.origin
+        self.clock[origin] = envelope.clock[origin]
+        self.apply(envelope)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        return self._counts == other._counts
+    def _drain(self) -> None:
+        """Deliver held-back envelopes, in queue order, until a pass
+        delivers none; drop the ones that turn out duplicates."""
+        delivered = True
+        while delivered:
+            delivered, waiting = False, []
+            for envelope in self._pending:
+                ready = delivery(self.clock, envelope.clock, envelope.origin)
+                if ready:
+                    self._deliver(envelope)
+                    delivered = True
+                elif ready is not None:
+                    waiting.append(envelope)
+            self._pending = waiting
 
-    # -- Clock operations -------------------------------------------------
-    def tick(self, node: Hashable) -> "VectorClock":
-        """Return a clock with ``node``'s entry incremented."""
-        counts = dict(self._counts)
-        counts[node] = counts.get(node, 0) + 1
-        return VectorClock._adopt(counts)
-
-    def merge(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise maximum — the join of the causal lattice."""
-        counts = dict(self._counts)
-        for node, count in other._counts.items():
-            if count > counts.get(node, 0):
-                counts[node] = count
-        return VectorClock._adopt(counts)
-
-    def compare(self, other: "VectorClock") -> Ordering:
-        """Compare under the happened-before partial order."""
-        le = all(self[n] <= other[n] for n in self._counts)
-        ge = all(other[n] <= self[n] for n in other._counts)
-        if le and ge:
-            return Ordering.EQUAL
-        if le:
-            return Ordering.BEFORE
-        if ge:
-            return Ordering.AFTER
-        return Ordering.CONCURRENT
-
-    def dominates(self, other: "VectorClock") -> bool:
-        """True when ``self >= other`` pointwise (EQUAL or AFTER)."""
-        return all(self[n] >= c for n, c in other._counts.items())
-
-    def delivery(self, stamp: "VectorClock", origin: Hashable) -> bool | None:
-        """Causal-broadcast delivery of an op stamped ``stamp`` at
-        ``origin``, read against this receiver's clock: ``None`` when
-        already delivered, ``True`` when it is ``origin``'s next op and
-        every dependency is delivered (then ``self.tick(origin)`` equals
-        ``self.merge(stamp)``), ``False`` when it must wait."""
-        ours, theirs = self._counts, stamp._counts
-        mine, count = ours.get(origin, 0), theirs.get(origin, 0)
-        if count <= mine:
-            return None
-        if count != mine + 1:
-            return False
-        for node, seen in theirs.items():
-            if seen > ours.get(node, 0) and node != origin:
-                return False
-        return True
-
-    def strictly_dominates(self, other: "VectorClock") -> bool:
-        return self.dominates(other) and self._counts != other._counts
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return self.compare(other) is Ordering.CONCURRENT
-
-    def entries(self) -> dict[Hashable, int]:
-        """A plain-dict copy (for serialization / size accounting)."""
-        return dict(self._counts)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{node}:{count}"
-            for node, count in sorted(self._counts.items(), key=lambda kv: str(kv[0]))
-        )
-        return f"VC({inner})"
+    @property
+    def pending_count(self) -> int:
+        return len(self._pending)

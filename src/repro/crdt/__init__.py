@@ -4,7 +4,8 @@ State-based: :class:`GCounter`, :class:`PNCounter`,
 :class:`LWWRegister`, :class:`MVRegister`, :class:`TwoPSet`,
 :class:`ORSet`, :class:`RGA`.
 
-Op-based (with causal delivery): :class:`OpORSet`, :class:`CausalBuffer`.
+Op-based: :class:`OpORSet`, whose ops are just the operation, stamped
+and delivered by :class:`repro.clocks.CausalBuffer`.
 
 Delta-state is a property, not a second family: ``ORSet.add`` /
 ``remove`` and ``GCounter.increment`` return the small state a peer
@@ -13,10 +14,9 @@ joins with the same ``merge`` as a full one.
 
 from .base import StateCRDT
 from .counters import GCounter, PNCounter
-from .opbased import CausalBuffer, OpEnvelope, OpORSet
 from .registers import LWWRegister, MVRegister
 from .rga import RGA, RGANode
-from .sets import ORSet, TwoPSet
+from .sets import OpORSet, ORSet, TwoPSet
 
 __all__ = [
     "StateCRDT",
@@ -29,6 +29,4 @@ __all__ = [
     "RGA",
     "RGANode",
     "OpORSet",
-    "OpEnvelope",
-    "CausalBuffer",
 ]

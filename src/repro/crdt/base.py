@@ -13,7 +13,7 @@ package implements both flavors:
 
 * **Op-based (CmRDT)** — replicas ship operations; concurrent
   operations must commute, and delivery must respect causality (see
-  :mod:`repro.crdt.opbased` for the causal-broadcast buffer).
+  :mod:`repro.clocks.vector` for the causal-broadcast buffer).
 
 State CRDTs here are mutable objects bound to a ``replica_id``;
 ``merge`` folds another replica's state in place (and returns ``self``

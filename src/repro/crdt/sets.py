@@ -1,4 +1,4 @@
-"""Set CRDTs: 2P-Set, OR-Set.
+"""Set CRDTs: 2P-Set, OR-Set, and the op-based OR-Set.
 
 Sets expose the add/remove conflict the tutorial uses to show why
 "merge" needs application semantics: what should ``{add(x) ∥
@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Hashable, Iterator
 
 from ..clocks.dvv import join
+from ..clocks.vector import CausalBuffer, OpEnvelope
 from .base import StateCRDT
 
 
@@ -205,3 +206,55 @@ class ORSet(StateCRDT):
         if self._cloud:
             out["cloud"] = sorted(self._cloud)
         return out
+
+
+class OpORSet:
+    """Op-based observed-remove set (add-wins) over causal broadcast: an
+    op is just ``("add", element)`` or ``("remove", element)``.
+
+    The causal envelope already names every op (Baquero, Almeida &
+    Shoker's pure op-based CRDTs): its dot is ``(origin,
+    clock[origin])``, and the dots its origin had seen are the ones its
+    clock covers.  So applying an op drops every dot of its element the
+    envelope's clock covers, the test ``join`` spells too, and an add
+    then puts in its own dot.  A concurrent add's dot is not covered and
+    survives; an element re-added N times holds one dot.  Causal
+    delivery is what makes this enough: a remove always arrives after
+    the adds it observed.
+    """
+
+    def __init__(self, replica_id: Hashable) -> None:
+        self.replica_id = replica_id
+        self.buffer = CausalBuffer(replica_id, self._apply)
+        self._dots: dict[Any, frozenset] = {}
+
+    def add(self, item: Any) -> OpEnvelope:
+        return self.buffer.stamp_local(("add", item))
+
+    def remove(self, item: Any) -> OpEnvelope:
+        return self.buffer.stamp_local(("remove", item))
+
+    def receive(self, envelope: OpEnvelope) -> None:
+        self.buffer.receive(envelope)
+
+    def _apply(self, envelope: OpEnvelope) -> None:
+        kind, item = envelope.payload
+        clock = envelope.clock
+        live = [d for d in self._dots.get(item, _NO_TAGS)
+                if d[1] > clock.get(d[0], 0)]
+        if kind == "add":
+            live.append((envelope.origin, clock[envelope.origin]))
+        if live:
+            self._dots[item] = frozenset(live)
+        else:
+            self._dots.pop(item, None)
+
+    def __contains__(self, item: Any) -> bool:
+        return item in self._dots
+
+    @property
+    def value(self) -> frozenset:
+        return frozenset(self._dots)
+
+    def __len__(self) -> int:
+        return len(self._dots)

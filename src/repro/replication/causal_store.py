@@ -7,7 +7,7 @@ a reliable **causal broadcast** — a write becomes visible at a remote
 replica only after every write it causally depends on.  Dependencies
 are the writer's context: its own previous writes plus the writes its
 replica had applied (COPS's dependency tracking collapsed into a
-vector clock, which over-approximates the dependency set but never
+version vector, which over-approximates the dependency set but never
 under-delivers).
 
 Guarantees (and their checkers):
@@ -31,7 +31,7 @@ from typing import Any, Hashable
 
 from ..api import registry
 from ..api.store import FnSession, StoreCapabilities, StoreSession, mapped_future
-from ..crdt.opbased import CausalBuffer, OpEnvelope
+from ..clocks import CausalBuffer, OpEnvelope
 from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
 from .common import GroupClient, ReplicaGroup, ServerNode
@@ -85,7 +85,7 @@ class CausalReplica(ServerNode):
         self.data: dict[Hashable, tuple[Any, Rank]] = {}
         #: Every envelope this replica has applied, in application
         #: order — the anti-entropy exchange set.  Replays are cheap:
-        #: :class:`CausalBuffer` drops duplicates by vector clock.
+        #: :class:`CausalBuffer` drops an envelope its clock covers.
         self.applied_log: list[OpEnvelope] = []
 
     # -- client-facing -----------------------------------------------------
@@ -212,7 +212,7 @@ class CausalCluster(ReplicaGroup):
         """Instantaneous pairwise exchange of applied logs until a
         fixpoint: each live replica replays everything it has applied
         into every other live replica's causal buffer (duplicates are
-        dropped by vector clock; hold-back delivers in causal order).
+        dropped by version vector; hold-back delivers in causal order).
         Used by the chaos runner to quiesce after healing — the causal
         broadcast sends each write exactly once, so writes broadcast
         into a partition are otherwise lost forever."""

@@ -5,11 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clocks import (
+    CausalBuffer,
     DottedValueSet,
     LamportClock,
     LamportStamp,
-    Ordering,
-    VectorClock,
+    delivery,
 )
 from repro.clocks.dvv import join, join_context
 
@@ -82,125 +82,86 @@ def test_lamport_stamp_does_not_order_against_other_types():
 
 
 # ----------------------------------------------------------------------
-# Vector clocks
+# Version vectors: plain dicts, joined by ``join_context`` with empty
+# clouds, read by ``delivery``
 # ----------------------------------------------------------------------
 
-def test_vector_clock_basic_ordering():
-    v = VectorClock({}).tick("a")
-    w = v.tick("b")
-    assert v.compare(w) is Ordering.BEFORE
-    assert w.compare(v) is Ordering.AFTER
-    assert v.compare(v) is Ordering.EQUAL
-
-
 def test_vector_clock_concurrency():
-    base = VectorClock({}).tick("a")
-    left = base.tick("b")
-    right = base.tick("c")
-    assert left.compare(right) is Ordering.CONCURRENT
-    assert left.concurrent_with(right)
-    merged = left.merge(right)
-    assert merged.dominates(left) and merged.dominates(right)
-
-
-def test_vector_clock_zero_entries_normalized_away():
-    assert VectorClock({"a": 0}) == VectorClock({})
-    assert len(VectorClock({"a": 0, "b": 2})) == 1
-
-
-def test_vector_clock_immutable_and_hashable():
-    v = VectorClock({}).tick("a")
-    w = v.tick("a")
-    assert v["a"] == 1 and w["a"] == 2
-    assert len({v, w, VectorClock({"a": 1})}) == 2
-
-
-def test_vector_clock_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        VectorClock({"a": -1})
-
-
-def test_strict_domination():
-    v = VectorClock({"a": 2, "b": 1})
-    assert v.strictly_dominates(VectorClock({"a": 1}))
-    assert not v.strictly_dominates(v)
+    # Two ops stamped on one base, neither seeing the other: each is
+    # deliverable over the other, and both delivery orders end equal.
+    a, b, c = (CausalBuffer(node, lambda e: None) for node in "abc")
+    base = a.stamp_local("base")
+    b.receive(base)
+    c.receive(base)
+    left, right = b.stamp_local("left"), c.stamp_local("right")
+    assert delivery(left.clock, right.clock, "c") is True
+    assert delivery(right.clock, left.clock, "b") is True
+    one, two = CausalBuffer("x", lambda e: None), CausalBuffer("y", lambda e: None)
+    for envelope in (base, left, right):
+        one.receive(envelope)
+    for envelope in (base, right, left):
+        two.receive(envelope)
+    assert one.clock == two.clock == {"a": 1, "b": 1, "c": 1}
 
 
 nodes_st = st.sampled_from(["a", "b", "c", "d"])
-clock_st = st.dictionaries(nodes_st, st.integers(min_value=0, max_value=8)).map(
-    VectorClock
-)
+clock_st = st.dictionaries(nodes_st, st.integers(min_value=1, max_value=8))
+
+
+def vv_join(v, w):
+    """The version-vector join: ``join_context`` over two empty clouds."""
+    joined = dict(v)
+    assert join_context(joined, frozenset(), w, frozenset()) == frozenset()
+    return joined
 
 
 @given(clock_st, clock_st)
 def test_merge_commutative(v, w):
-    assert v.merge(w) == w.merge(v)
+    assert vv_join(v, w) == vv_join(w, v)
 
 
 @given(clock_st, clock_st, clock_st)
 @settings(max_examples=60)
 def test_merge_associative(u, v, w):
-    assert u.merge(v).merge(w) == u.merge(v.merge(w))
+    assert vv_join(vv_join(u, v), w) == vv_join(u, vv_join(v, w))
 
 
 @given(clock_st)
 def test_merge_idempotent(v):
-    assert v.merge(v) == v
+    assert vv_join(v, v) == v
 
 
 @given(clock_st, clock_st)
 def test_merge_is_least_upper_bound(v, w):
-    m = v.merge(w)
-    assert m.dominates(v) and m.dominates(w)
-    for node in set(v) | set(w):
-        assert m[node] == max(v[node], w[node])
-
-
-@given(clock_st, clock_st, nodes_st)
-def test_tick_and_merge_equal_publicly_constructed_clocks(v, w, node):
-    # tick / merge adopt the dict they built instead of going through
-    # the validating constructor; the clocks must be indistinguishable.
-    ticked = {**v.entries(), node: v[node] + 1}
-    joined = {n: max(v[n], w[n]) for n in set(v) | set(w)}
-    for fast, counts in ((v.tick(node), ticked), (v.merge(w), joined)):
-        reference = VectorClock(counts)
-        assert fast == reference and hash(fast) == hash(reference)
-        assert fast.entries() == reference.entries() == counts
-        assert fast.entries() is not fast.entries()  # still a copy out
-    assert v == VectorClock(v.entries())             # operands untouched
+    m = vv_join(v, w)
+    assert set(m) == set(v) | set(w)
+    for node in m:
+        assert m[node] == max(v.get(node, 0), w.get(node, 0))
 
 
 @given(clock_st, clock_st, nodes_st)
 def test_delivery_classifies_like_the_mapping_rule(v, w, origin):
     # ``w`` is an arbitrary stamp; ``ready`` is built to be deliverable:
-    # at most ``v`` everywhere, then ticked one past ``v`` at its origin.
-    lower = {n: min(v[n], w[n]) for n in set(v) | set(w)}
-    lower[origin] = v[origin]
-    ready = VectorClock(lower).tick(origin)
+    # at most ``v`` everywhere, then one past ``v`` at its origin.
+    ready = {n: min(v[n], w[n]) for n in v if n in w}
+    ready[origin] = v.get(origin, 0) + 1
     for stamp in (w, ready):
-        next_op = stamp[origin] == v[origin] + 1 and all(
-            stamp[n] <= v[n] for n in stamp if n != origin)
-        expected = None if stamp[origin] <= v[origin] else next_op
-        assert v.delivery(stamp, origin) is expected
-    assert v.merge(ready) == v.tick(origin)
-    assert list(v.merge(ready)) == list(v.tick(origin))   # same key order
-
-
-@given(clock_st, clock_st)
-def test_compare_antisymmetric(v, w):
-    cv, cw = v.compare(w), w.compare(v)
-    flip = {
-        Ordering.BEFORE: Ordering.AFTER,
-        Ordering.AFTER: Ordering.BEFORE,
-        Ordering.EQUAL: Ordering.EQUAL,
-        Ordering.CONCURRENT: Ordering.CONCURRENT,
-    }
-    assert cw is flip[cv]
+        next_op = stamp.get(origin, 0) == v.get(origin, 0) + 1 and all(
+            count <= v.get(n, 0) for n, count in stamp.items() if n != origin)
+        expected = None if stamp.get(origin, 0) <= v.get(origin, 0) else next_op
+        assert delivery(v, stamp, origin) is expected
+    ticked = {**v, origin: v.get(origin, 0) + 1}
+    assert vv_join(v, ready) == ticked
+    assert list(vv_join(v, ready)) == list(ticked)   # same key order
 
 
 @given(clock_st, st.sampled_from(["a", "b", "c"]))
 def test_tick_strictly_advances(v, node):
-    assert v.tick(node).strictly_dominates(v)
+    buffer = CausalBuffer(node, lambda e: None)
+    buffer.clock.update(v)
+    stamp = buffer.stamp_local("op").clock
+    assert vv_join(stamp, v) == stamp != v
+    assert stamp[node] == v.get(node, 0) + 1
 
 
 # ----------------------------------------------------------------------

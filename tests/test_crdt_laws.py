@@ -31,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.clocks import DottedValueSet, VectorClock
+from repro.clocks import DottedValueSet
 from repro.clocks.dvv import join
 from repro.crdt import (
     RGA,
@@ -591,6 +591,12 @@ def test_gcounter_deltas_join_to_the_state(increments, seed):
     assert observer.value == sum(amount for _who, amount in increments)
 
 
+def strictly_dominates(clock, other):
+    """``clock > other`` pointwise, as version vectors."""
+    return clock != other and all(
+        clock.get(node, 0) >= count for node, count in other.items())
+
+
 @given(script=st.lists(
     st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 30)),
     max_size=30,
@@ -604,14 +610,14 @@ def test_mv_register_is_a_dotted_value_set(script):
     oracle."""
     registers = [MVRegister(r) for r in REPLICAS]
     bare = [DottedValueSet() for _ in REPLICAS]
-    writes = []     # (replica, counter, the write's vector clock, value)
+    writes = []     # (replica, counter, the write's version vector, value)
     for who, kind, arg in script:
         if kind < 2:
             value = f"v{len(writes)}"
             registers[who].assign(value)
             bare[who] = bare[who].put(REPLICAS[who], value, bare[who].clock)
             replica, counter = list(bare[who].siblings)[-1]
-            writes.append((replica, counter, VectorClock(bare[who].clock), value))
+            writes.append((replica, counter, dict(bare[who].clock), value))
         elif arg % 3 != who:
             registers[who].merge(registers[arg % 3].copy())
             bare[who] = bare[who].sync(bare[arg % 3])
@@ -622,7 +628,7 @@ def test_mv_register_is_a_dotted_value_set(script):
         ]
         maximal = [
             value for clock, value in seen
-            if not any(other.strictly_dominates(clock) for other, _ in seen)
+            if not any(strictly_dominates(other, clock) for other, _ in seen)
         ]
         assert sorted(registers[who].values) == sorted(maximal)
     _converge(registers)

@@ -5,8 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clocks import VectorClock
-from repro.crdt import CausalBuffer, OpEnvelope, OpORSet
+from repro.clocks import CausalBuffer, OpEnvelope
+from repro.crdt import OpORSet
 
 
 def broadcast(source, targets, envelope):
@@ -28,7 +28,7 @@ def test_buffer_delivers_in_order():
     receiver.receive(e1)
     receiver.receive(e2)
     assert log == ["one", "two"]
-    assert receiver.delivered == 2
+    assert receiver.clock == {"s": 2} and receiver.pending_count == 0
 
 
 def test_buffer_holds_back_early_op():
@@ -40,7 +40,6 @@ def test_buffer_holds_back_early_op():
     receiver.receive(e2)  # arrives first
     assert log == []
     assert receiver.pending_count == 1
-    assert receiver.held_back == 1
     receiver.receive(e1)
     assert log == ["one", "two"]
     assert receiver.pending_count == 0
@@ -55,7 +54,7 @@ def test_buffer_deduplicates():
     receiver.receive(e1)
     receiver.receive(e1)
     assert log == ["x"]
-    assert receiver.duplicates == 2
+    assert receiver.clock == {"s": 1} and receiver.pending_count == 0
 
 
 def test_buffer_transitive_causality():
@@ -83,53 +82,82 @@ def test_buffer_duplicate_in_pending_queue_dropped():
     receiver.receive(e2)  # duplicate while pending
     receiver.receive(e1)
     assert log == ["one", "two"]
+    assert receiver.pending_count == 0
+
+
+def test_envelope_clock_is_a_snapshot():
+    """Nothing writes an envelope's clock: the sender ships a copy of the
+    clock it ticks in place, and a receiver ticks its own."""
+    sender = CausalBuffer("s", lambda e: None)
+    receiver = CausalBuffer("r", lambda e: None)
+    e1 = sender.stamp_local("one")
+    receiver.receive(e1)
+    e2 = receiver.stamp_local("two")
+    sender.receive(e2)
+    sender.stamp_local("three")
+    assert e1.clock == {"s": 1} and e2.clock == {"s": 1, "r": 1}
+    assert sender.clock == {"s": 2, "r": 1}
+    assert receiver.clock == {"s": 1, "r": 1}
+
+
+def _ticked(clock, node):
+    ticked = dict(clock)
+    ticked[node] = ticked.get(node, 0) + 1
+    return ticked
+
+
+def _joined(clock, other):
+    """Pointwise max, keys in ``clock``'s order then ``other``'s."""
+    joined = dict(clock)
+    for node, count in other.items():
+        if count > joined.get(node, 0):
+            joined[node] = count
+    return joined
 
 
 class ReferenceBuffer:
-    """The delivery rule read through the Mapping protocol, with
-    ``merge`` as the join: the oracle :class:`CausalBuffer` must match.
-    It also checks, for every envelope it delivers, that the merge is
-    the receiver's clock ticked at the envelope's origin."""
+    """The delivery rule read entry by entry, with the pointwise max as
+    the join: the oracle :class:`CausalBuffer` must match.  It also
+    checks, for every envelope it delivers, that the join is the
+    receiver's clock ticked at the envelope's origin."""
 
     def __init__(self, replica_id):
         self.replica_id = replica_id
         self.log = []
-        self.clock = VectorClock({})
+        self.clock = {}
         self.pending = []
-        self.delivered = self.duplicates = self.held_back = 0
 
     def stamp_local(self, payload):
-        self.clock = self.clock.tick(self.replica_id)
+        self.clock = _ticked(self.clock, self.replica_id)
         self.log.append(payload)
-        self.delivered += 1
         return OpEnvelope(self.replica_id, self.clock, payload)
 
     def receive(self, envelope):
         if self._already_seen(envelope):
-            self.duplicates += 1
-        elif self._deliverable(envelope):
+            return
+        if self._deliverable(envelope):
             self._deliver(envelope)
             self._drain()
         else:
-            self.held_back += 1
             self.pending.append(envelope)
 
     def _already_seen(self, envelope):
-        return self.clock[envelope.origin] >= envelope.clock[envelope.origin]
+        origin = envelope.origin
+        return self.clock.get(origin, 0) >= envelope.clock.get(origin, 0)
 
     def _deliverable(self, envelope):
-        if envelope.clock[envelope.origin] != self.clock[envelope.origin] + 1:
+        origin = envelope.origin
+        if envelope.clock.get(origin, 0) != self.clock.get(origin, 0) + 1:
             return False
-        return all(envelope.clock[node] <= self.clock[node]
-                   for node in envelope.clock if node != envelope.origin)
+        return all(count <= self.clock.get(node, 0)
+                   for node, count in envelope.clock.items() if node != origin)
 
     def _deliver(self, envelope):
-        merged = self.clock.merge(envelope.clock)
-        ticked = self.clock.tick(envelope.origin)
-        assert merged == ticked and list(merged) == list(ticked)
-        self.clock = merged
+        joined = _joined(self.clock, envelope.clock)
+        ticked = _ticked(self.clock, envelope.origin)
+        assert joined == ticked and list(joined) == list(ticked)
+        self.clock = joined
         self.log.append(envelope.payload)
-        self.delivered += 1
 
     def _drain(self):
         progressed = True
@@ -138,7 +166,6 @@ class ReferenceBuffer:
             for envelope in list(self.pending):
                 if self._already_seen(envelope):
                     self.pending.remove(envelope)
-                    self.duplicates += 1
                     progressed = True
                 elif self._deliverable(envelope):
                     self.pending.remove(envelope)
@@ -162,24 +189,23 @@ class ReferenceBuffer:
 def test_buffer_agrees_with_the_mapping_rule(replicas, steps, seed):
     """Stamps interleaved with shuffled, duplicated and replayed
     deliveries: every replica applies the same ops in the same order,
-    and ends with the same clock (key order too) and counters, as the
-    reference rule."""
+    and ends with the same clock (key order too) and as many held-back
+    envelopes as the reference rule; no envelope's clock is written
+    after it ships."""
     rng = random.Random(seed)
     logs = [[] for _ in range(replicas)]
     buffers = [CausalBuffer(i, lambda e, log=log: log.append(e.payload))
                for i, log in enumerate(logs)]
     references = [ReferenceBuffer(i) for i in range(replicas)]
     stamped, in_flight = [], []      # envelopes; (receiver, envelope)
+    copies = []                      # each stamped envelope's clock, as shipped
 
     def check():
         for buffer, reference, log in zip(buffers, references, logs):
             assert log == reference.log
             assert buffer.clock == reference.clock
             assert list(buffer.clock) == list(reference.clock)
-            assert (buffer.delivered, buffer.duplicates, buffer.held_back,
-                    buffer.pending_count) == (
-                reference.delivered, reference.duplicates,
-                reference.held_back, len(reference.pending))
+            assert buffer.pending_count == len(reference.pending)
 
     def receive(target, envelope):
         buffers[target].receive(envelope)
@@ -192,6 +218,7 @@ def test_buffer_agrees_with_the_mapping_rule(replicas, steps, seed):
             envelope = buffers[actor].stamp_local(payload)
             assert references[actor].stamp_local(payload) == envelope
             stamped.append(envelope)
+            copies.append(dict(envelope.clock))
             for target in range(replicas):
                 if target != actor:
                     in_flight += [(target, envelope)] * rng.choice((1, 1, 2))
@@ -205,6 +232,7 @@ def test_buffer_agrees_with_the_mapping_rule(replicas, steps, seed):
         receive(target, envelope)
         check()
     assert all(buffer.pending_count == 0 for buffer in buffers)
+    assert [envelope.clock for envelope in stamped] == copies
 
 
 # ----------------------------------------------------------------------
@@ -245,18 +273,114 @@ def test_op_orset_concurrent_add_wins():
 
 
 def test_op_orset_readd_keeps_one_tag():
-    """The δ-ORSet add: a re-add ships the tags it replaces and every
-    replica that applies it retires them, so an element re-added N times
-    holds one tag; a concurrent add's tag is not among them."""
+    """An add drops the dots its envelope's clock covers, so an element
+    re-added N times holds one dot, the last add's; a concurrent add's
+    dot is not covered and stays."""
     for readds in (3, 16_000):
         a, b = OpORSet("a"), OpORSet("b")
         for _ in range(readds):
             b.receive(a.add("x"))
-        assert a._tags == b._tags == {"x": {("a", readds)}}
+        assert a._dots == b._dots == {"x": {("a", readds)}}
     concurrent = b.add("x")
     b.receive(a.add("x"))
     a.receive(concurrent)
-    assert a._tags == b._tags == {"x": {("a", 16_001), ("b", 1)}}
+    assert a._dots == b._dots == {"x": {("a", 16_001), ("b", 1)}}
+
+
+def test_op_orset_ships_only_the_op():
+    a = OpORSet("a")
+    a.add("x")
+    envelope = a.remove("x")
+    assert envelope.payload == ("remove", "x")
+    assert envelope.clock == {"a": 2}
+
+
+class TaggedORSet:
+    """The op-based OR-Set that ships its own identity, kept as the
+    reference: an add mints a ``(replica, counter)`` tag and carries the
+    tags it replaces, a remove carries the tags it observed."""
+
+    def __init__(self, replica_id):
+        self.replica_id = replica_id
+        self.buffer = CausalBuffer(replica_id, self._apply)
+        self.tags = {}
+        self._counter = 0
+
+    def add(self, element):
+        self._counter += 1
+        tag = (self.replica_id, self._counter)
+        replaced = frozenset(self.tags.get(element, ()))
+        return self.buffer.stamp_local(("add", element, (tag, replaced)))
+
+    def remove(self, element):
+        observed = frozenset(self.tags.get(element, ()))
+        return self.buffer.stamp_local(("remove", element, observed))
+
+    def receive(self, envelope):
+        self.buffer.receive(envelope)
+
+    def _apply(self, envelope):
+        kind, element, detail = envelope.payload
+        if kind == "add":
+            tag, replaced = detail
+            live = self.tags.setdefault(element, set())
+            live -= replaced
+            live.add(tag)
+        else:
+            live = self.tags.get(element)
+            if live is not None:
+                live -= detail
+                if not live:
+                    del self.tags[element]
+
+
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "deliver", "replay"]),
+            st.integers(0, 2),            # acting / receiving replica
+            st.integers(0, 2**16),        # element, or which envelope
+        ),
+        max_size=60,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_op_orset_agrees_with_a_tag_shipping_reference(steps, seed):
+    """The same ops on the pure set and on the tag-shipping reference,
+    delivered in the same random causal interleaving with duplicates and
+    replays: after every step each replica holds the same elements, each
+    with as many dots as the reference holds tags."""
+    rng = random.Random(seed)
+    pure = [OpORSet(i) for i in range(3)]
+    tagged = [TaggedORSet(i) for i in range(3)]
+    stamped, in_flight = [], []      # (pure, tagged) envelope pairs; (receiver, pair)
+
+    def receive(target, pair):
+        pure[target].receive(pair[0])
+        tagged[target].receive(pair[1])
+
+    for kind, actor, pick in steps:
+        if kind in ("add", "remove"):
+            element = f"e{pick % 5}"
+            pair = (getattr(pure[actor], kind)(element),
+                    getattr(tagged[actor], kind)(element))
+            stamped.append(pair)
+            for target in range(3):
+                if target != actor:
+                    in_flight += [(target, pair)] * rng.choice((1, 1, 2))
+        elif kind == "deliver" and in_flight:
+            receive(*in_flight.pop(pick % len(in_flight)))
+        elif kind == "replay" and stamped:
+            receive(actor, stamped[pick % len(stamped)])
+        for mine, theirs in zip(pure, tagged):
+            assert {e: len(d) for e, d in mine._dots.items()} == {
+                e: len(t) for e, t in theirs.tags.items()}
+    rng.shuffle(in_flight)
+    for target, pair in in_flight:
+        receive(target, pair)
+    assert len({replica.value for replica in pure}) == 1
+    assert all(r.buffer.pending_count == 0 for r in pure)
 
 
 @given(
