@@ -11,6 +11,11 @@ same store construction + driver call per protocol, with only the
 registry name and session options varying.
 """
 
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
 import pytest
 
 from common import SITES, emit, geo_network
@@ -22,6 +27,7 @@ from repro.checkers import (
     check_linearizability,
     stale_read_fraction,
 )
+from repro.cli import main
 from repro.workload import OpSpec, WorkloadDriver
 
 ROUNDS = 12
@@ -197,3 +203,21 @@ def test_e1_spectrum(benchmark, capsys, read_heavy):
         run_protocol, args=("eventual R=W=1",),
         kwargs={"read_heavy": read_heavy}, rounds=2, iterations=1,
     )
+
+
+def test_e1_cli_spectrum(capsys):
+    """``repro spectrum``'s table, exactly as the command prints it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["spectrum"]) == 0
+    emit(capsys, out.getvalue().strip("\n"))
+
+
+def test_e1_geo_example(capsys):
+    """The table ``examples/geo_replication.py`` prints."""
+    path = Path(__file__).resolve().parent.parent / "examples" / \
+        "geo_replication.py"
+    spec = importlib.util.spec_from_file_location("geo_replication", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    emit(capsys, example.table())

@@ -27,7 +27,7 @@ import os
 import sys
 
 from repro import Network, Simulator
-from repro.analysis import print_table
+from repro.analysis import render_table
 from repro.api import registry
 from repro.checkers import check_linearizability, stale_read_fraction
 from repro.sim import THREE_CONTINENTS
@@ -131,13 +131,8 @@ def run_strong(name, label, node_prefix, client_id, seed=1):
     return row(label, drive(sim, store.session()))
 
 
-def main(trace_path=None) -> None:
-    print(__doc__)
-    tracer = None
-    if trace_path:
-        from repro.sim import Tracer
-
-        tracer = Tracer()
+def table(tracer=None) -> str:
+    """The results table: one row per rung, walking up the spectrum."""
     rows = [
         run_dynamo(1, 1, "eventual (R=W=1)", tracer=tracer),
         run_dynamo(1, 1, "eventual + far reader", remote_reader=True),
@@ -147,11 +142,23 @@ def main(trace_path=None) -> None:
         run_strong("multipaxos", "strong (paxos)", "px", "pxclient-1"),
         run_strong("chain", "strong (chain)", "ch", "chclient-1"),
     ]
-    print_table(
+    return render_table(
         ["protocol", "read ms", "write ms", "stale reads", "linearizable"],
         rows,
         title=f"EU client, replicas in {', '.join(SITES)}",
     )
+
+
+def main(trace_path=None) -> None:
+    print(__doc__)
+    tracer = None
+    if trace_path:
+        from repro.sim import Tracer
+
+        tracer = Tracer()
+    text = table(tracer)
+    print()
+    print(text)
     print(
         "\nReading down the table is walking up the tutorial's spectrum:"
         "\neach rung buys anomalies away with round trips."
