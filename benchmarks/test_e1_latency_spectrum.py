@@ -28,6 +28,7 @@ from repro.checkers import (
     stale_read_fraction,
 )
 from repro.cli import main
+from repro.client import SessionClient
 from repro.workload import OpSpec, WorkloadDriver
 
 ROUNDS = 12
@@ -46,7 +47,9 @@ def rw_rounds(rounds=ROUNDS, read_heavy=False, think=5.0):
     return ops
 
 
-#: Rung -> (registry name, build kwargs, client placement, session opts).
+#: Rung -> (registry name, build kwargs, client placement, session opts,
+#: node id prefix).  A ``guarantees`` session opt wraps the session in a
+#: :class:`~repro.client.SessionClient`.
 RUNGS = {
     "eventual R=W=1": (
         "quorum",
@@ -73,8 +76,7 @@ RUNGS = {
         "timeline",
         dict(propagation_delay=20.0),
         {"tlclient-1": "eu", "tl0-fwd": "us-east"},
-        dict(client_id="tlclient-1", home="tl1",
-             guarantees=("ryw", "mr"), retry_delay=10.0),
+        dict(client_id="tlclient-1", home="tl1", guarantees=("ryw", "mr")),
         "tl",
     ),
     "paxos": (
@@ -100,9 +102,13 @@ def run_protocol(name, seed=1, read_heavy=False):
     if spec_name == "timeline":
         for i in range(3):
             store.set_master(f"key-{i}", f"{prefix}0")
+    session_opts = dict(session_opts)
+    guarantees = session_opts.pop("guarantees", ())
+    session = store.session("session-1", **session_opts)
+    if guarantees:
+        session = SessionClient(sim, session, guarantees)
     driver = WorkloadDriver(sim)
-    driver.add_session(store.session("session-1", **session_opts),
-                       rw_rounds(read_heavy=read_heavy))
+    driver.add_session(session, rw_rounds(read_heavy=read_heavy))
     result = driver.run()
     history = result.history
     return {

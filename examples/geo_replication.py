@@ -30,6 +30,7 @@ from repro import Network, Simulator
 from repro.analysis import render_table
 from repro.api import registry
 from repro.checkers import check_linearizability, stale_read_fraction
+from repro.client import SessionClient
 from repro.sim import THREE_CONTINENTS
 from repro.workload import OpSpec, WorkloadDriver
 
@@ -118,9 +119,10 @@ def run_timeline(with_session, label, seed=1):
         store.set_master(f"key-{i}", "tl0")   # mastered in us-east
     # EU reads local; the session layer adds read-your-writes and
     # monotonic-read floors over the same local reads.
-    guarantees = dict(guarantees=("ryw", "mr"), retry_delay=10.0) \
-        if with_session else {}
-    return row(label, drive(sim, store.session(home="tl1", **guarantees)))
+    session = store.session(home="tl1")
+    if with_session:
+        session = SessionClient(sim, session, ("ryw", "mr"))
+    return row(label, drive(sim, session))
 
 
 def run_strong(name, label, node_prefix, client_id, seed=1):

@@ -56,7 +56,9 @@ class StoreCapabilities:
     description: str = ""
     #: Read modes ``get`` accepts; index 0 is the default.
     read_modes: tuple[str, ...] = ("default",)
-    #: Session guarantees enforceable via ``session(guarantees=...)``.
+    #: Session guarantees the store's own sessions deliver (the chaos
+    #: runner grades them); :class:`repro.client.SessionClient` adds
+    #: ryw and mr over any session.
     session_guarantees: tuple[str, ...] = ()
     #: Exposes a tentative (pre-commit) read view.
     tentative_reads: bool = False
@@ -221,7 +223,7 @@ class ConsistentStore(ABC):
     @abstractmethod
     def session(self, name: Hashable | None = None, **opts: Any) -> StoreSession:
         """Create a client session (``opts`` are protocol-specific:
-        ``coordinator=``, ``home=``, ``guarantees=``, ``sla=`` …).  On a
+        ``coordinator=``, ``home=``, ``sla=`` …).  On a
         store built with ``placement=``, every networked store also
         takes ``region=`` (where the session's client node lives) and
         the ``read_preference=`` values its capabilities declare."""

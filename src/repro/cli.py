@@ -116,7 +116,8 @@ def cmd_pbs(args: argparse.Namespace) -> int:
 
 #: ``repro spectrum`` rungs: registry name, label, build kwargs, session
 #: kwargs, read mode.  Node ids n0/n1/n2 map to us-east/eu/asia; the
-#: client sits in the EU.
+#: client sits in the EU.  A ``guarantees`` session kwarg wraps the
+#: session in a :class:`~repro.client.SessionClient`.
 _SPECTRUM_RUNGS = [
     ("quorum", "eventual (R=W=1)",
      dict(n=3, r=1, w=1, op_deadline=2_000.0), dict(coordinator="n1"), None),
@@ -125,7 +126,7 @@ _SPECTRUM_RUNGS = [
     ("causal", "causal (local)", {}, dict(home="n1"), None),
     ("timeline", "timeline (read local)", {}, dict(home="n1"), "any"),
     ("timeline", "session RYW+MR",
-     {}, dict(home="n1", guarantees=("ryw", "mr"), retry_delay=10.0), "any"),
+     {}, dict(home="n1", guarantees=("ryw", "mr")), "any"),
     ("pileus", "pileus (SLA reads)", {}, dict(home="n1"), None),
     ("primary_backup", "primary-backup (async)", dict(mode="async"), {}, None),
     ("multipaxos", "strong (paxos)", {}, {}, None),
@@ -144,6 +145,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     from .analysis import print_table
     from .api import registry
     from .checkers import check_linearizability, stale_read_fraction
+    from .client import SessionClient
     from .sim import THREE_CONTINENTS, Network, Simulator
     from .workload import OpSpec, WorkloadDriver
 
@@ -169,11 +171,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             for i in range(3):
                 store.set_master(f"key-{i}", "n0")
         session_kwargs = dict(session_kwargs)
+        guarantees = session_kwargs.pop("guarantees", ())
         if store.capabilities.networked:
             session_kwargs["client_id"] = "client-eu"
+        session = store.session("eu-user", **session_kwargs)
+        if guarantees:
+            session = SessionClient(sim, session, guarantees)
         driver = WorkloadDriver(sim)
-        driver.add_session(store.session("eu-user", **session_kwargs), ops,
-                           read_mode=read_mode, timeout=4_000.0)
+        driver.add_session(session, ops, read_mode=read_mode,
+                           timeout=4_000.0)
         result = driver.run()
         history = result.history
         rows.append([

@@ -1,17 +1,10 @@
 """Client-side consistency machinery: session guarantees as a library."""
 
-from .session import (
-    GUARANTEES,
-    SessionClient,
-    SessionState,
-    SessionStats,
-    timeline_session,
-)
+from .session import GUARANTEES, SessionClient, SessionState, SessionStats
 
 __all__ = [
     "SessionClient",
     "SessionState",
     "SessionStats",
     "GUARANTEES",
-    "timeline_session",
 ]

@@ -4,27 +4,28 @@ The tutorial frames session guarantees as a *client library* concern:
 the store stays eventually consistent, and the client tracks version
 floors — the newest version it has written (for read-your-writes) and
 read (for monotonic reads) per key — and refuses to accept replies
-below its floor, retrying (same or another replica) until the floor is
-met.  Writes-follow-reads and monotonic writes additionally require
-the *store* to order writes after a floor; single-master stores
-(timeline, primary-backup, Multi-Paxos) give both for free, which is
-why this layer only needs the two read-side floors.
+below its floor, retrying until the floor is met.  Writes-follow-reads
+and monotonic writes additionally require the *store* to order writes
+after a floor (single-master stores give both for free); no client-side
+floor can, so this layer enforces only the two read-side floors.
 
-:class:`SessionClient` is store-agnostic: it wraps any pair of
-``read_fn(key, attempt, timeout) -> Future[(value, version)]`` and
-``write_fn(key, value, timeout) -> Future[version]`` callables — see
-:func:`timeline_session` for the PNUTS adapter used in E3.
+:class:`SessionState` is the one floor record; the timeline client and
+the Pileus SLA client keep one too.  :class:`SessionClient` wraps any
+:class:`~repro.api.store.StoreSession` whose reads resolve tokens
+ordered within a key (ints for timeline, Lamport stamps for quorum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Hashable, Iterable
 
+from ..api.store import StoreSession
 from ..errors import TimeoutError as ReproTimeoutError
 from ..sim import Future, Simulator, spawn
 
-GUARANTEES = ("ryw", "mr", "mw", "wfr")
+#: The guarantees a client-side floor can enforce.
+GUARANTEES = ("ryw", "mr")
 #: Stale replies a read accepts before its future fails.
 MAX_RETRIES = 50
 
@@ -39,48 +40,46 @@ class SessionStats:
     reads_rejected_stale: int = 0
 
 
+def _raise(floors: dict, key: Hashable, token: Any) -> None:
+    if token is not None and (key not in floors or token > floors[key]):
+        floors[key] = token
+
+
 @dataclass
 class SessionState:
-    """The session token: per-key floors."""
+    """The session token: per-key floors over version tokens (``None``,
+    "nothing", raises no floor and meets none)."""
 
-    write_floor: dict = field(default_factory=dict)   # key -> version
-    read_floor: dict = field(default_factory=dict)    # key -> version
+    write_floor: dict = field(default_factory=dict)   # key -> token
+    read_floor: dict = field(default_factory=dict)    # key -> token
 
-    def required_version(self, key: Hashable, guarantees: frozenset) -> int:
-        floor = 0
-        if "ryw" in guarantees:
-            floor = max(floor, self.write_floor.get(key, 0))
-        if "mr" in guarantees:
-            floor = max(floor, self.read_floor.get(key, 0))
-        return floor
+    def required(self, key: Hashable, guarantees: Iterable[str]) -> Any:
+        """The highest floor ``guarantees`` put on ``key``, or ``None``."""
+        floors = [floor[key] for name, floor in (("ryw", self.write_floor),
+                                                 ("mr", self.read_floor))
+                  if name in guarantees and key in floor]
+        return max(floors) if floors else None
 
-    def note_write(self, key: Hashable, version: int) -> None:
-        current = self.write_floor.get(key, 0)
-        if version > current:
-            self.write_floor[key] = version
+    def note_write(self, key: Hashable, token: Any) -> None:
+        _raise(self.write_floor, key, token)
 
-    def note_read(self, key: Hashable, version: int) -> None:
-        current = self.read_floor.get(key, 0)
-        if version > current:
-            self.read_floor[key] = version
+    def note_read(self, key: Hashable, token: Any) -> None:
+        _raise(self.read_floor, key, token)
 
 
-class SessionClient:
-    """Wraps raw read/write functions with session-guarantee floors.
+class SessionClient(StoreSession):
+    """Wraps a store session with read-your-writes and monotonic-read
+    floors.
 
     Parameters
     ----------
     sim:
         The simulator (for retry timers).
-    read_fn / write_fn:
-        The underlying store operations.  ``read_fn(key, attempt,
-        timeout)`` gets the 1-based attempt number (used to spread
-        retries across replicas); both get the op's remaining time
-        budget in ms, or None for no deadline.
+    session:
+        The store session to wrap; its ``get`` must resolve
+        ``(value, token)`` with tokens ordered within a key.
     guarantees:
-        Any subset of ``{"ryw", "mr", "mw", "wfr"}``.  The read-side
-        pair drives the retry loop; ``mw``/``wfr`` are recorded for
-        introspection (single-master stores enforce them server-side).
+        Any subset of :data:`GUARANTEES`.
     retry_delay:
         Backoff between stale-read retries, in ms.
 
@@ -92,109 +91,83 @@ class SessionClient:
     def __init__(
         self,
         sim: Simulator,
-        read_fn: Callable[[Hashable, int, float | None], Future],
-        write_fn: Callable[[Hashable, Any, float | None], Future],
-        guarantees: Iterable[str] = (),
+        session: StoreSession,
+        guarantees: Iterable[str],
         retry_delay: float = 10.0,
     ) -> None:
         guarantees = frozenset(guarantees)
         unknown = guarantees - set(GUARANTEES)
         if unknown:
-            raise ValueError(f"unknown guarantees: {sorted(unknown)}")
+            raise ValueError(
+                f"a client-side floor enforces only {GUARANTEES}; "
+                f"got {sorted(unknown)}"
+            )
         self.sim = sim
-        self.read_fn = read_fn
-        self.write_fn = write_fn
+        self.session = session
+        self.name = session.name
+        self.client_id = session.client_id
+        self.read_preference = session.read_preference
+        self.region = session.region
         self.guarantees = guarantees
         self.retry_delay = retry_delay
-        self.state = SessionState()
+        self.token = SessionState()
         self.stats = SessionStats()
 
-    # ------------------------------------------------------------------
-    def write(
+    def put(
         self, key: Hashable, value: Any, timeout: float | None = None
     ) -> Future:
         """Write through the store; floors advance on success."""
         self.stats.writes += 1
-        inner = self.write_fn(key, value, timeout)
+        inner = self.session.put(key, value, timeout)
         outer = Future(self.sim, label=("session-write({!r})", key))
 
         def done(future: Future) -> None:
             if future.error is not None:
                 outer.fail(future.error)
                 return
-            version = future.value
-            self.state.note_write(key, version)
-            outer.resolve(version)
+            self.token.note_write(key, future.value)
+            outer.resolve(future.value)
 
         inner.add_callback(done)
         return outer
 
-    def read(self, key: Hashable, timeout: float | None = None) -> Future:
-        """Read honoring the session's floors; resolves (value, version)."""
+    def get(
+        self,
+        key: Hashable,
+        mode: str | None = None,
+        timeout: float | None = None,
+    ) -> Future:
+        """Read honoring the session's floors; resolves (value, token)."""
         self.stats.reads += 1
-        floor = self.state.required_version(key, self.guarantees)
+        floor = self.token.required(key, self.guarantees)
         outer = Future(self.sim, label=("session-read({!r})", key))
         deadline = None if timeout is None else self.sim.now + timeout
 
         def attempt_read(attempt: int):
             remaining = None if deadline is None else deadline - self.sim.now
             try:
-                value, version = yield self.read_fn(key, attempt, remaining)
+                value, token = yield self.session.get(key, mode, remaining)
             except Exception as exc:  # noqa: BLE001 - surface to caller
                 outer.fail(exc)
                 return
-            if version >= floor:
-                self.state.note_read(key, version)
-                outer.resolve((value, version))
+            if floor is None or (token is not None and token >= floor):
+                self.token.note_read(key, token)
+                outer.resolve((value, token))
                 return
             self.stats.reads_rejected_stale += 1
             if attempt >= MAX_RETRIES:
-                outer.fail(
-                    ReproTimeoutError(
-                        f"read of {key!r} below floor v{floor} after "
-                        f"{attempt} retries"
-                    )
-                )
-                return
-            if deadline is not None and \
+                reason = f"after {attempt} retries"
+            elif deadline is not None and \
                     self.sim.now + self.retry_delay >= deadline:
-                outer.fail(
-                    ReproTimeoutError(
-                        f"read of {key!r} below floor v{floor} at its "
-                        "deadline"
-                    )
-                )
+                reason = "at its deadline"
+            else:
+                self.stats.read_retries += 1
+                yield self.retry_delay
+                spawn(self.sim, attempt_read(attempt + 1),
+                      name="session-retry")
                 return
-            self.stats.read_retries += 1
-            yield self.retry_delay
-            spawn(self.sim, attempt_read(attempt + 1), name="session-retry")
+            outer.fail(ReproTimeoutError(
+                f"read of {key!r} below floor {floor} {reason}"))
 
         spawn(self.sim, attempt_read(1), name="session-read")
         return outer
-
-
-def timeline_session(
-    client,
-    guarantees: Iterable[str] = ("ryw", "mr"),
-    retry_delay: float = 10.0,
-) -> SessionClient:
-    """Session layer over a :class:`~repro.replication.TimelineClient`.
-
-    Reads use ``read_any`` (cheap, possibly stale) and let the floor
-    loop enforce the guarantees — the tutorial's point that session
-    guarantees are purchasable *on top of* an eventually consistent
-    read path.
-    """
-    def read_fn(key, attempt: int, timeout: float | None) -> Future:
-        return client.read_any(key, timeout=timeout)
-
-    def write_fn(key, value, timeout: float | None) -> Future:
-        return client.write(key, value, timeout=timeout)
-
-    return SessionClient(
-        client.sim,
-        read_fn,
-        write_fn,
-        guarantees=guarantees,
-        retry_delay=retry_delay,
-    )

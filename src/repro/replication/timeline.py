@@ -24,7 +24,7 @@ from typing import Any, Hashable
 
 from ..api import registry
 from ..api.store import READ_PREFERENCES, FnSession, StoreCapabilities, StoreSession
-from ..client import timeline_session
+from ..client import SessionState
 from ..errors import UnavailableError
 from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
@@ -146,7 +146,8 @@ class TimelineReplica(VersionedReplica):
 
 
 class TimelineClient(GroupClient):
-    """Client with per-session read floors (for critical reads)."""
+    """Client with a session token (the floor its critical reads
+    carry)."""
 
     def __init__(
         self,
@@ -159,7 +160,7 @@ class TimelineClient(GroupClient):
     ) -> None:
         super().__init__(sim, network, node_id, cluster, session)
         self.home = home  # preferred replica for reads (nearest site)
-        self.floors: dict[Hashable, int] = {}  # key -> min acceptable version
+        self.token = SessionState()
 
     def _reader(self, key: Hashable) -> Hashable:
         if self.home is not None:
@@ -187,7 +188,7 @@ class TimelineClient(GroupClient):
 
         def bump_floor(future: Future) -> None:
             if future.error is None:
-                self.floors[key] = max(self.floors.get(key, 0), future.value)
+                self.token.note_write(key, future.value)
 
         written.add_callback(bump_floor)
         return written
@@ -206,7 +207,7 @@ class TimelineClient(GroupClient):
         floor = (
             min_version
             if min_version is not None
-            else self.floors.get(key, 0)
+            else self.token.required(key, ("ryw", "mr")) or 0
         )
         target = self._reader(key)
         read = self.call(self._read_endpoints(target),
@@ -214,7 +215,7 @@ class TimelineClient(GroupClient):
 
         def bump_floor(future: Future) -> None:
             if future.error is None:
-                self.floors[key] = max(self.floors.get(key, 0), future.value[1])
+                self.token.note_read(key, future.value[1])
 
         read.add_callback(bump_floor)
         return read
@@ -278,8 +279,6 @@ class TimelineCluster(VersionedGroup):
     def session(
         self,
         name: Hashable | None = None,
-        guarantees: tuple[str, ...] | None = None,
-        retry_delay: float = 10.0,
         retry: RetryPolicy | None = None,
         **opts: Any,
     ) -> StoreSession:
@@ -288,20 +287,11 @@ class TimelineCluster(VersionedGroup):
         )
         # Authoritative reads: the record master, wherever it is.
         default_mode = "latest" if read_preference == "primary" else "any"
-        put_fn = lambda k, v, t: client.write(k, v, timeout=t)
-        read_any = client.read_any
-        wrapped = None
-        if guarantees is not None:
-            wrapped = timeline_session(
-                client, guarantees=guarantees, retry_delay=retry_delay,
-            )
-            put_fn = lambda k, v, t: wrapped.write(k, v, timeout=t)
-            read_any = wrapped.read
-        session = FnSession(
+        return FnSession(
             client.session,
-            put_fn=put_fn,
+            put_fn=lambda k, v, t: client.write(k, v, timeout=t),
             read_fns={
-                "any": self._versioned(read_any),
+                "any": self._versioned(client.read_any),
                 "critical": self._versioned(client.read_critical),
                 "latest": self._versioned(client.read_latest),
             },
@@ -311,6 +301,3 @@ class TimelineCluster(VersionedGroup):
             read_preference=read_preference,
             region=region,
         )
-        if wrapped is not None:
-            session.session_client = wrapped
-        return session

@@ -154,18 +154,18 @@ class ReadOutcome:
 class SLAClient:
     """Pileus-style client over a timeline cluster.
 
-    Wraps a :class:`~repro.replication.TimelineClient`; keeps its own
-    session floors (for read-my-writes / monotonic), a
-    :class:`ReplicaMonitor`, and per-SLA utility accounting.
+    Wraps a :class:`~repro.replication.TimelineClient` and plans and
+    grades against its session token (read-my-writes against the write
+    floor, monotonic against the read floor); keeps a
+    :class:`ReplicaMonitor` and per-SLA utility accounting.
     """
 
     def __init__(self, client) -> None:
         self.client = client
         self.cluster = client.cluster
         self.sim: Simulator = client.sim
+        self.token = client.token
         self.monitor = ReplicaMonitor()
-        self.write_floor: dict[Hashable, int] = {}
-        self.read_floor: dict[Hashable, int] = {}
         self.outcomes: list[ReadOutcome] = []
         self._last_write_time: dict[Hashable, float] = {}
 
@@ -181,14 +181,14 @@ class SLAClient:
         started = self.sim.now
 
         def done(future: Future) -> None:
+            # The client's own callback, registered first, has already
+            # noted the version in the session token.
             if future.error is not None:
                 outer.fail(future.error)
                 return
-            version = future.value
-            self.write_floor[key] = max(self.write_floor.get(key, 0), version)
             master = self.cluster.master_of(key)
             self.monitor.observe_latency(master, self.sim.now - started)
-            outer.resolve(version)
+            outer.resolve(future.value)
 
         inner.add_callback(done)
         return outer
@@ -196,15 +196,6 @@ class SLAClient:
     # ------------------------------------------------------------------
     # Replica selection
     # ------------------------------------------------------------------
-    def _floor_for(self, key: Hashable, consistency: Consistency) -> int:
-        if consistency is Consistency.STRONG:
-            return -1  # sentinel: must go to master
-        if consistency in (Consistency.READ_MY_WRITES, Consistency.CAUSAL):
-            return self.write_floor.get(key, 0)
-        if consistency is Consistency.MONOTONIC:
-            return self.read_floor.get(key, 0)
-        return 0
-
     def _replica_can_serve(
         self, replica: Hashable, key: Hashable, subsla: SubSLA
     ) -> bool:
@@ -221,8 +212,11 @@ class SLAClient:
             Consistency.CAUSAL,
             Consistency.MONOTONIC,
         ):
-            floor = self._floor_for(key, subsla.consistency)
-            if floor == 0:
+            guarantee = (
+                "mr" if subsla.consistency is Consistency.MONOTONIC
+                else "ryw"
+            )
+            if not self.token.required(key, (guarantee,)):
                 return True
             # Heuristic: the replica has our writes if they are older
             # than its typical propagation lag.
@@ -262,6 +256,9 @@ class SLAClient:
         outer = Future(self.sim, label=("sla-read({!r})", key))
         target, target_rank = self.select_target(key, sla)
         started = self.sim.now
+        # Monotonic reads are graded against the floor as it stood
+        # when the read was issued, not after this reply raised it.
+        read_floor = self.token.required(key, ("mr",)) or 0
 
         def script():
             from ..replication.timeline import TReadAny
@@ -276,9 +273,10 @@ class SLAClient:
             latency = self.sim.now - started
             self.monitor.observe_latency(target, latency)
             self._observe_freshness(target, key, version)
-            self.read_floor[key] = max(self.read_floor.get(key, 0), version)
+            self.token.note_read(key, version)
             outcome = self._score(
-                key, sla, target, target_rank, value, version, latency
+                key, sla, target, target_rank, value, version, latency,
+                read_floor,
             )
             self.outcomes.append(outcome)
             outer.resolve(outcome)
@@ -294,7 +292,7 @@ class SLAClient:
             self.monitor.observe_lag(replica, 0.0)
             return
         predicted = self.monitor.predicted_lag(replica)
-        floor = self.write_floor.get(key, 0)
+        floor = self.token.required(key, ("ryw",)) or 0
         age = self.sim.now - self._last_write_time.get(key, -1e9)
         if floor > 0 and version < floor:
             # The replica missed a write we made ``age`` ms ago, so its
@@ -322,6 +320,7 @@ class SLAClient:
         value: Any,
         version: int,
         latency: float,
+        read_floor: int,
     ) -> ReadOutcome:
         """Utility of the first sub-SLA the reply actually satisfies."""
         master = self.cluster.master_of(key)
@@ -330,7 +329,7 @@ class SLAClient:
             if latency > subsla.latency_bound:
                 continue
             if not self._reply_meets(
-                subsla, key, replica, version, master_version
+                subsla, key, version, master_version, read_floor
             ):
                 continue
             return ReadOutcome(
@@ -344,9 +343,9 @@ class SLAClient:
         self,
         subsla: SubSLA,
         key: Hashable,
-        replica: Hashable,
         version: int,
         master_version: int,
+        read_floor: int,
     ) -> bool:
         if subsla.consistency is Consistency.STRONG:
             return version >= master_version
@@ -354,12 +353,9 @@ class SLAClient:
             Consistency.READ_MY_WRITES,
             Consistency.CAUSAL,
         ):
-            return version >= self.write_floor.get(key, 0)
+            return version >= (self.token.required(key, ("ryw",)) or 0)
         if subsla.consistency is Consistency.MONOTONIC:
-            # read_floor was updated after this read; monotonicity held
-            # if we returned at least the previous floor — which the
-            # update rule guarantees can only have grown.
-            return True
+            return version >= read_floor
         if subsla.consistency is Consistency.BOUNDED:
             behind = max(0, master_version - version)
             scale = max(self.cluster.propagation_delay, 1.0)

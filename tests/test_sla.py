@@ -14,7 +14,12 @@ from repro.sla import (
     SLAClient,
     SubSLA,
 )
-from repro.sla.pileus import ALPHA, DEFAULT_LAG, DEFAULT_LATENCY
+from repro.sla.pileus import (
+    ALPHA,
+    DEFAULT_LAG,
+    DEFAULT_LATENCY,
+    FixedTargetSLAClient,
+)
 
 
 def make_geo(seed=0, client_site="eu", propagation_delay=50.0):
@@ -145,6 +150,31 @@ def test_ryw_sla_scores_zero_on_stale_reply():
         assert outcome.utility == 0.0
     else:                                  # selector went to the master
         assert outcome.utility == 1.0
+
+
+def test_monotonic_sla_scores_a_step_back_as_eventual():
+    """A reply older than the session's last read breaks monotonic
+    reads, so it earns only the eventual sub-SLA's utility."""
+    sim, _net, cluster, raw = make_geo(propagation_delay=10_000.0)
+    master = cluster.master_of("k")
+    laggard = next(n for n in cluster.node_ids if n != master)
+    sla = SLA("monotonic", (SubSLA(Consistency.MONOTONIC, 1_000.0, 1.0),
+                            SubSLA(Consistency.EVENTUAL, 1_000.0, 0.1)))
+    # Both SLA clients read through one protocol client, so they share
+    # its session token.
+    at_master = FixedTargetSLAClient(raw, master)
+    at_laggard = FixedTargetSLAClient(raw, laggard)
+    out = {}
+
+    def script():
+        yield raw.write("k", "v1")
+        out["first"] = yield at_master.read("k", sla)
+        out["second"] = yield at_laggard.read("k", sla)
+
+    spawn(sim, script())
+    sim.run(until=5_000.0)
+    assert (out["first"].version, out["first"].utility) == (1, 1.0)
+    assert (out["second"].version, out["second"].utility) == (0, 0.1)
 
 
 def test_average_utility_empty():

@@ -12,6 +12,7 @@ import pytest
 
 from repro import Network, RetryPolicy, Simulator, spawn
 from repro.api import ConsistentStore, registry
+from repro.client import SessionClient
 from repro.errors import ReproError
 from repro.errors import TimeoutError as ReproTimeoutError
 from repro.histories import TokenHistoryRecorder
@@ -125,23 +126,25 @@ def test_default_read_mode_and_unknown_mode(name):
 #: Every store's put, plus a session-guarantee timeline session's put
 #: and get: its session layer must hand the op's timeout down.
 PARTITION_CASES = [
-    pytest.param(name, {}, "put", id=name) for name in ALL_PROTOCOLS
+    pytest.param(name, (), "put", id=name) for name in ALL_PROTOCOLS
 ] + [
-    pytest.param("timeline", {"guarantees": ("ryw", "mr")}, op,
+    pytest.param("timeline", ("ryw", "mr"), op,
                  id=f"timeline-guarantees-{op}")
     for op in ("put", "get")
 ]
 
 
-@pytest.mark.parametrize("name, session_opts, op", PARTITION_CASES)
-def test_partition_times_out(name, session_opts, op):
-    """A client cut off from every server observes a clean timeout."""
+@pytest.mark.parametrize("name, guarantees, op", PARTITION_CASES)
+def test_partition_times_out(name, guarantees, op):
+    """A client cut off from every server observes a clean timeout,
+    through the session-guarantee wrapper too."""
     sim = Simulator(seed=7)
     store = build_store(name, sim)
     if not store.capabilities.networked:
         pytest.skip("direct-attach store: no network to partition")
-    session = store.session("lonely", **TUNING[name].get("session", {}),
-                            **session_opts)
+    session = store.session("lonely", **TUNING[name].get("session", {}))
+    if guarantees:
+        session = SessionClient(sim, session, guarantees)
     store.network.partition([session.client_id])
     outcome = {}
 
