@@ -18,34 +18,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro import Network, Simulator
-from repro.analysis import LatencyStats
-from repro.sim import THREE_CONTINENTS
-
-SITES = ("us-east", "eu", "asia")
-
-
-def geo_network(sim, node_ids, client_sites=None, jitter=0.05):
-    """Network over THREE_CONTINENTS with round-robin node placement
-    plus explicitly placed clients (``{client_id: site}``)."""
-    placement = {}
-    for index, node_id in enumerate(node_ids):
-        placement[node_id] = SITES[index % len(SITES)]
-    for client_id, site in (client_sites or {}).items():
-        placement[client_id] = site
-    return Network(
-        sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=jitter)
-    )
-
-
-def measure_history(history):
-    """(read stats, write stats) over completed ops."""
-    reads, writes = LatencyStats(), LatencyStats()
-    for op in history.completed:
-        (reads if op.is_read else writes).record(op.end - op.start)
-    return reads, writes
-
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: What the running test has emitted so far, in order (``conftest.py``
@@ -91,20 +63,3 @@ def check_golden(path: Path, texts: list[str]) -> None:
         f"  golden:  {line(golden)}\n  printed: {line(lines)}\n"
         "(delete the file to re-baseline)")
 
-
-def traced_sim(seed=0, capacity=None):
-    """A simulator with tracing on: ``(sim, tracer)``.
-
-    Benchmarks default to the no-op tracer (zero overhead); use this
-    when an experiment wants to inspect the event/message timeline.
-    """
-    from repro.sim import Tracer
-
-    tracer = Tracer(capacity=capacity)
-    return Simulator(seed=seed, tracer=tracer), tracer
-
-
-def metrics_report(sim, prefix=""):
-    """Render the sim's metrics registry (optionally one subsystem,
-    e.g. ``prefix="quorum"``) as an aligned text block."""
-    return sim.metrics.render(prefix=prefix)

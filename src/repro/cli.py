@@ -114,87 +114,21 @@ def cmd_pbs(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro spectrum`` rungs: registry name, label, build kwargs, session
-#: kwargs, read mode.  Node ids n0/n1/n2 map to us-east/eu/asia; the
-#: client sits in the EU.  A ``guarantees`` session kwarg wraps the
-#: session in a :class:`~repro.client.SessionClient`.
-_SPECTRUM_RUNGS = [
-    ("quorum", "eventual (R=W=1)",
-     dict(n=3, r=1, w=1, op_deadline=2_000.0), dict(coordinator="n1"), None),
-    ("quorum", "quorum (R=W=2)",
-     dict(n=3, r=2, w=2, op_deadline=2_000.0), dict(coordinator="n1"), None),
-    ("causal", "causal (local)", {}, dict(home="n1"), None),
-    ("timeline", "timeline (read local)", {}, dict(home="n1"), "any"),
-    ("timeline", "session RYW+MR",
-     {}, dict(home="n1", guarantees=("ryw", "mr")), "any"),
-    ("pileus", "pileus (SLA reads)", {}, dict(home="n1"), None),
-    ("primary_backup", "primary-backup (async)", dict(mode="async"), {}, None),
-    ("multipaxos", "strong (paxos)", {}, {}, None),
-    ("chain", "strong (chain)", {}, {}, None),
-]
-
-
 @_register(
     "spectrum", "print the consistency spectrum table",
     _flag("--rounds", type=int, default=15),
     _flag("--seed", type=int, default=1),
 )
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    """The E1-style spectrum table, produced through the store registry
-    and the protocol-agnostic workload driver."""
-    from .analysis import print_table
-    from .api import registry
-    from .checkers import check_linearizability, stale_read_fraction
-    from .client import SessionClient
-    from .sim import THREE_CONTINENTS, Network, Simulator
-    from .workload import OpSpec, WorkloadDriver
+    """The spectrum table (:mod:`repro.scenarios.spectrum`), one read
+    per write.  Exit status 2 when ``--rounds`` is below 1."""
+    from .scenarios.spectrum import format_spectrum, run_spectrum
 
-    sites = ("us-east", "eu", "asia")
-    node_ids = ["n0", "n1", "n2"]
-    ops = []
-    for i in range(args.rounds):
-        key = f"key-{i % 3}"
-        ops += [OpSpec("update", key, f"v{i}"), OpSpec("sleep", "", 5.0),
-                OpSpec("read", key), OpSpec("sleep", "", 5.0)]
-
-    rows = []
-    for name, label, build_kwargs, session_kwargs, read_mode in _SPECTRUM_RUNGS:
-        sim = Simulator(seed=args.seed)
-        placement = dict(zip(node_ids, sites))
-        placement["client-eu"] = "eu"
-        network = Network(
-            sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05)
-        )
-        store = registry.build(name, sim, network, nodes=3,
-                               node_ids=node_ids, **build_kwargs)
-        if hasattr(store, "set_master"):
-            for i in range(3):
-                store.set_master(f"key-{i}", "n0")
-        session_kwargs = dict(session_kwargs)
-        guarantees = session_kwargs.pop("guarantees", ())
-        if store.capabilities.networked:
-            session_kwargs["client_id"] = "client-eu"
-        session = store.session("eu-user", **session_kwargs)
-        if guarantees:
-            session = SessionClient(sim, session, guarantees)
-        driver = WorkloadDriver(sim)
-        driver.add_session(session, ops, read_mode=read_mode,
-                           timeout=4_000.0)
-        result = driver.run()
-        history = result.history
-        rows.append([
-            label,
-            round(result.read_latency.mean, 1),
-            round(result.write_latency.mean, 1),
-            round(stale_read_fraction(history), 3),
-            check_linearizability(history).ok,
-        ])
-    print_table(
-        ["protocol", "read ms", "write ms", "stale reads", "linearizable"],
-        rows,
-        title="consistency spectrum, one EU client, replicas on "
-              "us-east/eu/asia (registry-driven)",
-    )
+    if args.rounds < 1:
+        print(f"--rounds must be at least 1, got {args.rounds}",
+              file=sys.stderr)
+        return 2
+    print(format_spectrum(run_spectrum(args.seed, args.rounds, 1), 1))
     return 0
 
 

@@ -1,5 +1,6 @@
 """Smoke tests: every example runs clean, and the CLI works."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -73,3 +74,30 @@ def test_cli_spectrum_command(capsys):
     assert "eventual (R=W=1)" in out
     assert "strong (paxos)" in out
     assert "linearizable" in out
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_cli_spectrum_rejects_rounds_below_one(capsys, rounds):
+    assert main(["spectrum", "--rounds", rounds]) == 2
+    captured = capsys.readouterr()
+    assert "--rounds" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_geo_example_writes_a_trace_the_cli_reads(tmp_path, capsys, how):
+    path = str(tmp_path / "geo.trace.jsonl")
+    argv, env = [], dict(os.environ)
+    if how == "flag":
+        argv = ["--trace", path]
+    else:
+        env["REPRO_TRACE"] = path
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "geo_replication.py"), *argv],
+        capture_output=True, text=True, timeout=240, env=env,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert f"trace events to {path}" in result.stdout
+    assert pathlib.Path(path).stat().st_size > 0
+    assert main(["trace", path, "--summary-only"]) == 0
+    assert "msg_send" in capsys.readouterr().out
