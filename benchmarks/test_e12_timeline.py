@@ -50,10 +50,9 @@ def run_lag(propagation_delay, critical=False, seed=3):
                 key, min_version=max(1, next(rounds)), timeout=timeout)
             return mapped_future(sim, read, lambda r: (r[0], r[1] or None))
 
-        reader = FnSession(reader.name, put_fn=reader.put,
+        reader = FnSession(client, put_fn=reader.put,
                            read_fns={"critical": read_critical},
-                           default_mode="critical",
-                           client_id=reader.client_id, client=client)
+                           default_mode="critical")
         mode = "critical"
     driver = WorkloadDriver(sim)
     writes = [OpSpec("update", "rec", f"v{i}") for i in range(ROUNDS)]

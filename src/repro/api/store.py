@@ -64,9 +64,6 @@ class StoreCapabilities:
     tentative_reads: bool = False
     #: Reads may return multiple sibling values.
     multi_value_reads: bool = False
-    #: Clients reach the store over the simulated network (False for
-    #: Bayou's direct-attach replicas).
-    networked: bool = True
     #: Client ops keep succeeding when one non-coordinator replica
     #: crashes (chain replication famously does not, without
     #: reconfiguration).
@@ -152,25 +149,24 @@ class StoreSession(ABC):
 class FnSession(StoreSession):
     """A session assembled from per-mode read callables.
 
-    Most stores' sessions are exactly this: a protocol client, one
-    ``put`` callable, and a dict of read-mode callables — each taking
-    ``(key, timeout)`` and returning a future already normalized to
-    the contract above.
+    Most stores' sessions are exactly this: a protocol client (its
+    ``session`` names the session, its ``node_id`` is the session's
+    ``client_id``), one ``put`` callable, and a dict of read-mode
+    callables — each taking ``(key, timeout)`` and returning a future
+    already normalized to the contract above.
     """
 
     def __init__(
         self,
-        name: Hashable,
+        client: Any,
         put_fn: Callable[[Hashable, Any, float | None], Future],
         read_fns: dict[str, Callable[[Hashable, float | None], Future]],
         default_mode: str,
-        client_id: Hashable | None = None,
-        client: Any = None,
         read_preference: str | None = None,
         region: str | None = None,
     ) -> None:
-        self.name = name
-        self.client_id = client_id
+        self.name = client.session
+        self.client_id = client.node_id
         self.client = client           # underlying protocol client (escape hatch)
         self.read_preference = read_preference
         self.region = region
@@ -224,9 +220,9 @@ class ConsistentStore(ABC):
     def session(self, name: Hashable | None = None, **opts: Any) -> StoreSession:
         """Create a client session (``opts`` are protocol-specific:
         ``coordinator=``, ``home=``, ``sla=`` …).  On a
-        store built with ``placement=``, every networked store also
-        takes ``region=`` (where the session's client node lives) and
-        the ``read_preference=`` values its capabilities declare."""
+        store built with ``placement=``, every store also takes
+        ``region=`` (where the session's client node lives) and the
+        ``read_preference=`` values its capabilities declare."""
 
     @abstractmethod
     def server_ids(self) -> list[Hashable]:
@@ -276,13 +272,10 @@ def mapped_future(sim: Simulator, inner: Future, fn: Callable[[Any], Any]) -> Fu
     return outer
 
 
-def resolved(sim: Simulator, value: Any = None,
-             error: BaseException | None = None) -> Future:
-    """An already-completed future (for direct-attach stores like
-    Bayou whose operations are synchronous local calls)."""
+def resolved(sim: Simulator, error: BaseException) -> Future:
+    """An already-failed future: an op refused at issue (a key
+    mid-handoff, a group with no leader) fails through a future like
+    one refused by a server."""
     future = Future(sim)
-    if error is not None:
-        future.fail(error)
-    else:
-        future.resolve(value)
+    future.fail(error)
     return future

@@ -56,7 +56,6 @@ from typing import Any, Hashable
 
 from ..api import registry as _registry
 from ..api.store import ConsistentStore, StoreCapabilities, StoreSession
-from ..errors import ReproError
 from ..sim import Future
 
 #: The four supported write policies.
@@ -547,14 +546,8 @@ class CachedStore(ConsistentStore):
             # handler chains the next one.
             return
         shard.flushing.add(key)
-        try:
-            inner_future = self._flusher.put(key, pend.value,
-                                             timeout=FLUSH_TIMEOUT)
-        except ReproError as exc:
-            # A store that refuses at issue (no leader mid-crash, say)
-            # is a failed flush like any other: same retry path.
-            inner_future = Future(self.sim, label="wb_flush")
-            inner_future.fail(exc)
+        inner_future = self._flusher.put(key, pend.value,
+                                         timeout=FLUSH_TIMEOUT)
 
         def done(future: Future) -> None:
             shard.flushing.discard(key)

@@ -120,11 +120,7 @@ class Nemesis:
         probes the store for a Paxos leader, a primary, or a chain
         head.  ``None`` for leaderless protocols."""
         for attr in ("leader", "primary", "head"):
-            try:
-                node = getattr(self.store, attr, None)
-            except Exception:
-                # e.g. MultiPaxosCluster.leader raises when leaderless.
-                node = None
+            node = getattr(self.store, attr, None)
             if node is not None and hasattr(node, "node_id"):
                 return node.node_id
         return None

@@ -144,7 +144,6 @@ def cmd_protocols(_args: argparse.Namespace) -> int:
         flags = [flag for flag, shown in (
             ("tentative", caps.tentative_reads),
             ("siblings", caps.multi_value_reads),
-            ("direct", not caps.networked),
             ("fragile", not caps.survives_replica_crash),
         ) if shown]
         rows.append([
@@ -560,9 +559,9 @@ def cmd_load(args: argparse.Namespace) -> int:
     Exit status: 0 on success; for ``--storm``, 1 when the collapse /
     prevention / convergence verdicts fail or (with
     ``--check-determinism``) the fingerprint drifts between two runs;
-    2 on an unknown ``--protocol`` / ``--preset``, a protocol that
-    refuses the capacity knobs (a direct-attach store), or
-    ``--check-determinism`` without ``--storm``.
+    2 on an unknown ``--protocol`` / ``--preset``, an arrival process
+    or store that refuses its options (a rate or a node count under
+    one), or ``--check-determinism`` without ``--storm``.
     """
     from .api import registry
     from .workload import PRESETS
@@ -577,7 +576,7 @@ def cmd_load(args: argparse.Namespace) -> int:
             return _story(args, "storm", lambda: run_storm(
                 seed=args.seed, protocol=args.protocol, nodes=args.nodes,
             ), format_storm)
-        except ValueError as exc:   # the first leg's build refused
+        except ValueError as exc:   # the first leg refused its options
             print(exc, file=sys.stderr)
             return 2
     if args.check_determinism:
@@ -595,20 +594,19 @@ def cmd_load(args: argparse.Namespace) -> int:
         run_workload,
     )
 
-    if args.arrivals == "poisson":
-        arrivals = PoissonArrivals(rate=args.rate, seed=args.seed)
-    elif args.arrivals == "diurnal":
-        arrivals = DiurnalArrivals(low=args.base, high=args.rate,
-                                   period=args.period, seed=args.seed)
-    else:   # flash, the last of the flag's choices
-        arrivals = FlashCrowdArrivals(
-            base=args.base, spike=args.rate, spike_at=args.spike_at,
-            hold=args.hold, decay=args.decay, seed=args.seed,
-        )
-
     sim = Simulator(seed=args.seed)
     network = Network(sim, latency=FixedLatency(2.0))
     try:
+        if args.arrivals == "poisson":
+            arrivals = PoissonArrivals(rate=args.rate, seed=args.seed)
+        elif args.arrivals == "diurnal":
+            arrivals = DiurnalArrivals(low=args.base, high=args.rate,
+                                       period=args.period, seed=args.seed)
+        else:   # flash, the last of the flag's choices
+            arrivals = FlashCrowdArrivals(
+                base=args.base, spike=args.rate, spike_at=args.spike_at,
+                hold=args.hold, decay=args.decay, seed=args.seed,
+            )
         store = registry.build(
             args.protocol, sim, network, nodes=args.nodes,
             service_time=args.service_time, queue_limit=args.queue_limit,

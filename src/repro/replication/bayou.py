@@ -18,6 +18,10 @@ What the model preserves from the paper:
 * commit stability: a replica's committed prefix only ever grows,
 * convergence of both views once anti-entropy quiesces.
 
+A session is a client bound to one replica (chosen round-robin) that
+reaches it over RPC, as every store's does: a crashed or partitioned
+replica times out its session's ops.
+
 Omitted: Bayou's per-write merge procedures and dependency checks
 (application-level conflict handlers); writes here are plain
 last-in-order assignments.
@@ -26,14 +30,15 @@ last-in-order assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Hashable
 
 from ..api import registry
-from ..api.store import FnSession, StoreCapabilities, StoreSession, resolved
+from ..api.store import FnSession, StoreCapabilities, StoreSession
 from ..clocks import LamportClock, LamportStamp
 from ..rpc import RetryPolicy
-from ..sim import Network, Node, Simulator
-from .common import ReplicaGroup
+from ..sim import Future, Network, Simulator
+from .common import GroupClient, ReplicaGroup, ServerNode
 
 #: Anti-entropy period (ms) of every replica.
 INTERVAL = 25.0
@@ -49,6 +54,22 @@ class BayouWrite:
 
 
 @dataclass
+class BPut:
+    """Client → replica: accept a write tentatively."""
+
+    key: Hashable
+    value: Any
+
+
+@dataclass
+class BGet:
+    """Client → replica: read one of the two views."""
+
+    key: Hashable
+    mode: str                     # "tentative" | "committed"
+
+
+@dataclass
 class WriteSet:
     """Anti-entropy payload: writes + commit assignments."""
 
@@ -57,7 +78,7 @@ class WriteSet:
     reply_expected: bool
 
 
-class BayouReplica(Node):
+class BayouReplica(ServerNode):
     """One Bayou server.  ``is_primary`` replicas assign CSNs."""
 
     def __init__(
@@ -79,8 +100,17 @@ class BayouReplica(Node):
         self.every(INTERVAL, self.anti_entropy_once, jitter=0.5)
 
     # ------------------------------------------------------------------
-    # Client API
+    # Client API: the wire handlers over the replica's local rules
     # ------------------------------------------------------------------
+    def serve_BPut(self, src: Hashable, payload: BPut) -> LamportStamp:
+        return self.write(payload.key, payload.value).stamp
+
+    def serve_BGet(self, src: Hashable, payload: BGet) -> tuple:
+        """``(value, None)``: a Bayou read carries no version token."""
+        if payload.mode == "committed":
+            return self.read_committed(payload.key), None
+        return self.read_tentative(payload.key), None
+
     def write(self, key: Hashable, value: Any) -> BayouWrite:
         """Accept a write tentatively, effective locally right now."""
         stamp = self.clock.tick()
@@ -199,26 +229,47 @@ class BayouReplica(Node):
         return [record.stamp for record in self._committed_order()]
 
 
+class BayouClient(GroupClient):
+    """A client bound to one Bayou server for its whole session."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Network,
+        node_id: Hashable,
+        cluster: "BayouCluster",
+        session: Hashable,
+        server: Hashable,
+    ) -> None:
+        super().__init__(sim, network, node_id, cluster, session)
+        self.server = server
+
+    def put(self, key: Hashable, value: Any, timeout: float | None) -> Future:
+        """Tentative write; resolves with the write's stamp."""
+        return self.call(self.server, BPut(key, value), timeout)
+
+    def get(self, mode: str, key: Hashable, timeout: float | None) -> Future:
+        """Read the ``mode`` view (first, so a session binds one call per
+        mode); resolves with ``(value, None)``."""
+        return self.call(self.server, BGet(key, mode), timeout)
+
+
 @registry.register(StoreCapabilities(
     name="bayou",
     description="Bayou tentative/committed writes, primary commit order",
     read_modes=("tentative", "committed"),
     tentative_reads=True,
-    networked=False,
     retry_safe_writes=False,
 ))
 class BayouCluster(ReplicaGroup):
-    """N Bayou replicas, the first of them the commit primary.
-
-    Direct-attach replicas: there is no service queue and no RPC path,
-    so the capacity knobs are refused and ``retry`` has nothing to act
-    on here."""
+    """N Bayou replicas, the first of them the commit primary."""
 
     replica_class = BayouReplica
+    client_class = BayouClient
     replica_prefix = "by"
+    client_prefix = "byclient"
     #: Round-robin cursor over the replicas sessions attach to.
     _next_replica = 0
-    _sessions = 0
 
     def __init__(
         self, sim: Simulator, network: Network, nodes: int = 4, **group: Any,
@@ -252,35 +303,22 @@ class BayouCluster(ReplicaGroup):
     def session(
         self,
         name: Hashable | None = None,
-        retry: RetryPolicy | None = None,  # noqa: ARG002 - no RPC path
+        retry: RetryPolicy | None = None,
         **opts: Any,
     ) -> StoreSession:
-        self._region(opts)     # direct-attach: rejects both
-        index = self._next_replica % len(self.replicas)
+        ids = self.node_ids
+        server = ids[self._next_replica % len(ids)]
         self._next_replica += 1
-        node = self.replicas[index]
-        self._sessions += 1
-        name = name if name is not None else f"bayou-session-{self._sessions}"
-        sim = self.sim
-
-        def put_fn(key, value, _timeout):
-            record = node.write(key, value)
-            return resolved(sim, record.stamp)
-
+        client, _pref, region = self._open(
+            name, retry, {**opts, "server": server}
+        )
         return FnSession(
-            name,
-            put_fn=put_fn,
-            read_fns={
-                "tentative": lambda k, t: resolved(
-                    sim, (node.read_tentative(k), None)
-                ),
-                "committed": lambda k, t: resolved(
-                    sim, (node.read_committed(k), None)
-                ),
-            },
+            client,
+            put_fn=client.put,
+            read_fns={mode: partial(client.get, mode)
+                      for mode in self.capabilities.read_modes},
             default_mode="tentative",
-            client_id=node.node_id,
-            client=node,
+            region=region,
         )
 
     def settle(self) -> None:

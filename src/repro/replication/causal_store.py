@@ -189,7 +189,7 @@ class CausalCluster(ReplicaGroup):
             name, retry, {**opts, "home": home}
         )
         return FnSession(
-            client.session,
+            client,
             put_fn=lambda k, v, t: mapped_future(
                 self.sim, client.put(k, v, timeout=t), tuple,
             ),
@@ -203,8 +203,6 @@ class CausalCluster(ReplicaGroup):
                 ),
             },
             default_mode="local",
-            client_id=client.node_id,
-            client=client,
             region=region,
         )
 

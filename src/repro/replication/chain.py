@@ -159,11 +159,9 @@ class ChainCluster(VersionedGroup):
     ) -> StoreSession:
         client, _pref, region = self._open(name, retry, opts)
         return FnSession(
-            client.session,
+            client,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
             read_fns={"tail": self._versioned(client.get)},
             default_mode="tail",
-            client_id=client.node_id,
-            client=client,
             region=region,
         )

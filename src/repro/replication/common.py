@@ -592,17 +592,6 @@ class ReplicaGroup(ConsistentStore):
         placement: Placement | None = None,
     ) -> None:
         super().__init__(sim, network)
-        knobs = {name: value for name, value, given in (
-            ("service_time", service_time, service_time > 0),
-            ("queue_limit", queue_limit, queue_limit is not None),
-            ("admission_rate", admission_rate, admission_rate is not None),
-            ("admission_burst", admission_burst, admission_burst is not None),
-        ) if given}
-        if knobs and not self.capabilities.networked:
-            raise ValueError(
-                f"{self.capabilities.name} replicas are direct-attach: "
-                f"{', '.join(knobs)} would have nothing to act on"
-            )
         if nodes < 1:
             raise ValueError("need at least one replica")
         ids = list(node_ids) if node_ids else [
@@ -628,8 +617,11 @@ class ReplicaGroup(ConsistentStore):
             if unplaced:
                 placement.spread(unplaced)
         for replica in self.replicas:
-            for name, value in knobs.items():
-                setattr(replica, name, value)
+            replica.service_time = service_time
+            replica.queue_limit = queue_limit
+            replica.admission_rate = admission_rate
+            if admission_burst is not None:
+                replica.admission_burst = admission_burst
 
     def connect(
         self,
@@ -665,19 +657,18 @@ class ReplicaGroup(ConsistentStore):
         and ``region=`` — out of a session's ``opts``.
 
         Returns ``(None, None)`` for region-blind sessions.  Otherwise
-        the store must be networked (a direct-attach session has no
-        client node to place) and built with ``placement=``, and the
-        preference must be declared in its capabilities; ``region``
-        falls back to the placement's ``default_region``."""
+        the store must be built with ``placement=`` and the preference
+        declared in its capabilities; ``region`` falls back to the
+        placement's ``default_region``."""
         read_preference = opts.pop("read_preference", None)
         region = opts.pop("region", None)
         if read_preference is None and region is None:
             return None, None
         placement, capabilities = self.placement, self.capabilities
-        if placement is None or not capabilities.networked:
+        if placement is None:
             raise ValueError(
                 f"{capabilities.name}: read_preference=/region= need a "
-                "networked store built with placement="
+                "store built with placement="
             )
         supported = capabilities.read_preferences
         if read_preference is not None and read_preference not in supported:
@@ -707,8 +698,8 @@ class ReplicaGroup(ConsistentStore):
 
     def _open(self, name, retry: RetryPolicy | None, opts: dict,
               pin: str | None = None, candidates=()):
-        """One session's protocol client — what every networked
-        ``session()`` starts with; returns ``(client, read_preference,
+        """One session's protocol client — what every ``session()``
+        starts with; returns ``(client, read_preference,
         region)``.
 
         Resolves the region contract in ``opts`` (:meth:`_region`);

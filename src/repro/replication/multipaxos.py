@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..api import registry
-from ..api.store import FnSession, StoreCapabilities, StoreSession
+from ..api.store import FnSession, StoreCapabilities, StoreSession, resolved
 from ..errors import NotLeaderError
 from ..rpc import RetryPolicy
 from ..sim import Future, Network, Simulator
@@ -345,22 +345,28 @@ class PaxosReplica(ServerNode):
 
 
 class PaxosClient(GroupClient):
-    """Client handle bound to one session."""
+    """Client handle bound to one session.  While the group has no
+    leader, an op that needs one returns a future already failed with
+    :class:`~repro.errors.NotLeaderError`: no message, no random draw."""
 
     def put(
         self, key: Hashable, value: Any, timeout: float | None = None
     ) -> Future:
         """Replicated write; resolves with the new version."""
+        leader = self.cluster.leader
+        if leader is None:
+            return self._no_leader()
         # Commands must go through the leader; a retried submit dedups
         # there so a slow commit is not proposed twice.
-        leader = self.cluster.leader.node_id
-        return self.call(leader, SubmitCmd(PutCmd(key, value)), timeout,
-                         idempotent=True)
+        return self.call(leader.node_id, SubmitCmd(PutCmd(key, value)),
+                         timeout, idempotent=True)
 
     def get(self, key: Hashable, timeout: float | None = None) -> Future:
         """Linearizable read through the log; resolves (value, version)."""
-        leader = self.cluster.leader.node_id
-        return self.call(leader, SubmitCmd(GetCmd(key)), timeout)
+        leader = self.cluster.leader
+        if leader is None:
+            return self._no_leader()
+        return self.call(leader.node_id, SubmitCmd(GetCmd(key)), timeout)
 
     def local_get(
         self,
@@ -369,11 +375,17 @@ class PaxosClient(GroupClient):
         timeout: float | None = None,
     ) -> Future:
         """Possibly stale read from one replica's state machine."""
-        target = (replica or self.cluster.leader).node_id
+        replica = replica or self.cluster.leader
+        if replica is None:
+            return self._no_leader()
+        target = replica.node_id
         endpoints = [target] + [
             node for node in self.cluster.node_ids if node != target
         ]
         return self.call(endpoints, LocalRead(key), timeout)
+
+    def _no_leader(self) -> Future:
+        return resolved(self.sim, error=NotLeaderError("no active leader"))
 
 
 @registry.register(StoreCapabilities(
@@ -410,10 +422,12 @@ class MultiPaxosCluster(ReplicaGroup):
             sim.run()
 
     @property
-    def leader(self) -> PaxosReplica:
-        if self._leader is None or self._leader.crashed or not self._leader.is_leader:
-            raise NotLeaderError("no active leader; call elect() first")
-        return self._leader
+    def leader(self) -> PaxosReplica | None:
+        """The elected replica while it is up and leading, else None."""
+        leader = self._leader
+        if leader is None or leader.crashed or not leader.is_leader:
+            return None
+        return leader
 
     def elect(self, replica: "PaxosReplica | None" = None) -> None:
         """Start phase 1 at ``replica`` (default: first alive node).
@@ -454,14 +468,12 @@ class MultiPaxosCluster(ReplicaGroup):
     ) -> StoreSession:
         client, _pref, region = self._open(name, retry, opts)
         return FnSession(
-            client.session,
+            client,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
             read_fns={
                 "log": self._versioned(client.get),
                 "local": self._versioned(client.local_get),
             },
             default_mode="log",
-            client_id=client.node_id,
-            client=client,
             region=region,
         )

@@ -232,15 +232,13 @@ class PrimaryBackupCluster(VersionedGroup):
         )
 
         return FnSession(
-            client.session,
+            client,
             put_fn=lambda k, v, t: client.put(k, v, timeout=t),
             read_fns={
                 "primary": self._versioned(client.get),
                 "backup": read_backup,
             },
             default_mode=default_mode,
-            client_id=client.node_id,
-            client=client,
             read_preference=read_preference,
             region=region,
         )

@@ -720,12 +720,10 @@ class DynamoCluster(ReplicaGroup):
         )
         put_fn, get_fn = self._token_fns(client)
         return FnSession(
-            client.session,
+            client,
             put_fn=put_fn,
             read_fns={"quorum": get_fn},
             default_mode="quorum",
-            client_id=client.node_id,
-            client=client,
             read_preference=read_preference,
             region=region,
         )

@@ -288,7 +288,7 @@ class TimelineCluster(VersionedGroup):
         # Authoritative reads: the record master, wherever it is.
         default_mode = "latest" if read_preference == "primary" else "any"
         return FnSession(
-            client.session,
+            client,
             put_fn=lambda k, v, t: client.write(k, v, timeout=t),
             read_fns={
                 "any": self._versioned(client.read_any),
@@ -296,8 +296,6 @@ class TimelineCluster(VersionedGroup):
                 "latest": self._versioned(client.read_latest),
             },
             default_mode=default_mode,
-            client_id=client.node_id,
-            client=client,
             read_preference=read_preference,
             region=region,
         )

@@ -140,6 +140,7 @@ def _storm_leg(
     result = driver.run(UNTIL)
     # The storm must never break safety: once traffic stops and the
     # store quiesces, replicas converge exactly as after a partition.
+    sim.run()
     store.settle()
     sim.run()
     converged = check_convergence(store.snapshots()).ok

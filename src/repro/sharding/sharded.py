@@ -82,14 +82,11 @@ class ShardedSession(StoreSession):
         entry = self._sub.get(shard_id)
         if entry is None:
             opts = dict(self._opts)
-            if store.spec.capabilities.networked:
-                # Per-shard clusters number their clients independently;
-                # on a shared network the ids would collide, so the
-                # router hands out globally unique ones.
-                store._clients += 1
-                opts.setdefault(
-                    "client_id", f"{shard_id}-client{store._clients}"
-                )
+            # Per-shard clusters number their clients independently; on
+            # a shared network the ids would collide, so the router
+            # hands out globally unique ones.
+            store._clients += 1
+            opts.setdefault("client_id", f"{shard_id}-client{store._clients}")
             cluster = store.shards[shard_id]
             session = cluster.session(f"{self.name}@{shard_id}", **opts)
             self._sub[shard_id] = (session, cluster)
@@ -247,11 +244,10 @@ class ShardedStore(ConsistentStore):
     def _direct_session(self, shard_id: Hashable, label: str) -> StoreSession:
         """A session pinned to one shard cluster, bypassing routing
         (the handoff data path)."""
-        opts: dict[str, Any] = {}
-        if self.spec.capabilities.networked:
-            self._clients += 1
-            opts["client_id"] = f"{shard_id}-{label}{self._clients}"
-        return self.shards[shard_id].session(f"{label}@{shard_id}", **opts)
+        self._clients += 1
+        return self.shards[shard_id].session(
+            f"{label}@{shard_id}", client_id=f"{shard_id}-{label}{self._clients}"
+        )
 
     def _shard_keys(self, shard_id: Hashable) -> list:
         """Keys any replica of ``shard_id`` currently stores (the

@@ -423,7 +423,7 @@ class PileusStore(TimelineCluster):
                 )
 
         session = FnSession(
-            client.session,
+            client,
             put_fn=lambda k, v, t: sla_client.write(k, v, timeout=t),
             read_fns={
                 "sla": lambda k, t: mapped_future(
@@ -433,8 +433,6 @@ class PileusStore(TimelineCluster):
                 ),
             },
             default_mode="sla",
-            client_id=client.node_id,
-            client=client,
             region=region,
         )
         session.sla_client = sla_client

@@ -131,7 +131,7 @@ class _Op:
     handle: Any
     started: float
     value: Any                  # a write's attempted value
-    future: Any = None          # None when the call raised at issue
+    future: Any
     error: BaseException | None = None
 
     @property
@@ -160,27 +160,19 @@ class OpCore:
     def _begin_op(self, session: Any, kind: str, key: Any, value: Any,
                   read_mode: str | None, timeout: float | None) -> _Op:
         """Record the invocation and issue the call (``kind`` is
-        ``"read"`` or ``"write"``).  A call that raises synchronously
-        leaves ``op.future`` unset and the error on the op."""
-        op = _Op(kind, self.recorder.begin(kind, key, session.name),
-                 self.sim.now, value)
-        try:
-            # Hold the future itself: cache-fronted stores stamp it
-            # with the serving tier (cache hit vs backing read).
-            if kind == "read":
-                op.future = session.get(key, mode=read_mode, timeout=timeout)
-            else:
-                op.future = session.put(key, value, timeout=timeout)
-        except ReproError as exc:
-            op.error = exc
-        return op
+        ``"read"`` or ``"write"``)."""
+        handle = self.recorder.begin(kind, key, session.name)
+        # Hold the future itself: cache-fronted stores stamp it with
+        # the serving tier (cache hit vs backing read).
+        future = (session.get(key, mode=read_mode, timeout=timeout)
+                  if kind == "read" else session.put(key, value, timeout=timeout))
+        return _Op(kind, handle, self.sim.now, value, future)
 
     def _finish_op(self, op: _Op) -> None:
         """Record the settled op: ``op.ok`` with a read's value in
         ``op.value``, or the cause in ``op.error``."""
         future = op.future
-        if future is not None:
-            op.error = future.error
+        op.error = future.error
         if op.error is not None:
             # Keep a write's attempted value: a timed-out write may
             # still have landed, and history() ties later reads of it
@@ -345,11 +337,10 @@ class WorkloadDriver(OpCore):
             lane.stats.writes += 1
         op = self._begin_op(lane.session, kind, key, value, lane.read_mode,
                             lane.timeout)
-        if op.future is not None:
-            try:
-                yield op.future
-            except ReproError:
-                pass        # _finish_op reads the error off the future
+        try:
+            yield op.future
+        except ReproError:
+            pass        # _finish_op reads the error off the future
         self._finish_op(op)
         return op
 

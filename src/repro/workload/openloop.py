@@ -364,11 +364,7 @@ class OpenLoopDriver(OpCore):
         op = self._begin_op(session, kind, spec.key, value, None,
                             self.timeout)
         self.in_flight += 1
-        if op.future is None:
-            self._settled(session, spec, op)
-        else:
-            op.future.add_callback(
-                lambda _f: self._settled(session, spec, op))
+        op.future.add_callback(lambda _f: self._settled(session, spec, op))
 
     def _settled(self, session: Any, spec: OpSpec, op: Any) -> None:
         self.in_flight -= 1

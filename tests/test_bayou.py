@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.errors import TimeoutError as ReproTimeoutError
 from repro.replication import BayouCluster
-from repro.sim import FixedLatency, Network, Simulator
+from repro.sim import FixedLatency, Network, Simulator, spawn
 
 
 def make_cluster(seed=0, nodes=4, latency=5.0):
@@ -127,3 +128,35 @@ def test_cluster_validation():
     net = Network(sim)
     with pytest.raises(ValueError):
         BayouCluster(sim, net, nodes=0)
+
+
+def test_sessions_reach_their_replica_over_the_wire():
+    """A session is a client bound to one replica by RPC: a write takes
+    a round trip, the tentative view shows it at once, the committed
+    view only after the primary's commit comes back by anti-entropy,
+    and a crashed replica times its session's ops out."""
+    sim, _net, cluster = make_cluster(nodes=3)
+    cluster.session("first")              # replicas go round-robin
+    session = cluster.session("second")
+    assert session.client.server == "by1" and session.name == "second"
+    seen = {}
+
+    def script():
+        stamp = yield session.put("k", "v")
+        seen["put_at"], seen["stamp"] = sim.now, stamp
+        tentative, committed = session.get("k"), session.get(
+            "k", mode="committed")
+        seen["tentative"], seen["committed"] = (yield tentative), (
+            yield committed)
+
+    spawn(sim, script())
+    sim.run()
+    assert seen["put_at"] == 10.0         # 5 ms each way
+    assert seen["tentative"] == ("v", None)
+    assert seen["committed"] == (None, None)
+    cluster.run_until_converged()
+    assert cluster.replicas[1].committed_stamps() == [seen["stamp"]]
+    cluster.crash("by1")
+    late = session.get("k", mode="committed", timeout=50.0)
+    sim.run()
+    assert isinstance(late.error, ReproTimeoutError)

@@ -174,9 +174,9 @@ def test_grid_defaults_never_wrap_the_cache_adapter_itself():
 
 
 def test_write_behind_survives_a_flush_refused_at_issue():
-    """multipaxos raises NotLeaderError synchronously while its leader
-    is crashed; the flush must take the retry path (it used to escape
-    the event loop as a traceback) and drain after heal + settle."""
+    """While its leader is crashed, multipaxos refuses a flush at issue
+    with a future already failed with NotLeaderError; the flush must
+    take the retry path and drain after heal + settle."""
     report = run_cache_cell("multipaxos", "write_behind", seed=42,
                             plan="crashes", ops=40)
     assert report.ok

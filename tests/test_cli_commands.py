@@ -33,11 +33,8 @@ COMMANDS = ["examples", "run", "pbs", "spectrum", "protocols", "trace",
     (["load", "--protocol", "nope"], "unknown protocol(s): nope"),
     (["load", "--preset", "Z"], "unknown preset(s): Z"),
     (["multiregion", "--protocol", "nope"], "unknown protocol(s): nope"),
-    (["load", "--protocol", "bayou"],
-     "bayou replicas are direct-attach: service_time would"),
-    (["load", "--storm", "--protocol", "bayou"],
-     "bayou replicas are direct-attach: service_time, queue_limit, "
-     "admission_rate, admission_burst would"),
+    (["load", "--nodes", "0"], "need at least one replica"),
+    (["load", "--rate", "0"], "rate must be positive"),
     (["load", "--check-determinism"],
      "--check-determinism replays the --storm demo"),
 ])

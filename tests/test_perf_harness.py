@@ -248,7 +248,7 @@ def test_run_scenario_quick_is_deterministic():
 
 
 def test_run_scenario_seed_changes_fingerprint():
-    # A networked scenario: the seed drives latency sampling, so a
+    # A scenario over the network: the seed drives latency sampling, so a
     # different seed must yield a different delivery timeline.  (The
     # CRDT storm's *event structure* is deliberately seed-independent —
     # only payload contents vary — so it is not used here.)

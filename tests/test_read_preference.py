@@ -85,20 +85,15 @@ def test_region_blind_sessions_still_work():
 
 @pytest.mark.parametrize("protocol", registry.names())
 def test_region_contract_holds_for_every_adapter(protocol):
-    """One session-opening helper under every adapter: a networked one
-    places the session's client in ``region=``, the direct-attach one
-    (no client node to place) refuses it, and a read preference the
+    """One session-opening helper under every adapter: each places the
+    session's client in ``region=``, and a read preference the
     capabilities do not declare is the same ``ValueError`` everywhere —
     never a ``TypeError`` from the protocol client, never ignored."""
     _sim, placement, store = build(protocol)
     capabilities = store.capabilities
-    if capabilities.networked:
-        session = store.session("s", region="asia")
-        assert session.region == "asia"
-        assert placement.region_of(session.client_id) == "asia"
-    else:
-        with pytest.raises(ValueError, match="networked"):
-            store.session("s", region="asia")
+    session = store.session("s", region="asia")
+    assert session.region == "asia"
+    assert placement.region_of(session.client_id) == "asia"
     undeclared = next(
         preference for preference in (*READ_PREFERENCES, "bogus")
         if preference not in capabilities.read_preferences

@@ -3,8 +3,7 @@
 Every adapter registered in :mod:`repro.api.registry` must honor the
 same contract: sessions round-trip ``put``/``get``, failures surface
 as :class:`~repro.errors.ReproError` on the future, partitions produce
-timeouts (networked stores), server-side errors propagate through the
-reply channel, and a crash of one non-critical replica is survivable
+timeouts, server-side errors propagate through the reply channel, and a crash of one non-critical replica is survivable
 exactly when the adapter's capabilities say so.
 """
 
@@ -13,7 +12,7 @@ import pytest
 from repro import Network, RetryPolicy, Simulator, spawn
 from repro.api import ConsistentStore, registry
 from repro.client import SessionClient
-from repro.errors import ReproError
+from repro.errors import OverloadedError, ReproError
 from repro.errors import TimeoutError as ReproTimeoutError
 from repro.histories import TokenHistoryRecorder
 from repro.sharding import ShardedStore
@@ -75,14 +74,23 @@ def test_registry_is_complete():
         registry.get("no-such-protocol")
 
 
-def test_direct_attach_store_refuses_capacity_knobs():
-    # Bayou's replicas have no service queue: a knob that cannot act
-    # is an error, not a silently ignored setting.
+def test_capacity_knobs_queue_and_shed_bayou_requests():
+    """Bayou's replicas serve through the same service queue as every
+    other store's: with one slot per replica, a second request arriving
+    together with the first is shed, and the admitted one waits out its
+    service time."""
     sim = Simulator(seed=1)
-    with pytest.raises(ValueError, match="service_time, admission_rate "):
-        build_store("bayou", sim, service_time=1.0, admission_rate=10.0)
-    assert not registry.get("bayou").capabilities.networked
-    build_store("bayou", sim, service_time=0.0)     # no knob in effect
+    store = build_store("bayou", sim, service_time=5.0, queue_limit=1)
+    # Sessions take the replicas round-robin: two sessions per replica.
+    sessions = [store.session(f"s{i}") for i in range(6)]
+    futures = [session.put("k", i) for i, session in enumerate(sessions)]
+    sim.run()
+    shed = [f for f in futures if isinstance(f.error, OverloadedError)]
+    assert len(shed) == 3 and sim.metrics.counter("server.shed").value == 3
+    assert sum(f.error is None for f in futures) == 3
+    assert sim.metrics.gauge("server.queue_depth_peak").value == 3
+    # Client -> replica (2 ms), service (5 ms), reply (2 ms).
+    assert sim.now >= 9.0
 
 
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
@@ -123,6 +131,33 @@ def test_default_read_mode_and_unknown_mode(name):
         session.get("k", mode="definitely-not-a-mode")
 
 
+@pytest.mark.parametrize("name", ALL_PROTOCOLS)
+def test_every_op_returns_a_future(name):
+    """A store's failure is never raised at issue: with every server
+    crashed, ``put`` and ``get`` return futures that fail; with none
+    crashed, both succeed.  A caller's error (an unknown read mode)
+    still raises."""
+    for crashed in (False, True):
+        sim = Simulator(seed=29)
+        store = build_store(name, sim)
+        session = store.session("contract",
+                                **TUNING[name].get("session", {}))
+        if crashed:
+            for node_id in store.server_ids():
+                store.crash(node_id)
+        put = session.put("ck", "v", timeout=50.0)
+        get = session.get("ck", timeout=50.0)
+        sim.run()
+        assert put.done and get.done
+        if crashed:
+            assert isinstance(put.error, ReproError), put.error
+            assert isinstance(get.error, ReproError), get.error
+        else:
+            assert put.error is None and get.error is None, (put, get)
+        with pytest.raises(ValueError):
+            session.get("ck", mode="definitely-not-a-mode")
+
+
 #: Every store's put, plus a session-guarantee timeline session's put
 #: and get: its session layer must hand the op's timeout down.
 PARTITION_CASES = [
@@ -140,8 +175,6 @@ def test_partition_times_out(name, guarantees, op):
     through the session-guarantee wrapper too."""
     sim = Simulator(seed=7)
     store = build_store(name, sim)
-    if not store.capabilities.networked:
-        pytest.skip("direct-attach store: no network to partition")
     session = store.session("lonely", **TUNING[name].get("session", {}))
     if guarantees:
         session = SessionClient(sim, session, guarantees)
@@ -195,8 +228,6 @@ def test_non_coordinator_replica_crash(name):
     sim = Simulator(seed=13)
     store = build_store(name, sim)
     caps = store.capabilities
-    if not caps.networked:
-        pytest.skip("direct-attach store: clients bypass the network")
     session_opts = dict(TUNING[name].get("session", {}))
     servers = store.server_ids()
     # Pin the session to the first server where the adapter allows it,
@@ -244,6 +275,7 @@ FAILOVER_VICTIM = {
     "quorum_siblings": 0,
     "causal": 0,
     "timeline": 0,
+    "bayou": 0,               # the first session's replica
     "primary_backup": 0,      # primary: reads fail over, writes cannot
     "chain": -1,              # tail: fixed read/ack role, no failover
     "multipaxos": "leader",
@@ -277,8 +309,6 @@ def test_retry_failover_on_coordinator_crash(name):
                          backoff_base=5.0, jitter=0.0)
     store = build_store(name, sim, retry=policy)
     caps = store.capabilities
-    if not caps.networked:
-        pytest.skip("direct-attach store: no RPC path to retry")
     servers = store.server_ids()
     session = store.session("failover", **_pin_session(name, store, servers))
     # Timeline reads must not pin to the master for failover to apply.
@@ -333,8 +363,6 @@ def test_idempotent_retry_applies_once(name):
                          backoff_base=15.0, jitter=0.0)
     store = build_store(name, sim, retry=policy)
     caps = store.capabilities
-    if not caps.networked:
-        pytest.skip("direct-attach store: no RPC path to retry")
     if not caps.retry_safe_writes:
         pytest.skip("adapter declares writes unsafe to retry")
     servers = store.server_ids()
