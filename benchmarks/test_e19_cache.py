@@ -32,13 +32,14 @@ CELL_KNOBS = dict(seed=42, plan=None, nodes=3, ops=120, preset="B",
                   clients=3, records=12, ttl=60.0, flush_delay=10.0)
 
 
+def stack(adapter, policy):
+    # "uncached" is the bare adapter: the same cell with no cache layer.
+    return adapter if policy == "uncached" else f"cached[{policy}]:{adapter}"
+
+
 def run_adapter_rows(adapter):
-    # "uncached" is the bare adapter: the same cell with no policy.
-    return {
-        policy: run_cell(adapter, None if policy == "uncached" else policy,
-                         **CELL_KNOBS)
-        for policy in POLICIES
-    }
+    return {policy: run_cell(stack(adapter, policy), **CELL_KNOBS)
+            for policy in POLICIES}
 
 
 def verdict_cell(report, guarantee):
@@ -106,7 +107,7 @@ def test_e19_cache_tradeoff(adapter, benchmark, capsys):
             report.stale_by_tier.get("cache", 0.0) + 1e-9
 
     benchmark.pedantic(
-        run_cell, args=(adapter, "write_through"),
+        run_cell, args=(stack(adapter, "write_through"),),
         kwargs=CELL_KNOBS, rounds=2, iterations=1,
     )
 
@@ -119,7 +120,7 @@ def test_e19_staleness_is_ttl_bounded(capsys):
     for ttl in (20.0, 60.0, 200.0):
         knobs = dict(CELL_KNOBS)
         knobs["ttl"] = ttl
-        report = run_cell("quorum", "read_through", **knobs)
+        report = run_cell(stack("quorum", "read_through"), **knobs)
         staleness = report.check("bounded-staleness")
         assert staleness is not None and staleness.status == "pass", ttl
         rows.append([
@@ -137,6 +138,6 @@ def test_e19_staleness_is_ttl_bounded(capsys):
 def test_e19_determinism():
     """The E19 cells fingerprint identically run to run — the table
     is a pure function of the seed."""
-    first = run_cell("causal", "read_through", **CELL_KNOBS)
-    second = run_cell("causal", "read_through", **CELL_KNOBS)
+    first = run_cell(stack("causal", "read_through"), **CELL_KNOBS)
+    second = run_cell(stack("causal", "read_through"), **CELL_KNOBS)
     assert first.fingerprint == second.fingerprint

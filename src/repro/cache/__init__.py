@@ -2,10 +2,11 @@
 
 ``repro.cache`` puts a deterministic TTL+LRU cache
 (:class:`CachedStore`, four policies) in front of any registered
-:class:`~repro.api.ConsistentStore`.  The conformance engine
-(:func:`repro.chaos.run_cell` with a ``policy``) grades it with the
-same checkers and the same rule as a bare adapter, on histories
-recorded at the cache boundary.
+:class:`~repro.api.ConsistentStore`; its capability record is
+:func:`repro.api.layers.cached_capabilities`.  The conformance engine
+grades a ``cached[POLICY]:…`` stack (:func:`repro.chaos.run_cell`)
+with the same checkers and the same rule as a bare adapter, on
+histories recorded at the cache boundary.
 
 Importing :mod:`repro.api` registers the ``"cached"`` adapter::
 
@@ -19,7 +20,6 @@ from .store import (
     CachedStore,
     TierFuture,
     build_cached,
-    derive_capabilities,
 )
 
 __all__ = [
@@ -28,5 +28,4 @@ __all__ = [
     "CachedSession",
     "TierFuture",
     "build_cached",
-    "derive_capabilities",
 ]

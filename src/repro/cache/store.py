@@ -51,10 +51,10 @@ of the run.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Any, Hashable
 
 from ..api import registry as _registry
+from ..api.layers import cached_capabilities
 from ..api.store import ConsistentStore, StoreCapabilities, StoreSession
 from ..sim import Future
 
@@ -65,59 +65,6 @@ POLICIES = ("cache_aside", "read_through", "write_through", "write_behind")
 FLUSH_TIMEOUT = 500.0
 #: Failed flushes of one entry retried before it waits for ``settle()``.
 MAX_FLUSH_RETRIES = 8
-
-#: Session guarantees a policy can preserve *when the backing adapter
-#: declares them*.  Everything else the inner store claims is waived
-#: with a documented reason (see :func:`derive_capabilities`).
-_PRESERVED = {
-    "cache_aside": frozenset({"ryw", "mw"}),
-    "read_through": frozenset({"mw"}),
-    "write_through": frozenset({"ryw", "mw"}),
-    "write_behind": frozenset({"mw"}),
-}
-
-_WAIVER_REASONS = {
-    ("cache_aside", "mr"): (
-        "a TTL-expired entry falls back to a backing read that may "
-        "predate an earlier shared cache hit"
-    ),
-    ("cache_aside", "wfr"): (
-        "cache hits are invisible to the backing session, so "
-        "writes-follow-reads ordering is not propagated through hits"
-    ),
-    ("read_through", "ryw"): (
-        "writes bypass the cache: a hit serves the pre-write value "
-        "for up to the TTL"
-    ),
-    ("read_through", "mr"): (
-        "writes bypass the cache, so successive hits/misses may "
-        "observe versions out of order within the TTL window"
-    ),
-    ("read_through", "wfr"): (
-        "cache hits are invisible to the backing session, so "
-        "writes-follow-reads ordering is not propagated through hits"
-    ),
-    ("write_through", "mr"): (
-        "a TTL-expired entry falls back to a backing read that may "
-        "predate an earlier shared cache hit"
-    ),
-    ("write_through", "wfr"): (
-        "cache hits are invisible to the backing session, so "
-        "writes-follow-reads ordering is not propagated through hits"
-    ),
-    ("write_behind", "ryw"): (
-        "once the dirty entry is flushed and expires, a weak backing "
-        "read may predate the session's own cache-acked write"
-    ),
-    ("write_behind", "mr"): (
-        "a TTL-expired entry falls back to a backing read that may "
-        "predate an earlier cache hit or unflushed write"
-    ),
-    ("write_behind", "wfr"): (
-        "cache acks precede durability: a dependent write can reach "
-        "the backing store before the write it followed"
-    ),
-}
 
 
 def _newer(a: Any, b: Any) -> bool:
@@ -262,7 +209,7 @@ class CachedStore(ConsistentStore):
         #: per-store sequence number, in commit-ack order.
         self._cdc_events = self.sim.metrics.counter("cache.cdc_events")
         self._cdc_seq = 0
-        self.capabilities = derive_capabilities(
+        self.capabilities = cached_capabilities(
             inner.capabilities, policy, ttl,
             flush_delay if policy == "write_behind" else 0.0,
         )
@@ -605,58 +552,6 @@ class CachedStore(ConsistentStore):
             "size": sum(len(s.entries) for s in self._shards.values()),
             "pending": sum(len(s.pending) for s in self._shards.values()),
         }
-
-
-def derive_capabilities(
-    inner: StoreCapabilities,
-    policy: str,
-    ttl: float | None,
-    flush_delay: float,
-) -> StoreCapabilities:
-    """The honest capability record for a cache over ``inner``.
-
-    Session-guarantee claims are the intersection of what the backing
-    adapter declares and what the policy preserves; every dropped
-    guarantee becomes a documented waiver.  ``staleness_bound_ms`` is
-    TTL + flush lag when the backing store's default reads are fresh
-    (its default mode is linearizable), else no declared bound — a
-    weak backing read can exceed any TTL.
-    """
-    claimed = tuple(g for g in inner.session_guarantees
-                    if g in _PRESERVED[policy])
-    waivers = list(inner.chaos_waivers)
-    for guarantee in inner.session_guarantees:
-        if guarantee not in _PRESERVED[policy]:
-            reason = _WAIVER_REASONS.get(
-                (policy, guarantee),
-                f"the {policy} policy does not preserve {guarantee}",
-            )
-            waivers.append((guarantee, reason))
-    backing_fresh = (
-        inner.default_read_mode in inner.linearizable_read_modes
-        or inner.name == "quorum"  # R+W>N at the default tuning
-    )
-    staleness_bound_ms = None
-    if ttl is not None and backing_fresh:
-        staleness_bound_ms = ttl + flush_delay
-    # Everything else the backing adapter declares carries through.
-    return replace(
-        inner,
-        name=f"cached[{inner.name}:{policy}]",
-        description=f"{policy} cache (ttl={ttl}) over {inner.name}",
-        read_modes=("cached",) + inner.read_modes,
-        session_guarantees=claimed,
-        # Write-behind retries internally; the client-side idempotent
-        # retry contract is not exercised on the ack path.
-        retry_safe_writes=(inner.retry_safe_writes
-                           and policy != "write_behind"),
-        failover_writes=(inner.failover_writes
-                         and policy != "write_behind"),
-        # Cache hits serve cached state: no linearizable mode claims.
-        linearizable_read_modes=(),
-        chaos_waivers=tuple(waivers),
-        staleness_bound_ms=staleness_bound_ms,
-    )
 
 
 #: Registry-level capabilities for ``registry.build("cached", ...)``.

@@ -3,9 +3,10 @@
 Seeded fault plans (:class:`FaultPlan`, :data:`PLANS`,
 :func:`random_plan`), the :class:`Nemesis` that executes them as
 simulation events, and the conformance engine (:func:`run_cell` /
-:func:`run_grid`) that drives a registered store adapter — bare or
-behind a cache policy — through a plan and grades its declared
-guarantees.
+:func:`run_grid`) that drives a stack of layers over a registered
+protocol (:func:`build_stack`: ``quorum``, ``sharded:chain``,
+``cached[write_through]:sharded:quorum``) through a plan and grades
+what its outer layer declares.
 """
 
 from .nemesis import Nemesis
@@ -27,8 +28,9 @@ from .runner import (
     WAIVED,
     CellReport,
     CheckResult,
-    cacheable_protocols,
+    build_stack,
     format_reports,
+    parse_stack,
     run_cell,
     run_grid,
 )
@@ -45,7 +47,8 @@ __all__ = [
     "Nemesis",
     "run_cell",
     "run_grid",
-    "cacheable_protocols",
+    "build_stack",
+    "parse_stack",
     "CellReport",
     "CheckResult",
     "format_reports",

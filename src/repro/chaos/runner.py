@@ -1,19 +1,18 @@
-"""The conformance engine: run one store under a fault plan, grade its claims.
+"""The conformance engine: run one stack under a fault plan, grade its claims.
 
-One cell = one protocol, bare or behind one cache policy.  It builds a
-fresh seeded simulator, drives a YCSB-style closed-loop workload while
-a :class:`~repro.chaos.Nemesis` executes the fault plan, heals,
-quiesces, and grades what the store's
-:class:`~repro.api.StoreCapabilities` declares on the history its
-client recorded, whichever tier answered the reads: convergence,
-linearizability (when the recorded read mode claims it), all four
-session guarantees, and bounded staleness against
-``staleness_bound_ms``.
-
-Every row goes through one rule (:func:`_grade`) that never asks
-whether a cache is present; ``policy`` only decides whether a
-:class:`~repro.cache.CachedStore` wraps the adapter.  ``repro chaos``
-and ``repro cache`` are two grids over :func:`run_grid`.
+One cell = one **stack**, outer layer first with a registered protocol
+innermost: ``quorum``, ``sharded:multipaxos``,
+``cached[write_through]:sharded:quorum`` (:func:`build_stack`).  The
+cell drives a YCSB-style closed-loop workload in a fresh seeded
+simulator while a :class:`~repro.chaos.Nemesis` executes the fault
+plan, heals, quiesces, and grades what the outer layer's
+:class:`~repro.api.StoreCapabilities` declares (:mod:`repro.api.layers`)
+on the history its client recorded: convergence, linearizability (when
+the recorded read mode claims it), all four session guarantees, bounded
+staleness against ``staleness_bound_ms``, and durability, which no
+store claims.  Every row goes through one rule (:func:`_grade`) that
+never asks which layers the stack has; ``repro chaos --stack S`` is a
+grid over :func:`run_grid`.
 
 Every run is traced through a :class:`~repro.sim.HashingTracer`, so a
 cell has a fingerprint: same seed + same cell ⇒ byte-identical trace,
@@ -26,17 +25,21 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..api import registry
+from ..cache import POLICIES, CachedStore
 from ..checkers import (
     check_bounded_staleness,
     check_convergence,
     check_linearizability,
     check_monotonic_reads,
     check_monotonic_writes,
+    check_no_lost_writes,
     check_read_your_writes,
     check_writes_follow_reads,
+    read_back,
     stale_read_fraction,
     staleness_by_tier,
 )
+from ..sharding import ShardedStore
 from ..sim import FixedLatency, HashingTracer, Network, Simulator
 from ..workload import YCSBWorkload, run_workload
 from .nemesis import Nemesis
@@ -46,6 +49,8 @@ from .plan import FaultPlan, resolve_plan
 OP_TIMEOUT, THINK_TIME = 250.0, 2.0
 #: Clean entries a cell's cache holds.
 CACHE_CAPACITY = 64
+#: Shard groups a ``sharded:`` layer routes over.
+SHARDS = 3
 
 #: Statuses a conformance check can land on.
 PASS, FAIL, UNKNOWN, WAIVED = "pass", "fail", "unknown", "waived"
@@ -73,10 +78,48 @@ READ_MODES: dict[str, str] = {
 }
 
 
-def cacheable_protocols() -> list[str]:
-    """Protocols a cache policy can wrap: every registered adapter but
-    the cache wrapper itself."""
-    return [name for name in registry.names() if name != "cached"]
+def parse_stack(stack: str) -> tuple[list[str], str]:
+    """``stack`` as (its layers outermost first, its protocol); a
+    ValueError for a stack the builder does not compose."""
+    *layers, protocol = stack.split(":")
+    if protocol not in registry.names():
+        raise ValueError(f"stack {stack!r}: unknown protocol {protocol!r}; "
+                         f"available: {', '.join(registry.names())}")
+    inner = protocol
+    for layer in reversed(layers):
+        if layer == "sharded":
+            if inner != protocol or protocol == "cached":
+                raise ValueError(f"stack {stack!r}: sharded: must sit "
+                                 f"directly on a protocol, not on {inner!r}")
+        elif not (layer.startswith("cached[") and layer.endswith("]")
+                  and layer[7:-1] in POLICIES):
+            raise ValueError(f"stack {stack!r}: unknown layer {layer!r}; "
+                             f"available: sharded, cached[POLICY] for "
+                             f"POLICY in {', '.join(POLICIES)}")
+        elif inner.startswith("cached"):
+            raise ValueError(f"stack {stack!r}: a cache over {inner!r}")
+        inner = layer
+    return layers, protocol
+
+
+def build_stack(stack: str, sim: Simulator, network: Network, nodes: int,
+                ttl: float, flush_delay: float) -> tuple[Any, str | None]:
+    """Build ``stack`` innermost first: the store, and the read mode its
+    client records (the protocol's :data:`READ_MODES` entry, or
+    ``"cached"`` through a cache, which fetches that mode on a miss)."""
+    layers, protocol = parse_stack(stack)
+    read_mode = READ_MODES.get(protocol)
+    if layers[-1:] == ["sharded"]:
+        store = ShardedStore(sim, network, protocol=protocol, shards=SHARDS,
+                             nodes_per_shard=nodes)
+    else:
+        store = registry.build(protocol, sim, network, nodes=nodes)
+    if layers and layers[0] != "sharded":
+        store = CachedStore(store, policy=layers[0][7:-1], ttl=ttl,
+                            capacity=CACHE_CAPACITY, flush_delay=flush_delay,
+                            miss_mode=read_mode)
+        read_mode = READ_MODES["cached"]
+    return store, read_mode
 
 
 @dataclass
@@ -92,11 +135,9 @@ class CheckResult:
 
 @dataclass
 class CellReport:
-    """One (protocol, policy) cell's full outcome; ``policy`` is None
-    for the bare adapter."""
+    """One stack's full outcome under one plan and seed."""
 
-    protocol: str
-    policy: str | None
+    stack: str
     plan: str
     seed: int
     fingerprint: str
@@ -106,11 +147,6 @@ class CellReport:
     stale_fraction: float = 0.0
     stale_by_tier: dict = field(default_factory=dict)
     results: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def name(self) -> str:
-        return f"{self.protocol}/{self.policy}" if self.policy \
-            else self.protocol
 
     @property
     def ok(self) -> bool:
@@ -156,8 +192,7 @@ def _grade(caps: Any, guarantee: str, claimed: bool, verdict: Any,
 
 
 def run_cell(
-    protocol: str,
-    policy: str | None = None,
+    stack: str,
     seed: int = 42,
     plan: FaultPlan | str | None = "partitions",
     nodes: int = 5,
@@ -170,27 +205,19 @@ def run_cell(
 ) -> CellReport:
     """One conformance cell, isolated in a fresh simulator.
 
-    ``policy=None`` runs the bare adapter; a cache policy wraps it in
-    ``registry.build("cached", protocol=...)`` (``ttl`` /
-    ``flush_delay`` tune that cache) and records the history at the
-    cache boundary.  ``plan`` (a :class:`FaultPlan`, a built-in name,
-    ``"random"`` or None) runs for the duration of the workload; the
-    run ends with heal + two settle rounds before grading.
+    ``stack`` is built by :func:`build_stack` (``nodes`` replicas per
+    group; ``ttl`` / ``flush_delay`` tune a cache layer), and the
+    history is recorded at its outer layer.  ``plan`` (a
+    :class:`FaultPlan`, a built-in name, ``"random"`` or None) runs for
+    the duration of the workload; the run ends with heal + two settle
+    rounds before grading.
     """
     plan = resolve_plan(plan, seed)
     tracer = HashingTracer()
     sim = Simulator(seed, tracer=tracer)
     network = Network(sim, latency=FixedLatency(2.0))
-    if policy is None:
-        store = registry.build(protocol, sim, network, nodes=nodes)
-        read_mode = READ_MODES.get(protocol)
-    else:
-        store = registry.build(
-            "cached", sim, network, protocol=protocol, policy=policy,
-            nodes=nodes, ttl=ttl, capacity=CACHE_CAPACITY,
-            flush_delay=flush_delay, miss_mode=READ_MODES.get(protocol),
-        )
-        read_mode = READ_MODES["cached"]
+    store, read_mode = build_stack(stack, sim, network, nodes, ttl,
+                                   flush_delay)
 
     nemesis = Nemesis(plan, seed=seed) if plan is not None else None
     workload = YCSBWorkload(preset, records=records, seed=seed)
@@ -238,9 +265,8 @@ def run_cell(
         ))
 
     cache_stats = getattr(store, "cache_stats", None)
-    return CellReport(
-        protocol=protocol,
-        policy=policy,
+    report = CellReport(
+        stack=stack,
         plan=plan.name if plan is not None else "none",
         seed=seed,
         fingerprint=tracer.hexdigest(),
@@ -255,22 +281,19 @@ def run_cell(
         },
         results=checks,
     )
+    # Read back last: its reads run after the fingerprint and the read
+    # statistics above are taken, so they move none of them.
+    written = {op.key for op in history if op.is_write}
+    checks.append(_grade(caps, "durability", False, check_no_lost_writes(
+        history, read_back(store, written))))
+    return report
 
 
-def run_grid(
-    protocols: Iterable[str] | None = None,
-    policies: Iterable[str | None] = (None,),
-    **cell_kwargs: Any,
-) -> list[CellReport]:
-    """Every policy over every protocol (default: all registered).  A
-    cache policy over the cache adapter itself is not a cell."""
-    cacheable = cacheable_protocols()
-    return [
-        run_cell(protocol, policy, **cell_kwargs)
-        for protocol in protocols or registry.names()
-        for policy in policies
-        if policy is None or protocol in cacheable
-    ]
+def run_grid(stacks: Iterable[str] | None = None,
+             **cell_kwargs: Any) -> list[CellReport]:
+    """One cell per stack (default: every registered protocol, bare)."""
+    return [run_cell(stack, **cell_kwargs)
+            for stack in stacks or registry.names()]
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +302,13 @@ def run_grid(
 
 
 def format_reports(reports: list[CellReport]) -> str:
-    """The verdict table ``repro chaos`` and ``repro cache`` print."""
+    """The verdict table ``repro chaos`` prints."""
     lines: list[str] = []
     if reports:
         lines.append(f"conformance: plan={reports[0].plan} "
                      f"seed={reports[0].seed}")
-    header = (f"{'protocol':<17}{'policy':<14}{'guarantee':<18}"
-              f"{'status':<9}detail")
+    width = max([29] + [len(report.stack) for report in reports]) + 2
+    header = f"{'stack':<{width}}{'guarantee':<18}{'status':<9}detail"
     rule = "-" * max(60, len(header))
     lines += [header, rule]
     for report in reports:
@@ -293,20 +316,18 @@ def format_reports(reports: list[CellReport]) -> str:
                    f"hit={report.hit_rate:.0%} "
                    f"stale={report.stale_fraction:.0%} "
                    f"fp={report.fingerprint[:12]}")
-        lines.append(
-            f"{report.protocol:<17}{report.policy or 'uncached':<14}"
-            f"{'(workload)':<18}{'':<9}{summary}"
-        )
+        lines.append(f"{report.stack:<{width}}{'(workload)':<18}"
+                     f"{'':<9}{summary}")
         for check in report.results:
             detail = check.detail
             if check.status == PASS and check.checked_ops and not detail:
                 detail = f"{check.checked_ops} ops checked"
             if len(detail) > 58:
                 detail = detail[:55] + "..."
-            lines.append(f"{'':<31}{check.guarantee:<18}"
+            lines.append(f"{'':<{width}}{check.guarantee:<18}"
                          f"{check.status.upper():<9}{detail}")
     lines.append(rule)
-    failed = [report.name for report in reports if not report.ok]
+    failed = [report.stack for report in reports if not report.ok]
     if failed:
         lines.append(f"FAIL: {', '.join(failed)}")
     else:

@@ -2,6 +2,8 @@
 
 The heavyweight experiment tables live in ``benchmarks/`` (``pytest
 benchmarks`` checks each against its golden); the CLI is for quick looks.
+Conformance is one command: ``repro chaos --stack S`` grades any stack
+of layers over a registered protocol (see :mod:`repro.chaos.runner`).
 """
 
 from __future__ import annotations
@@ -402,31 +404,6 @@ def _unknown(what: str, given, allowed) -> bool:
     return bool(unknown)
 
 
-def _conformance(args: argparse.Namespace, protocols, policies, unit: str,
-                 intensity: float = 0.5, **knobs) -> int:
-    """Run one conformance grid and print its verdict table."""
-    from .chaos import format_reports, resolve_plan, run_grid
-
-    try:
-        plan = resolve_plan(args.plan, args.seed, intensity)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    def run():
-        return run_grid(protocols, policies, seed=args.seed, plan=plan,
-                        ops=args.ops, **knobs)
-
-    reports = run()
-    print(format_reports(reports))
-    if args.check_determinism and not _reproduces(
-        {r.name: r.fingerprint for r in reports},
-        lambda: {r.name: r.fingerprint for r in run()}, unit,
-    ):
-        return 1
-    return 0 if all(report.ok for report in reports) else 1
-
-
 def _story(args: argparse.Namespace, name: str, run, render) -> int:
     """Run one :mod:`repro.scenarios` script and print its report;
     exit 0 when ``report.ok`` — and, with ``--check-determinism``, a
@@ -440,25 +417,21 @@ def _story(args: argparse.Namespace, name: str, run, render) -> int:
     return 0 if report.ok else 1
 
 
-#: The flags ``chaos`` and ``cache`` share: one engine, two grids.
-_GRID_FLAGS = (
+@_register(
+    "chaos", "nemesis conformance suite: stacks x fault plan + checkers",
     _SEED,
     _flag("--plan", default="partitions",
           help="fault plan name, or 'random' for a seeded random plan "
-               "(default: partitions; see chaos --list)"),
+               "(default: partitions; see --list)"),
     _check("run the whole grid twice and fail on any trace fingerprint "
            "drift"),
-)
-
-
-@_register(
-    "chaos", "nemesis conformance suite: fault plan + checkers",
-    *_GRID_FLAGS,
-    _each("--protocol",
-          "run only this adapter (repeatable; default: all registered)"),
+    _each("--stack", "a stack, outer layer first: PROTOCOL, "
+                     "sharded:PROTOCOL, cached[POLICY]:... (repeatable; "
+                     "default: every registered protocol, bare)"),
     _flag("--nodes", type=int, default=5),
     _flag("--clients", type=int, default=3),
-    _flag("--ops", type=int, default=120, help="workload length per protocol"),
+    _flag("--ops", type=int, default=120, help="workload length per cell"),
+    _flag("--records", type=int, default=24, help="keys the workload uses"),
     _flag("--intensity", type=float, default=0.5,
           help="fault density for --plan random (0..1, default 0.5)"),
     _switch("--list", "list built-in fault plans and exit"),
@@ -466,53 +439,42 @@ _GRID_FLAGS = (
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos conformance suite and print the verdict table.
 
-    Exit status: 0 when every protocol's declared guarantees hold (or
-    are explicitly waived), 1 on any checker FAIL or (with
-    ``--check-determinism``) trace fingerprint drift, 2 on bad args.
+    Each ``--stack`` is one cell: a registered protocol, optionally
+    behind ``sharded:`` and then ``cached[POLICY]:`` (see
+    :func:`repro.chaos.build_stack`).  Exit status: 0 when every
+    cell's declared guarantees hold (or are explicitly waived), 1 on
+    any checker FAIL or (with ``--check-determinism``) trace
+    fingerprint drift, 2 on bad args.
     """
-    from .api import registry
-    from .chaos import PLANS
+    from .chaos import (PLANS, format_reports, parse_stack, resolve_plan,
+                        run_grid)
 
     if args.list:
         for name, plan in sorted(PLANS.items()):
             faults = ", ".join(sorted({step.fault for step in plan.steps}))
             print(f"{name:<12} {len(plan.steps)} steps: {faults}")
         return 0
-
-    if _unknown("protocol", args.protocol, registry.names()):
+    try:
+        for stack in args.stack:
+            parse_stack(stack)
+        plan = resolve_plan(args.plan, args.seed, args.intensity)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    return _conformance(args, args.protocol or None, (None,), "protocol(s)",
-                        intensity=args.intensity, nodes=args.nodes,
-                        clients=args.clients)
 
+    def run():
+        return run_grid(args.stack, seed=args.seed, plan=plan, ops=args.ops,
+                        nodes=args.nodes, clients=args.clients,
+                        records=args.records)
 
-@_register(
-    "cache", "cache conformance grid: policy x adapter + checkers",
-    *_GRID_FLAGS,
-    _each("--adapter", "backing adapter (repeatable; default: all registered)"),
-    _each("--policy", "cache policy (repeatable; default: all four; "
-                      "'uncached' runs the bare adapter baseline)"),
-    _flag("--ops", type=int, default=60, help="workload length per cell"),
-)
-def cmd_cache(args: argparse.Namespace) -> int:
-    """Run the cache conformance grid: the engine and grading rule of
-    ``repro chaos`` one tier up — each adapter behind each cache policy
-    (``uncached``: bare), the history recorded at the cache boundary,
-    at a smaller cell size.  Exit status as for ``repro chaos``.
-    """
-    from .cache import POLICIES
-    from .chaos import cacheable_protocols
-
-    adapters = cacheable_protocols()
-    policies = args.policy or list(POLICIES)
-    if _unknown("adapter", args.adapter, adapters) \
-            or _unknown("policy", policies, (*POLICIES, "uncached")):
-        return 2
-    return _conformance(
-        args, args.adapter or adapters,
-        [None if p == "uncached" else p for p in policies],
-        "cell(s)", nodes=3, clients=2, records=16,
-    )
+    reports = run()
+    print(format_reports(reports))
+    if args.check_determinism and not _reproduces(
+        {r.stack: r.fingerprint for r in reports},
+        lambda: {r.stack: r.fingerprint for r in run()}, "cell(s)",
+    ):
+        return 1
+    return 0 if all(report.ok for report in reports) else 1
 
 
 @_register(

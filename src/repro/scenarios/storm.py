@@ -166,6 +166,8 @@ def run_storm(
     seed: int = 42, protocol: str = "quorum", nodes: int = 3,
 ) -> StormReport:
     """Run the three-leg hot-key storm; deterministic per ``seed``."""
+    if nodes < 1:   # before the knee rate is sized from it
+        raise ValueError("need at least one replica")
     report = StormReport(seed=seed, protocol=protocol)
     capacity = nodes * 1000.0 / SERVICE_TIME
     legs = (

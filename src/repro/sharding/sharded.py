@@ -36,10 +36,10 @@ with shard count (benchmarks/test_e13_sharding.py measures it).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Hashable
 
 from ..api import registry
+from ..api.layers import sharded_capabilities
 from ..api.store import ConsistentStore, StoreSession, resolved
 from ..errors import OverloadedError, SimulationError
 from ..replication import HashRing
@@ -164,20 +164,8 @@ class ShardedStore(ConsistentStore):
         #: Optional :class:`repro.membership.MembershipService` kept in
         #: sync with ring moves (see :meth:`attach_membership`).
         self.membership: Any = None
-        # Everything the wrapped adapter declares carries through; only
-        # what the routing tier changes is named.
-        self.capabilities = replace(
-            spec.capabilities,
-            name=f"sharded[{protocol}x{shards}]",
-            description=f"{shards}-shard router over {protocol}",
-            session_guarantees=(),
-            linearizable_read_modes=(),
-            elastic=True,
-            read_preferences=(
-                spec.capabilities.read_preferences
-                if placement is not None else ()
-            ),
-        )
+        self.capabilities = sharded_capabilities(
+            spec.capabilities, shards, placement is not None)
         metrics = sim.metrics
         self._ops_routed = metrics.counter("shard.ops_routed")
         self._per_shard_ops = {

@@ -18,7 +18,6 @@ from repro.chaos import (
     UNKNOWN,
     WAIVED,
     CellReport,
-    cacheable_protocols,
     format_reports,
     run_cell,
     run_grid,
@@ -26,12 +25,20 @@ from repro.chaos import (
 
 SESSION_GUARANTEES = ("ryw", "mr", "mw", "wfr")
 
-#: The cache grid's cell size (what ``repro cache`` runs).
+#: The cache grid's cell size (what CI's cache grid runs).
 CELL = dict(nodes=3, clients=2, ops=60, records=16)
+#: Every protocol a cache layer can wrap: all but the cache itself.
+CACHEABLE = [name for name in registry.names() if name != "cached"]
+#: ``CELL`` as ``repro chaos`` flags.
+CELL_FLAGS = ["--nodes", "3", "--clients", "2", "--records", "16"]
+
+
+def stack(adapter, policy):
+    return f"cached[{policy}]:{adapter}" if policy else adapter
 
 
 def run_cache_cell(adapter, policy, **knobs) -> CellReport:
-    return run_cell(adapter, policy, **{**CELL, **knobs})
+    return run_cell(stack(adapter, policy), **{**CELL, **knobs})
 
 
 def assert_cell_conforms(report: CellReport) -> None:
@@ -40,7 +47,7 @@ def assert_cell_conforms(report: CellReport) -> None:
     assert report.ops_ok > 0, "the workload must make progress"
     for check in report.results:
         assert check.status != FAIL, (
-            f"{report.name}: {check.guarantee} FAILED "
+            f"{report.stack}: {check.guarantee} FAILED "
             f"({check.detail})"
         )
     # Every session guarantee is accounted for on every cell — either
@@ -49,7 +56,7 @@ def assert_cell_conforms(report: CellReport) -> None:
     for guarantee in SESSION_GUARANTEES:
         check = report.check(guarantee)
         assert check is not None, (
-            f"{report.name}: no verdict for {guarantee}"
+            f"{report.stack}: no verdict for {guarantee}"
         )
         if check.claimed and check.status != WAIVED:
             assert check.status in (PASS, UNKNOWN)
@@ -65,7 +72,7 @@ def assert_cell_conforms(report: CellReport) -> None:
     assert convergence.claimed  # every store claims it
 
 
-@pytest.mark.parametrize("adapter", cacheable_protocols())
+@pytest.mark.parametrize("adapter", CACHEABLE)
 def test_grid_cell_conforms_per_adapter(adapter):
     for policy in POLICIES:
         report = run_cache_cell(adapter, policy, seed=42,
@@ -139,15 +146,11 @@ def test_stale_by_tier_attributes_staleness():
 
 
 def test_grid_runner_and_formatter():
-    reports = run_grid(
-        ["quorum", "causal"], ("cache_aside", "write_behind"),
-        **{**CELL, "ops": 30}, seed=42, plan="partitions",
-    )
-    assert len(reports) == 4
-    assert {(r.protocol, r.policy) for r in reports} == {
-        ("quorum", "cache_aside"), ("quorum", "write_behind"),
-        ("causal", "cache_aside"), ("causal", "write_behind"),
-    }
+    stacks = [stack(adapter, policy) for adapter in ("quorum", "causal")
+              for policy in ("cache_aside", "write_behind")]
+    reports = run_grid(stacks, **{**CELL, "ops": 30}, seed=42,
+                       plan="partitions")
+    assert [r.stack for r in reports] == stacks
     text = format_reports(reports)
     assert "conformance" in text
     assert "PASS: 4 cell(s) conform" in text
@@ -165,12 +168,12 @@ def test_cell_is_deterministic_per_seed():
 
 def test_grid_defaults_never_wrap_the_cache_adapter_itself():
     assert "cached" in registry.names()
-    assert "cached" not in cacheable_protocols()
-    assert {r.protocol for r in run_grid(policies=["write_through"], ops=5,
-                                         plan=None)} \
-        == set(cacheable_protocols())
-    with pytest.raises(ValueError, match="unknown cache policy"):
-        run_cell("quorum", "write_around", ops=10)
+    # The default grid runs every protocol bare, the cache entry too.
+    assert [r.stack for r in run_grid(ops=5, plan=None)] == registry.names()
+    with pytest.raises(ValueError, match="a cache over 'cached'"):
+        run_cell("cached[write_through]:cached", ops=10)
+    with pytest.raises(ValueError, match="unknown layer 'cached.write_"):
+        run_cell("cached[write_around]:quorum", ops=10)
 
 
 def test_write_behind_survives_a_flush_refused_at_issue():
@@ -186,16 +189,16 @@ def test_write_behind_survives_a_flush_refused_at_issue():
 
 def test_cli_cache_grades_like_chaos_and_validates_its_grid(capsys):
     # The pileus cell the two old graders disagreed on: exit 0 now.
-    assert cli.main(["cache", "--adapter", "pileus", "--policy", "uncached",
-                     "--plan", "partitions", "--seed", "1"]) == 0
+    assert cli.main(["chaos", "--stack", "pileus", "--plan", "partitions",
+                     "--seed", "1", *CELL_FLAGS, "--ops", "60"]) == 0
     assert "WAIVED" in capsys.readouterr().out
-    assert cli.main(["cache", "--adapter", "multipaxos", "--policy",
-                     "write_behind", "--plan", "crashes", "--seed", "42",
+    assert cli.main(["chaos", "--stack", "cached[write_behind]:multipaxos",
+                     "--plan", "crashes", "--seed", "42", *CELL_FLAGS,
                      "--ops", "40"]) == 0
     # A cache over the cache adapter is not a grid cell.
-    assert cli.main(["cache", "--adapter", "cached"]) == 2
+    assert cli.main(["chaos", "--stack", "cached[write_through]:cached"]) == 2
     err = capsys.readouterr().err
-    assert "unknown adapter(s): cached" in err and "quorum" in err
-    # Both conformance commands resolve --plan the same way.
-    assert cli.main(["cache", "--adapter", "quorum", "--policy",
-                     "write_through", "--plan", "random", "--ops", "20"]) == 0
+    assert "a cache over 'cached'" in err
+    # One --plan for every stack, random included.
+    assert cli.main(["chaos", "--stack", "cached[write_through]:quorum",
+                     "--plan", "random", *CELL_FLAGS, "--ops", "20"]) == 0

@@ -2,8 +2,8 @@
 
 Same seed + same cell => byte-identical trace fingerprints, for every
 policy, even under a seeded *random* fault plan.  This is the property
-``repro cache --check-determinism`` gates in CI; the tests here pin it
-per policy and through the CLI entry point.
+``repro chaos --check-determinism`` gates in CI over the cache grid;
+the tests here pin it per policy and through the CLI entry point.
 """
 
 import pytest
@@ -14,8 +14,9 @@ from repro.chaos import random_plan, run_cell
 
 
 def run_cache_cell(adapter, policy, **knobs):
-    # The cache grid's cell size (what ``repro cache`` runs).
-    return run_cell(adapter, policy, nodes=3, clients=2, records=16, **knobs)
+    # The cache grid's cell size (what CI's cache grid runs).
+    return run_cell(f"cached[{policy}]:{adapter}", nodes=3, clients=2,
+                    records=16, **knobs)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -46,8 +47,9 @@ def test_ttl_jitter_is_seeded_not_wallclock():
 
 def test_cli_cache_check_determinism(capsys):
     exit_code = cli.main([
-        "cache", "--adapter", "quorum", "--policy", "write_behind",
-        "--ops", "30", "--check-determinism",
+        "chaos", "--stack", "cached[write_behind]:quorum", "--nodes", "3",
+        "--clients", "2", "--records", "16", "--ops", "30",
+        "--check-determinism",
     ])
     out = capsys.readouterr().out
     assert exit_code == 0
@@ -56,6 +58,9 @@ def test_cli_cache_check_determinism(capsys):
 
 
 def test_cli_cache_rejects_unknown_cell(capsys):
-    assert cli.main(["cache", "--adapter", "nope"]) == 2
-    assert cli.main(["cache", "--policy", "write_around"]) == 2
-    assert cli.main(["cache", "--plan", "nope"]) == 2
+    assert cli.main(["chaos", "--stack", "cached[write_through]:nope"]) == 2
+    assert cli.main(["chaos", "--stack", "cached[write_around]:quorum"]) == 2
+    assert cli.main(["chaos", "--stack",
+                     "sharded:cached[write_through]:quorum"]) == 2
+    assert cli.main(["chaos", "--stack", "cached[write_through]:quorum",
+                     "--plan", "nope"]) == 2

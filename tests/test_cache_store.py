@@ -10,7 +10,8 @@ import dataclasses
 import pytest
 
 from repro.api import StoreCapabilities, registry
-from repro.cache import POLICIES, CachedStore, derive_capabilities
+from repro.api.layers import cached_capabilities
+from repro.cache import POLICIES, CachedStore
 from repro.sharding import ShardedStore
 from repro.sim import FixedLatency, Network, Simulator, spawn
 
@@ -369,7 +370,7 @@ def test_delegation_exposes_inner_surfaces():
 def test_derived_capabilities_intersect_claims():
     causal = registry.get("causal").capabilities
     for policy in POLICIES:
-        caps = derive_capabilities(causal, policy, ttl=100.0,
+        caps = cached_capabilities(causal, policy, ttl=100.0,
                                    flush_delay=0.0)
         assert set(caps.session_guarantees) <= set(causal.session_guarantees)
         # Every dropped guarantee is a documented waiver.
@@ -384,8 +385,8 @@ def test_derived_capabilities_intersect_claims():
 #: What each wrapper tier changes.  Every other field must equal the
 #: wrapped adapter's: a tier may not drop what the adapter declares.
 _SHARDED_OVERRIDES = {
-    "name", "description", "session_guarantees", "linearizable_read_modes",
-    "elastic", "read_preferences",
+    "name", "description", "session_guarantees", "elastic",
+    "read_preferences",
 }
 _CACHED_OVERRIDES = {
     "name", "description", "read_modes", "session_guarantees",
@@ -408,8 +409,9 @@ def test_sharded_store_keeps_what_the_adapter_declares(protocol):
     inner = registry.get(protocol).capabilities
     _assert_carried_through(inner, store.capabilities, _SHARDED_OVERRIDES)
     assert store.capabilities.elastic
-    assert store.capabilities.session_guarantees == ()
-    assert store.capabilities.linearizable_read_modes == ()
+    # Only the per-key session guarantees survive the router.
+    assert store.capabilities.session_guarantees == tuple(
+        g for g in inner.session_guarantees if g in ("ryw", "mr"))
 
 
 def test_sharded_pileus_carries_both_waivers():
@@ -426,7 +428,7 @@ def test_sharded_pileus_carries_both_waivers():
 @pytest.mark.parametrize("protocol", registry.names())
 def test_cached_store_keeps_what_the_adapter_declares(protocol, policy):
     inner = registry.get(protocol).capabilities
-    caps = derive_capabilities(inner, policy, ttl=100.0, flush_delay=0.0)
+    caps = cached_capabilities(inner, policy, ttl=100.0, flush_delay=0.0)
     _assert_carried_through(inner, caps, _CACHED_OVERRIDES)
     # The inner waivers survive; the policy only adds to them.
     assert caps.chaos_waivers[:len(inner.chaos_waivers)] == inner.chaos_waivers
@@ -435,16 +437,16 @@ def test_cached_store_keeps_what_the_adapter_declares(protocol, policy):
 def test_staleness_bound_auto():
     quorum = registry.get("quorum").capabilities
     causal = registry.get("causal").capabilities
-    fresh = derive_capabilities(quorum, "write_through", ttl=100.0,
+    fresh = cached_capabilities(quorum, "write_through", ttl=100.0,
                                 flush_delay=0.0)
     assert fresh.staleness_bound_ms == 100.0
-    behind = derive_capabilities(quorum, "write_behind", ttl=100.0,
+    behind = cached_capabilities(quorum, "write_behind", ttl=100.0,
                                  flush_delay=25.0)
     assert behind.staleness_bound_ms == 125.0
-    weak = derive_capabilities(causal, "write_through", ttl=100.0,
+    weak = cached_capabilities(causal, "write_through", ttl=100.0,
                                flush_delay=0.0)
     assert weak.staleness_bound_ms is None
-    unbounded = derive_capabilities(quorum, "write_through", ttl=None,
+    unbounded = cached_capabilities(quorum, "write_through", ttl=None,
                                     flush_delay=0.0)
     assert unbounded.staleness_bound_ms is None
 

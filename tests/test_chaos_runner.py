@@ -37,15 +37,15 @@ def test_seed_sweep_every_protocol_conforms(seed):
     for report in reports:
         failed = [(r.guarantee, r.detail) for r in report.results
                   if r.status == FAIL]
-        assert report.ok, (report.protocol, failed)
+        assert report.ok, (report.stack, failed)
 
 
 def test_runner_fingerprints_are_reproducible():
     def run():
         return run_grid(["quorum", "causal"], seed=9, plan="mixed", ops=60)
 
-    first = {r.protocol: r.fingerprint for r in run()}
-    second = {r.protocol: r.fingerprint for r in run()}
+    first = {r.stack: r.fingerprint for r in run()}
+    second = {r.stack: r.fingerprint for r in run()}
     assert first == second
 
 
@@ -117,13 +117,14 @@ def test_unwaived_pileus_fails_ryw_bare_and_through_the_cache(
         registry._REGISTRY, "pileus_unwaived",
         registry.StoreSpec("pileus_unwaived", caps, UnwaivedPileus))
     monkeypatch.setitem(READ_MODES, "pileus_unwaived", "sla")
-    report = run_cell("pileus_unwaived", policy, **PILEUS_DRIFT_CELL)
+    cache = f"cached[{policy}]:" if policy else ""
+    report = run_cell(cache + "pileus_unwaived", **PILEUS_DRIFT_CELL)
     ryw = report.check("ryw")
     assert ryw.claimed and ryw.status == FAIL, ryw
     assert not report.ok
     # Same run as the registered adapter: only the grading differs.
     assert report.fingerprint == \
-        run_cell("pileus", policy, **PILEUS_DRIFT_CELL).fingerprint
+        run_cell(cache + "pileus", **PILEUS_DRIFT_CELL).fingerprint
 
 
 def test_format_reports_renders_verdict_table():
@@ -132,6 +133,18 @@ def test_format_reports_renders_verdict_table():
     assert "pileus" in text
     assert "WAIVED" in text
     assert text.strip().endswith("cell(s) conform")
+
+
+@pytest.mark.xfail(strict=True, reason="multipaxos is not re-elected "
+                   "after the nemesis crashes its leader")
+def test_multipaxos_under_crashes_completes_at_least_half_its_ops():
+    """Nothing calls ``MultiPaxosCluster.elect()`` after a crash, so the
+    group stays leaderless through recovery, heal and settle: at seed
+    42 the cell completes 15 of 120 ops, yet it PASSes, because every
+    failed op is graded as maybe-applied."""
+    report = run_cell("multipaxos", seed=42, plan="crashes")
+    assert report.ok
+    assert 2 * report.ops_ok >= report.ops_ok + report.ops_failed
 
 
 def test_run_cell_resolves_named_and_random_plans():
@@ -148,7 +161,7 @@ def test_cli_chaos_smoke(capsys):
     from repro.cli import main
 
     code = main(["chaos", "--seed", "7", "--plan", "crashes",
-                 "--protocol", "quorum", "--ops", "30"])
+                 "--stack", "quorum", "--ops", "30"])
     out = capsys.readouterr().out
     assert code == 0
     assert "quorum" in out
@@ -159,7 +172,7 @@ def test_cli_chaos_rejects_unknown_plan_and_protocol(capsys):
     from repro.cli import main
 
     assert main(["chaos", "--plan", "nope"]) == 2
-    assert main(["chaos", "--protocol", "nope"]) == 2
+    assert main(["chaos", "--stack", "nope"]) == 2
     assert main(["chaos", "--list"]) == 0
     assert "partitions" in capsys.readouterr().out
 

@@ -1,7 +1,7 @@
 """``repro bench`` / ``sweep`` / ``load`` / ``scale`` / ``multiregion``
-through ``main([...])``: bad input is one line on stderr and exit 2,
-never a traceback; the scenario-script commands print their report and
-replay it under ``--check-determinism``.  Every ``python -m repro``
+/ ``chaos`` through ``main([...])``: bad input is one line on stderr
+and exit 2, never a traceback; the scenario-script commands print their
+report and replay it under ``--check-determinism``.  Every ``python -m repro``
 command line in the docs and CI parses, and every command has a
 ``--help``.
 """
@@ -18,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md",
         ".github/workflows/ci.yml")
 COMMANDS = ["examples", "run", "pbs", "spectrum", "protocols", "trace",
-            "bench", "sweep", "chaos", "cache", "load", "scale",
+            "bench", "sweep", "chaos", "load", "scale",
             "multiregion", "selftest"]
 
 
@@ -37,6 +37,15 @@ COMMANDS = ["examples", "run", "pbs", "spectrum", "protocols", "trace",
     (["load", "--rate", "0"], "rate must be positive"),
     (["load", "--check-determinism"],
      "--check-determinism replays the --storm demo"),
+    (["chaos", "--stack", "cached[write_through]:cached"],
+     "stack 'cached[write_through]:cached': a cache over 'cached'"),
+    (["chaos", "--stack", "sharded:cached[write_through]:quorum"],
+     "stack 'sharded:cached[write_through]:quorum': sharded: must sit"),
+    (["chaos", "--stack", "session[ryw]:quorum"],
+     "stack 'session[ryw]:quorum': unknown layer 'session[ryw]'"),
+    (["chaos", "--stack", "nope"], "stack 'nope': unknown protocol 'nope'"),
+    (["chaos", "--plan", "nope"], "unknown plan 'nope'"),
+    (["load", "--storm", "--nodes", "0"], "need at least one replica"),
 ])
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, cause):
     assert main(argv) == 2
