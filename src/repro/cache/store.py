@@ -204,6 +204,14 @@ class CachedStore(ConsistentStore):
         self.flush_delay = flush_delay
         self.miss_mode = miss_mode
         self._shards: dict[Hashable, _CacheShard] = {}
+        #: The backing router's ``shard_of``, looked up once; ``None``
+        #: for an unsharded store.
+        self._shard_of = getattr(inner, "shard_of", None)
+        #: Running totals over the shards of clean entries and of
+        #: write-behind pending entries: the ``cache.size`` and
+        #: ``cache.pending`` gauges, kept without a scan.
+        self._size = 0
+        self._pending = 0
         #: Change-data-capture: every *acked backing write* (direct or
         #: flushed) is counted and annotated ``cdc`` with a dense
         #: per-store sequence number, in commit-ack order.
@@ -282,7 +290,7 @@ class CachedStore(ConsistentStore):
     # Cache mechanics
     # ------------------------------------------------------------------
     def _shard_for(self, key: Hashable) -> _CacheShard:
-        shard_of = getattr(self.inner, "shard_of", None)
+        shard_of = self._shard_of
         shard_id = shard_of(key) if shard_of is not None else "_"
         shard = self._shards.get(shard_id)
         if shard is None:
@@ -295,12 +303,8 @@ class CachedStore(ConsistentStore):
         return self.sim.now + self.ttl
 
     def _update_gauges(self) -> None:
-        self._size_gauge.set(
-            sum(len(s.entries) for s in self._shards.values())
-        )
-        self._pending_gauge.set(
-            sum(len(s.pending) for s in self._shards.values())
-        )
+        self._size_gauge.set(self._size)
+        self._pending_gauge.set(self._pending)
 
     def _chain(self, inner_future: Future, tier: str) -> TierFuture:
         outer = TierFuture(self.sim, tier)
@@ -340,10 +344,13 @@ class CachedStore(ConsistentStore):
             return False
         if floor is None or _newer(token, floor):
             shard.floor[key] = token
+        if entry is None:
+            self._size += 1
         shard.entries[key] = _Entry(value, token, self._expiry())
         shard.entries.move_to_end(key)
         while len(shard.entries) > self.capacity:
             evicted, _ = shard.entries.popitem(last=False)
+            self._size -= 1
             self._evictions.inc()
             self.sim.annotate("cache", op="evict", key=evicted,
                               policy=self.policy)
@@ -360,6 +367,7 @@ class CachedStore(ConsistentStore):
                 shard.floor[key] = token
         if key in shard.entries:
             del shard.entries[key]
+            self._size -= 1
             self._invalidations.inc()
             self.sim.annotate("cache", op="invalidate", key=key,
                               policy=self.policy)
@@ -382,6 +390,7 @@ class CachedStore(ConsistentStore):
         if entry is not None:
             if self.sim.now >= entry.expires_at:
                 del shard.entries[key]
+                self._size -= 1
                 self._expirations.inc()
                 self.sim.annotate("cache", op="expire", key=key,
                                   policy=self.policy)
@@ -468,6 +477,8 @@ class CachedStore(ConsistentStore):
         seq = shard.key_seq.get(key, 0) + 1
         shard.key_seq[key] = seq
         token = ("wb", seq)
+        if key not in shard.pending:
+            self._pending += 1
         shard.pending[key] = _Pending(value, token, seq)
         floor = shard.floor.get(key)
         if floor is None or _newer(token, floor):
@@ -518,6 +529,7 @@ class CachedStore(ConsistentStore):
             current = shard.pending.get(key)
             if current is pend:
                 del shard.pending[key]
+                self._pending -= 1
                 self._install(shard, key, pend.value, pend.token)
                 self._update_gauges()
             elif current is not None and key not in shard.flushing:
@@ -549,8 +561,8 @@ class CachedStore(ConsistentStore):
             "wb_flushes": self._wb_flushes.value,
             "wb_coalesced": self._wb_coalesced.value,
             "wb_retries": self._wb_retries.value,
-            "size": sum(len(s.entries) for s in self._shards.values()),
-            "pending": sum(len(s.pending) for s in self._shards.values()),
+            "size": self._size,
+            "pending": self._pending,
         }
 
 
@@ -577,12 +589,13 @@ _REGISTRY_CAPS = StoreCapabilities(
 @_registry.register(_REGISTRY_CAPS)
 def build_cached(sim, network, protocol: str = "quorum",
                  policy: str = "write_through", ttl: float | None = 200.0,
-                 capacity: int = 512, flush_delay: float = 25.0,
-                 miss_mode: str | None = None,
+                 capacity: int = 512, miss_mode: str | None = None,
                  **inner_kwargs: Any) -> CachedStore:
-    """Registry factory: build ``protocol`` and wrap it in a cache."""
+    """Registry factory: build ``protocol`` and wrap it in a cache
+    (write-behind flushes after :class:`CachedStore`'s default
+    ``flush_delay``; build the ``CachedStore`` directly to set it)."""
     inner = _registry.build(protocol, sim, network, **inner_kwargs)
     return CachedStore(
         inner, policy=policy, ttl=ttl, capacity=capacity,
-        flush_delay=flush_delay, miss_mode=miss_mode,
+        miss_mode=miss_mode,
     )

@@ -157,6 +157,14 @@ class DottedValueSet:
     dot → value store, in stored order, under ``clock``, a causal
     context whose cloud is always empty (replica → prefix).
 
+    A set is a value: nothing mutates its ``siblings`` or ``clock``
+    after construction, and :meth:`put` and :meth:`sync` never mutate
+    a dict they are handed.  So sets, and their clock dicts, are shared
+    freely — between replicas, across a message, with the result of a
+    ``sync`` — and a copy is made only where a context leaves for code
+    that may change it (the quorum engine's ``reply``, ``recall`` and
+    ``learn``).
+
     >>> s = DottedValueSet()
     >>> ctx0 = s.clock
     >>> s = s.put("r1", "a", ctx0)          # first write
@@ -192,7 +200,8 @@ class DottedValueSet:
 
         The write supersedes exactly the siblings ``client_clock``
         covers; others remain as concurrent siblings, and the new one
-        goes last.  Returns a new set (value semantics).
+        goes last.  Returns a new set; neither ``self`` nor
+        ``client_clock`` is touched.
         """
         clock = dict(self.clock)
         dot = (replica, clock.get(replica, 0) + 1)
@@ -208,13 +217,28 @@ class DottedValueSet:
     def sync(self, other: "DottedValueSet") -> "DottedValueSet":
         """Merge two replicas' sets (commutative, associative,
         idempotent) by the dot-store join, as a one-entry store.  The
-        siblings come out in ``(str(replica), counter)`` order."""
-        store = {None: frozenset(self.siblings)}
+        siblings come out in ``(str(replica), counter)`` order.
+
+        When the join can add nothing it returns an operand, equal to
+        what the join would build: an empty set (no siblings, empty
+        clock) joined with a set of at most one sibling is that set,
+        and two sets with equal clocks and the same one sibling (or
+        none) are ``self``.  With two or more siblings the join may
+        reorder them, so it runs."""
+        siblings, theirs = self.siblings, other.siblings
+        if len(siblings) <= 1 and len(theirs) <= 1:
+            if not (siblings or self.clock):
+                return other
+            if not (theirs or other.clock):
+                return self
+            if self.clock == other.clock and siblings.keys() == theirs.keys():
+                return self
+        store = {None: frozenset(siblings)}
         clock = dict(self.clock)
         join(store, clock, _NO_DOTS,
-             {None: frozenset(other.siblings)}, other.clock, _NO_DOTS)
+             {None: frozenset(theirs)}, other.clock, _NO_DOTS)
         kept = store.get(None, _NO_DOTS)
-        values = {**self.siblings, **other.siblings}   # a dot names one write
+        values = {**siblings, **theirs}   # a dot names one write
         ordered = sorted((d for d in values if d in kept),
                          key=lambda d: (str(d[0]), d[1]))
         return DottedValueSet({d: values[d] for d in ordered}, clock)

@@ -129,16 +129,6 @@ class TokenHistoryRecorder:
                 inferred = seen_versions.get(_observation(raw))
                 if isinstance(inferred, int):
                     version = inferred
-            ops.append(
-                Operation(
-                    kind=raw.kind,
-                    key=raw.key,
-                    version=version,
-                    session=raw.session,
-                    start=raw.start,
-                    end=raw.end,
-                    value=raw.value,
-                    tier=raw.tier,
-                )
-            )
+            ops.append(Operation(raw.kind, raw.key, version, raw.session,
+                                 raw.start, raw.end, raw.value, raw.tier))
         return History(ops)

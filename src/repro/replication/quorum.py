@@ -235,16 +235,20 @@ class DottedSiblings:
 
     @staticmethod
     def encode(state: DottedValueSet) -> tuple[tuple, dict]:
-        """``(((dot, value), …), clock)``: one clock per key."""
-        return tuple(state.siblings.items()), dict(state.clock)
+        """``(((dot, value), …), clock)``: one clock per key.  The
+        state's own clock ships, and :meth:`decode` adopts it: a
+        sibling set is never mutated, so the replicas share it."""
+        return tuple(state.siblings.items()), state.clock
 
     @staticmethod
     def decode(siblings: tuple, clock: dict) -> DottedValueSet:
-        return DottedValueSet(dict(siblings), dict(clock))
+        return DottedValueSet(dict(siblings), clock)
 
     @staticmethod
     def reply(state: DottedValueSet) -> tuple[list, dict]:
-        """``(sibling_values, context)``."""
+        """``(sibling_values, context)``.  The context leaves for
+        client code, so it, like :meth:`recall`'s and :meth:`learn`'s,
+        is a copy."""
         return state.values(), dict(state.clock)
 
     @staticmethod

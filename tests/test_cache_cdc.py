@@ -7,14 +7,15 @@ sequence number.
 """
 
 from repro.api import registry
+from repro.cache import CachedStore
 from repro.sim import FixedLatency, Network, Simulator, Tracer, spawn
 from repro.sim.trace import filter_events
 
 
 def build_cached(sim, net, policy="write_through", **kwargs):
     kwargs.setdefault("miss_mode", "quorum")
-    return registry.build("cached", sim, net, protocol="quorum",
-                          policy=policy, nodes=3, **kwargs)
+    inner = registry.build("quorum", sim, net, nodes=3)
+    return CachedStore(inner, policy=policy, **kwargs)
 
 
 def drive(sim, script):

@@ -16,19 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import registry
-from repro.cache import POLICIES
+from repro.cache import POLICIES, CachedStore
 from repro.sim import FixedLatency, Network, Simulator, spawn
 
 
 def build_store(seed, cached, policy="write_through", **kwargs):
     sim = Simulator(seed=seed)
     net = Network(sim, latency=FixedLatency(2.0))
+    store = registry.build("quorum", sim, net, nodes=3)
     if cached:
-        store = registry.build("cached", sim, net, protocol="quorum",
-                               policy=policy, miss_mode="quorum",
-                               nodes=3, **kwargs)
-    else:
-        store = registry.build("quorum", sim, net, nodes=3)
+        store = CachedStore(store, policy=policy, miss_mode="quorum",
+                            **kwargs)
     return sim, store
 
 

@@ -27,6 +27,17 @@ def build_cached(seed=7, policy="write_through", protocol="quorum",
     return sim, store
 
 
+def build_write_behind(flush_delay, **knobs):
+    """A write-behind cache over 3-node quorum, as ``build_cached``
+    builds it but with ``flush_delay``: a ``CachedStore`` knob that the
+    registry's ``"cached"`` factory does not take."""
+    sim = Simulator(seed=7)
+    net = Network(sim, latency=FixedLatency(2.0))
+    inner = registry.build("quorum", sim, net, nodes=3)
+    return sim, CachedStore(inner, policy="write_behind", miss_mode="quorum",
+                            flush_delay=flush_delay, **knobs)
+
+
 def drive(sim, script):
     """Run a generator script to completion on the simulator."""
     process = spawn(sim, script)
@@ -271,7 +282,7 @@ def test_write_behind_acks_from_cache_with_wb_tokens():
 
 
 def test_write_behind_coalesces_rapid_writes():
-    sim, store = build_cached(policy="write_behind", flush_delay=50.0)
+    sim, store = build_write_behind(flush_delay=50.0)
     session = store.session("alice")
 
     def script():
@@ -290,8 +301,7 @@ def test_write_behind_coalesces_rapid_writes():
 
 
 def test_write_behind_miss_maps_foreign_tokens_below_acked():
-    sim, store = build_cached(policy="write_behind", ttl=20.0,
-                              flush_delay=5.0)
+    sim, store = build_write_behind(flush_delay=5.0, ttl=20.0)
     session = store.session("alice")
     seen = {}
 

@@ -12,6 +12,7 @@ from repro.clocks import (
     delivery,
 )
 from repro.clocks.dvv import join, join_context
+from repro.replication.quorum import DottedSiblings
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +225,118 @@ def test_dvv_blind_writes_legitimately_accumulate():
     for i in range(5):
         s = s.put("r1", i, {})
     assert len(s.values()) == 5
+
+
+# ----------------------------------------------------------------------
+# A sibling set is a value: ``sync`` may return an operand, and nothing
+# mutates a dict it was handed
+# ----------------------------------------------------------------------
+
+def _full_sync(ours, theirs):
+    """``DottedValueSet.sync`` without its shortcuts: the dot-store join
+    as a one-entry store, siblings in ``(str(replica), counter)`` order."""
+    store = {None: frozenset(ours.siblings)}
+    clock = dict(ours.clock)
+    join(store, clock, frozenset(),
+         {None: frozenset(theirs.siblings)}, theirs.clock, frozenset())
+    kept = store.get(None, frozenset())
+    values = {**ours.siblings, **theirs.siblings}
+    ordered = sorted((d for d in values if d in kept),
+                     key=lambda d: (str(d[0]), d[1]))
+    return DottedValueSet({d: values[d] for d in ordered}, clock)
+
+
+def _contents(state):
+    """Sibling items and clock items, both in order."""
+    return list(state.siblings.items()), list(state.clock.items())
+
+
+@st.composite
+def _held_sets(draw):
+    """Every set three replicas held over a run of writes and
+    anti-entropy syncs, each beside its contents when it was made.  A
+    replica writes against its own set under the clock of any set held
+    so far (a client's context), so a dot names one write; a write at
+    ``a`` over a set that holds ``b``'s sibling leaves two siblings out
+    of sort order."""
+    held = {replica: DottedValueSet() for replica in "abc"}
+    pool = [(held["a"], _contents(held["a"]))]
+    for step in range(draw(st.integers(1, 10))):
+        replica = draw(st.sampled_from("abc"))
+        if draw(st.booleans()):
+            context = draw(st.sampled_from(pool))[0].clock
+            state = held[replica].put(replica, f"v{step}", context)
+        else:
+            state = held[replica].sync(held[draw(st.sampled_from("abc"))])
+        held[replica] = state
+        pool.append((state, _contents(state)))
+    return pool
+
+
+_ONE = DottedValueSet().put("a", "x", {})
+_UNSORTED = DottedValueSet().put("b", "x", {}).put("a", "y", {})
+
+
+def _copy(state):
+    return DottedValueSet(dict(state.siblings), dict(state.clock))
+
+
+@pytest.mark.parametrize("ours, theirs", [
+    (DottedValueSet(), _ONE),                          # empty
+    (_ONE, DottedValueSet()),
+    (DottedValueSet(), _UNSORTED),                     # empty, two siblings
+    (_UNSORTED, DottedValueSet()),
+    (_ONE, _copy(_ONE)),                               # equal
+    (_UNSORTED, _copy(_UNSORTED)),                     # equal, two siblings
+    (_ONE, _ONE.put("a", "z", _ONE.clock)),            # dominated
+    (_ONE.put("a", "z", _ONE.clock), _ONE),
+    (_ONE, DottedValueSet().put("b", "w", {})),        # concurrent
+], ids=["empty-one", "one-empty", "empty-two", "two-empty", "equal-one",
+        "equal-two", "dominated", "dominating", "concurrent"])
+def test_dvv_sync_equals_the_full_join_on_each_kind_of_pair(ours, theirs):
+    """The two-sibling pairs are the ones the ``<= 1`` sibling guard
+    is for: ``_UNSORTED`` holds ``(b, 1)`` before ``(a, 1)``, and the
+    join sorts them."""
+    assert list(_UNSORTED.siblings) == [("b", 1), ("a", 1)]
+    assert _contents(ours.sync(theirs)) == _contents(_full_sync(ours, theirs))
+
+
+@given(pool=_held_sets())
+@settings(max_examples=200, deadline=None)
+def test_dvv_sync_equals_the_full_join(pool):
+    """Every set held, against the empty set, an equal copy and every
+    set held (the same replica's earlier sets, which it dominates, and
+    the others', concurrent or not), in both orders: the siblings in
+    order and the clock are the full join's."""
+    states = [state for state, _ in pool]
+    for ours in states:
+        for theirs in (DottedValueSet(), _copy(ours), *states):
+            for a, b in ((ours, theirs), (theirs, ours)):
+                assert _contents(a.sync(b)) == _contents(_full_sync(a, b))
+
+
+@given(pool=_held_sets(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_dvv_put_sync_encode_decode_mutate_nothing_they_are_handed(pool, data):
+    """Sets, their clocks and a wire clock are shared without a copy,
+    so ``put``, ``sync``, ``encode`` and ``decode`` must leave every
+    dict they were handed as it was: every set ever held, the client
+    context ``put`` reads, and the clock a message carries."""
+    states = [state for state, _ in pool]
+    context = dict(data.draw(st.sampled_from(states)).clock)
+    handed = dict(context)
+    for ours in states:
+        for theirs in states:
+            ours.sync(theirs).put("c", "w", context)
+        siblings, clock = DottedSiblings.encode(ours)
+        sent = dict(clock)
+        decoded = DottedSiblings.decode(siblings, clock)
+        for theirs in states:
+            decoded.put("a", "w", context).sync(theirs).sync(decoded)
+            theirs.sync(decoded)
+        assert clock == sent
+    assert context == handed
+    assert all(_contents(state) == contents for state, contents in pool)
 
 
 

@@ -1,7 +1,7 @@
 """Hot-path invariants: slotted structs, handle-free ``call_soon``,
-batched dispatch, fingerprint cost.
+batched dispatch, fingerprint cost, shared values.
 
-Seven families of checks guard the raw-speed machinery:
+Eight families of checks guard the raw-speed machinery:
 
 * **Slots audit** — the structs on the per-event/per-message hot path
   (:class:`Event`, the network/RPC/replication message dataclasses,
@@ -38,6 +38,10 @@ Seven families of checks guard the raw-speed machinery:
   text, and its caches grow with the distinct strings traced, not with
   the records.  Counts, not timings: timing gates flake on a shared
   host, counts do not.
+* **The composed stack shares values** — a sibling-quorum read whose
+  replies agree runs no dot-store ``join`` (``sync`` returns an
+  operand), and a cache install over a sharded store runs no generator
+  over the shards (its gauges are running counts).
 """
 
 import ast
@@ -45,6 +49,7 @@ import collections
 import gc
 import hashlib
 import importlib
+import inspect
 import json
 import pathlib
 import sys
@@ -54,10 +59,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import registry
+from repro.cache import CachedStore
+from repro.clocks import DottedValueSet, dvv
 from repro.perf import SCENARIOS, HashingTracer
 from repro.perf.scenarios import _QUORUM, _ycsb
 from repro.replication.common import Reply, Request
 from repro.replication.quorum import FetchMsg, FetchReply, QGet, QPut, StoreAck, StoreMsg
+from repro.sharding import ShardedStore
 from repro.sim import (
     ExponentialLatency,
     FixedLatency,
@@ -655,3 +664,85 @@ def test_the_loopback_count_sees_what_it_is_for(monkeypatch):
         sim.run()
 
     assert _loopback_sends(monkeypatch, run) == ({"FetchMsg": 3}, 4)
+
+
+# ---------------------------------------------------------------------------
+# The composed stack shares values (counts)
+# ---------------------------------------------------------------------------
+
+
+def test_a_sibling_quorum_read_whose_replies_agree_joins_nothing(monkeypatch):
+    """Every replica holds the one write, so an R = 3 read's replies
+    agree: ``sync`` returns an operand for the first reply (the empty
+    set's join) and for each equal one after it, and the dot-store
+    ``join`` never runs.  The counted hook is the one ``sync`` calls: a
+    sync of two concurrent sets counts one."""
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=FixedLatency(1.0))
+    store = registry.build("quorum_siblings", sim, net, nodes=3, r=3)
+    session = store.session("alice")
+    session.put("k", "v")
+    sim.run()
+    assert all("k" in replica.data for replica in store.replicas)
+
+    joins = []
+    join = dvv.join
+    monkeypatch.setattr(dvv, "join",
+                        lambda *args: joins.append(args) or join(*args))
+    read = session.get("k")
+    sim.run()
+    assert read.value[0] == ("v",)
+    assert joins == []
+    DottedValueSet().put("a", "x", {}).sync(DottedValueSet().put("b", "y", {}))
+    assert len(joins) == 1
+
+
+def _generator_frames(fn):
+    """Generator frames entered or resumed while ``fn()`` runs."""
+    frames = 0
+    previous = sys.getprofile()
+
+    def profiler(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            frames += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return frames
+
+
+def test_a_cache_install_over_a_sharded_store_runs_no_generator(monkeypatch):
+    """``cache.size`` and ``cache.pending`` are running counts: an
+    install (a write-through ack, a miss fill) sets both gauges without
+    summing over the shards.  Twelve keys over three shards; the count
+    sees a generator expression when there is one."""
+    assert _generator_frames(lambda: sum(n for n in range(3))) == 4
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=FixedLatency(1.0))
+    store = CachedStore(ShardedStore(sim, net, protocol="quorum", shards=3),
+                        policy="write_through")
+    install, frames = CachedStore._install, []
+
+    def counted(self, *args, **kwargs):
+        installed = []
+        frames.append(_generator_frames(
+            lambda: installed.append(install(self, *args, **kwargs))))
+        return installed[0]
+
+    monkeypatch.setattr(CachedStore, "_install", counted)
+    session = store.session("alice")
+    for i in range(12):
+        session.put(f"k{i}", i)
+    sim.run()
+    for i in range(12):
+        session.get(f"k{i}", mode="quorum")   # past the cache: no fill
+    sim.run()
+    store.settle()
+    sim.run()
+    assert len(store._shards) == 3 and len(frames) == 12
+    assert sim.metrics.gauge("cache.size").value == 12
+    assert frames == [0] * 12
