@@ -13,6 +13,7 @@ import pytest
 from common import emit
 from repro import Network, Simulator, spawn
 from repro.analysis import LatencyStats, render_table
+from repro.placement import Placement
 from repro.replication import MultiPaxosCluster
 from repro.sim import THREE_CONTINENTS
 
@@ -22,11 +23,11 @@ SITES = ("us-east", "eu", "asia")
 def run_group(replicas, seed=2, rounds=10):
     sim = Simulator(seed=seed)
     ids = [f"px{i}" for i in range(replicas)]
-    placement = {node: SITES[i % 3] for i, node in enumerate(ids)}
-    placement["pxclient-1"] = "us-east"   # client beside the leader
-    net = Network(
-        sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05)
-    )
+    placement = Placement(THREE_CONTINENTS)
+    for i, node in enumerate(ids):
+        placement.place(node, SITES[i % 3])
+    placement.place("pxclient-1", "us-east")   # client beside the leader
+    net = Network(sim, latency=placement.latency_model(jitter=0.05))
     cluster = MultiPaxosCluster(sim, net, nodes=replicas, node_ids=ids)
     client = cluster.connect()
     commit = LatencyStats()

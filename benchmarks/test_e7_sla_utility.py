@@ -16,6 +16,7 @@ from common import emit
 from repro import Network, Simulator
 from repro.analysis import render_table
 from repro.api import registry
+from repro.placement import Placement
 from repro.sim import THREE_CONTINENTS
 from repro.sla import SHOPPING_CART
 from repro.workload import OpSpec, WorkloadDriver
@@ -26,13 +27,13 @@ NODE_OF_SITE = {"us-east": "tl0", "eu": "tl1", "asia": "tl2"}
 
 def run_position(client_site, strategy, seed=3, reads=15):
     sim = Simulator(seed=seed)
-    placement = {
+    placement = Placement(THREE_CONTINENTS)
+    for node, site in {
         "tl0": "us-east", "tl1": "eu", "tl2": "asia",
         "tlclient-1": client_site, "tl0-fwd": "us-east",
-    }
-    net = Network(
-        sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05)
-    )
+    }.items():
+        placement.place(node, site)
+    net = Network(sim, latency=placement.latency_model(jitter=0.05))
     store = registry.build("pileus", sim, net, nodes=3,
                            propagation_delay=25.0)
     store.set_master("data", "tl0")

@@ -17,6 +17,7 @@ Run:  python examples/consistency_sla.py
 
 from repro import Network, Simulator, spawn
 from repro.analysis import print_table
+from repro.placement import Placement
 from repro.replication import TimelineCluster
 from repro.sim import THREE_CONTINENTS
 from repro.sla import (
@@ -46,11 +47,13 @@ ALWAYS_LOCAL = SLA(
 
 def build_world(seed=0):
     sim = Simulator(seed=seed)
-    placement = {
+    placement = Placement(THREE_CONTINENTS)
+    for node, site in {
         "tl0": "us-east", "tl1": "eu", "tl2": "asia",
         "tlclient-1": "eu", "tl0-fwd": "us-east",
-    }
-    net = Network(sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05))
+    }.items():
+        placement.place(node, site)
+    net = Network(sim, latency=placement.latency_model(jitter=0.05))
     cluster = TimelineCluster(sim, net, nodes=3, propagation_delay=30.0)
     cluster.set_master("data", "tl0")  # record mastered in us-east
     raw = cluster.connect(home="tl1")  # EU client reads its local replica

@@ -62,20 +62,10 @@ SESSION_CHECKERS = {
     "wfr": check_writes_follow_reads,
 }
 
-#: The read mode each protocol's claims are defined against: what a
-#: bare cell records, and what a cache in front of it fetches on a miss.
-READ_MODES: dict[str, str] = {
-    "quorum": "quorum",
-    "quorum_siblings": "quorum",
-    "causal": "local",
-    "timeline": "critical",
-    "bayou": "tentative",
-    "primary_backup": "primary",
-    "chain": "tail",
-    "multipaxos": "log",
-    "pileus": "sla",
-    "cached": "cached",
-}
+#: The read mode a protocol's claims are defined against (what a bare
+#: cell records, and what a cache in front of it fetches on a miss),
+#: where it is not the store's default read mode.
+READ_MODES: dict[str, str] = {"timeline": "critical"}
 
 
 def parse_stack(stack: str) -> tuple[list[str], str]:
@@ -103,12 +93,14 @@ def parse_stack(stack: str) -> tuple[list[str], str]:
 
 
 def build_stack(stack: str, sim: Simulator, network: Network, nodes: int,
-                ttl: float, flush_delay: float) -> tuple[Any, str | None]:
+                ttl: float, flush_delay: float) -> tuple[Any, str]:
     """Build ``stack`` innermost first: the store, and the read mode its
-    client records (the protocol's :data:`READ_MODES` entry, or
-    ``"cached"`` through a cache, which fetches that mode on a miss)."""
+    client records (the protocol's :data:`READ_MODES` entry or default
+    read mode, or ``"cached"`` through a cache, which fetches that mode
+    on a miss)."""
     layers, protocol = parse_stack(stack)
-    read_mode = READ_MODES.get(protocol)
+    read_mode = READ_MODES.get(
+        protocol, registry.get(protocol).capabilities.default_read_mode)
     if layers[-1:] == ["sharded"]:
         store = ShardedStore(sim, network, protocol=protocol, shards=SHARDS,
                              nodes_per_shard=nodes)
@@ -118,7 +110,7 @@ def build_stack(stack: str, sim: Simulator, network: Network, nodes: int,
         store = CachedStore(store, policy=layers[0][7:-1], ttl=ttl,
                             capacity=CACHE_CAPACITY, flush_delay=flush_delay,
                             miss_mode=read_mode)
-        read_mode = READ_MODES["cached"]
+        read_mode = store.capabilities.default_read_mode
     return store, read_mode
 
 
@@ -239,7 +231,7 @@ def run_cell(
     caps = store.capabilities
     checks = [_grade(caps, "convergence", True,
                      check_convergence(store.snapshots()))]
-    if (read_mode or caps.default_read_mode) in caps.linearizable_read_modes:
+    if read_mode in caps.linearizable_read_modes:
         checks.append(_grade(caps, "linearizable", True,
                              check_linearizability(history)))
     for guarantee, checker in SESSION_CHECKERS.items():

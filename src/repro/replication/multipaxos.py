@@ -30,6 +30,11 @@ Ballot = tuple[int, str]
 
 NO_BALLOT: Ballot = (0, "")
 
+#: Simulated ms an election may run before a client that finds no
+#: leader starts another, so one that cannot finish (a majority down)
+#: is superseded.
+ELECTION_TIMEOUT = 50.0
+
 
 # -- commands -----------------------------------------------------------------
 
@@ -347,7 +352,8 @@ class PaxosReplica(ServerNode):
 class PaxosClient(GroupClient):
     """Client handle bound to one session.  While the group has no
     leader, an op that needs one returns a future already failed with
-    :class:`~repro.errors.NotLeaderError`: no message, no random draw."""
+    :class:`~repro.errors.NotLeaderError`, and starts an election unless
+    one started less than :data:`ELECTION_TIMEOUT` ago."""
 
     def put(
         self, key: Hashable, value: Any, timeout: float | None = None
@@ -385,6 +391,10 @@ class PaxosClient(GroupClient):
         return self.call(endpoints, LocalRead(key), timeout)
 
     def _no_leader(self) -> Future:
+        cluster = self.cluster
+        if (self.sim.now - cluster._election_started >= ELECTION_TIMEOUT
+                and not all(replica.crashed for replica in cluster.replicas)):
+            cluster.elect()
         return resolved(self.sim, error=NotLeaderError("no active leader"))
 
 
@@ -403,7 +413,8 @@ class MultiPaxosCluster(ReplicaGroup):
     processes.  Built mid-run (a shard added to a live ring), the
     election runs alongside the workload, and ops refused with
     :class:`~repro.errors.NotLeaderError` until it completes are the
-    caller's to retry.
+    caller's to retry.  A client that finds the group leaderless starts
+    the next election (:class:`PaxosClient`).
     """
 
     replica_class = PaxosReplica
@@ -434,6 +445,7 @@ class MultiPaxosCluster(ReplicaGroup):
         Run the simulator to let the election finish."""
         candidate = replica or next(r for r in self.replicas if not r.crashed)
         self._round += 1
+        self._election_started = self.sim.now
         candidate.start_leadership(self._round)
 
     def _on_leader_elected(self, replica: PaxosReplica) -> None:

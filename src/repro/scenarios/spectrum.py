@@ -21,6 +21,7 @@ from ..api import registry
 from ..checkers import check_linearizability, stale_read_fraction
 from ..client import SessionClient
 from ..histories import History
+from ..placement import Placement
 from ..sim import THREE_CONTINENTS, Network, Simulator
 from ..workload import OpSpec, WorkloadDriver
 
@@ -83,11 +84,11 @@ class Row(NamedTuple):
 
 def geo_network(sim: Simulator) -> Network:
     """The replicas and both clients, over THREE_CONTINENTS."""
-    placement = dict(zip(NODES, SITES))
-    placement.update({"client-eu": "eu", "client-asia": "asia"})
-    return Network(
-        sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05)
-    )
+    placement = Placement(THREE_CONTINENTS)
+    for node, site in [*zip(NODES, SITES), ("client-eu", "eu"),
+                       ("client-asia", "asia")]:
+        placement.place(node, site)
+    return Network(sim, latency=placement.latency_model(jitter=0.05))
 
 
 def rw_ops(rounds: int, reads_per_round: int) -> list[OpSpec]:

@@ -10,10 +10,8 @@ object plus a preset with realistic inter-datacenter one-way delays
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
 
 from ..errors import NetworkError
-from .network import MatrixLatency
 
 
 #: One-way delay (ms) between two nodes in the same datacenter.
@@ -43,26 +41,6 @@ class Topology:
         if value is None:
             raise NetworkError(f"no delay between {a!r} and {b!r} in {self.name}")
         return value
-
-    def latency_model(
-        self,
-        site_of: dict[Hashable, str],
-        jitter: float = 0.1,
-    ) -> MatrixLatency:
-        """Build a :class:`MatrixLatency` for nodes placed at sites.
-
-        ``site_of`` maps node id → site name; unknown nodes raise at
-        send time, which catches placement bugs early.
-        """
-        for node, site in site_of.items():
-            if site not in self.sites:
-                raise NetworkError(f"node {node!r} placed at unknown site {site!r}")
-        matrix: dict[tuple[str, str], float] = {}
-        for a in self.sites:
-            for b in self.sites:
-                matrix[(a, b)] = self.delay(a, b)
-        mapping = dict(site_of)
-        return MatrixLatency(matrix, site_of=lambda n: mapping[n], jitter=jitter)
 
 
 def symmetric_delays(

@@ -22,6 +22,7 @@ from repro.chaos import (
     run_cell,
     run_grid,
 )
+from repro.replication.multipaxos import PaxosClient
 
 SESSION_GUARANTEES = ("ryw", "mr", "mw", "wfr")
 
@@ -176,12 +177,22 @@ def test_grid_defaults_never_wrap_the_cache_adapter_itself():
         run_cell("cached[write_around]:quorum", ops=10)
 
 
-def test_write_behind_survives_a_flush_refused_at_issue():
+def test_write_behind_survives_a_flush_refused_at_issue(monkeypatch):
     """While its leader is crashed, multipaxos refuses a flush at issue
     with a future already failed with NotLeaderError; the flush must
     take the retry path and drain after heal + settle."""
+    refused = []
+    no_leader = PaxosClient._no_leader
+
+    def counting(client):
+        if client.session == "cache-flusher":
+            refused.append(client.sim.now)
+        return no_leader(client)
+
+    monkeypatch.setattr(PaxosClient, "_no_leader", counting)
     report = run_cache_cell("multipaxos", "write_behind", seed=42,
                             plan="crashes", ops=40)
+    assert refused
     assert report.ok
     assert report.check("convergence").status == PASS
     assert report.ops_ok > 0

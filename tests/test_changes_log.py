@@ -1,7 +1,8 @@
 """CHANGES.md stays a log one can scan: an entry numbered
 ``FIRST_CAPPED`` or later is at most ``CAP`` characters (earlier entries
-predate the cap).  Numbers and proofs belong in EXPERIMENTS.md,
-contracts in DESIGN.md; an entry says what changed and points there."""
+predate the cap).  Measured numbers belong in BENCH_HISTORY.jsonl,
+methods and experiment claims in EXPERIMENTS.md, contracts in
+DESIGN.md; an entry says what changed and points there."""
 
 import pathlib
 import re

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
+from repro.placement import Placement
 from repro.sim import (
     ExponentialLatency,
     FixedLatency,
@@ -391,8 +392,10 @@ def test_reachable_iff_send_is_not_blocked(early, groups, faults):
 
 SITES = ("us", "eu", "ap")
 SAME_SITE = {(site, site): 1.0 for site in SITES}
-SITE_TOPOLOGY = Topology("three", SITES, symmetric_delays(
-    {("us", "eu"): 40.0, ("us", "ap"): 70.0, ("eu", "ap"): 110.0}))
+SITE_PLACEMENT = Placement(Topology("three", SITES, symmetric_delays(
+    {("us", "eu"): 40.0, ("us", "ap"): 70.0, ("eu", "ap"): 110.0})))
+for _site in SITES:
+    SITE_PLACEMENT.place(_site, _site)
 LATENCY_MODELS = {
     "fixed": FixedLatency(2.5),
     "exponential": ExponentialLatency(base=0.3, mean=1.7),
@@ -402,8 +405,7 @@ LATENCY_MODELS = {
     "matrix-no-jitter": MatrixLatency(
         {("us", "eu"): 40.0, ("us", "ap"): 1.0, ("eu", "ap"): 1.0,
          **SAME_SITE}, jitter=0.0),
-    "topology": SITE_TOPOLOGY.latency_model(
-        {site: site for site in SITES}, jitter=0.1),
+    "topology": SITE_PLACEMENT.latency_model(jitter=0.1),
 }
 
 

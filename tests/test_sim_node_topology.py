@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import NetworkError, SimulationError
+from repro.placement import Placement
 from repro.sim.topology import INTRA_SITE, Topology
 from repro.sim import (
     THREE_CONTINENTS,
@@ -222,8 +223,10 @@ def test_unknown_site_pair_rejected():
 
 
 def test_latency_model_from_placement():
-    placement = {"n0": "us-east", "n1": "eu"}
-    model = THREE_CONTINENTS.latency_model(placement, jitter=0.0)
+    placement = Placement(THREE_CONTINENTS)
+    placement.place("n0", "us-east")
+    placement.place("n1", "eu")
+    model = placement.latency_model(jitter=0.0)
     sim = Simulator()
     assert model.sample(sim.rng, "n0", "n1") == 40.0
     assert model.sample(sim.rng, "n0", "n0") == INTRA_SITE
@@ -231,7 +234,7 @@ def test_latency_model_from_placement():
 
 def test_latency_model_rejects_unknown_site():
     with pytest.raises(NetworkError):
-        THREE_CONTINENTS.latency_model({"n0": "atlantis"})
+        Placement(THREE_CONTINENTS).place("n0", "atlantis")
 
 
 def test_asymmetric_topology_resolves_per_direction():

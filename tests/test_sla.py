@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.placement import Placement
 from repro.replication import TimelineCluster
 from repro.sim import THREE_CONTINENTS, Network, Simulator, spawn
 from repro.sla import (
@@ -26,9 +27,11 @@ def make_geo(seed=0, client_site="eu", propagation_delay=50.0):
     """Timeline cluster with the master near us-east and a client at
     ``client_site``: nearby replica is laggy, master is far."""
     sim = Simulator(seed=seed)
-    placement = {"tl0": "us-east", "tl1": "eu", "tl2": "asia",
-                 "tlclient-1": client_site, "tl0-fwd": "us-east"}
-    net = Network(sim, latency=THREE_CONTINENTS.latency_model(placement, jitter=0.05))
+    placement = Placement(THREE_CONTINENTS)
+    for node, site in {"tl0": "us-east", "tl1": "eu", "tl2": "asia",
+                       "tlclient-1": client_site, "tl0-fwd": "us-east"}.items():
+        placement.place(node, site)
+    net = Network(sim, latency=placement.latency_model(jitter=0.05))
     cluster = TimelineCluster(sim, net, nodes=3,
                               propagation_delay=propagation_delay)
     client = cluster.connect(home="tl1")
